@@ -113,21 +113,17 @@ def _manifest(args, command: str, flags: dict, seed, inputs: dict,
         fh.write("\n")
 
 
-def _graph_record(g: Graph, path: str) -> dict:
-    text = graph6_encode(g)
-    record = {"path": os.path.basename(path), "digest": _digest(text.encode())}
-    if g.n <= _CANON_IN_MANIFEST:
-        record["canonical"] = canonical_form(g).graph6
-    return record
-
-
 def _emit_graph(g: Graph, prefix: str) -> dict:
+    """Write PREFIX.g6 and print it; return its manifest record."""
     path = prefix + ".g6"
     text = graph6_encode(g)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")
     print(text)
-    return _graph_record(g, path)
+    record = {"path": os.path.basename(path), "digest": _digest(text.encode())}
+    if g.n <= _CANON_IN_MANIFEST:
+        record["canonical"] = canonical_form(g).graph6
+    return record
 
 
 def _write_cert(doc: dict, prefix: str) -> str:
@@ -283,6 +279,8 @@ _BASES = {"t8": lambda: triangular_graph(8),
 
 
 def cmd_gen_srg2(args) -> int:
+    if args.coloring < 0:
+        raise ParseError(f"--coloring must be >= 0, got {args.coloring}")
     inputs: dict = {}
     if args.base in _BASES:
         base = _BASES[args.base]()
@@ -363,15 +361,25 @@ def _parse_candidates(text: str):
     return out
 
 
+def _int_list(text: str, flag: str, count: int) -> list[int]:
+    try:
+        values = [int(t) for t in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ParseError(f"{flag} needs {count} comma-separated integers")
+    return values
+
+
 def cmd_spectrum(args) -> int:
     g = _read_graph(args)
     if args.candidates:
         candidates = _parse_candidates(args.candidates)
     elif args.ddg:
-        params = DdgParams(*(int(t) for t in args.ddg.split(",")))
+        params = DdgParams(*_int_list(args.ddg, "--ddg", 6))
         candidates = ddg_formula_spectrum(params).candidates()
     elif args.srg:
-        params = SrgParams(*(int(t) for t in args.srg.split(",")))
+        params = SrgParams(*_int_list(args.srg, "--srg", 4))
         candidates = [e for e, _ in srg_spectrum(params).entries()]
     else:
         raise ParseError("need --candidates, --ddg or --srg")

@@ -1,12 +1,13 @@
 """Exact spectra for graphs whose eigenvalues are known in advance.
 
-No floating point anywhere.  A spectrum claim {theta_i with multiplicity
-m_i} is verified in two exact steps: the annihilating product
+No eigensolver and no rounding.  A spectrum claim {theta_i with
+multiplicity m_i} is verified in two exact steps: the annihilating product
 prod_i (A - theta_i I) must vanish (irrational conjugate pairs +-sqrt(t)
 combine into the integer factor A^2 - tI), and the multiplicities are the
 unique solution of the trace system tr(A^s) = sum_i m_i theta_i^s over the
-rationals.  Matrix products run in numpy int64 while a running bound proves
-no overflow, then fall back to Python-int object arrays.
+rationals.  Products run in float64 (BLAS) only while a bound proved from
+the input keeps every partial sum an integer below 2^53, exact in any
+summation order; past it they continue in Python-int object arrays.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
@@ -24,8 +25,6 @@ import numpy as np
 from .ddg import DdgParams
 from .errors import (InfeasibleParams, NonIntegralMultiplicity, NotAnnihilated)
 from .graphs import Graph
-
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,7 @@ class Spectrum:
         return list(zip(self.eigenvalues, self.multiplicities))
 
     def multiplicity_of(self, eig: Eigenvalue) -> int:
-        for e, m in self.entries():
-            if e == eig:
-                return m
-        return 0
+        return dict(self.entries()).get(eig, 0)
 
     def nonzero(self) -> "Spectrum":
         """Drop eigenvalues of multiplicity 0 (unused candidates)."""
@@ -132,9 +128,7 @@ def make_spectrum(pairs) -> Spectrum:
     for e, m in pairs:
         if m < 0:
             raise ValueError(f"negative multiplicity {m} for {e}")
-        if isinstance(e, Radical):
-            pass
-        elif not isinstance(e, int):
+        if not isinstance(e, (int, Radical)):
             raise TypeError(f"eigenvalue {e!r} must be int or Radical")
         for idx, (e2, m2) in enumerate(merged):
             if e2 == e:
@@ -147,35 +141,40 @@ def make_spectrum(pairs) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# exact matrix arithmetic with overflow-proved int64 fast path
+# exact matrix arithmetic: float64 below a proved 2^53 bound, then Python ints
 
 
 def adjacency_matrix(g: Graph):
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u in range(g.n):
-        for v in g.neighbours(u):
-            a[u, v] = 1
-    return a
+    """0/1 adjacency matrix as float64, unpacked from the bitset rows."""
+    width = (g.n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for r in g.rows)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(g.n, width)
+    return np.unpackbits(bits, 1, g.n, "little").astype(np.float64)
+
+
+def _as_ints(mat):
+    return mat.astype(np.int64).astype(object)  # Python ints, not floats
 
 
 class _ExactProduct:
-    """Running matrix product with an entrywise bound; promotes int64 ->
-    Python-int object dtype before any product could overflow."""
+    """Running product whose rows have absolute sums <= `rowsum`.  Partial
+    sums of mat @ F are then <= rowsum * max|F|; float64 is exact while that
+    stays below 2^53, and mat moves to Python-int objects once it cannot."""
 
     def __init__(self, n: int):
-        self.n = max(n, 1)
-        self.mat = np.eye(n, dtype=np.int64)
-        self.bound = 1
+        self.mat = np.eye(n)
+        self.rowsum = 1
 
-    def multiply(self, factor, factor_bound: int):
-        new_bound = self.n * self.bound * max(factor_bound, 1)
-        if new_bound >= _INT64_SAFE and self.mat.dtype != object:
-            self.mat = self.mat.astype(object)
-            factor = factor.astype(object)
-        elif self.mat.dtype == object and factor.dtype != object:
-            factor = factor.astype(object)
+    def multiply(self, base, shift: int, base_rowsum: int, base_max: int):
+        """mat @ (base - shift I) for an integer matrix base >= 0 with
+        entries <= base_max and row sums <= base_rowsum."""
+        if (self.mat.dtype != object and
+                max(self.rowsum, 1) * (base_max + abs(shift)) >= 1 << 53):
+            self.mat = _as_ints(self.mat)
+        factor = _as_ints(base) if self.mat.dtype == object else base.copy()
+        factor[np.diag_indices_from(factor)] -= shift
         self.mat = self.mat @ factor
-        self.bound = new_bound
+        self.rowsum *= base_rowsum + abs(shift)
 
 
 def _candidate_sets(candidates) -> tuple[list[int], list[int]]:
@@ -211,14 +210,14 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
         raise NotAnnihilated("empty candidate list")
 
     adj = adjacency_matrix(g)
-    adj_sq = adj @ adj  # entries <= n, never overflows at n <= 2^30
-    ident = np.eye(n, dtype=np.int64)
+    adj_sq = adj @ adj  # partial sums <= max degree, exact in float64
+    delta = max(r.bit_count() for r in g.rows)
 
     product = _ExactProduct(n)
     for a in ints:
-        product.multiply(adj - a * ident, max(1, abs(a)))
+        product.multiply(adj, a, delta, 1)
     for t in rads:
-        product.multiply(adj_sq - t * ident, max(n, t))
+        product.multiply(adj_sq, t, delta * delta, delta)
     if np.any(product.mat):
         raise NotAnnihilated(
             f"candidates {ints + [exact_root(t) for t in rads]} do not "
@@ -231,8 +230,8 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     traces = [n]
     power = _ExactProduct(n)
     for _ in range(1, n_rows):
-        power.multiply(adj, 1)
-        traces.append(int(np.trace(power.mat)))
+        power.multiply(adj, 0, delta, 1)
+        traces.append(sum(map(int, power.mat.diagonal())))
 
     rows = []
     rhs = []

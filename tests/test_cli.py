@@ -154,6 +154,25 @@ def test_spectrum_command(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--in", "pet.g6", "--ddg", "1,2"],
+     "--ddg needs 6 comma-separated integers"),
+    (["spectrum", "--in", "pet.g6", "--srg", "1,2"],
+     "--srg needs 4 comma-separated integers"),
+    (["spectrum", "--in", "pet.g6", "--srg", "10,3,zero,1"],
+     "--srg needs 4 comma-separated integers"),
+    (["gen-srg2", "--base", "t8", "--coloring", "-1"],
+     "--coloring must be >= 0, got -1"),
+])
+def test_malformed_flag_values_exit_2(workdir, capsys, argv, message):
+    (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"srgforge: {message}\n"
+    assert list(workdir.iterdir()) == [workdir / "pet.g6"]
+
+
 def test_count_classes_command(workdir, capsys):
     pet = graph6_encode(petersen_graph())
     rot = graph6_encode(

@@ -4,18 +4,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graphs
-from srgforge import (coclique_deletion_spectrum, complete_graph, cycle_graph,
-                      ddg_formula_spectrum, DdgParams, delsarte_clique_size,
-                      empty_graph, exact_root, exact_spectrum, from_edges,
+from srgforge import (chang_graphs, coclique_deletion_spectrum,
+                      complete_graph, cycle_graph, ddg_formula_spectrum,
+                      DdgParams, delsarte_clique_size, empty_graph,
+                      exact_root, exact_spectrum, from_edges,
                       hoffman_coclique_size, InfeasibleParams, make_spectrum,
                       NotAnnihilated, petersen_graph,
                       Radical, srg1_target_params, srg_eigenvalues,
-                      srg_spectrum, SrgParams, verify_ddg)
+                      srg_spectrum, SrgParams, triangular_graph, verify_ddg)
+from srgforge.spectra import _ExactProduct, adjacency_matrix
 from test_ddg import build
+from test_srg import srg1
 
 
 def test_radical_basics():
@@ -169,3 +173,75 @@ def test_ddg_spectrum_matches_deletion_formula():
         spec = exact_spectrum(g, ddg_formula_spectrum(params).candidates())
         target = srg1_target_params(q, d)
         assert spec == coclique_deletion_spectrum(target, params.m)
+
+
+def _reference_product(g, shifts):
+    """prod (A - s I) over the shifts, in Python ints only."""
+    n = g.n
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for s in shifts:
+        factor = [[int(g.has_edge(i, j)) - s * (i == j) for j in range(n)]
+                  for i in range(n)]
+        mat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*factor)]
+               for row in mat]
+    return mat
+
+
+@pytest.mark.parametrize("shifts, first_object", [
+    ([2**60, 3, 1, -2], 0),         # 1 * (1 + 2^60) >= 2^53 at once
+    ([2**30, 2**31, 3, 1, -2], 1),  # (3 + 2^30)(1 + 2^31) >= 2^53
+    ([0] * 40, 34),                 # A^k: rowsum 3^(k-1) passes 2^53 at k=35
+])
+def test_exact_product_tier_boundaries(shifts, first_object):
+    g = petersen_graph()  # maximum degree 3
+    adj = adjacency_matrix(g)
+    product = _ExactProduct(g.n)
+    for i, s in enumerate(shifts):
+        product.multiply(adj, s, 3, 1)
+        if i < first_object:
+            assert product.mat.dtype == np.float64
+        else:
+            assert product.mat.dtype == object
+            assert all(type(x) is int for x in product.mat.flat)
+        assert product.mat.tolist() == _reference_product(g, shifts[:i + 1])
+
+
+def test_exact_spectrum_with_huge_candidates():
+    pet = petersen_graph()
+    expected = exact_spectrum(pet, [3, 1, -2])
+    for extra in ([2**60], [2**30, 2**31], [Radical(2**61 + 1)],
+                  list(range(-20, 21))):
+        spec = exact_spectrum(pet, extra + [3, 1, -2])
+        assert spec.nonzero() == expected
+        with pytest.raises(NotAnnihilated):
+            exact_spectrum(pet, [e for e in extra if e != -2] + [3, 1])
+
+
+def _oracle_graphs():
+    """Graphs of at most 40 vertices with candidate eigenvalue lists."""
+    def srg(params):
+        return [e for e, _ in srg_spectrum(params).entries()]
+
+    yield from_edges(4, [(0, 1), (0, 2), (0, 3)]), [0, Radical(3)]
+    yield petersen_graph(), srg((10, 3, 0, 1))
+    for g in (triangular_graph(8), *chang_graphs()):
+        yield g, srg((28, 12, 6, 4))
+    for q, d in [(2, 2), (3, 2)]:
+        g, partition = build(q, d, seed=1)
+        params = DdgParams.from_certificate(verify_ddg(g, partition))
+        yield g, ddg_formula_spectrum(params).candidates()
+        yield srg1(q, d, seed=1)[0], srg(srg1_target_params(q, d))
+
+
+def test_exact_spectrum_matches_sympy_charpoly():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for g, candidates in _oracle_graphs():
+        spec = exact_spectrum(g, candidates)
+        charpoly = sympy.Matrix(g.n, g.n,
+                                lambda i, j: int(g.has_edge(i, j))).charpoly(x)
+        expected = sympy.prod(
+            (x - (e if isinstance(e, int) else
+                  (-1 if e.negative else 1) * sympy.sqrt(e.radicand))) ** m
+            for e, m in spec.entries())
+        assert charpoly.all_coeffs() == sympy.Poly(expected, x).all_coeffs()
