@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .designs import data_lines
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
-from .graphs import Certificate, Graph, VertexPartition, certificate, complement
+from .graphs import (Certificate, Graph, VertexPartition, certificate,
+                     complement, first_bad_pair)
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -256,28 +258,14 @@ def verify_ddg(g: Graph, partition: VertexPartition) -> Certificate:
 
     lam1 = lam2 = None
     if not witnesses:
-        cls_of = partition.class_of()
-        for u in range(n_v):
-            row_u = g.rows[u]
-            cu = cls_of[u]
-            for w in range(u + 1, n_v):
-                c = (row_u & g.rows[w]).bit_count()
-                if cls_of[w] == cu:
-                    if lam1 is None:
-                        lam1 = c
-                    elif c != lam1:
-                        witnesses.append({"check": "same-class", "pair": [u, w],
-                                          "count": c, "expected": lam1})
-                        break
-                else:
-                    if lam2 is None:
-                        lam2 = c
-                    elif c != lam2:
-                        witnesses.append({"check": "cross-class", "pair": [u, w],
-                                          "count": c, "expected": lam2})
-                        break
-            if witnesses:
-                break
+        keys = partition.same_class()
+        bad, (lam1, lam2) = first_bad_pair(g.rows, keys, (None, None))
+        if bad:
+            u, w, c = bad
+            same = keys[u][w]
+            witnesses.append({"check": "same-class" if same else "cross-class",
+                              "pair": [u, w], "count": c,
+                              "expected": lam1 if same else lam2})
 
     m = len(partition.classes)
     return certificate(
@@ -346,17 +334,9 @@ def counting_lower_bound(q: int, d: int) -> Fraction:
 # and sigma[j][i] derived from sigma[i][j] when only one is given.
 
 
-def _data_lines(path: str):
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
-
-
 def load_quasigroup(path: str) -> LeftQuasigroup:
     rows = []
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         try:
             rows.append(tuple(int(tok) for tok in line.split()))
         except ValueError:
@@ -379,7 +359,7 @@ def save_quasigroup(qg: LeftQuasigroup, path: str) -> None:
 
 def load_family(path: str, m: int, q: int) -> BijectionFamily:
     given: dict[tuple[int, int], tuple[int, ...]] = {}
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         head, sep, tail = line.partition(":")
         if not sep:
             raise ParseError("expected `i j : permutation`", line=lineno)

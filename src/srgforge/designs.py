@@ -250,7 +250,9 @@ def verify_symmetric(design: SymmetricDesign) -> Certificate:
 # resolvable files list the classes consecutively; `#` starts a comment.
 
 
-def _data_lines(path: str):
+def data_lines(path: str):
+    """(line number, text) of each line with its `#` comment and surrounding
+    blanks removed, skipping lines left empty."""
     with open(path, encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -275,7 +277,7 @@ def load_design(path: str, kind: str):
     """Parse a design file; axiom verification stays with the caller."""
     if kind not in ("resolvable", "symmetric"):
         raise ValueError(f"unknown design kind {kind!r}")
-    lines = list(_data_lines(path))
+    lines = list(data_lines(path))
     if not lines:
         raise ParseError(f"{path}: no design header found")
 

@@ -1,9 +1,16 @@
 """Simple undirected graphs as bitset adjacency rows, plus graph6 I/O.
 
 Adjacency rows are Python ints used as bitsets: bit v of rows[u] is set iff
-uv is an edge.  Common-neighbour counting, the hot loop of every verifier
-here, is then a single AND plus popcount per pair.  Graphs are immutable
-after construction and every constructor checks symmetry and loop-freeness.
+uv is an edge, and `set_bits` lists the set bits of a row.  Common-neighbour
+counting, the hot loop of every verifier here, is then a single AND plus
+popcount per pair; `first_bad_pair` is that loop, shared by all of them.
+Graphs are immutable after construction and every constructor checks
+symmetry and loop-freeness.
+
+`bit_matrix` and `matrix_rows` convert between rows and a boolean n x n
+matrix.  `Graph` checks symmetry on that matrix, and graph6 reads its body
+order (the lower triangle row by row, i.e. the upper triangle column by
+column) from one `np.tri` mask on it.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -29,10 +38,13 @@ class Graph:
                 raise ValueError(f"row {u} has bits outside [0, n)")
             if row >> u & 1:
                 raise ValueError(f"loop at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.rows[u] >> v & 1) != (self.rows[v] >> u & 1):
-                    raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        m = bit_matrix(self.n, self.rows)
+        asym = m != m.T
+        if asym.any():
+            # asym is symmetric, so its first entry in row-major order is
+            # the first asymmetric pair (u, v), u < v, in lexicographic order
+            u, v = divmod(int(asym.argmax()), self.n)
+            raise ValueError(f"asymmetric adjacency at ({u}, {v})")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -41,14 +53,14 @@ class Graph:
         return self.rows[u].bit_count()
 
     def neighbours(self, u: int):
-        return _bits(self.rows[u])
+        return set_bits(self.rows[u])
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self):
         for u in range(self.n):
-            for v in _bits(self.rows[u] >> (u + 1) << (u + 1)):
+            for v in set_bits(self.rows[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
     def induced(self, vertices) -> "Graph":
@@ -57,7 +69,7 @@ class Graph:
         pos = {v: i for i, v in enumerate(vs)}
         rows = [0] * len(vs)
         for i, u in enumerate(vs):
-            for v in _bits(self.rows[u]):
+            for v in set_bits(self.rows[u]):
                 j = pos.get(v)
                 if j is not None:
                     rows[i] |= 1 << j
@@ -67,7 +79,7 @@ class Graph:
         """Image under perm: old vertex u becomes perm[u]."""
         rows = [0] * self.n
         for u in range(self.n):
-            for v in _bits(self.rows[u]):
+            for v in set_bits(self.rows[u]):
                 rows[perm[u]] |= 1 << perm[v]
         return Graph(self.n, tuple(rows))
 
@@ -75,11 +87,58 @@ class Graph:
         return hashlib.sha256(graph6_encode(self).encode()).hexdigest()[:16]
 
 
-def _bits(x: int):
+def set_bits(x: int):
+    """Indices of the set bits of x, in ascending order."""
     while x:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def bit_matrix(n: int, rows) -> np.ndarray:
+    """Boolean n x n matrix whose entry (u, v) is bit v of rows[u]; each row
+    must lie in [0, 2^n)."""
+    width = (n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for r in rows)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(bits, 1, n, "little").view(bool)
+
+
+def matrix_rows(m: np.ndarray) -> tuple[int, ...]:
+    """Inverse of bit_matrix: row u of the boolean matrix as a bitset int."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+
+
+def first_bad_pair(rows, keys, values, start: int = 0):
+    """First vertex pair whose common-neighbour count breaks its stratum.
+
+    Scans the pairs (u, w), u < w and w >= start, in lexicographic order and
+    counts (rows[u] & rows[w]).bit_count().  A pair is in stratum 0 when
+    keys[u][w] is true, else in stratum 1; a key row is best a list or
+    bytes, whose indexing costs least.  values[s] fixes the count of stratum
+    s, or is None to take it from that stratum's first pair.
+
+    Returns ((u, w, count) or None, (value0, value1)); a stratum first met
+    after the returned pair keeps its given value.
+    """
+    a, b = values
+    n = len(rows)
+    for u in range(n):
+        row_u = rows[u]
+        key = keys[u]
+        for w in range(max(u + 1, start), n):
+            c = (row_u & rows[w]).bit_count()
+            if key[w]:
+                if a is None:
+                    a = c
+                elif c != a:
+                    return (u, w, c), (a, b)
+            elif b is None:
+                b = c
+            elif c != b:
+                return (u, w, c), (a, b)
+    return None, (a, b)
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -114,6 +173,13 @@ class VertexPartition:
     @staticmethod
     def from_lists(n: int, classes) -> "VertexPartition":
         return VertexPartition(n, tuple(tuple(sorted(c)) for c in classes))
+
+    def same_class(self) -> list[list[bool]]:
+        """Row u tells, for each vertex w, whether w is in u's class; the
+        vertices of one class share one row."""
+        cls_of = self.class_of()
+        rows = [[c == i for c in cls_of] for i in range(len(self.classes))]
+        return [rows[c] for c in cls_of]
 
     def class_of(self) -> list[int]:
         out = [-1] * self.n
@@ -250,27 +316,18 @@ def _g6_size_bytes(n: int) -> bytes:
     raise ValueError("graph6 supports at most 258047 vertices here")
 
 
-def upper_triangle_bits(g: Graph):
-    """Bits x(i, j) for j = 1..n-1, i < j: the graph6 body order."""
-    for j in range(1, g.n):
-        col = g.rows[j]
-        for i in range(j):
-            yield col >> i & 1
+def _body_mask(n: int) -> np.ndarray:
+    """Entries (j, i), i < j, in row-major order: x(i, j) for j = 1..n-1 and
+    i < j, the graph6 body order."""
+    return np.tri(n, k=-1, dtype=bool)
 
 
 def graph6_encode(g: Graph) -> str:
-    out = bytearray(_g6_size_bytes(g.n))
-    acc = 0
-    nbits = 0
-    for bit in upper_triangle_bits(g):
-        acc = acc << 1 | bit
-        nbits += 1
-        if nbits == 6:
-            out.append(acc + 63)
-            acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    head = _g6_size_bytes(g.n)
+    bits = bit_matrix(g.n, g.rows)[_body_mask(g.n)]
+    bits = np.pad(bits, (0, -len(bits) % 6))
+    body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
+    return (head + body.tobytes()).decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
@@ -283,7 +340,8 @@ def graph6_decode(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise ParseError(f"graph6 byte out of range in {s!r}") from None
-    if any(b < 63 or b > 126 for b in data):
+    codes = np.frombuffer(data, dtype=np.uint8)
+    if ((codes < 63) | (codes > 126)).any():
         raise ParseError(f"graph6 byte out of range in {s!r}")
 
     if data[0] == 126:
@@ -292,28 +350,20 @@ def graph6_decode(text: str) -> Graph:
         if len(data) < 4:
             raise ParseError("truncated graph6 long-form size")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
+        body = codes[4:]
     else:
         n = data[0] - 63
-        body = data[1:]
+        body = codes[1:]
 
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ParseError(f"graph6 body length {len(body)} wrong for n={n}")
 
-    bits = []
-    for b in body:
-        v = b - 63
-        bits.extend((v >> k & 1) for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+    # six data bits per byte, most significant first
+    bits = np.unpackbits(body - 63).reshape(-1, 8)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise ParseError("graph6 padding bits are not zero")
 
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, tuple(rows))
+    m = np.zeros((n, n), dtype=bool)
+    m[_body_mask(n)] = bits[:nbits]
+    return Graph(n, matrix_rows(m | m.T))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ddg import DdgParams
 from .errors import (InfeasibleParams, NonIntegralMultiplicity, NotAnnihilated)
-from .graphs import Graph
+from .graphs import Graph, bit_matrix
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,8 @@ def make_spectrum(pairs) -> Spectrum:
 
 
 def adjacency_matrix(g: Graph):
-    """0/1 adjacency matrix as float64, unpacked from the bitset rows."""
-    width = (g.n + 7) // 8
-    packed = b"".join(r.to_bytes(width, "little") for r in g.rows)
-    bits = np.frombuffer(packed, dtype=np.uint8).reshape(g.n, width)
-    return np.unpackbits(bits, 1, g.n, "little").astype(np.float64)
+    """0/1 adjacency matrix as float64."""
+    return bit_matrix(g.n, g.rows).astype(np.float64)
 
 
 def _as_ints(mat):

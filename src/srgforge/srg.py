@@ -23,8 +23,9 @@ from itertools import combinations
 from .ddg import DdgParams, theorem1_params, verify_ddg
 from .designs import SymmetricDesign, verify_symmetric
 from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
-from .graphs import (Certificate, Graph, VertexPartition, certificate,
-                     complete_graph, line_graph)
+from .graphs import (bit_matrix, Certificate, Graph, VertexPartition,
+                     certificate, common_neighbours, complete_graph,
+                     first_bad_pair, line_graph, set_bits)
 from .spectra import hoffman_coclique_size
 
 
@@ -104,26 +105,14 @@ def verify_srg(g: Graph) -> Certificate:
 
     lam = mu = None
     if not witnesses:
-        for u in range(n):
-            row_u = g.rows[u]
-            for w in range(u + 1, n):
-                c = (row_u & g.rows[w]).bit_count()
-                if row_u >> w & 1:
-                    if lam is None:
-                        lam = c
-                    elif c != lam:
-                        witnesses.append({"check": "lambda", "pair": [u, w],
-                                          "count": c, "expected": lam})
-                        break
-                else:
-                    if mu is None:
-                        mu = c
-                    elif c != mu:
-                        witnesses.append({"check": "mu", "pair": [u, w],
-                                          "count": c, "expected": mu})
-                        break
-            if witnesses:
-                break
+        keys = [row.tobytes() for row in bit_matrix(n, g.rows)]
+        bad, (lam, mu) = first_bad_pair(g.rows, keys, (None, None))
+        if bad:
+            u, w, c = bad
+            adjacent = g.has_edge(u, w)
+            witnesses.append({"check": "lambda" if adjacent else "mu",
+                              "pair": [u, w], "count": c,
+                              "expected": lam if adjacent else mu})
 
     lam = lam if lam is not None else 0
     mu = mu if mu is not None else 0
@@ -195,14 +184,24 @@ def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
         raise PreconditionFailed(f"parameters {params.as_tuple()} are not of "
                                  f"the glued-design form")
 
-    v_star = ddg_graph.n
-    rows = list(ddg_graph.rows) + [0] * m
+    return Graph(ddg_graph.n + m, tuple(_attach_design(
+        ddg_graph, partition, design, block_map)))
+
+
+def _attach_design(g: Graph, partition: VertexPartition,
+                   design: SymmetricDesign,
+                   block_map: ClassBlockMap) -> list[int]:
+    """Rows of g plus one new vertex per design point: point y becomes vertex
+    g.n + y, joined to every vertex of class i when y lies in block
+    block_map(i)."""
+    v_star = g.n
+    rows = list(g.rows) + [0] * design.n_points
     for i, cls in enumerate(partition.classes):
         for y in design.blocks[block_map.mapping[i]]:
             for x in cls:
                 rows[x] |= 1 << (v_star + y)
                 rows[v_star + y] |= 1 << x
-    return Graph(v_star + m, tuple(rows))
+    return rows
 
 
 def verify_srg1_cases(g: Graph, partition: VertexPartition,
@@ -242,31 +241,32 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
         "mixed": (q ** (2 * d - 2) * (q - 1), 0),
     }
 
-    star_mask = (1 << v_star) - 1
-    coc_mask = ((1 << g.n) - 1) ^ star_mask
-    cls_of = partition.class_of() + [-1] * m
-
-    def stratum(u: int, w: int) -> str:
-        if u < v_star and w < v_star:
-            return "same-class" if cls_of[u] == cls_of[w] else "cross-class"
-        if u >= v_star and w >= v_star:
-            return "attached"
-        return "mixed"
-
-    for u in range(g.n):
-        row_u = g.rows[u]
-        for w in range(u + 1, g.n):
-            common = row_u & g.rows[w]
-            split = ((common & star_mask).bit_count(),
-                     (common & coc_mask).bit_count())
-            name = stratum(u, w)
-            if split != expected[name]:
-                witnesses.append({"check": name, "pair": [u, w],
-                                  "split": list(split),
-                                  "expected": list(expected[name])})
-                break
-        if witnesses:
-            break
+    # Every stratum's split totals `target`, so a pair fails exactly when
+    # its total or its count in the attached coclique is off; that count is
+    # q^{d-1} or q^{d-2}(q-1) inside the original graph and 0 for pairs
+    # with an attached vertex (w >= v_star).
+    rows = g.rows
+    coc = [row >> v_star for row in rows]
+    keys = partition.same_class()
+    one_stratum = [bytes(g.n)] * g.n
+    found = [
+        first_bad_pair(rows, one_stratum, (None, target))[0],
+        first_bad_pair(coc[:v_star], keys, (expected["same-class"][1],
+                                            expected["cross-class"][1]))[0],
+        first_bad_pair(coc, one_stratum, (None, 0), start=v_star)[0],
+    ]
+    hits = [bad[:2] for bad in found if bad]
+    if hits:
+        u, w = min(hits)
+        if w < v_star:
+            name = "same-class" if keys[u][w] else "cross-class"
+        else:
+            name = "attached" if u >= v_star else "mixed"
+        common = rows[u] & rows[w]
+        witnesses.append({"check": name, "pair": [u, w],
+                          "split": [(common & ((1 << v_star) - 1)).bit_count(),
+                                    (common >> v_star).bit_count()],
+                          "expected": list(expected[name])})
 
     return certificate("srg", parameters={
         "q": q, "d": d, "target": target,
@@ -337,26 +337,15 @@ def chang_graphs() -> list[Graph]:
 # Hoffman colorings and the clique attachment
 
 
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _cocliques_from(g: Graph, block: list[int], pool: int, size: int):
     """Extend block to cocliques of the target size, ascending order."""
     if len(block) == size:
         yield tuple(block)
         return
-    rem = pool
-    while rem:
-        low = rem & -rem
-        w = low.bit_length() - 1
-        rem ^= low
+    for w in set_bits(pool):
         block.append(w)
         yield from _cocliques_from(
-            g, block, pool & ~g.rows[w] & ~((low << 1) - 1), size)
+            g, block, pool & ~g.rows[w] & ~((2 << w) - 1), size)
         block.pop()
 
 
@@ -459,10 +448,6 @@ class ConditionReport:
     holds: bool
     values: tuple
 
-    def __iter__(self):
-        yield self.holds
-        yield self.values
-
 
 def srg2_condition(k: int, mu: int, m: int, n: int, lam_inf: int) -> ConditionReport:
     """Test sqrt(k-mu+1) + n + mu - 2 = m - 2 + n lam_inf = 2k/(m-1) + mu + lam_inf."""
@@ -499,19 +484,19 @@ def construct_srg2(config: Srg2Config) -> Graph:
         raise PreconditionFailed(f"design axioms fail: {dcert.witnesses[0]}")
     lam_inf = dcert.parameters["lambda"]
 
-    base_params = SrgParams.from_certificate(verify_srg(config.base))
-    cond = srg2_condition(base_params.k, base_params.mu, m, n, lam_inf)
+    # construct_ddg_hoffman proved the base strongly regular and each
+    # coloring class a coclique, so two vertices of one class have mu
+    # common neighbours; classes have n >= 2 vertices, since the ratio
+    # bound is 1 only for complete graphs, which it rejects
+    a, b = partition.classes[0][:2]
+    cond = srg2_condition(config.base.degree(0),
+                          common_neighbours(config.base, a, b), m, n, lam_inf)
     if not cond.holds:
         raise PreconditionFailed(f"attachment condition fails: quantities "
                                  f"{cond.values} are not all equal")
 
     v_star = ddg_g.n
-    rows = list(ddg_g.rows) + [0] * m
-    for i, cls in enumerate(partition.classes):
-        for y in config.design.blocks[config.block_map.mapping[i]]:
-            for x in cls:
-                rows[x] |= 1 << (v_star + y)
-                rows[v_star + y] |= 1 << x
+    rows = _attach_design(ddg_g, partition, config.design, config.block_map)
     for a in range(m):
         for b in range(a + 1, m):
             rows[v_star + a] |= 1 << (v_star + b)

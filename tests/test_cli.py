@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from srgforge import graph6_decode, graph6_encode, petersen_graph
+from srgforge import (complete_graph, cycle_graph, designs, fano_plane,
+                      graph6_decode, graph6_encode, petersen_graph,
+                      save_design, srg, SymmetricDesign, triangular_graph)
+from srgforge import cli
 from srgforge.cli import main
 
 
@@ -192,14 +198,32 @@ def test_bound_command(capsys):
     assert out == "1/341163456359156416512"
 
 
-def test_threads_env(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("SRGFORGE_THREADS", "4")
-    rc = main(["gen-ddg", "--q", "2", "--d", "2", "--seed", "3"])
-    assert rc == 0
-    capsys.readouterr()
-    manifest = json.loads(
-        (workdir / "ddg-q2-d2-s3.manifest.json").read_text())
-    assert manifest["threads"] == 4
+def test_gen_srg2_verifies_each_input_once(workdir, capsys, monkeypatch):
+    """verify_srg runs on the base in the coloring search and in the fill,
+    and on the output; a file design's axioms are checked once."""
+    calls = {"verify_srg": 0, "verify_symmetric": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (cli, srg):
+        monkeypatch.setattr(module, "verify_srg", counted(srg.verify_srg))
+    monkeypatch.setattr(srg, "verify_symmetric",
+                        counted(designs.verify_symmetric))
+    save_design(fano_plane(), "fano.txt")
+    assert main(["gen-srg2", "--base", "t8", "--design", "file:fano.txt"]) == 0
+    assert calls == {"verify_srg": 3, "verify_symmetric": 1}
+
+
+def test_gen_srg2_rejects_bad_file_design(workdir, capsys):
+    fano = fano_plane()
+    twice = SymmetricDesign(7, fano.blocks[:6] + fano.blocks[:1], fano.params)
+    save_design(twice, "bad.txt")
+    assert main(["gen-srg2", "--base", "t8", "--design", "file:bad.txt"]) == 2
+    assert "design axioms fail" in capsys.readouterr().err
 
 
 def test_pipe_composition_subprocess(tmp_path):
@@ -225,3 +249,97 @@ def test_pipe_composition_subprocess(tmp_path):
         shell=True, capture_output=True, text=True, env=env, cwd=tmp_path)
     assert census.returncode == 0
     assert json.loads(census.stdout) == {"count": 15, "size": 3}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argv and stdin ends in exit 0, 1 or 2, never a traceback
+
+_LONG = graph6_encode(complete_graph(63))
+_GRAPHS = [graph6_encode(g) for g in (petersen_graph(), cycle_graph(5),
+                                      complete_graph(4), triangular_graph(6))]
+_BAD_G6 = ["", "?", "@", "B", "Bw!", "Bz", "B\x7f", "é", "~", "~?", "~??",
+           "~~", "~??~", _LONG[:-1], _LONG + "?", _LONG[:-1] + "~",
+           _LONG[:40] + " " + _LONG[41:], ">>graph6<<Bw"]
+_Q = ["-1", "0", "1", "2", "3", "6", "x"]
+_D = ["-1", "0", "1", "2", "x"]
+_IN = ["in.g6", "bad.g6", "missing"]
+_FLAGS = {
+    "gen-ddg": {"--q": _Q, "--d": _D, "--seed": ["0", "5", "-3", "x"],
+                "--quasigroup": ["cyclic", "random", "file:qg.txt",
+                                 "file:missing", "bogus"],
+                "--family": ["identity", "random", "file:fam.txt", "bogus"],
+                "--out": ["o"]},
+    "gen-srg2": {"--base": ["t8", "chang1", "chang3", "g6:in.g6",
+                            "g6:bad.g6", "g6:missing", "bogus"],
+                 "--design": ["fano", "file:design.txt", "file:qg.txt",
+                              "bogus"],
+                 "--coloring": ["0", "1", "-1", "99", "x"],
+                 "--phi": ["phi.txt", "file:phi.txt", "qg.txt", "missing"],
+                 "--out": ["o"]},
+    "verify": {"--expect": ["srg", "ddg", "bogus"],
+               "--classes": ["p0", "p1", "p2", "p3", "p4", "missing"],
+               "--in": _IN, "--cert": ["c.json"]},
+    "spectrum": {"--candidates": ["3,1,-2", "sqrt(5),-sqrt(5),2", "sqrt(4)",
+                                  "sqrt(x)", "x", ""],
+                 "--ddg": ["12,6,2,3,3,4", "1,2", "a,b,c,d,e,f"],
+                 "--srg": ["10,3,0,1", "15,8,4,4", "10,3,0,2", "1"],
+                 "--in": _IN},
+    "canon": {"--in": _IN},
+    "count-classes": {"--in": _IN, "--out": ["cc.json"]},
+    "sp-graph": {"--q": _Q, "--d": _D, "--complement": None},
+    "clique-census": {"--in": _IN, "--out": ["census.json"]},
+    "bound": {"--q": _Q, "--d": _D},
+}
+_FLAGS["gen-srg1"] = {**_FLAGS["gen-ddg"], "--phi": _FLAGS["gen-srg2"]["--phi"]}
+_INPUTS = {
+    "in.g6": _GRAPHS[0] + "\n", "bad.g6": _LONG[:-1] + "\n",
+    "qg.txt": "0 1 2\n1 2 0\n2 0 1\n", "fam.txt": "0 1 : 1 0\n",
+    "phi.txt": "2 0 1\n", "p0": "0 1 2 3 4\n5 6 7 8 9\n",
+    "p1": "0 1\n2 x\n", "p2": "# c\n\n0 1 2 3 4 5 6 7 8 9 # all\n",
+    "p3": "0 1\n1 2\n", "p4": "0 99\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _INPUTS.items():
+        (root / name).write_text(text, encoding="ascii")
+    save_design(fano_plane(), str(root / "design.txt"))
+    return root
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.integers(0, 4)):
+            argv.append(flag)
+            if values:
+                argv.append(draw(st.sampled_from(values)))
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-x", "gen-ddg", "--"])))
+    lines = draw(st.lists(st.sampled_from(_GRAPHS + _BAD_G6), max_size=3))
+    return argv, "\n".join(lines)
+
+
+@given(_invocations())
+def test_cli_fuzz_exit_codes(fuzzdir, invocation):
+    argv, stdin = invocation
+    out, err = io.StringIO(), io.StringIO()
+    cwd, real_stdin = os.getcwd(), sys.stdin
+    os.chdir(fuzzdir)
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code
+    finally:
+        sys.stdin = real_stdin
+        os.chdir(cwd)
+    assert rc in (0, 1, 2), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

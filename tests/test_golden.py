@@ -1,0 +1,88 @@
+"""Golden outputs: SHA-256 digests of what a fixed set of commands writes.
+
+The digests pin every byte of the graph6, certificate, class and manifest
+files and of stdout, so a refactor that changes any output fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+
+from srgforge import Graph, graph6_decode, graph6_encode
+from srgforge.cli import main
+
+GOLDEN = {
+    "ddg.stdout": "6f82a6b3a6c4d8c85db92618b47f37c08116480342ac5bfddfd755341f747ecd",
+    "ddg.g6": "6f82a6b3a6c4d8c85db92618b47f37c08116480342ac5bfddfd755341f747ecd",
+    "ddg.cert.json": "379cf6a6ed23f017d9f5be2f9a9371dc4df22eb79b650fe9a3ef9709064bbfcb",
+    "ddg.classes": "edf31f6720a98af43de932991f08a45d5c66ce1dbb1a2495e1bd538dabdbae8b",
+    "ddg.manifest.json": "eeeb26ef639a77b42c3eb2bc1a5b7444ebe946e742a2112ebd33ed8fbec55e62",
+    "srg1.stdout": "0dcf96380ccadeaa12434b6c18903fadcf71bddba02c94f9b6de41d90884bcbd",
+    "srg1.g6": "0dcf96380ccadeaa12434b6c18903fadcf71bddba02c94f9b6de41d90884bcbd",
+    "srg1.cert.json": "ae03e950d45728829dd5cb0dccfb77607af5c074109a8572e45025d6607abdc7",
+    "srg1.manifest.json": "b53d95b79d3ddefa8df0d54fdd56e4bb4937a24f1aca726dd3dc6aebef828621",
+    "t8.stdout": "854e3be4f91bcbeea6e36abdc2344d0c88202b151c45fe47aaf60bc3ecf8265a",
+    "t8.g6": "854e3be4f91bcbeea6e36abdc2344d0c88202b151c45fe47aaf60bc3ecf8265a",
+    "t8.cert.json": "160773f61b0b4fdf38e1b9e7dcadc4cf3ff728730e57e5f2d140605de8bad24d",
+    "t8.manifest.json": "a3c4c74bb722c284c9491f738c7d965caa9b9310d017c6ac87779ebde14f5e41",
+    "chang1.stdout": "2593f10f41bf38defdbf7761af420441a33c914a3a94031b11687c254a883d10",
+    "chang1.g6": "2593f10f41bf38defdbf7761af420441a33c914a3a94031b11687c254a883d10",
+    "chang1.cert.json": "160773f61b0b4fdf38e1b9e7dcadc4cf3ff728730e57e5f2d140605de8bad24d",
+    "chang1.manifest.json": "870e80eb72b6131d73a2eb465d4e66f43b8fb2111decd3d3a1225f795d98bc8e",
+    "spectrum.stdout": "b6ba8fc3b0686e1dfc95d1271789eef7410f3f1486934d4cb11d5713755d9b8e",
+    "bad.cert.json": "c2ee178d54e19932b2391e064e6d47725edd0338b88845ac6ed3c56bdc236b63",
+}
+
+
+def _two_switch(g: Graph) -> Graph:
+    """Replace the first edge pair ab, cd (sorted edge order) with ac, bd
+    non-edges by ac, bd: degrees stay, common-neighbour counts move."""
+    edges = sorted(g.edges())
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1:]:
+            if len({a, b, c, d}) == 4 and not g.has_edge(a, c) \
+                    and not g.has_edge(b, d):
+                rows = list(g.rows)
+                for x, y in ((a, b), (c, d), (a, c), (b, d)):
+                    rows[x] ^= 1 << y
+                    rows[y] ^= 1 << x
+                return Graph(g.n, tuple(rows))
+    raise AssertionError("no 2-switch")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outputs(tmp_path, monkeypatch, capsys) -> dict:
+    monkeypatch.chdir(tmp_path)
+    got = {}
+
+    def run(name, argv, stdin="", rc=0):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(argv) == rc
+        got[name + ".stdout"] = _digest(capsys.readouterr().out.encode())
+
+    run("ddg", ["gen-ddg", "--q", "2", "--d", "3", "--seed", "4",
+                "--quasigroup", "random", "--out", "ddg"])
+    run("srg1", ["gen-srg1", "--q", "3", "--d", "2", "--seed", "2",
+                 "--out", "srg1"])
+    run("t8", ["gen-srg2", "--base", "t8", "--out", "t8"])
+    run("chang1", ["gen-srg2", "--base", "chang1", "--out", "chang1"])
+    t8 = (tmp_path / "t8.g6").read_text()
+    run("spectrum", ["spectrum", "--srg", "35,18,9,9"], t8)
+    ddg = graph6_decode((tmp_path / "ddg.g6").read_text())
+    run("bad", ["verify", "--expect", "ddg", "--classes", "ddg.classes",
+                "--cert", "bad.cert.json"],
+        graph6_encode(_two_switch(ddg)) + "\n", rc=1)
+    for name in GOLDEN:
+        if not name.endswith(".stdout"):
+            got[name] = _digest((tmp_path / name).read_bytes())
+    return got
+
+
+def test_golden_outputs(tmp_path, monkeypatch, capsys):
+    got = _outputs(tmp_path, monkeypatch, capsys)
+    assert {k: got[k] for k in GOLDEN} == GOLDEN
+

@@ -26,6 +26,72 @@ def test_graph_validation():
         Graph(2, (4, 0))  # bit beyond n
 
 
+def ref_validation_error(n, rows):
+    """The message of the ValueError Graph(n, rows) raises, as the checks
+    were first written: one bit at a time, so the first offender is plain."""
+    if n < 0 or len(rows) != n:
+        return "row count does not match vertex count"
+    full = (1 << n) - 1
+    for u, row in enumerate(rows):
+        if row & ~full:
+            return f"row {u} has bits outside [0, n)"
+        if row >> u & 1:
+            return f"loop at vertex {u}"
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (rows[u] >> v & 1) != (rows[v] >> u & 1):
+                return f"asymmetric adjacency at ({u}, {v})"
+    return None
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    (3, (0b001, 0, 0), "loop at vertex 0"),
+    (4, (0b0100, 0, 0, 0), "asymmetric adjacency at (0, 2)"),
+    (4, (0, 0, 0, 0b0010), "asymmetric adjacency at (1, 3)"),
+    (3, (0b1000, 0, 0), "row 0 has bits outside [0, n)"),
+    (3, (0, -1, 0), "row 1 has bits outside [0, n)"),
+    (3, (0, -2, 0), "row 1 has bits outside [0, n)"),
+    # several faults: the first row with a range fault or a loop wins, and
+    # asymmetry is reported only when no row has either
+    (4, (0b0100, 0, 0b0100, 1 << 9), "loop at vertex 2"),
+    (4, (0b0100, 0b0010 | 1 << 5, 0, 0), "row 1 has bits outside [0, n)"),
+    (5, (0b10000, 0b01000, 0, 0, 0), "asymmetric adjacency at (0, 4)"),
+    (2, (0, 0, 0), "row count does not match vertex count"),
+    (-1, (), "row count does not match vertex count"),
+])
+def test_graph_validation_messages(n, rows, message):
+    assert ref_validation_error(n, rows) == message
+    with pytest.raises(ValueError) as exc:
+        Graph(n, rows)
+    assert str(exc.value) == message
+
+
+@given(graphs(max_n=20), st.lists(st.tuples(
+    st.sampled_from(["one-way", "loop", "high", "negative"]),
+    st.integers(0, 100), st.integers(0, 100)), max_size=4))
+def test_graph_validation_matches_reference(g, faults):
+    rows = list(g.rows)
+    for kind, a, b in faults:
+        if not g.n:
+            break
+        u, v = a % g.n, b % g.n
+        if kind == "one-way":
+            rows[u] ^= 1 << v
+        elif kind == "loop":
+            rows[u] |= 1 << u
+        elif kind == "high":
+            rows[u] |= 1 << (g.n + b % 3)
+        else:
+            rows[u] = -rows[u] - 1
+    message = ref_validation_error(g.n, tuple(rows))
+    if message is None:
+        assert Graph(g.n, tuple(rows)).rows == tuple(rows)
+    else:
+        with pytest.raises(ValueError) as exc:
+            Graph(g.n, tuple(rows))
+        assert str(exc.value) == message
+
+
 def test_from_edges_and_accessors():
     g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.edge_count() == 3
@@ -111,6 +177,41 @@ def test_graph6_long_form_round_trip():
         text = graph6_encode(g)
         assert text[0] == chr(126)
         assert graph6_decode(text) == g
+
+
+def test_graph6_smallest_orders():
+    for n, text in ((0, "?"), (1, "@")):
+        assert graph6_encode(empty_graph(n)) == text
+        assert graph6_decode(text) == empty_graph(n)
+    assert graph6_encode(complete_graph(63))[:4] == "~??~"
+
+
+def test_graph6_long_form_errors():
+    import random
+    rnd = random.Random(3)
+    g = graph_from_bits(63, rnd.getrandbits(63 * 62 // 2))
+    text = graph6_encode(g)  # 1953 bits: 326 body bytes, 3 padding bits
+    assert len(text) == 4 + 326
+    cases = [
+        (text[:-1], "graph6 body length 325 wrong for n=63"),
+        (text + "?", "graph6 body length 327 wrong for n=63"),
+        (text[:4], "graph6 body length 0 wrong for n=63"),
+        (text[:-1] + chr(ord(text[-1]) + 1),  # lowest padding bit
+         "graph6 padding bits are not zero"),
+        (text[:-1] + "~", "graph6 padding bits are not zero"),
+        (text[:100] + "!" + text[101:],
+         f"graph6 byte out of range in {text[:100] + '!' + text[101:]!r}"),
+        (text[:200] + chr(127) + text[201:],
+         f"graph6 byte out of range in {text[:200] + chr(127) + text[201:]!r}"),
+        ("~?", "truncated graph6 long-form size"),
+        ("~~" + text[2:], "graph6 very long form (>258047 vertices) "
+                          "unsupported"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ParseError) as exc:
+            graph6_decode(bad)
+        assert str(exc.value) == message
+    assert graph6_decode(text) == g
 
 
 def test_graph6_decode_errors():

@@ -1,0 +1,354 @@
+"""The shared pair kernel against the per-verifier pair loops it replaced.
+
+`ref_verify_srg`, `ref_verify_ddg` and `ref_verify_srg1_cases` are the
+three verifiers as they were written before `first_bad_pair` existed, each
+with its own pair loop.  The kernel-based verifiers must give the same
+certificate JSON, first witness and inferred parameters included, both on
+random inputs and on 2-switched outputs of the constructions.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, strategies as st
+
+from conftest import graph_from_bits
+from srgforge import (affine_geometry_design, certificate, ClassBlockMap,
+                      construct_ddg, construct_srg1, cyclic_quasigroup,
+                      Graph, make_field, projective_complement_design,
+                      random_bijection_family, verify_ddg, verify_srg,
+                      verify_srg1_cases, VertexPartition)
+from srgforge.graphs import bit_matrix, first_bad_pair
+
+
+def ref_verify_srg(g):
+    witnesses = []
+    n = g.n
+    k = g.degree(0) if n else 0
+    for u in range(n):
+        if g.degree(u) != k:
+            witnesses.append({"check": "regular", "vertices": [0, u],
+                              "degrees": [k, g.degree(u)]})
+            break
+
+    lam = mu = None
+    if not witnesses:
+        for u in range(n):
+            row_u = g.rows[u]
+            for w in range(u + 1, n):
+                c = (row_u & g.rows[w]).bit_count()
+                if row_u >> w & 1:
+                    if lam is None:
+                        lam = c
+                    elif c != lam:
+                        witnesses.append({"check": "lambda", "pair": [u, w],
+                                          "count": c, "expected": lam})
+                        break
+                else:
+                    if mu is None:
+                        mu = c
+                    elif c != mu:
+                        witnesses.append({"check": "mu", "pair": [u, w],
+                                          "count": c, "expected": mu})
+                        break
+            if witnesses:
+                break
+
+    lam = lam if lam is not None else 0
+    mu = mu if mu is not None else 0
+    if not witnesses and k * (k - lam - 1) != (n - k - 1) * mu:
+        witnesses.append({"check": "feasibility",
+                          "lhs": k * (k - lam - 1), "rhs": (n - k - 1) * mu})
+
+    return certificate("srg", parameters={"v": n, "k": k, "lambda": lam,
+                                          "mu": mu}, witnesses=witnesses)
+
+
+def ref_verify_ddg(g, partition):
+    n_v = g.n
+    if partition.n != n_v:
+        return certificate("ddg", parameters={"v": n_v}, witnesses=[
+            {"check": "partition-shape", "partition_n": partition.n}])
+
+    ecount = g.edge_count()
+    if n_v > 1 and ecount in (0, n_v * (n_v - 1) // 2):
+        reason = "edgeless" if ecount == 0 else "complete"
+        return certificate("ddg", parameters={"v": n_v}, witnesses=[
+            {"check": "excluded", "reason": reason}])
+
+    witnesses = []
+    sizes = sorted({len(c) for c in partition.classes})
+    if len(sizes) != 1:
+        witnesses.append({"check": "class-size", "sizes": sizes})
+
+    k = g.degree(0) if n_v else 0
+    for u in range(n_v):
+        if g.degree(u) != k:
+            witnesses.append({"check": "regular", "vertices": [0, u],
+                              "degrees": [k, g.degree(u)]})
+            break
+
+    lam1 = lam2 = None
+    if not witnesses:
+        cls_of = partition.class_of()
+        for u in range(n_v):
+            row_u = g.rows[u]
+            cu = cls_of[u]
+            for w in range(u + 1, n_v):
+                c = (row_u & g.rows[w]).bit_count()
+                if cls_of[w] == cu:
+                    if lam1 is None:
+                        lam1 = c
+                    elif c != lam1:
+                        witnesses.append({"check": "same-class", "pair": [u, w],
+                                          "count": c, "expected": lam1})
+                        break
+                else:
+                    if lam2 is None:
+                        lam2 = c
+                    elif c != lam2:
+                        witnesses.append({"check": "cross-class", "pair": [u, w],
+                                          "count": c, "expected": lam2})
+                        break
+            if witnesses:
+                break
+
+    m = len(partition.classes)
+    return certificate(
+        "ddg",
+        parameters={
+            "v": n_v, "k": k,
+            "lambda1": lam1 if lam1 is not None else 0,
+            "lambda2": lam2 if lam2 is not None else 0,
+            "m": m, "n": sizes[0] if m else 0,
+        },
+        witnesses=witnesses,
+    )
+
+
+def ref_verify_srg1_cases(g, partition, design):
+    witnesses = []
+    v_star = partition.n
+    m = len(partition.classes)
+    n = len(partition.classes[0])
+    if design.n_points != m or g.n != v_star + m:
+        return certificate("srg", parameters={}, witnesses=[
+            {"check": "shape", "graph_n": g.n, "classes": m,
+             "design_points": design.n_points}])
+
+    q = (n - 1) // m + 1 if m and (n - 1) % m == 0 else 0
+    d, t = 0, 1
+    while q >= 2 and t < n:
+        t *= q
+        d += 1
+    if q < 2 or t != n or d < 2:
+        return certificate("srg", parameters={}, witnesses=[
+            {"check": "shape", "m": m, "n": n}])
+
+    target = q ** (2 * d - 2) * (q - 1)
+    expected = {
+        "same-class": (q ** (d - 1) * (q**d - q ** (d - 1) - 1), q ** (d - 1)),
+        "cross-class": (q ** (d - 2) * (q - 1) * (q**d - 1),
+                        q ** (d - 2) * (q - 1)),
+        "attached": (q**d * q ** (d - 2) * (q - 1), 0),
+        "mixed": (q ** (2 * d - 2) * (q - 1), 0),
+    }
+
+    star_mask = (1 << v_star) - 1
+    coc_mask = ((1 << g.n) - 1) ^ star_mask
+    cls_of = partition.class_of() + [-1] * m
+
+    def stratum(u, w):
+        if u < v_star and w < v_star:
+            return "same-class" if cls_of[u] == cls_of[w] else "cross-class"
+        if u >= v_star and w >= v_star:
+            return "attached"
+        return "mixed"
+
+    for u in range(g.n):
+        row_u = g.rows[u]
+        for w in range(u + 1, g.n):
+            common = row_u & g.rows[w]
+            split = ((common & star_mask).bit_count(),
+                     (common & coc_mask).bit_count())
+            name = stratum(u, w)
+            if split != expected[name]:
+                witnesses.append({"check": name, "pair": [u, w],
+                                  "split": list(split),
+                                  "expected": list(expected[name])})
+                break
+        if witnesses:
+            break
+
+    return certificate("srg", parameters={
+        "q": q, "d": d, "target": target,
+        **{name.replace("-", "_"): sum(pair) for name, pair in expected.items()},
+    }, witnesses=witnesses)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _srg1_pieces(q: int, d: int, seed: int):
+    field = make_field(q, 1)
+    design = affine_geometry_design(field, d)
+    m = design.n_classes
+    qg = cyclic_quasigroup(m)
+    ddg_g, partition = construct_ddg(
+        [design] * m, qg, random_bijection_family(m, q, qg, seed))
+    attach = projective_complement_design(field, d)
+    # class 0 gets a block without point 0, so vertex 0 and the first
+    # attached vertex are not adjacent
+    i = next(i for i, block in enumerate(attach.blocks) if 0 not in block)
+    mapping = list(range(m))
+    mapping[0], mapping[i] = i, 0
+    srg_g = construct_srg1(ddg_g, partition, attach, ClassBlockMap(tuple(mapping)))
+    return ddg_g, partition, srg_g, attach
+
+
+_PIECES = {(q, d): _srg1_pieces(q, d, 7) for q, d in ((3, 2), (2, 3))}
+
+
+def _toggled(g: Graph, pairs) -> Graph:
+    rows = list(g.rows)
+    for u, w in pairs:
+        u, w = u % g.n, w % g.n
+        if u != w:
+            rows[u] ^= 1 << w
+            rows[w] ^= 1 << u
+    return Graph(g.n, tuple(rows))
+
+
+def _two_switched(g: Graph, seed: int, switches: int) -> Graph:
+    """Apply degree-keeping 2-switches: edges ab, cd with ac, bd absent
+    become ac, bd."""
+    rnd = random.Random(seed)
+    edges = sorted(g.edges())
+    done = 0
+    while done < switches:
+        (a, b), (c, d) = rnd.sample(edges, 2)
+        if len({a, b, c, d}) < 4 or g.has_edge(a, c) or g.has_edge(b, d):
+            continue
+        g = _toggled(g, [(a, b), (c, d), (a, c), (b, d)])
+        edges = sorted(g.edges())
+        done += 1
+    return g
+
+
+def _same(got, ref):
+    assert got.to_json() == ref.to_json()
+
+
+@st.composite
+def partitions(draw, n: int):
+    """Equal classes of a divisor of n in a random vertex order, or (rarely)
+    an arbitrary split."""
+    order = draw(st.permutations(range(n)))
+    if n and draw(st.integers(0, 4)):
+        size = draw(st.sampled_from([s for s in range(1, n + 1) if n % s == 0]))
+        cuts = list(range(0, n + 1, size))
+    else:
+        cuts = sorted({0, n, *draw(st.lists(st.integers(0, n), max_size=4))})
+    return VertexPartition.from_lists(
+        n, [order[a:b] for a, b in zip(cuts, cuts[1:]) if b > a])
+
+
+@st.composite
+def circulants(draw):
+    """Regular graphs, so the verifiers reach their pair loops."""
+    n = draw(st.integers(2, 16))
+    steps = draw(st.sets(st.integers(1, n // 2)))
+    rows = [0] * n
+    for u in range(n):
+        for s in steps:
+            for w in ((u + s) % n, (u - s) % n):
+                rows[u] |= 1 << w
+    return Graph(n, tuple(rows))
+
+
+def _bits_graph(draw):
+    n = draw(st.integers(0, 12))
+    bits = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    return graph_from_bits(n, bits)
+
+
+@given(st.data())
+def test_random_graphs_match_reference(data):
+    if data.draw(st.booleans()):
+        g = data.draw(circulants())
+    else:
+        g = _bits_graph(data.draw)
+    _same(verify_srg(g), ref_verify_srg(g))
+    partition = data.draw(partitions(g.n))
+    _same(verify_ddg(g, partition), ref_verify_ddg(g, partition))
+
+
+@given(st.sampled_from(sorted(_PIECES)), st.integers(0, 10**6),
+       st.integers(1, 3))
+def test_two_switched_outputs_match_reference(qd, seed, switches):
+    ddg_g, partition, srg_g, attach = _PIECES[qd]
+    g = _two_switched(ddg_g, seed, switches)
+    _same(verify_ddg(g, partition), ref_verify_ddg(g, partition))
+    _same(verify_srg(g), ref_verify_srg(g))
+    s = _two_switched(srg_g, seed, switches)
+    _same(verify_srg(s), ref_verify_srg(s))
+    _same(verify_srg1_cases(s, partition, attach),
+          ref_verify_srg1_cases(s, partition, attach))
+
+
+@given(st.sampled_from(sorted(_PIECES)),
+       st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
+                max_size=3),
+       st.lists(st.integers(0, 10**4), max_size=2))
+def test_srg1_cases_strata_match_reference(qd, pairs, attached):
+    """Toggled pairs anywhere, plus pairs with an end in the attached
+    coclique, so every stratum can hold the first witness."""
+    _, partition, srg_g, attach = _PIECES[qd]
+    v_star = partition.n
+    pairs += [(v_star + a % attach.n_points, a // 7) for a in attached]
+    s = _toggled(srg_g, pairs)
+    _same(verify_srg1_cases(s, partition, attach),
+          ref_verify_srg1_cases(s, partition, attach))
+
+
+def test_srg1_cases_split_only_witness():
+    """Attached vertex y, not adjacent to u, trades a neighbour x in N(u)
+    for a coclique neighbour y2 in N(u): pair (u, y) keeps its total but
+    not its split, and no other pair (u, w) changes."""
+    for _, partition, srg_g, attach in _PIECES.values():
+        v_star = partition.n
+        for u in (0, 1, len(partition.classes[0])):
+            near = srg_g.rows[u]
+            for y in range(v_star, srg_g.n):
+                if near >> y & 1:
+                    continue
+                y2 = next(y2 for y2 in range(v_star, srg_g.n) if near >> y2 & 1)
+                x = next(x for x in srg_g.neighbours(y) if near >> x & 1)
+                s = _toggled(srg_g, [(y, x), (y, y2)])
+                cert = verify_srg1_cases(s, partition, attach)
+                _same(cert, ref_verify_srg1_cases(s, partition, attach))
+                if u == 0:
+                    assert cert.witnesses[0]["check"] == "mixed"
+                    assert cert.witnesses[0]["pair"] == [0, y]
+
+
+def test_passing_outputs_match_reference():
+    for ddg_g, partition, srg_g, attach in _PIECES.values():
+        assert verify_ddg(ddg_g, partition).passed
+        _same(verify_ddg(ddg_g, partition), ref_verify_ddg(ddg_g, partition))
+        _same(verify_srg(srg_g), ref_verify_srg(srg_g))
+        _same(verify_srg1_cases(srg_g, partition, attach),
+              ref_verify_srg1_cases(srg_g, partition, attach))
+
+
+def test_kernel_keeps_unmet_strata():
+    # path 0-1-2-3: pairs (0,1) count 0 (adjacent), (0,2) count 1, (0,3) 0
+    rows = (0b0010, 0b0101, 0b1010, 0b0100)
+    adj = [row.tobytes() for row in bit_matrix(4, rows)]
+    non_adj = [[1 - x for x in row] for row in adj]
+    assert first_bad_pair(rows, adj, (None, None)) == ((0, 3, 0), (0, 1))
+    assert first_bad_pair(rows, adj, (None, 1), start=3) == ((0, 3, 0), (None, 1))
+    assert first_bad_pair(rows, non_adj, (1, 5), start=3) == ((0, 3, 0), (1, 5))
+    assert first_bad_pair(rows[:2], adj, (None, None)) == (None, (0, None))
