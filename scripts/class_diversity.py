@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-from dataclasses import dataclass
 
 from srgforge import (affine_geometry_design, as_prime_power, chang_graphs,
                       ClassBlockMap, construct_ddg, construct_srg2,
@@ -21,16 +20,7 @@ from srgforge import (affine_geometry_design, as_prime_power, chang_graphs,
                       Srg2Config, triangular_graph)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    q: int = 3
-    d: int = 2
-    seeds: int = 200
-    colorings_per_base: int = 4
-    out: str | None = None
-
-
-def ddg_sweep(cfg: SweepConfig) -> dict:
+def ddg_sweep(cfg: argparse.Namespace) -> dict:
     field = make_field(*as_prime_power(cfg.q))
     design = affine_geometry_design(field, cfg.d)
     m = design.n_classes
@@ -43,7 +33,7 @@ def ddg_sweep(cfg: SweepConfig) -> dict:
     return count_classes(runs)
 
 
-def srg2_sweep(cfg: SweepConfig) -> dict:
+def srg2_sweep(cfg: argparse.Namespace) -> dict:
     fano = fano_plane()
     bases = [("t8", triangular_graph(8))]
     bases += [(f"chang{i + 1}", g) for i, g in enumerate(chang_graphs())]
@@ -72,10 +62,7 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=200)
     parser.add_argument("--colorings-per-base", type=int, default=4)
     parser.add_argument("--out", help="write a JSON summary here")
-    args = parser.parse_args()
-    cfg = SweepConfig(q=args.q, d=args.d, seeds=args.seeds,
-                      colorings_per_base=args.colorings_per_base,
-                      out=args.out)
+    cfg = parser.parse_args()
 
     ddg_classes = ddg_sweep(cfg)
     show(f"DDG classes at (q={cfg.q}, d={cfg.d}) over {cfg.seeds} seeds",

@@ -174,20 +174,13 @@ class _Search:
         return order
 
     def orbit_count(self) -> int:
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in self.gens:
-            for u in range(self.n):
-                ru, rv = find(u), find(p[u])
-                if ru != rv:
-                    parent[ru] = rv
-        return len({find(u) for u in range(self.n)})
+        seen: set[int] = set()
+        count = 0
+        for v in range(self.n):
+            if v not in seen:
+                seen |= _orbit(v, self.gens)
+                count += 1
+        return count
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -22,7 +22,7 @@ from .canon import canonical_form, count_classes
 from .ddg import (construct_ddg, counting_lower_bound, cyclic_quasigroup,
                   DdgParams, identity_family, load_family, load_quasigroup,
                   random_bijection_family, random_left_quasigroup,
-                  save_family, save_quasigroup, theorem1_params, verify_ddg)
+                  save_family, save_quasigroup, verify_ddg)
 from .designs import (affine_geometry_design, data_lines, fano_plane,
                       load_design, projective_complement_design)
 from .errors import ParseError, SrgforgeError
@@ -63,41 +63,42 @@ def _read_partition(path: str, n: int) -> VertexPartition:
     return VertexPartition.from_lists(n, classes)
 
 
-def _read_graph(args) -> Graph:
+def _graph_lines(args) -> list[str]:
+    """Non-blank lines of --in, or of stdin when --in is absent."""
     if getattr(args, "infile", None):
         with open(args.infile, encoding="ascii") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    for line in text.splitlines():
-        if line.strip():
-            return graph6_decode(line)
-    raise ParseError("no graph6 line on input")
+    return [line for line in text.splitlines() if line.strip()]
+
+
+def _read_graph(args) -> Graph:
+    lines = _graph_lines(args)
+    if not lines:
+        raise ParseError("no graph6 line on input")
+    return graph6_decode(lines[0])
 
 
 def _read_graphs(args):
-    if getattr(args, "infile", None):
-        with open(args.infile, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
-    return [graph6_decode(line) for line in lines if line.strip()]
+    return [graph6_decode(line) for line in _graph_lines(args)]
 
 
-def _manifest(args, command: str, flags: dict, seed, inputs: dict,
-              outputs: dict, prefix: str) -> None:
-    doc = {
-        "tool": "srgforge",
-        "version": __version__,
-        "command": command,
-        "flags": flags,
-        "seed": seed,
-        "inputs": inputs,
-        "outputs": outputs,
-    }
-    with open(prefix + ".manifest.json", "w", encoding="ascii") as fh:
+def _write_json(doc: dict, path: str) -> str:
+    """Write doc as sorted, indented JSON; return the file name for the
+    manifest."""
+    with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    return os.path.basename(path)
+
+
+def _manifest(command: str, flags: dict, seed, inputs: dict, outputs: dict,
+              prefix: str) -> None:
+    _write_json({"tool": "srgforge", "version": __version__,
+                 "command": command, "flags": flags, "seed": seed,
+                 "inputs": inputs, "outputs": outputs},
+                prefix + ".manifest.json")
 
 
 def _emit_graph(g: Graph, prefix: str) -> dict:
@@ -111,14 +112,6 @@ def _emit_graph(g: Graph, prefix: str) -> dict:
     if g.n <= _CANON_IN_MANIFEST:
         record["canonical"] = canonical_form(g).graph6
     return record
-
-
-def _write_cert(doc: dict, prefix: str) -> str:
-    path = prefix + ".cert.json"
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return os.path.basename(path)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +155,7 @@ def _build_ddg(args, inputs: dict):
     family = _build_family(args.family, m, args.q, quasigroup, args.seed,
                            inputs)
     g, partition = construct_ddg([design] * m, quasigroup, family)
-    return g, partition, design, quasigroup, family
+    return g, partition, field, quasigroup, family
 
 
 def _spectrum_report(g: Graph, cert) -> tuple[dict, bool]:
@@ -193,12 +186,12 @@ def cmd_gen_ddg(args) -> int:
     if cert.passed:
         report, spectrum_ok = _spectrum_report(g, cert)
         doc.update(report)
-    cert_path = _write_cert(doc, prefix)
+    cert_path = _write_json(doc, prefix + ".cert.json")
 
     save_quasigroup(quasigroup, prefix + ".quasigroup")
     save_family(family, prefix + ".family")
     _manifest(
-        args, "gen-ddg",
+        "gen-ddg",
         {"q": args.q, "d": args.d, "quasigroup": args.quasigroup,
          "family": args.family},
         args.seed, inputs,
@@ -228,9 +221,7 @@ def _load_phi(spec: str | None, m: int, inputs: dict) -> ClassBlockMap:
 
 def cmd_gen_srg1(args) -> int:
     inputs: dict = {}
-    p, e = as_prime_power(args.q)
-    field = make_field(p, e)
-    ddg_graph, partition, *_ = _build_ddg(args, inputs)
+    ddg_graph, partition, field, *_ = _build_ddg(args, inputs)
     design = projective_complement_design(field, args.d)
     phi = _load_phi(args.phi, len(partition.classes), inputs)
 
@@ -248,9 +239,9 @@ def cmd_gen_srg1(args) -> int:
             g, [e for e, _ in srg_spectrum(
                 SrgParams.from_certificate(cert)).entries()])
         doc["spectrum"] = spec.serialize()
-    cert_path = _write_cert(doc, prefix)
+    cert_path = _write_json(doc, prefix + ".cert.json")
     _manifest(
-        args, "gen-srg1",
+        "gen-srg1",
         {"q": args.q, "d": args.d, "quasigroup": args.quasigroup,
          "family": args.family, "phi": args.phi or "identity"},
         args.seed, inputs,
@@ -300,9 +291,10 @@ def cmd_gen_srg2(args) -> int:
 
     prefix = args.out or f"srg2-{args.base}-c{args.coloring}"
     graph_rec = _emit_graph(g, prefix)
-    cert_path = _write_cert({"srg": json.loads(cert.to_json())}, prefix)
+    cert_path = _write_json({"srg": json.loads(cert.to_json())},
+                            prefix + ".cert.json")
     _manifest(
-        args, "gen-srg2",
+        "gen-srg2",
         {"base": args.base, "design": args.design,
          "coloring": args.coloring, "phi": args.phi or "identity"},
         None, inputs,
@@ -405,11 +397,8 @@ def cmd_clique_census(args) -> int:
     g = _read_graph(args)
     census = delsarte_clique_census(g)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump({"size": census.size, "count": census.count,
-                       "cliques": [list(c) for c in census.cliques]},
-                      fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json({"size": census.size, "count": census.count,
+                     "cliques": [list(c) for c in census.cliques]}, args.out)
     print(json.dumps({"size": census.size, "count": census.count},
                      sort_keys=True))
     return 0

@@ -26,7 +26,7 @@ from .designs import data_lines
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
 from .graphs import (Certificate, Graph, VertexPartition, certificate,
-                     complement, first_bad_pair)
+                     check_vertices, complement, first_bad_pair, regularity)
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -249,12 +249,9 @@ def verify_ddg(g: Graph, partition: VertexPartition) -> Certificate:
     if len(sizes) != 1:
         witnesses.append({"check": "class-size", "sizes": sizes})
 
-    k = g.degree(0) if n_v else 0
-    for u in range(n_v):
-        if g.degree(u) != k:
-            witnesses.append({"check": "regular", "vertices": [0, u],
-                              "degrees": [k, g.degree(u)]})
-            break
+    k, irregular = regularity(g)
+    if irregular:
+        witnesses.append(irregular)
 
     lam1 = lam2 = None
     if not witnesses:
@@ -323,6 +320,7 @@ def counting_lower_bound(q: int, d: int) -> Fraction:
     if q < 2 or d < 2:
         raise ValueError(f"need q >= 2 and d >= 2, got ({q}, {d})")
     m = (q**d - 1) // (q - 1)
+    check_vertices(q**d * m, "the glued graph")
     num = Fraction(math.factorial(q)) ** m
     den = Fraction(q**d * m * m) ** (q**d * m) * Fraction(q ** (d + 1) * m) ** (m - 1)
     return num / den

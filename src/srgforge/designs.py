@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import ParseError, ShapeError
 from .gf import FiniteField, enumerate_hyperplanes, projective_points
-from .graphs import Certificate, certificate
+from .graphs import Certificate, certificate, check_vertices
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,17 @@ def affine_geometry_design(field: FiniteField, d: int) -> ResolvableDesign:
 
     q^d points; one parallel class per hyperplane direction, so
     (q^d - 1)/(q - 1) classes of q blocks of size q^{d-1}.  Class order and
-    block order follow enumerate_hyperplanes.
+    block order follow enumerate_hyperplanes.  Raises TooLarge when the
+    graph glued from m copies, on q^d m vertices, would be over the limit.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    n = field.q**d
+    check_vertices(n * (n - 1) // (field.q - 1), "the glued graph")
     classes = tuple(
         tuple(levels) for _, levels in enumerate_hyperplanes(field, d)
     )
-    return ResolvableDesign(field.q**d, classes, (field.q, d, "affine-geometry"))
+    return ResolvableDesign(n, classes, (field.q, d, "affine-geometry"))
 
 
 def projective_complement_design(field: FiniteField, d: int) -> SymmetricDesign:

@@ -4,8 +4,10 @@ Adjacency rows are Python ints used as bitsets: bit v of rows[u] is set iff
 uv is an edge, and `set_bits` lists the set bits of a row.  Common-neighbour
 counting, the hot loop of every verifier here, is then a single AND plus
 popcount per pair; `first_bad_pair` is that loop, shared by all of them.
-Graphs are immutable after construction and every constructor checks
-symmetry and loop-freeness.
+`cliques` is the one clique search, behind both the Hoffman colorings (run
+on complement rows) and the ratio-bound clique census.  Graphs are
+immutable after construction and every constructor checks symmetry and
+loop-freeness.
 
 `bit_matrix` and `matrix_rows` convert between rows and a boolean n x n
 matrix.  `Graph` checks symmetry on that matrix, and graph6 reads its body
@@ -18,10 +20,23 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, TooLarge
+
+# vertex limit of every graph this package builds or searches from a size
+# parameter; it keeps (q, d) = (2, 6), (3, 4), (5, 3) and Sp(12, 2)
+MAX_BUILD_VERTICES = 4096
+
+
+def check_vertices(n: int, what: str) -> None:
+    """Raise TooLarge, before any enumeration, when `what` would have more
+    than MAX_BUILD_VERTICES vertices."""
+    if n > MAX_BUILD_VERTICES:
+        raise TooLarge(f"{what} would have {n} vertices, over the "
+                       f"{MAX_BUILD_VERTICES}-vertex limit")
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,39 @@ def first_bad_pair(rows, keys, values, start: int = 0):
     return None, (a, b)
 
 
+def regularity(g: Graph):
+    """(degree of vertex 0, or 0 when g is empty; a "regular" witness for
+    the first vertex of another degree, or None)."""
+    k = g.degree(0) if g.n else 0
+    for u in range(g.n):
+        if g.degree(u) != k:
+            return k, {"check": "regular", "vertices": [0, u],
+                       "degrees": [k, g.degree(u)]}
+    return k, None
+
+
+def cliques(rows, size: int, allowed: int, block=()):
+    """Cliques of `size` vertices that extend `block` by pairwise-adjacent
+    vertices of the bitset `allowed`, in ascending lexicographic order.
+
+    The caller picks `allowed` adjacent to all of `block`; cocliques are the
+    cliques of the complement rows.  A branch stops once `block` plus the
+    allowed vertices left cannot reach `size`.
+    """
+    if len(block) >= size:
+        if len(block) == size:
+            yield tuple(block)
+        return
+    rem = allowed
+    while len(block) + rem.bit_count() >= size:
+        low = rem & -rem
+        w = low.bit_length() - 1
+        rem ^= low
+        # bits of rem are exactly the allowed vertices above w, so this
+        # keeps the enumeration ascending and duplicate-free
+        yield from cliques(rows, size, rem & rows[w], (*block, w))
+
+
 def from_edges(n: int, edges) -> Graph:
     rows = [0] * n
     for u, v in edges:
@@ -243,14 +291,9 @@ def line_graph(g: Graph) -> Graph:
     """Vertices are the edges of g in lexicographic endpoint order; adjacency
     is sharing an endpoint."""
     es = sorted(g.edges())
-    rows = [0] * len(es)
-    for i, (a, b) in enumerate(es):
-        for j in range(i + 1, len(es)):
-            c, d = es[j]
-            if a == c or a == d or b == c or b == d:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(len(es), tuple(rows))
+    return from_edges(len(es), (
+        (i, j) for (i, (a, b)), (j, e) in combinations(enumerate(es), 2)
+        if a in e or b in e))
 
 
 def common_neighbours(g: Graph, u: int, v: int) -> int:
@@ -280,17 +323,10 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_multipartite(*part_sizes: int) -> Graph:
-    n = sum(part_sizes)
-    part = []
-    for i, s in enumerate(part_sizes):
-        part.extend([i] * s)
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part[u] != part[v]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    part = [i for i, s in enumerate(part_sizes) for _ in range(s)]
+    return from_edges(len(part), (
+        (u, v) for u, v in combinations(range(len(part)), 2)
+        if part[u] != part[v]))
 
 
 def octahedron() -> Graph:

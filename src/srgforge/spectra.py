@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -57,38 +56,11 @@ def exact_root(t: int) -> Eigenvalue:
     return r if r * r == t else Radical(t)
 
 
-def _cmp(a: Eigenvalue, b: Eigenvalue) -> int:
-    """Exact numeric comparison, -1/0/+1."""
-    def lt(x, y) -> bool:
-        if isinstance(x, int) and isinstance(y, int):
-            return x < y
-        if isinstance(x, int):
-            if y.negative:
-                return x < 0 and x * x > y.radicand
-            return x < 0 or x * x < y.radicand
-        if isinstance(y, int):
-            if x.negative:
-                return y > 0 or y * y < x.radicand
-            return y > 0 and x.radicand < y * y
-        if x.negative != y.negative:
-            return x.negative
-        if x.negative:
-            return x.radicand > y.radicand
-        return x.radicand < y.radicand
-
-    if a == b:
-        return 0
-    return -1 if lt(a, b) else 1
-
-
-def _eig_pow(e: Eigenvalue, s: int) -> tuple[int, int]:
-    """e^s as (rational part, coefficient of sqrt(radicand))."""
+def _order_key(e: Eigenvalue) -> int:
+    """e * |e|, strictly increasing in the value of e and exact."""
     if isinstance(e, int):
-        return e**s, 0
-    root = -1 if e.negative else 1
-    if s % 2 == 0:
-        return e.radicand ** (s // 2), 0
-    return 0, root * e.radicand ** (s // 2)
+        return e * abs(e)
+    return -e.radicand if e.negative else e.radicand
 
 
 @dataclass(frozen=True)
@@ -136,7 +108,7 @@ def make_spectrum(pairs) -> Spectrum:
                 break
         else:
             merged.append((e, m))
-    merged.sort(key=cmp_to_key(lambda p1, p2: _cmp(p1[0], p2[0])), reverse=True)
+    merged.sort(key=lambda pair: _order_key(pair[0]), reverse=True)
     return Spectrum(tuple(e for e, _ in merged), tuple(m for _, m in merged))
 
 
@@ -267,7 +239,6 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction],
     full column rank (possibly more rows than unknowns)."""
     m = [row[:] + [b] for row, b in zip(rows, rhs)]
     n_rows = len(m)
-    pivots = []
     r = 0
     for c in range(n_unknowns):
         pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
@@ -280,7 +251,6 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction],
             if i != r and m[i][c] != 0:
                 factor = m[i][c]
                 m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
         r += 1
     for i in range(r, n_rows):
         if m[i][n_unknowns] != 0:

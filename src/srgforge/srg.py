@@ -24,8 +24,8 @@ from .ddg import DdgParams, theorem1_params, verify_ddg
 from .designs import SymmetricDesign, verify_symmetric
 from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
 from .graphs import (bit_matrix, Certificate, Graph, VertexPartition,
-                     certificate, common_neighbours, complete_graph,
-                     first_bad_pair, line_graph, set_bits)
+                     certificate, cliques, common_neighbours, complement,
+                     complete_graph, first_bad_pair, line_graph, regularity)
 from .spectra import hoffman_coclique_size
 
 
@@ -94,14 +94,9 @@ def verify_srg(g: Graph) -> Certificate:
     (lambda) and over non-adjacent pairs (mu), both inferred from the first
     pair of each kind; the feasibility identity is re-checked at the end.
     """
-    witnesses = []
     n = g.n
-    k = g.degree(0) if n else 0
-    for u in range(n):
-        if g.degree(u) != k:
-            witnesses.append({"check": "regular", "vertices": [0, u],
-                              "degrees": [k, g.degree(u)]})
-            break
+    k, irregular = regularity(g)
+    witnesses = [irregular] if irregular else []
 
     lam = mu = None
     if not witnesses:
@@ -139,24 +134,29 @@ def srg1_target_params(q: int, d: int) -> SrgParams:
     )
 
 
-def _theorem1_qd(params: DdgParams) -> tuple[int, int] | None:
-    """Recover (q, d) when params matches the glued-design family."""
-    if params.m < 2 or params.n <= params.m:
+def _shape_qd(m: int, n: int) -> tuple[int, int] | None:
+    """(q, d) with q >= 2, d >= 2, n = q^d and q - 1 = (n - 1)/m, read off
+    m classes of n vertices; None when no such pair exists."""
+    if m < 1 or (n - 1) % m:
         return None
-    if (params.n - 1) % params.m:
-        return None
-    q = (params.n - 1) // params.m + 1
+    q = (n - 1) // m + 1
     d, t = 0, 1
-    while t < params.n:
+    while q >= 2 and t < n:
         t *= q
         d += 1
-    if t != params.n or d < 2:
+    return (q, d) if q >= 2 and t == n and d >= 2 else None
+
+
+def _theorem1_qd(params: DdgParams) -> tuple[int, int] | None:
+    """Recover (q, d) when params matches the glued-design family."""
+    qd = _shape_qd(params.m, params.n)
+    if qd is None:
         return None
     try:
-        expected = theorem1_params(q, d)
+        expected = theorem1_params(*qd)
     except (NotPrime, ValueError):
         return None
-    return (q, d) if expected == params else None
+    return qd if expected == params else None
 
 
 def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
@@ -222,15 +222,11 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
             {"check": "shape", "graph_n": g.n, "classes": m,
              "design_points": design.n_points}])
 
-    # recover q, d from the class shape alone
-    q = (n - 1) // m + 1 if m and (n - 1) % m == 0 else 0
-    d, t = 0, 1
-    while q >= 2 and t < n:
-        t *= q
-        d += 1
-    if q < 2 or t != n or d < 2:
+    qd = _shape_qd(m, n)
+    if qd is None:
         return certificate("srg", parameters={}, witnesses=[
             {"check": "shape", "m": m, "n": n}])
+    q, d = qd
 
     target = q ** (2 * d - 2) * (q - 1)
     expected = {
@@ -337,30 +333,20 @@ def chang_graphs() -> list[Graph]:
 # Hoffman colorings and the clique attachment
 
 
-def _cocliques_from(g: Graph, block: list[int], pool: int, size: int):
-    """Extend block to cocliques of the target size, ascending order."""
-    if len(block) == size:
-        yield tuple(block)
-        return
-    for w in set_bits(pool):
-        block.append(w)
-        yield from _cocliques_from(
-            g, block, pool & ~g.rows[w] & ~((2 << w) - 1), size)
-        block.pop()
-
-
-def _colorings(g: Graph, size: int, uncovered: int, acc: list):
+def _colorings(co_rows, size: int, uncovered: int, acc: list):
+    """Partitions of the uncovered vertices into cliques of the complement
+    rows co_rows, i.e. cocliques of the graph, in lexicographic order."""
     if uncovered == 0:
-        yield VertexPartition.from_lists(g.n, [list(b) for b in acc])
+        yield VertexPartition.from_lists(len(co_rows), [list(b) for b in acc])
         return
     v0 = (uncovered & -uncovered).bit_length() - 1
-    pool = uncovered & ~g.rows[v0] & ~((1 << (v0 + 1)) - 1)
-    for block in _cocliques_from(g, [v0], pool, size):
+    pool = uncovered & co_rows[v0] & ~((2 << v0) - 1)
+    for block in cliques(co_rows, size, pool, (v0,)):
         mask = 0
         for w in block:
             mask |= 1 << w
         acc.append(block)
-        yield from _colorings(g, size, uncovered & ~mask, acc)
+        yield from _colorings(co_rows, size, uncovered & ~mask, acc)
         acc.pop()
 
 
@@ -373,7 +359,7 @@ def hoffman_colorings(g: Graph):
     size = hoffman_coclique_size(SrgParams.from_certificate(cert))
     if size.denominator != 1 or size < 1 or g.n % int(size):
         return
-    yield from _colorings(g, int(size), (1 << g.n) - 1, [])
+    yield from _colorings(complement(g).rows, int(size), (1 << g.n) - 1, [])
 
 
 def find_hoffman_coloring(g: Graph) -> VertexPartition | None:

@@ -8,10 +8,11 @@ non-isomorphic without running any isomorphism test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import CensusTooLarge, NonIntegralBound, NotSrg
 from .gf import FiniteField, projective_points
-from .graphs import Graph
+from .graphs import Graph, check_vertices, cliques, from_edges
 from .spectra import delsarte_clique_size
 from .srg import SrgParams, verify_srg
 
@@ -49,15 +50,12 @@ def symplectic_graph(field: FiniteField, d: int) -> Graph:
     """
     if d < 2:
         raise ValueError("need d >= 2 for a strongly regular outcome")
+    check_vertices((field.q ** (2 * d) - 1) // (field.q - 1),
+                   "the symplectic graph")
     points = projective_points(field, 2 * d)
-    n = len(points)
-    rows = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if symplectic_form(field, points[a], points[b]) == 0:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    g = Graph(n, tuple(rows))
+    g = from_edges(len(points), (
+        (a, b) for a, b in combinations(range(len(points)), 2)
+        if symplectic_form(field, points[a], points[b]) == 0))
 
     cert = verify_srg(g)
     expected = _expected_params(field.q, d)
@@ -72,25 +70,6 @@ class CliqueCensus:
     size: int
     count: int
     cliques: tuple[tuple[int, ...], ...]
-
-
-def _extend(rows: tuple[int, ...], block: list[int], allowed: int,
-            size: int, out: list[tuple[int, ...]]) -> None:
-    if len(block) == size:
-        out.append(tuple(block))
-        return
-    rem = allowed
-    while rem:
-        if len(block) + rem.bit_count() < size:
-            return
-        low = rem & -rem
-        w = low.bit_length() - 1
-        rem ^= low
-        block.append(w)
-        # bits of rem are exactly the allowed vertices above w, so this
-        # keeps the enumeration ascending and duplicate-free
-        _extend(rows, block, rem & rows[w], size, out)
-        block.pop()
 
 
 def delsarte_clique_census(g: Graph) -> CliqueCensus:
@@ -112,6 +91,5 @@ def delsarte_clique_census(g: Graph) -> CliqueCensus:
     if g.n > MAX_CENSUS_VERTICES or size > MAX_CENSUS_SIZE:
         raise CensusTooLarge(f"refusing exhaustive census at n={g.n}, "
                              f"bound={size}")
-    out: list[tuple[int, ...]] = []
-    _extend(g.rows, [], (1 << g.n) - 1, size, out)
-    return CliqueCensus(size=size, count=len(out), cliques=tuple(out))
+    found = tuple(cliques(g.rows, size, (1 << g.n) - 1))
+    return CliqueCensus(size=size, count=len(found), cliques=found)

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,31 @@ def test_pipe_composition_subprocess(tmp_path):
         shell=True, capture_output=True, text=True, env=env, cwd=tmp_path)
     assert census.returncode == 0
     assert json.loads(census.stdout) == {"count": 15, "size": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-ddg", "--q", "2", "--d", "40", "--seed", "0"],
+    ["gen-ddg", "--q", "2", "--d", "14", "--seed", "0"],
+    ["sp-graph", "--q", "2", "--d", "30"],
+    ["sp-graph", "--q", "2", "--d", "9"],
+    ["bound", "--q", "2", "--d", "16"],
+], ids=" ".join)
+def test_size_guard_exits_2(tmp_path, argv):
+    """Sizes past the vertex limit stop before any enumeration: a typed
+    error and exit 2, not a MemoryError traceback or a long run.  The child
+    gets a 2 GiB address-space cap so a missing guard fails fast."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "srgforge.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2 << 30, 2 << 30)))
+    assert result.returncode == 2
+    assert result.stderr.startswith("srgforge: ")
+    assert "vertex limit" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from srgforge import (certificate, Certificate, common_neighbours, complement,
                       empty_graph, from_edges, Graph, graph6_decode,
                       graph6_encode, line_graph, octahedron, ParseError,
                       path_graph, petersen_graph, verify_srg, VertexPartition)
+from srgforge.graphs import cliques, set_bits
 
 
 def test_graph_validation():
@@ -249,3 +251,25 @@ def test_certificate_json_stable():
     assert doc["passed"] is True
     assert cert.to_json() == cert.to_json()
     assert list(doc) == sorted(doc)
+
+
+def _brute_cliques(rows, size, allowed, block):
+    """block + every pairwise-adjacent subset of allowed, lexicographic."""
+    if len(block) > size:
+        return []
+    return [block + c
+            for c in combinations(set_bits(allowed), size - len(block))
+            if all(rows[a] >> b & 1 for a, b in combinations(c, 2))]
+
+
+@given(graphs(max_n=12), st.integers(0, 5), st.data())
+def test_cliques_match_brute_force(g, size, data):
+    full = (1 << g.n) - 1
+    for rows in (g.rows, complement(g).rows):  # cliques, then cocliques
+        assert list(cliques(rows, size, full)) == \
+            _brute_cliques(rows, size, full, ())
+        block = tuple(data.draw(st.lists(st.integers(0, max(g.n - 1, 0)),
+                                         max_size=min(g.n, 2), unique=True)))
+        allowed = data.draw(st.integers(0, full))
+        assert list(cliques(rows, size, allowed, block)) == \
+            _brute_cliques(rows, size, allowed, block)

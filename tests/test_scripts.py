@@ -1,0 +1,40 @@
+"""The sweep scripts run end to end and print what they printed before.
+
+Each script runs as a subprocess on this checkout's src; the pinned digests
+are of their stdout, so a change to the Hoffman-coloring search, the clique
+census or class counting that alters any table line shows here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, args, digest", [
+    pytest.param(
+        "census_compare.py", ["--seeds", "1"],
+        "3a41870d45bc8c6b58125a5a29f45892b52007cc13f86e096c2a23324523fc74",
+        id="census_compare"),
+    pytest.param(
+        "class_diversity.py", ["--seeds", "4", "--colorings-per-base", "1"],
+        "e343e705b65435a4552feeb4ac1377bccd09ecbedf2604e63037cc64d8fb1542",
+        id="class_diversity"),
+])
+def test_script_stdout_is_pinned(tmp_path, script, args, digest):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, \
+        result.stdout

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -245,3 +246,23 @@ def test_exact_spectrum_matches_sympy_charpoly():
                   (-1 if e.negative else 1) * sympy.sqrt(e.radicand))) ** m
             for e, m in spec.entries())
         assert charpoly.all_coeffs() == sympy.Poly(expected, x).all_coeffs()
+
+
+_RADICALS = st.builds(Radical, st.integers(2, 400).filter(
+    lambda t: math.isqrt(t) ** 2 != t), st.booleans())
+
+
+@given(st.lists(st.one_of(st.integers(-40, 40), _RADICALS), max_size=12))
+def test_make_spectrum_order_matches_sympy(values):
+    sympy = pytest.importorskip("sympy")
+
+    def exact(e):
+        if isinstance(e, int):
+            return sympy.Integer(e)
+        root = sympy.sqrt(e.radicand)
+        return -root if e.negative else root
+
+    spec = make_spectrum([(e, 1) for e in values])
+    assert set(spec.eigenvalues) == set(values)
+    for a, b in zip(spec.eigenvalues, spec.eigenvalues[1:]):
+        assert bool(exact(a) > exact(b)), (a, b)
