@@ -406,7 +406,13 @@ def cmd_clique_census(args) -> int:
 
 def cmd_bound(args) -> int:
     value = counting_lower_bound(args.q, args.d)
-    print(f"{value.numerator}/{value.denominator}")
+    # from (2, 5) on, the denominator passes Python's int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(f"{value.numerator}/{value.denominator}")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

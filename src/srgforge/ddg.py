@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .designs import data_lines
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
 from .graphs import (Certificate, Graph, VertexPartition, certificate,
-                     check_vertices, complement, first_bad_pair, regularity)
+                     check_vertices, complement, pair_witness, regularity)
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -253,24 +255,19 @@ def verify_ddg(g: Graph, partition: VertexPartition) -> Certificate:
     if irregular:
         witnesses.append(irregular)
 
-    lam1 = lam2 = None
+    lam2 = lam1 = 0
     if not witnesses:
-        keys = partition.same_class()
-        bad, (lam1, lam2) = first_bad_pair(g.rows, keys, (None, None))
-        if bad:
-            u, w, c = bad
-            same = keys[u][w]
-            witnesses.append({"check": "same-class" if same else "cross-class",
-                              "pair": [u, w], "count": c,
-                              "expected": lam1 if same else lam2})
+        cls = np.array(partition.class_of())
+        bad, (lam2, lam1) = pair_witness(g.rows, cls[:, None] == cls,
+                                         ("cross-class", "same-class"))
+        witnesses += [bad] if bad else []
 
     m = len(partition.classes)
     return certificate(
         "ddg",
         parameters={
             "v": n_v, "k": k,
-            "lambda1": lam1 if lam1 is not None else 0,
-            "lambda2": lam2 if lam2 is not None else 0,
+            "lambda1": lam1, "lambda2": lam2,
             "m": m, "n": sizes[0] if m else 0,
         },
         witnesses=witnesses,

@@ -257,7 +257,7 @@ def data_lines(path: str):
     """(line number, text) of each line with its `#` comment and surrounding
     blanks removed, skipping lines left empty."""
     with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if line:
                 yield lineno, line

@@ -2,8 +2,9 @@
 
 Adjacency rows are Python ints used as bitsets: bit v of rows[u] is set iff
 uv is an edge, and `set_bits` lists the set bits of a row.  Common-neighbour
-counting, the hot loop of every verifier here, is then a single AND plus
-popcount per pair; `first_bad_pair` is that loop, shared by all of them.
+counting, the hot loop of every verifier here, is then an AND plus popcount
+per pair; `first_bad_pair` runs it in numpy over 64-bit words, a block of
+rows at a time, against a matrix of pair strata, for all of them.
 `cliques` is the one clique search, behind both the Hoffman colorings (run
 on complement rows) and the ratio-bound clique census.  Graphs are
 immutable after construction and every constructor checks symmetry and
@@ -110,13 +111,19 @@ def set_bits(x: int):
         x ^= low
 
 
+def _words(rows) -> np.ndarray:
+    """rows as an n x ceil(n/64) matrix of little-endian 64-bit words; each
+    row must lie in [0, 2^n)."""
+    width = -(-len(rows) // 64) * 8
+    packed = b"".join(r.to_bytes(width, "little") for r in rows)
+    return np.frombuffer(packed, "<u8").reshape(len(rows), width // 8)
+
+
 def bit_matrix(n: int, rows) -> np.ndarray:
     """Boolean n x n matrix whose entry (u, v) is bit v of rows[u]; each row
     must lie in [0, 2^n)."""
-    width = (n + 7) // 8
-    packed = b"".join(r.to_bytes(width, "little") for r in rows)
-    bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(bits, 1, n, "little").view(bool)
+    bits = np.unpackbits(_words(rows).view(np.uint8), 1, n, "little")
+    return bits.view(bool)
 
 
 def matrix_rows(m: np.ndarray) -> tuple[int, ...]:
@@ -125,35 +132,58 @@ def matrix_rows(m: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
-def first_bad_pair(rows, keys, values, start: int = 0):
+# words ANDed in one numpy call of first_bad_pair, 512 KiB of scratch
+_PAIR_WORDS = 1 << 16
+
+
+def first_bad_pair(rows, strata, values):
     """First vertex pair whose common-neighbour count breaks its stratum.
 
-    Scans the pairs (u, w), u < w and w >= start, in lexicographic order and
-    counts (rows[u] & rows[w]).bit_count().  A pair is in stratum 0 when
-    keys[u][w] is true, else in stratum 1; a key row is best a list or
-    bytes, whose indexing costs least.  values[s] fixes the count of stratum
-    s, or is None to take it from that stratum's first pair.
+    Scans the pairs (u, w), u < w, in lexicographic order, a block of rows
+    at a time, and counts (rows[u] & rows[w]).bit_count() on `_words`.  The
+    stratum strata[u, w] indexes `values`; strata is an integer or boolean
+    n x n matrix, or a zero-stride np.broadcast_to view.  values[s] fixes
+    the count of stratum s, or is None to take it from its first pair.
 
-    Returns ((u, w, count) or None, (value0, value1)); a stratum first met
-    after the returned pair keeps its given value.
+    Returns ((u, w, count) or None, tuple of the values); a stratum first
+    met after the returned pair keeps its given value.
     """
-    a, b = values
-    n = len(rows)
-    for u in range(n):
-        row_u = rows[u]
-        key = keys[u]
-        for w in range(max(u + 1, start), n):
-            c = (row_u & rows[w]).bit_count()
-            if key[w]:
-                if a is None:
-                    a = c
-                elif c != a:
-                    return (u, w, c), (a, b)
-            elif b is None:
-                b = c
-            elif c != b:
-                return (u, w, c), (a, b)
-    return None, (a, b)
+    n, values = len(rows), list(values)
+    words = _words(rows)
+    step = max(1, _PAIR_WORDS // max(1, words.size))
+    for a in range(0, n, step):
+        # the pairs with a <= u < a + step, in lexicographic order
+        upper = np.arange(a, min(a + step, n))[:, None] < np.arange(a + 1, n)
+        counts = np.bitwise_count(words[a:a + step, None] & words[a + 1:])
+        counts = counts.sum(2, np.int64)[upper]
+        stratum = strata[a:a + step, a + 1:][upper]
+        met = {}
+        for s, value in enumerate(values):
+            if value is None and (at := np.flatnonzero(stratum == s)).size:
+                met[s], values[s] = at[0], int(counts[at[0]])
+        # a stratum still None has no pair in this block
+        expect = np.take([-1 if v is None else v for v in values], stratum)
+        bad = np.flatnonzero(counts != expect)
+        if bad.size:
+            j = bad[0]
+            u, w = np.argwhere(upper)[j] + (a, a + 1)
+            return (int(u), int(w), int(counts[j])), tuple(
+                None if met.get(s, j) > j else v for s, v in enumerate(values))
+    return None, tuple(values)
+
+
+def pair_witness(rows, strata, names):
+    """first_bad_pair with every value inferred: the witness of the first
+    bad pair, or None, and the values, 0 for a stratum never met.  Stratum
+    s is reported as names[s]."""
+    bad, values = first_bad_pair(rows, strata, (None,) * len(names))
+    witness = None
+    if bad:
+        u, w, c = bad
+        s = int(strata[u, w])
+        witness = {"check": names[s], "pair": [u, w], "count": c,
+                   "expected": values[s]}
+    return witness, tuple(v or 0 for v in values)
 
 
 def regularity(g: Graph):
@@ -221,13 +251,6 @@ class VertexPartition:
     @staticmethod
     def from_lists(n: int, classes) -> "VertexPartition":
         return VertexPartition(n, tuple(tuple(sorted(c)) for c in classes))
-
-    def same_class(self) -> list[list[bool]]:
-        """Row u tells, for each vertex w, whether w is in u's class; the
-        vertices of one class share one row."""
-        cls_of = self.class_of()
-        rows = [[c == i for c in cls_of] for i in range(len(self.classes))]
-        return [rows[c] for c in cls_of]
 
     def class_of(self) -> list[int]:
         out = [-1] * self.n

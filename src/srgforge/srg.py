@@ -20,12 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .ddg import DdgParams, theorem1_params, verify_ddg
 from .designs import SymmetricDesign, verify_symmetric
 from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
 from .graphs import (bit_matrix, Certificate, Graph, VertexPartition,
                      certificate, cliques, common_neighbours, complement,
-                     complete_graph, first_bad_pair, line_graph, regularity)
+                     complete_graph, first_bad_pair, line_graph,
+                     pair_witness, regularity)
 from .spectra import hoffman_coclique_size
 
 
@@ -98,19 +101,12 @@ def verify_srg(g: Graph) -> Certificate:
     k, irregular = regularity(g)
     witnesses = [irregular] if irregular else []
 
-    lam = mu = None
+    mu = lam = 0
     if not witnesses:
-        keys = [row.tobytes() for row in bit_matrix(n, g.rows)]
-        bad, (lam, mu) = first_bad_pair(g.rows, keys, (None, None))
-        if bad:
-            u, w, c = bad
-            adjacent = g.has_edge(u, w)
-            witnesses.append({"check": "lambda" if adjacent else "mu",
-                              "pair": [u, w], "count": c,
-                              "expected": lam if adjacent else mu})
+        bad, (mu, lam) = pair_witness(g.rows, bit_matrix(n, g.rows),
+                                      ("mu", "lambda"))
+        witnesses += [bad] if bad else []
 
-    lam = lam if lam is not None else 0
-    mu = mu if mu is not None else 0
     if not witnesses and k * (k - lam - 1) != (n - k - 1) * mu:
         witnesses.append({"check": "feasibility",
                           "lhs": k * (k - lam - 1), "rhs": (n - k - 1) * mu})
@@ -239,25 +235,24 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
 
     # Every stratum's split totals `target`, so a pair fails exactly when
     # its total or its count in the attached coclique is off; that count is
-    # q^{d-1} or q^{d-2}(q-1) inside the original graph and 0 for pairs
-    # with an attached vertex (w >= v_star).
+    # q^{d-1} (same class, stratum 1) or q^{d-2}(q-1) (cross class, 0)
+    # inside the original graph and 0 for pairs with an attached vertex
+    # (w >= v_star, stratum 2).
     rows = g.rows
-    coc = [row >> v_star for row in rows]
-    keys = partition.same_class()
-    one_stratum = [bytes(g.n)] * g.n
+    cls = np.array(partition.class_of() + [-1] * m)
+    strata = (cls[:, None] == cls).view(np.uint8)
+    strata[:, v_star:] = 2
     found = [
-        first_bad_pair(rows, one_stratum, (None, target))[0],
-        first_bad_pair(coc[:v_star], keys, (expected["same-class"][1],
-                                            expected["cross-class"][1]))[0],
-        first_bad_pair(coc, one_stratum, (None, 0), start=v_star)[0],
+        first_bad_pair(rows, np.broadcast_to(0, strata.shape), (target,))[0],
+        first_bad_pair([row >> v_star for row in rows], strata,
+                       (expected["cross-class"][1],
+                        expected["same-class"][1], 0))[0],
     ]
     hits = [bad[:2] for bad in found if bad]
     if hits:
         u, w = min(hits)
-        if w < v_star:
-            name = "same-class" if keys[u][w] else "cross-class"
-        else:
-            name = "attached" if u >= v_star else "mixed"
+        name = ("cross-class", "same-class",
+                "attached" if u >= v_star else "mixed")[strata[u, w]]
         common = rows[u] & rows[w]
         witnesses.append({"check": name, "pair": [u, w],
                           "split": [(common & ((1 << v_star) - 1)).bit_count(),

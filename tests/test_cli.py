@@ -9,14 +9,16 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from srgforge import (complete_graph, cycle_graph, designs, fano_plane,
-                      graph6_decode, graph6_encode, petersen_graph,
-                      save_design, srg, SymmetricDesign, triangular_graph)
+from srgforge import (complete_graph, counting_lower_bound, cycle_graph,
+                      designs, fano_plane, graph6_decode, graph6_encode,
+                      petersen_graph, save_design, srg, SymmetricDesign,
+                      triangular_graph)
 from srgforge import cli
 from srgforge.cli import main
 
@@ -197,6 +199,22 @@ def test_bound_command(capsys):
     assert main(["bound", "--q", "2", "--d", "2"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "1/341163456359156416512"
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_bound_prints_past_the_digit_limit(capsys, d):
+    """The denominator passes Python's 4300-digit int-to-str limit; the
+    limit is lifted only while the fraction is printed."""
+    limit = sys.get_int_max_str_digits()
+    assert main(["bound", "--q", "2", "--d", str(d)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out.strip()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(out) == counting_lower_bound(2, d)
+        assert len(out) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_gen_srg2_verifies_each_input_once(workdir, capsys, monkeypatch):

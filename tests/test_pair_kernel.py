@@ -2,15 +2,18 @@
 
 `ref_verify_srg`, `ref_verify_ddg` and `ref_verify_srg1_cases` are the
 three verifiers as they were written before `first_bad_pair` existed, each
-with its own pair loop.  The kernel-based verifiers must give the same
-certificate JSON, first witness and inferred parameters included, both on
-random inputs and on 2-switched outputs of the constructions.
+with its own Python pair loop, and serve as the oracle of the numpy kernel.
+The kernel-based verifiers must give the same certificate JSON, first
+witness and inferred parameters included, both on random inputs and on
+2-switched outputs of the constructions.
 """
 
 from __future__ import annotations
 
 import random
+from unittest.mock import patch
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from conftest import graph_from_bits
@@ -19,6 +22,8 @@ from srgforge import (affine_geometry_design, certificate, ClassBlockMap,
                       Graph, make_field, projective_complement_design,
                       random_bijection_family, verify_ddg, verify_srg,
                       verify_srg1_cases, VertexPartition)
+from srgforge import graphs
+from srgforge.gf import as_prime_power
 from srgforge.graphs import bit_matrix, first_bad_pair
 
 
@@ -192,7 +197,7 @@ def ref_verify_srg1_cases(g, partition, design):
 
 
 def _srg1_pieces(q: int, d: int, seed: int):
-    field = make_field(q, 1)
+    field = make_field(*as_prime_power(q))
     design = affine_geometry_design(field, d)
     m = design.n_classes
     qg = cyclic_quasigroup(m)
@@ -208,7 +213,8 @@ def _srg1_pieces(q: int, d: int, seed: int):
     return ddg_g, partition, srg_g, attach
 
 
-_PIECES = {(q, d): _srg1_pieces(q, d, 7) for q, d in ((3, 2), (2, 3))}
+# (4, 2) gives 80- and 85-vertex graphs, whose rows span two 64-bit words
+_PIECES = {(q, d): _srg1_pieces(q, d, 7) for q, d in ((3, 2), (2, 3), (4, 2))}
 
 
 def _toggled(g: Graph, pairs) -> Graph:
@@ -343,12 +349,52 @@ def test_passing_outputs_match_reference():
               ref_verify_srg1_cases(srg_g, partition, attach))
 
 
+@given(st.data(), st.sampled_from([1, 7, 64, 500]))
+def test_small_blocks_match_reference(data, pair_words):
+    """The inputs above fit in one block of pairs; a smaller block bound
+    puts block boundaries before, at and after the first witness."""
+    if data.draw(st.booleans()):
+        g = data.draw(circulants())
+        partition = data.draw(partitions(g.n))
+        s = attach = None
+    else:
+        g, partition, s, attach = _PIECES[data.draw(st.sampled_from(
+            sorted(_PIECES)))]
+        seed = data.draw(st.integers(0, 10**6))
+        g, s = _two_switched(g, seed, 1), _two_switched(s, seed, 1)
+    with patch.object(graphs, "_PAIR_WORDS", pair_words):
+        _same(verify_srg(g), ref_verify_srg(g))
+        _same(verify_ddg(g, partition), ref_verify_ddg(g, partition))
+        if s is not None:
+            _same(verify_srg(s), ref_verify_srg(s))
+            _same(verify_srg1_cases(s, partition, attach),
+                  ref_verify_srg1_cases(s, partition, attach))
+
+
 def test_kernel_keeps_unmet_strata():
     # path 0-1-2-3: pairs (0,1) count 0 (adjacent), (0,2) count 1, (0,3) 0
     rows = (0b0010, 0b0101, 0b1010, 0b0100)
-    adj = [row.tobytes() for row in bit_matrix(4, rows)]
-    non_adj = [[1 - x for x in row] for row in adj]
-    assert first_bad_pair(rows, adj, (None, None)) == ((0, 3, 0), (0, 1))
-    assert first_bad_pair(rows, adj, (None, 1), start=3) == ((0, 3, 0), (None, 1))
-    assert first_bad_pair(rows, non_adj, (1, 5), start=3) == ((0, 3, 0), (1, 5))
-    assert first_bad_pair(rows[:2], adj, (None, None)) == (None, (0, None))
+    adj = bit_matrix(4, rows)
+    assert first_bad_pair(rows, adj, (None, None)) == ((0, 3, 0), (1, 0))
+    # fixed values are kept, and the first pair can be the witness
+    assert first_bad_pair(rows, adj, (1, 5)) == ((0, 1, 0), (1, 5))
+    assert first_bad_pair(rows, ~adj, (0, 1)) == ((0, 3, 0), (0, 1))
+    # a single edge has no non-adjacent pair, so stratum 0 stays unmet
+    assert first_bad_pair((0b10, 0b01), bit_matrix(2, (0b10, 0b01)),
+                          (None, None)) == (None, (None, 0))
+    # three strata: stratum 2 is first met at (0, 3), after the witness
+    # (0, 2), so it keeps its None; stratum 1 is never met
+    strata = np.zeros((4, 4), np.uint8)
+    strata[0, 3] = 2
+    assert first_bad_pair(rows, strata, (None, 7, None)) == (
+        (0, 2, 1), (0, 7, None))
+    strata[0, 2] = 2
+    assert first_bad_pair(rows, strata, (None, 7, None)) == (
+        (0, 3, 0), (0, 7, 1))
+    # a zero-stride view, and graphs with no pair at all
+    assert first_bad_pair(rows, np.broadcast_to(1, (4, 4)), (9, None)) == (
+        (0, 2, 1), (9, 0))
+    assert first_bad_pair((), np.zeros((0, 0), bool), (None, 3)) == (
+        None, (None, 3))
+    assert first_bad_pair((0,), np.zeros((1, 1), bool), (None, 3)) == (
+        None, (None, 3))
