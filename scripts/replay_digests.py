@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Replay a fixed command set through the CLI and print output digests.
+
+Runs every command in-process through `srgforge.cli.main`, in one working
+directory, and prints `exit <code>  <command>` and `<sha256>  stdout of
+<command>` per command, then `<sha256>  <file>` for every file written.
+Two checkouts that print the same lines wrote the same bytes, so a
+refactor shows that it kept behaviour by diffing this output before and
+after:
+
+    PYTHONPATH=src python3 scripts/replay_digests.py > before.txt
+
+The command set:
+
+- `gen-ddg` and `gen-srg1` on the (q, d) ladder, seeds 0 and 5, cyclic and
+  random quasigroups;
+- `gen-srg2` on the four 28-vertex bases, colorings 0 to 2;
+- `verify` of every generated graph (`--expect ddg --classes` for the
+  divisible design graphs, `--expect srg` for the others);
+- `canon` of every generated graph with at most 63 vertices (larger
+  searches are unbounded in time);
+- `sp-graph --complement` piped into `clique-census` at (2,2), (3,2) and
+  (2,3).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from srgforge import graph6_decode
+from srgforge.cli import main as cli_main
+
+LADDER = ((2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (2, 5), (4, 3))
+CANON_MAX_VERTICES = 63
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str], stdin: str = "") -> str:
+    """Run one command, print its exit code and stdout digest; return the
+    stdout."""
+    out = io.StringIO()
+    old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(argv)
+    finally:
+        sys.stdin = old_stdin
+    command = " ".join(argv)
+    print(f"exit {code}  {command}")
+    print(f"{_sha(out.getvalue().encode())}  stdout of {command}")
+    return out.getvalue()
+
+
+def replay(ladder) -> None:
+    graphs = []  # (prefix, expect)
+    for q, d in ladder:
+        for seed in (0, 5):
+            for qg in ("cyclic", "random"):
+                for cmd, kind in (("gen-ddg", "ddg"), ("gen-srg1", "srg")):
+                    prefix = f"{cmd[4:]}-q{q}-d{d}-s{seed}-{qg}"
+                    run([cmd, "--q", str(q), "--d", str(d), "--seed",
+                         str(seed), "--quasigroup", qg, "--out", prefix])
+                    graphs.append((prefix, kind))
+    for base in ("t8", "chang1", "chang2", "chang3"):
+        for coloring in range(3):
+            prefix = f"srg2-{base}-c{coloring}"
+            run(["gen-srg2", "--base", base, "--coloring", str(coloring),
+                 "--out", prefix])
+            graphs.append((prefix, "srg"))
+
+    for prefix, kind in graphs:
+        if not os.path.exists(prefix + ".g6"):
+            continue
+        flags = ["--classes", prefix + ".classes"] if kind == "ddg" else []
+        run(["verify", "--expect", kind, *flags, "--in", prefix + ".g6",
+             "--cert", prefix + ".verify.json"])
+        with open(prefix + ".g6", encoding="ascii") as fh:
+            n = graph6_decode(fh.read()).n
+        if n <= CANON_MAX_VERTICES:
+            run(["canon", "--in", prefix + ".g6"])
+
+    for q, d in ((2, 2), (3, 2), (2, 3)):
+        text = run(["sp-graph", "--q", str(q), "--d", str(d), "--complement"])
+        run(["clique-census"], stdin=text)
+
+    for path in sorted(Path(".").iterdir()):
+        print(f"{_sha(path.read_bytes())}  {path.name}")
+
+
+def _qd(text: str) -> tuple[int, int]:
+    q, d = text.split(",")
+    return int(q), int(d)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--ladder", nargs="+", type=_qd, default=LADDER,
+                        metavar="Q,D", help="(q, d) pairs to generate "
+                        "(default: the full ladder)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            replay(args.ladder)
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,7 +27,8 @@ from .designs import (affine_geometry_design, data_lines, fano_plane,
                       load_design, projective_complement_design)
 from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
-from .graphs import Graph, VertexPartition, graph6_decode, graph6_encode
+from .graphs import (complement, Graph, VertexPartition, graph6_decode,
+                     graph6_encode)
 from .spectra import (ddg_formula_spectrum, exact_spectrum, Radical,
                       srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
@@ -385,7 +386,6 @@ def cmd_count_classes(args) -> int:
 
 
 def cmd_sp_graph(args) -> int:
-    from .graphs import complement
     g = symplectic_graph(make_field(*as_prime_power(args.q)), args.d)
     if args.complement:
         g = complement(g)

@@ -196,32 +196,18 @@ def construct_ddg(designs, quasigroup: LeftQuasigroup,
     if family.q != q:
         raise ShapeMismatch(f"family block count {family.q} != {q}")
 
-    tables = [dz.block_index_table() for dz in designs]
-    # block_masks[j][c][b]: bitmask of block b of class c of design j,
-    # shifted to part j's global index range
-    block_masks = []
-    for j, dz in enumerate(designs):
-        off = j * P
-        block_masks.append([
-            [sum(1 << (off + p) for p in block) for block in cls]
-            for cls in dz.classes
-        ])
-    part_masks = [((1 << P) - 1) << (j * P) for j in range(m)]
-
-    rows = [0] * (m * P)
+    tables = [np.array(dz.block_index_table()) for dz in designs]
+    sigma = np.array(family.sigma)
+    adj = np.zeros((m * P, m * P), bool)
     for i in range(m):
         for j in range(m):
-            c_ij = quasigroup.op(i, j)
-            c_ji = quasigroup.op(j, i)
-            sig = family.sigma[i][j]
-            col = tables[i][c_ij]
-            forbidden = block_masks[j][c_ji]
-            for t in range(P):
-                # everything in part j except the matched block; for i = j
-                # that block contains x itself, so no loop appears
-                rows[i * P + t] |= part_masks[j] ^ forbidden[sig[col[t]]]
+            # x ~ y unless y's block is the image of x's block; for i = j
+            # that block contains x itself, so no loop appears
+            adj[i * P:(i + 1) * P, j * P:(j + 1) * P] = (
+                sigma[i, j][tables[i][quasigroup.op(i, j)]][:, None]
+                != tables[j][quasigroup.op(j, i)])
 
-    g = Graph(m * P, tuple(rows))
+    g = Graph.from_matrix(adj)
     partition = VertexPartition.from_lists(
         m * P, [range(j * P, (j + 1) * P) for j in range(m)])
     return g, partition

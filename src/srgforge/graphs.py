@@ -1,24 +1,21 @@
-"""Simple undirected graphs as bitset adjacency rows, plus graph6 I/O.
+"""Simple undirected graphs as a checked adjacency matrix plus bitset rows,
+and graph6 I/O.
 
-Adjacency rows are Python ints used as bitsets: bit v of rows[u] is set iff
-uv is an edge, and `set_bits` lists the set bits of a row.  Common-neighbour
-counting, the hot loop of every verifier here, is then an AND plus popcount
-per pair; `first_bad_pair` runs it in numpy over 64-bit words, a block of
-rows at a time, against a matrix of pair strata, for all of them.
-`cliques` is the one clique search, behind both the Hoffman colorings (run
-on complement rows) and the ratio-bound clique census.  Graphs are
-immutable after construction and every constructor checks symmetry and
-loop-freeness.
-
-`bit_matrix` and `matrix_rows` convert between rows and a boolean n x n
-matrix.  `Graph` checks symmetry on that matrix, and graph6 reads its body
-order (the lower triangle row by row, i.e. the upper triangle column by
-column) from one `np.tri` mask on it.
+A graph keeps its validated, read-only boolean n x n matrix and its rows,
+Python ints used as bitsets (bit v of rows[u] is set iff uv is an edge;
+`set_bits` lists them).  `Graph` checks loops and symmetry once, on the
+form it was given, and derives the other (`bit_matrix`, `matrix_rows`).
+Builders write block matrices for `Graph.from_matrix`; relabelling,
+induced subgraphs and complements are matrix expressions, and graph6 reads
+its body order from one `np.tri` mask on the matrix.  Rows stay where bit
+operations pay: common-neighbour counting, the hot loop of every verifier,
+is an AND plus popcount per pair, which `first_bad_pair` runs in numpy over
+64-bit words against a matrix of pair strata; `cliques` is the one clique
+search, behind the Hoffman colorings and the ratio-bound clique census.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -42,25 +39,54 @@ def check_vertices(n: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Graph:
+    """Built from its rows or, by `from_matrix`, from its matrix."""
+
     n: int
-    rows: tuple[int, ...]
+    rows: tuple[int, ...] | None = None
+    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0 or len(self.rows) != self.n:
-            raise ValueError("row count does not match vertex count")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.rows):
-            if row & ~full:
-                raise ValueError(f"row {u} has bits outside [0, n)")
-            if row >> u & 1:
-                raise ValueError(f"loop at vertex {u}")
-        m = bit_matrix(self.n, self.rows)
+        m = self.matrix
+        if (self.rows is None) == (m is None):
+            raise ValueError("give either the rows or the matrix")
+        if m is None:
+            if self.n < 0 or len(self.rows) != self.n:
+                raise ValueError("row count does not match vertex count")
+            full = (1 << self.n) - 1
+            for u, row in enumerate(self.rows):
+                if row & ~full:
+                    raise ValueError(f"row {u} has bits outside [0, n)")
+                if row >> u & 1:
+                    raise ValueError(f"loop at vertex {u}")
+            m = bit_matrix(self.n, self.rows)
+        else:
+            m = np.asarray(m, dtype=bool)
+            if m.base is not None:
+                # freezing a view would leave its base writable
+                m = m.copy()
+            if m.shape != (self.n, self.n):
+                raise ValueError("matrix shape does not match vertex count")
+            loops = m.diagonal()
+            if loops.any():
+                raise ValueError(f"loop at vertex {int(loops.argmax())}")
         asym = m != m.T
         if asym.any():
             # asym is symmetric, so its first entry in row-major order is
             # the first asymmetric pair (u, v), u < v, in lexicographic order
             u, v = divmod(int(asym.argmax()), self.n)
             raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        if self.rows is None:
+            object.__setattr__(self, "rows", matrix_rows(m))
+
+    @classmethod
+    def from_matrix(cls, m) -> "Graph":
+        """Graph of a square boolean adjacency matrix.  A boolean array that
+        owns its data is taken over, not copied: it is made read-only, and
+        views of it made earlier must not be written to.  A view or anything
+        else is copied first."""
+        return cls(len(m), matrix=m)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -81,26 +107,16 @@ class Graph:
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph; new labels follow the order of `vertices`."""
-        vs = list(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
-        for i, u in enumerate(vs):
-            for v in set_bits(self.rows[u]):
-                j = pos.get(v)
-                if j is not None:
-                    rows[i] |= 1 << j
-        return Graph(len(vs), tuple(rows))
+        vs = np.fromiter(vertices, np.intp)
+        return Graph.from_matrix(self.matrix[np.ix_(vs, vs)])
 
     def relabel(self, perm) -> "Graph":
         """Image under perm: old vertex u becomes perm[u]."""
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in set_bits(self.rows[u]):
-                rows[perm[u]] |= 1 << perm[v]
-        return Graph(self.n, tuple(rows))
-
-    def digest(self) -> str:
-        return hashlib.sha256(graph6_encode(self).encode()).hexdigest()[:16]
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"not a permutation of [0, {self.n})")
+        inv = np.empty(self.n, dtype=np.intp)
+        inv[list(perm)] = np.arange(self.n)
+        return Graph.from_matrix(self.matrix[np.ix_(inv, inv)])
 
 
 def set_bits(x: int):
@@ -306,8 +322,9 @@ def certificate(kind, parameters=None, witnesses=(), provenance=None) -> Certifi
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full & ~row) & ~(1 << u) for u, row in enumerate(g.rows)))
+    m = ~g.matrix
+    np.fill_diagonal(m, False)
+    return Graph.from_matrix(m)
 
 
 def line_graph(g: Graph) -> Graph:
@@ -383,7 +400,7 @@ def _body_mask(n: int) -> np.ndarray:
 
 def graph6_encode(g: Graph) -> str:
     head = _g6_size_bytes(g.n)
-    bits = bit_matrix(g.n, g.rows)[_body_mask(g.n)]
+    bits = g.matrix[_body_mask(g.n)]
     bits = np.pad(bits, (0, -len(bits) % 6))
     body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
     return (head + body.tobytes()).decode("ascii")
@@ -425,4 +442,5 @@ def graph6_decode(text: str) -> Graph:
 
     m = np.zeros((n, n), dtype=bool)
     m[_body_mask(n)] = bits[:nbits]
-    return Graph(n, matrix_rows(m | m.T))
+    m |= m.T
+    return Graph.from_matrix(m)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ddg import DdgParams
 from .errors import (InfeasibleParams, NonIntegralMultiplicity, NotAnnihilated)
-from .graphs import Graph, bit_matrix
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def make_spectrum(pairs) -> Spectrum:
 
 def adjacency_matrix(g: Graph):
     """0/1 adjacency matrix as float64."""
-    return bit_matrix(g.n, g.rows).astype(np.float64)
+    return g.matrix.astype(np.float64)
 
 
 def _as_ints(mat):

@@ -25,7 +25,7 @@ import numpy as np
 from .ddg import DdgParams, theorem1_params, verify_ddg
 from .designs import SymmetricDesign, verify_symmetric
 from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
-from .graphs import (bit_matrix, Certificate, Graph, VertexPartition,
+from .graphs import (Certificate, Graph, VertexPartition,
                      certificate, cliques, common_neighbours, complement,
                      complete_graph, first_bad_pair, line_graph,
                      pair_witness, regularity)
@@ -103,8 +103,7 @@ def verify_srg(g: Graph) -> Certificate:
 
     mu = lam = 0
     if not witnesses:
-        bad, (mu, lam) = pair_witness(g.rows, bit_matrix(n, g.rows),
-                                      ("mu", "lambda"))
+        bad, (mu, lam) = pair_witness(g.rows, g.matrix, ("mu", "lambda"))
         witnesses += [bad] if bad else []
 
     if not witnesses and k * (k - lam - 1) != (n - k - 1) * mu:
@@ -180,24 +179,26 @@ def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
         raise PreconditionFailed(f"parameters {params.as_tuple()} are not of "
                                  f"the glued-design form")
 
-    return Graph(ddg_graph.n + m, tuple(_attach_design(
-        ddg_graph, partition, design, block_map)))
+    return Graph.from_matrix(_attach_design(ddg_graph, partition, design,
+                                            block_map))
 
 
 def _attach_design(g: Graph, partition: VertexPartition,
                    design: SymmetricDesign,
-                   block_map: ClassBlockMap) -> list[int]:
-    """Rows of g plus one new vertex per design point: point y becomes vertex
-    g.n + y, joined to every vertex of class i when y lies in block
-    block_map(i)."""
+                   block_map: ClassBlockMap) -> np.ndarray:
+    """Adjacency matrix of g plus one new vertex per design point: point y
+    becomes vertex g.n + y, joined to every vertex of class i when y lies in
+    block block_map(i); the attached points are pairwise non-adjacent."""
     v_star = g.n
-    rows = list(g.rows) + [0] * design.n_points
-    for i, cls in enumerate(partition.classes):
-        for y in design.blocks[block_map.mapping[i]]:
-            for x in cls:
-                rows[x] |= 1 << (v_star + y)
-                rows[v_star + y] |= 1 << x
-    return rows
+    incidence = np.zeros((len(partition.classes), design.n_points), bool)
+    for i, b in enumerate(block_map.mapping):
+        incidence[i, list(design.blocks[b])] = True
+    attach = incidence[partition.class_of()]
+    m = np.zeros((v_star + design.n_points,) * 2, bool)
+    m[:v_star, :v_star] = g.matrix
+    m[:v_star, v_star:] = attach
+    m[v_star:, :v_star] = attach.T
+    return m
 
 
 def verify_srg1_cases(g: Graph, partition: VertexPartition,
@@ -212,12 +213,12 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     witnesses = []
     v_star = partition.n
     m = len(partition.classes)
-    n = len(partition.classes[0])
     if design.n_points != m or g.n != v_star + m:
         return certificate("srg", parameters={}, witnesses=[
             {"check": "shape", "graph_n": g.n, "classes": m,
              "design_points": design.n_points}])
 
+    n = len(partition.classes[0]) if m else 0
     qd = _shape_qd(m, n)
     if qd is None:
         return certificate("srg", parameters={}, witnesses=[
@@ -278,19 +279,9 @@ def triangular_graph(r: int) -> Graph:
 
 def seidel_switch(g: Graph, vertices) -> Graph:
     """Complement all adjacencies between the vertex set and its complement."""
-    s_mask = 0
-    for u in vertices:
-        s_mask |= 1 << u
-    full = (1 << g.n) - 1
-    rows = []
-    for u in range(g.n):
-        row = g.rows[u]
-        if s_mask >> u & 1:
-            row = (row & s_mask) | ((full & ~s_mask) & ~row)
-        else:
-            row = (row & ~s_mask) | (s_mask & ~row & full)
-        rows.append(row & ~(1 << u))
-    return Graph(g.n, tuple(rows))
+    side = np.zeros(g.n, bool)
+    side[list(vertices)] = True
+    return Graph.from_matrix(g.matrix ^ (side[:, None] != side))
 
 
 def _k8_edge_index() -> dict[tuple[int, int], int]:
@@ -398,14 +389,10 @@ def construct_ddg_hoffman(base: Graph,
                 raise PreconditionFailed(f"class member pair ({a}, {b}) is "
                                          f"adjacent: not a coclique")
 
-    rows = list(base.rows)
-    for cls in coloring.classes:
-        mask = 0
-        for u in cls:
-            mask |= 1 << u
-        for u in cls:
-            rows[u] |= mask & ~(1 << u)
-    g = Graph(base.n, tuple(rows))
+    cls = np.array(coloring.class_of())
+    filled = base.matrix | (cls[:, None] == cls)
+    np.fill_diagonal(filled, False)
+    g = Graph.from_matrix(filled)
 
     lam2 = Fraction(2 * params.k, m - 1) + params.mu
     expected = None
@@ -476,10 +463,6 @@ def construct_srg2(config: Srg2Config) -> Graph:
         raise PreconditionFailed(f"attachment condition fails: quantities "
                                  f"{cond.values} are not all equal")
 
-    v_star = ddg_g.n
-    rows = _attach_design(ddg_g, partition, config.design, config.block_map)
-    for a in range(m):
-        for b in range(a + 1, m):
-            rows[v_star + a] |= 1 << (v_star + b)
-            rows[v_star + b] |= 1 << (v_star + a)
-    return Graph(v_star + m, tuple(rows))
+    adj = _attach_design(ddg_g, partition, config.design, config.block_map)
+    adj[ddg_g.n:, ddg_g.n:] = ~np.eye(m, dtype=bool)
+    return Graph.from_matrix(adj)

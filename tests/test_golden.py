@@ -32,6 +32,18 @@ GOLDEN = {
     "chang1.manifest.json": "870e80eb72b6131d73a2eb465d4e66f43b8fb2111decd3d3a1225f795d98bc8e",
     "spectrum.stdout": "b6ba8fc3b0686e1dfc95d1271789eef7410f3f1486934d4cb11d5713755d9b8e",
     "bad.cert.json": "c2ee178d54e19932b2391e064e6d47725edd0338b88845ac6ed3c56bdc236b63",
+    # 351 and 255 vertices: rows span several 64-bit words
+    "ddg33.stdout": "6f84a6a7404c0204389cf3e845b0ae65b65b969f652d0816e4176cd4cf917f5b",
+    "ddg33.g6": "6f84a6a7404c0204389cf3e845b0ae65b65b969f652d0816e4176cd4cf917f5b",
+    "ddg33.cert.json": "ac292ce985cb72ce2e0f534a623dbe065488c4c2b5880a3d8df394d60c225fcf",
+    "ddg33.classes": "c7a985a8a7699234aeea85d9bda3cb829773cb6bb5651af9cadd976039a8f42c",
+    "ddg33.family": "361ea66c1bbe94115feac3cea7e7238fc93abb26e1fb8a5d0f62c3f9c048d12d",
+    "ddg33.quasigroup": "37d097c02217dc0cadfbc25aa02310546721ed58d356dab4f9b6a941d3b6d8d8",
+    "ddg33.manifest.json": "c29dcaaef832371e40c6490e0d0e8a087b1d7e32ebfcb20f5a77905a5b0d4aa3",
+    "srg24.stdout": "ace726e36290c0e5efb819aef60bfc6ed305a123f0594be1b8ee308c7a9c3afd",
+    "srg24.g6": "ace726e36290c0e5efb819aef60bfc6ed305a123f0594be1b8ee308c7a9c3afd",
+    "srg24.cert.json": "07f48c6631cf213d81b0df0561f3fd148cf886c192966c99683b9ee355840841",
+    "srg24.manifest.json": "e57f87440e25f25a0e92993204673d9a65fe636e6591083e25341e4ab680cf59",
 }
 
 
@@ -70,6 +82,10 @@ def _outputs(tmp_path, monkeypatch, capsys) -> dict:
                  "--out", "srg1"])
     run("t8", ["gen-srg2", "--base", "t8", "--out", "t8"])
     run("chang1", ["gen-srg2", "--base", "chang1", "--out", "chang1"])
+    run("ddg33", ["gen-ddg", "--q", "3", "--d", "3", "--seed", "1",
+                  "--quasigroup", "random", "--out", "ddg33"])
+    run("srg24", ["gen-srg1", "--q", "2", "--d", "4", "--seed", "3",
+                  "--out", "srg24"])
     t8 = (tmp_path / "t8.g6").read_text()
     run("spectrum", ["spectrum", "--srg", "35,18,9,9"], t8)
     ddg = graph6_decode((tmp_path / "ddg.g6").read_text())

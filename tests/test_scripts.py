@@ -1,8 +1,9 @@
-"""The sweep scripts run end to end and print what they printed before.
+"""The scripts run end to end and print what they printed before.
 
 Each script runs as a subprocess on this checkout's src; the pinned digests
 are of their stdout, so a change to the Hoffman-coloring search, the clique
-census or class counting that alters any table line shows here.
+census or class counting that alters any table line shows here, and so does
+any byte of the outputs the digest replay writes at (q, d) = (3, 2).
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ ROOT = Path(__file__).resolve().parents[1]
         "class_diversity.py", ["--seeds", "4", "--colorings-per-base", "1"],
         "e343e705b65435a4552feeb4ac1377bccd09ecbedf2604e63037cc64d8fb1542",
         id="class_diversity"),
+    pytest.param(
+        "replay_digests.py", ["--ladder", "3,2"],
+        "10ce78664614ae1ab22105c4177d337369d2c20c1e9b4ab843292c8015d587d4",
+        id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):
     env = dict(os.environ)

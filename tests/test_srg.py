@@ -11,8 +11,8 @@ from srgforge import (as_prime_power, canonical_form, chang_graphs,
                       ClassBlockMap, complement, complete_multipartite,
                       construct_ddg_hoffman, construct_srg1, construct_srg2,
                       count_classes, ddg_formula_spectrum, DdgParams,
-                      exact_spectrum, fano_plane, find_hoffman_coloring,
-                      Graph, hoffman_colorings, make_field, make_spectrum,
+                      empty_graph, exact_spectrum, fano_plane,
+                      find_hoffman_coloring, Graph, hoffman_colorings, make_field, make_spectrum,
                       NotSrg, path_graph, petersen_graph, PreconditionFailed,
                       projective_complement_design, seidel_switch,
                       ShapeMismatch, Srg2Config, srg1_target_params,
@@ -146,6 +146,14 @@ def test_verify_srg1_cases_detects_tampering():
     rows[w] &= ~(1 << u)
     broken = Graph(g.n, tuple(rows))
     assert not verify_srg1_cases(broken, partition, design).passed
+
+
+def test_verify_srg1_cases_empty_partition_is_a_shape_witness():
+    cert = verify_srg1_cases(empty_graph(7), VertexPartition(0, ()),
+                             fano_plane())
+    assert not cert.passed
+    assert cert.witnesses == ({"check": "shape", "graph_n": 7, "classes": 0,
+                               "design_points": 7},)
 
 
 def test_hoffman_colorings_t8():
