@@ -2,12 +2,14 @@
 
 A backtracking search over vertex individualizations.  Each node refines
 the ordered partition to equitability (splitting cells by neighbour counts
-against splitter cells), records an isomorphism-invariant level value (cell
-sizes plus the adjacency bits among the leading singletons), and branches
-on the first smallest non-singleton cell.  The canonical labeling is the
-leaf whose sequence of level values is lexicographically smallest; at a
-discrete partition the level value contains the full adjacency bit string,
-so the minimum pins down a unique relabeled graph.
+against splitter cells; only non-singleton cells are scanned, and the
+refinement stops once the partition is discrete), records an
+isomorphism-invariant level value (cell sizes plus the adjacency bits among
+the leading singletons, packed in graph6 body order), and branches on the
+first smallest non-singleton cell.  The canonical labeling is the leaf
+whose sequence of level values is lexicographically smallest; at a discrete
+partition the level value contains the full adjacency bit string, so the
+minimum pins down a unique relabeled graph.
 
 Two prunings keep the tree small without losing soundness: a subtree is cut
 when its value prefix already exceeds the best leaf (unless it ties the
@@ -16,16 +18,24 @@ sibling branches are cut when a discovered automorphism fixing the current
 prefix maps them to an already-explored branch.  Leaves tying the first or
 best leaf yield automorphisms; the group order follows from the orbit sizes
 of the first-path choices under the discovered generators.
+
+The search visits at most MAX_NODES nodes and raises TooLarge past it.  The
+node count depends only on the graph and its labelling, so the same input
+is refused on every host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import TooLarge
-from .graphs import Graph, graph6_encode
+from .graphs import body_mask, Graph, graph6_encode
 
 MAX_VERTICES = 256
+MAX_NODES = 25_000
 
 
 @dataclass(frozen=True)
@@ -38,48 +48,99 @@ class CanonicalForm:
     aut_order: int
 
 
+def _mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _refine(rows, cells, work):
     """Split cells by neighbour counts against every splitter in work until
-    the partition is equitable; new subcells join the splitter queue."""
-    while work:
+    the partition is equitable; new subcells join the splitter queue.
+
+    Only the non-singleton cells are scanned, and the loop stops once none
+    is left.  A split cell is replaced in place by its subcells in ascending
+    count order, and their masks are pushed in forward cell order, so the
+    splitter pops, and with them the result, are those of a scan of every
+    cell until the queue runs dry.  A single-vertex splitter w splits a cell
+    into its non-neighbours and neighbours of w, read off the cell's mask.
+    cells is updated in place and returned.
+    """
+    open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
+    open_masks = [_mask(cells[i]) for i in open_cells]
+    while work and open_cells:
         smask = work.pop()
-        out = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
+        single = rows[smask.bit_length() - 1] \
+            if smask.bit_count() == 1 else None
+        split_at = {}
+        for i, cmask in zip(open_cells, open_masks):
+            cell = cells[i]
+            if single is not None:
+                x = single & cmask
+                if not x or x == cmask:
+                    continue
+                subs = ([v for v in cell if not x >> v & 1],
+                        [v for v in cell if x >> v & 1])
+                sub_masks = (cmask ^ x, x)
+            else:
+                counts = [(rows[v] & smask).bit_count() for v in cell]
+                if counts.count(counts[0]) == len(counts):
+                    continue
+                groups: dict[int, list[int]] = {}
+                for v, count in zip(cell, counts):
+                    groups.setdefault(count, []).append(v)
+                subs = [groups[count] for count in sorted(groups)]
+                sub_masks = [_mask(sub) for sub in subs]
+            work += sub_masks
+            split_at[i] = subs, sub_masks
+        if not split_at:
+            continue
+        still_open, still_masks = [], []
+        shift = 0
+        for i, cmask in zip(open_cells, open_masks):
+            at = i + shift
+            if i not in split_at:
+                still_open.append(at)
+                still_masks.append(cmask)
                 continue
-            groups: dict[int, list[int]] = {}
-            for v in cell:
-                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-            if len(groups) == 1:
-                out.append(cell)
-                continue
-            for count in sorted(groups):
-                sub = groups[count]
-                out.append(sub)
-                mask = 0
-                for v in sub:
-                    mask |= 1 << v
-                work.append(mask)
-        cells = out
+            subs, sub_masks = split_at[i]
+            cells[at:at + 1] = subs
+            for j, sub in enumerate(subs):
+                if len(sub) > 1:
+                    still_open.append(at + j)
+                    still_masks.append(sub_masks[j])
+            shift += len(subs) - 1
+        open_cells, open_masks = still_open, still_masks
     return cells
 
 
-def _level_value(rows, cells):
+@lru_cache(maxsize=64)
+def _lead_mask(size: int) -> np.ndarray:
+    mask = body_mask(size)
+    mask.flags.writeable = False
+    return mask
+
+
+def _level_value(matrix, cells):
     """(cell sizes, adjacency bits among the leading singletons): equal for
-    nodes related by an automorphism, totally ordered within one search."""
-    sizes = tuple(len(c) for c in cells)
+    nodes related by an automorphism, totally ordered within one search.
+
+    The bits are packed in graph6 body order into one bytes value.  Equal
+    sizes mean an equal number of leading singletons, so two packed values
+    compared within one search have the same length and order as the bit
+    tuples they pack.
+    """
+    sizes = tuple(map(len, cells))
     lead = []
     for cell in cells:
         if len(cell) != 1:
             break
         lead.append(cell[0])
-    bits = []
-    for j in range(1, len(lead)):
-        vj = lead[j]
-        for i in range(j):
-            bits.append(rows[lead[i]] >> vj & 1)
-    return (sizes, tuple(bits))
+    if len(lead) < 2:
+        return (sizes, b"")
+    bits = matrix[lead][:, lead][_lead_mask(len(lead))]
+    return (sizes, np.packbits(bits).tobytes())
 
 
 def _orbit(start: int, gens) -> set[int]:
@@ -98,7 +159,9 @@ def _orbit(start: int, gens) -> set[int]:
 class _Search:
     def __init__(self, g: Graph):
         self.rows = g.rows
+        self.matrix = g.matrix
         self.n = g.n
+        self.nodes = 0
         self.gens: list[tuple[int, ...]] = []
         self.gen_set: set[tuple[int, ...]] = set()
         self.first = None  # (value sequence, labeling position -> vertex)
@@ -112,8 +175,12 @@ class _Search:
         self._node([list(range(self.n))], [(1 << self.n) - 1], (), ())
 
     def _node(self, cells, work, prefix, values):
+        self.nodes += 1
+        if self.nodes > MAX_NODES:
+            raise TooLarge(f"canonical labeling of {self.n} vertices needs "
+                           f"more than {MAX_NODES} search nodes")
         cells = _refine(self.rows, cells, work)
-        values = values + (_level_value(self.rows, cells),)
+        values = values + (_level_value(self.matrix, cells),)
         depth = len(values)
         if self.best is not None:
             if values > self.best[0][:depth] and values != self.first[0][:depth]:

@@ -392,7 +392,7 @@ def _g6_size_bytes(n: int) -> bytes:
     raise ValueError("graph6 supports at most 258047 vertices here")
 
 
-def _body_mask(n: int) -> np.ndarray:
+def body_mask(n: int) -> np.ndarray:
     """Entries (j, i), i < j, in row-major order: x(i, j) for j = 1..n-1 and
     i < j, the graph6 body order."""
     return np.tri(n, k=-1, dtype=bool)
@@ -400,7 +400,7 @@ def _body_mask(n: int) -> np.ndarray:
 
 def graph6_encode(g: Graph) -> str:
     head = _g6_size_bytes(g.n)
-    bits = g.matrix[_body_mask(g.n)]
+    bits = g.matrix[body_mask(g.n)]
     bits = np.pad(bits, (0, -len(bits) % 6))
     body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
     return (head + body.tobytes()).decode("ascii")
@@ -441,6 +441,6 @@ def graph6_decode(text: str) -> Graph:
         raise ParseError("graph6 padding bits are not zero")
 
     m = np.zeros((n, n), dtype=bool)
-    m[_body_mask(n)] = bits[:nbits]
+    m[body_mask(n)] = bits[:nbits]
     m |= m.T
     return Graph.from_matrix(m)

@@ -160,8 +160,9 @@ def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
 
     Design point y becomes vertex v + y; it is joined to every vertex of
     canonical class i exactly when y lies in block block_map(i).  Requires
-    the input to pass verify_ddg with parameters from the glued-design
-    family (so that the attachment counts work out).
+    the design to pass verify_symmetric and the input to pass verify_ddg
+    with parameters from the glued-design family (so that the attachment
+    counts work out).
     """
     m = len(partition.classes)
     if design.n_points != m:
@@ -169,6 +170,9 @@ def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
                             f"partition has {m} classes")
     if block_map.m != m:
         raise ShapeMismatch(f"block map covers {block_map.m} classes, need {m}")
+    dcert = verify_symmetric(design)
+    if not dcert.passed:
+        raise PreconditionFailed(f"design axioms fail: {dcert.witnesses[0]}")
 
     cert = verify_ddg(ddg_graph, partition)
     if not cert.passed:

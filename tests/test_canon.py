@@ -1,7 +1,14 @@
-"""Canonical labeling: invariance, brute-force agreement, group orders."""
+"""Canonical labeling: invariance, brute-force agreement, group orders.
+
+`ref_refine` and `ref_level_value` are the refinement and level value as
+they were before refinement skipped singleton cells and the level value
+packed its bits; they serve as the oracle of the fast versions, which must
+give the same ordered cells and level values that order the same way.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -9,9 +16,104 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graph_from_bits, graphs
-from srgforge import (canonical_form, complete_graph, count_classes,
-                      cycle_graph, Graph, path_graph, petersen_graph,
+from srgforge import (as_prime_power, canon, canonical_form, chang_graphs,
+                      ClassBlockMap, complete_graph, construct_srg1,
+                      count_classes, cycle_graph, graph6_encode, Graph,
+                      make_field, path_graph, petersen_graph,
+                      projective_complement_design, symplectic_graph,
                       TooLarge, triangular_graph)
+from srgforge.cli import main
+from test_ddg import build
+
+
+def ref_refine(rows, cells, work):
+    """Split cells by neighbour counts against every splitter in work until
+    the partition is equitable; new subcells join the splitter queue."""
+    while work:
+        smask = work.pop()
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            for count in sorted(groups):
+                sub = groups[count]
+                out.append(sub)
+                mask = 0
+                for v in sub:
+                    mask |= 1 << v
+                work.append(mask)
+        cells = out
+    return cells
+
+
+def ref_level_value(rows, cells):
+    """(cell sizes, adjacency bits among the leading singletons): equal for
+    nodes related by an automorphism, totally ordered within one search."""
+    sizes = tuple(len(c) for c in cells)
+    lead = []
+    for cell in cells:
+        if len(cell) != 1:
+            break
+        lead.append(cell[0])
+    bits = []
+    for j in range(1, len(lead)):
+        vj = lead[j]
+        for i in range(j):
+            bits.append(rows[lead[i]] >> vj & 1)
+    return (sizes, tuple(bits))
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A graph on up to 70 vertices (two words past 64), three ordered
+    partitions with one shape of cell sizes (leading singletons first) and
+    a splitter stack of cell masks, single vertices and vertex subsets."""
+    g = draw(graphs(min_n=1, max_n=70))
+    n = g.n
+    lead = draw(st.integers(min_value=0, max_value=n))
+    cuts = [True] * lead + draw(st.lists(st.booleans(), min_size=n - lead,
+                                         max_size=n - lead))
+    partitions = []
+    for _ in range(3):
+        order = draw(st.permutations(range(n)))
+        cells, cell = [], []
+        for v, cut in zip(order, cuts):
+            cell.append(v)
+            if cut:
+                cells.append(cell)
+                cell = []
+        if cell:
+            cells.append(cell)
+        partitions.append(cells)
+    cell_masks = [sum(1 << v for v in cell) for cell in partitions[0]]
+    splitter = st.one_of(st.sampled_from(cell_masks),
+                         st.integers(0, n - 1).map(lambda v: 1 << v),
+                         st.integers(0, (1 << n) - 1))
+    work = draw(st.lists(splitter, min_size=1, max_size=4))
+    return g, partitions, work
+
+
+@given(partitioned_graphs())
+def test_refine_and_level_value_match_reference(case):
+    g, partitions, work = case
+    values, ref_values = [], []
+    for cells in partitions:
+        refined = canon._refine(g.rows, [list(c) for c in cells], list(work))
+        assert refined == ref_refine(g.rows, cells, list(work))
+        for part in (cells, refined):
+            values.append(canon._level_value(g.matrix, part))
+            ref_values.append(ref_level_value(g.rows, part))
+    for (a, ra), (b, rb) in itertools.product(zip(values, ref_values),
+                                              repeat=2):
+        assert (a < b) == (ra < rb)
+        assert (a == b) == (ra == rb)
 
 
 def brute_min_bits(g: Graph) -> tuple:
@@ -67,6 +169,11 @@ def test_known_group_orders():
     assert canonical_form(path_graph(4)).aut_order == 2
     assert canonical_form(Graph(0, ())).aut_order == 1
     assert canonical_form(Graph(1, (0,))).aut_order == 1
+    assert canonical_form(triangular_graph(8)).aut_order == 40320
+    sp43 = symplectic_graph(make_field(*as_prime_power(3)), 2)
+    assert canonical_form(sp43).aut_order == 51840
+    assert [canonical_form(c).aut_order for c in chang_graphs()] == \
+        [384, 360, 96]
 
 
 def test_orbit_counts():
@@ -79,6 +186,62 @@ def test_orbit_counts():
 def test_too_large():
     with pytest.raises(TooLarge):
         canonical_form(path_graph(257))
+
+
+def glued_pair():
+    """d(2,3) and s(2,3): the glued DDG with seed 1 and the cyclic
+    quasigroup, and the SRG attached to it."""
+    g, partition = build(2, 3, seed=1)
+    design = projective_complement_design(make_field(2, 1), 3)
+    srg = construct_srg1(g, partition, design,
+                         ClassBlockMap.identity(len(partition.classes)))
+    return g, srg
+
+
+def test_pinned_canonical_forms():
+    """(graph6, orbit count, |Aut|) of three fixed relabellings each of
+    d(2,3) and s(2,3); any change to the refinement order, the level value
+    or the target cell selector moves this digest."""
+    lines = []
+    for g in glued_pair():
+        for k in range(3):
+            perm = list(range(g.n))
+            random.Random(k).shuffle(perm)
+            form = canonical_form(g.relabel(tuple(perm)))
+            lines.append(f"{form.graph6} {form.orbit_count} "
+                         f"{form.aut_order}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == \
+        "dca72808bfd873a1548f496d84829705484b1f11ff8708610970a60e178fd99e"
+
+
+def test_pinned_node_counts():
+    """Search nodes of the generated labelling of d(2,3) and s(2,3): the
+    ground truth of the node budget."""
+    counts = []
+    for g in glued_pair():
+        search = canon._Search(g)
+        search.run()
+        counts.append(search.nodes)
+    assert counts == [1301, 2067]
+
+
+def test_node_budget(monkeypatch, tmp_path, capsys):
+    t8 = triangular_graph(8)
+    monkeypatch.setattr(canon, "MAX_NODES", 88)
+    assert canonical_form(t8).aut_order == 40320
+    monkeypatch.setattr(canon, "MAX_NODES", 87)
+    with pytest.raises(TooLarge, match="87 search nodes"):
+        canonical_form(t8)
+
+    path = tmp_path / "t8.g6"
+    path.write_text(graph6_encode(t8) + "\n")
+    for sub in ("canon", "count-classes"):
+        capsys.readouterr()
+        assert main([sub, "--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("srgforge: ") and "Traceback" not in err
 
 
 def test_count_classes():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -18,7 +19,7 @@ from srgforge import (as_prime_power, canonical_form, chang_graphs,
                       ShapeMismatch, Srg2Config, srg1_target_params,
                       srg2_condition, SrgParams, triangular_graph,
                       verify_ddg, verify_srg, verify_srg1_cases,
-                      VertexPartition)
+                      verify_symmetric, VertexPartition)
 from test_ddg import build
 
 
@@ -134,6 +135,20 @@ def test_construct_srg1_rejects_bad_input():
     assert design5.n_points == 5
     with pytest.raises(PreconditionFailed):
         construct_srg1(pet, part, design5, ClassBlockMap.identity(5))
+
+
+def test_construct_srg1_checks_its_design():
+    g, partition = build(2, 3)
+    design = projective_complement_design(make_field(2, 1), 3)
+    phi = ClassBlockMap.identity(design.n_points)
+    # a block point past the 7 design points, and a repeated block: both
+    # keep the shapes, so only the design axioms catch them
+    for block0 in ((0, 1, 2, 9), design.blocks[1]):
+        bad = dataclasses.replace(design,
+                                  blocks=(block0,) + design.blocks[1:])
+        assert not verify_symmetric(bad).passed
+        with pytest.raises(PreconditionFailed, match="design axioms"):
+            construct_srg1(g, partition, bad, phi)
 
 
 def test_verify_srg1_cases_detects_tampering():
