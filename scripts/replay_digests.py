@@ -18,7 +18,8 @@ The command set:
 - `verify` of every generated graph (`--expect ddg --classes` for the
   divisible design graphs, `--expect srg` for the others);
 - `canon` of every generated graph with at most 63 vertices (larger
-  searches are unbounded in time);
+  searches can run until `canon.MAX_NODES` stops them, tens of seconds at
+  240 vertices);
 - `sp-graph --complement` piped into `clique-census` at (2,2), (3,2) and
   (2,3).
 """

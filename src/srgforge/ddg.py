@@ -244,7 +244,7 @@ def verify_ddg(g: Graph, partition: VertexPartition) -> Certificate:
     lam2 = lam1 = 0
     if not witnesses:
         cls = np.array(partition.class_of())
-        bad, (lam2, lam1) = pair_witness(g.rows, cls[:, None] == cls,
+        bad, (lam2, lam1) = pair_witness(g.matrix, cls[:, None] == cls,
                                          ("cross-class", "same-class"))
         witnesses += [bad] if bad else []
 

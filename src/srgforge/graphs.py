@@ -7,11 +7,14 @@ Python ints used as bitsets (bit v of rows[u] is set iff uv is an edge;
 form it was given, and derives the other (`bit_matrix`, `matrix_rows`).
 Builders write block matrices for `Graph.from_matrix`; relabelling,
 induced subgraphs and complements are matrix expressions, and graph6 reads
-its body order from one `np.tri` mask on the matrix.  Rows stay where bit
-operations pay: common-neighbour counting, the hot loop of every verifier,
-is an AND plus popcount per pair, which `first_bad_pair` runs in numpy over
-64-bit words against a matrix of pair strata; `cliques` is the one clique
-search, behind the Hoffman colorings and the ratio-bound clique census.
+its body order from one `np.tri` mask on the matrix.  Common-neighbour
+counting, the hot loop of every verifier, is a matrix product too:
+`first_bad_pair` multiplies float32 tiles cast from the matrix, a row block
+against a tile of later rows, and checks the counts against a matrix of
+pair strata.  float32 is exact there, since every partial sum is an integer
+no larger than n < 2^24 (graph6 caps n at 258047).  Rows stay where bit
+operations pay: `cliques` is the one clique search, behind the Hoffman
+colorings and the ratio-bound clique census.
 """
 
 from __future__ import annotations
@@ -148,51 +151,81 @@ def matrix_rows(m: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
-# words ANDed in one numpy call of first_bad_pair, 512 KiB of scratch
-_PAIR_WORDS = 1 << 16
+# rows in the largest row block of first_bad_pair; a column tile holds the
+# rows of two such blocks
+_PAIR_ROWS = 64
 
 
-def first_bad_pair(rows, strata, values):
+def first_bad_pair(m, strata, values):
     """First vertex pair whose common-neighbour count breaks its stratum.
 
-    Scans the pairs (u, w), u < w, in lexicographic order, a block of rows
-    at a time, and counts (rows[u] & rows[w]).bit_count() on `_words`.  The
-    stratum strata[u, w] indexes `values`; strata is an integer or boolean
-    n x n matrix, or a zero-stride np.broadcast_to view.  values[s] fixes
-    the count of stratum s, or is None to take it from its first pair.
+    m is a boolean n x c matrix, and the count of a pair (u, w) is the
+    number of columns set in both row u and row w: the common neighbours
+    for g.matrix, those among the last c vertices for g.matrix[:, n - c:].
+    Scans the pairs (u, w), u < w, in lexicographic order, in row blocks of
+    8, 16, 32, then _PAIR_ROWS rows, each against tiles of 2 * _PAIR_ROWS
+    later rows, with one float32 matrix product per tile; both operands are
+    cast from m a block or a tile at a time.  float32 counts exactly here:
+    every partial sum is an integer between 0 and c <= n, and c < 2^24
+    (graph6 caps n at 258047).
+
+    The stratum strata[u, w] indexes `values`; strata is an integer or
+    boolean n x n matrix, or a zero-stride np.broadcast_to view.  values[s]
+    fixes the count of stratum s, or is None to take it from its first pair.
 
     Returns ((u, w, count) or None, tuple of the values); a stratum first
     met after the returned pair keeps its given value.
     """
-    n, values = len(rows), list(values)
-    words = _words(rows)
-    step = max(1, _PAIR_WORDS // max(1, words.size))
-    for a in range(0, n, step):
-        # the pairs with a <= u < a + step, in lexicographic order
-        upper = np.arange(a, min(a + step, n))[:, None] < np.arange(a + 1, n)
-        counts = np.bitwise_count(words[a:a + step, None] & words[a + 1:])
-        counts = counts.sum(2, np.int64)[upper]
-        stratum = strata[a:a + step, a + 1:][upper]
+    n, c = m.shape
+    if c >= 1 << 24:
+        raise ValueError(f"{c} columns: float32 counts are exact below 2^24")
+    values = list(values)
+    tile = 2 * _PAIR_ROWS
+    # one float32 buffer serves every column tile: a fresh array per tile
+    # would pay its page faults each time
+    buf = np.empty((min(tile, n), c), np.float32)
+    a, size = 0, min(8, _PAIR_ROWS)
+    while a < n - 1:
+        b = min(a + size, n)
+        # values of the strata first met in this block, from their first
+        # pair; np.triu keeps the pairs w > u of columns from a + 1 on
         met = {}
-        for s, value in enumerate(values):
-            if value is None and (at := np.flatnonzero(stratum == s)).size:
-                met[s], values[s] = at[0], int(counts[at[0]])
-        # a stratum still None has no pair in this block
-        expect = np.take([-1 if v is None else v for v in values], stratum)
-        bad = np.flatnonzero(counts != expect)
-        if bad.size:
-            j = bad[0]
-            u, w = np.argwhere(upper)[j] + (a, a + 1)
-            return (int(u), int(w), int(counts[j])), tuple(
-                None if met.get(s, j) > j else v for s, v in enumerate(values))
+        for s in [s for s, v in enumerate(values) if v is None]:
+            hit = np.triu(strata[a:b, a + 1:] == s)
+            if hit.any():
+                u, w = divmod(int(hit.argmax()), n - a - 1)
+                met[s] = (a + u, a + 1 + w)
+                values[s] = int(np.count_nonzero(m[a + u] & m[a + 1 + w]))
+        # the rows of `left` can still hold a pair before the best so far
+        left, best = m[a:b].astype(np.float32), None
+        for w0 in range(a + 1, n, tile):
+            right = buf[:min(tile, n - w0)]
+            np.copyto(right, m[w0:w0 + len(right)])
+            counts = left @ right.T
+            st = strata[a:a + len(left), w0:w0 + len(right)]
+            bad = np.zeros(counts.shape, bool)
+            for s, value in enumerate(values):
+                if value is not None:  # else stratum s has no pair here
+                    bad |= (st == s) & (counts != value)
+            if w0 == a + 1:
+                bad = np.triu(bad)
+            if bad.any():
+                r, j = divmod(int(bad.argmax()), len(right))
+                best, left = (a + r, w0 + j, int(counts[r, j])), left[:r]
+                if not r:
+                    break
+        if best:
+            return best, tuple(None if met.get(s, best[:2]) > best[:2] else v
+                               for s, v in enumerate(values))
+        a, size = b, min(2 * size, _PAIR_ROWS)
     return None, tuple(values)
 
 
-def pair_witness(rows, strata, names):
+def pair_witness(m, strata, names):
     """first_bad_pair with every value inferred: the witness of the first
     bad pair, or None, and the values, 0 for a stratum never met.  Stratum
     s is reported as names[s]."""
-    bad, values = first_bad_pair(rows, strata, (None,) * len(names))
+    bad, values = first_bad_pair(m, strata, (None,) * len(names))
     witness = None
     if bad:
         u, w, c = bad
@@ -339,7 +372,7 @@ def line_graph(g: Graph) -> Graph:
 def common_neighbours(g: Graph, u: int, v: int) -> int:
     if u == v:
         raise ValueError("common_neighbours needs two distinct vertices")
-    return (g.rows[u] & g.rows[v]).bit_count()
+    return int(np.count_nonzero(g.matrix[u] & g.matrix[v]))
 
 
 # ---------------------------------------------------------------------------

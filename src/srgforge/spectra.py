@@ -7,7 +7,8 @@ combine into the integer factor A^2 - tI), and the multiplicities are the
 unique solution of the trace system tr(A^s) = sum_i m_i theta_i^s over the
 rationals.  Products run in float64 (BLAS) only while a bound proved from
 the input keeps every partial sum an integer below 2^53, exact in any
-summation order; past it they continue in Python-int object arrays.
+summation order; past it they continue in Python-int object arrays, or
+raise TooLarge when MAX_OBJECT_WORK estimates that tier too slow.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
@@ -22,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .ddg import DdgParams
-from .errors import (InfeasibleParams, NonIntegralMultiplicity, NotAnnihilated)
+from .errors import (InfeasibleParams, NonIntegralMultiplicity, NotAnnihilated,
+                     TooLarge)
 from .graphs import Graph
 
 
@@ -125,25 +127,39 @@ def _as_ints(mat):
     return mat.astype(np.int64).astype(object)  # Python ints, not floats
 
 
-class _ExactProduct:
-    """Running product whose rows have absolute sums <= `rowsum`.  Partial
-    sums of mat @ F are then <= rowsum * max|F|; float64 is exact while that
-    stays below 2^53, and mat moves to Python-int objects once it cannot."""
+# limit on n^3 * (products left) * (bit length of the row-sum bound) when a
+# product would enter the Python-int object tier; past it exact_spectrum
+# raises TooLarge instead of running for minutes
+MAX_OBJECT_WORK = 1 << 32
 
-    def __init__(self, n: int):
+
+class _ExactProduct:
+    """Running product of `products` factors whose rows have absolute sums
+    <= `rowsum`.  Partial sums of mat @ F are then <= rowsum * max|F|;
+    float64 is exact while that stays below 2^53, and mat moves to
+    Python-int objects once it cannot, if MAX_OBJECT_WORK allows."""
+
+    def __init__(self, n: int, products: int):
         self.mat = np.eye(n)
         self.rowsum = 1
+        self.left = products
 
     def multiply(self, base, shift: int, base_rowsum: int, base_max: int):
         """mat @ (base - shift I) for an integer matrix base >= 0 with
         entries <= base_max and row sums <= base_rowsum."""
-        if (self.mat.dtype != object and
-                max(self.rowsum, 1) * (base_max + abs(shift)) >= 1 << 53):
+        bound = max(self.rowsum, 1) * (base_max + abs(shift))
+        if self.mat.dtype != object and bound >= 1 << 53:
+            n, bits = len(self.mat), bound.bit_length()
+            if n ** 3 * self.left * bits > MAX_OBJECT_WORK:
+                raise TooLarge(
+                    f"{self.left} exact products of {n} x {n} matrices past "
+                    f"a {bits}-bit bound exceed the object-tier limit")
             self.mat = _as_ints(self.mat)
         factor = _as_ints(base) if self.mat.dtype == object else base.copy()
         factor[np.diag_indices_from(factor)] -= shift
         self.mat = self.mat @ factor
         self.rowsum *= base_rowsum + abs(shift)
+        self.left -= 1
 
 
 def _candidate_sets(candidates) -> tuple[list[int], list[int]]:
@@ -182,7 +198,7 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     adj_sq = adj @ adj  # partial sums <= max degree, exact in float64
     delta = max(r.bit_count() for r in g.rows)
 
-    product = _ExactProduct(n)
+    product = _ExactProduct(n, len(ints) + len(rads))
     for a in ints:
         product.multiply(adj, a, delta, 1)
     for t in rads:
@@ -197,7 +213,7 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     n_unknowns = len(ints) + len(rads)
     n_rows = len(ints) + 2 * len(rads)
     traces = [n]
-    power = _ExactProduct(n)
+    power = _ExactProduct(n, n_rows - 1)
     for _ in range(1, n_rows):
         power.multiply(adj, 0, delta, 1)
         traces.append(sum(map(int, power.mat.diagonal())))

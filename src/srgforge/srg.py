@@ -103,7 +103,7 @@ def verify_srg(g: Graph) -> Certificate:
 
     mu = lam = 0
     if not witnesses:
-        bad, (mu, lam) = pair_witness(g.rows, g.matrix, ("mu", "lambda"))
+        bad, (mu, lam) = pair_witness(g.matrix, g.matrix, ("mu", "lambda"))
         witnesses += [bad] if bad else []
 
     if not witnesses and k * (k - lam - 1) != (n - k - 1) * mu:
@@ -243,13 +243,13 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     # q^{d-1} (same class, stratum 1) or q^{d-2}(q-1) (cross class, 0)
     # inside the original graph and 0 for pairs with an attached vertex
     # (w >= v_star, stratum 2).
-    rows = g.rows
     cls = np.array(partition.class_of() + [-1] * m)
     strata = (cls[:, None] == cls).view(np.uint8)
     strata[:, v_star:] = 2
     found = [
-        first_bad_pair(rows, np.broadcast_to(0, strata.shape), (target,))[0],
-        first_bad_pair([row >> v_star for row in rows], strata,
+        first_bad_pair(g.matrix, np.broadcast_to(0, strata.shape),
+                       (target,))[0],
+        first_bad_pair(g.matrix[:, v_star:], strata,
                        (expected["cross-class"][1],
                         expected["same-class"][1], 0))[0],
     ]
@@ -258,10 +258,10 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
         u, w = min(hits)
         name = ("cross-class", "same-class",
                 "attached" if u >= v_star else "mixed")[strata[u, w]]
-        common = rows[u] & rows[w]
+        common = g.matrix[u] & g.matrix[w]
         witnesses.append({"check": name, "pair": [u, w],
-                          "split": [(common & ((1 << v_star) - 1)).bit_count(),
-                                    (common >> v_star).bit_count()],
+                          "split": [int(np.count_nonzero(common[:v_star])),
+                                    int(np.count_nonzero(common[v_star:]))],
                           "expected": list(expected[name])})
 
     return certificate("srg", parameters={

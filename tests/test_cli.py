@@ -163,6 +163,26 @@ def test_spectrum_command(workdir, capsys):
     capsys.readouterr()
 
 
+def test_spectrum_object_tier_guard(workdir, capsys):
+    """61 candidates on the 364-vertex s(3,3) pass the float64 bound with
+    55 products left: exit 2 at once, not minutes of Python-int matrix
+    products.  The child has a time limit so a missing guard fails."""
+    assert main(["gen-srg1", "--q", "3", "--d", "3", "--seed", "0",
+                 "--out", "s33"]) == 0
+    capsys.readouterr()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    candidates = ",".join(map(str, range(-30, 31)))
+    result = subprocess.run(
+        [sys.executable, "-m", "srgforge.cli", "spectrum", "--in", "s33.g6",
+         f"--candidates={candidates}"],
+        capture_output=True, text=True, timeout=30, cwd=workdir,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 2
+    assert result.stderr == ("srgforge: 55 exact products of 364 x 364 "
+                             "matrices past a 54-bit bound exceed the "
+                             "object-tier limit\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--in", "pet.g6", "--ddg", "1,2"],
      "--ddg needs 6 comma-separated integers"),

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 
-from srgforge import Graph, graph6_decode, graph6_encode
+from srgforge import (Graph, graph6_decode, graph6_encode,
+                      projective_complement_design, verify_srg1_cases,
+                      VertexPartition)
 from srgforge.cli import main
+from srgforge.gf import make_field
 
 GOLDEN = {
     "ddg.stdout": "6f82a6b3a6c4d8c85db92618b47f37c08116480342ac5bfddfd755341f747ecd",
@@ -47,19 +51,26 @@ GOLDEN = {
 }
 
 
+def _switched(g: Graph, a: int, b: int, c: int, d: int) -> Graph:
+    """Edges ab, cd and non-edges ac, bd swap roles: degrees stay,
+    common-neighbour counts move."""
+    assert g.has_edge(a, b) and g.has_edge(c, d)
+    assert not g.has_edge(a, c) and not g.has_edge(b, d)
+    rows = list(g.rows)
+    for x, y in ((a, b), (c, d), (a, c), (b, d)):
+        rows[x] ^= 1 << y
+        rows[y] ^= 1 << x
+    return Graph(g.n, tuple(rows))
+
+
 def _two_switch(g: Graph) -> Graph:
-    """Replace the first edge pair ab, cd (sorted edge order) with ac, bd
-    non-edges by ac, bd: degrees stay, common-neighbour counts move."""
+    """The first 2-switch ab, cd (sorted edge order) with ac, bd non-edges."""
     edges = sorted(g.edges())
     for i, (a, b) in enumerate(edges):
         for c, d in edges[i + 1:]:
             if len({a, b, c, d}) == 4 and not g.has_edge(a, c) \
                     and not g.has_edge(b, d):
-                rows = list(g.rows)
-                for x, y in ((a, b), (c, d), (a, c), (b, d)):
-                    rows[x] ^= 1 << y
-                    rows[y] ^= 1 << x
-                return Graph(g.n, tuple(rows))
+                return _switched(g, a, b, c, d)
     raise AssertionError("no 2-switch")
 
 
@@ -102,3 +113,42 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys):
     got = _outputs(tmp_path, monkeypatch, capsys)
     assert {k: got[k] for k in GOLDEN} == GOLDEN
 
+
+# Failing certificates at 992 and 1023 vertices.  Every vertex below the
+# switch sees b and c, and a and d, alike, so the first witness lies in row
+# 224 (same-class) and row 480 (mu), past many row blocks and tiles that
+# pass.
+SWITCHES = {"ddg25": (256, 224, 240, 272), "srg25": (761, 736, 760, 737)}
+GOLDEN_LARGE = {
+    "badddg25.cert.json": "205257f5d5358b598225f427a6d5d2cf76d8a09ba17a48bf0285e554b1bdd672",
+    "badsrg25.cert.json": "21049948116628fce40c3cb278d607d0dce8c09b70b905e5a604e839ac03d1dd",
+    "badsrg25.cases": "42ed69ea79afae7c1be2f3eaca3c078cd664c830c33166146b280e574db5e33e",
+}
+
+
+def test_golden_large_failures(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for sub, name in (("gen-ddg", "ddg25"), ("gen-srg1", "srg25")):
+        assert main([sub, "--q", "2", "--d", "5", "--seed", "1",
+                     "--out", name]) == 0
+    capsys.readouterr()
+    got, bad = {}, {}
+    for name, expect in (("ddg25", ["ddg", "--classes", "ddg25.classes"]),
+                         ("srg25", ["srg"])):
+        bad[name] = _switched(
+            graph6_decode((tmp_path / f"{name}.g6").read_text()),
+            *SWITCHES[name])
+        (tmp_path / f"bad{name}.g6").write_text(
+            graph6_encode(bad[name]) + "\n")
+        assert main(["verify", "--in", f"bad{name}.g6", "--expect", *expect,
+                     "--cert", f"bad{name}.cert.json"]) == 1
+        text = (tmp_path / f"bad{name}.cert.json").read_text()
+        assert json.loads(text)["witnesses"][0]["pair"][0] > 200
+        got[f"bad{name}.cert.json"] = _digest(text.encode())
+    classes = (tmp_path / "ddg25.classes").read_text().splitlines()
+    partition = VertexPartition.from_lists(
+        992, [map(int, line.split()) for line in classes])
+    cases = verify_srg1_cases(bad["srg25"], partition,
+                              projective_complement_design(make_field(2, 1), 5))
+    got["badsrg25.cases"] = _digest(cases.to_json().encode())
+    assert got == GOLDEN_LARGE

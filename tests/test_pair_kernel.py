@@ -11,9 +11,11 @@ witness and inferred parameters included, both on random inputs and on
 from __future__ import annotations
 
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graph_from_bits
@@ -24,7 +26,8 @@ from srgforge import (affine_geometry_design, certificate, ClassBlockMap,
                       verify_srg1_cases, VertexPartition)
 from srgforge import graphs
 from srgforge.gf import as_prime_power
-from srgforge.graphs import bit_matrix, first_bad_pair
+from srgforge.graphs import (bit_matrix, first_bad_pair, graph6_decode,
+                             graph6_encode)
 
 
 def ref_verify_srg(g):
@@ -349,10 +352,11 @@ def test_passing_outputs_match_reference():
               ref_verify_srg1_cases(srg_g, partition, attach))
 
 
-@given(st.data(), st.sampled_from([1, 7, 64, 500]))
-def test_small_blocks_match_reference(data, pair_words):
-    """The inputs above fit in one block of pairs; a smaller block bound
-    puts block boundaries before, at and after the first witness."""
+@given(st.data(), st.sampled_from([1, 3, 8, 64]))
+def test_small_blocks_match_reference(data, pair_rows):
+    """The inputs above fit in a few row blocks and one column tile;
+    smaller blocks and tiles put their edges before, at and after the
+    first witness."""
     if data.draw(st.booleans()):
         g = data.draw(circulants())
         partition = data.draw(partitions(g.n))
@@ -362,7 +366,7 @@ def test_small_blocks_match_reference(data, pair_words):
             sorted(_PIECES)))]
         seed = data.draw(st.integers(0, 10**6))
         g, s = _two_switched(g, seed, 1), _two_switched(s, seed, 1)
-    with patch.object(graphs, "_PAIR_WORDS", pair_words):
+    with patch.object(graphs, "_PAIR_ROWS", pair_rows):
         _same(verify_srg(g), ref_verify_srg(g))
         _same(verify_ddg(g, partition), ref_verify_ddg(g, partition))
         if s is not None:
@@ -371,30 +375,90 @@ def test_small_blocks_match_reference(data, pair_words):
                   ref_verify_srg1_cases(s, partition, attach))
 
 
+@given(st.integers(0, 200), st.sampled_from([0.03, 0.97]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_tiled_counts_match_bit_count(n, density, seed, data):
+    """Sparse and dense graphs, whole or as a column slice m[:, c0:]: with
+    one stratum per distinct count, every pair meets the value of its
+    stratum, and a pair moved to another stratum is the witness."""
+    rng = np.random.default_rng(seed)
+    m = np.triu(rng.random((n, n)) < density, 1)
+    g = Graph.from_matrix(m | m.T)
+    c0 = data.draw(st.integers(0, n))
+    ref = np.zeros((n, n), np.int64)
+    for u in range(n):
+        for w in range(u + 1, n):
+            ref[u, w] = ref[w, u] = (
+                (g.rows[u] & g.rows[w]) >> c0).bit_count()
+    counts = np.unique(ref[np.triu_indices(n, 1)])
+    strata = np.searchsorted(counts, ref)
+    pair_rows = data.draw(st.sampled_from([8, 64]))
+    with patch.object(graphs, "_PAIR_ROWS", pair_rows):
+        values = tuple(map(int, counts))
+        sliced = g.matrix[:, c0:]
+        assert first_bad_pair(sliced, strata, values) == (None, values)
+        assert first_bad_pair(sliced, strata, (None,) * len(values)) == (
+            None, values)
+        if len(values) > 1:
+            u = data.draw(st.integers(0, n - 2))
+            w = data.draw(st.integers(u + 1, n - 1))
+            strata[u, w] = (strata[u, w] + 1) % len(values)
+            assert first_bad_pair(sliced, strata, values) == (
+                (u, w, int(ref[u, w])), values)
+
+
 def test_kernel_keeps_unmet_strata():
     # path 0-1-2-3: pairs (0,1) count 0 (adjacent), (0,2) count 1, (0,3) 0
-    rows = (0b0010, 0b0101, 0b1010, 0b0100)
-    adj = bit_matrix(4, rows)
-    assert first_bad_pair(rows, adj, (None, None)) == ((0, 3, 0), (1, 0))
+    adj = bit_matrix(4, (0b0010, 0b0101, 0b1010, 0b0100))
+    assert first_bad_pair(adj, adj, (None, None)) == ((0, 3, 0), (1, 0))
     # fixed values are kept, and the first pair can be the witness
-    assert first_bad_pair(rows, adj, (1, 5)) == ((0, 1, 0), (1, 5))
-    assert first_bad_pair(rows, ~adj, (0, 1)) == ((0, 3, 0), (0, 1))
+    assert first_bad_pair(adj, adj, (1, 5)) == ((0, 1, 0), (1, 5))
+    assert first_bad_pair(adj, ~adj, (0, 1)) == ((0, 3, 0), (0, 1))
     # a single edge has no non-adjacent pair, so stratum 0 stays unmet
-    assert first_bad_pair((0b10, 0b01), bit_matrix(2, (0b10, 0b01)),
-                          (None, None)) == (None, (None, 0))
+    edge = bit_matrix(2, (0b10, 0b01))
+    assert first_bad_pair(edge, edge, (None, None)) == (None, (None, 0))
     # three strata: stratum 2 is first met at (0, 3), after the witness
     # (0, 2), so it keeps its None; stratum 1 is never met
     strata = np.zeros((4, 4), np.uint8)
     strata[0, 3] = 2
-    assert first_bad_pair(rows, strata, (None, 7, None)) == (
+    assert first_bad_pair(adj, strata, (None, 7, None)) == (
         (0, 2, 1), (0, 7, None))
     strata[0, 2] = 2
-    assert first_bad_pair(rows, strata, (None, 7, None)) == (
+    assert first_bad_pair(adj, strata, (None, 7, None)) == (
         (0, 3, 0), (0, 7, 1))
     # a zero-stride view, and graphs with no pair at all
-    assert first_bad_pair(rows, np.broadcast_to(1, (4, 4)), (9, None)) == (
+    assert first_bad_pair(adj, np.broadcast_to(1, (4, 4)), (9, None)) == (
         (0, 2, 1), (9, 0))
-    assert first_bad_pair((), np.zeros((0, 0), bool), (None, 3)) == (
-        None, (None, 3))
-    assert first_bad_pair((0,), np.zeros((1, 1), bool), (None, 3)) == (
-        None, (None, 3))
+    assert first_bad_pair(np.zeros((0, 0), bool), np.zeros((0, 0), bool),
+                          (None, 3)) == (None, (None, 3))
+    assert first_bad_pair(np.zeros((1, 1), bool), np.zeros((1, 1), bool),
+                          (None, 3)) == (None, (None, 3))
+    # no columns: every count is 0
+    assert first_bad_pair(adj[:, 4:], adj, (None, None)) == (None, (0, 0))
+    assert first_bad_pair(adj[:, 4:], adj, (0, 1)) == ((0, 1, 0), (0, 1))
+    # float32 counts exactly only below 2^24
+    with pytest.raises(ValueError, match="2\\^24"):
+        first_bad_pair(np.zeros((0, 1 << 24), bool), np.zeros((0, 0), bool),
+                       (None,))
+
+
+def test_verifier_memory_stays_below_decode():
+    """At 992 and 1023 vertices the verifiers' float32 tiles, strata and
+    masks must add less traced memory (numpy buffers included) than
+    graph6_decode's own peak on the same text.  A float32 copy of the
+    whole matrix (4 MB at n = 1023) would break this."""
+    ddg_g, partition, srg_g, _ = _srg1_pieces(2, 5, 7)
+    for g, verify in ((ddg_g, lambda h: verify_ddg(h, partition)),
+                      (srg_g, verify_srg)):
+        text = graph6_encode(g)
+        tracemalloc.start()
+        try:
+            h = graph6_decode(text)
+            decode_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert verify(h).passed
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert added < decode_peak, (g.n, added, decode_peak)

@@ -17,7 +17,9 @@ from srgforge import (chang_graphs, coclique_deletion_spectrum,
                       hoffman_coclique_size, InfeasibleParams, make_spectrum,
                       NotAnnihilated, petersen_graph,
                       Radical, srg1_target_params, srg_eigenvalues,
-                      srg_spectrum, SrgParams, triangular_graph, verify_ddg)
+                      srg_spectrum, SrgParams, TooLarge, triangular_graph,
+                      verify_ddg)
+from srgforge import spectra
 from srgforge.spectra import _ExactProduct, adjacency_matrix
 from test_ddg import build
 from test_srg import srg1
@@ -196,7 +198,7 @@ def _reference_product(g, shifts):
 def test_exact_product_tier_boundaries(shifts, first_object):
     g = petersen_graph()  # maximum degree 3
     adj = adjacency_matrix(g)
-    product = _ExactProduct(g.n)
+    product = _ExactProduct(g.n, len(shifts))
     for i, s in enumerate(shifts):
         product.multiply(adj, s, 3, 1)
         if i < first_object:
@@ -205,6 +207,21 @@ def test_exact_product_tier_boundaries(shifts, first_object):
             assert product.mat.dtype == object
             assert all(type(x) is int for x in product.mat.flat)
         assert product.mat.tolist() == _reference_product(g, shifts[:i + 1])
+
+
+def test_object_tier_work_limit(monkeypatch):
+    """Entering the object tier at the first of 4 products, with a 61-bit
+    bound, is 10^3 * 4 * 61 = 244000 units of work."""
+    adj = adjacency_matrix(petersen_graph())
+    for limit, ok in ((244000, True), (243999, False)):
+        monkeypatch.setattr(spectra, "MAX_OBJECT_WORK", limit)
+        product = _ExactProduct(10, 4)
+        if ok:
+            product.multiply(adj, 2**60, 3, 1)
+            assert product.mat.dtype == object
+        else:
+            with pytest.raises(TooLarge, match="4 exact products of 10 x 10"):
+                product.multiply(adj, 2**60, 3, 1)
 
 
 def test_exact_spectrum_with_huge_candidates():
