@@ -1,11 +1,11 @@
 """Exact construction and verification of divisible design graphs and
 strongly regular graphs.
 
-Everything here works in exact arithmetic: adjacency as integer bitsets,
-spectra through annihilating polynomials and integer trace systems, and
-rational bounds as fractions.  Every construction returns plain data that a
-separate verifier re-checks from scratch, so a passing certificate never
-depends on the construction being correct.
+Everything here works in exact arithmetic: adjacency as a checked boolean
+matrix, spectra through annihilating polynomials and integer trace systems,
+and rational bounds as fractions.  Every construction returns plain data
+that a separate verifier re-checks from scratch, so a passing certificate
+never depends on the construction being correct.
 """
 
 from .canon import CanonicalForm, canonical_form, ClassCount, count_classes

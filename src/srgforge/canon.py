@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge
-from .graphs import body_mask, Graph, graph6_encode
+from .graphs import bitset, body_mask, Graph, graph6_encode
 
 MAX_VERTICES = 256
 MAX_NODES = 25_000
@@ -48,13 +48,6 @@ class CanonicalForm:
     aut_order: int
 
 
-def _mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 def _refine(rows, cells, work):
     """Split cells by neighbour counts against every splitter in work until
     the partition is equitable; new subcells join the splitter queue.
@@ -68,7 +61,7 @@ def _refine(rows, cells, work):
     cells is updated in place and returned.
     """
     open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
-    open_masks = [_mask(cells[i]) for i in open_cells]
+    open_masks = [bitset(cells[i]) for i in open_cells]
     while work and open_cells:
         smask = work.pop()
         single = rows[smask.bit_length() - 1] \
@@ -91,7 +84,7 @@ def _refine(rows, cells, work):
                 for v, count in zip(cell, counts):
                     groups.setdefault(count, []).append(v)
                 subs = [groups[count] for count in sorted(groups)]
-                sub_masks = [_mask(sub) for sub in subs]
+                sub_masks = [bitset(sub) for sub in subs]
             work += sub_masks
             split_at[i] = subs, sub_masks
         if not split_at:

@@ -23,8 +23,8 @@ from .ddg import (construct_ddg, counting_lower_bound, cyclic_quasigroup,
                   DdgParams, identity_family, load_family, load_quasigroup,
                   random_bijection_family, random_left_quasigroup,
                   save_family, save_quasigroup, verify_ddg)
-from .designs import (affine_geometry_design, data_lines, fano_plane,
-                      load_design, projective_complement_design)
+from .designs import (affine_geometry_design, check_glued, data_lines,
+                      fano_plane, load_design, projective_complement_design)
 from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
 from .graphs import (complement, Graph, VertexPartition, graph6_decode,
@@ -32,9 +32,10 @@ from .graphs import (complement, Graph, VertexPartition, graph6_decode,
 from .spectra import (ddg_formula_spectrum, exact_spectrum, Radical,
                       srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
-                  hoffman_colorings, Srg2Config, SrgParams, triangular_graph,
-                  verify_srg, verify_srg1_cases)
-from .symplectic import delsarte_clique_census, symplectic_graph
+                  hoffman_colorings, need_lam_mu2, Srg2Config, SrgParams,
+                  triangular_graph, verify_srg, verify_srg1_cases)
+from .symplectic import (check_symplectic, delsarte_clique_census,
+                         symplectic_graph)
 
 _CANON_IN_MANIFEST = 64  # canon cost guard: larger outputs get digests only
 
@@ -148,8 +149,9 @@ def _build_family(spec: str, m: int, q: int, quasigroup, seed: int,
 
 
 def _build_ddg(args, inputs: dict):
-    p, e = as_prime_power(args.q)
-    field = make_field(p, e)
+    if args.q >= 2:  # vertex limit before GF(q); as_prime_power rejects q < 2
+        check_glued(args.q, args.d)
+    field = make_field(*as_prime_power(args.q))
     design = affine_geometry_design(field, args.d)
     m = design.n_classes
     quasigroup = _build_quasigroup(args.quasigroup, m, args.seed, inputs)
@@ -280,7 +282,9 @@ def cmd_gen_srg2(args) -> int:
     else:
         raise ParseError(f"unknown design {args.design!r}")
 
-    coloring = next(islice(hoffman_colorings(base), args.coloring, None), None)
+    colorings = hoffman_colorings(base)
+    need_lam_mu2(colorings.params)  # before the search, which may find none
+    coloring = next(islice(colorings, args.coloring, None), None)
     if coloring is None:
         print(f"no Hoffman coloring at index {args.coloring} for this base",
               file=sys.stderr)
@@ -386,6 +390,8 @@ def cmd_count_classes(args) -> int:
 
 
 def cmd_sp_graph(args) -> int:
+    if args.q >= 2:  # vertex limit before GF(q); as_prime_power rejects q < 2
+        check_symplectic(args.q, args.d)
     g = symplectic_graph(make_field(*as_prime_power(args.q)), args.d)
     if args.complement:
         g = complement(g)

@@ -24,11 +24,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .designs import data_lines
+from .designs import check_glued, data_lines
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
-from .graphs import (Certificate, Graph, VertexPartition, certificate,
-                     check_vertices, complement, pair_witness, regularity)
+from .graphs import (bitset, Certificate, Graph, VertexPartition,
+                     certificate, complement, pair_witness, regularity)
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -207,7 +207,7 @@ def construct_ddg(designs, quasigroup: LeftQuasigroup,
                 sigma[i, j][tables[i][quasigroup.op(i, j)]][:, None]
                 != tables[j][quasigroup.op(j, i)])
 
-    g = Graph.from_matrix(adj)
+    g = Graph(adj)
     partition = VertexPartition.from_lists(
         m * P, [range(j * P, (j + 1) * P) for j in range(m)])
     return g, partition
@@ -273,7 +273,7 @@ def extract_ddg_from_srg(g: Graph, clique) -> tuple[Graph, VertexPartition,
     for a, b in combinations(cl, 2):
         if not g.has_edge(a, b):
             raise NotAClique(f"vertices {a} and {b} are not adjacent")
-    cl_mask = sum(1 << c for c in cl)
+    cl_mask = bitset(cl)
     outside = [u for u in range(g.n) if not (cl_mask >> u & 1)]
 
     attach = {u: g.rows[u] & cl_mask for u in outside}
@@ -302,8 +302,8 @@ def counting_lower_bound(q: int, d: int) -> Fraction:
     """
     if q < 2 or d < 2:
         raise ValueError(f"need q >= 2 and d >= 2, got ({q}, {d})")
+    check_glued(q, d)
     m = (q**d - 1) // (q - 1)
-    check_vertices(q**d * m, "the glued graph")
     num = Fraction(math.factorial(q)) ** m
     den = Fraction(q**d * m * m) ** (q**d * m) * Fraction(q ** (d + 1) * m) ** (m - 1)
     return num / den

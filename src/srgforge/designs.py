@@ -57,6 +57,12 @@ class SymmetricDesign:
     params: tuple[int, int, int]  # (v, k, lambda)
 
 
+def check_glued(q: int, d: int) -> None:
+    """TooLarge when the glued AG(d, q) graph, q >= 2, is over the limit."""
+    n = q**d
+    check_vertices(n * (n - 1) // (q - 1), "the glued graph")
+
+
 def affine_geometry_design(field: FiniteField, d: int) -> ResolvableDesign:
     """Point-hyperplane design of the affine space of dimension d over GF(q).
 
@@ -67,8 +73,8 @@ def affine_geometry_design(field: FiniteField, d: int) -> ResolvableDesign:
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    check_glued(field.q, d)
     n = field.q**d
-    check_vertices(n * (n - 1) // (field.q - 1), "the glued graph")
     classes = tuple(
         tuple(levels) for _, levels in enumerate_hyperplanes(field, d)
     )

@@ -1,27 +1,26 @@
-"""Simple undirected graphs as a checked adjacency matrix plus bitset rows,
-and graph6 I/O.
+"""Simple undirected graphs as a checked adjacency matrix, and graph6 I/O.
 
-A graph keeps its validated, read-only boolean n x n matrix and its rows,
-Python ints used as bitsets (bit v of rows[u] is set iff uv is an edge;
-`set_bits` lists them).  `Graph` checks loops and symmetry once, on the
-form it was given, and derives the other (`bit_matrix`, `matrix_rows`).
-Builders write block matrices for `Graph.from_matrix`; relabelling,
-induced subgraphs and complements are matrix expressions, and graph6 reads
-its body order from one `np.tri` mask on the matrix.  Common-neighbour
-counting, the hot loop of every verifier, is a matrix product too:
-`first_bad_pair` multiplies float32 tiles cast from the matrix, a row block
-against a tile of later rows, and checks the counts against a matrix of
-pair strata.  float32 is exact there, since every partial sum is an integer
-no larger than n < 2^24 (graph6 caps n at 258047).  Rows stay where bit
-operations pay: `cliques` is the one clique search, behind the Hoffman
-colorings and the ratio-bound clique census.
+A graph is its validated, read-only boolean n x n matrix: `Graph(m)`
+checks the shape, loops and symmetry once and derives the vertex count and
+the rows, Python ints used as bitsets (bit v of rows[u] is set iff uv is an
+edge; `set_bits` lists them and `bitset` builds one).  Builders write block
+matrices for `Graph`; relabelling, induced subgraphs and complements are
+matrix expressions, and graph6 reads its body order from one `np.tri` mask
+on the matrix.  Common-neighbour counting, the hot loop of every verifier,
+is a matrix product too: `first_bad_pair` multiplies float32 tiles cast
+from the matrix, a row block against a tile of later rows, and checks the
+counts against a matrix of pair strata.  float32 is exact there, since
+every partial sum is an integer no larger than n < 2^24 (graph6 caps n at
+258047).  Rows stay where bit operations pay: canonical refinement and
+`cliques`, the one clique search, behind the Hoffman colorings and the
+ratio-bound clique census.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -30,6 +29,8 @@ from .errors import ParseError, TooLarge
 # vertex limit of every graph this package builds or searches from a size
 # parameter; it keeps (q, d) = (2, 6), (3, 4), (5, 3) and Sp(12, 2)
 MAX_BUILD_VERTICES = 4096
+
+_EDGE_BLOCK = 1 << 16  # edges that from_edges holds in one array at a time
 
 
 def check_vertices(n: int, what: str) -> None:
@@ -42,54 +43,42 @@ def check_vertices(n: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """Built from its rows or, by `from_matrix`, from its matrix."""
+    """Simple undirected graph of a square boolean adjacency matrix.
 
-    n: int
-    rows: tuple[int, ...] | None = None
-    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+    A boolean array that owns its data is taken over, not copied: it is
+    made read-only, and views of it made earlier must not be written to.  A
+    view or anything else is copied first.  `n` and the bitset `rows` are
+    derived from the checked matrix, and equality and hashing use them.
+    """
+
+    matrix: np.ndarray = field(compare=False, repr=False)
+    n: int = field(init=False)
+    rows: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        m = self.matrix
-        if (self.rows is None) == (m is None):
-            raise ValueError("give either the rows or the matrix")
-        if m is None:
-            if self.n < 0 or len(self.rows) != self.n:
-                raise ValueError("row count does not match vertex count")
-            full = (1 << self.n) - 1
-            for u, row in enumerate(self.rows):
-                if row & ~full:
-                    raise ValueError(f"row {u} has bits outside [0, n)")
-                if row >> u & 1:
-                    raise ValueError(f"loop at vertex {u}")
-            m = bit_matrix(self.n, self.rows)
-        else:
-            m = np.asarray(m, dtype=bool)
-            if m.base is not None:
-                # freezing a view would leave its base writable
-                m = m.copy()
-            if m.shape != (self.n, self.n):
-                raise ValueError("matrix shape does not match vertex count")
-            loops = m.diagonal()
-            if loops.any():
-                raise ValueError(f"loop at vertex {int(loops.argmax())}")
+        m = np.asarray(self.matrix, dtype=bool)
+        if m.base is not None:
+            # freezing a view would leave its base writable
+            m = m.copy()
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"adjacency matrix of shape {m.shape} is not "
+                             "square")
+        loops = m.diagonal()
+        if loops.any():
+            raise ValueError(f"loop at vertex {int(loops.argmax())}")
         asym = m != m.T
         if asym.any():
             # asym is symmetric, so its first entry in row-major order is
             # the first asymmetric pair (u, v), u < v, in lexicographic order
-            u, v = divmod(int(asym.argmax()), self.n)
+            u, v = divmod(int(asym.argmax()), len(m))
             raise ValueError(f"asymmetric adjacency at ({u}, {v})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if self.rows is None:
-            object.__setattr__(self, "rows", matrix_rows(m))
-
-    @classmethod
-    def from_matrix(cls, m) -> "Graph":
-        """Graph of a square boolean adjacency matrix.  A boolean array that
-        owns its data is taken over, not copied: it is made read-only, and
-        views of it made earlier must not be written to.  A view or anything
-        else is copied first."""
-        return cls(len(m), matrix=m)
+        object.__setattr__(self, "n", len(m))
+        # bit v of rows[u] is m[u, v]
+        packed = np.packbits(m, axis=1, bitorder="little")
+        object.__setattr__(self, "rows", tuple(
+            int.from_bytes(r.tobytes(), "little") for r in packed))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -104,14 +93,12 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self):
-        for u in range(self.n):
-            for v in set_bits(self.rows[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
+        return map(tuple, np.argwhere(np.triu(self.matrix)).tolist())
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph; new labels follow the order of `vertices`."""
         vs = np.fromiter(vertices, np.intp)
-        return Graph.from_matrix(self.matrix[np.ix_(vs, vs)])
+        return Graph(self.matrix[np.ix_(vs, vs)])
 
     def relabel(self, perm) -> "Graph":
         """Image under perm: old vertex u becomes perm[u]."""
@@ -119,7 +106,7 @@ class Graph:
             raise ValueError(f"not a permutation of [0, {self.n})")
         inv = np.empty(self.n, dtype=np.intp)
         inv[list(perm)] = np.arange(self.n)
-        return Graph.from_matrix(self.matrix[np.ix_(inv, inv)])
+        return Graph(self.matrix[np.ix_(inv, inv)])
 
 
 def set_bits(x: int):
@@ -130,25 +117,12 @@ def set_bits(x: int):
         x ^= low
 
 
-def _words(rows) -> np.ndarray:
-    """rows as an n x ceil(n/64) matrix of little-endian 64-bit words; each
-    row must lie in [0, 2^n)."""
-    width = -(-len(rows) // 64) * 8
-    packed = b"".join(r.to_bytes(width, "little") for r in rows)
-    return np.frombuffer(packed, "<u8").reshape(len(rows), width // 8)
-
-
-def bit_matrix(n: int, rows) -> np.ndarray:
-    """Boolean n x n matrix whose entry (u, v) is bit v of rows[u]; each row
-    must lie in [0, 2^n)."""
-    bits = np.unpackbits(_words(rows).view(np.uint8), 1, n, "little")
-    return bits.view(bool)
-
-
-def matrix_rows(m: np.ndarray) -> tuple[int, ...]:
-    """Inverse of bit_matrix: row u of the boolean matrix as a bitset int."""
-    packed = np.packbits(m, axis=1, bitorder="little")
-    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+def bitset(vertices) -> int:
+    """Inverse of set_bits: the int with bit v set for each v in vertices."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 # rows in the largest row block of first_bad_pair; a column tile holds the
@@ -269,13 +243,19 @@ def cliques(rows, size: int, allowed: int, block=()):
 
 
 def from_edges(n: int, edges) -> Graph:
-    rows = [0] * n
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    """Graph on [0, n) with the edges uv of `edges`, which may repeat an
+    edge or give both of its orientations.  The first edge that is a loop
+    or has an endpoint outside [0, n) raises ValueError."""
+    m = np.zeros((n, n), bool)
+    pairs = ((u, v) for u, v in edges)  # unpacking rejects all but pairs
+    while len(e := np.fromiter(islice(pairs, _EDGE_BLOCK), (np.intp, 2))):
+        bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
+        if bad.any():
+            u, v = e[bad.argmax()].tolist()
+            raise ValueError(f"loop at vertex {u}" if u == v else f"edge "
+                             f"({u}, {v}) has an endpoint outside [0, {n})")
+        m[e[:, 0], e[:, 1]] = m[e[:, 1], e[:, 0]] = True
+    return Graph(m)
 
 
 @dataclass(frozen=True)
@@ -357,7 +337,7 @@ def certificate(kind, parameters=None, witnesses=(), provenance=None) -> Certifi
 def complement(g: Graph) -> Graph:
     m = ~g.matrix
     np.fill_diagonal(m, False)
-    return Graph.from_matrix(m)
+    return Graph(m)
 
 
 def line_graph(g: Graph) -> Graph:
@@ -380,7 +360,7 @@ def common_neighbours(g: Graph, u: int, v: int) -> int:
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return Graph(np.zeros((n, n), bool))
 
 
 def complete_graph(n: int) -> Graph:
@@ -396,10 +376,8 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_multipartite(*part_sizes: int) -> Graph:
-    part = [i for i, s in enumerate(part_sizes) for _ in range(s)]
-    return from_edges(len(part), (
-        (u, v) for u, v in combinations(range(len(part)), 2)
-        if part[u] != part[v]))
+    part = np.repeat(np.arange(len(part_sizes)), part_sizes)
+    return Graph(part[:, None] != part)
 
 
 def octahedron() -> Graph:
@@ -476,4 +454,4 @@ def graph6_decode(text: str) -> Graph:
     m = np.zeros((n, n), dtype=bool)
     m[body_mask(n)] = bits[:nbits]
     m |= m.T
-    return Graph.from_matrix(m)
+    return Graph(m)

@@ -25,7 +25,7 @@ import numpy as np
 from .ddg import DdgParams, theorem1_params, verify_ddg
 from .designs import SymmetricDesign, verify_symmetric
 from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
-from .graphs import (Certificate, Graph, VertexPartition,
+from .graphs import (bitset, Certificate, Graph, VertexPartition,
                      certificate, cliques, common_neighbours, complement,
                      complete_graph, first_bad_pair, line_graph,
                      pair_witness, regularity)
@@ -183,8 +183,7 @@ def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
         raise PreconditionFailed(f"parameters {params.as_tuple()} are not of "
                                  f"the glued-design form")
 
-    return Graph.from_matrix(_attach_design(ddg_graph, partition, design,
-                                            block_map))
+    return Graph(_attach_design(ddg_graph, partition, design, block_map))
 
 
 def _attach_design(g: Graph, partition: VertexPartition,
@@ -285,7 +284,7 @@ def seidel_switch(g: Graph, vertices) -> Graph:
     """Complement all adjacencies between the vertex set and its complement."""
     side = np.zeros(g.n, bool)
     side[list(vertices)] = True
-    return Graph.from_matrix(g.matrix ^ (side[:, None] != side))
+    return Graph(g.matrix ^ (side[:, None] != side))
 
 
 def _k8_edge_index() -> dict[tuple[int, int], int]:
@@ -332,29 +331,48 @@ def _colorings(co_rows, size: int, uncovered: int, acc: list):
     v0 = (uncovered & -uncovered).bit_length() - 1
     pool = uncovered & co_rows[v0] & ~((2 << v0) - 1)
     for block in cliques(co_rows, size, pool, (v0,)):
-        mask = 0
-        for w in block:
-            mask |= 1 << w
         acc.append(block)
-        yield from _colorings(co_rows, size, uncovered & ~mask, acc)
+        yield from _colorings(co_rows, size, uncovered & ~bitset(block), acc)
         acc.pop()
 
 
-def hoffman_colorings(g: Graph):
-    """All partitions of g into independent sets of maximum (ratio-bound)
-    size, in lexicographic order.  Empty when none exists."""
+def srg_params(g: Graph) -> SrgParams:
+    """Verified parameters of g; NotSrg when g is not strongly regular."""
     cert = verify_srg(g)
     if not cert.passed:
         raise NotSrg(f"not strongly regular: {cert.witnesses[0]}")
-    size = hoffman_coclique_size(SrgParams.from_certificate(cert))
-    if size.denominator != 1 or size < 1 or g.n % int(size):
-        return
-    yield from _colorings(complement(g).rows, int(size), (1 << g.n) - 1, [])
+    return SrgParams.from_certificate(cert)
+
+
+def need_lam_mu2(params: SrgParams) -> None:
+    """PreconditionFailed unless lambda = mu + 2, as a fill-in base needs."""
+    if params.lam != params.mu + 2:
+        raise PreconditionFailed(f"need lambda = mu + 2, got lambda = "
+                                 f"{params.lam}, mu = {params.mu}")
+
+
+class HoffmanColorings:
+    """The partitions of g into independent sets of maximum (ratio-bound)
+    size, in lexicographic order; empty when none exists.  g is verified on
+    construction and `params` holds its parameters, so a caller can test
+    them before iterating starts the search."""
+
+    def __init__(self, g: Graph):
+        self.g, self.params = g, srg_params(g)
+
+    def __iter__(self):
+        size, n = hoffman_coclique_size(self.params), self.g.n
+        if size.denominator != 1 or size < 1 or n % int(size):
+            return iter(())
+        return _colorings(complement(self.g).rows, int(size), (1 << n) - 1, [])
+
+
+hoffman_colorings = HoffmanColorings  # the name callers use
 
 
 def find_hoffman_coloring(g: Graph) -> VertexPartition | None:
     """First Hoffman coloring in deterministic order, or None."""
-    return next(hoffman_colorings(g), None)
+    return next(iter(hoffman_colorings(g)), None)
 
 
 def construct_ddg_hoffman(base: Graph,
@@ -372,9 +390,7 @@ def construct_ddg_hoffman(base: Graph,
         raise PreconditionFailed(f"base is not strongly regular: "
                                  f"{cert.witnesses[0]}")
     params = SrgParams.from_certificate(cert)
-    if params.lam != params.mu + 2:
-        raise PreconditionFailed(f"need lambda = mu + 2, got lambda = "
-                                 f"{params.lam}, mu = {params.mu}")
+    need_lam_mu2(params)
     if coloring.n != base.n:
         raise ShapeMismatch(f"coloring covers {coloring.n} vertices, "
                             f"graph has {base.n}")
@@ -396,7 +412,7 @@ def construct_ddg_hoffman(base: Graph,
     cls = np.array(coloring.class_of())
     filled = base.matrix | (cls[:, None] == cls)
     np.fill_diagonal(filled, False)
-    g = Graph.from_matrix(filled)
+    g = Graph(filled)
 
     lam2 = Fraction(2 * params.k, m - 1) + params.mu
     expected = None
@@ -469,4 +485,4 @@ def construct_srg2(config: Srg2Config) -> Graph:
 
     adj = _attach_design(ddg_g, partition, config.design, config.block_map)
     adj[ddg_g.n:, ddg_g.n:] = ~np.eye(m, dtype=bool)
-    return Graph.from_matrix(adj)
+    return Graph(adj)

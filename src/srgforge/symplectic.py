@@ -14,7 +14,7 @@ from .errors import CensusTooLarge, NonIntegralBound, NotSrg
 from .gf import FiniteField, projective_points
 from .graphs import Graph, check_vertices, cliques, from_edges
 from .spectra import delsarte_clique_size
-from .srg import SrgParams, verify_srg
+from .srg import srg_params, SrgParams, verify_srg
 
 MAX_CENSUS_VERTICES = 120
 MAX_CENSUS_SIZE = 16
@@ -39,6 +39,11 @@ def _expected_params(q: int, d: int) -> SrgParams:
     return SrgParams(v, k, lam, mu)
 
 
+def check_symplectic(q: int, d: int) -> None:
+    """TooLarge when Sp(2d, q)'s graph, q >= 2, is over the vertex limit."""
+    check_vertices((q ** (2 * d) - 1) // (q - 1), "the symplectic graph")
+
+
 def symplectic_graph(field: FiniteField, d: int) -> Graph:
     """Graph on the projective points of F_q^{2d}, adjacent when the
     symplectic form vanishes.
@@ -50,8 +55,7 @@ def symplectic_graph(field: FiniteField, d: int) -> Graph:
     """
     if d < 2:
         raise ValueError("need d >= 2 for a strongly regular outcome")
-    check_vertices((field.q ** (2 * d) - 1) // (field.q - 1),
-                   "the symplectic graph")
+    check_symplectic(field.q, d)
     points = projective_points(field, 2 * d)
     g = from_edges(len(points), (
         (a, b) for a, b in combinations(range(len(points)), 2)
@@ -75,16 +79,11 @@ class CliqueCensus:
 def delsarte_clique_census(g: Graph) -> CliqueCensus:
     """Enumerate every clique meeting the ratio bound 1 - k/s.
 
-    Raises NonIntegralBound when the bound is not an integer (then no
-    clique can meet it) and CensusTooLarge past the exhaustive-search
-    budget of 120 vertices or bound 16.
+    Raises NotSrg unless g is strongly regular, NonIntegralBound when the
+    bound is not an integer (then no clique can meet it) and CensusTooLarge
+    past the exhaustive-search budget of 120 vertices or bound 16.
     """
-    cert = verify_srg(g)
-    if not cert.passed:
-        raise NotSrg(f"census needs a strongly regular graph: "
-                     f"{cert.witnesses[0]}")
-    params = SrgParams.from_certificate(cert)
-    bound = delsarte_clique_size(params)
+    bound = delsarte_clique_size(srg_params(g))
     if bound.denominator != 1:
         raise NonIntegralBound(f"ratio bound {bound} is not an integer")
     size = int(bound)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
 from srgforge import Graph
@@ -13,6 +14,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow])
 settings.register_profile("quick", max_examples=20, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+
+
+def rows_matrix(n: int, rows) -> np.ndarray:
+    """Boolean n x n matrix whose entry (u, v) is bit v of rows[u], read one
+    bit at a time; bits at n and above are not read."""
+    m = np.zeros((n, n), bool)
+    for u in range(n):
+        for v in range(n):
+            m[u, v] = rows[u] >> v & 1
+    return m
+
+
+def rows_graph(n: int, rows) -> Graph:
+    """Graph of n bitset rows: the plain-loop reference for building a
+    graph from rows."""
+    return Graph(rows_matrix(n, rows))
 
 
 def graph_from_bits(n: int, bits: int) -> Graph:
@@ -25,7 +42,7 @@ def graph_from_bits(n: int, bits: int) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             pos += 1
-    return Graph(n, tuple(rows))
+    return rows_graph(n, rows)
 
 
 @st.composite

@@ -257,6 +257,21 @@ def test_gen_srg2_verifies_each_input_once(workdir, capsys, monkeypatch):
     assert calls == {"verify_srg": 3, "verify_symmetric": 1}
 
 
+def test_gen_srg2_needs_lambda_mu_plus_2_before_the_search(workdir, capsys):
+    """Sp(6, 2), (63,30,13,15), has no Hoffman coloring and its complement,
+    (63,32,16,16), has one: both exit 2 before the coloring search."""
+    assert main(["sp-graph", "--q", "2", "--d", "3"]) == 0
+    Path("sp62.g6").write_text(capsys.readouterr().out)
+    assert main(["sp-graph", "--q", "2", "--d", "3", "--complement"]) == 0
+    Path("co62.g6").write_text(capsys.readouterr().out)
+    for name, lam, mu in (("sp62", 13, 15), ("co62", 16, 16)):
+        assert main(["gen-srg2", "--base", f"g6:{name}.g6"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"srgforge: need lambda = mu + 2, got lambda = {lam},"
+                       f" mu = {mu}\n")
+    assert sorted(os.listdir()) == ["co62.g6", "sp62.g6"]
+
+
 def test_gen_srg2_rejects_bad_file_design(workdir, capsys):
     fano = fano_plane()
     twice = SymmetricDesign(7, fano.blocks[:6] + fano.blocks[:1], fano.params)
@@ -296,6 +311,10 @@ def test_pipe_composition_subprocess(tmp_path):
     ["sp-graph", "--q", "2", "--d", "30"],
     ["sp-graph", "--q", "2", "--d", "9"],
     ["bound", "--q", "2", "--d", "16"],
+    # the limit goes before factoring q and building GF(q)'s tables
+    ["gen-ddg", "--q", "65521", "--d", "2", "--seed", "0"],
+    ["sp-graph", "--q", "65521", "--d", "2"],
+    ["gen-srg1", "--q", "2305843009213693951", "--d", "2", "--seed", "0"],
 ], ids=" ".join)
 def test_size_guard_exits_2(tmp_path, argv):
     """Sizes past the vertex limit stop before any enumeration: a typed

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 
+from conftest import rows_graph
 from srgforge import (Graph, graph6_decode, graph6_encode,
                       projective_complement_design, verify_srg1_cases,
                       VertexPartition)
@@ -48,6 +49,9 @@ GOLDEN = {
     "srg24.g6": "ace726e36290c0e5efb819aef60bfc6ed305a123f0594be1b8ee308c7a9c3afd",
     "srg24.cert.json": "07f48c6631cf213d81b0df0561f3fd148cf886c192966c99683b9ee355840841",
     "srg24.manifest.json": "e57f87440e25f25a0e92993204673d9a65fe636e6591083e25341e4ab680cf59",
+    # Sp(8, 2) and Sp(6, 3), 255 and 364 vertices
+    "sp24.stdout": "b7041aa057b6389da3123a72b169aee021d1f673ba41e53b1cdd3a73f4f79bd7",
+    "sp33.stdout": "31445daec88df010158c2ed048c6ddd69f936a461185e523b16224b8f9e828e5",
 }
 
 
@@ -60,7 +64,7 @@ def _switched(g: Graph, a: int, b: int, c: int, d: int) -> Graph:
     for x, y in ((a, b), (c, d), (a, c), (b, d)):
         rows[x] ^= 1 << y
         rows[y] ^= 1 << x
-    return Graph(g.n, tuple(rows))
+    return rows_graph(g.n, rows)
 
 
 def _two_switch(g: Graph) -> Graph:
@@ -97,6 +101,8 @@ def _outputs(tmp_path, monkeypatch, capsys) -> dict:
                   "--quasigroup", "random", "--out", "ddg33"])
     run("srg24", ["gen-srg1", "--q", "2", "--d", "4", "--seed", "3",
                   "--out", "srg24"])
+    run("sp24", ["sp-graph", "--q", "2", "--d", "4"])
+    run("sp33", ["sp-graph", "--q", "3", "--d", "3"])
     t8 = (tmp_path / "t8.g6").read_text()
     run("spectrum", ["spectrum", "--srg", "35,18,9,9"], t8)
     ddg = graph6_decode((tmp_path / "ddg.g6").read_text())

@@ -4,94 +4,151 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import graph_from_bits, graphs
+from conftest import graph_from_bits, graphs, rows_matrix
 from srgforge import (certificate, Certificate, common_neighbours, complement,
                       complete_graph, complete_multipartite, cycle_graph,
                       empty_graph, from_edges, Graph, graph6_decode,
                       graph6_encode, line_graph, octahedron, ParseError,
                       path_graph, petersen_graph, verify_srg, VertexPartition)
-from srgforge.graphs import cliques, set_bits
+import srgforge.graphs as graphs_module
+from srgforge.graphs import bitset, cliques, set_bits
 
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # loop at vertex 0
+        Graph(np.eye(2, dtype=bool))  # loop at vertex 0
     with pytest.raises(ValueError):
-        Graph(2, (2, 0))  # asymmetric
+        Graph(np.tri(2, k=-1, dtype=bool))  # asymmetric
     with pytest.raises(ValueError):
-        Graph(2, (0, 0, 0))  # wrong row count
-    with pytest.raises(ValueError):
-        Graph(2, (4, 0))  # bit beyond n
+        Graph(np.zeros((2, 3), bool))  # not square
+    with pytest.raises(TypeError):
+        Graph(2, (0, 0))  # a graph is built from its matrix only
 
 
-def ref_validation_error(n, rows):
-    """The message of the ValueError Graph(n, rows) raises, as the checks
-    were first written: one bit at a time, so the first offender is plain."""
-    if n < 0 or len(rows) != n:
-        return "row count does not match vertex count"
-    full = (1 << n) - 1
-    for u, row in enumerate(rows):
-        if row & ~full:
-            return f"row {u} has bits outside [0, n)"
-        if row >> u & 1:
+def ref_validation_error(m):
+    """The message of the ValueError Graph(m) raises for a square m, as the
+    checks were first written: one entry at a time, so the first offender is
+    plain."""
+    n = len(m)
+    for u in range(n):
+        if m[u][u]:
             return f"loop at vertex {u}"
     for u in range(n):
         for v in range(u + 1, n):
-            if (rows[u] >> v & 1) != (rows[v] >> u & 1):
+            if m[u][v] != m[v][u]:
                 return f"asymmetric adjacency at ({u}, {v})"
     return None
 
 
+# entry (u, v) of the matrix is bit v of rows[u]
 @pytest.mark.parametrize("n, rows, message", [
     (3, (0b001, 0, 0), "loop at vertex 0"),
     (4, (0b0100, 0, 0, 0), "asymmetric adjacency at (0, 2)"),
     (4, (0, 0, 0, 0b0010), "asymmetric adjacency at (1, 3)"),
-    (3, (0b1000, 0, 0), "row 0 has bits outside [0, n)"),
-    (3, (0, -1, 0), "row 1 has bits outside [0, n)"),
-    (3, (0, -2, 0), "row 1 has bits outside [0, n)"),
-    # several faults: the first row with a range fault or a loop wins, and
-    # asymmetry is reported only when no row has either
-    (4, (0b0100, 0, 0b0100, 1 << 9), "loop at vertex 2"),
-    (4, (0b0100, 0b0010 | 1 << 5, 0, 0), "row 1 has bits outside [0, n)"),
+    (1, (0b1,), "loop at vertex 0"),
+    # a pair past the first 64 columns
+    (66, (0,) * 65 + (1 << 64,), "asymmetric adjacency at (64, 65)"),
+    # several faults: the first loop wins, and asymmetry is reported only
+    # when no vertex has a loop, at the first pair (u, v), u < v, in
+    # lexicographic order
+    (5, (0, 0, 0, 0, 0b11000), "loop at vertex 4"),
+    (4, (0b0100, 0, 0b0100, 0), "loop at vertex 2"),
+    (4, (0, 0b1000, 0b0010, 0), "asymmetric adjacency at (1, 2)"),
     (5, (0b10000, 0b01000, 0, 0, 0), "asymmetric adjacency at (0, 4)"),
-    (2, (0, 0, 0), "row count does not match vertex count"),
-    (-1, (), "row count does not match vertex count"),
 ])
 def test_graph_validation_messages(n, rows, message):
-    assert ref_validation_error(n, rows) == message
+    m = rows_matrix(n, rows)
+    assert ref_validation_error(m) == message
     with pytest.raises(ValueError) as exc:
-        Graph(n, rows)
+        Graph(m)
     assert str(exc.value) == message
 
 
 @given(graphs(max_n=20), st.lists(st.tuples(
-    st.sampled_from(["one-way", "loop", "high", "negative"]),
+    st.sampled_from(["one-way", "loop"]),
     st.integers(0, 100), st.integers(0, 100)), max_size=4))
 def test_graph_validation_matches_reference(g, faults):
-    rows = list(g.rows)
+    m = g.matrix.copy()
     for kind, a, b in faults:
         if not g.n:
             break
         u, v = a % g.n, b % g.n
-        if kind == "one-way":
-            rows[u] ^= 1 << v
-        elif kind == "loop":
-            rows[u] |= 1 << u
-        elif kind == "high":
-            rows[u] |= 1 << (g.n + b % 3)
-        else:
-            rows[u] = -rows[u] - 1
-    message = ref_validation_error(g.n, tuple(rows))
+        if kind == "loop":
+            v = u
+        m[u, v] = not m[u, v]
+    message = ref_validation_error(m)
     if message is None:
-        assert Graph(g.n, tuple(rows)).rows == tuple(rows)
+        want = m.tolist()
+        assert Graph(m).matrix.tolist() == want
     else:
         with pytest.raises(ValueError) as exc:
-            Graph(g.n, tuple(rows))
+            Graph(m)
         assert str(exc.value) == message
+
+
+def ref_from_edges(n, edges):
+    """from_edges as a plain loop over the edges."""
+    m = [[False] * n for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside "
+                             f"[0, {n})")
+        m[u][v] = m[v][u] = True
+    return m
+
+
+@given(st.integers(1, 70), st.data())
+def test_from_edges_matches_reference(n, data):
+    """Repeated edges and both orientations; a loop or an endpoint outside
+    [0, n), when one is drawn, is reported at the first bad edge in the
+    list, whatever the block size the edges are read in."""
+    lo, hi = (-1, n) if data.draw(st.integers(0, 3)) == 0 else (0, n - 1)
+    pair = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+    edges = data.draw(st.lists(pair, max_size=3 * n))
+    if data.draw(st.integers(0, 3)):
+        edges = [(u, w) for u, w in edges if u != w]
+    edges += [(w, u) for u, w in data.draw(st.lists(st.sampled_from(edges))
+                                           if edges else st.just([]))]
+    try:
+        want, message = ref_from_edges(n, edges), None
+    except ValueError as exc:
+        message = str(exc)
+    for block in (1, 3, 1 << 16):
+        with patch.object(graphs_module, "_EDGE_BLOCK", block):
+            if message is None:
+                assert from_edges(n, iter(edges)).matrix.tolist() == want
+            else:
+                with pytest.raises(ValueError) as exc:
+                    from_edges(n, iter(edges))
+                assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edges, error, match", [
+    ([(0, 3)], ValueError, "outside"),
+    ([(-1, 0)], ValueError, "outside"),
+    ([(1, 0), (0, 5)], ValueError, "outside"),
+    ([(0, 3), (1, 1)], ValueError, "outside"),
+    # not re-read as the pairs (0, 1), (2, 3), (0, 1)
+    ([(0, 1, 2), (3, 0, 1)], ValueError, "unpack"),
+    ([(0, 1), (2,)], ValueError, "unpack"),
+    ([2], TypeError, "unpack"),
+])
+def test_from_edges_rejects_outside_endpoints(edges, error, match):
+    with pytest.raises(error, match=match):
+        from_edges(3, edges)
+
+
+@given(st.lists(st.integers(0, 200)))
+def test_bitset_inverts_set_bits(vertices):
+    assert list(set_bits(bitset(vertices))) == sorted(set(vertices))
 
 
 def test_from_edges_and_accessors():

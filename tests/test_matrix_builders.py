@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import graphs, permutations_of
-from srgforge import (complement, Graph, graph6_decode, graph6_encode,
-                      seidel_switch)
-from srgforge.graphs import bit_matrix, matrix_rows, set_bits
+from conftest import graphs, permutations_of, rows_graph, rows_matrix
+from srgforge import (complement, empty_graph, Graph, graph6_decode,
+                      graph6_encode, seidel_switch)
+from srgforge.graphs import set_bits
 
 
 def ref_relabel(g, perm):
@@ -24,7 +24,7 @@ def ref_relabel(g, perm):
     for u in range(g.n):
         for v in set_bits(g.rows[u]):
             rows[perm[u]] |= 1 << perm[v]
-    return Graph(g.n, tuple(rows))
+    return rows_graph(g.n, rows)
 
 
 def ref_induced(g, vertices):
@@ -36,12 +36,13 @@ def ref_induced(g, vertices):
             j = pos.get(v)
             if j is not None:
                 rows[i] |= 1 << j
-    return Graph(len(vs), tuple(rows))
+    return rows_graph(len(vs), rows)
 
 
 def ref_complement(g):
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full & ~row) & ~(1 << u) for u, row in enumerate(g.rows)))
+    return rows_graph(g.n, [(full & ~row) & ~(1 << u)
+                            for u, row in enumerate(g.rows)])
 
 
 def ref_seidel_switch(g, vertices):
@@ -57,7 +58,7 @@ def ref_seidel_switch(g, vertices):
         else:
             row = (row & ~s_mask) | (s_mask & ~row & full)
         rows.append(row & ~(1 << u))
-    return Graph(g.n, tuple(rows))
+    return rows_graph(g.n, rows)
 
 
 # n = 0 and 1, small graphs, and graphs whose rows span two words
@@ -72,7 +73,7 @@ def subsets(n):
 
 def assert_same(got, want):
     assert got == want and hash(got) == hash(want)
-    assert np.array_equal(got.matrix, bit_matrix(want.n, want.rows))
+    assert np.array_equal(got.matrix, rows_matrix(want.n, want.rows))
     assert not got.matrix.flags.writeable
 
 
@@ -106,67 +107,67 @@ def test_graph6_decode_keeps_the_matrix(g):
 
 @given(any_graphs)
 def test_from_matrix_equals_rows_constructor(g):
-    m = bit_matrix(g.n, g.rows)
-    assert_same(Graph.from_matrix(m), Graph(g.n, matrix_rows(m)))
+    """The rows Graph derives from its matrix read back to that matrix, and
+    an owned array, a view and a nested list give the same graph."""
+    m = rows_matrix(g.n, g.rows)
+    assert np.array_equal(m, g.matrix)
+    assert_same(Graph(m[:, :]), g)
     if g.n:  # an empty nested list has no second axis
-        assert_same(Graph.from_matrix(m.tolist()), g)
+        assert_same(Graph(m.tolist()), g)
+    assert_same(Graph(m), rows_graph(g.n, g.rows))
 
 
 @given(graphs(max_n=20), st.lists(st.tuples(
     st.sampled_from(["one-way", "loop"]),
     st.integers(0, 100), st.integers(0, 100)), max_size=4))
 def test_from_matrix_messages_match_rows_constructor(g, faults):
+    """Faults set in the bitset rows: an owned array, a view and a nested
+    list of the same matrix give the same graph or the same message."""
     rows = list(g.rows)
     for kind, a, b in faults:
         if not g.n:
             break
         u, v = a % g.n, b % g.n
         rows[u] ^= 1 << (u if kind == "loop" else v)
+    m = rows_matrix(g.n, rows)
+    forms = [m[:, :], m.tolist()] if g.n else [m[:, :]]
     try:
-        want, message = Graph(g.n, tuple(rows)), None
+        want, message = rows_graph(g.n, rows), None
     except ValueError as exc:
         message = str(exc)
-    m = bit_matrix(g.n, rows)
-    if message is None:
-        assert_same(Graph.from_matrix(m), want)
-    else:
-        with pytest.raises(ValueError) as exc:
-            Graph.from_matrix(m)
-        assert str(exc.value) == message
+    for form in forms:
+        if message is None:
+            assert_same(Graph(form), want)
+        else:
+            with pytest.raises(ValueError) as exc:
+                Graph(form)
+            assert str(exc.value) == message
 
 
 def test_matrix_is_read_only_and_never_shared_writable():
     m = np.zeros((3, 3), bool)
     m[0, 1] = m[1, 0] = True
-    g = Graph.from_matrix(m)  # kept, not copied, and frozen
+    g = Graph(m)  # kept, not copied, and frozen
     assert g.matrix is m
     with pytest.raises(ValueError):
         m[1, 2] = True
     with pytest.raises(ValueError):
-        Graph(3, (0, 0, 0)).matrix[1, 2] = True
+        empty_graph(3).matrix[1, 2] = True
     base = np.zeros((4, 4), bool)
-    h = Graph.from_matrix(base[:3, :3])  # a view is copied
+    h = Graph(base[:3, :3])  # a view is copied
     base[0, 1] = base[1, 0] = True
     assert h.edge_count() == 0 and not h.matrix.any()
     assert base.flags.writeable
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"n": 2}, "give either the rows or the matrix"),
-    ({"n": 2, "rows": (0, 0), "matrix": np.zeros((2, 2), bool)},
-     "give either the rows or the matrix"),
-    ({"n": 2, "matrix": np.zeros((2, 3), bool)},
-     "matrix shape does not match vertex count"),
-    ({"n": 3, "matrix": np.zeros((2, 2), bool)},
-     "matrix shape does not match vertex count"),
-])
-def test_graph_needs_one_consistent_form(kwargs, message):
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_graph_needs_a_square_matrix(shape):
     with pytest.raises(ValueError) as exc:
-        Graph(**kwargs)
-    assert str(exc.value) == message
+        Graph(np.zeros(shape, bool))
+    assert str(exc.value) == f"adjacency matrix of shape {shape} is not square"
 
 
 @pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1), (1, 2, 3), (0, 1, 2, 3)])
 def test_relabel_rejects_non_permutations(perm):
     with pytest.raises(ValueError):
-        Graph(3, (0, 0, 0)).relabel(perm)
+        empty_graph(3).relabel(perm)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import graph_from_bits
+from conftest import graph_from_bits, rows_graph, rows_matrix
 from srgforge import (affine_geometry_design, certificate, ClassBlockMap,
                       construct_ddg, construct_srg1, cyclic_quasigroup,
                       Graph, make_field, projective_complement_design,
@@ -26,8 +26,7 @@ from srgforge import (affine_geometry_design, certificate, ClassBlockMap,
                       verify_srg1_cases, VertexPartition)
 from srgforge import graphs
 from srgforge.gf import as_prime_power
-from srgforge.graphs import (bit_matrix, first_bad_pair, graph6_decode,
-                             graph6_encode)
+from srgforge.graphs import first_bad_pair, graph6_decode, graph6_encode
 
 
 def ref_verify_srg(g):
@@ -227,7 +226,7 @@ def _toggled(g: Graph, pairs) -> Graph:
         if u != w:
             rows[u] ^= 1 << w
             rows[w] ^= 1 << u
-    return Graph(g.n, tuple(rows))
+    return rows_graph(g.n, rows)
 
 
 def _two_switched(g: Graph, seed: int, switches: int) -> Graph:
@@ -274,7 +273,7 @@ def circulants(draw):
         for s in steps:
             for w in ((u + s) % n, (u - s) % n):
                 rows[u] |= 1 << w
-    return Graph(n, tuple(rows))
+    return rows_graph(n, rows)
 
 
 def _bits_graph(draw):
@@ -383,7 +382,7 @@ def test_tiled_counts_match_bit_count(n, density, seed, data):
     stratum, and a pair moved to another stratum is the witness."""
     rng = np.random.default_rng(seed)
     m = np.triu(rng.random((n, n)) < density, 1)
-    g = Graph.from_matrix(m | m.T)
+    g = Graph(m | m.T)
     c0 = data.draw(st.integers(0, n))
     ref = np.zeros((n, n), np.int64)
     for u in range(n):
@@ -409,13 +408,13 @@ def test_tiled_counts_match_bit_count(n, density, seed, data):
 
 def test_kernel_keeps_unmet_strata():
     # path 0-1-2-3: pairs (0,1) count 0 (adjacent), (0,2) count 1, (0,3) 0
-    adj = bit_matrix(4, (0b0010, 0b0101, 0b1010, 0b0100))
+    adj = rows_matrix(4, (0b0010, 0b0101, 0b1010, 0b0100))
     assert first_bad_pair(adj, adj, (None, None)) == ((0, 3, 0), (1, 0))
     # fixed values are kept, and the first pair can be the witness
     assert first_bad_pair(adj, adj, (1, 5)) == ((0, 1, 0), (1, 5))
     assert first_bad_pair(adj, ~adj, (0, 1)) == ((0, 3, 0), (0, 1))
     # a single edge has no non-adjacent pair, so stratum 0 stays unmet
-    edge = bit_matrix(2, (0b10, 0b01))
+    edge = rows_matrix(2, (0b10, 0b01))
     assert first_bad_pair(edge, edge, (None, None)) == (None, (None, 0))
     # three strata: stratum 2 is first met at (0, 3), after the witness
     # (0, 2), so it keeps its None; stratum 1 is never met

@@ -8,14 +8,16 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import rows_graph
 from srgforge import (as_prime_power, canonical_form, chang_graphs,
                       ClassBlockMap, complement, complete_multipartite,
                       construct_ddg_hoffman, construct_srg1, construct_srg2,
                       count_classes, ddg_formula_spectrum, DdgParams,
                       empty_graph, exact_spectrum, fano_plane,
-                      find_hoffman_coloring, Graph, hoffman_colorings, make_field, make_spectrum,
-                      NotSrg, path_graph, petersen_graph, PreconditionFailed,
-                      projective_complement_design, seidel_switch,
+                      find_hoffman_coloring, hoffman_colorings, make_field,
+                      make_spectrum, NotSrg, path_graph, petersen_graph,
+                      PreconditionFailed, projective_complement_design,
+                      seidel_switch,
                       ShapeMismatch, Srg2Config, srg1_target_params,
                       srg2_condition, SrgParams, triangular_graph,
                       verify_ddg, verify_srg, verify_srg1_cases,
@@ -159,7 +161,7 @@ def test_verify_srg1_cases_detects_tampering():
     w = next(x for x in g.neighbours(u) if x >= 4 and x < 12)
     rows[u] &= ~(1 << w)
     rows[w] &= ~(1 << u)
-    broken = Graph(g.n, tuple(rows))
+    broken = rows_graph(g.n, rows)
     assert not verify_srg1_cases(broken, partition, design).passed
 
 
@@ -183,7 +185,10 @@ def test_hoffman_colorings_t8():
     # deterministic: repeated enumeration starts at the same coloring
     assert next(iter(hoffman_colorings(t8))).classes == first.classes
     # matchings of K8 resolve into 6240 one-factorizations
-    assert sum(1 for _ in hoffman_colorings(t8)) == 6240
+    colorings = hoffman_colorings(t8)
+    assert colorings.params == SrgParams(28, 12, 6, 4)
+    assert sum(1 for _ in colorings) == 6240
+    assert sum(1 for _ in colorings) == 6240  # each iteration searches anew
 
 
 def test_hoffman_coloring_absent_or_small():
@@ -195,6 +200,8 @@ def test_hoffman_coloring_absent_or_small():
     assert sorted(map(tuple, col.classes)) == [(0, 1), (2, 3), (4, 5)]
     with pytest.raises(NotSrg):
         find_hoffman_coloring(path_graph(5))
+    with pytest.raises(NotSrg):
+        hoffman_colorings(path_graph(5))  # verified before any iteration
 
 
 def test_construct_ddg_hoffman_chain():
