@@ -291,7 +291,8 @@ def cmd_gen_srg2(args) -> int:
         return 1
 
     phi = _load_phi(args.phi, len(coloring.classes), inputs)
-    g = construct_srg2(Srg2Config(base, coloring, design, phi))
+    g = construct_srg2(Srg2Config(base, coloring, design, phi,
+                                  colorings.params))
     cert = verify_srg(g)
 
     prefix = args.out or f"srg2-{args.base}-c{args.coloring}"

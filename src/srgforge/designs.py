@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import ParseError, ShapeError
 from .gf import FiniteField, enumerate_hyperplanes, projective_points
-from .graphs import Certificate, certificate, check_vertices
+from .graphs import Certificate, certificate, check_power, check_vertices
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class SymmetricDesign:
 
 def check_glued(q: int, d: int) -> None:
     """TooLarge when the glued AG(d, q) graph, q >= 2, is over the limit."""
+    check_power(q, d, "the glued graph")
     n = q**d
     check_vertices(n * (n - 1) // (q - 1), "the glued graph")
 

@@ -41,6 +41,15 @@ def check_vertices(n: int, what: str) -> None:
                        f"{MAX_BUILD_VERTICES}-vertex limit")
 
 
+def check_power(q: int, d: int, what: str) -> None:
+    """Raise TooLarge when `what`, of at least q^d vertices for q >= 2, is
+    over MAX_BUILD_VERTICES because 2^d alone is: before q^d is computed,
+    which takes unbounded time at a huge d."""
+    if d >= MAX_BUILD_VERTICES.bit_length():
+        raise TooLarge(f"{what} would have at least {q}^{d} vertices, over "
+                       f"the {MAX_BUILD_VERTICES}-vertex limit")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph of a square boolean adjacency matrix.
@@ -137,11 +146,13 @@ def first_bad_pair(m, strata, values):
     number of columns set in both row u and row w: the common neighbours
     for g.matrix, those among the last c vertices for g.matrix[:, n - c:].
     Scans the pairs (u, w), u < w, in lexicographic order, in row blocks of
-    8, 16, 32, then _PAIR_ROWS rows, each against tiles of 2 * _PAIR_ROWS
-    later rows, with one float32 matrix product per tile; both operands are
-    cast from m a block or a tile at a time.  float32 counts exactly here:
-    every partial sum is an integer between 0 and c <= n, and c < 2^24
-    (graph6 caps n at 258047).
+    8, 16, 32, then _PAIR_ROWS rows, or in one block when n <= _PAIR_ROWS,
+    where the smaller blocks would cost more numpy calls than they save.
+    Each block runs against tiles of 2 * _PAIR_ROWS later rows, with one
+    float32 matrix product per tile; both operands are cast from m a block
+    or a tile at a time.  float32 counts exactly here: every partial sum is
+    an integer between 0 and c <= n, and c < 2^24 (graph6 caps n at
+    258047).
 
     The stratum strata[u, w] indexes `values`; strata is an integer or
     boolean n x n matrix, or a zero-stride np.broadcast_to view.  values[s]
@@ -158,7 +169,7 @@ def first_bad_pair(m, strata, values):
     # one float32 buffer serves every column tile: a fresh array per tile
     # would pay its page faults each time
     buf = np.empty((min(tile, n), c), np.float32)
-    a, size = 0, min(8, _PAIR_ROWS)
+    a, size = 0, n if n <= _PAIR_ROWS else min(8, _PAIR_ROWS)
     while a < n - 1:
         b = min(a + size, n)
         # values of the strata first met in this block, from their first

@@ -5,10 +5,16 @@ multiplicity m_i} is verified in two exact steps: the annihilating product
 prod_i (A - theta_i I) must vanish (irrational conjugate pairs +-sqrt(t)
 combine into the integer factor A^2 - tI), and the multiplicities are the
 unique solution of the trace system tr(A^s) = sum_i m_i theta_i^s over the
-rationals.  Products run in float64 (BLAS) only while a bound proved from
-the input keeps every partial sum an integer below 2^53, exact in any
-summation order; past it they continue in Python-int object arrays, or
-raise TooLarge when MAX_OBJECT_WORK estimates that tier too slow.
+rationals.  The product starts from its first factor and builds A^2 only
+for a radical factor or a trace; tr(A^s) = sum_ij (A^a)_ij (A^b)_ij, a =
+s // 2, b = s - a, reuses powers already built.  An SRG spectrum takes 2
+n x n products; a DDG formula spectrum at most 4 when theta2 = 0, as for
+the glued DDGs, else at most 5.  Products run in float64 (BLAS) only while
+a bound proved from the input keeps every partial sum an integer below
+2^53, exact in any summation order; past it they continue in Python-int
+object arrays, or raise TooLarge when MAX_OBJECT_WORK estimates that tier
+too slow.  Trace sums, at most n Delta^s for maximum degree Delta, run in
+int64 below 2^63 and in Python ints past it.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
@@ -84,34 +90,27 @@ class Spectrum:
 
     def nonzero(self) -> "Spectrum":
         """Drop eigenvalues of multiplicity 0 (unused candidates)."""
-        pairs = [(e, m) for e, m in self.entries() if m]
-        return make_spectrum(pairs)
+        return make_spectrum((e, m) for e, m in self.entries() if m)
 
     def serialize(self) -> list[list]:
         return [[e if isinstance(e, int) else repr(e), m] for e, m in self.entries()]
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{e}^{m}" for e, m in self.entries())
-        return f"Spectrum({body})"
+        return f"Spectrum({', '.join(f'{e}^{m}' for e, m in self.entries())})"
 
 
 def make_spectrum(pairs) -> Spectrum:
     """Normalize (eigenvalue, multiplicity) pairs: merge equal eigenvalues,
     sort in decreasing order, reject negative multiplicities."""
-    merged: list[tuple[Eigenvalue, int]] = []
+    merged: dict[Eigenvalue, int] = {}
     for e, m in pairs:
         if m < 0:
             raise ValueError(f"negative multiplicity {m} for {e}")
         if not isinstance(e, (int, Radical)):
             raise TypeError(f"eigenvalue {e!r} must be int or Radical")
-        for idx, (e2, m2) in enumerate(merged):
-            if e2 == e:
-                merged[idx] = (e2, m2 + m)
-                break
-        else:
-            merged.append((e, m))
-    merged.sort(key=lambda pair: _order_key(pair[0]), reverse=True)
-    return Spectrum(tuple(e for e, _ in merged), tuple(m for _, m in merged))
+        merged[e] = merged.get(e, 0) + m
+    order = sorted(merged, key=_order_key, reverse=True)
+    return Spectrum(tuple(order), tuple(merged[e] for e in order))
 
 
 # ---------------------------------------------------------------------------
@@ -124,42 +123,68 @@ def adjacency_matrix(g: Graph):
 
 
 def _as_ints(mat):
-    return mat.astype(np.int64).astype(object)  # Python ints, not floats
+    """mat as Python ints (not floats) in an object array."""
+    return mat if mat.dtype == object else mat.astype(np.int64).astype(object)
 
 
-# limit on n^3 * (products left) * (bit length of the row-sum bound) when a
+# limit on n^3 * (factors left) * (bit length of the row-sum bound) when a
 # product would enter the Python-int object tier; past it exact_spectrum
 # raises TooLarge instead of running for minutes
 MAX_OBJECT_WORK = 1 << 32
 
 
 class _ExactProduct:
-    """Running product of `products` factors whose rows have absolute sums
-    <= `rowsum`.  Partial sums of mat @ F are then <= rowsum * max|F|;
-    float64 is exact while that stays below 2^53, and mat moves to
-    Python-int objects once it cannot, if MAX_OBJECT_WORK allows."""
+    """Running product of `factors` factors (base - shift I), started from
+    the first factor, whose rows have absolute sums <= `rowsum`.  Partial
+    sums of mat @ F are then <= rowsum * max|F|; float64 is exact while
+    that (or max|F| of the first factor) stays below 2^53, and mat moves
+    to Python-int objects once it cannot, if MAX_OBJECT_WORK allows."""
 
-    def __init__(self, n: int, products: int):
-        self.mat = np.eye(n)
-        self.rowsum = 1
-        self.left = products
+    def __init__(self, n: int, factors: int):
+        self.mat = None  # the empty product
+        self.n, self.rowsum, self.left = n, 1, factors
 
     def multiply(self, base, shift: int, base_rowsum: int, base_max: int):
         """mat @ (base - shift I) for an integer matrix base >= 0 with
         entries <= base_max and row sums <= base_rowsum."""
         bound = max(self.rowsum, 1) * (base_max + abs(shift))
-        if self.mat.dtype != object and bound >= 1 << 53:
-            n, bits = len(self.mat), bound.bit_length()
-            if n ** 3 * self.left * bits > MAX_OBJECT_WORK:
-                raise TooLarge(
-                    f"{self.left} exact products of {n} x {n} matrices past "
-                    f"a {bits}-bit bound exceed the object-tier limit")
-            self.mat = _as_ints(self.mat)
-        factor = _as_ints(base) if self.mat.dtype == object else base.copy()
+        objects = self.mat is not None and self.mat.dtype == object
+        if not objects and bound >= 1 << 53:
+            bits = bound.bit_length()
+            if self.n ** 3 * self.left * bits > MAX_OBJECT_WORK:
+                raise TooLarge(f"{self.left} exact products of {self.n} x "
+                               f"{self.n} matrices past a {bits}-bit bound "
+                               f"exceed the object-tier limit")
+            objects = True
+        factor = _as_ints(base) if objects else base.copy()
         factor[np.diag_indices_from(factor)] -= shift
-        self.mat = self.mat @ factor
+        if self.mat is not None:
+            factor = (_as_ints(self.mat) if objects else self.mat) @ factor
+        self.mat = factor
         self.rowsum *= base_rowsum + abs(shift)
         self.left -= 1
+
+
+def _powers(adj, delta: int, top: int):
+    """A, A^2, ..., A^top for the 0/1 matrix adj with row sums <= delta,
+    each exact: A^p @ A has partial sums <= delta^p."""
+    power = _ExactProduct(len(adj), top)
+    for _ in range(top):
+        power.multiply(adj, 0, delta, 1)
+        yield power.mat
+
+
+def _traces(powers, count: int, n: int, delta: int) -> list[int]:
+    """tr(A^s), s < count, from powers[p - 1] = A^p, A symmetric 0/1 with
+    zero diagonal and row sums <= delta: the nonnegative terms of sum_ij
+    (A^a)_ij (A^b)_ij total at most n delta^s, exact in int64 below 2^63."""
+    traces = [n, 0][:count]
+    for s in range(2, count):
+        small = n * delta ** s < 1 << 63
+        traces.append(int(np.vdot(*(
+            x.astype(np.int64) if small else _as_ints(x)
+            for x in (powers[s // 2 - 1], powers[s - s // 2 - 1])))))
+    return traces
 
 
 def _candidate_sets(candidates) -> tuple[list[int], list[int]]:
@@ -195,50 +220,36 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
         raise NotAnnihilated("empty candidate list")
 
     adj = adjacency_matrix(g)
-    adj_sq = adj @ adj  # partial sums <= max degree, exact in float64
     delta = max(r.bit_count() for r in g.rows)
+    # unknowns: a multiplicity per integer candidate and per radical pair;
+    # tr(A^s), s < n_rows, needs A^(n_rows // 2), a radical factor A^2
+    n_unknowns, n_rows = len(ints) + len(rads), len(ints) + 2 * len(rads)
+    build = _powers(adj, delta, max(n_rows // 2, 2 if rads else 1))
+    powers = [next(build) for _ in range(2 if rads else 1)]
 
-    product = _ExactProduct(n, len(ints) + len(rads))
+    product = _ExactProduct(n, n_unknowns)
     for a in ints:
         product.multiply(adj, a, delta, 1)
     for t in rads:
-        product.multiply(adj_sq, t, delta * delta, delta)
+        product.multiply(powers[1], t, delta * delta, delta)
+    eigs = ints + [exact_root(t) for t in rads]
     if np.any(product.mat):
-        raise NotAnnihilated(
-            f"candidates {ints + [exact_root(t) for t in rads]} do not "
-            f"annihilate the adjacency matrix")
+        raise NotAnnihilated(f"candidates {eigs} do not annihilate the "
+                             f"adjacency matrix")
 
-    # trace system: unknowns are one multiplicity per integer candidate and
-    # one shared multiplicity per radical pair
-    n_unknowns = len(ints) + len(rads)
-    n_rows = len(ints) + 2 * len(rads)
-    traces = [n]
-    power = _ExactProduct(n, n_rows - 1)
-    for _ in range(1, n_rows):
-        power.multiply(adj, 0, delta, 1)
-        traces.append(sum(map(int, power.mat.diagonal())))
-
-    rows = []
-    rhs = []
-    for s in range(n_rows):
-        row = [Fraction(a**s) for a in ints]
-        # (sqrt(t))^s + (-sqrt(t))^s: 2 t^{s/2} for even s, 0 for odd
-        row += [Fraction(2 * t ** (s // 2)) if s % 2 == 0 else Fraction(0)
-                for t in rads]
-        rows.append(row)
-        rhs.append(Fraction(traces[s]))
-
-    solution = _solve_exact(rows, rhs, n_unknowns)
-
-    pairs: list[tuple[Eigenvalue, int]] = []
-    for a, mult in zip(ints, solution[:len(ints)]):
-        pairs.append((a, _as_count(mult, a)))
-    for t, mult in zip(rads, solution[len(ints):]):
-        f = _as_count(mult, exact_root(t))
-        pairs.append((Radical(t), f))
-        pairs.append((Radical(t, negative=True), f))
-
-    spec = make_spectrum(pairs)
+    powers += build  # the higher powers, once the candidates annihilate
+    # tr(A^s) = sum_i m_i theta_i^s, where (sqrt(t))^s + (-sqrt(t))^s is
+    # 2 t^(s/2) for even s and 0 for odd s
+    system = [[Fraction(a**s) for a in ints] +
+              [Fraction(0 if s % 2 else 2 * t ** (s // 2)) for t in rads] +
+              [Fraction(trace)]
+              for s, trace in enumerate(_traces(powers, n_rows, n, delta))]
+    counts = [_as_count(x, e)
+              for x, e in zip(_solve_exact(system, n_unknowns), eigs)]
+    spec = make_spectrum(
+        list(zip(ints, counts)) +
+        [(Radical(t, negative), f) for t, f in zip(rads, counts[len(ints):])
+         for negative in (False, True)])
     assert spec.order == n
     return spec
 
@@ -249,29 +260,23 @@ def _as_count(x: Fraction, eig) -> int:
     return int(x)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction],
-                 n_unknowns: int) -> list[Fraction]:
-    """Gaussian elimination over the rationals for a consistent system with
-    full column rank (possibly more rows than unknowns)."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    n_rows = len(m)
-    r = 0
+def _solve_exact(m: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
+    """Gaussian elimination over the rationals on the augmented rows m of a
+    consistent system with full column rank (possibly more rows than
+    unknowns)."""
     for c in range(n_unknowns):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             raise NonIntegralMultiplicity("trace system is rank deficient")
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-    for i in range(r, n_rows):
-        if m[i][n_unknowns] != 0:
-            raise NotAnnihilated("trace system inconsistent with candidates")
-    return [m[i][n_unknowns] for i in range(n_unknowns)]
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i, row in enumerate(m):
+            if i != c and row[c] != 0:
+                m[i] = [x - row[c] * y for x, y in zip(row, m[c])]
+    if any(row[n_unknowns] for row in m[n_unknowns:]):
+        raise NotAnnihilated("trace system inconsistent with candidates")
+    return [row[n_unknowns] for row in m[:n_unknowns]]
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +314,10 @@ def ddg_formula_spectrum(params: DdgParams) -> DdgSpectrumFormula:
     if t1 < 0 or t2 < 0:
         raise ValueError(f"invalid parameters: k-lambda1 = {t1}, "
                          f"k^2 - lambda2 v = {t2}")
-    return DdgSpectrumFormula(
-        k=params.k,
-        theta1=exact_root(t1),
-        theta2=exact_root(t2),
-        f_sum=params.m * (params.n - 1),
-        g_sum=params.m - 1,
-    )
+    return DdgSpectrumFormula(k=params.k, theta1=exact_root(t1),
+                              theta2=exact_root(t2),
+                              f_sum=params.m * (params.n - 1),
+                              g_sum=params.m - 1)
 
 
 def _srg_tuple(params) -> tuple[int, int, int, int]:
@@ -341,8 +343,7 @@ def srg_spectrum(params) -> Spectrum:
     root = math.isqrt(disc) if disc >= 0 else -1
     if disc < 0 or root * root != disc:
         raise InfeasibleParams(f"discriminant {disc} is not a perfect square")
-    r = (lam - mu + root) // 2
-    s = (lam - mu - root) // 2
+    r, s = (lam - mu + root) // 2, (lam - mu - root) // 2
     if r == s:
         raise InfeasibleParams("eigenvalues r and s coincide")
     f_num = -k - s * (v - 1)
@@ -384,8 +385,7 @@ def coclique_deletion_spectrum(params, c: int) -> Spectrum:
     v, k, lam, mu = _srg_tuple(params)
     spec = srg_spectrum(params)
     r, s = srg_eigenvalues(params)
-    f = spec.multiplicity_of(r)
-    grm = spec.multiplicity_of(s)
+    f, grm = spec.multiplicity_of(r), spec.multiplicity_of(s)
     if not 1 <= c <= min(f + 1, grm):
         raise InfeasibleParams(f"coclique size {c} incompatible with "
                                f"multiplicities ({f}, {grm})")

@@ -84,6 +84,7 @@ class Srg2Config:
     coloring: VertexPartition
     design: SymmetricDesign
     block_map: ClassBlockMap
+    base_params: SrgParams | None = None  # as for construct_ddg_hoffman
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +376,24 @@ def find_hoffman_coloring(g: Graph) -> VertexPartition | None:
     return next(iter(hoffman_colorings(g)), None)
 
 
-def construct_ddg_hoffman(base: Graph,
-                          coloring: VertexPartition) -> tuple[Graph,
-                                                              VertexPartition]:
+def construct_ddg_hoffman(base: Graph, coloring: VertexPartition,
+                          params: SrgParams | None = None
+                          ) -> tuple[Graph, VertexPartition]:
     """Fill in the coloring classes of a strongly regular graph.
 
     For a base with lambda = mu + 2 and a Hoffman coloring, adding all
     intra-class edges produces a divisible design graph with parameters
     (mn, k+n-1, n+mu-2, 2k/(m-1)+mu, m, n); that outcome is re-verified
-    exhaustively before returning.
+    exhaustively before returning.  `params` are the base's parameters as
+    verify_srg found them, e.g. `hoffman_colorings(base).params`; when None
+    the base is verified here.
     """
-    cert = verify_srg(base)
-    if not cert.passed:
-        raise PreconditionFailed(f"base is not strongly regular: "
-                                 f"{cert.witnesses[0]}")
-    params = SrgParams.from_certificate(cert)
+    if params is None:
+        cert = verify_srg(base)
+        if not cert.passed:
+            raise PreconditionFailed(f"base is not strongly regular: "
+                                     f"{cert.witnesses[0]}")
+        params = SrgParams.from_certificate(cert)
     need_lam_mu2(params)
     if coloring.n != base.n:
         raise ShapeMismatch(f"coloring covers {coloring.n} vertices, "
@@ -457,7 +461,8 @@ def construct_srg2(config: Srg2Config) -> Graph:
     points and to every vertex of coloring class i with y in block
     block_map(i).  Requires the three-way parameter condition to hold.
     """
-    ddg_g, partition = construct_ddg_hoffman(config.base, config.coloring)
+    ddg_g, partition = construct_ddg_hoffman(config.base, config.coloring,
+                                             config.base_params)
     m = len(partition.classes)
     n = partition.n // m
 

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .errors import CensusTooLarge, NonIntegralBound, NotSrg
 from .gf import FiniteField, projective_points
-from .graphs import Graph, check_vertices, cliques, from_edges
+from .graphs import Graph, check_power, check_vertices, cliques, from_edges
 from .spectra import delsarte_clique_size
 from .srg import srg_params, SrgParams, verify_srg
 
@@ -41,6 +41,7 @@ def _expected_params(q: int, d: int) -> SrgParams:
 
 def check_symplectic(q: int, d: int) -> None:
     """TooLarge when Sp(2d, q)'s graph, q >= 2, is over the vertex limit."""
+    check_power(q, d, "the symplectic graph")
     check_vertices((q ** (2 * d) - 1) // (q - 1), "the symplectic graph")
 
 

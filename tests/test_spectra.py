@@ -283,3 +283,102 @@ def test_make_spectrum_order_matches_sympy(values):
     assert set(spec.eigenvalues) == set(values)
     for a, b in zip(spec.eigenvalues, spec.eigenvalues[1:]):
         assert bool(exact(a) > exact(b)), (a, b)
+
+
+class _CountedMatrix(np.ndarray):
+    """An array that counts the matrix products it, or any array computed
+    from it, takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedMatrix.products += 1
+
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, _CountedMatrix)
+                         else x for x in xs)
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        return result.view(_CountedMatrix) if type(result) is np.ndarray \
+            else result
+
+
+def test_spectrum_product_count(monkeypatch):
+    """An SRG spectrum {k, r, s} takes 2 n x n products (two annihilating
+    ones; tr A^2 is read off A).  The (2,2) glued DDG's formula spectrum
+    {k, theta, -theta, 0} takes 4: three annihilating and A^2 for tr A^3."""
+    monkeypatch.setattr(spectra, "adjacency_matrix",
+                        lambda g: adjacency_matrix(g).view(_CountedMatrix))
+    ddg, partition = build(2, 2, seed=0)
+    params = DdgParams.from_certificate(verify_ddg(ddg, partition))
+    srg_candidates = [e for e, _ in srg_spectrum((28, 12, 6, 4)).entries()]
+    for g, candidates, products in (
+            (triangular_graph(8), srg_candidates, 2),
+            (ddg, ddg_formula_spectrum(params).candidates(), 4)):
+        _CountedMatrix.products = 0
+        spec = exact_spectrum(g, candidates)
+        assert _CountedMatrix.products == products
+        assert spec.order == g.n
+
+
+def _times(x, y):
+    """Product of two matrices given as lists of Python-int rows."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
+            for row in x]
+
+
+def test_exact_product_first_factor_tiers():
+    """A first factor with an entry of 2^53 or more starts in the object
+    tier, where float64 would round it: A - (2^60 + 1) I, and A^2 -
+    (2^61 + 1) I as the only integer-free (radical) first factor."""
+    g = petersen_graph()
+    adj = adjacency_matrix(g)
+    a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
+    a_sq = _times(a, a)
+
+    def minus(mat, t):
+        return [[x - t * (i == j) for j, x in enumerate(row)]
+                for i, row in enumerate(mat)]
+
+    for first, args in ((minus(a, 2**60 + 1), (adj, 2**60 + 1, 3, 1)),
+                        (minus(a_sq, 2**61 + 1), (adj @ adj, 2**61 + 1, 9, 3))):
+        product = _ExactProduct(g.n, 4)
+        product.multiply(*args)
+        expected = first
+        for step, shift in enumerate((None, 3, 1, -2)):
+            if shift is not None:
+                product.multiply(adj, shift, 3, 1)
+                expected = _times(expected, minus(a, shift))
+            assert product.mat.dtype == object, step
+            assert all(type(x) is int for x in product.mat.flat)
+            assert product.mat.tolist() == expected, step
+
+    pet = exact_spectrum(g, [3, 1, -2])
+    assert exact_spectrum(g, [2**60 + 1, 3, 1, -2]).nonzero() == pet
+    with pytest.raises(NotAnnihilated):
+        exact_spectrum(g, [Radical(2**61 + 1)])
+
+
+def test_traces_cross_the_int64_limit(monkeypatch):
+    """41 candidates on the Petersen graph need tr(A^s) for s <= 40; the
+    bound 10 * 3^s passes 2^63 at s = 38, so the last three sums run in
+    Python ints.  All 41 match a Python-int reference."""
+    assert 10 * 3**37 < 1 << 63 <= 10 * 3**38
+    g = petersen_graph()
+    pet = exact_spectrum(g, [3, 1, -2])
+    seen = []
+    traces = spectra._traces
+    monkeypatch.setattr(spectra, "_traces",
+                        lambda *args: seen.append(traces(*args)) or seen[-1])
+    assert exact_spectrum(g, list(range(-20, 21))).nonzero() == pet
+
+    a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
+    power = [[int(i == j) for j in range(g.n)] for i in range(g.n)]
+    expected = []
+    for _ in range(41):
+        expected.append(sum(power[i][i] for i in range(g.n)))
+        power = _times(power, a)
+    assert seen == [expected]
