@@ -21,7 +21,13 @@ The command set:
   searches can run until `canon.MAX_NODES` stops them, tens of seconds at
   240 vertices);
 - `sp-graph --complement` piped into `clique-census` at (2,2), (3,2) and
-  (2,3).
+  (2,3);
+- after the digests of those files, runs that read their inputs from
+  files, at the first (q, d) of the ladder: `gen-ddg` and `gen-srg1` with
+  `--quasigroup file:` and `--family file:` from the saved seed-5 random
+  run, `gen-srg1` with `--phi FILE` and `--phi file:FILE`, and `gen-srg2`
+  with `--design file:` (a saved Fano plane) and `--base g6:` (a saved
+  T(8)); then the digests of the files these add.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from srgforge import graph6_decode
+from srgforge import (fano_plane, graph6_decode, graph6_encode, save_design,
+                      triangular_graph)
 from srgforge.cli import main as cli_main
 
 LADDER = ((2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (2, 5), (4, 3))
@@ -95,8 +102,43 @@ def replay(ladder) -> None:
         text = run(["sp-graph", "--q", str(q), "--d", str(d), "--complement"])
         run(["clique-census"], stdin=text)
 
-    for path in sorted(Path(".").iterdir()):
-        print(f"{_sha(path.read_bytes())}  {path.name}")
+    listed = print_files()
+    replay_file_inputs(*ladder[0])
+    print_files(listed)
+
+
+def replay_file_inputs(q: int, d: int) -> None:
+    saved = f"ddg-q{q}-d{d}-s5-random"
+    flags = ["--q", str(q), "--d", str(d), "--seed", "5"]
+    files = ["--quasigroup", f"file:{saved}.quasigroup",
+             "--family", f"file:{saved}.family"]
+    run(["gen-ddg", *flags, *files, "--out", "file-ddg"])
+    run(["gen-srg1", *flags, *files, "--out", "file-srg1"])
+
+    m = (q**d - 1) // (q - 1)
+    Path("phi.txt").write_text(" ".join(map(str, [*range(1, m), 0])) + "\n",
+                               encoding="ascii")
+    for phi, prefix in (("phi.txt", "phi-srg1"),
+                        ("file:phi.txt", "file-phi-srg1")):
+        run(["gen-srg1", *flags, "--quasigroup", "random", "--phi", phi,
+             "--out", prefix])
+
+    save_design(fano_plane(), "fano.txt")
+    run(["gen-srg2", "--base", "t8", "--design", "file:fano.txt",
+         "--out", "file-srg2-design"])
+    Path("t8.g6").write_text(graph6_encode(triangular_graph(8)) + "\n",
+                             encoding="ascii")
+    run(["gen-srg2", "--base", "g6:t8.g6", "--out", "file-srg2-base"])
+
+
+def print_files(listed: frozenset = frozenset()) -> frozenset:
+    """Print the digest of every file in the working directory not in
+    listed; return the names of all of them."""
+    paths = sorted(Path(".").iterdir())
+    for path in paths:
+        if path.name not in listed:
+            print(f"{_sha(path.read_bytes())}  {path.name}")
+    return frozenset(path.name for path in paths)
 
 
 def _qd(text: str) -> tuple[int, int]:

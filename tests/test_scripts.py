@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "10ce78664614ae1ab22105c4177d337369d2c20c1e9b4ab843292c8015d587d4",
+        "aad73a2b54b627772453c5883ec6e08c7bc9f23578d29a1af02516aa8cb96e2a",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):
