@@ -44,11 +44,6 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _digest(fh.read())
-
-
 def _write_partition(partition: VertexPartition, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for cls in partition.classes:
@@ -95,57 +90,44 @@ def _write_json(doc: dict, path: str) -> str:
     return os.path.basename(path)
 
 
-def _manifest(command: str, flags: dict, seed, inputs: dict, outputs: dict,
-              prefix: str) -> None:
-    _write_json({"tool": "srgforge", "version": __version__,
-                 "command": command, "flags": flags, "seed": seed,
-                 "inputs": inputs, "outputs": outputs},
-                prefix + ".manifest.json")
-
-
-def _emit_graph(g: Graph, prefix: str) -> dict:
-    """Write PREFIX.g6 and print it; return its manifest record."""
-    path = prefix + ".g6"
+def _write_outputs(args, prefix: str, g: Graph, doc: dict, flags: dict,
+                   inputs: dict, **outputs) -> None:
+    """Write and print PREFIX.g6, write doc as PREFIX.cert.json, then the
+    run manifest recording both beside the given output records."""
     text = graph6_encode(g)
-    with open(path, "w", encoding="ascii") as fh:
+    with open(prefix + ".g6", "w", encoding="ascii") as fh:
         fh.write(text + "\n")
     print(text)
-    record = {"path": os.path.basename(path), "digest": _digest(text.encode())}
+    graph = {"path": os.path.basename(prefix + ".g6"),
+             "digest": _digest(text.encode())}
     if g.n <= _CANON_IN_MANIFEST:
-        record["canonical"] = canonical_form(g).graph6
-    return record
+        graph["canonical"] = canonical_form(g).graph6
+    outputs.update(graph=graph, certificate={
+        "path": _write_json(doc, prefix + ".cert.json")})
+    _write_json({"tool": "srgforge", "version": __version__,
+                 "command": args.command, "flags": flags,
+                 "seed": getattr(args, "seed", None), "inputs": inputs,
+                 "outputs": outputs}, prefix + ".manifest.json")
 
 
 # ---------------------------------------------------------------------------
 # ingredient assembly for the generators
 
 
-def _build_quasigroup(spec: str, m: int, seed: int, inputs: dict):
-    if spec == "cyclic":
-        return cyclic_quasigroup(m)
-    if spec == "random":
-        return random_left_quasigroup(m, 2 * seed)
-    if spec.startswith("file:"):
-        path = spec[5:]
-        inputs["quasigroup"] = _file_digest(path)
-        qg = load_quasigroup(path)
-        if qg.m != m:
-            raise ParseError(f"quasigroup order {qg.m}, expected {m}")
-        return qg
-    raise ParseError(f"unknown quasigroup source {spec!r}")
-
-
-def _build_family(spec: str, m: int, q: int, quasigroup, seed: int,
-                  inputs: dict):
-    if spec == "identity":
-        return identity_family(m, q)
-    if spec == "random":
-        return random_bijection_family(m, q, quasigroup, 2 * seed + 1)
-    if spec.startswith("file:"):
-        path = spec[5:]
-        inputs["family"] = _file_digest(path)
-        return load_family(path, m, q)
-    raise ParseError(f"unknown family source {spec!r}")
+def _resolve(spec: str, what: str, builtins: dict, load, inputs: dict,
+             prefixes: tuple = ("file:",)):
+    """A flag naming a built-in or a file: a built-in name calls its
+    constructor; PREFIX followed by PATH loads PATH and records its digest
+    in inputs under the first word of what."""
+    if spec in builtins:
+        return builtins[spec]()
+    for prefix in prefixes:
+        if spec.startswith(prefix):
+            path = spec[len(prefix):]
+            with open(path, "rb") as fh:
+                inputs[what.split()[0]] = _digest(fh.read())
+            return load(path)
+    raise ParseError(f"unknown {what} {spec!r}")
 
 
 def _build_ddg(args, inputs: dict):
@@ -153,10 +135,18 @@ def _build_ddg(args, inputs: dict):
         check_glued(args.q, args.d)
     field = make_field(*as_prime_power(args.q))
     design = affine_geometry_design(field, args.d)
-    m = design.n_classes
-    quasigroup = _build_quasigroup(args.quasigroup, m, args.seed, inputs)
-    family = _build_family(args.family, m, args.q, quasigroup, args.seed,
-                           inputs)
+    m, q, seed = design.n_classes, args.q, args.seed
+    quasigroup = _resolve(args.quasigroup, "quasigroup source", {
+        "cyclic": lambda: cyclic_quasigroup(m),
+        "random": lambda: random_left_quasigroup(m, 2 * seed)},
+        load_quasigroup, inputs)
+    if quasigroup.m != m:
+        raise ParseError(f"quasigroup order {quasigroup.m}, expected {m}")
+    family = _resolve(args.family, "family source", {
+        "identity": lambda: identity_family(m, q),
+        "random": lambda: random_bijection_family(m, q, quasigroup,
+                                                  2 * seed + 1)},
+        lambda path: load_family(path, m, q), inputs)
     g, partition = construct_ddg([design] * m, quasigroup, family)
     return g, partition, field, quasigroup, family
 
@@ -180,38 +170,25 @@ def cmd_gen_ddg(args) -> int:
     inputs: dict = {}
     g, partition, _, quasigroup, family = _build_ddg(args, inputs)
     cert = verify_ddg(g, partition)
-
-    prefix = args.out or f"ddg-q{args.q}-d{args.d}-s{args.seed}"
-    graph_rec = _emit_graph(g, prefix)
-    _write_partition(partition, prefix + ".classes")
     doc = {"ddg": json.loads(cert.to_json())}
     spectrum_ok = True
     if cert.passed:
         report, spectrum_ok = _spectrum_report(g, cert)
         doc.update(report)
-    cert_path = _write_json(doc, prefix + ".cert.json")
 
+    prefix = args.out or f"ddg-q{args.q}-d{args.d}-s{args.seed}"
+    _write_partition(partition, prefix + ".classes")
     save_quasigroup(quasigroup, prefix + ".quasigroup")
     save_family(family, prefix + ".family")
-    _manifest(
-        "gen-ddg",
-        {"q": args.q, "d": args.d, "quasigroup": args.quasigroup,
-         "family": args.family},
-        args.seed, inputs,
-        {"graph": graph_rec,
-         "classes": {"path": os.path.basename(prefix + ".classes")},
-         "certificate": {"path": cert_path}},
-        prefix)
+    _write_outputs(args, prefix, g, doc,
+                   {"q": args.q, "d": args.d, "quasigroup": args.quasigroup,
+                    "family": args.family}, inputs,
+                   classes={"path": os.path.basename(prefix + ".classes")})
     return 0 if cert.passed and spectrum_ok else 1
 
 
-def _load_phi(spec: str | None, m: int, inputs: dict) -> ClassBlockMap:
-    if not spec:
-        return ClassBlockMap.identity(m)
-    path = spec[5:] if spec.startswith("file:") else spec
-    inputs["phi"] = _file_digest(path)
-    with open(path, encoding="ascii") as fh:
-        toks = fh.read().split()
+def _read_phi(path: str, m: int) -> ClassBlockMap:
+    toks = [tok for _, line in data_lines(path) for tok in line.split()]
     try:
         mapping = tuple(int(t) for t in toks)
     except ValueError:
@@ -220,6 +197,12 @@ def _load_phi(spec: str | None, m: int, inputs: dict) -> ClassBlockMap:
         raise ParseError(f"{path}: block map has {len(mapping)} entries, "
                          f"expected {m}")
     return ClassBlockMap(mapping)
+
+
+def _load_phi(spec: str | None, m: int, inputs: dict) -> ClassBlockMap:
+    """--phi: absent for the identity, else a file path, bare or file:."""
+    return _resolve(spec or "", "phi", {"": lambda: ClassBlockMap.identity(m)},
+                    lambda path: _read_phi(path, m), inputs, ("file:", ""))
 
 
 def cmd_gen_srg1(args) -> int:
@@ -231,26 +214,19 @@ def cmd_gen_srg1(args) -> int:
     g = construct_srg1(ddg_graph, partition, design, phi)
     cert = verify_srg(g)
     cases = verify_srg1_cases(g, partition, design)
-
-    prefix = args.out or f"srg1-q{args.q}-d{args.d}-s{args.seed}"
-    graph_rec = _emit_graph(g, prefix)
     doc = {"srg": json.loads(cert.to_json()),
            "cases": json.loads(cases.to_json())}
-    spectrum_ok = True
     if cert.passed:
         spec = exact_spectrum(
             g, [e for e, _ in srg_spectrum(
                 SrgParams.from_certificate(cert)).entries()])
         doc["spectrum"] = spec.serialize()
-    cert_path = _write_json(doc, prefix + ".cert.json")
-    _manifest(
-        "gen-srg1",
-        {"q": args.q, "d": args.d, "quasigroup": args.quasigroup,
-         "family": args.family, "phi": args.phi or "identity"},
-        args.seed, inputs,
-        {"graph": graph_rec, "certificate": {"path": cert_path}},
-        prefix)
-    return 0 if cert.passed and cases.passed and spectrum_ok else 1
+    _write_outputs(args, args.out or f"srg1-q{args.q}-d{args.d}-s{args.seed}",
+                   g, doc,
+                   {"q": args.q, "d": args.d, "quasigroup": args.quasigroup,
+                    "family": args.family, "phi": args.phi or "identity"},
+                   inputs)
+    return 0 if cert.passed and cases.passed else 1
 
 
 _BASES = {"t8": lambda: triangular_graph(8),
@@ -259,28 +235,18 @@ _BASES = {"t8": lambda: triangular_graph(8),
           "chang3": lambda: chang_graphs()[2]}
 
 
+def _read_g6(path: str) -> Graph:
+    with open(path, encoding="ascii") as fh:
+        return graph6_decode(fh.read())
+
+
 def cmd_gen_srg2(args) -> int:
     if args.coloring < 0:
         raise ParseError(f"--coloring must be >= 0, got {args.coloring}")
     inputs: dict = {}
-    if args.base in _BASES:
-        base = _BASES[args.base]()
-    elif args.base.startswith("g6:"):
-        path = args.base[3:]
-        inputs["base"] = _file_digest(path)
-        with open(path, encoding="ascii") as fh:
-            base = graph6_decode(fh.read())
-    else:
-        raise ParseError(f"unknown base {args.base!r}")
-
-    if args.design == "fano":
-        design = fano_plane()
-    elif args.design.startswith("file:"):
-        path = args.design[5:]
-        inputs["design"] = _file_digest(path)
-        design = load_design(path, "symmetric")
-    else:
-        raise ParseError(f"unknown design {args.design!r}")
+    base = _resolve(args.base, "base", _BASES, _read_g6, inputs, ("g6:",))
+    design = _resolve(args.design, "design", {"fano": fano_plane},
+                      lambda path: load_design(path, "symmetric"), inputs)
 
     colorings = hoffman_colorings(base)
     need_lam_mu2(colorings.params)  # before the search, which may find none
@@ -294,22 +260,17 @@ def cmd_gen_srg2(args) -> int:
     g = construct_srg2(Srg2Config(base, coloring, design, phi,
                                   colorings.params))
     cert = verify_srg(g)
-
-    prefix = args.out or f"srg2-{args.base}-c{args.coloring}"
-    graph_rec = _emit_graph(g, prefix)
-    cert_path = _write_json({"srg": json.loads(cert.to_json())},
-                            prefix + ".cert.json")
-    _manifest(
-        "gen-srg2",
-        {"base": args.base, "design": args.design,
-         "coloring": args.coloring, "phi": args.phi or "identity"},
-        None, inputs,
-        {"graph": graph_rec, "certificate": {"path": cert_path}},
-        prefix)
+    _write_outputs(args, args.out or f"srg2-{args.base}-c{args.coloring}",
+                   g, {"srg": json.loads(cert.to_json())},
+                   {"base": args.base, "design": args.design,
+                    "coloring": args.coloring, "phi": args.phi or "identity"},
+                   inputs)
     return 0 if cert.passed else 1
 
 
 def cmd_verify(args) -> int:
+    if args.classes is not None and args.expect != "ddg":
+        raise ParseError("--classes works only with --expect ddg")
     g = _read_graph(args)
     if args.expect == "srg":
         cert = verify_srg(g)
@@ -354,16 +315,14 @@ def _int_list(text: str, flag: str, count: int) -> list[int]:
 
 def cmd_spectrum(args) -> int:
     g = _read_graph(args)
-    if args.candidates:
+    if args.candidates is not None:
         candidates = _parse_candidates(args.candidates)
-    elif args.ddg:
+    elif args.ddg is not None:
         params = DdgParams(*_int_list(args.ddg, "--ddg", 6))
         candidates = ddg_formula_spectrum(params).candidates()
-    elif args.srg:
+    else:
         params = SrgParams(*_int_list(args.srg, "--srg", 4))
         candidates = [e for e, _ in srg_spectrum(params).entries()]
-    else:
-        raise ParseError("need --candidates, --ddg or --srg")
     spec = exact_spectrum(g, candidates)
     print(json.dumps({"n": g.n, "spectrum": spec.serialize()},
                      sort_keys=True))
@@ -475,9 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="exact spectrum given candidates")
-    p.add_argument("--candidates", help="e.g. '6,2,0,-2' or 'sqrt(5)'")
-    p.add_argument("--ddg", help="v,k,lambda1,lambda2,m,n")
-    p.add_argument("--srg", help="v,k,lambda,mu")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--candidates", help="e.g. '6,2,0,-2' or 'sqrt(5)'")
+    given.add_argument("--ddg", help="v,k,lambda1,lambda2,m,n")
+    given.add_argument("--srg", help="v,k,lambda,mu")
     p.add_argument("--in", dest="infile")
     p.set_defaults(func=cmd_spectrum)
 
@@ -515,10 +475,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SrgforgeError as exc:
-        print(f"srgforge: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SrgforgeError, ValueError, OSError) as exc:
         print(f"srgforge: {exc}", file=sys.stderr)
         return 2
 

@@ -302,7 +302,8 @@ def counting_lower_bound(q: int, d: int) -> Fraction:
     """
     if q < 2 or d < 2:
         raise ValueError(f"need q >= 2 and d >= 2, got ({q}, {d})")
-    check_glued(q, d)
+    check_glued(q, d)  # the vertex limit before factoring q
+    as_prime_power(q)
     m = (q**d - 1) // (q - 1)
     num = Fraction(math.factorial(q)) ** m
     den = Fraction(q**d * m * m) ** (q**d * m) * Fraction(q ** (d + 1) * m) ** (m - 1)

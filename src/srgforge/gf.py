@@ -19,7 +19,7 @@ from itertools import product
 
 from .errors import NotPrime, TooLarge
 
-MAX_ORDER = 1 << 16
+MAX_ORDER = 1 << 8  # make_field builds q x q tables in Python
 
 
 def _is_prime(n: int) -> bool:

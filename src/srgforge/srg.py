@@ -165,16 +165,7 @@ def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
     with parameters from the glued-design family (so that the attachment
     counts work out).
     """
-    m = len(partition.classes)
-    if design.n_points != m:
-        raise ShapeMismatch(f"design has {design.n_points} points, "
-                            f"partition has {m} classes")
-    if block_map.m != m:
-        raise ShapeMismatch(f"block map covers {block_map.m} classes, need {m}")
-    dcert = verify_symmetric(design)
-    if not dcert.passed:
-        raise PreconditionFailed(f"design axioms fail: {dcert.witnesses[0]}")
-
+    _check_attachment(design, block_map, len(partition.classes), "partition")
     cert = verify_ddg(ddg_graph, partition)
     if not cert.passed:
         raise PreconditionFailed(f"not a divisible design graph: "
@@ -185,6 +176,22 @@ def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
                                  f"the glued-design form")
 
     return Graph(_attach_design(ddg_graph, partition, design, block_map))
+
+
+def _check_attachment(design: SymmetricDesign, block_map: ClassBlockMap,
+                      m: int, classes: str) -> Certificate:
+    """Preconditions of attaching design to m classes through block_map:
+    one point per class, a block map over the m classes and the design
+    axioms; returns the design's certificate."""
+    if design.n_points != m:
+        raise ShapeMismatch(f"design has {design.n_points} points, "
+                            f"{classes} has {m} classes")
+    if block_map.m != m:
+        raise ShapeMismatch(f"block map covers {block_map.m} classes, need {m}")
+    dcert = verify_symmetric(design)
+    if not dcert.passed:
+        raise PreconditionFailed(f"design axioms fail: {dcert.witnesses[0]}")
+    return dcert
 
 
 def _attach_design(g: Graph, partition: VertexPartition,
@@ -466,16 +473,8 @@ def construct_srg2(config: Srg2Config) -> Graph:
     m = len(partition.classes)
     n = partition.n // m
 
-    if config.design.n_points != m:
-        raise ShapeMismatch(f"design has {config.design.n_points} points, "
-                            f"coloring has {m} classes")
-    if config.block_map.m != m:
-        raise ShapeMismatch(f"block map covers {config.block_map.m} classes, "
-                            f"need {m}")
-    dcert = verify_symmetric(config.design)
-    if not dcert.passed:
-        raise PreconditionFailed(f"design axioms fail: {dcert.witnesses[0]}")
-    lam_inf = dcert.parameters["lambda"]
+    lam_inf = _check_attachment(config.design, config.block_map, m,
+                                "coloring").parameters["lambda"]
 
     # construct_ddg_hoffman proved the base strongly regular and each
     # coloring class a coclique, so two vertices of one class have mu

@@ -202,6 +202,65 @@ def test_malformed_flag_values_exit_2(workdir, capsys, argv, message):
     assert list(workdir.iterdir()) == [workdir / "pet.g6"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--in", "pet.g6", "--candidates", "3,1,-2", "--srg", "1,2"],
+    ["spectrum", "--in", "pet.g6", "--ddg", "12,6,2,3,3,4",
+     "--srg", "10,3,0,1"],
+    ["spectrum", "--in", "pet.g6"],
+])
+def test_spectrum_takes_exactly_one_source(workdir, capsys, argv):
+    """--candidates, --ddg and --srg form a required, mutually exclusive
+    group: a second source is a usage error, not silently dropped."""
+    (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: srgforge spectrum" in captured.err
+
+
+@pytest.mark.parametrize("expect", [[], ["--expect", "srg"]])
+def test_verify_classes_needs_expect_ddg(workdir, capsys, expect):
+    (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
+    (workdir / "pet.classes").write_text("0 1 2 3 4\n5 6 7 8 9\n")
+    assert main(["verify", *expect, "--in", "pet.g6", "--classes",
+                 "pet.classes", "--cert", "c.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("srgforge: --classes works only with "
+                            "--expect ddg\n")
+    assert not (workdir / "c.json").exists()
+
+
+def test_bound_needs_a_prime_power(capsys):
+    assert main(["bound", "--q", "6", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "srgforge: 6 is not a prime power\n"
+
+
+def test_phi_file_takes_comments(workdir, capsys):
+    """A phi file is read like the other text formats, with # comments and
+    blank lines skipped, given bare or with the file: prefix."""
+    Path("plain.txt").write_text("1 2 3 4 5 6 0\n")
+    Path("commented.txt").write_text("# class i to block i + 1\n\n"
+                                     "1 2 3 4 5 6 0  # a 7-cycle\n")
+    for phi in ("plain.txt", "commented.txt", "file:commented.txt"):
+        assert main(["gen-srg2", "--base", "t8", "--phi", phi,
+                     "--out", phi.replace(":", "-")]) == 0
+        manifest = json.loads(
+            Path(phi.replace(":", "-") + ".manifest.json").read_text())
+        assert manifest["flags"]["phi"] == phi
+        assert "phi" in manifest["inputs"]
+    capsys.readouterr()
+    g6 = Path("plain.txt.g6").read_bytes()
+    assert Path("commented.txt.g6").read_bytes() == g6
+    assert Path("file-commented.txt.g6").read_bytes() == g6
+    assert main(["gen-srg2", "--base", "t8", "--out", "identity"]) == 0
+    assert Path("identity.g6").read_bytes() != g6
+
+
 def test_count_classes_command(workdir, capsys):
     pet = graph6_encode(petersen_graph())
     rot = graph6_encode(

@@ -16,7 +16,8 @@ from srgforge import (affine_geometry_design, as_prime_power,
                       NotPrime, NotRegularClique, ParseError, petersen_graph,
                       random_bijection_family, random_left_quasigroup,
                       save_family, save_quasigroup, ShapeError, ShapeMismatch,
-                      theorem1_params, verify_ddg, VertexPartition)
+                      theorem1_params, TooLarge, verify_ddg,
+                      VertexPartition)
 
 
 def build(q, d, seed=None, quasigroup=None):
@@ -190,6 +191,15 @@ def test_counting_lower_bound():
         counting_lower_bound(1, 2)
     with pytest.raises(ValueError):
         counting_lower_bound(2, 1)
+
+
+def test_counting_lower_bound_needs_a_prime_power():
+    """q is factored after the vertex limit, so a huge prime q stops at the
+    limit before any trial division."""
+    with pytest.raises(NotPrime, match="6 is not a prime power"):
+        counting_lower_bound(6, 2)
+    with pytest.raises(TooLarge, match="vertex limit"):
+        counting_lower_bound(2305843009213693951, 2)
 
 
 def test_quasigroup_file_round_trip(tmp_path):

@@ -63,6 +63,13 @@ def test_make_field_rejects_bad_input():
         make_field(2, 17)
 
 
+def test_make_field_order_limit():
+    """The q x q tables are Python lists: GF(2^8) is the largest field."""
+    assert make_field(2, 8).q == 256
+    with pytest.raises(TooLarge, match="field order 512 exceeds 256"):
+        make_field(2, 9)
+
+
 def test_as_prime_power():
     assert as_prime_power(2) == (2, 1)
     assert as_prime_power(8) == (2, 3)
