@@ -29,7 +29,7 @@ from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
 from .graphs import (complement, Graph, VertexPartition, graph6_decode,
                      graph6_encode)
-from .spectra import (ddg_formula_spectrum, exact_spectrum, Radical,
+from .spectra import (ddg_formula_spectrum, exact_root, exact_spectrum,
                       srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
                   hoffman_colorings, need_lam_mu2, Srg2Config, SrgParams,
@@ -291,10 +291,10 @@ def cmd_verify(args) -> int:
 def _parse_candidates(text: str):
     out = []
     for tok in text.replace(",", " ").split():
-        if tok.startswith("sqrt(") and tok.endswith(")"):
-            out.append(Radical(int(tok[5:-1])))
-        elif tok.startswith("-sqrt(") and tok.endswith(")"):
-            out.append(Radical(int(tok[6:-1]), negative=True))
+        body = tok.removeprefix("-")
+        if body.startswith("sqrt(") and body.endswith(")"):
+            root = exact_root(int(body[5:-1]))
+            out.append(root if body == tok else -root)
         else:
             try:
                 out.append(int(tok))

@@ -5,17 +5,20 @@ classes (each class partitions the points), and symmetric 2-designs with as
 many blocks as points.  Generators come from affine and projective geometry
 over a finite field; arbitrary designs can be loaded from a plain-text block
 list.  Verifiers check the axioms exhaustively and report a Certificate
-instead of raising, so a failed check is data.
+instead of raising, so a failed check is data.  Pair balance and block
+intersections are pair counts of the incidence matrix, on the graph pair scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .errors import ParseError, ShapeError
 from .gf import FiniteField, enumerate_hyperplanes, projective_points
-from .graphs import Certificate, certificate, check_power, check_vertices
+from .graphs import (Certificate, certificate, check_power, check_vertices,
+                     pair_witness)
 
 
 @dataclass(frozen=True)
@@ -24,7 +27,7 @@ class ResolvableDesign:
 
     n_points: int
     classes: tuple[tuple[tuple[int, ...], ...], ...]
-    meta: tuple[int, int, str] = (0, 0, "unknown")
+    source: str = "unknown"
 
     @property
     def n_classes(self) -> int:
@@ -79,7 +82,7 @@ def affine_geometry_design(field: FiniteField, d: int) -> ResolvableDesign:
     classes = tuple(
         tuple(levels) for _, levels in enumerate_hyperplanes(field, d)
     )
-    return ResolvableDesign(n, classes, (field.q, d, "affine-geometry"))
+    return ResolvableDesign(n, classes, "affine-geometry")
 
 
 def projective_complement_design(field: FiniteField, d: int) -> SymmetricDesign:
@@ -93,90 +96,77 @@ def projective_complement_design(field: FiniteField, d: int) -> SymmetricDesign:
         raise ValueError(f"dimension must be >= 2, got {d}")
     q = field.q
     pts = projective_points(field, d)
-    blocks = []
-    for normal in pts:
-        blocks.append(tuple(
-            i for i, x in enumerate(pts) if field.dot(normal, x) != 0
-        ))
+    blocks = tuple(tuple(i for i, x in enumerate(pts) if field.dot(normal, x))
+                   for normal in pts)
     v = (q**d - 1) // (q - 1)
-    return SymmetricDesign(v, tuple(blocks), (v, q ** (d - 1), q ** (d - 2) * (q - 1)))
+    return SymmetricDesign(v, blocks, (v, q ** (d - 1), q ** (d - 2) * (q - 1)))
 
 
 def fano_plane() -> SymmetricDesign:
     """The 2-(7,3,1) design, blocks {i, i+1, i+3} mod 7."""
-    blocks = tuple(
-        tuple(sorted(((0 + i) % 7, (1 + i) % 7, (3 + i) % 7))) for i in range(7)
-    )
+    blocks = tuple(tuple(sorted((i + s) % 7 for s in (0, 1, 3)))
+                   for i in range(7))
     return SymmetricDesign(7, blocks, (7, 3, 1))
 
 
-def _pair_counts(n_points: int, blocks) -> dict:
-    counts: dict[tuple[int, int], int] = {}
-    for block in blocks:
-        for a, b in combinations(sorted(block), 2):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts
+def incidence(n_points: int, blocks) -> np.ndarray:
+    """Boolean point-by-block incidence matrix N, N[p, b] set when point p
+    of [0, n_points) lies in blocks[b].  Two rows of N share the blocks
+    through both points, two rows of N.T the points of both blocks."""
+    m = np.zeros((n_points, len(blocks)), bool)
+    for b, block in enumerate(blocks):
+        m[list(block), b] = True
+    return m
 
 
 def verify_resolvable(design: ResolvableDesign) -> Certificate:
     """Check the resolvable-design axioms exhaustively.
 
-    Partition per class, constant block size, constant pair balance, and
-    constant intersection size for blocks from different classes.  The
-    certificate carries the observed constants; the first counterexample of
-    each failed kind is recorded as a witness.
+    Partition per class and constant block size first; once they hold, the
+    pair kernel checks a constant pair count, positive for n > 1 points,
+    over the rows of the incidence matrix N, and a constant intersection
+    over the rows of N.T of blocks from different classes, each inferred
+    from its first pair.  The certificate carries the observed constants
+    and the first counterexample of each failed check.
     """
     witnesses = []
     n = design.n_points
+    blocks = [b for cls in design.classes for b in cls]
 
     for c, cls in enumerate(design.classes):
         seen: set[int] = set()
-        ok = True
-        for block in cls:
-            for p in block:
-                if not 0 <= p < n or p in seen:
-                    witnesses.append({"check": "partition", "class": c, "point": p})
-                    ok = False
-                    break
-                seen.add(p)
-            if not ok:
+        for p in (p for block in cls for p in block):
+            if not 0 <= p < n or p in seen:
+                witnesses.append({"check": "partition", "class": c, "point": p})
                 break
-        if ok and len(seen) != n:
+            seen.add(p)
+        else:
+            if len(seen) == n:
+                continue
             witnesses.append({"check": "partition", "class": c,
                               "covered": len(seen)})
+        break
 
-    sizes = {len(b) for cls in design.classes for b in cls}
+    sizes = {len(b) for b in blocks}
     block_size = min(sizes) if sizes else 0
     if len(sizes) > 1:
         witnesses.append({"check": "block-size", "sizes": sorted(sizes)})
 
-    pair_count = 0
-    counts = _pair_counts(n, (b for cls in design.classes for b in cls))
-    values = set(counts.values())
-    if len(counts) == n * (n - 1) // 2 and len(values) == 1:
-        pair_count = values.pop()
-    elif n > 1:
-        witnesses.append({"check": "pair-balance", "values": sorted(values)[:4],
-                          "pairs_seen": len(counts)})
-
-    cross = -1
-    done = False
-    for c1, c2 in combinations(range(design.n_classes), 2):
-        for b1 in design.classes[c1]:
-            for b2 in design.classes[c2]:
-                size = len(set(b1) & set(b2))
-                if cross == -1:
-                    cross = size
-                elif size != cross:
-                    witnesses.append({"check": "cross-intersection",
-                                      "classes": [c1, c2],
-                                      "sizes": [cross, size]})
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    pair_count = cross = 0
+    if not witnesses:
+        m = incidence(n, blocks)
+        bad, (pair_count,) = pair_witness(
+            m, np.broadcast_to(0, (n, n)), ("pair-balance",))
+        if n > 1 and not (bad or pair_count):
+            bad = {"check": "pair-balance", "pair": [0, 1], "count": 0,
+                   "expected": "positive"}
+        cls = np.repeat(np.arange(design.n_classes),
+                        [len(c) for c in design.classes])
+        # blocks of one class are disjoint, as the partition check proved
+        bad2, (cross, _) = pair_witness(m.T, cls[:, None] == cls,
+                                        ("cross-intersection", "partition"),
+                                        (None, 0))
+        witnesses += filter(None, (bad, bad2))
 
     return certificate(
         "design",
@@ -186,19 +176,21 @@ def verify_resolvable(design: ResolvableDesign) -> Certificate:
             "blocks_per_class": design.blocks_per_class,
             "block_size": block_size,
             "pair_count": pair_count,
-            "cross_intersection": max(cross, 0),
+            "cross_intersection": cross,
         },
         witnesses=witnesses,
-        provenance={"source": design.meta[2]},
+        provenance={"source": design.source},
     )
 
 
 def verify_symmetric(design: SymmetricDesign) -> Certificate:
     """Check the symmetric 2-design axioms exhaustively.
 
-    Block count = point count, constant block size = point degree, constant
-    pair balance, and constant pairwise block intersection; the last equals
-    the pair balance in a symmetric design, and both are reported.
+    Block count = point count, constant block size, points in range and
+    point degree = block size first; once they hold, the pair kernel checks
+    a constant pair count over the rows of the incidence matrix N, inferred
+    from its first pair, and block intersections over the rows of N.T
+    equal to it.  Last, the declared parameters.
     """
     witnesses = []
     v = design.n_points
@@ -212,31 +204,21 @@ def verify_symmetric(design: SymmetricDesign) -> Certificate:
     if len(sizes) > 1 or any(len(b) != len(set(b)) for b in design.blocks):
         witnesses.append({"check": "block-size", "sizes": sorted(sizes)})
 
-    degrees = [0] * v
-    for block in design.blocks:
-        for p in block:
-            if 0 <= p < v:
-                degrees[p] += 1
-            else:
-                witnesses.append({"check": "point-range", "point": p})
-    if len(set(degrees)) > 1 or (degrees and degrees[0] != k):
-        witnesses.append({"check": "point-degree", "degrees": sorted(set(degrees))})
-
     lam = 0
-    counts = _pair_counts(v, design.blocks)
-    values = set(counts.values())
-    if counts and (len(counts) != v * (v - 1) // 2 or len(values) != 1):
-        witnesses.append({"check": "pair-balance", "values": sorted(values)[:4],
-                          "pairs_seen": len(counts)})
-    elif counts:
-        lam = values.pop()
-
-    for (i, b1), (j, b2) in combinations(enumerate(design.blocks), 2):
-        size = len(set(b1) & set(b2))
-        if size != lam:
-            witnesses.append({"check": "block-intersection", "blocks": [i, j],
-                              "size": size, "expected": lam})
-            break
+    bad = next((p for b in design.blocks for p in b if not 0 <= p < v), None)
+    if bad is not None:
+        witnesses.append({"check": "point-range", "point": bad})
+    else:
+        m = incidence(v, design.blocks)
+        degrees = sorted(set(m.sum(axis=1).tolist()))
+        if any(d != k for d in degrees):
+            witnesses.append({"check": "point-degree", "degrees": degrees})
+        elif not witnesses:
+            strata = np.broadcast_to(0, (v, v))
+            bad, (lam,) = pair_witness(m, strata, ("pair-balance",))
+            bad2, _ = pair_witness(m.T, strata, ("block-intersection",),
+                                   (lam,))
+            witnesses += filter(None, (bad, bad2))
 
     expected = (v, k, lam)
     if not witnesses and expected != design.params:
@@ -314,7 +296,7 @@ def load_design(path: str, kind: str):
             tuple(blocks[i * per_class:(i + 1) * per_class])
             for i in range(n_classes)
         )
-        return ResolvableDesign(n_points, classes, (0, 0, f"file:{path}"))
+        return ResolvableDesign(n_points, classes, f"file:{path}")
 
     v, k, lam = a, b, c
     if len(body) != v:

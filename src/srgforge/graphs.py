@@ -9,11 +9,11 @@ matrix expressions, and graph6 reads its body order from one `np.tri` mask
 on the matrix.  Common-neighbour counting, the hot loop of every verifier,
 is a matrix product too: `first_bad_pair` multiplies float32 tiles cast
 from the matrix, a row block against a tile of later rows, and checks the
-counts against a matrix of pair strata.  float32 is exact there, since
-every partial sum is an integer no larger than n < 2^24 (graph6 caps n at
-258047).  Rows stay where bit operations pay: canonical refinement and
-`cliques`, the one clique search, behind the Hoffman colorings and the
-ratio-bound clique census.
+counts against a matrix of pair strata; the design verifiers run it on
+incidence matrices.  float32 is exact there, since every partial sum is
+an integer no larger than the column count, below 2^24.  Rows stay where
+bit operations pay: canonical refinement and `cliques`, the one clique
+search, behind the Hoffman colorings and the ratio-bound clique census.
 """
 
 from __future__ import annotations
@@ -144,15 +144,15 @@ def first_bad_pair(m, strata, values):
 
     m is a boolean n x c matrix, and the count of a pair (u, w) is the
     number of columns set in both row u and row w: the common neighbours
-    for g.matrix, those among the last c vertices for g.matrix[:, n - c:].
+    for g.matrix, those among the last c vertices for g.matrix[:, n - c:],
+    the blocks through two points for a design's incidence matrix.
     Scans the pairs (u, w), u < w, in lexicographic order, in row blocks of
     8, 16, 32, then _PAIR_ROWS rows, or in one block when n <= _PAIR_ROWS,
     where the smaller blocks would cost more numpy calls than they save.
     Each block runs against tiles of 2 * _PAIR_ROWS later rows, with one
     float32 matrix product per tile; both operands are cast from m a block
     or a tile at a time.  float32 counts exactly here: every partial sum is
-    an integer between 0 and c <= n, and c < 2^24 (graph6 caps n at
-    258047).
+    an integer between 0 and c, and c < 2^24.
 
     The stratum strata[u, w] indexes `values`; strata is an integer or
     boolean n x n matrix, or a zero-stride np.broadcast_to view.  values[s]
@@ -206,11 +206,11 @@ def first_bad_pair(m, strata, values):
     return None, tuple(values)
 
 
-def pair_witness(m, strata, names):
-    """first_bad_pair with every value inferred: the witness of the first
-    bad pair, or None, and the values, 0 for a stratum never met.  Stratum
-    s is reported as names[s]."""
-    bad, values = first_bad_pair(m, strata, (None,) * len(names))
+def pair_witness(m, strata, names, values=None):
+    """first_bad_pair, with every value inferred unless `values` is given:
+    the witness of the first bad pair, or None, and the values, 0 for a
+    stratum never met.  Stratum s is reported as names[s]."""
+    bad, values = first_bad_pair(m, strata, values or (None,) * len(names))
     witness = None
     if bad:
         u, w, c = bad

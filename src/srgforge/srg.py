@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .ddg import DdgParams, theorem1_params, verify_ddg
-from .designs import SymmetricDesign, verify_symmetric
+from .designs import incidence, SymmetricDesign, verify_symmetric
 from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
 from .graphs import (bitset, Certificate, Graph, VertexPartition,
                      certificate, cliques, common_neighbours, complement,
@@ -201,10 +201,8 @@ def _attach_design(g: Graph, partition: VertexPartition,
     becomes vertex g.n + y, joined to every vertex of class i when y lies in
     block block_map(i); the attached points are pairwise non-adjacent."""
     v_star = g.n
-    incidence = np.zeros((len(partition.classes), design.n_points), bool)
-    for i, b in enumerate(block_map.mapping):
-        incidence[i, list(design.blocks[b])] = True
-    attach = incidence[partition.class_of()]
+    block_of = np.array(block_map.mapping)[partition.class_of()]
+    attach = incidence(design.n_points, design.blocks).T[block_of]
     m = np.zeros((v_star + design.n_points,) * 2, bool)
     m[:v_star, :v_star] = g.matrix
     m[:v_star, v_star:] = attach

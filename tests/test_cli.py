@@ -163,6 +163,18 @@ def test_spectrum_command(workdir, capsys):
     capsys.readouterr()
 
 
+def test_spectrum_candidates_square_radicands(workdir, capsys):
+    """sqrt(t) and -sqrt(t) of a perfect square t read as integers."""
+    (workdir / "t8.g6").write_text(graph6_encode(triangular_graph(8)) + "\n")
+    outs = []
+    for candidates in ("12,sqrt(16),-2", "12,4,-2", "12,4,-sqrt(4)"):
+        assert main(["spectrum", "--in", "t8.g6",
+                     "--candidates", candidates]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["spectrum"] == [[12, 1], [4, 7], [-2, 20]]
+
+
 def test_spectrum_object_tier_guard(workdir, capsys):
     """61 candidates on the 364-vertex s(3,3) pass the float64 bound with
     55 products left: exit 2 at once, not minutes of Python-int matrix
