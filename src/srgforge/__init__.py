@@ -42,7 +42,7 @@ from .srg import (chang_graphs, ClassBlockMap, ConditionReport,
                   Srg2Config, srg1_target_params, srg2_condition, SrgParams,
                   triangular_graph, verify_srg, verify_srg1_cases)
 from .symplectic import (CliqueCensus, delsarte_clique_census,
-                         symplectic_form, symplectic_graph)
+                         symplectic_graph)
 
 __version__ = "0.1.0"
 

@@ -170,7 +170,7 @@ def cmd_gen_ddg(args) -> int:
     inputs: dict = {}
     g, partition, _, quasigroup, family = _build_ddg(args, inputs)
     cert = verify_ddg(g, partition)
-    doc = {"ddg": json.loads(cert.to_json())}
+    doc = {"ddg": cert.to_dict()}
     spectrum_ok = True
     if cert.passed:
         report, spectrum_ok = _spectrum_report(g, cert)
@@ -214,8 +214,8 @@ def cmd_gen_srg1(args) -> int:
     g = construct_srg1(ddg_graph, partition, design, phi)
     cert = verify_srg(g)
     cases = verify_srg1_cases(g, partition, design)
-    doc = {"srg": json.loads(cert.to_json()),
-           "cases": json.loads(cases.to_json())}
+    doc = {"srg": cert.to_dict(),
+           "cases": cases.to_dict()}
     if cert.passed:
         spec = exact_spectrum(
             g, [e for e, _ in srg_spectrum(
@@ -261,7 +261,7 @@ def cmd_gen_srg2(args) -> int:
                                   colorings.params))
     cert = verify_srg(g)
     _write_outputs(args, args.out or f"srg2-{args.base}-c{args.coloring}",
-                   g, {"srg": json.loads(cert.to_json())},
+                   g, {"srg": cert.to_dict()},
                    {"base": args.base, "design": args.design,
                     "coloring": args.coloring, "phi": args.phi or "identity"},
                    inputs)
@@ -292,14 +292,14 @@ def _parse_candidates(text: str):
     out = []
     for tok in text.replace(",", " ").split():
         body = tok.removeprefix("-")
-        if body.startswith("sqrt(") and body.endswith(")"):
-            root = exact_root(int(body[5:-1]))
-            out.append(root if body == tok else -root)
-        else:
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise ParseError(f"bad eigenvalue token {tok!r}")
+        radical = body.startswith("sqrt(") and body.endswith(")")
+        try:
+            value = int(body[5:-1] if radical else tok)
+        except ValueError:
+            raise ParseError(f"bad eigenvalue token {tok!r}")
+        if radical:
+            value = exact_root(value) if body == tok else -exact_root(value)
+        out.append(value)
     return out
 
 

@@ -96,8 +96,8 @@ def projective_complement_design(field: FiniteField, d: int) -> SymmetricDesign:
         raise ValueError(f"dimension must be >= 2, got {d}")
     q = field.q
     pts = projective_points(field, d)
-    blocks = tuple(tuple(i for i, x in enumerate(pts) if field.dot(normal, x))
-                   for normal in pts)
+    blocks = tuple(tuple(np.flatnonzero(row).tolist())
+                   for row in field.gram(pts, pts))
     v = (q**d - 1) // (q - 1)
     return SymmetricDesign(v, blocks, (v, q ** (d - 1), q ** (d - 2) * (q - 1)))
 

@@ -9,7 +9,10 @@ pure function of (p, e).
 
 Vectors over the field are plain tuples of element indices.  Points of the
 affine space of dimension d are the q^d coordinate tuples in lexicographic
-order; the point index of a tuple is its rank in that order.
+order; the point index of a tuple is its rank in that order.  Inner products
+are computed in one place, FiniteField.gram, which sums over whole arrays of
+vectors at once: the hyperplane classes here, the projective design and the
+symplectic graph all take their values from it.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .errors import NotPrime, TooLarge
 
-MAX_ORDER = 1 << 8  # make_field builds q x q tables in Python
+MAX_ORDER = 1 << 8  # make_field builds q x q tables in Python; gram uses uint8
 
 
 def _is_prime(n: int) -> bool:
@@ -130,26 +135,29 @@ class FiniteField:
         return self.mul_table[a][b]
 
     def neg(self, a: int) -> int:
-        ds = _digits(a, self.p, self.e)
-        return _undigits(tuple((-d) % self.p for d in ds), self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg(b)]
+        return self.add_table[a].index(0)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        row = self.mul_table[a]
-        for b in range(1, self.q):
-            if row[b] == 1:
-                return b
-        raise AssertionError("field element without inverse")  # unreachable
+        return self.mul_table[a].index(1)
 
-    def dot(self, u, v) -> int:
-        acc = 0
-        for a, b in zip(u, v):
-            acc = self.add_table[acc][self.mul_table[a][b]]
-        return acc
+    def gram(self, xs, ys) -> np.ndarray:
+        """The len(xs) x len(ys) array of inner products sum_i x[i] y[i].
+
+        xs and ys hold vectors of one length, as sequences or 2-d arrays of
+        element indices.  The sum runs one coordinate at a time through the
+        add and mul tables as numpy lookups; uint8 holds every element,
+        since q <= MAX_ORDER.
+        """
+        x, y = np.array(xs, np.uint8), np.array(ys, np.uint8)
+        out = np.zeros((len(x), len(y)), np.uint8)
+        if out.size:
+            add = np.array(self.add_table, np.uint8)
+            mul = np.array(self.mul_table, np.uint8)
+            for xc, yc in zip(x.T, y.T, strict=True):
+                out = add[out, mul[xc[:, None], yc]]
+        return out
 
     def elements(self) -> range:
         return range(self.q)
@@ -237,14 +245,8 @@ def enumerate_hyperplanes(field: FiniteField, dim: int):
     """
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    q = field.q
-    points = affine_points(field, dim)
     normals = projective_points(field, dim)
-
-    out = []
-    for normal in normals:
-        levels = [[] for _ in range(q)]
-        for idx, x in enumerate(points):
-            levels[field.dot(normal, x)].append(idx)
-        out.append((normal, [tuple(level) for level in levels]))
-    return out
+    values = field.gram(normals, affine_points(field, dim))
+    return [(normal, [tuple(np.flatnonzero(row == c).tolist())
+                      for c in field.elements()])
+            for normal, row in zip(normals, values)]

@@ -318,17 +318,17 @@ class Certificate:
         if self.passed != (len(self.witnesses) == 0):
             raise ValueError("passed flag inconsistent with witnesses")
 
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "passed": self.passed,
+            "parameters": self.parameters,
+            "witnesses": list(self.witnesses),
+            "provenance": self.provenance,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "passed": self.passed,
-                "parameters": self.parameters,
-                "witnesses": list(self.witnesses),
-                "provenance": self.provenance,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def certificate(kind, parameters=None, witnesses=(), provenance=None) -> Certificate:

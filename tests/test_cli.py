@@ -204,6 +204,12 @@ def test_spectrum_object_tier_guard(workdir, capsys):
      "--srg needs 4 comma-separated integers"),
     (["gen-srg2", "--base", "t8", "--coloring", "-1"],
      "--coloring must be >= 0, got -1"),
+    (["spectrum", "--in", "pet.g6", "--candidates", "sqrt(x)"],
+     "bad eigenvalue token 'sqrt(x)'"),
+    (["spectrum", "--in", "pet.g6", "--candidates=-sqrt(x)"],
+     "bad eigenvalue token '-sqrt(x)'"),
+    (["spectrum", "--in", "pet.g6", "--candidates", "3,sqrt()"],
+     "bad eigenvalue token 'sqrt()'"),
 ])
 def test_malformed_flag_values_exit_2(workdir, capsys, argv, message):
     (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")

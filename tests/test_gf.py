@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from srgforge import (affine_points, as_prime_power, enumerate_hyperplanes,
@@ -30,6 +31,27 @@ def test_field_axioms_exhaustive(p, e):
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b),
                                                       f.mul(a, c))
+
+
+def scalar_dot(f, u, v):
+    """Inner product as a plain loop over the add and mul tables."""
+    acc = 0
+    for a, b in zip(u, v):
+        acc = f.add(acc, f.mul(a, b))
+    return acc
+
+
+@pytest.mark.parametrize("p,e", FIELD_SIZES)
+def test_gram_matches_scalar_loop(p, e):
+    """Every field of order <= 16, 4, 8, 9 and 16 among them."""
+    f = make_field(p, e)
+    for dim in (1, 2, 3):
+        pts = affine_points(f, dim)
+        xs, ys = pts[::max(1, len(pts) // 64)], pts[::-max(1, len(pts) // 48)]
+        assert f.gram(xs, ys).tolist() == \
+            [[scalar_dot(f, x, y) for y in ys] for x in xs]
+        assert f.gram([], ys).shape == (0, len(ys))
+        assert f.gram(xs, np.empty((0, dim))).shape == (len(xs), 0)
 
 
 @pytest.mark.parametrize("p,e", FIELD_SIZES)
@@ -120,8 +142,9 @@ def test_hyperplane_classes_partition(p, e, d):
             seen.update(level)
         assert seen == set(range(q ** d))
         # each translate is a constant-value set of the normal functional
+        values = f.gram([normal], points)[0]
         for c, level in enumerate(levels):
-            assert {f.dot(normal, points[i]) for i in level} == {c}
+            assert set(values[list(level)].tolist()) == {c}
 
 
 def test_hyperplanes_reject_dim_one():

@@ -49,9 +49,11 @@ GOLDEN = {
     "srg24.g6": "ace726e36290c0e5efb819aef60bfc6ed305a123f0594be1b8ee308c7a9c3afd",
     "srg24.cert.json": "07f48c6631cf213d81b0df0561f3fd148cf886c192966c99683b9ee355840841",
     "srg24.manifest.json": "e57f87440e25f25a0e92993204673d9a65fe636e6591083e25341e4ab680cf59",
-    # Sp(8, 2) and Sp(6, 3), 255 and 364 vertices
+    # Sp(8, 2), Sp(6, 3), Sp(10, 2) and Sp(6, 4): 255 to 1365 vertices
     "sp24.stdout": "b7041aa057b6389da3123a72b169aee021d1f673ba41e53b1cdd3a73f4f79bd7",
     "sp33.stdout": "31445daec88df010158c2ed048c6ddd69f936a461185e523b16224b8f9e828e5",
+    "sp25.stdout": "6752c72f516da8811f4b77acd5ef1abde9312eef4d2888fae4fd5b49aa03e516",
+    "sp43.stdout": "f90d796bbad15d69ea2f545d2dd7a02478bb08ff0ca8623b1ac7b6d18d562015",
 }
 
 
@@ -103,6 +105,8 @@ def _outputs(tmp_path, monkeypatch, capsys) -> dict:
                   "--out", "srg24"])
     run("sp24", ["sp-graph", "--q", "2", "--d", "4"])
     run("sp33", ["sp-graph", "--q", "3", "--d", "3"])
+    run("sp25", ["sp-graph", "--q", "2", "--d", "5"])
+    run("sp43", ["sp-graph", "--q", "4", "--d", "3"])
     t8 = (tmp_path / "t8.g6").read_text()
     run("spectrum", ["spectrum", "--srg", "35,18,9,9"], t8)
     ddg = graph6_decode((tmp_path / "ddg.g6").read_text())

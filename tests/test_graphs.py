@@ -308,6 +308,7 @@ def test_certificate_json_stable():
     assert doc["passed"] is True
     assert cert.to_json() == cert.to_json()
     assert list(doc) == sorted(doc)
+    assert doc == cert.to_dict()
 
 
 def _brute_cliques(rows, size, allowed, block):

@@ -2,14 +2,37 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from srgforge import (canonical_form, CensusTooLarge, complement,
-                      complete_multipartite, delsarte_clique_census,
-                      make_field, NonIntegralBound, NotSrg, path_graph,
-                      petersen_graph, projective_points, symplectic_form,
-                      symplectic_graph, triangular_graph, verify_srg,
-                      srg1_target_params, SrgParams)
+from srgforge import (as_prime_power, canonical_form, CensusTooLarge,
+                      complement, complete_multipartite,
+                      delsarte_clique_census, from_edges, make_field,
+                      NonIntegralBound, NotSrg, path_graph, petersen_graph,
+                      projective_points, symplectic_graph, triangular_graph,
+                      verify_srg, srg1_target_params, SrgParams)
+
+
+def symplectic_form(field, x, y):
+    """Alternating form sum(x[2i]*y[2i+1] - x[2i+1]*y[2i]), one pair of
+    coordinates at a time through the field tables."""
+    total = 0
+    for i in range(0, len(x), 2):
+        term = field.add(field.mul(x[i], y[i + 1]),
+                         field.neg(field.mul(x[i + 1], y[i])))
+        total = field.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)])
+def test_symplectic_graph_matches_scalar_form(q, d):
+    field = make_field(*as_prime_power(q))
+    pts = projective_points(field, 2 * d)
+    want = from_edges(len(pts), (
+        (a, b) for a, b in combinations(range(len(pts)), 2)
+        if symplectic_form(field, pts[a], pts[b]) == 0))
+    assert symplectic_graph(field, d) == want
 
 
 def test_sp42_parameters_and_complement():
@@ -28,14 +51,17 @@ def test_sp43_parameters():
         (40, 12, 2, 4)
 
 
-def test_sp62_matches_attachment_target():
-    g = symplectic_graph(make_field(2, 1), 3)
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3),
+                                 (2, 5), (4, 3)])
+def test_sp62_matches_attachment_target(q, d):
+    g = symplectic_graph(make_field(*as_prime_power(q)), d)
     cert = verify_srg(complement(g))
-    assert SrgParams.from_certificate(cert) == srg1_target_params(2, 3)
+    assert SrgParams.from_certificate(cert) == srg1_target_params(q, d)
 
 
-def test_form_is_alternating():
-    field = make_field(3, 1)
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (3, 2)])
+def test_form_is_alternating(p, e):
+    field = make_field(p, e)
     pts = projective_points(field, 4)
     for x in pts:
         assert symplectic_form(field, x, x) == 0
