@@ -1,23 +1,32 @@
 """Canonical labeling by individualization and refinement.
 
-A backtracking search over vertex individualizations.  Each node refines
-the ordered partition to equitability (splitting cells by neighbour counts
-against splitter cells; only non-singleton cells are scanned, and the
-refinement stops once the partition is discrete), records an
-isomorphism-invariant level value (cell sizes plus the adjacency bits among
-the leading singletons, packed in graph6 body order), and branches on the
-first smallest non-singleton cell.  The canonical labeling is the leaf
-whose sequence of level values is lexicographically smallest; at a discrete
-partition the level value contains the full adjacency bit string, so the
-minimum pins down a unique relabeled graph.
+A backtracking search over vertex individualizations.  An ordered
+partition is a list of cells, each one int with bit v set for each vertex
+v in it; a cell's vertices are taken in ascending order.  Each node refines
+the partition to equitability, records an isomorphism-invariant level value
+(cell sizes plus the adjacency bits among the leading singletons, packed in
+graph6 body order), and branches on the first smallest non-singleton cell.
+Refinement counts each vertex's neighbours in a splitter cell as bit
+planes (bit v of plane i is bit i of the count), a ripple-carry sum of the
+splitter's rows, and splits a cell by the planes from the most significant
+down, which puts its subcells in ascending count order; only non-singleton
+cells are scanned, and the refinement stops once the partition is
+discrete.  The canonical labeling is the leaf whose sequence of level
+values is lexicographically smallest; at a discrete partition the level
+value contains the full adjacency bit string, so the minimum pins down a
+unique relabeled graph.
 
-Two prunings keep the tree small without losing soundness: a subtree is cut
-when its value prefix already exceeds the best leaf (unless it ties the
-first leaf, which must stay visitable for automorphism discovery), and
-sibling branches are cut when a discovered automorphism fixing the current
-prefix maps them to an already-explored branch.  Leaves tying the first or
-best leaf yield automorphisms; the group order follows from the orbit sizes
-of the first-path choices under the discovered generators.
+Three prunings keep the tree small without losing soundness: a subtree is
+cut when its value prefix already exceeds the best leaf (unless it ties the
+first leaf, which must stay visitable for automorphism discovery); sibling
+branches are cut when a discovered automorphism fixing the current prefix
+maps them to an already-explored branch; and a leaf equivalent to the
+first leaf sends the search back to the deepest node its path shares with
+the first leaf's path (McKay 1981), since the automorphism maps that
+node's fully explored first-path child onto the current child.  Leaves
+tying the first or best leaf yield automorphisms; the group order follows
+from the orbit sizes of the first-path choices under the discovered
+generators.
 
 The search visits at most MAX_NODES nodes and raises TooLarge past it.  The
 node count depends only on the graph and its labelling, so the same input
@@ -32,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge
-from .graphs import bitset, body_mask, Graph, graph6_encode
+from .graphs import body_mask, Graph, graph6_encode, set_bits
 
 MAX_VERTICES = 256
 MAX_NODES = 25_000
@@ -48,63 +57,68 @@ class CanonicalForm:
     aut_order: int
 
 
+def _count_planes(rows, smask):
+    """Bit planes of the neighbour counts against the splitter smask: bit v
+    of plane i is bit i of |N(v) & smask|, summed row by row with a
+    ripple carry."""
+    planes = []
+    for w in set_bits(smask):
+        carry = rows[w]
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
+
+
+def _split(cell, planes):
+    """The subcells of cell in ascending count order: split by each plane
+    from the most significant down, non-members before members."""
+    subs = [cell]
+    for plane in reversed(planes):
+        cut = []
+        for sub in subs:
+            x = plane & sub
+            if x and x != sub:
+                cut += (sub ^ x, x)
+            else:
+                cut.append(sub)
+        subs = cut
+    return subs
+
+
 def _refine(rows, cells, work):
     """Split cells by neighbour counts against every splitter in work until
     the partition is equitable; new subcells join the splitter queue.
 
     Only the non-singleton cells are scanned, and the loop stops once none
-    is left.  A split cell is replaced in place by its subcells in ascending
-    count order, and their masks are pushed in forward cell order, so the
-    splitter pops, and with them the result, are those of a scan of every
-    cell until the queue runs dry.  A single-vertex splitter w splits a cell
-    into its non-neighbours and neighbours of w, read off the cell's mask.
+    is left.  A cell that no count plane cuts is skipped.  A split cell is
+    replaced in place by its subcells in ascending count order, and they
+    are pushed in that order, so the splitter pops, and with them the
+    result, are those of a scan of every cell until the queue runs dry.
     cells is updated in place and returned.
     """
-    open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
-    open_masks = [bitset(cells[i]) for i in open_cells]
+    open_cells = [cell for cell in cells if cell & (cell - 1)]
     while work and open_cells:
-        smask = work.pop()
-        single = rows[smask.bit_length() - 1] \
-            if smask.bit_count() == 1 else None
-        split_at = {}
-        for i, cmask in zip(open_cells, open_masks):
-            cell = cells[i]
-            if single is not None:
-                x = single & cmask
-                if not x or x == cmask:
-                    continue
-                subs = ([v for v in cell if not x >> v & 1],
-                        [v for v in cell if x >> v & 1])
-                sub_masks = (cmask ^ x, x)
+        planes = _count_planes(rows, work.pop())
+        still_open = []
+        for cell in open_cells:
+            for plane in planes:
+                x = plane & cell
+                if x and x != cell:
+                    break
             else:
-                counts = [(rows[v] & smask).bit_count() for v in cell]
-                if counts.count(counts[0]) == len(counts):
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v, count in zip(cell, counts):
-                    groups.setdefault(count, []).append(v)
-                subs = [groups[count] for count in sorted(groups)]
-                sub_masks = [bitset(sub) for sub in subs]
-            work += sub_masks
-            split_at[i] = subs, sub_masks
-        if not split_at:
-            continue
-        still_open, still_masks = [], []
-        shift = 0
-        for i, cmask in zip(open_cells, open_masks):
-            at = i + shift
-            if i not in split_at:
-                still_open.append(at)
-                still_masks.append(cmask)
+                still_open.append(cell)
                 continue
-            subs, sub_masks = split_at[i]
+            subs = [cell ^ x, x] if len(planes) == 1 else _split(cell, planes)
+            work += subs
+            at = cells.index(cell)
             cells[at:at + 1] = subs
-            for j, sub in enumerate(subs):
-                if len(sub) > 1:
-                    still_open.append(at + j)
-                    still_masks.append(sub_masks[j])
-            shift += len(subs) - 1
-        open_cells, open_masks = still_open, still_masks
+            still_open += [sub for sub in subs if sub & (sub - 1)]
+        open_cells = still_open
     return cells
 
 
@@ -124,12 +138,12 @@ def _level_value(matrix, cells):
     compared within one search have the same length and order as the bit
     tuples they pack.
     """
-    sizes = tuple(map(len, cells))
+    sizes = tuple(map(int.bit_count, cells))
     lead = []
     for cell in cells:
-        if len(cell) != 1:
+        if cell & (cell - 1):
             break
-        lead.append(cell[0])
+        lead.append(cell.bit_length() - 1)
     if len(lead) < 2:
         return (sizes, b"")
     bits = matrix[lead][:, lead][_lead_mask(len(lead))]
@@ -160,35 +174,38 @@ class _Search:
         self.first = None  # (value sequence, labeling position -> vertex)
         self.best = None
         self.first_path: list[tuple[tuple[int, ...], int]] = []
+        self.first_prefix: tuple[int, ...] = ()
 
     def run(self):
         if self.n == 0:
             self.first = self.best = ((), ())
             return
-        self._node([list(range(self.n))], [(1 << self.n) - 1], (), ())
+        self._node([(1 << self.n) - 1], [(1 << self.n) - 1], (), ())
 
     def _node(self, cells, work, prefix, values):
+        """Search below one node; returns the depth to jump back to after
+        a leaf equivalent to the first leaf, else None."""
         self.nodes += 1
         if self.nodes > MAX_NODES:
             raise TooLarge(f"canonical labeling of {self.n} vertices needs "
                            f"more than {MAX_NODES} search nodes")
         cells = _refine(self.rows, cells, work)
-        values = values + (_level_value(self.matrix, cells),)
+        value = _level_value(self.matrix, cells)
+        values = values + (value,)
         depth = len(values)
         if self.best is not None:
             if values > self.best[0][:depth] and values != self.first[0][:depth]:
-                return
+                return None
 
-        target, size = -1, None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1 and (size is None or len(cell) < size):
-                target, size = idx, len(cell)
-        if target < 0:
-            self._leaf(cells, values)
-            return
+        sizes = value[0]
+        size = min((s for s in sizes if s > 1), default=0)
+        if not size:
+            return self._leaf(cells, values, prefix)
 
+        target = sizes.index(size)
+        cell = cells[target]
         tried: list[int] = []
-        for u in cells[target]:
+        for u in set_bits(cell):
             if tried:
                 fixing = [p for p in self.gens
                           if all(p[x] == x for x in prefix)]
@@ -198,24 +215,31 @@ class _Search:
                 self.first_path.append((prefix, u))
             tried.append(u)
             child = list(cells)
-            rest = [w for w in child[target] if w != u]
-            child[target:target + 1] = [[u], rest]
-            self._node(child, [1 << u], prefix + (u,), values)
+            child[target:target + 1] = [1 << u, cell ^ 1 << u]
+            jump = self._node(child, [1 << u], prefix + (u,), values)
+            if jump is not None and jump < len(prefix):
+                return jump
+        return None
 
-    def _leaf(self, cells, values):
-        lab = tuple(cell[0] for cell in cells)
+    def _leaf(self, cells, values, prefix):
+        """Record a discrete partition; returns the length of the prefix
+        shared with the first leaf when it is equivalent to that leaf."""
+        lab = tuple(cell.bit_length() - 1 for cell in cells)
         if self.first is None:
-            self.first = (values, lab)
-            self.best = (values, lab)
-            return
-        refs = [self.first]
-        if self.best[1] != self.first[1]:
-            refs.append(self.best)
-        for ref_values, ref_lab in refs:
-            if values == ref_values and lab != ref_lab:
-                self._record_automorphism(ref_lab, lab)
+            self.first = self.best = (values, lab)
+            self.first_prefix = prefix
+            return None
+        jump = None
+        if values == self.first[0]:
+            self._record_automorphism(self.first[1], lab)
+            jump = 0
+            while prefix[jump] == self.first_prefix[jump]:
+                jump += 1
+        elif values == self.best[0]:
+            self._record_automorphism(self.best[1], lab)
         if values < self.best[0]:
             self.best = (values, lab)
+        return jump
 
     def _record_automorphism(self, lab1, lab2):
         perm = [0] * self.n

@@ -1,9 +1,10 @@
 """Canonical labeling: invariance, brute-force agreement, group orders.
 
 `ref_refine` and `ref_level_value` are the refinement and level value as
-they were before refinement skipped singleton cells and the level value
-packed its bits; they serve as the oracle of the fast versions, which must
-give the same ordered cells and level values that order the same way.
+they were before refinement skipped singleton cells, cells became bit
+masks and the level value packed its bits; they serve as the oracle of the
+fast versions, which must give the same ordered cells (as masks) and level
+values that order the same way.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from hypothesis import given, strategies as st
 
 from conftest import graph_from_bits, graphs, rows_graph
 from srgforge import (as_prime_power, canon, canonical_form, chang_graphs,
-                      ClassBlockMap, complete_graph, construct_srg1,
-                      count_classes, cycle_graph, empty_graph,
-                      graph6_encode, Graph, make_field, path_graph,
-                      petersen_graph, projective_complement_design,
-                      symplectic_graph, TooLarge, triangular_graph)
+                      ClassBlockMap, complement, complete_graph,
+                      complete_multipartite, construct_srg1, count_classes,
+                      cycle_graph, empty_graph, fano_plane, from_edges,
+                      graph6_encode, Graph, line_graph, make_field,
+                      path_graph, petersen_graph,
+                      projective_complement_design, symplectic_graph,
+                      TooLarge, triangular_graph)
 from srgforge.cli import main
+from srgforge.graphs import bitset
 from test_ddg import build
 
 
@@ -105,11 +109,13 @@ def test_refine_and_level_value_match_reference(case):
     g, partitions, work = case
     values, ref_values = [], []
     for cells in partitions:
-        refined = canon._refine(g.rows, [list(c) for c in cells], list(work))
-        assert refined == ref_refine(g.rows, cells, list(work))
-        for part in (cells, refined):
+        masks = [bitset(cell) for cell in cells]
+        refined = canon._refine(g.rows, list(masks), list(work))
+        ref = ref_refine(g.rows, cells, list(work))
+        assert refined == [bitset(cell) for cell in ref]
+        for part, ref_part in ((masks, cells), (refined, ref)):
             values.append(canon._level_value(g.matrix, part))
-            ref_values.append(ref_level_value(g.rows, part))
+            ref_values.append(ref_level_value(g.rows, ref_part))
     for (a, ra), (b, rb) in itertools.product(zip(values, ref_values),
                                               repeat=2):
         assert (a < b) == (ra < rb)
@@ -132,13 +138,93 @@ def brute_aut_order(g: Graph) -> int:
                if g.relabel(perm) == g)
 
 
-@given(graphs(max_n=10), st.randoms())
+def hypercube(d: int) -> Graph:
+    return from_edges(1 << d, [(u, u ^ 1 << i) for u in range(1 << d)
+                               for i in range(d)])
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, base = [], 0
+    for part in parts:
+        edges += [(base + u, base + v) for u, v in part.edges()]
+        base += part.n
+    return from_edges(base, edges)
+
+
+def paley(q: int) -> Graph:
+    squares = {x * x % q for x in range(1, q)}
+    return from_edges(q, [(a, b) for a in range(q) for b in range(a + 1, q)
+                          if (b - a) % q in squares])
+
+
+def heawood() -> Graph:
+    """Point-line incidence graph of the Fano plane."""
+    return from_edges(14, [(p, 7 + i) for i, block in
+                           enumerate(fano_plane().blocks) for p in block])
+
+
+# graphs with large automorphism groups, where leaves equivalent to the
+# first leaf turn up all over the search tree
+SYMMETRIC = {
+    "3K3": complement(complete_multipartite(3, 3, 3)),
+    "K3,3": complete_multipartite(3, 3),
+    "Q3": hypercube(3),
+    "Q4": hypercube(4),
+    "C9": cycle_graph(9),
+    "2C5": disjoint_union(cycle_graph(5), cycle_graph(5)),
+    "K3xK3": line_graph(complete_multipartite(3, 3)),
+    "4K2": complement(complete_multipartite(2, 2, 2, 2)),
+    "K2+3K1": disjoint_union(complete_graph(2), empty_graph(3)),
+    "Paley13": paley(13),
+    "Heawood": heawood(),
+    "co-Q3": complement(hypercube(3)),
+}
+
+
+@given(st.one_of(graphs(max_n=10),
+                 st.sampled_from([triangular_graph(8), SYMMETRIC["Q4"],
+                                  SYMMETRIC["3K3"], SYMMETRIC["K3xK3"]])),
+       st.randoms())
 def test_relabeling_invariance(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     h = g.relabel(tuple(perm))
-    assert canonical_form(h).graph6 == canonical_form(g).graph6
-    assert canonical_form(h).aut_order == canonical_form(g).aut_order
+    assert canonical_form(h) == canonical_form(g)
+
+
+def networkx_group(g: Graph) -> tuple[int, int]:
+    """(|Aut|, orbit count) from every isomorphism of g onto itself that
+    networkx's VF2 matcher enumerates."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    images: list[set[int]] = [set() for _ in range(g.n)]
+    order = 0
+    for iso in GraphMatcher(nxg, nxg).isomorphisms_iter():
+        order += 1
+        for v, w in iso.items():
+            images[v].add(w)
+    return order, len({frozenset(orbit) for orbit in images})
+
+
+def gnp_graphs():
+    rnd = random.Random(2014)
+    for n in range(1, 10):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(6):
+                yield f"G({n},{p})", graph_from_bits(n, sum(
+                    (rnd.random() < p) << i
+                    for i in range(n * (n - 1) // 2)))
+
+
+def test_group_matches_networkx():
+    """|Aut| and the orbit count agree with a networkx enumeration on the
+    symmetric graphs and on seeded G(n, p) graphs."""
+    for name, g in [*SYMMETRIC.items(), *gnp_graphs()]:
+        form = canonical_form(g)
+        assert (form.aut_order, form.orbit_count) == networkx_group(g), name
 
 
 def test_brute_force_classes_n6():
@@ -223,15 +309,15 @@ def test_pinned_node_counts():
         search = canon._Search(g)
         search.run()
         counts.append(search.nodes)
-    assert counts == [1301, 2067]
+    assert counts == [1051, 1296]
 
 
 def test_node_budget(monkeypatch, tmp_path, capsys):
     t8 = triangular_graph(8)
-    monkeypatch.setattr(canon, "MAX_NODES", 88)
+    monkeypatch.setattr(canon, "MAX_NODES", 33)
     assert canonical_form(t8).aut_order == 40320
-    monkeypatch.setattr(canon, "MAX_NODES", 87)
-    with pytest.raises(TooLarge, match="87 search nodes"):
+    monkeypatch.setattr(canon, "MAX_NODES", 32)
+    with pytest.raises(TooLarge, match="32 search nodes"):
         canonical_form(t8)
 
     path = tmp_path / "t8.g6"
