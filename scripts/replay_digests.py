@@ -27,7 +27,12 @@ The command set:
   `--quasigroup file:` and `--family file:` from the saved seed-5 random
   run, `gen-srg1` with `--phi FILE` and `--phi file:FILE`, and `gen-srg2`
   with `--design file:` (a saved Fano plane) and `--base g6:` (a saved
-  T(8)); then the digests of the files these add.
+  T(8)); then the digests of the files these add;
+- last, `spectrum` on the seed-0 cyclic outputs of the first (q, d):
+  `--ddg` and `--srg` with their formula parameters, `--candidates` with
+  the DDG's theta1 written as +-sqrt(k - lambda1), a radical within the
+  degree bound and one past it, `--candidates` with 2^60 beside the SRG
+  eigenvalues, and one list that misses an eigenvalue (exit 2).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import tempfile
 from pathlib import Path
 
 from srgforge import (fano_plane, graph6_decode, graph6_encode, save_design,
+                      srg1_target_params, srg_spectrum, theorem1_params,
                       triangular_graph)
 from srgforge.cli import main as cli_main
 
@@ -105,6 +111,7 @@ def replay(ladder) -> None:
     listed = print_files()
     replay_file_inputs(*ladder[0])
     print_files(listed)
+    replay_spectrum(*ladder[0])
 
 
 def replay_file_inputs(q: int, d: int) -> None:
@@ -129,6 +136,24 @@ def replay_file_inputs(q: int, d: int) -> None:
     Path("t8.g6").write_text(graph6_encode(triangular_graph(8)) + "\n",
                              encoding="ascii")
     run(["gen-srg2", "--base", "g6:t8.g6", "--out", "file-srg2-base"])
+
+
+def replay_spectrum(q: int, d: int) -> None:
+    ddg = ["spectrum", "--in", f"ddg-q{q}-d{d}-s0-cyclic.g6"]
+    srg = ["spectrum", "--in", f"srg1-q{q}-d{d}-s0-cyclic.g6"]
+    params = theorem1_params(q, d)
+    target = srg1_target_params(q, d)
+    run([*ddg, "--ddg", ",".join(map(str, (
+        params.v, params.k, params.lambda1, params.lambda2, params.m,
+        params.n)))])
+    run([*srg, "--srg", ",".join(map(str, (
+        target.v, target.k, target.lam, target.mu)))])
+    k, r, s = [e for e, _ in srg_spectrum(target).entries()]
+    run([*ddg, f"--candidates={params.k},sqrt({params.k - params.lambda1}),"
+         f"-sqrt({params.k - params.lambda1}),0,sqrt(2),"
+         f"-sqrt({params.k ** 2 + 1})"])
+    run([*srg, f"--candidates={2 ** 60},{k},{r},{s}"])
+    run([*srg, f"--candidates={k},{r}"])
 
 
 def print_files(listed: frozenset = frozenset()) -> frozenset:

@@ -5,16 +5,15 @@ multiplicity m_i} is verified in two exact steps: the annihilating product
 prod_i (A - theta_i I) must vanish (irrational conjugate pairs +-sqrt(t)
 combine into the integer factor A^2 - tI), and the multiplicities are the
 unique solution of the trace system tr(A^s) = sum_i m_i theta_i^s over the
-rationals.  The product starts from its first factor and builds A^2 only
-for a radical factor or a trace; tr(A^s) = sum_ij (A^a)_ij (A^b)_ij, a =
-s // 2, b = s - a, reuses powers already built.  An SRG spectrum takes 2
-n x n products; a DDG formula spectrum at most 4 when theta2 = 0, as for
-the glued DDGs, else at most 5.  Products run in float64 (BLAS) only while
-a bound proved from the input keeps every partial sum an integer below
-2^53, exact in any summation order; past it they continue in Python-int
-object arrays, or raise TooLarge when MAX_OBJECT_WORK estimates that tier
-too slow.  Trace sums, at most n Delta^s for maximum degree Delta, run in
-int64 below 2^63 and in Python ints past it.
+rationals.  Candidates past Gershgorin's bound |theta| <= Delta, the
+maximum degree (radicands t > Delta^2), give invertible factors: they get
+multiplicity 0 and enter no product.  The product builds A^2 only for a
+radical factor or a trace, higher powers only for traces; an SRG spectrum
+takes 2 n x n products, a DDG formula spectrum at most 4 when theta2 = 0,
+as for the glued DDGs, else at most 5.  Exactness is one decision per
+call: a bound on every partial sum of the whole schedule picks float64
+(BLAS) below 2^53, exact in any summation order, and Python-int object
+arrays otherwise, or TooLarge when MAX_OBJECT_WORK estimates those slow.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
@@ -114,7 +113,7 @@ def make_spectrum(pairs) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# exact matrix arithmetic: float64 below a proved 2^53 bound, then Python ints
+# exact matrix arithmetic: float64 below a proved 2^53 bound, else Python ints
 
 
 def adjacency_matrix(g: Graph):
@@ -122,69 +121,66 @@ def adjacency_matrix(g: Graph):
     return g.matrix.astype(np.float64)
 
 
-def _as_ints(mat):
-    """mat as Python ints (not floats) in an object array."""
-    return mat if mat.dtype == object else mat.astype(np.int64).astype(object)
-
-
-# limit on n^3 * (factors left) * (bit length of the row-sum bound) when a
-# product would enter the Python-int object tier; past it exact_spectrum
-# raises TooLarge instead of running for minutes
+# limit on n^3 * products * (bit length of the bound) for a call that needs
+# Python-int object arrays; past it exact_spectrum raises TooLarge instead
+# of running for minutes
 MAX_OBJECT_WORK = 1 << 32
 
 
-class _ExactProduct:
-    """Running product of `factors` factors (base - shift I), started from
-    the first factor, whose rows have absolute sums <= `rowsum`.  Partial
-    sums of mat @ F are then <= rowsum * max|F|; float64 is exact while
-    that (or max|F| of the first factor) stays below 2^53, and mat moves
-    to Python-int objects once it cannot, if MAX_OBJECT_WORK allows."""
+def _schedule_bound(n: int, delta: int, ints, rads) -> tuple[int, int]:
+    """(bound, products) of exact_spectrum on these candidates, A 0/1 with
+    row sums <= delta: it takes `products` n x n products, none of whose
+    partial sums passes the product of the factors' row sums delta^p +
+    |shift|, nor delta^p for a power A^p, nor n delta^s for tr(A^s)."""
+    rows = len(ints) + 2 * len(rads)
+    top = max(rows // 2, 2 if rads else 1)
+    bound = max(math.prod(delta + abs(a) for a in ints) *
+                math.prod(delta * delta + t for t in rads),
+                delta ** top, n * delta ** (rows - 1))
+    return bound, top - 1 + len(ints) + len(rads) - 1
 
-    def __init__(self, n: int, factors: int):
-        self.mat = None  # the empty product
-        self.n, self.rowsum, self.left = n, 1, factors
 
-    def multiply(self, base, shift: int, base_rowsum: int, base_max: int):
-        """mat @ (base - shift I) for an integer matrix base >= 0 with
-        entries <= base_max and row sums <= base_rowsum."""
-        bound = max(self.rowsum, 1) * (base_max + abs(shift))
-        objects = self.mat is not None and self.mat.dtype == object
-        if not objects and bound >= 1 << 53:
-            bits = bound.bit_length()
-            if self.n ** 3 * self.left * bits > MAX_OBJECT_WORK:
-                raise TooLarge(f"{self.left} exact products of {self.n} x "
-                               f"{self.n} matrices past a {bits}-bit bound "
-                               f"exceed the object-tier limit")
-            objects = True
-        factor = _as_ints(base) if objects else base.copy()
+def _exact_matrix(adj, bound: int, products: int):
+    """The float64 0/1 matrix adj as is when bound < 2^53, exact for any
+    summation order; else as Python ints in an object array, or TooLarge
+    when MAX_OBJECT_WORK estimates those products too slow."""
+    if bound < 1 << 53:
+        return adj
+    n, bits = len(adj), bound.bit_length()
+    if n ** 3 * products * bits > MAX_OBJECT_WORK:
+        raise TooLarge(f"{products} exact products of {n} x {n} matrices "
+                       f"past a {bits}-bit bound exceed the object-tier "
+                       f"limit")
+    return adj.astype(np.int64).astype(object)
+
+
+def _matrix_powers(adj):
+    """p -> A^p for A = adj, each power built once, on first use."""
+    powers = [adj]
+
+    def power(p: int):
+        while len(powers) < p:
+            powers.append(powers[-1] @ adj)
+        return powers[p - 1]
+    return power
+
+
+def _annihilator(power, ints: list[int], rads: list[int]):
+    """prod (A - aI) over ints times prod (A^2 - tI) over rads, started
+    from its first factor, with power(p) = A^p."""
+    product = None
+    for p, shift in [(1, a) for a in ints] + [(2, t) for t in rads]:
+        factor = power(p).copy()
         factor[np.diag_indices_from(factor)] -= shift
-        if self.mat is not None:
-            factor = (_as_ints(self.mat) if objects else self.mat) @ factor
-        self.mat = factor
-        self.rowsum *= base_rowsum + abs(shift)
-        self.left -= 1
+        product = factor if product is None else product @ factor
+    return product
 
 
-def _powers(adj, delta: int, top: int):
-    """A, A^2, ..., A^top for the 0/1 matrix adj with row sums <= delta,
-    each exact: A^p @ A has partial sums <= delta^p."""
-    power = _ExactProduct(len(adj), top)
-    for _ in range(top):
-        power.multiply(adj, 0, delta, 1)
-        yield power.mat
-
-
-def _traces(powers, count: int, n: int, delta: int) -> list[int]:
-    """tr(A^s), s < count, from powers[p - 1] = A^p, A symmetric 0/1 with
-    zero diagonal and row sums <= delta: the nonnegative terms of sum_ij
-    (A^a)_ij (A^b)_ij total at most n delta^s, exact in int64 below 2^63."""
-    traces = [n, 0][:count]
-    for s in range(2, count):
-        small = n * delta ** s < 1 << 63
-        traces.append(int(np.vdot(*(
-            x.astype(np.int64) if small else _as_ints(x)
-            for x in (powers[s // 2 - 1], powers[s - s // 2 - 1])))))
-    return traces
+def _traces(power, n: int, count: int) -> list[int]:
+    """tr(A^s), s < count, for a symmetric n x n 0/1 matrix A with zero
+    diagonal: sum_ij (A^a)_ij (A^b)_ij, a = s // 2, b = s - a."""
+    return [n, 0][:count] + [int(np.vdot(power(s // 2), power(s - s // 2)))
+                             for s in range(2, count)]
 
 
 def _candidate_sets(candidates) -> tuple[list[int], list[int]]:
@@ -219,37 +215,36 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     if not ints and not rads:
         raise NotAnnihilated("empty candidate list")
 
-    adj = adjacency_matrix(g)
+    # Gershgorin: every eigenvalue has |theta| <= delta, so A - aI for
+    # |a| > delta and A^2 - tI for t > delta^2 are invertible and take no
+    # part in annihilation; those candidates keep multiplicity 0
     delta = max(r.bit_count() for r in g.rows)
-    # unknowns: a multiplicity per integer candidate and per radical pair;
-    # tr(A^s), s < n_rows, needs A^(n_rows // 2), a radical factor A^2
-    n_unknowns, n_rows = len(ints) + len(rads), len(ints) + 2 * len(rads)
-    build = _powers(adj, delta, max(n_rows // 2, 2 if rads else 1))
-    powers = [next(build) for _ in range(2 if rads else 1)]
+    counts = dict.fromkeys(ints + [Radical(t) for t in rads], 0)
+    missing = NotAnnihilated(f"candidates {list(counts)} do not annihilate "
+                             f"the adjacency matrix")
+    ints = [a for a in ints if abs(a) <= delta]
+    rads = [t for t in rads if t <= delta * delta]
+    eigs = ints + [Radical(t) for t in rads]
+    if not eigs:
+        raise missing
 
-    product = _ExactProduct(n, n_unknowns)
-    for a in ints:
-        product.multiply(adj, a, delta, 1)
-    for t in rads:
-        product.multiply(powers[1], t, delta * delta, delta)
-    eigs = ints + [exact_root(t) for t in rads]
-    if np.any(product.mat):
-        raise NotAnnihilated(f"candidates {eigs} do not annihilate the "
-                             f"adjacency matrix")
+    adj = _exact_matrix(adjacency_matrix(g),
+                        *_schedule_bound(n, delta, ints, rads))
+    power = _matrix_powers(adj)
+    if np.any(_annihilator(power, ints, rads)):
+        raise missing
 
-    powers += build  # the higher powers, once the candidates annihilate
     # tr(A^s) = sum_i m_i theta_i^s, where (sqrt(t))^s + (-sqrt(t))^s is
     # 2 t^(s/2) for even s and 0 for odd s
+    traces = _traces(power, n, len(ints) + 2 * len(rads))
     system = [[Fraction(a**s) for a in ints] +
               [Fraction(0 if s % 2 else 2 * t ** (s // 2)) for t in rads] +
               [Fraction(trace)]
-              for s, trace in enumerate(_traces(powers, n_rows, n, delta))]
-    counts = [_as_count(x, e)
-              for x, e in zip(_solve_exact(system, n_unknowns), eigs)]
-    spec = make_spectrum(
-        list(zip(ints, counts)) +
-        [(Radical(t, negative), f) for t, f in zip(rads, counts[len(ints):])
-         for negative in (False, True)])
+              for s, trace in enumerate(traces)]
+    for x, e in zip(_solve_exact(system, len(eigs)), eigs):
+        counts[e] = _as_count(x, e)
+    spec = make_spectrum((x, m) for e, m in counts.items() for x in (
+        (e, -e) if isinstance(e, Radical) else (e,)))
     assert spec.order == n
     return spec
 

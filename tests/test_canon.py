@@ -227,6 +227,34 @@ def test_group_matches_networkx():
         assert (form.aut_order, form.orbit_count) == networkx_group(g), name
 
 
+def cycle_union(sizes) -> Graph:
+    """Disjoint cycles of the given lengths."""
+    edges, offset = [], 0
+    for size in sizes:
+        edges += [(offset + i, offset + (i + 1) % size) for i in range(size)]
+        offset += size
+    return from_edges(offset, edges)
+
+
+@pytest.mark.parametrize("sizes, seed", [((3, 4, 5), 0), ((3, 5, 8), 1),
+                                         ((4, 6, 6), 1)])
+def test_ties_with_a_later_best_leaf(sizes, seed):
+    """Relabelled disjoint cycles whose best leaf is not the first leaf
+    and has leaves tying it (not the first leaf) further on.  Backjumping
+    after such a tie, as after a tie with the first leaf, is unsound: it
+    loses automorphisms (C3+C4+C5) or the canonical leaf (the others)."""
+    base = cycle_union(sizes)
+    perm = list(range(base.n))
+    random.Random(seed).shuffle(perm)
+    g = base.relabel(tuple(perm))
+    search = canon._Search(g)
+    search.run()
+    assert search.best != search.first
+    form = canonical_form(g)
+    assert (form.aut_order, form.orbit_count) == networkx_group(g)
+    assert form == canonical_form(base)
+
+
 def test_brute_force_classes_n6():
     rnd = random.Random(17)
     pool = [graph_from_bits(6, rnd.getrandbits(15)) for _ in range(40)]

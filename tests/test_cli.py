@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from hypothesis import given, strategies as st
 
 from srgforge import (complete_graph, counting_lower_bound, cycle_graph,
                       designs, fano_plane, graph6_decode, graph6_encode,
-                      petersen_graph, save_design, srg, SymmetricDesign,
-                      triangular_graph)
+                      make_spectrum, petersen_graph, Radical, save_design,
+                      srg, SymmetricDesign, triangular_graph)
 from srgforge import cli
 from srgforge.cli import main
 
@@ -176,8 +177,9 @@ def test_spectrum_candidates_square_radicands(workdir, capsys):
 
 
 def test_spectrum_object_tier_guard(workdir, capsys):
-    """61 candidates on the 364-vertex s(3,3) pass the float64 bound with
-    55 products left: exit 2 at once, not minutes of Python-int matrix
+    """61 candidates on the 364-vertex s(3,3), all within its degree 243,
+    need 89 products (60 annihilating, A^2..A^30 for the traces) past a
+    489-bit bound: exit 2 at once, not minutes of Python-int matrix
     products.  The child has a time limit so a missing guard fails."""
     assert main(["gen-srg1", "--q", "3", "--d", "3", "--seed", "0",
                  "--out", "s33"]) == 0
@@ -190,9 +192,31 @@ def test_spectrum_object_tier_guard(workdir, capsys):
         capture_output=True, text=True, timeout=30, cwd=workdir,
         env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 2
-    assert result.stderr == ("srgforge: 55 exact products of 364 x 364 "
-                             "matrices past a 54-bit bound exceed the "
+    assert result.stderr == ("srgforge: 89 exact products of 364 x 364 "
+                             "matrices past a 489-bit bound exceed the "
                              "object-tier limit\n")
+
+
+def test_spectrum_skips_candidates_past_the_degree_bound(workdir, capsys):
+    """Petersen has maximum degree 3, so of -200..200 and four radicals
+    only -3..3, sqrt(5) and sqrt(7) reach the products and the rational
+    trace solve; the rest still print, with multiplicity 0.  At 100
+    integer candidates that solve alone took seconds."""
+    (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
+    ints = range(-200, 201)
+    candidates = ",".join(map(str, ints)) + \
+        ",sqrt(5),-sqrt(7),sqrt(10),sqrt(99)"
+    start = time.perf_counter()
+    assert main(["spectrum", "--in", "pet.g6",
+                 f"--candidates={candidates}"]) == 0
+    assert time.perf_counter() - start < 1
+    petersen = {3: 1, 1: 5, -2: 4}
+    expected = make_spectrum(
+        [(e, petersen.get(e, 0)) for e in ints] +
+        [(Radical(t, negative), 0) for t in (5, 7, 10, 99)
+         for negative in (False, True)])
+    assert json.loads(capsys.readouterr().out)["spectrum"] == \
+        expected.serialize()
 
 
 @pytest.mark.parametrize("argv, message", [

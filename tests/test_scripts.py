@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "aad73a2b54b627772453c5883ec6e08c7bc9f23578d29a1af02516aa8cb96e2a",
+        "72365b92ff9a0767d8783bcbf71c916fdb17641f7909cee81ec79e040bd65040",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):

@@ -17,10 +17,12 @@ from srgforge import (chang_graphs, coclique_deletion_spectrum,
                       hoffman_coclique_size, InfeasibleParams, make_spectrum,
                       NotAnnihilated, petersen_graph,
                       Radical, srg1_target_params, srg_eigenvalues,
-                      srg_spectrum, SrgParams, TooLarge, triangular_graph,
-                      verify_ddg)
+                      srg_spectrum, SrgParams, theorem1_params, TooLarge,
+                      triangular_graph, verify_ddg)
 from srgforge import spectra
-from srgforge.spectra import _ExactProduct, adjacency_matrix
+from srgforge.spectra import (_annihilator, _candidate_sets, _exact_matrix,
+                              _matrix_powers, _schedule_bound, _traces,
+                              adjacency_matrix)
 from test_ddg import build
 from test_srg import srg1
 
@@ -190,38 +192,54 @@ def _reference_product(g, shifts):
     return mat
 
 
+def test_exact_matrix_dtype_boundary():
+    """float64 while the bound is below 2^53, Python ints from 2^53 on."""
+    adj = adjacency_matrix(petersen_graph())
+    assert _exact_matrix(adj, 2**53 - 1, 4) is adj
+    exact = _exact_matrix(adj, 2**53, 4)
+    assert exact.dtype == object
+    assert all(type(x) is int for x in exact.flat)
+    assert exact.tolist() == adj.astype(int).tolist()
+
+
 @pytest.mark.parametrize("shifts, first_object", [
-    ([2**60, 3, 1, -2], 0),         # 1 * (1 + 2^60) >= 2^53 at once
-    ([2**30, 2**31, 3, 1, -2], 1),  # (3 + 2^30)(1 + 2^31) >= 2^53
-    ([0] * 40, 34),                 # A^k: rowsum 3^(k-1) passes 2^53 at k=35
+    ([2**60, 3, 1, -2], 0),         # 3 + 2^60 >= 2^53 at once
+    ([2**30, 2**31, 3, 1, -2], 1),  # (3 + 2^30)(3 + 2^31) >= 2^53
+    ([0] * 40, 32),                 # A^k: traces 10 * 3^(k-1) >= 2^53, k >= 33
 ])
 def test_exact_product_tier_boundaries(shifts, first_object):
+    """Every prefix of the shifts, in the dtype its schedule bound picks,
+    equals the Python-int product."""
     g = petersen_graph()  # maximum degree 3
-    adj = adjacency_matrix(g)
-    product = _ExactProduct(g.n, len(shifts))
-    for i, s in enumerate(shifts):
-        product.multiply(adj, s, 3, 1)
+    for i in range(len(shifts)):
+        adj = _exact_matrix(adjacency_matrix(g),
+                            *_schedule_bound(g.n, 3, shifts[:i + 1], []))
+        product = _annihilator(_matrix_powers(adj), shifts[:i + 1], [])
         if i < first_object:
-            assert product.mat.dtype == np.float64
+            assert product.dtype == np.float64
         else:
-            assert product.mat.dtype == object
-            assert all(type(x) is int for x in product.mat.flat)
-        assert product.mat.tolist() == _reference_product(g, shifts[:i + 1])
+            assert product.dtype == object
+            assert all(type(x) is int for x in product.flat)
+        assert product.tolist() == _reference_product(g, shifts[:i + 1])
 
 
 def test_object_tier_work_limit(monkeypatch):
-    """Entering the object tier at the first of 4 products, with a 61-bit
-    bound, is 10^3 * 4 * 61 = 244000 units of work."""
-    adj = adjacency_matrix(petersen_graph())
-    for limit, ok in ((244000, True), (243999, False)):
+    """K_12 with every integer in [-11, 11] as a candidate: 32 products (22
+    annihilating, A^2..A^11 for the traces) past a 93-bit bound are
+    12^3 * 32 * 93 = 5142528 units of work."""
+    g = complete_graph(12)
+    candidates = list(range(-11, 12))
+    bound, products = _schedule_bound(12, 11, candidates, [])
+    assert (products, bound.bit_length()) == (32, 93)
+    for limit, ok in ((5142528, True), (5142527, False)):
         monkeypatch.setattr(spectra, "MAX_OBJECT_WORK", limit)
-        product = _ExactProduct(10, 4)
         if ok:
-            product.multiply(adj, 2**60, 3, 1)
-            assert product.mat.dtype == object
+            spec = exact_spectrum(g, candidates)
+            assert spec.nonzero() == make_spectrum([(11, 1), (-1, 11)])
         else:
-            with pytest.raises(TooLarge, match="4 exact products of 10 x 10"):
-                product.multiply(adj, 2**60, 3, 1)
+            with pytest.raises(TooLarge, match="32 exact products of 12 x "
+                               "12 matrices past a 93-bit bound"):
+                exact_spectrum(g, candidates)
 
 
 def test_exact_spectrum_with_huge_candidates():
@@ -331,30 +349,31 @@ def _times(x, y):
 
 
 def test_exact_product_first_factor_tiers():
-    """A first factor with an entry of 2^53 or more starts in the object
-    tier, where float64 would round it: A - (2^60 + 1) I, and A^2 -
-    (2^61 + 1) I as the only integer-free (radical) first factor."""
+    """A first factor with an entry of 2^53 or more is built in Python
+    ints, where float64 would round it: A - (2^60 + 1) I, and A^2 -
+    (2^61 + 1) I as the only radical factor."""
     g = petersen_graph()
-    adj = adjacency_matrix(g)
     a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
-    a_sq = _times(a, a)
 
     def minus(mat, t):
         return [[x - t * (i == j) for j, x in enumerate(row)]
                 for i, row in enumerate(mat)]
 
-    for first, args in ((minus(a, 2**60 + 1), (adj, 2**60 + 1, 3, 1)),
-                        (minus(a_sq, 2**61 + 1), (adj @ adj, 2**61 + 1, 9, 3))):
-        product = _ExactProduct(g.n, 4)
-        product.multiply(*args)
-        expected = first
-        for step, shift in enumerate((None, 3, 1, -2)):
-            if shift is not None:
-                product.multiply(adj, shift, 3, 1)
-                expected = _times(expected, minus(a, shift))
-            assert product.mat.dtype == object, step
-            assert all(type(x) is int for x in product.mat.flat)
-            assert product.mat.tolist() == expected, step
+    a_sq = _times(a, a)
+    for ints, rads in (([2**60 + 1], []), ([], [2**61 + 1])):
+        for step in range(4):
+            live = ints + [3, 1, -2][:step]
+            adj = _exact_matrix(adjacency_matrix(g),
+                                *_schedule_bound(g.n, 3, live, rads))
+            product = _annihilator(_matrix_powers(adj), live, rads)
+            factors = [minus(a, s) for s in live] + \
+                [minus(a_sq, t) for t in rads]
+            expected = factors[0]
+            for factor in factors[1:]:
+                expected = _times(expected, factor)
+            assert product.dtype == object, step
+            assert all(type(x) is int for x in product.flat)
+            assert product.tolist() == expected, step
 
     pet = exact_spectrum(g, [3, 1, -2])
     assert exact_spectrum(g, [2**60 + 1, 3, 1, -2]).nonzero() == pet
@@ -362,23 +381,37 @@ def test_exact_product_first_factor_tiers():
         exact_spectrum(g, [Radical(2**61 + 1)])
 
 
-def test_traces_cross_the_int64_limit(monkeypatch):
-    """41 candidates on the Petersen graph need tr(A^s) for s <= 40; the
-    bound 10 * 3^s passes 2^63 at s = 38, so the last three sums run in
-    Python ints.  All 41 match a Python-int reference."""
-    assert 10 * 3**37 < 1 << 63 <= 10 * 3**38
+def test_traces_match_python_ints():
+    """tr(A^s) of the Petersen graph for s <= 40 against a Python-int
+    reference: the bound 10 * 3^31 keeps 32 traces in float64, and all 41
+    run in Python ints past it."""
+    assert 10 * 3**31 < 1 << 53 <= 10 * 3**32
     g = petersen_graph()
-    pet = exact_spectrum(g, [3, 1, -2])
-    seen = []
-    traces = spectra._traces
-    monkeypatch.setattr(spectra, "_traces",
-                        lambda *args: seen.append(traces(*args)) or seen[-1])
-    assert exact_spectrum(g, list(range(-20, 21))).nonzero() == pet
-
     a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
     power = [[int(i == j) for j in range(g.n)] for i in range(g.n)]
     expected = []
     for _ in range(41):
         expected.append(sum(power[i][i] for i in range(g.n)))
         power = _times(power, a)
-    assert seen == [expected]
+    for count, dtype in ((32, np.float64), (41, object)):
+        adj = _exact_matrix(adjacency_matrix(g), 10 * 3**(count - 1), count)
+        assert adj.dtype == dtype
+        assert _traces(_matrix_powers(adj), g.n, count) == expected[:count]
+
+
+@pytest.mark.parametrize("q, d", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3),
+                                  (2, 5), (4, 3)])
+def test_benchmark_ladder_stays_in_float64(q, d):
+    """gen-ddg and gen-srg1 check their outputs' formula spectra on every
+    rung of the ladder; from closed-form n, degree and candidates, every
+    candidate is within the degree and the schedule bound is below 2^53,
+    so none of them leaves float64."""
+    ddg = theorem1_params(q, d)
+    srg = srg1_target_params(q, d)
+    for n, k, candidates in (
+            (ddg.v, ddg.k, ddg_formula_spectrum(ddg).candidates()),
+            (srg.v, srg.k, [e for e, _ in srg_spectrum(srg).entries()])):
+        ints, rads = _candidate_sets(candidates)
+        assert all(abs(a) <= k for a in ints)
+        assert all(t <= k * k for t in rads)
+        assert _schedule_bound(n, k, ints, rads)[0] < 2**53
