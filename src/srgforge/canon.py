@@ -169,11 +169,9 @@ class _Search:
         self.matrix = g.matrix
         self.n = g.n
         self.nodes = 0
-        self.gens: list[tuple[int, ...]] = []
-        self.gen_set: set[tuple[int, ...]] = set()
+        self.gens: dict[tuple[int, ...], None] = {}  # in discovery order
         self.first = None  # (value sequence, labeling position -> vertex)
         self.best = None
-        self.first_path: list[tuple[tuple[int, ...], int]] = []
         self.first_prefix: tuple[int, ...] = ()
 
     def run(self):
@@ -211,8 +209,6 @@ class _Search:
                           if all(p[x] == x for x in prefix)]
                 if fixing and not _orbit(u, fixing).isdisjoint(tried):
                     continue
-            if self.first is None:
-                self.first_path.append((prefix, u))
             tried.append(u)
             child = list(cells)
             child[target:target + 1] = [1 << u, cell ^ 1 << u]
@@ -245,14 +241,13 @@ class _Search:
         perm = [0] * self.n
         for pos in range(self.n):
             perm[lab1[pos]] = lab2[pos]
-        key = tuple(perm)
-        if key not in self.gen_set and any(p != i for i, p in enumerate(key)):
-            self.gen_set.add(key)
-            self.gens.append(key)
+        if any(p != i for i, p in enumerate(perm)):
+            self.gens[tuple(perm)] = None
 
     def aut_order(self) -> int:
         order = 1
-        for prefix, chosen in self.first_path:
+        for depth, chosen in enumerate(self.first_prefix):
+            prefix = self.first_prefix[:depth]
             fixing = [p for p in self.gens if all(p[x] == x for x in prefix)]
             order *= len(_orbit(chosen, fixing))
         return order

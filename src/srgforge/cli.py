@@ -23,8 +23,9 @@ from .ddg import (construct_ddg, counting_lower_bound, cyclic_quasigroup,
                   DdgParams, identity_family, load_family, load_quasigroup,
                   random_bijection_family, random_left_quasigroup,
                   save_family, save_quasigroup, verify_ddg)
-from .designs import (affine_geometry_design, check_glued, data_lines,
-                      fano_plane, load_design, projective_complement_design)
+from .designs import (affine_geometry_design, check_glued, fano_plane,
+                      int_lines, load_design, projective_complement_design,
+                      write_lines)
 from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
 from .graphs import (complement, Graph, VertexPartition, graph6_decode,
@@ -44,20 +45,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _write_partition(partition: VertexPartition, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for cls in partition.classes:
-            fh.write(" ".join(map(str, cls)) + "\n")
-
-
 def _read_partition(path: str, n: int) -> VertexPartition:
-    classes = []
-    for lineno, line in data_lines(path):
-        try:
-            classes.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise ParseError(f"non-integer vertex in {line!r}", line=lineno)
-    return VertexPartition.from_lists(n, classes)
+    return VertexPartition.from_lists(n, [cls for _, cls in int_lines(path)])
 
 
 def _graph_lines(args) -> list[str]:
@@ -177,7 +166,7 @@ def cmd_gen_ddg(args) -> int:
         doc.update(report)
 
     prefix = args.out or f"ddg-q{args.q}-d{args.d}-s{args.seed}"
-    _write_partition(partition, prefix + ".classes")
+    write_lines(prefix + ".classes", partition.classes)
     save_quasigroup(quasigroup, prefix + ".quasigroup")
     save_family(family, prefix + ".family")
     _write_outputs(args, prefix, g, doc,
@@ -188,11 +177,7 @@ def cmd_gen_ddg(args) -> int:
 
 
 def _read_phi(path: str, m: int) -> ClassBlockMap:
-    toks = [tok for _, line in data_lines(path) for tok in line.split()]
-    try:
-        mapping = tuple(int(t) for t in toks)
-    except ValueError:
-        raise ParseError(f"{path}: block map must be integers")
+    mapping = tuple(x for _, values in int_lines(path) for x in values)
     if len(mapping) != m:
         raise ParseError(f"{path}: block map has {len(mapping)} entries, "
                          f"expected {m}")
@@ -340,12 +325,10 @@ def cmd_count_classes(args) -> int:
     classes = count_classes(_read_graphs(args))
     doc = {key: {"count": entry.count, "first": entry.first}
            for key, entry in classes.items()}
-    text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        _write_json(doc, args.out)
     else:
-        print(text)
+        print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 

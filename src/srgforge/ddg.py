@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .designs import check_glued, data_lines
+from .designs import check_glued, data_lines, int_lines, write_lines
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
 from .graphs import (bitset, Certificate, Graph, VertexPartition,
@@ -317,12 +317,7 @@ def counting_lower_bound(q: int, d: int) -> Fraction:
 
 
 def load_quasigroup(path: str) -> LeftQuasigroup:
-    rows = []
-    for lineno, line in data_lines(path):
-        try:
-            rows.append(tuple(int(tok) for tok in line.split()))
-        except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", line=lineno)
+    rows = [tuple(values) for _, values in int_lines(path)]
     if not rows:
         raise ParseError(f"{path}: empty quasigroup file")
     m = len(rows)
@@ -334,9 +329,7 @@ def load_quasigroup(path: str) -> LeftQuasigroup:
 
 
 def save_quasigroup(qg: LeftQuasigroup, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for row in qg.table:
-            fh.write(" ".join(map(str, row)) + "\n")
+    write_lines(path, qg.table)
 
 
 def load_family(path: str, m: int, q: int) -> BijectionFamily:
@@ -375,8 +368,6 @@ def load_family(path: str, m: int, q: int) -> BijectionFamily:
 
 
 def save_family(family: BijectionFamily, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for i in range(family.m):
-            for j in range(i + 1, family.m):
-                perm = " ".join(map(str, family.sigma[i][j]))
-                fh.write(f"{i} {j} : {perm}\n")
+    write_lines(path, ((i, j, ":", *family.sigma[i][j])
+                       for i in range(family.m)
+                       for j in range(i + 1, family.m)))

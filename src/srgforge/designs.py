@@ -252,6 +252,23 @@ def data_lines(path: str):
                 yield lineno, line
 
 
+def int_lines(path: str):
+    """(line number, integers) of each data line of path; ParseError naming
+    the line on a token that is not an integer."""
+    for lineno, line in data_lines(path):
+        try:
+            values = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ParseError(f"non-integer token in {line!r}", line=lineno)
+        yield lineno, values
+
+
+def write_lines(path: str, rows) -> None:
+    """Write each row as one line of space-separated tokens."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in rows)
+
+
 def _parse_block(line: str, lineno: int, n_points: int) -> tuple[int, ...]:
     try:
         points = tuple(int(tok) for tok in line.split())
@@ -306,15 +323,9 @@ def load_design(path: str, kind: str):
 
 
 def save_design(design, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        if isinstance(design, ResolvableDesign):
-            fh.write(f"resolvable {design.n_points} {design.n_classes} "
-                     f"{design.blocks_per_class}\n")
-            for cls in design.classes:
-                for block in cls:
-                    fh.write(" ".join(map(str, block)) + "\n")
-        else:
-            v, k, lam = design.params
-            fh.write(f"symmetric {v} {k} {lam}\n")
-            for block in design.blocks:
-                fh.write(" ".join(map(str, block)) + "\n")
+    if isinstance(design, ResolvableDesign):
+        write_lines(path, [("resolvable", design.n_points, design.n_classes,
+                            design.blocks_per_class),
+                           *(block for cls in design.classes for block in cls)])
+    else:
+        write_lines(path, [("symmetric", *design.params), *design.blocks])

@@ -13,10 +13,18 @@ takes 2 n x n products, a DDG formula spectrum at most 4 when theta2 = 0,
 as for the glued DDGs, else at most 5.  Exactness is one decision per
 call: a bound on every partial sum of the whole schedule picks float64
 (BLAS) below 2^53, exact in any summation order, and Python-int object
-arrays otherwise, or TooLarge when MAX_OBJECT_WORK estimates those slow.
+arrays otherwise, or TooLarge when MAX_OBJECT_WORK estimates the products
+or the rational trace solve too slow.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
+
+The closed forms at the end (the DDG formula spectrum, the SRG spectrum
+{k, r^f, s^g}, the Hoffman and Delsarte ratio bounds and the
+coclique-deletion spectrum) follow Brouwer & Van Maldeghem, "Strongly
+Regular Graphs" (2022).  The SRG ones take an SrgParams record, whose
+constructor checks k(k-lambda-1) = (v-k-1)mu, and read r, s, f and g from
+one helper.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import numpy as np
 from .ddg import DdgParams
 from .errors import (InfeasibleParams, NonIntegralMultiplicity, NotAnnihilated,
                      TooLarge)
-from .graphs import Graph
+from .graphs import Certificate, Graph
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,10 @@ def adjacency_matrix(g: Graph):
     return g.matrix.astype(np.float64)
 
 
-# limit on n^3 * products * (bit length of the bound) for a call that needs
-# Python-int object arrays; past it exact_spectrum raises TooLarge instead
-# of running for minutes
+# limit on max(n^3 * products, rows * unknowns^2 of the trace solve) *
+# (bit length of the bound) for a call that needs Python-int object
+# arrays; past it exact_spectrum raises TooLarge instead of running for
+# minutes
 MAX_OBJECT_WORK = 1 << 32
 
 
@@ -140,17 +149,21 @@ def _schedule_bound(n: int, delta: int, ints, rads) -> tuple[int, int]:
     return bound, top - 1 + len(ints) + len(rads) - 1
 
 
-def _exact_matrix(adj, bound: int, products: int):
+def _exact_matrix(adj, bound: int, products: int, solve: int = 0):
     """The float64 0/1 matrix adj as is when bound < 2^53, exact for any
     summation order; else as Python ints in an object array, or TooLarge
-    when MAX_OBJECT_WORK estimates those products too slow."""
+    when MAX_OBJECT_WORK estimates those products, or the `solve` rational
+    operations of the trace system, too slow.  Below 2^53 the solve is
+    small: n delta^(rows-1) < 2^53 keeps rows <= 53 once delta >= 2."""
     if bound < 1 << 53:
         return adj
     n, bits = len(adj), bound.bit_length()
-    if n ** 3 * products * bits > MAX_OBJECT_WORK:
-        raise TooLarge(f"{products} exact products of {n} x {n} matrices "
-                       f"past a {bits}-bit bound exceed the object-tier "
-                       f"limit")
+    if max(n ** 3 * products, solve) * bits > MAX_OBJECT_WORK:
+        work = (f"{products} exact products of {n} x {n} matrices"
+                if n ** 3 * products >= solve else
+                f"{solve} rational operations of the trace solve")
+        raise TooLarge(f"{work} past a {bits}-bit bound exceed the "
+                       f"object-tier limit")
     return adj.astype(np.int64).astype(object)
 
 
@@ -228,15 +241,17 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     if not eigs:
         raise missing
 
+    rows = len(ints) + 2 * len(rads)
     adj = _exact_matrix(adjacency_matrix(g),
-                        *_schedule_bound(n, delta, ints, rads))
+                        *_schedule_bound(n, delta, ints, rads),
+                        rows * len(eigs) ** 2)
     power = _matrix_powers(adj)
     if np.any(_annihilator(power, ints, rads)):
         raise missing
 
     # tr(A^s) = sum_i m_i theta_i^s, where (sqrt(t))^s + (-sqrt(t))^s is
     # 2 t^(s/2) for even s and 0 for odd s
-    traces = _traces(power, n, len(ints) + 2 * len(rads))
+    traces = _traces(power, n, rows)
     system = [[Fraction(a**s) for a in ints] +
               [Fraction(0 if s % 2 else 2 * t ** (s // 2)) for t in rads] +
               [Fraction(trace)]
@@ -315,25 +330,36 @@ def ddg_formula_spectrum(params: DdgParams) -> DdgSpectrumFormula:
                               g_sum=params.m - 1)
 
 
-def _srg_tuple(params) -> tuple[int, int, int, int]:
-    if hasattr(params, "v"):
-        return params.v, params.k, params.lam, params.mu
-    v, k, lam, mu = params
-    return v, k, lam, mu
+@dataclass(frozen=True)
+class SrgParams:
+    """(v, k, lambda, mu) satisfying k(k-lambda-1) = (v-k-1)mu."""
+
+    v: int
+    k: int
+    lam: int
+    mu: int
+
+    def __post_init__(self):
+        lhs = self.k * (self.k - self.lam - 1)
+        rhs = (self.v - self.k - 1) * self.mu
+        if lhs != rhs:
+            raise ValueError(f"infeasible parameters: k(k-lambda-1) = {lhs} "
+                             f"!= (v-k-1)mu = {rhs}")
+
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        return (self.v, self.k, self.lam, self.mu)
+
+    @classmethod
+    def from_certificate(cls, cert: Certificate) -> "SrgParams":
+        p = cert.parameters
+        return cls(p["v"], p["k"], p["lambda"], p["mu"])
 
 
-def srg_spectrum(params) -> Spectrum:
-    """{k^1, r^f, s^g} for strongly regular parameters (v, k, lambda, mu).
-
-    Requires the feasibility identity k(k-lambda-1) = (v-k-1)mu, an integer
-    eigenvalue pair (perfect-square discriminant), and integer nonnegative
-    multiplicities; InfeasibleParams otherwise.
-    """
-    v, k, lam, mu = _srg_tuple(params)
-    if k * (k - lam - 1) != (v - k - 1) * mu:
-        raise InfeasibleParams(
-            f"k(k-lambda-1) = {k * (k - lam - 1)} != (v-k-1)mu = "
-            f"{(v - k - 1) * mu}")
+def _srg_eigen(params: SrgParams) -> tuple[int, int, int, int]:
+    """(r, s, f, g): the restricted eigenvalues r > s of an SRG with these
+    parameters and their multiplicities; InfeasibleParams unless the
+    discriminant is a perfect square and f, g are integers >= 0."""
+    v, k, lam, mu = params.as_tuple()
     disc = (lam - mu) ** 2 + 4 * (k - mu)
     root = math.isqrt(disc) if disc >= 0 else -1
     if disc < 0 or root * root != disc:
@@ -341,48 +367,45 @@ def srg_spectrum(params) -> Spectrum:
     r, s = (lam - mu + root) // 2, (lam - mu - root) // 2
     if r == s:
         raise InfeasibleParams("eigenvalues r and s coincide")
-    f_num = -k - s * (v - 1)
-    if f_num % (r - s):
+    f, rest = divmod(-k - s * (v - 1), r - s)
+    if rest:
         raise InfeasibleParams("multiplicities are not integers")
-    f = f_num // (r - s)
-    grm = v - 1 - f
-    if f < 0 or grm < 0:
+    if f < 0 or f > v - 1:
         raise InfeasibleParams("negative multiplicity")
-    return make_spectrum([(k, 1), (r, f), (s, grm)])
+    return r, s, f, v - 1 - f
 
 
-def srg_eigenvalues(params) -> tuple[int, int]:
-    """(r, s) with r > s; feasibility checked via srg_spectrum."""
-    v, k, lam, mu = _srg_tuple(params)
-    srg_spectrum(params)
-    root = math.isqrt((lam - mu) ** 2 + 4 * (k - mu))
-    return (lam - mu + root) // 2, (lam - mu - root) // 2
+def srg_spectrum(params: SrgParams) -> Spectrum:
+    """{k^1, r^f, s^g} for strongly regular parameters; InfeasibleParams
+    without an integer eigenvalue pair (perfect-square discriminant) and
+    integer nonnegative multiplicities."""
+    r, s, f, g = _srg_eigen(params)
+    return make_spectrum([(params.k, 1), (r, f), (s, g)])
 
 
-def hoffman_coclique_size(params) -> Fraction:
+def srg_eigenvalues(params: SrgParams) -> tuple[int, int]:
+    """(r, s) with r > s."""
+    return _srg_eigen(params)[:2]
+
+
+def hoffman_coclique_size(params: SrgParams) -> Fraction:
     """v s / (s - k): the ratio bound on independent sets."""
-    v, k, lam, mu = _srg_tuple(params)
-    _, s = srg_eigenvalues(params)
-    return Fraction(v * s, s - k)
+    s = _srg_eigen(params)[1]
+    return Fraction(params.v * s, s - params.k)
 
 
-def delsarte_clique_size(params) -> Fraction:
+def delsarte_clique_size(params: SrgParams) -> Fraction:
     """1 - k/s: the clique-side ratio bound."""
-    v, k, lam, mu = _srg_tuple(params)
-    _, s = srg_eigenvalues(params)
-    return 1 - Fraction(k, s)
+    return 1 - Fraction(params.k, _srg_eigen(params)[1])
 
 
-def coclique_deletion_spectrum(params, c: int) -> Spectrum:
+def coclique_deletion_spectrum(params: SrgParams, c: int) -> Spectrum:
     """Spectrum left after deleting a coclique of maximum size c from a
     strongly regular graph when every outside vertex sees the coclique the
     same number of times: {(k+s)^1, r^{f-c+1}, (r+s)^{c-1}, s^{g-c}}."""
-    v, k, lam, mu = _srg_tuple(params)
-    spec = srg_spectrum(params)
-    r, s = srg_eigenvalues(params)
-    f, grm = spec.multiplicity_of(r), spec.multiplicity_of(s)
-    if not 1 <= c <= min(f + 1, grm):
+    r, s, f, g = _srg_eigen(params)
+    if not 1 <= c <= min(f + 1, g):
         raise InfeasibleParams(f"coclique size {c} incompatible with "
-                               f"multiplicities ({f}, {grm})")
-    return make_spectrum([(k + s, 1), (r, f - c + 1), (r + s, c - 1),
-                          (s, grm - c)])
+                               f"multiplicities ({f}, {g})")
+    return make_spectrum([(params.k + s, 1), (r, f - c + 1), (r + s, c - 1),
+                          (s, g - c)])

@@ -8,9 +8,12 @@ regular graph with lambda = mu + 2 and a partition into maximum cocliques
 (a Hoffman coloring), fills in the cocliques to get a divisible design
 graph, and attaches a symmetric design as a clique.
 
-Also here: the exhaustive strongly-regular verifier, the triangular graphs,
-Seidel switching and the three switched companions of the 28-vertex
-triangular graph, and the Hoffman-coloring search.
+Also here: the exhaustive strongly-regular verifier and `srg_params`, which
+turns its certificate into the `SrgParams` record (defined in `spectra`,
+beside the closed forms that read it), the triangular graphs, Seidel
+switching and the three switched companions of the 28-vertex triangular
+graph, and the Hoffman-coloring search.  The clique attachment resolves
+its base's parameters once and reads k and mu from them.
 """
 
 from __future__ import annotations
@@ -25,36 +28,10 @@ import numpy as np
 from .ddg import DdgParams, theorem1_params, verify_ddg
 from .designs import incidence, SymmetricDesign, verify_symmetric
 from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
-from .graphs import (bitset, Certificate, Graph, VertexPartition,
-                     certificate, cliques, common_neighbours, complement,
-                     complete_graph, first_bad_pair, line_graph,
-                     pair_witness, regularity)
-from .spectra import hoffman_coclique_size
-
-
-@dataclass(frozen=True)
-class SrgParams:
-    """(v, k, lambda, mu) satisfying k(k-lambda-1) = (v-k-1)mu."""
-
-    v: int
-    k: int
-    lam: int
-    mu: int
-
-    def __post_init__(self):
-        lhs = self.k * (self.k - self.lam - 1)
-        rhs = (self.v - self.k - 1) * self.mu
-        if lhs != rhs:
-            raise ValueError(f"infeasible parameters: k(k-lambda-1) = {lhs} "
-                             f"!= (v-k-1)mu = {rhs}")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
-
-    @classmethod
-    def from_certificate(cls, cert: Certificate) -> "SrgParams":
-        p = cert.parameters
-        return cls(p["v"], p["k"], p["lambda"], p["mu"])
+from .graphs import (bitset, Certificate, certificate, cliques, complement,
+                     complete_graph, first_bad_pair, Graph, line_graph,
+                     pair_witness, regularity, VertexPartition)
+from .spectra import hoffman_coclique_size, SrgParams
 
 
 @dataclass(frozen=True)
@@ -391,14 +368,9 @@ def construct_ddg_hoffman(base: Graph, coloring: VertexPartition,
     (mn, k+n-1, n+mu-2, 2k/(m-1)+mu, m, n); that outcome is re-verified
     exhaustively before returning.  `params` are the base's parameters as
     verify_srg found them, e.g. `hoffman_colorings(base).params`; when None
-    the base is verified here.
+    the base is verified here (NotSrg when it is not strongly regular).
     """
-    if params is None:
-        cert = verify_srg(base)
-        if not cert.passed:
-            raise PreconditionFailed(f"base is not strongly regular: "
-                                     f"{cert.witnesses[0]}")
-        params = SrgParams.from_certificate(cert)
+    params = params or srg_params(base)
     need_lam_mu2(params)
     if coloring.n != base.n:
         raise ShapeMismatch(f"coloring covers {coloring.n} vertices, "
@@ -466,21 +438,15 @@ def construct_srg2(config: Srg2Config) -> Graph:
     points and to every vertex of coloring class i with y in block
     block_map(i).  Requires the three-way parameter condition to hold.
     """
+    params = config.base_params or srg_params(config.base)
     ddg_g, partition = construct_ddg_hoffman(config.base, config.coloring,
-                                             config.base_params)
+                                             params)
     m = len(partition.classes)
     n = partition.n // m
 
     lam_inf = _check_attachment(config.design, config.block_map, m,
                                 "coloring").parameters["lambda"]
-
-    # construct_ddg_hoffman proved the base strongly regular and each
-    # coloring class a coclique, so two vertices of one class have mu
-    # common neighbours; classes have n >= 2 vertices, since the ratio
-    # bound is 1 only for complete graphs, which it rejects
-    a, b = partition.classes[0][:2]
-    cond = srg2_condition(config.base.degree(0),
-                          common_neighbours(config.base, a, b), m, n, lam_inf)
+    cond = srg2_condition(params.k, params.mu, m, n, lam_inf)
     if not cond.holds:
         raise PreconditionFailed(f"attachment condition fails: quantities "
                                  f"{cond.values} are not all equal")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -197,6 +198,24 @@ def test_spectrum_object_tier_guard(workdir, capsys):
                              "object-tier limit\n")
 
 
+def test_spectrum_trace_solve_guard(workdir, capsys):
+    """K_20 with -19..19 and the first 150 non-square radicands, all within
+    its degree 19: the products come to 99.9 % of the object-tier limit,
+    but the 339-row rational trace solve, which ran for half a minute,
+    is counted too: exit 2 at once."""
+    (workdir / "k20.g6").write_text(graph6_encode(complete_graph(20)) + "\n")
+    rads = [t for t in range(2, 400) if math.isqrt(t) ** 2 != t][:150]
+    candidates = ",".join([*map(str, range(-19, 20)),
+                           *(f"sqrt({t})" for t in rads)])
+    start = time.perf_counter()
+    assert main(["spectrum", "--in", "k20.g6",
+                 f"--candidates={candidates}"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "srgforge: 12109419 rational operations of the trace solve past a "
+        "1507-bit bound exceed the object-tier limit\n")
+
+
 def test_spectrum_skips_candidates_past_the_degree_bound(workdir, capsys):
     """Petersen has maximum degree 3, so of -200..200 and four radicals
     only -3..3, sqrt(5) and sqrt(7) reach the products and the rational
@@ -301,6 +320,22 @@ def test_phi_file_takes_comments(workdir, capsys):
     assert Path("file-commented.txt.g6").read_bytes() == g6
     assert main(["gen-srg2", "--base", "t8", "--out", "identity"]) == 0
     assert Path("identity.g6").read_bytes() != g6
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-srg2", "--base", "t8", "--phi", "bad.txt"],
+    ["verify", "--expect", "ddg", "--in", "pet.g6", "--classes", "bad.txt"],
+    ["gen-ddg", "--q", "2", "--d", "2", "--seed", "0",
+     "--quasigroup", "file:bad.txt"],
+])
+def test_non_integer_token_names_its_line(workdir, capsys, argv):
+    """phi, classes and quasigroup files share one integer-line reader,
+    whose ParseError names the line of a bad token."""
+    (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
+    (workdir / "bad.txt").write_text("# comment\n0 1 2\n3 x 5\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "srgforge: line 3: non-integer token in '3 x 5'\n"
 
 
 def test_count_classes_command(workdir, capsys):

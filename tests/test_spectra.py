@@ -10,19 +10,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graphs
-from srgforge import (chang_graphs, coclique_deletion_spectrum,
+from srgforge import (chang_graphs, coclique_deletion_spectrum, complement,
                       complete_graph, cycle_graph, ddg_formula_spectrum,
                       DdgParams, delsarte_clique_size, empty_graph,
                       exact_root, exact_spectrum, from_edges,
-                      hoffman_coclique_size, InfeasibleParams, make_spectrum,
-                      NotAnnihilated, petersen_graph,
+                      hoffman_coclique_size, InfeasibleParams, make_field,
+                      make_spectrum, NotAnnihilated, petersen_graph,
                       Radical, srg1_target_params, srg_eigenvalues,
-                      srg_spectrum, SrgParams, theorem1_params, TooLarge,
-                      triangular_graph, verify_ddg)
+                      srg_spectrum, SrgParams, symplectic_graph,
+                      theorem1_params, TooLarge, triangular_graph, verify_ddg)
 from srgforge import spectra
 from srgforge.spectra import (_annihilator, _candidate_sets, _exact_matrix,
                               _matrix_powers, _schedule_bound, _traces,
                               adjacency_matrix)
+from srgforge.srg import srg_params
 from test_ddg import build
 from test_srg import srg1
 
@@ -125,14 +126,15 @@ def test_srg_spectrum_closed_form():
         [(27, 1), (3, 15), (-3, 24)]
     assert srg_spectrum(SrgParams(28, 12, 6, 4)).entries() == \
         [(12, 1), (4, 7), (-2, 20)]
-    assert srg_spectrum((10, 3, 0, 1)).entries() == \
+    assert srg_spectrum(SrgParams(10, 3, 0, 1)).entries() == \
         [(3, 1), (1, 5), (-2, 4)]
     assert srg_eigenvalues(SrgParams(15, 8, 4, 4)) == (2, -2)
 
 
 def test_srg_spectrum_infeasible():
     with pytest.raises(InfeasibleParams):
-        srg_spectrum((5, 2, 0, 1))  # conference-style, irrational split
+        # conference-style, irrational split
+        srg_spectrum(SrgParams(5, 2, 0, 1))
     with pytest.raises(ValueError):
         SrgParams(10, 3, 1, 1)  # identity k(k-l-1) = (v-k-1)mu fails
 
@@ -140,11 +142,53 @@ def test_srg_spectrum_infeasible():
 def test_bounds():
     assert hoffman_coclique_size(SrgParams(28, 12, 6, 4)) == 4
     assert hoffman_coclique_size(SrgParams(40, 27, 18, 18)) == 4
-    assert hoffman_coclique_size((10, 3, 0, 1)) == 4
+    assert hoffman_coclique_size(SrgParams(10, 3, 0, 1)) == 4
     assert delsarte_clique_size(SrgParams(15, 8, 4, 4)) == 5
     assert delsarte_clique_size(SrgParams(40, 12, 2, 4)) == 4
-    assert delsarte_clique_size((15, 6, 1, 3)) == 3
-    assert delsarte_clique_size((10, 3, 0, 1)) == Fraction(5, 2)
+    assert delsarte_clique_size(SrgParams(15, 6, 1, 3)) == 3
+    assert delsarte_clique_size(SrgParams(10, 3, 0, 1)) == Fraction(5, 2)
+
+
+def _clique_number(g) -> int:
+    """Largest clique size of g by networkx's find_cliques."""
+    nx = pytest.importorskip("networkx")
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return max(len(c) for c in nx.find_cliques(nxg))
+
+
+def test_ratio_bounds_on_graphs():
+    """alpha <= Hoffman's v s/(s-k) and omega <= Delsarte's 1 - k/s on real
+    strongly regular graphs, alpha and omega counted by networkx.  The
+    pinned rows show where each bound is attained; the Chang graphs miss
+    the Delsarte bound 7 with cliques of 6, 6 and 5."""
+    f2, f3 = make_field(2, 1), make_field(3, 1)
+    chang = chang_graphs()
+    sp = {"Sp(4,2)": symplectic_graph(f2, 2),
+          "Sp(4,3)": symplectic_graph(f3, 2),
+          "Sp(6,2)": symplectic_graph(f2, 3)}
+    # name: (graph, alpha, Hoffman bound, omega, Delsarte bound)
+    cases = {
+        "T(8)": (triangular_graph(8), 4, 4, 7, 7),
+        "chang1": (chang[0], 4, 4, 6, 7),
+        "chang2": (chang[1], 4, 4, 6, 7),
+        "chang3": (chang[2], 4, 4, 5, 7),
+        "petersen": (petersen_graph(), 4, 4, 2, Fraction(5, 2)),
+        "Sp(4,2)": (sp["Sp(4,2)"], 5, 5, 3, 3),
+        "coSp(4,2)": (complement(sp["Sp(4,2)"]), 3, 3, 5, 5),
+        "Sp(4,3)": (sp["Sp(4,3)"], 7, 10, 4, 4),
+        "coSp(4,3)": (complement(sp["Sp(4,3)"]), 4, 4, 7, 10),
+        "Sp(6,2)": (sp["Sp(6,2)"], 7, 9, 7, 7),
+        "coSp(6,2)": (complement(sp["Sp(6,2)"]), 7, 7, 7, 9),
+    }
+    for name, (g, *expected) in cases.items():
+        params = srg_params(g)
+        alpha, omega = _clique_number(complement(g)), _clique_number(g)
+        hoffman = hoffman_coclique_size(params)
+        delsarte = delsarte_clique_size(params)
+        assert alpha <= hoffman and omega <= delsarte, name
+        assert [alpha, hoffman, omega, delsarte] == expected, name
 
 
 def test_coclique_deletion_spectrum():
@@ -242,6 +286,27 @@ def test_object_tier_work_limit(monkeypatch):
                 exact_spectrum(g, candidates)
 
 
+def test_object_tier_solve_limit(monkeypatch):
+    """K_6 with every integer in [-5, 5] and sqrt(2), ..., sqrt(8): the
+    trace solve has 23 rows and 17 unknowns, 23 * 17^2 = 6647 rational
+    operations, more than the 6^3 * 26 of its products, past a 62-bit
+    bound: 412114 units of work."""
+    g = complete_graph(6)
+    ints, rads = list(range(-5, 6)), [2, 3, 5, 6, 7, 8]
+    candidates = ints + [Radical(t) for t in rads]
+    bound, products = _schedule_bound(6, 5, ints, rads)
+    assert (products, bound.bit_length()) == (26, 62)
+    for limit, ok in ((412114, True), (412113, False)):
+        monkeypatch.setattr(spectra, "MAX_OBJECT_WORK", limit)
+        if ok:
+            spec = exact_spectrum(g, candidates)
+            assert spec.nonzero() == make_spectrum([(5, 1), (-1, 5)])
+        else:
+            with pytest.raises(TooLarge, match="6647 rational operations "
+                               "of the trace solve past a 62-bit bound"):
+                exact_spectrum(g, candidates)
+
+
 def test_exact_spectrum_with_huge_candidates():
     pet = petersen_graph()
     expected = exact_spectrum(pet, [3, 1, -2])
@@ -259,9 +324,9 @@ def _oracle_graphs():
         return [e for e, _ in srg_spectrum(params).entries()]
 
     yield from_edges(4, [(0, 1), (0, 2), (0, 3)]), [0, Radical(3)]
-    yield petersen_graph(), srg((10, 3, 0, 1))
+    yield petersen_graph(), srg(SrgParams(10, 3, 0, 1))
     for g in (triangular_graph(8), *chang_graphs()):
-        yield g, srg((28, 12, 6, 4))
+        yield g, srg(SrgParams(28, 12, 6, 4))
     for q, d in [(2, 2), (3, 2)]:
         g, partition = build(q, d, seed=1)
         params = DdgParams.from_certificate(verify_ddg(g, partition))
@@ -332,7 +397,8 @@ def test_spectrum_product_count(monkeypatch):
                         lambda g: adjacency_matrix(g).view(_CountedMatrix))
     ddg, partition = build(2, 2, seed=0)
     params = DdgParams.from_certificate(verify_ddg(ddg, partition))
-    srg_candidates = [e for e, _ in srg_spectrum((28, 12, 6, 4)).entries()]
+    srg_candidates = [e for e, _ in
+                      srg_spectrum(SrgParams(28, 12, 6, 4)).entries()]
     for g, candidates, products in (
             (triangular_graph(8), srg_candidates, 2),
             (ddg, ddg_formula_spectrum(params).candidates(), 4)):

@@ -227,6 +227,18 @@ def test_construct_ddg_hoffman_rejects_wrong_base():
         construct_ddg_hoffman(pet, fake)
 
 
+def test_non_srg_base_raises_not_srg():
+    """A base that is not strongly regular raises NotSrg, both where
+    construct_ddg_hoffman verifies it and where construct_srg2 does."""
+    p4 = path_graph(4)
+    halves = VertexPartition.from_lists(4, [[0, 2], [1, 3]])
+    with pytest.raises(NotSrg):
+        construct_ddg_hoffman(p4, halves)
+    with pytest.raises(NotSrg):
+        construct_srg2(Srg2Config(p4, halves, fano_plane(),
+                                  ClassBlockMap.identity(2)))
+
+
 def test_srg2_condition():
     report = srg2_condition(12, 4, 7, 4, 1)
     assert report.holds
