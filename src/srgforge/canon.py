@@ -6,15 +6,28 @@ v in it; a cell's vertices are taken in ascending order.  Each node refines
 the partition to equitability, records an isomorphism-invariant level value
 (cell sizes plus the adjacency bits among the leading singletons, packed in
 graph6 body order), and branches on the first smallest non-singleton cell.
-Refinement counts each vertex's neighbours in a splitter cell as bit
-planes (bit v of plane i is bit i of the count), a ripple-carry sum of the
-splitter's rows, and splits a cell by the planes from the most significant
-down, which puts its subcells in ascending count order; only non-singleton
-cells are scanned, and the refinement stops once the partition is
-discrete.  The canonical labeling is the leaf whose sequence of level
-values is lexicographically smallest; at a discrete partition the level
-value contains the full adjacency bit string, so the minimum pins down a
-unique relabeled graph.
+Refinement counts each vertex's neighbours in a splitter cell, in each of
+a list of relations, as bit planes (bit v of plane i is bit i of the
+count), a ripple-carry sum of the splitter's rows, and splits a cell by
+the planes from the most significant down, which puts its subcells in
+ascending order of the tuple of counts; only non-singleton cells are
+scanned, and the refinement stops once the partition is discrete.
+
+The relations are the adjacency alone when it refines the root partition
+to singletons.  Otherwise refinement goes on from the partition it
+reached on pair colours: every ordered pair u != w gets the colour
+(m[u, w], t(u, w)), t(u, w) the number of edges among the common
+neighbours of u and w (McKay & Piperno 2014 refine on such isomorphism-
+invariant pair colourings), and the relations are the colour classes in
+colour order without the largest one, which the others imply.  t is
+constant on the edges and on the non-edges of a rank 3 graph such as the
+complement of Sp(2d, q), but takes several values on the glued graphs,
+which the adjacency alone leaves in one cell.
+
+The canonical labeling is the leaf whose sequence of level values is
+lexicographically smallest.  The colours are a function of the graph, and
+at a discrete partition the level value contains the full adjacency bit
+string, so the minimum pins down a unique relabeled graph.
 
 Three prunings keep the tree small without losing soundness: a subtree is
 cut when its value prefix already exceeds the best leaf (unless it ties the
@@ -41,7 +54,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge
-from .graphs import body_mask, Graph, graph6_encode, set_bits
+from .graphs import (bit_rows, body_mask, common_edge_counts, Graph,
+                     graph6_encode, set_bits)
 
 MAX_VERTICES = 256
 MAX_NODES = 25_000
@@ -90,20 +104,25 @@ def _split(cell, planes):
     return subs
 
 
-def _refine(rows, cells, work):
-    """Split cells by neighbour counts against every splitter in work until
-    the partition is equitable; new subcells join the splitter queue.
+def _refine(relations, cells, work):
+    """Split cells by neighbour counts in each relation against every
+    splitter in work until the partition is equitable; new subcells join
+    the splitter queue.
 
-    Only the non-singleton cells are scanned, and the loop stops once none
-    is left.  A cell that no count plane cuts is skipped.  A split cell is
-    replaced in place by its subcells in ascending count order, and they
-    are pushed in that order, so the splitter pops, and with them the
-    result, are those of a scan of every cell until the queue runs dry.
-    cells is updated in place and returned.
+    relations is a list of bitset row tuples.  Subcells come in ascending
+    order of the tuple of counts, one per relation in list order: the
+    planes of the first relation are the most significant.  Only the
+    non-singleton cells are scanned, and the loop stops once none is left.
+    A cell that no count plane cuts is skipped.  A split cell is replaced
+    in place by its subcells, and they are pushed in that order, so the
+    splitter pops, and with them the result, are those of a scan of every
+    cell until the queue runs dry.  cells is updated in place and returned.
     """
     open_cells = [cell for cell in cells if cell & (cell - 1)]
     while work and open_cells:
-        planes = _count_planes(rows, work.pop())
+        smask = work.pop()
+        planes = [plane for rows in reversed(relations)
+                  for plane in _count_planes(rows, smask)]
         still_open = []
         for cell in open_cells:
             for plane in planes:
@@ -120,6 +139,21 @@ def _refine(rows, cells, work):
             still_open += [sub for sub in subs if sub & (sub - 1)]
         open_cells = still_open
     return cells
+
+
+def _pair_relations(m):
+    """Bitset rows of each class of the pair colour (m[u, w], t(u, w)),
+    u != w, t(u, w) the edges among the common neighbours, in colour order
+    and without the largest class (of equal ones, the first).  That class
+    is implied: a cell inside a splitter S or disjoint from it has the same
+    |S| - [v in S] for every v in it, which the counts of all classes sum
+    to."""
+    t = common_edge_counts(m)
+    colour = np.where(m, t + t.max(initial=0) + 1, t)
+    np.fill_diagonal(colour, -1)
+    values, sizes = np.unique(colour[colour >= 0], return_counts=True)
+    drop = values[sizes.argmax()] if len(values) else None
+    return [bit_rows(colour == c) for c in values if c != drop]
 
 
 @lru_cache(maxsize=64)
@@ -165,7 +199,7 @@ def _orbit(start: int, gens) -> set[int]:
 
 class _Search:
     def __init__(self, g: Graph):
-        self.rows = g.rows
+        self.relations = [g.rows]
         self.matrix = g.matrix
         self.n = g.n
         self.nodes = 0
@@ -178,7 +212,14 @@ class _Search:
         if self.n == 0:
             self.first = self.best = ((), ())
             return
-        self._node([(1 << self.n) - 1], [(1 << self.n) - 1], (), ())
+        full = (1 << self.n) - 1
+        cells, work = _refine(self.relations, [full], [full]), []
+        if any(cell & (cell - 1) for cell in cells):
+            # the adjacency alone leaves a cell open: refine on the pair
+            # colours, with every cell as a splitter
+            self.relations = _pair_relations(self.matrix)
+            work = list(cells)
+        self._node(cells, work, (), ())
 
     def _node(self, cells, work, prefix, values):
         """Search below one node; returns the depth to jump back to after
@@ -187,7 +228,7 @@ class _Search:
         if self.nodes > MAX_NODES:
             raise TooLarge(f"canonical labeling of {self.n} vertices needs "
                            f"more than {MAX_NODES} search nodes")
-        cells = _refine(self.rows, cells, work)
+        cells = _refine(self.relations, cells, work)
         value = _level_value(self.matrix, cells)
         values = values + (value,)
         depth = len(values)

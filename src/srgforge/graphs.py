@@ -11,9 +11,12 @@ is a matrix product too: `first_bad_pair` multiplies float32 tiles cast
 from the matrix, a row block against a tile of later rows, and checks the
 counts against a matrix of pair strata; the design verifiers run it on
 incidence matrices.  float32 is exact there, since every partial sum is
-an integer no larger than the column count, below 2^24.  Rows stay where
-bit operations pay: canonical refinement and `cliques`, the one clique
-search, behind the Hoffman colorings and the ratio-bound clique census.
+an integer no larger than the column count, below 2^24.
+`common_edge_counts` gives, for every pair, the edges among its common
+neighbours, one float32 product per vertex on its neighbourhood; canon
+colours pairs by it.  Rows stay where bit operations pay: canonical
+refinement and `cliques`, the one clique search, behind the Hoffman
+colorings and the ratio-bound clique census.
 """
 
 from __future__ import annotations
@@ -84,10 +87,7 @@ class Graph:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n", len(m))
-        # bit v of rows[u] is m[u, v]
-        packed = np.packbits(m, axis=1, bitorder="little")
-        object.__setattr__(self, "rows", tuple(
-            int.from_bytes(r.tobytes(), "little") for r in packed))
+        object.__setattr__(self, "rows", bit_rows(m))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -116,6 +116,12 @@ class Graph:
         inv = np.empty(self.n, dtype=np.intp)
         inv[list(perm)] = np.arange(self.n)
         return Graph(self.matrix[np.ix_(inv, inv)])
+
+
+def bit_rows(m) -> tuple[int, ...]:
+    """The rows of a boolean matrix as bitsets: bit v of rows[u] is m[u, v]."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
 def set_bits(x: int):
@@ -364,6 +370,28 @@ def common_neighbours(g: Graph, u: int, v: int) -> int:
     if u == v:
         raise ValueError("common_neighbours needs two distinct vertices")
     return int(np.count_nonzero(g.matrix[u] & g.matrix[v]))
+
+
+def common_edge_counts(m) -> np.ndarray:
+    """t[u, w], the number of edges among the common neighbours of u and w,
+    for a boolean adjacency matrix m: for an edge uw, the K4s through it.
+
+    Row u is computed on the neighbourhood N(u): with B = m[:, N(u)] and the
+    local graph L = m[N(u)][:, N(u)], t[u, w] is half the row sum of
+    (B @ L) * B at w.  The product and the sum are float32, which is exact
+    because every partial sum is an integer of at most k^2 < 2^24 for a
+    degree k < 4096.
+    """
+    n = len(m)
+    if n > 1 << 12:
+        raise ValueError(f"{n} vertices: float32 counts are exact up to "
+                         "4096")
+    a = np.asarray(m, np.float32)
+    t = np.empty((n, n), np.int64)
+    for u, nbrs in enumerate(m):
+        b = a[:, nbrs]
+        t[u] = ((b @ a[np.ix_(nbrs, nbrs)]) * b).sum(axis=1) // 2
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 `ref_refine` and `ref_level_value` are the refinement and level value as
 they were before refinement skipped singleton cells, cells became bit
-masks and the level value packed its bits; they serve as the oracle of the
-fast versions, which must give the same ordered cells (as masks) and level
-values that order the same way.
+masks and the level value packed its bits, with the refinement counting
+neighbours in a list of relations instead of in the adjacency alone; they
+serve as the oracle of the fast versions, which must give the same ordered
+cells (as masks) and level values that order the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -21,8 +23,8 @@ from srgforge import (as_prime_power, canon, canonical_form, chang_graphs,
                       ClassBlockMap, complement, complete_graph,
                       complete_multipartite, construct_srg1, count_classes,
                       cycle_graph, empty_graph, fano_plane, from_edges,
-                      graph6_encode, Graph, line_graph, make_field,
-                      path_graph, petersen_graph,
+                      graph6_decode, graph6_encode, Graph, line_graph,
+                      make_field, path_graph, petersen_graph,
                       projective_complement_design, symplectic_graph,
                       TooLarge, triangular_graph)
 from srgforge.cli import main
@@ -30,9 +32,10 @@ from srgforge.graphs import bitset
 from test_ddg import build
 
 
-def ref_refine(rows, cells, work):
-    """Split cells by neighbour counts against every splitter in work until
-    the partition is equitable; new subcells join the splitter queue."""
+def ref_refine(relations, cells, work):
+    """Split cells by the tuple of neighbour counts, one per relation,
+    against every splitter in work until the partition is equitable; new
+    subcells join the splitter queue."""
     while work:
         smask = work.pop()
         out = []
@@ -40,9 +43,10 @@ def ref_refine(rows, cells, work):
             if len(cell) == 1:
                 out.append(cell)
                 continue
-            groups: dict[int, list[int]] = {}
+            groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+                key = tuple((rows[v] & smask).bit_count() for rows in relations)
+                groups.setdefault(key, []).append(v)
             if len(groups) == 1:
                 out.append(cell)
                 continue
@@ -76,11 +80,18 @@ def ref_level_value(rows, cells):
 
 @st.composite
 def partitioned_graphs(draw):
-    """A graph on up to 70 vertices (two words past 64), three ordered
-    partitions with one shape of cell sizes (leading singletons first) and
-    a splitter stack of cell masks, single vertices and vertex subsets."""
+    """A graph on up to 70 vertices (two words past 64), a list of
+    relations (its pair colour classes, or its rows followed by up to two
+    other graphs' rows), three ordered partitions with one shape of cell
+    sizes (leading singletons first) and a splitter stack of cell masks,
+    single vertices and vertex subsets."""
     g = draw(graphs(min_n=1, max_n=70))
     n = g.n
+    other = st.integers(0, (1 << n * (n - 1) // 2) - 1).map(
+        lambda bits: graph_from_bits(n, bits).rows)
+    relations = draw(st.one_of(
+        st.just(canon._pair_relations(g.matrix)),
+        st.lists(other, max_size=2).map(lambda rest: [g.rows, *rest])))
     lead = draw(st.integers(min_value=0, max_value=n))
     cuts = [True] * lead + draw(st.lists(st.booleans(), min_size=n - lead,
                                          max_size=n - lead))
@@ -101,17 +112,17 @@ def partitioned_graphs(draw):
                          st.integers(0, n - 1).map(lambda v: 1 << v),
                          st.integers(0, (1 << n) - 1))
     work = draw(st.lists(splitter, min_size=1, max_size=4))
-    return g, partitions, work
+    return g, relations, partitions, work
 
 
 @given(partitioned_graphs())
 def test_refine_and_level_value_match_reference(case):
-    g, partitions, work = case
+    g, relations, partitions, work = case
     values, ref_values = [], []
     for cells in partitions:
         masks = [bitset(cell) for cell in cells]
-        refined = canon._refine(g.rows, list(masks), list(work))
-        ref = ref_refine(g.rows, cells, list(work))
+        refined = canon._refine(relations, list(masks), list(work))
+        ref = ref_refine(relations, cells, list(work))
         assert refined == [bitset(cell) for cell in ref]
         for part, ref_part in ((masks, cells), (refined, ref)):
             values.append(canon._level_value(g.matrix, part))
@@ -326,7 +337,7 @@ def test_pinned_canonical_forms():
                          f"{form.aut_order}\n")
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == \
-        "dca72808bfd873a1548f496d84829705484b1f11ff8708610970a60e178fd99e"
+        "fcbe0206e2bf5c1cba9d627d45ce76df793637bf9e4cb8afd0804a6f229c64d0"
 
 
 def test_pinned_node_counts():
@@ -337,7 +348,68 @@ def test_pinned_node_counts():
         search = canon._Search(g)
         search.run()
         counts.append(search.nodes)
-    assert counts == [1051, 1296]
+    assert counts == [5, 8]
+
+
+def test_discrete_root_skips_pair_colours(monkeypatch):
+    """Pair colours are built only when the plain root refinement leaves a
+    cell open: with the t kernel made to raise, a seeded G(256, 1/2) and a
+    relabelled copy still get one canonical form, while Petersen, whose
+    root stays one cell, reaches the kernel."""
+    rnd = random.Random(256)
+    g = graph_from_bits(256, rnd.getrandbits(256 * 255 // 2))
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+
+    def refuse(m):
+        raise AssertionError("pair colours built")
+    monkeypatch.setattr(canon, "common_edge_counts", refuse)
+    form = canonical_form(g)
+    assert form.aut_order == 1
+    assert canonical_form(g.relabel(tuple(perm))) == form
+    with pytest.raises(AssertionError, match="pair colours built"):
+        canonical_form(petersen_graph())
+
+
+def _cli_lines(capsys, argv):
+    """stdout lines of one in-process CLI run that exits 0."""
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_count_classes_at_240_vertices(tmp_path, monkeypatch, capsys):
+    """The (2,4) DDGs of seeds 0-3 and one relabelled copy of each fall
+    into 4 classes of 2."""
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for seed in range(4):
+        _cli_lines(capsys, ["gen-ddg", "--q", "2", "--d", "4", "--seed",
+                            str(seed), "--out", f"d{seed}"])
+        g = graph6_decode((tmp_path / f"d{seed}.g6").read_text())
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        lines += [graph6_encode(g), graph6_encode(g.relabel(tuple(perm)))]
+    (tmp_path / "all.g6").write_text("\n".join(lines) + "\n")
+    classes = json.loads("\n".join(_cli_lines(
+        capsys, ["count-classes", "--in", "all.g6"])))
+    assert sorted((e["count"], e["first"]) for e in classes.values()) == \
+        [(2, 0), (2, 2), (2, 4), (2, 6)]
+
+
+def test_srg1_at_255_vertices_is_not_the_symplectic_complement(
+        tmp_path, monkeypatch, capsys):
+    """canon separates the glued (2,4) SRG from the complement of Sp(8, 2),
+    whose group order is |Sp(8, 2)|."""
+    monkeypatch.chdir(tmp_path)
+    _cli_lines(capsys, ["gen-srg1", "--q", "2", "--d", "4", "--seed", "0",
+                        "--out", "s"])
+    (tmp_path / "c.g6").write_text("\n".join(_cli_lines(
+        capsys, ["sp-graph", "--q", "2", "--d", "4", "--complement"])) + "\n")
+    [srg] = _cli_lines(capsys, ["canon", "--in", "s.g6"])
+    [control] = _cli_lines(capsys, ["canon", "--in", "c.g6"])
+    assert srg.split()[0] != control.split()[0]
+    assert int(control.split()[1]) == 47377612800
 
 
 def test_node_budget(monkeypatch, tmp_path, capsys):

@@ -22,19 +22,19 @@ GOLDEN = {
     "ddg.g6": "6f82a6b3a6c4d8c85db92618b47f37c08116480342ac5bfddfd755341f747ecd",
     "ddg.cert.json": "379cf6a6ed23f017d9f5be2f9a9371dc4df22eb79b650fe9a3ef9709064bbfcb",
     "ddg.classes": "edf31f6720a98af43de932991f08a45d5c66ce1dbb1a2495e1bd538dabdbae8b",
-    "ddg.manifest.json": "eeeb26ef639a77b42c3eb2bc1a5b7444ebe946e742a2112ebd33ed8fbec55e62",
+    "ddg.manifest.json": "8a27f277d4c39fa38022a5be6d9aef6a67e33d1dca3b39595b974190acdcddd1",
     "srg1.stdout": "0dcf96380ccadeaa12434b6c18903fadcf71bddba02c94f9b6de41d90884bcbd",
     "srg1.g6": "0dcf96380ccadeaa12434b6c18903fadcf71bddba02c94f9b6de41d90884bcbd",
     "srg1.cert.json": "ae03e950d45728829dd5cb0dccfb77607af5c074109a8572e45025d6607abdc7",
-    "srg1.manifest.json": "b53d95b79d3ddefa8df0d54fdd56e4bb4937a24f1aca726dd3dc6aebef828621",
+    "srg1.manifest.json": "ae844a3764d70d77a7fd414d4ed16716b58e6072f105435ae4d27c1e4d7c9d5f",
     "t8.stdout": "854e3be4f91bcbeea6e36abdc2344d0c88202b151c45fe47aaf60bc3ecf8265a",
     "t8.g6": "854e3be4f91bcbeea6e36abdc2344d0c88202b151c45fe47aaf60bc3ecf8265a",
     "t8.cert.json": "160773f61b0b4fdf38e1b9e7dcadc4cf3ff728730e57e5f2d140605de8bad24d",
-    "t8.manifest.json": "a3c4c74bb722c284c9491f738c7d965caa9b9310d017c6ac87779ebde14f5e41",
+    "t8.manifest.json": "975edd27122d6ee4a01dbfd3ced3ed28176de10e78297b7a92a5c5481a88af62",
     "chang1.stdout": "2593f10f41bf38defdbf7761af420441a33c914a3a94031b11687c254a883d10",
     "chang1.g6": "2593f10f41bf38defdbf7761af420441a33c914a3a94031b11687c254a883d10",
     "chang1.cert.json": "160773f61b0b4fdf38e1b9e7dcadc4cf3ff728730e57e5f2d140605de8bad24d",
-    "chang1.manifest.json": "870e80eb72b6131d73a2eb465d4e66f43b8fb2111decd3d3a1225f795d98bc8e",
+    "chang1.manifest.json": "84e5230f5c7332fd047f96679e1b52a21baf957d6a0a331123bf6f1328967db0",
     "spectrum.stdout": "b6ba8fc3b0686e1dfc95d1271789eef7410f3f1486934d4cb11d5713755d9b8e",
     "bad.cert.json": "c2ee178d54e19932b2391e064e6d47725edd0338b88845ac6ed3c56bdc236b63",
     # 351 and 255 vertices: rows span several 64-bit words

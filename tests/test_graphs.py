@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graph_from_bits, graphs, rows_matrix
-from srgforge import (certificate, Certificate, common_neighbours, complement,
-                      complete_graph, complete_multipartite, cycle_graph,
-                      empty_graph, from_edges, Graph, graph6_decode,
-                      graph6_encode, line_graph, octahedron, ParseError,
-                      path_graph, petersen_graph, verify_srg, VertexPartition)
+from srgforge import (certificate, Certificate, chang_graphs,
+                      common_neighbours, complement, complete_graph,
+                      complete_multipartite, cycle_graph, empty_graph,
+                      from_edges, Graph, graph6_decode, graph6_encode,
+                      line_graph, octahedron, ParseError, path_graph,
+                      petersen_graph, triangular_graph, verify_srg,
+                      VertexPartition)
 import srgforge.graphs as graphs_module
-from srgforge.graphs import bitset, cliques, set_bits
+from srgforge.graphs import bitset, cliques, common_edge_counts, set_bits
+from test_srg import srg1
 
 
 def test_graph_validation():
@@ -331,3 +334,30 @@ def test_cliques_match_brute_force(g, size, data):
         allowed = data.draw(st.integers(0, full))
         assert list(cliques(rows, size, allowed, block)) == \
             _brute_cliques(rows, size, allowed, block)
+
+
+def ref_common_edge_counts(g: Graph) -> list[list[int]]:
+    """t(u, w), the edges among the common neighbours of u and w (u = w
+    included), recounted with Python sets and no numpy."""
+    nbrs = [set(g.neighbours(u)) for u in range(g.n)]
+    return [[sum(1 for x, y in combinations(sorted(nbrs[u] & nbrs[w]), 2)
+                 if y in nbrs[x]) for w in range(g.n)] for u in range(g.n)]
+
+
+@given(graphs(max_n=12))
+def test_common_edge_counts_match_set_recount(g):
+    assert common_edge_counts(g.matrix).tolist() == ref_common_edge_counts(g)
+
+
+def test_common_edge_counts_on_named_graphs():
+    named = [("t8", triangular_graph(8)), ("petersen", petersen_graph()),
+             *((f"chang{i + 1}", c) for i, c in enumerate(chang_graphs())),
+             ("s(3,2)", srg1(3, 2)[0])]
+    for name, g in named:
+        assert common_edge_counts(g.matrix).tolist() == \
+            ref_common_edge_counts(g), name
+
+
+def test_common_edge_counts_refuses_inexact_sizes():
+    with pytest.raises(ValueError, match="4097 vertices"):
+        common_edge_counts(np.broadcast_to(False, (4097, 4097)))

@@ -26,11 +26,11 @@ ROOT = Path(__file__).resolve().parents[1]
         id="census_compare"),
     pytest.param(
         "class_diversity.py", ["--seeds", "4", "--colorings-per-base", "1"],
-        "e343e705b65435a4552feeb4ac1377bccd09ecbedf2604e63037cc64d8fb1542",
+        "3b13eace17642dd44babfc736fe16d87bd8030cc1602e92cb528ce91ff2261df",
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "72365b92ff9a0767d8783bcbf71c916fdb17641f7909cee81ec79e040bd65040",
+        "7e3ecacce4bdfec281c88774dcd8446f8aa002bfe0a8173c3e0c7db2c7d3ccd4",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):
