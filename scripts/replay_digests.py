@@ -32,7 +32,10 @@ The command set:
   `--ddg` and `--srg` with their formula parameters, `--candidates` with
   the DDG's theta1 written as +-sqrt(k - lambda1), a radical within the
   degree bound and one past it, `--candidates` with 2^60 beside the SRG
-  eigenvalues, and one list that misses an eigenvalue (exit 2).
+  eigenvalues, and one list that misses an eigenvalue (exit 2);
+- then fields past GF(4), whatever the ladder: `sp-graph` over GF(8),
+  `gen-ddg` over GF(8) and `gen-srg1` over GF(9), at d = 2 and seed 0,
+  and the digests of the files these add.
 """
 
 from __future__ import annotations
@@ -110,8 +113,12 @@ def replay(ladder) -> None:
 
     listed = print_files()
     replay_file_inputs(*ladder[0])
-    print_files(listed)
+    listed = print_files(listed)
     replay_spectrum(*ladder[0])
+    run(["sp-graph", "--q", "8", "--d", "2"])
+    run(["gen-ddg", "--q", "8", "--d", "2", "--seed", "0"])
+    run(["gen-srg1", "--q", "9", "--d", "2", "--seed", "0"])
+    print_files(listed)
 
 
 def replay_file_inputs(q: int, d: int) -> None:

@@ -11,6 +11,7 @@ was wrong.  Randomized generators require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -380,7 +381,10 @@ def _add_ddg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path prefix")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process;
+    main looks up each subcommand's cmd_<name> function when it runs."""
     parser = argparse.ArgumentParser(
         prog="srgforge",
         description="exact construction and verification of divisible design "
@@ -390,13 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-ddg", help="divisible design graph from glued "
                                        "affine designs")
     _add_ddg_flags(p)
-    p.set_defaults(func=cmd_gen_ddg)
 
     p = sub.add_parser("gen-srg1", help="strongly regular graph by coclique "
                                         "attachment")
     _add_ddg_flags(p)
     p.add_argument("--phi", help="file with the class-to-block bijection")
-    p.set_defaults(func=cmd_gen_srg1)
 
     p = sub.add_parser("gen-srg2", help="strongly regular graph by Hoffman "
                                         "coloring and clique attachment")
@@ -407,14 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index into the deterministic coloring enumeration")
     p.add_argument("--phi", help="file with the class-to-block bijection")
     p.add_argument("--out", help="output path prefix")
-    p.set_defaults(func=cmd_gen_srg2)
 
     p = sub.add_parser("verify", help="check a graph6 graph from stdin")
     p.add_argument("--expect", choices=("srg", "ddg"), default="srg")
     p.add_argument("--classes", help="partition file for --expect ddg")
     p.add_argument("--in", dest="infile", help="read graph6 from a file")
     p.add_argument("--cert", help="write the certificate JSON here")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="exact spectrum given candidates")
     given = p.add_mutually_exclusive_group(required=True)
@@ -422,34 +422,28 @@ def build_parser() -> argparse.ArgumentParser:
     given.add_argument("--ddg", help="v,k,lambda1,lambda2,m,n")
     given.add_argument("--srg", help="v,k,lambda,mu")
     p.add_argument("--in", dest="infile")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("canon", help="canonical graph6 and group order per "
                                      "input line")
     p.add_argument("--in", dest="infile")
-    p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("count-classes", help="group graph6 lines by "
                                              "isomorphism class")
     p.add_argument("--in", dest="infile")
     p.add_argument("--out", help="write the JSON map here")
-    p.set_defaults(func=cmd_count_classes)
 
     p = sub.add_parser("sp-graph", help="symplectic graph over GF(q)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--complement", action="store_true")
-    p.set_defaults(func=cmd_sp_graph)
 
     p = sub.add_parser("clique-census", help="enumerate ratio-bound cliques")
     p.add_argument("--in", dest="infile")
     p.add_argument("--out", help="write the full clique list here")
-    p.set_defaults(func=cmd_clique_census)
 
     p = sub.add_parser("bound", help="exact counting lower bound")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_bound)
 
     return parser
 
@@ -457,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (SrgforgeError, ValueError, OSError) as exc:
         print(f"srgforge: {exc}", file=sys.stderr)
         return 2

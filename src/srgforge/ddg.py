@@ -24,7 +24,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .designs import check_glued, data_lines, int_lines, write_lines
+from .designs import (check_glued, data_lines, int_lines, int_tokens,
+                      write_lines)
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
 from .graphs import (bitset, Certificate, Graph, VertexPartition,
@@ -336,20 +337,16 @@ def load_family(path: str, m: int, q: int) -> BijectionFamily:
     given: dict[tuple[int, int], tuple[int, ...]] = {}
     for lineno, line in data_lines(path):
         head, sep, tail = line.partition(":")
-        if not sep:
+        if not sep or len(head.split()) != 2:
             raise ParseError("expected `i j : permutation`", line=lineno)
-        try:
-            i, j = (int(tok) for tok in head.split())
-            perm = tuple(int(tok) for tok in tail.split())
-        except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", line=lineno)
+        i, j, *perm = int_tokens(head.split() + tail.split(), lineno, line)
         if not (0 <= i < m and 0 <= j < m):
             raise ShapeError(f"line {lineno}: pair ({i}, {j}) outside [0, {m})")
         if sorted(perm) != list(range(q)):
             raise ShapeError(f"line {lineno}: not a permutation of [0, {q})")
         if (i, j) in given or (j, i) in given:
             raise ParseError(f"pair ({i}, {j}) given twice", line=lineno)
-        given[(i, j)] = perm
+        given[(i, j)] = tuple(perm)
 
     ident = tuple(range(q))
     sigma = [[ident] * m for _ in range(m)]

@@ -252,15 +252,19 @@ def data_lines(path: str):
                 yield lineno, line
 
 
+def int_tokens(tokens, lineno: int, line: str) -> list[int]:
+    """tokens read as integers; ParseError quoting data line lineno on a
+    token that is not an integer."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError(f"non-integer token in {line!r}", line=lineno) from None
+
+
 def int_lines(path: str):
-    """(line number, integers) of each data line of path; ParseError naming
-    the line on a token that is not an integer."""
+    """(line number, integers) of each data line of path."""
     for lineno, line in data_lines(path):
-        try:
-            values = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", line=lineno)
-        yield lineno, values
+        yield lineno, int_tokens(line.split(), lineno, line)
 
 
 def write_lines(path: str, rows) -> None:
@@ -270,10 +274,7 @@ def write_lines(path: str, rows) -> None:
 
 
 def _parse_block(line: str, lineno: int, n_points: int) -> tuple[int, ...]:
-    try:
-        points = tuple(int(tok) for tok in line.split())
-    except ValueError:
-        raise ParseError(f"non-integer token in block {line!r}", line=lineno)
+    points = tuple(int_tokens(line.split(), lineno, line))
     if len(set(points)) != len(points):
         raise ShapeError(f"line {lineno}: duplicate point in block {line!r}")
     for p in points:
@@ -296,10 +297,7 @@ def load_design(path: str, kind: str):
         raise ParseError(f"expected {kind!r} header, got {fields[0]!r}", line=lineno)
     if len(fields) != 4:
         raise ParseError("header needs exactly 3 integers", line=lineno)
-    try:
-        a, b, c = (int(tok) for tok in fields[1:])
-    except ValueError:
-        raise ParseError(f"non-integer in header {header!r}", line=lineno)
+    a, b, c = int_tokens(fields[1:], lineno, header)
 
     body = lines[1:]
     if kind == "resolvable":

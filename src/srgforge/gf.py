@@ -7,6 +7,11 @@ lexicographically first monic irreducible polynomial of degree e over GF(p)
 (coefficients read constant term upward), which makes every field object a
 pure function of (p, e).
 
+Both the modulus search and the multiplication table come from one numpy
+product of digit rows modulo a monic x^e + low(x), by shift and reduce.  A
+candidate modulus is irreducible when that product has no zero divisors
+among the elements of degree <= e/2; the add table is the digit sum mod p.
+
 Vectors over the field are plain tuples of element indices.  Points of the
 affine space of dimension d are the q^d coordinate tuples in lexicographic
 order; the point index of a tuple is its rank in that order.  Inner products
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import NotPrime, TooLarge
 
-MAX_ORDER = 1 << 8  # make_field builds q x q tables in Python; gram uses uint8
+MAX_ORDER = 1 << 8  # the q x q tables are tuples of ints; gram uses uint8
 
 
 def _is_prime(n: int) -> bool:
@@ -38,80 +43,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# Polynomials over GF(p) are tuples of coefficients, constant term first.
+def _mul_digits(low: tuple[int, ...], a: np.ndarray, b: np.ndarray,
+                p: int) -> np.ndarray:
+    """Digit rows of a(x) b(x) modulo x^e + low(x) over GF(p), for every row
+    of a against every row of b: a (len(a), len(b), e) array.
 
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m."""
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        r = [x % p for x in r]
-        lead = r[-1]
-        if lead == 0:
-            r.pop()
-            continue
-        shift = len(r) - 1 - dm
-        for i, mi in enumerate(m):
-            r[shift + i] = (r[shift + i] - lead * mi) % p
-        r.pop()
-    return _poly_trim([x % p for x in r])
-
-
-def _is_irreducible(f, p):
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            g = _poly_trim(tail + (1,))
-            if not _poly_mod(f, g, p):
-                return False
-    return True
-
-
-def _first_irreducible(p: int, e: int):
-    """Lexicographically first monic irreducible of degree e over GF(p)."""
-    if e == 1:
-        return (0, 1)
-    for low in product(range(p), repeat=e):
-        f = low + (1,)
-        if _is_irreducible(f, p):
-            return f
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def _digits(i: int, p: int, e: int):
-    out = []
-    for _ in range(e):
-        out.append(i % p)
-        i //= p
-    return tuple(out)
-
-
-def _undigits(ds, p: int) -> int:
-    v = 0
-    for d in reversed(ds):
-        v = v * p + d
-    return v
+    Shift and reduce: b x^(k+1) is b x^k shifted up one digit, the digit
+    that leaves the top carried back as x^e = -low(x), which is one product
+    with the companion matrix of x^e + low(x); then a b is the sum of
+    a_k (b x^k) over k.
+    """
+    e = len(low)
+    shift = np.eye(e, k=1, dtype=np.int64)
+    shift[-1] -= low
+    out = np.zeros((len(a), *b.shape), np.int64)
+    for k in range(e):
+        out += a[:, k, None, None] * b
+        b = b @ shift % p
+    return out % p
 
 
 @dataclass(frozen=True)
@@ -191,28 +140,20 @@ def make_field(p: int, e: int = 1) -> FiniteField:
     if q > MAX_ORDER:
         raise TooLarge(f"field order {q} exceeds {MAX_ORDER}")
 
-    modulus = _first_irreducible(p, e)
-    digit = [_digits(i, p, e) for i in range(q)]
-
-    add_rows = []
-    for a in range(q):
-        da = digit[a]
-        add_rows.append(tuple(
-            _undigits(tuple((x + y) % p for x, y in zip(da, digit[b])), p)
-            for b in range(q)
-        ))
-
-    mul_rows = []
-    for a in range(q):
-        pa = _poly_trim(digit[a])
-        row = []
-        for b in range(q):
-            prod_poly = _poly_mod(_poly_mul(pa, _poly_trim(digit[b]), p), modulus, p)
-            row.append(_undigits(prod_poly + (0,) * (e - len(prod_poly)), p))
-        mul_rows.append(tuple(row))
-
-    return FiniteField(p=p, e=e, q=q, modulus=modulus,
-                       add_table=tuple(add_rows), mul_table=tuple(mul_rows))
+    # element i's base-p digits, constant term first
+    digits = (np.arange(q)[:, None] // p ** np.arange(e)) % p
+    # x^e + low(x) is irreducible exactly when no nonzero element of degree
+    # <= e // 2 times a nonzero element is 0, since any factorisation has
+    # a factor of that degree
+    low = next(low for low in product(range(p), repeat=e)
+               if _mul_digits(low, digits[1:], digits[1:p ** (e // 2 + 1)],
+                              p).any(2).all())
+    weights = p ** np.arange(e)
+    add = ((digits[:, None] + digits) % p) @ weights
+    mul = _mul_digits(low, digits, digits, p) @ weights
+    return FiniteField(p=p, e=e, q=q, modulus=(*low, 1),
+                       add_table=tuple(map(tuple, add.tolist())),
+                       mul_table=tuple(map(tuple, mul.tolist())))
 
 
 def affine_points(field: FiniteField, dim: int):

@@ -153,6 +153,26 @@ def test_gen_srg2_and_canon(workdir, capsys):
     assert int(order) >= 1
 
 
+def test_main_dispatches_to_the_current_cmd_function(workdir, capsys,
+                                                    monkeypatch):
+    """The parser is built once per process, and main looks up cmd_<name>
+    when it runs, so a wrapper swapped in after a first call still runs."""
+    (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
+    assert main(["canon", "--in", "pet.g6"]) == 0
+    capsys.readouterr()
+    seen = []
+
+    def patched(args):
+        seen.append(args.infile)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_canon", patched)
+    assert main(["canon", "--in", "pet.g6"]) == 0
+    assert seen == ["pet.g6"]
+    assert capsys.readouterr().out == ""
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_spectrum_command(workdir, capsys):
     (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
     rc = main(["spectrum", "--in", "pet.g6", "--srg", "10,3,0,1"])

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
 from srgforge import (affine_points, as_prime_power, enumerate_hyperplanes,
                       make_field, NotPrime, projective_points, TooLarge)
+
+PRIME_POWERS = [(p, e) for p in range(2, 257)
+                if all(p % d for d in range(2, p))
+                for e in range(1, 9) if p ** e <= 256]
+PRIME_POWERS.sort(key=lambda pe: pe[0] ** pe[1])
 
 FIELD_SIZES = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                (11, 1), (13, 1), (2, 4)]
@@ -74,6 +83,56 @@ def test_modulus_deterministic_and_known():
     assert a.mul_table == b.mul_table
 
 
+def test_tables_of_every_field_are_pinned():
+    """sha256 of (modulus, add_table, mul_table) over every prime power
+    q <= 256 in increasing order, as the tables were before make_field
+    moved from per-entry polynomial loops to one numpy product."""
+    assert len(PRIME_POWERS) == 70
+    digest = hashlib.sha256()
+    for p, e in PRIME_POWERS:
+        f = make_field(p, e)
+        digest.update(repr((f.modulus, f.add_table, f.mul_table)).encode())
+    assert digest.hexdigest() == \
+        "730285ac72bea9b853898e5d30b9a02968902cbc11a9dda6f604e8c139562dcc"
+
+
+def _sympy_poly(sympy, coeffs, p):
+    """The polynomial over GF(p) with coeffs, constant term first."""
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p)
+
+
+def test_modulus_is_first_irreducible_per_sympy():
+    """Each modulus is irreducible, and every monic candidate before it in
+    the enumeration order (low coefficients as product(range(p), repeat=e),
+    constant term first) is reducible."""
+    sympy = pytest.importorskip("sympy")
+    for p, e in PRIME_POWERS:
+        modulus = make_field(p, e).modulus
+        assert modulus[-1] == 1 and len(modulus) == e + 1
+        assert _sympy_poly(sympy, modulus, p).is_irreducible
+        for low in product(range(p), repeat=e):
+            if low == modulus[:-1]:
+                break
+            assert not _sympy_poly(sympy, (*low, 1), p).is_irreducible
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (2, 4), (5, 2)])
+def test_mul_table_matches_sympy_remainder(p, e):
+    """Sampled products equal rem(a*b, f) over GF(p), f the modulus."""
+    sympy = pytest.importorskip("sympy")
+    f = make_field(p, e)
+    modulus = _sympy_poly(sympy, f.modulus, p)
+
+    def poly(i):
+        return _sympy_poly(sympy, [i // p ** k % p for k in range(e)], p)
+
+    rng = random.Random(p ** e)
+    for a, b in rng.sample(list(product(range(f.q), repeat=2)), 60):
+        coeffs = [c % p for c in reversed(
+            sympy.rem(poly(a) * poly(b), modulus).all_coeffs())]
+        assert f.mul(a, b) == sum(c * p ** k for k, c in enumerate(coeffs))
+
+
 def test_make_field_rejects_bad_input():
     with pytest.raises(NotPrime):
         make_field(4, 1)
@@ -86,7 +145,8 @@ def test_make_field_rejects_bad_input():
 
 
 def test_make_field_order_limit():
-    """The q x q tables are Python lists: GF(2^8) is the largest field."""
+    """gram's uint8 arrays hold every element up to GF(2^8), the largest
+    field."""
     assert make_field(2, 8).q == 256
     with pytest.raises(TooLarge, match="field order 512 exceeds 256"):
         make_field(2, 9)

@@ -3,7 +3,8 @@
 Each script runs as a subprocess on this checkout's src; the pinned digests
 are of their stdout, so a change to the Hoffman-coloring search, the clique
 census or class counting that alters any table line shows here, and so does
-any byte of the outputs the digest replay writes at (q, d) = (3, 2).
+any byte of the outputs the digest replay writes at (q, d) = (3, 2) and over
+GF(8) and GF(9).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "7e3ecacce4bdfec281c88774dcd8446f8aa002bfe0a8173c3e0c7db2c7d3ccd4",
+        "10042f50664274d5b558040341e07c466c89a7e3b601db8ca6da35405981ca29",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):
