@@ -35,7 +35,11 @@ The command set:
   eigenvalues, and one list that misses an eigenvalue (exit 2);
 - then fields past GF(4), whatever the ladder: `sp-graph` over GF(8),
   `gen-ddg` over GF(8) and `gen-srg1` over GF(9), at d = 2 and seed 0,
-  and the digests of the files these add.
+  and the digests of the files these add;
+- finally, `verify --expect ddg --classes` and `verify --expect srg` on the
+  seed-0 cyclic outputs of the first (q, d) with their last edge removed,
+  which fail on the regularity witness, and the digests of the files these
+  add.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from srgforge import (fano_plane, graph6_decode, graph6_encode, save_design,
-                      srg1_target_params, srg_spectrum, theorem1_params,
-                      triangular_graph)
+from srgforge import (fano_plane, Graph, graph6_decode, graph6_encode,
+                      save_design, srg1_target_params, srg_spectrum,
+                      theorem1_params, triangular_graph)
 from srgforge.cli import main as cli_main
 
 LADDER = ((2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (2, 5), (4, 3))
@@ -118,6 +122,8 @@ def replay(ladder) -> None:
     run(["sp-graph", "--q", "8", "--d", "2"])
     run(["gen-ddg", "--q", "8", "--d", "2", "--seed", "0"])
     run(["gen-srg1", "--q", "9", "--d", "2", "--seed", "0"])
+    listed = print_files(listed)
+    replay_removed_edge(*ladder[0])
     print_files(listed)
 
 
@@ -161,6 +167,24 @@ def replay_spectrum(q: int, d: int) -> None:
          f"-sqrt({params.k ** 2 + 1})"])
     run([*srg, f"--candidates={2 ** 60},{k},{r},{s}"])
     run([*srg, f"--candidates={k},{r}"])
+
+
+def replay_removed_edge(q: int, d: int) -> None:
+    """verify the seed-0 cyclic outputs of (q, d) with their last edge uv
+    removed: vertices u and v lose a neighbour, and the regularity witness
+    names vertex 0 and u."""
+    for prefix, kind in ((f"ddg-q{q}-d{d}-s0-cyclic", "ddg"),
+                         (f"srg1-q{q}-d{d}-s0-cyclic", "srg")):
+        with open(prefix + ".g6", encoding="ascii") as fh:
+            g = graph6_decode(fh.read())
+        m = g.matrix.copy()
+        u, v = max(g.edges())
+        m[u, v] = m[v, u] = False
+        Path(f"cut-{prefix}.g6").write_text(graph6_encode(Graph(m)) + "\n",
+                                            encoding="ascii")
+        flags = ["--classes", prefix + ".classes"] if kind == "ddg" else []
+        run(["verify", "--expect", kind, *flags, "--in", f"cut-{prefix}.g6",
+             "--cert", f"cut-{prefix}.verify.json"])
 
 
 def print_files(listed: frozenset = frozenset()) -> frozenset:

@@ -80,10 +80,15 @@ def _write_json(doc: dict, path: str) -> str:
     return os.path.basename(path)
 
 
-def _write_outputs(args, prefix: str, g: Graph, doc: dict, flags: dict,
-                   inputs: dict, **outputs) -> None:
+def _write_outputs(args, prefix: str, g: Graph, doc: dict, inputs: dict,
+                   **outputs) -> None:
     """Write and print PREFIX.g6, write doc as PREFIX.cert.json, then the
-    run manifest recording both beside the given output records."""
+    run manifest recording both beside the given output records.  Its flags
+    are all arguments but command, seed and --out; no --phi is "identity"."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "seed", "out")}
+    if "phi" in flags:
+        flags["phi"] = flags["phi"] or "identity"
     text = graph6_encode(g)
     with open(prefix + ".g6", "w", encoding="ascii") as fh:
         fh.write(text + "\n")
@@ -170,9 +175,7 @@ def cmd_gen_ddg(args) -> int:
     write_lines(prefix + ".classes", partition.classes)
     save_quasigroup(quasigroup, prefix + ".quasigroup")
     save_family(family, prefix + ".family")
-    _write_outputs(args, prefix, g, doc,
-                   {"q": args.q, "d": args.d, "quasigroup": args.quasigroup,
-                    "family": args.family}, inputs,
+    _write_outputs(args, prefix, g, doc, inputs,
                    classes={"path": os.path.basename(prefix + ".classes")})
     return 0 if cert.passed and spectrum_ok else 1
 
@@ -208,10 +211,7 @@ def cmd_gen_srg1(args) -> int:
                 SrgParams.from_certificate(cert)).entries()])
         doc["spectrum"] = spec.serialize()
     _write_outputs(args, args.out or f"srg1-q{args.q}-d{args.d}-s{args.seed}",
-                   g, doc,
-                   {"q": args.q, "d": args.d, "quasigroup": args.quasigroup,
-                    "family": args.family, "phi": args.phi or "identity"},
-                   inputs)
+                   g, doc, inputs)
     return 0 if cert.passed and cases.passed else 1
 
 
@@ -247,10 +247,7 @@ def cmd_gen_srg2(args) -> int:
                                   colorings.params))
     cert = verify_srg(g)
     _write_outputs(args, args.out or f"srg2-{args.base}-c{args.coloring}",
-                   g, {"srg": cert.to_dict()},
-                   {"base": args.base, "design": args.design,
-                    "coloring": args.coloring, "phi": args.phi or "identity"},
-                   inputs)
+                   g, {"srg": cert.to_dict()}, inputs)
     return 0 if cert.passed else 1
 
 

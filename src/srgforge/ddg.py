@@ -20,7 +20,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .designs import (check_glued, data_lines, int_lines, int_tokens,
                       write_lines)
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
-from .graphs import (bitset, Certificate, Graph, VertexPartition,
-                     certificate, complement, pair_witness, regularity)
+from .graphs import (Certificate, Graph, VertexPartition, certificate,
+                     complement, pair_witness, regularity)
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -197,16 +196,16 @@ def construct_ddg(designs, quasigroup: LeftQuasigroup,
     if family.q != q:
         raise ShapeMismatch(f"family block count {family.q} != {q}")
 
-    tables = [np.array(dz.block_index_table()) for dz in designs]
-    sigma = np.array(family.sigma)
-    adj = np.zeros((m * P, m * P), bool)
-    for i in range(m):
-        for j in range(m):
-            # x ~ y unless y's block is the image of x's block; for i = j
-            # that block contains x itself, so no loop appears
-            adj[i * P:(i + 1) * P, j * P:(j + 1) * P] = (
-                sigma[i, j][tables[i][quasigroup.op(i, j)]][:, None]
-                != tables[j][quasigroup.op(j, i)])
+    # x ~ y unless y's block is the image of x's block, never so for x = y:
+    # left[i, j] maps each point's block in class i*j of design i by
+    # sigma_ij, right[i, j] is each point's block in class j*i of design j
+    tables = np.array([dz.block_index_table() for dz in designs])
+    op, parts = np.array(quasigroup.table), np.arange(m)[:, None]
+    left = np.take_along_axis(np.array(family.sigma), tables[parts, op], 2)
+    right = tables[parts.T, op.T]
+    adj = np.empty((m * P, m * P), bool)  # seen as [i, x, j, y] below
+    np.not_equal(left.transpose(0, 2, 1)[..., None], right[:, None],
+                 out=adj.reshape(m, P, m, P))
 
     g = Graph(adj)
     partition = VertexPartition.from_lists(
@@ -271,26 +270,29 @@ def extract_ddg_from_srg(g: Graph, clique) -> tuple[Graph, VertexPartition,
     they attach to, and runs verify_ddg on the result.
     """
     cl = sorted(set(clique))
-    for a, b in combinations(cl, 2):
-        if not g.has_edge(a, b):
-            raise NotAClique(f"vertices {a} and {b} are not adjacent")
-    cl_mask = bitset(cl)
-    outside = [u for u in range(g.n) if not (cl_mask >> u & 1)]
+    if cl and not (0 <= cl[0] and cl[-1] < g.n):
+        raise ValueError(f"clique vertices must lie in [0, {g.n})")
+    # symmetric: its first false entry in row-major order is the first
+    # non-adjacent pair of itertools.combinations(cl, 2)
+    inner = g.matrix[np.ix_(cl, cl)] | np.eye(len(cl), dtype=bool)
+    if not inner.all():
+        a, b = divmod(int(inner.argmin()), len(cl))
+        raise NotAClique(f"vertices {cl[a]} and {cl[b]} are not adjacent")
+    outside = np.setdiff1d(np.arange(g.n), cl)
 
-    attach = {u: g.rows[u] & cl_mask for u in outside}
-    counts = sorted({attach[u].bit_count() for u in outside})
-    if len(counts) > 1:
-        lo = next(u for u in outside if attach[u].bit_count() == counts[0])
-        hi = next(u for u in outside if attach[u].bit_count() == counts[-1])
+    attach = g.matrix[np.ix_(outside, cl)]
+    seen = np.count_nonzero(attach, axis=1)
+    if len(seen) and seen.min() != seen.max():
+        lo, hi = seen.argmin(), seen.argmax()
         raise NotRegularClique(
-            f"vertex {lo} sees {counts[0]} clique vertices but "
-            f"vertex {hi} sees {counts[-1]}")
+            f"vertex {outside[lo]} sees {seen[lo]} clique vertices but "
+            f"vertex {outside[hi]} sees {seen[hi]}")
 
     sub = complement(g).induced(outside)
-    fibers: dict[int, list[int]] = {}
-    for local, u in enumerate(outside):
-        fibers.setdefault(attach[u], []).append(local)
-    classes = sorted(fibers.values(), key=lambda c: c[0])
+    # one class per attachment set, ordered by first member
+    _, first, fibre = np.unique(attach, axis=0, return_index=True,
+                                return_inverse=True)
+    classes = [np.flatnonzero(fibre == f).tolist() for f in np.argsort(first)]
     partition = VertexPartition.from_lists(len(outside), classes)
     return sub, partition, verify_ddg(sub, partition)
 

@@ -1,28 +1,29 @@
 """Simple undirected graphs as a checked adjacency matrix, and graph6 I/O.
 
 A graph is its validated, read-only boolean n x n matrix: `Graph(m)`
-checks the shape, loops and symmetry once and derives the vertex count and
-the rows, Python ints used as bitsets (bit v of rows[u] is set iff uv is an
-edge; `set_bits` lists them and `bitset` builds one).  Builders write block
-matrices for `Graph`; relabelling, induced subgraphs and complements are
-matrix expressions, and graph6 reads its body order from one `np.tri` mask
-on the matrix.  Common-neighbour counting, the hot loop of every verifier,
-is a matrix product too: `first_bad_pair` multiplies float32 tiles cast
-from the matrix, a row block against a tile of later rows, and checks the
-counts against a matrix of pair strata; the design verifiers run it on
-incidence matrices.  float32 is exact there, since every partial sum is
-an integer no larger than the column count, below 2^24.
-`common_edge_counts` gives, for every pair, the edges among its common
-neighbours, one float32 product per vertex on its neighbourhood; canon
-colours pairs by it.  Rows stay where bit operations pay: canonical
-refinement and `cliques`, the one clique search, behind the Hoffman
-colorings and the ratio-bound clique census.
+checks the shape, loops and symmetry once, and all else reads the matrix.
+Builders write block matrices for `Graph`; relabelling, induced subgraphs
+and complements are matrix expressions, and graph6 reads its body order
+from one `np.tri` mask on the matrix.  Common-neighbour counting, the hot
+loop of every verifier, is a matrix product too: `first_bad_pair`
+multiplies float32 tiles cast from the matrix, a row block against a tile
+of later rows, and checks the counts against a matrix of pair strata; the
+design verifiers run it on incidence matrices.  float32 is exact there,
+since every partial sum is an integer no larger than the column count,
+below 2^24.  `common_edge_counts` gives, for every pair, the edges among
+its common neighbours, one float32 product per vertex on its
+neighbourhood; canon colours pairs by it.  Bitset rows (Python ints, bit v
+of rows[u] set iff uv is an edge; `set_bits` lists them, `bitset` builds
+one) are built only where bit operations pay: canonical refinement and
+`cliques`, the one clique search, behind the Hoffman colorings and the
+ratio-bound clique census.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, islice
 
 import numpy as np
@@ -53,19 +54,18 @@ def check_power(q: int, d: int, what: str) -> None:
                        f"the {MAX_BUILD_VERTICES}-vertex limit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph of a square boolean adjacency matrix.
 
     A boolean array that owns its data is taken over, not copied: it is
     made read-only, and views of it made earlier must not be written to.  A
-    view or anything else is copied first.  `n` and the bitset `rows` are
-    derived from the checked matrix, and equality and hashing use them.
+    view or anything else is copied first.  The matrix is all a graph
+    stores: equality and hashing read it, `rows` is built on first access.
     """
 
-    matrix: np.ndarray = field(compare=False, repr=False)
+    matrix: np.ndarray = field(repr=False)
     n: int = field(init=False)
-    rows: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=bool)
@@ -87,19 +87,29 @@ class Graph:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n", len(m))
-        object.__setattr__(self, "rows", bit_rows(m))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Graph)
+                and np.array_equal(self.matrix, other.matrix))
+
+    def __hash__(self) -> int:
+        return hash((self.n, np.packbits(self.matrix).tobytes()))
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        return bit_rows(self.matrix)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        return bool(self.matrix[u, v])
 
     def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
+        return int(np.count_nonzero(self.matrix[u]))
 
     def neighbours(self, u: int):
-        return set_bits(self.rows[u])
+        return np.flatnonzero(self.matrix[u]).tolist()
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return int(np.count_nonzero(self.matrix)) // 2
 
     def edges(self):
         return map(tuple, np.argwhere(np.triu(self.matrix)).tolist())
@@ -229,11 +239,13 @@ def pair_witness(m, strata, names, values=None):
 def regularity(g: Graph):
     """(degree of vertex 0, or 0 when g is empty; a "regular" witness for
     the first vertex of another degree, or None)."""
-    k = g.degree(0) if g.n else 0
-    for u in range(g.n):
-        if g.degree(u) != k:
-            return k, {"check": "regular", "vertices": [0, u],
-                       "degrees": [k, g.degree(u)]}
+    degrees = np.count_nonzero(g.matrix, axis=1)
+    k = int(degrees[0]) if g.n else 0
+    other = degrees != k
+    if other.any():
+        u = int(other.argmax())
+        return k, {"check": "regular", "vertices": [0, u],
+                   "degrees": [k, int(degrees[u])]}
     return k, None
 
 

@@ -231,7 +231,7 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     # Gershgorin: every eigenvalue has |theta| <= delta, so A - aI for
     # |a| > delta and A^2 - tI for t > delta^2 are invertible and take no
     # part in annihilation; those candidates keep multiplicity 0
-    delta = max(r.bit_count() for r in g.rows)
+    delta = int(np.count_nonzero(g.matrix, axis=1).max())
     counts = dict.fromkeys(ints + [Radical(t) for t in rads], 0)
     missing = NotAnnihilated(f"candidates {list(counts)} do not annihilate "
                              f"the adjacency matrix")

@@ -3,21 +3,23 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from srgforge import (affine_geometry_design, as_prime_power,
-                      BijectionFamily, canonical_form, complete_graph,
-                      complete_multipartite, construct_ddg,
+                      BijectionFamily, canonical_form, complement,
+                      complete_graph, complete_multipartite, construct_ddg,
                       counting_lower_bound, cyclic_quasigroup, DdgParams,
                       extract_ddg_from_srg, identity_family, LeftQuasigroup,
                       load_family, load_quasigroup, make_field, NotAClique,
                       NotPrime, NotRegularClique, ParseError, petersen_graph,
                       random_bijection_family, random_left_quasigroup,
-                      save_family, save_quasigroup, ShapeError, ShapeMismatch,
-                      theorem1_params, TooLarge, verify_ddg,
-                      VertexPartition)
+                      ResolvableDesign, save_family, save_quasigroup,
+                      ShapeError, ShapeMismatch, theorem1_params, TooLarge,
+                      triangular_graph, verify_ddg, VertexPartition)
 
 
 def build(q, d, seed=None, quasigroup=None):
@@ -174,6 +176,82 @@ def test_verify_ddg_partition_shape_witness():
     cert = verify_ddg(g, small)
     assert not cert.passed
     assert any(w.get("check") == "partition-shape" for w in cert.witnesses)
+
+
+def glued_reference(designs, quasigroup, family):
+    """The gluing rule one vertex pair at a time: point x of design i and
+    point y of design j are adjacent iff sigma_ij maps x's block in class
+    i*j of design i to a block other than y's in class j*i of design j."""
+    P = designs[0].n_points
+
+    def block(design, c, x):
+        return next(b for b, blk in enumerate(design.classes[c]) if x in blk)
+
+    adj = np.zeros((len(designs) * P,) * 2, bool)
+    for i, di in enumerate(designs):
+        for j, dj in enumerate(designs):
+            ci, cj = quasigroup.op(i, j), quasigroup.op(j, i)
+            for x in range(P):
+                image = family.sigma[i][j][block(di, ci, x)]
+                for y in range(P):
+                    adj[i * P + x, j * P + y] = image != block(dj, cj, y)
+    return adj
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), st.integers(0, 2**32),
+       st.integers(0, 2**32))
+def test_construct_ddg_matches_the_gluing_rule(qd, qseed, fseed):
+    q, d = qd
+    design = affine_geometry_design(make_field(*as_prime_power(q)), d)
+    m = design.n_classes
+    qg = random_left_quasigroup(m, qseed)
+    family = random_bijection_family(m, q, qg, fseed)
+    g, _ = construct_ddg([design] * m, qg, family)
+    assert np.array_equal(g.matrix, glued_reference([design] * m, qg, family))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_construct_ddg_matches_the_gluing_rule_on_mixed_designs(seed):
+    """AG(2, 3) beside a copy with its points permuted: each part reads
+    its own design's block table."""
+    design = affine_geometry_design(make_field(3), 2)
+    perm = list(range(design.n_points))
+    random.Random(seed).shuffle(perm)
+    moved = ResolvableDesign(design.n_points, tuple(
+        tuple(tuple(sorted(perm[x] for x in blk)) for blk in cls)
+        for cls in design.classes))
+    designs = [design, moved, moved, design]
+    qg = random_left_quasigroup(4, seed)
+    family = random_bijection_family(4, 3, qg, seed + 1)
+    g, _ = construct_ddg(designs, qg, family)
+    assert np.array_equal(g.matrix, glued_reference(designs, qg, family))
+    assert g != construct_ddg([design] * 4, qg, family)[0]
+
+
+@pytest.mark.parametrize("graph, clique, error, message", [
+    # (0, 26), (1, 26), (2, 26), ... are all non-adjacent
+    (triangular_graph(8), (27, 3, 2, 1, 0, 26), NotAClique,
+     "vertices 0 and 26 are not adjacent"),
+    (complement(petersen_graph()), (7, 2, 0), NotAClique,
+     "vertices 2 and 7 are not adjacent"),
+    # outside vertices see 0, 1 or 2 of the clique, each count many times
+    (triangular_graph(8), (0, 1), NotRegularClique,
+     "vertex 18 sees 0 clique vertices but vertex 2 sees 2"),
+    (triangular_graph(8), (0,), NotRegularClique,
+     "vertex 13 sees 0 clique vertices but vertex 1 sees 1"),
+    (petersen_graph(), (0,), NotRegularClique,
+     "vertex 2 sees 0 clique vertices but vertex 1 sees 1"),
+    (petersen_graph(), (0, -1), ValueError,
+     r"clique vertices must lie in \[0, 10\)"),
+    (petersen_graph(), (10,), ValueError,
+     r"clique vertices must lie in \[0, 10\)"),
+])
+def test_extraction_names_the_first_offence(graph, clique, error, message):
+    """The first non-adjacent clique pair in lexicographic order, or the
+    first outside vertex of the fewest and of the most clique neighbours;
+    a vertex outside the graph is refused before either check."""
+    with pytest.raises(error, match=f"^{message}$"):
+        extract_ddg_from_srg(graph, clique)
 
 
 def test_extraction_errors():

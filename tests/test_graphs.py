@@ -14,12 +14,16 @@ from conftest import graph_from_bits, graphs, rows_matrix
 from srgforge import (certificate, Certificate, chang_graphs,
                       common_neighbours, complement, complete_graph,
                       complete_multipartite, cycle_graph, empty_graph,
-                      from_edges, Graph, graph6_decode, graph6_encode,
-                      line_graph, octahedron, ParseError, path_graph,
-                      petersen_graph, triangular_graph, verify_srg,
-                      VertexPartition)
+                      exact_spectrum, from_edges, Graph, graph6_decode,
+                      graph6_encode, line_graph, octahedron, ParseError,
+                      path_graph, petersen_graph, srg_spectrum, SrgParams,
+                      triangular_graph, verify_ddg, verify_srg,
+                      verify_srg1_cases, VertexPartition)
 import srgforge.graphs as graphs_module
-from srgforge.graphs import bitset, cliques, common_edge_counts, set_bits
+from srgforge.cli import main
+from srgforge.graphs import (bitset, cliques, common_edge_counts, regularity,
+                             set_bits)
+from test_ddg import build
 from test_srg import srg1
 
 
@@ -161,6 +165,65 @@ def test_from_edges_and_accessors():
     assert g.degree(1) == 2
     assert list(g.neighbours(1)) == [0, 2]
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+
+
+@given(graphs(max_n=20))
+def test_accessors_read_the_matrix_as_the_rows_say(g):
+    """Degrees, neighbours, edges and the regularity witness, read off the
+    matrix, agree with the bitset rows; equal matrices make equal graphs
+    of equal hashes."""
+    rows = g.rows
+    assert [g.degree(u) for u in range(g.n)] == [r.bit_count() for r in rows]
+    assert [list(g.neighbours(u)) for u in range(g.n)] == \
+        [list(set_bits(r)) for r in rows]
+    assert all(g.has_edge(u, v) == bool(rows[u] >> v & 1)
+               for u in range(g.n) for v in range(g.n))
+    assert g.edge_count() == sum(r.bit_count() for r in rows) // 2
+    k = rows[0].bit_count() if g.n else 0
+    other = next((u for u, r in enumerate(rows) if r.bit_count() != k), None)
+    assert regularity(g) == (k, None if other is None else {
+        "check": "regular", "vertices": [0, other],
+        "degrees": [k, rows[other].bit_count()]})
+    h = Graph(g.matrix.copy())
+    assert h == g and hash(h) == hash(g) and h.rows == rows
+    assert g != empty_graph(g.n + 1)
+
+
+class BitRowsBuilt(Exception):
+    """Raised by the stand-in for graphs.bit_rows below."""
+
+
+def test_only_the_bit_searches_build_bitset_rows(tmp_path, monkeypatch):
+    """A graph stores its matrix alone: with graphs.bit_rows raising, the
+    graph6 codec, the verifiers, exact_spectrum, the generators and verify
+    all run, while canon and the clique census, the bit searches, still
+    reach it through Graph.rows.  The generators run at (2, 4): at (2, 3)
+    their outputs have at most 64 vertices, and the manifest then records a
+    canonical form."""
+    def refuse(m):
+        raise BitRowsBuilt
+
+    monkeypatch.setattr(graphs_module, "bit_rows", refuse)
+    monkeypatch.chdir(tmp_path)
+    ddg, partition = build(2, 3, seed=0)
+    g, partition, design = srg1(2, 3)
+    assert graph6_decode(graph6_encode(g)) == g
+    assert verify_ddg(ddg, partition).passed
+    cert = verify_srg(g)
+    assert cert.passed and verify_srg1_cases(g, partition, design).passed
+    spectrum = srg_spectrum(SrgParams.from_certificate(cert))
+    assert exact_spectrum(g, [e for e, _ in spectrum.entries()]) == spectrum
+    for cmd, kind, classes in (
+            ("gen-ddg", "ddg", ["--classes", "ddg.classes"]),
+            ("gen-srg1", "srg", [])):
+        assert main([cmd, "--q", "2", "--d", "4", "--seed", "0",
+                     "--out", kind]) == 0
+        assert main(["verify", "--expect", kind, *classes, "--in",
+                     kind + ".g6", "--cert", kind + ".json"]) == 0
+    (tmp_path / "t6.g6").write_text(graph6_encode(triangular_graph(6)) + "\n")
+    for command in ("canon", "clique-census"):
+        with pytest.raises(BitRowsBuilt):
+            main([command, "--in", "t6.g6"])
 
 
 def test_named_graphs():

@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "10042f50664274d5b558040341e07c466c89a7e3b601db8ca6da35405981ca29",
+        "d0d18e924cff183f0435a832276a42ccf49045f10e94c66b014da2480ac0fd53",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):

@@ -227,6 +227,26 @@ def test_construct_ddg_hoffman_rejects_wrong_base():
         construct_ddg_hoffman(pet, fake)
 
 
+def test_construct_ddg_hoffman_names_the_first_adjacent_pair():
+    """Classes are checked in order, and within a class the pairs in the
+    order of its tuple, as itertools.combinations gives them: the third
+    and fourth class here each hold two adjacent pairs, the third written
+    out of order, and the message names its pair (24, 21)."""
+    t8 = triangular_graph(8)
+    classes = [list(c) for c in find_hoffman_coloring(t8).classes]
+    classes[2][1], classes[3][3] = classes[3][3], classes[2][1]
+    classes[2].reverse()
+    assert classes[2:4] == [[25, 24, 21, 2], [3, 10, 16, 7]]
+    coloring = VertexPartition(28, tuple(map(tuple, classes)))
+    first = next((a, b) for cls in coloring.classes
+                 for a, b in itertools.combinations(cls, 2)
+                 if t8.has_edge(a, b))
+    assert first == (24, 21)
+    with pytest.raises(PreconditionFailed, match=r"class member pair "
+                       r"\(24, 21\) is adjacent: not a coclique"):
+        construct_ddg_hoffman(t8, coloring)
+
+
 def test_non_srg_base_raises_not_srg():
     """A base that is not strongly regular raises NotSrg, both where
     construct_ddg_hoffman verifies it and where construct_srg2 does."""
