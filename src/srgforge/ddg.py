@@ -32,10 +32,7 @@ from .graphs import (Certificate, Graph, VertexPartition, certificate,
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for x, y in enumerate(perm):
-        inv[y] = x
-    return tuple(inv)
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -196,9 +193,8 @@ def construct_ddg(designs, quasigroup: LeftQuasigroup,
     if family.q != q:
         raise ShapeMismatch(f"family block count {family.q} != {q}")
 
-    # x ~ y unless y's block is the image of x's block, never so for x = y:
-    # left[i, j] maps each point's block in class i*j of design i by
-    # sigma_ij, right[i, j] is each point's block in class j*i of design j
+    # x ~ y unless sigma_ij maps x's block (class i*j of design i, left) to
+    # y's block (class j*i of design j, right); never so for x = y
     tables = np.array([dz.block_index_table() for dz in designs])
     op, parts = np.array(quasigroup.table), np.arange(m)[:, None]
     left = np.take_along_axis(np.array(family.sigma), tables[parts, op], 2)

@@ -23,7 +23,6 @@ symplectic graph all take their values from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -103,17 +102,11 @@ class FiniteField:
         x, y = np.array(xs, np.uint8), np.array(ys, np.uint8)
         out = np.zeros((len(x), len(y)), np.uint8)
         if out.size:
-            add, mul = self._arrays
+            add = np.array(self.add_table, np.uint8)
+            mul = np.array(self.mul_table, np.uint8)
             for xc, yc in zip(x.T, y.T, strict=True):
                 out = add[out, mul[xc[:, None], yc]]
         return out
-
-    @cached_property
-    def _arrays(self) -> np.ndarray:
-        """Read-only uint8 copies of add_table and mul_table for gram."""
-        arrays = np.array([self.add_table, self.mul_table], np.uint8)
-        arrays.flags.writeable = False
-        return arrays
 
     def elements(self) -> range:
         return range(self.q)

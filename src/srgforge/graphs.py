@@ -5,18 +5,15 @@ checks the shape, loops and symmetry once, and all else reads the matrix.
 Builders write block matrices for `Graph`; relabelling, induced subgraphs
 and complements are matrix expressions, and graph6 reads its body order
 from one `np.tri` mask on the matrix.  Common-neighbour counting, the hot
-loop of every verifier, is a matrix product too: `first_bad_pair`
-multiplies float32 tiles cast from the matrix, a row block against a tile
-of later rows, and checks the counts against a matrix of pair strata; the
-design verifiers run it on incidence matrices.  float32 is exact there,
-since every partial sum is an integer no larger than the column count,
-below 2^24.  `common_edge_counts` gives, for every pair, the edges among
-its common neighbours, one float32 product per vertex on its
-neighbourhood; canon colours pairs by it.  Bitset rows (Python ints, bit v
-of rows[u] set iff uv is an edge; `set_bits` lists them, `bitset` builds
-one) are built only where bit operations pay: canonical refinement and
-`cliques`, the one clique search, behind the Hoffman colorings and the
-ratio-bound clique census.
+loop of every verifier, is a matrix product too: `first_bad_pair` counts
+in float32 tiles cast from the matrix against a matrix of pair strata, and
+the design verifiers run it on incidence matrices.  `common_edge_counts`
+gives, for every pair, the edges among its common neighbours; canon
+colours pairs by it.  Bitset rows (Python ints, bit v of rows[u] set iff
+uv is an edge; `set_bits` lists them, `bitset` builds one) are built only
+where bit operations pay: canonical refinement and `cliques`, the one
+clique search, behind the Hoffman colorings and the ratio-bound clique
+census.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -295,15 +292,14 @@ class VertexPartition:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen = 0
-        for cls in self.classes:
-            for v in cls:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"vertex {v} out of range")
-                if seen >> v & 1:
-                    raise ValueError(f"vertex {v} appears in two classes")
-                seen |= 1 << v
-        if seen != (1 << self.n) - 1:
+        seen = set()
+        for v in chain.from_iterable(self.classes):
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range")
+            if v in seen:
+                raise ValueError(f"vertex {v} appears in two classes")
+            seen.add(v)
+        if len(seen) != self.n:
             raise ValueError("classes do not cover the vertex set")
 
     @staticmethod

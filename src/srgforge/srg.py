@@ -380,20 +380,20 @@ def construct_ddg_hoffman(base: Graph, coloring: VertexPartition,
         raise PreconditionFailed(f"ratio bound {size} is not an integer")
     n = int(size)
     m = len(coloring.classes)
-    for cls in coloring.classes:
+    part = np.array(coloring.class_of())
+    same = part[:, None] == part
+    adjacent = set(part[(base.matrix & same).any(axis=1)].tolist())
+    for i, cls in enumerate(coloring.classes):
         if len(cls) != n:
             raise PreconditionFailed(f"class of size {len(cls)} is not a "
                                      f"maximum coclique (need {n})")
-        # symmetric and loopless: its first edge in row-major order is the
-        # first adjacent pair of itertools.combinations(cls, 2)
-        inner = base.matrix[np.ix_(cls, cls)]
-        if inner.any():
-            a, b = divmod(int(inner.argmax()), n)
+        if i in adjacent:
+            # symmetric block: row-major order finds combinations' first pair
+            a, b = divmod(int(base.matrix[np.ix_(cls, cls)].argmax()), n)
             raise PreconditionFailed(f"class member pair ({cls[a]}, {cls[b]}) "
                                      f"is adjacent: not a coclique")
 
-    cls = np.array(coloring.class_of())
-    filled = base.matrix | (cls[:, None] == cls)
+    filled = base.matrix | same
     np.fill_diagonal(filled, False)
     g = Graph(filled)
 

@@ -187,6 +187,15 @@ def test_accessors_read_the_matrix_as_the_rows_say(g):
     h = Graph(g.matrix.copy())
     assert h == g and hash(h) == hash(g) and h.rows == rows
     assert g != empty_graph(g.n + 1)
+    # the accessors take vertices in [0, n): past n they raise IndexError,
+    # and a negative vertex counts from the end, as numpy indexing does
+    for bad in (lambda: g.has_edge(0, g.n), lambda: g.degree(g.n),
+                lambda: g.neighbours(g.n)):
+        with pytest.raises(IndexError):
+            bad()
+    if g.n:
+        assert g.has_edge(0, -1) == g.has_edge(0, g.n - 1)
+        assert g.degree(-1) == g.degree(g.n - 1)
 
 
 class BitRowsBuilt(Exception):
