@@ -6,12 +6,12 @@ v in it; a cell's vertices are taken in ascending order.  Each node refines
 the partition to equitability, records an isomorphism-invariant level value
 (cell sizes plus the adjacency bits among the leading singletons, packed in
 graph6 body order), and branches on the first smallest non-singleton cell.
-Refinement counts each vertex's neighbours in a splitter cell, in each of
-a list of relations, as bit planes (bit v of plane i is bit i of the
-count), a ripple-carry sum of the splitter's rows, and splits a cell by
-the planes from the most significant down, which puts its subcells in
-ascending order of the tuple of counts; only non-singleton cells are
-scanned, and the refinement stops once the partition is discrete.
+Refinement counts each vertex's neighbours in a splitter cell, listed once
+per pop, in each of a list of relations, as bit planes (bit v of plane i is
+bit i of the count), a ripple-carry sum of the splitter's rows, and splits
+a cell by the planes from the most significant down, which puts its
+subcells in ascending order of the tuple of counts; only non-singleton
+cells are scanned, and the refinement stops once the partition is discrete.
 
 The relations are the adjacency alone when it refines the root partition
 to singletons.  Otherwise refinement goes on from the partition it
@@ -71,12 +71,12 @@ class CanonicalForm:
     aut_order: int
 
 
-def _count_planes(rows, smask):
-    """Bit planes of the neighbour counts against the splitter smask: bit v
-    of plane i is bit i of |N(v) & smask|, summed row by row with a
-    ripple carry."""
+def _count_planes(rows, splitter):
+    """Bit planes of the neighbour counts against the splitter, a list of
+    vertices: bit v of plane i is bit i of the number of w in splitter with
+    bit v of rows[w] set, summed row by row with a ripple carry."""
     planes = []
-    for w in set_bits(smask):
+    for w in splitter:
         carry = rows[w]
         for i, plane in enumerate(planes):
             planes[i] = plane ^ carry
@@ -106,8 +106,8 @@ def _split(cell, planes):
 
 def _refine(relations, cells, work):
     """Split cells by neighbour counts in each relation against every
-    splitter in work until the partition is equitable; new subcells join
-    the splitter queue.
+    splitter in work, listed once per pop for all relations, until the
+    partition is equitable; new subcells join the splitter queue.
 
     relations is a list of bitset row tuples.  Subcells come in ascending
     order of the tuple of counts, one per relation in list order: the
@@ -120,9 +120,9 @@ def _refine(relations, cells, work):
     """
     open_cells = [cell for cell in cells if cell & (cell - 1)]
     while work and open_cells:
-        smask = work.pop()
+        splitter = list(set_bits(work.pop()))
         planes = [plane for rows in reversed(relations)
-                  for plane in _count_planes(rows, smask)]
+                  for plane in _count_planes(rows, splitter)]
         still_open = []
         for cell in open_cells:
             for plane in planes:
@@ -185,15 +185,12 @@ def _level_value(matrix, cells):
 
 
 def _orbit(start: int, gens) -> set[int]:
-    seen = {start}
-    stack = [start]
+    seen, stack = {start}, [start]
     while stack:
         x = stack.pop()
-        for p in gens:
-            y = p[x]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+        new = {p[x] for p in gens} - seen
+        seen |= new
+        stack += new
     return seen
 
 

@@ -193,9 +193,12 @@ def construct_ddg(designs, quasigroup: LeftQuasigroup,
     if family.q != q:
         raise ShapeMismatch(f"family block count {family.q} != {q}")
 
+    # one block index table per distinct design: callers repeat one design
+    distinct = list({id(dz): dz for dz in designs}.values())
+    tables = np.array([dz.block_index_table() for dz in distinct])[
+        [distinct.index(dz) for dz in designs]]
     # x ~ y unless sigma_ij maps x's block (class i*j of design i, left) to
     # y's block (class j*i of design j, right); never so for x = y
-    tables = np.array([dz.block_index_table() for dz in designs])
     op, parts = np.array(quasigroup.table), np.arange(m)[:, None]
     left = np.take_along_axis(np.array(family.sigma), tables[parts, op], 2)
     right = tables[parts.T, op.T]

@@ -8,12 +8,12 @@ from one `np.tri` mask on the matrix.  Common-neighbour counting, the hot
 loop of every verifier, is a matrix product too: `first_bad_pair` counts
 in float32 tiles cast from the matrix against a matrix of pair strata, and
 the design verifiers run it on incidence matrices.  `common_edge_counts`
-gives, for every pair, the edges among its common neighbours; canon
-colours pairs by it.  Bitset rows (Python ints, bit v of rows[u] set iff
-uv is an edge; `set_bits` lists them, `bitset` builds one) are built only
-where bit operations pay: canonical refinement and `cliques`, the one
-clique search, behind the Hoffman colorings and the ratio-bound clique
-census.
+gives, for every pair, the edges among its common neighbours, as one Gram
+matrix of edge rows; canon colours pairs by it.  Bitset rows (Python ints,
+bit v of rows[u] set iff uv is an edge; `set_bits` lists them, `bitset`
+builds one) are built only where bit operations pay: canonical refinement
+and `cliques`, the one clique search, behind the Hoffman colorings and the
+ratio-bound clique census.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import ParseError, TooLarge
 MAX_BUILD_VERTICES = 4096
 
 _EDGE_BLOCK = 1 << 16  # edges that from_edges holds in one array at a time
+_GRAM_ROWS = 64  # edge rows per float32 block of common_edge_counts
 
 
 def check_vertices(n: int, what: str) -> None:
@@ -384,22 +385,21 @@ def common_edge_counts(m) -> np.ndarray:
     """t[u, w], the number of edges among the common neighbours of u and w,
     for a boolean adjacency matrix m: for an edge uw, the K4s through it.
 
-    Row u is computed on the neighbourhood N(u): with B = m[:, N(u)] and the
-    local graph L = m[N(u)][:, N(u)], t[u, w] is half the row sum of
-    (B @ L) * B at w.  The product and the sum are float32, which is exact
-    because every partial sum is an integer of at most k^2 < 2^24 for a
-    degree k < 4096.
+    t = C^T C, C with the row m[x] & m[y] for each edge x < y, counts the
+    edges inside N(u) & N(w).  C is cast to float32 _GRAM_ROWS rows at a
+    time and the block products summed in float32, which is exact: every
+    partial sum is an integer of at most |E| < 2^24 for n <= 4096.
     """
     n = len(m)
     if n > 1 << 12:
-        raise ValueError(f"{n} vertices: float32 counts are exact up to "
-                         "4096")
-    a = np.asarray(m, np.float32)
-    t = np.empty((n, n), np.int64)
-    for u, nbrs in enumerate(m):
-        b = a[:, nbrs]
-        t[u] = ((b @ a[np.ix_(nbrs, nbrs)]) * b).sum(axis=1) // 2
-    return t
+        raise ValueError(f"{n} vertices: float32 counts are exact up to 4096")
+    edges = np.flatnonzero(np.triu(m))  # x * n + y for each edge x < y
+    t = np.zeros((n, n), np.float32)
+    for e in range(0, len(edges), _GRAM_ROWS):
+        x, y = np.divmod(edges[e:e + _GRAM_ROWS], n)
+        c = (m[x] & m[y]).astype(np.float32)
+        t += c.T @ c
+    return t.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,30 @@ def test_discrete_root_skips_pair_colours(monkeypatch):
         canonical_form(petersen_graph())
 
 
+def test_twin_pair_refines_on_many_colours():
+    """A seeded G(128, 1/2) with vertex 1 made a twin of vertex 0: the
+    plain root refinement leaves the twins in one cell, and refinement goes
+    on with 812 pair colour relations.  The form ignores a relabelling, the
+    twins make up the one orbit of two, and the graph6 digest and the node
+    count are pinned."""
+    rnd = random.Random(128)
+    m = graph_from_bits(128, rnd.getrandbits(128 * 127 // 2)).matrix.copy()
+    m[1] = m[0]
+    m[:, 1] = m[:, 0]  # and m[0, 1] = m[0, 0] = False
+    g = Graph(m)
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert len(canon._pair_relations(g.matrix)) == 812
+    form = canonical_form(g)
+    assert (form.aut_order, form.orbit_count) == (2, 127)
+    assert canonical_form(g.relabel(tuple(perm))) == form
+    assert hashlib.sha256(form.graph6.encode()).hexdigest() == \
+        "889dbe5a1d5b77de3579d6138f4a3de1690782910c37a37eb520b4649f3c2ab5"
+    search = canon._Search(g)
+    search.run()
+    assert search.nodes == 3
+
+
 def _cli_lines(capsys, argv):
     """stdout lines of one in-process CLI run that exits 0."""
     capsys.readouterr()

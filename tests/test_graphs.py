@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from itertools import combinations
 from unittest.mock import patch
 
@@ -15,10 +16,11 @@ from srgforge import (certificate, Certificate, chang_graphs,
                       common_neighbours, complement, complete_graph,
                       complete_multipartite, cycle_graph, empty_graph,
                       exact_spectrum, from_edges, Graph, graph6_decode,
-                      graph6_encode, line_graph, octahedron, ParseError,
-                      path_graph, petersen_graph, srg_spectrum, SrgParams,
-                      triangular_graph, verify_ddg, verify_srg,
-                      verify_srg1_cases, VertexPartition)
+                      graph6_encode, line_graph, make_field, octahedron,
+                      ParseError, path_graph, petersen_graph, srg_spectrum,
+                      SrgParams, symplectic_graph, triangular_graph,
+                      verify_ddg, verify_srg, verify_srg1_cases,
+                      VertexPartition)
 import srgforge.graphs as graphs_module
 from srgforge.cli import main
 from srgforge.graphs import (bitset, cliques, common_edge_counts, regularity,
@@ -433,3 +435,31 @@ def test_common_edge_counts_on_named_graphs():
 def test_common_edge_counts_refuses_inexact_sizes():
     with pytest.raises(ValueError, match="4097 vertices"):
         common_edge_counts(np.broadcast_to(False, (4097, 4097)))
+
+
+@given(graphs(max_n=12), st.sampled_from([1, 2, 3, 7]))
+def test_common_edge_counts_across_edge_blocks(g, rows):
+    """Edge blocks of 1, 2, 3 and 7 rows put block boundaries all through
+    the edge list; the block sums still add up to the set recount."""
+    with patch.object(graphs_module, "_GRAM_ROWS", rows):
+        assert common_edge_counts(g.matrix).tolist() == \
+            ref_common_edge_counts(g)
+
+
+def test_common_edge_counts_memory():
+    """At 255 vertices, common_edge_counts holds at most its int64 result,
+    the edge list and one block: the block's edge rows (bool and float32)
+    and an n x n float32 Gram, the size of the float32 sum the result is
+    cast from.  An |E| x n float32 edge matrix (16 MB here) would break
+    this."""
+    g = symplectic_graph(make_field(2), 4)
+    n, edges = g.n, g.edge_count()
+    block = graphs_module._GRAM_ROWS * n * (3 + 4) + 4 * n * n
+    tracemalloc.start()
+    try:
+        t = common_edge_counts(g.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 255 and t.dtype == np.int64
+    assert peak <= t.nbytes + 8 * edges + block, (peak, t.nbytes)
