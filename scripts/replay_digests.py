@@ -36,10 +36,15 @@ The command set:
 - then fields past GF(4), whatever the ladder: `sp-graph` over GF(8),
   `gen-ddg` over GF(8) and `gen-srg1` over GF(9), at d = 2 and seed 0,
   and the digests of the files these add;
-- finally, `verify --expect ddg --classes` and `verify --expect srg` on the
+- then `verify --expect ddg --classes` and `verify --expect srg` on the
   seed-0 cyclic outputs of the first (q, d) with their last edge removed,
   which fail on the regularity witness, and the digests of the files these
-  add.
+  add;
+- finally, `spectrum` on two disjoint Petersen graphs with 3, 1, -2: they
+  are regular of degree 3 but disconnected, so the product of the other
+  factors is not constant and the degree factor A - 3I is multiplied in;
+  and on C5 with 2, +-sqrt(5), which misses its eigenvalues
+  (-1 +- sqrt(5))/2 (exit 2); then the digests of the two graph files.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from srgforge import (fano_plane, Graph, graph6_decode, graph6_encode,
+from srgforge import (cycle_graph, fano_plane, from_edges, Graph,
+                      graph6_decode, graph6_encode, petersen_graph,
                       save_design, srg1_target_params, srg_spectrum,
                       theorem1_params, triangular_graph)
 from srgforge.cli import main as cli_main
@@ -124,6 +130,8 @@ def replay(ladder) -> None:
     run(["gen-srg1", "--q", "9", "--d", "2", "--seed", "0"])
     listed = print_files(listed)
     replay_removed_edge(*ladder[0])
+    listed = print_files(listed)
+    replay_degree_factor()
     print_files(listed)
 
 
@@ -185,6 +193,16 @@ def replay_removed_edge(q: int, d: int) -> None:
         flags = ["--classes", prefix + ".classes"] if kind == "ddg" else []
         run(["verify", "--expect", kind, *flags, "--in", f"cut-{prefix}.g6",
              "--cert", f"cut-{prefix}.verify.json"])
+
+
+def replay_degree_factor() -> None:
+    pet = petersen_graph()
+    two = from_edges(20, [*pet.edges(),
+                          *((u + 10, w + 10) for u, w in pet.edges())])
+    for name, g in (("two-petersen.g6", two), ("c5.g6", cycle_graph(5))):
+        Path(name).write_text(graph6_encode(g) + "\n", encoding="ascii")
+    run(["spectrum", "--in", "two-petersen.g6", "--candidates=3,1,-2"])
+    run(["spectrum", "--in", "c5.g6", "--candidates=2,sqrt(5),-sqrt(5)"])
 
 
 def print_files(listed: frozenset = frozenset()) -> frozenset:

@@ -202,7 +202,7 @@ def cmd_gen_srg1(args) -> int:
 
     g = construct_srg1(ddg_graph, partition, design, phi)
     cert = verify_srg(g)
-    cases = verify_srg1_cases(g, partition, design)
+    cases = verify_srg1_cases(g, partition, design, cert)
     doc = {"srg": cert.to_dict(),
            "cases": cases.to_dict()}
     if cert.passed:

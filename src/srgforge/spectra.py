@@ -7,14 +7,30 @@ combine into the integer factor A^2 - tI), and the multiplicities are the
 unique solution of the trace system tr(A^s) = sum_i m_i theta_i^s over the
 rationals.  Candidates past Gershgorin's bound |theta| <= Delta, the
 maximum degree (radicands t > Delta^2), give invertible factors: they get
-multiplicity 0 and enter no product.  The product builds A^2 only for a
-radical factor or a trace, higher powers only for traces; an SRG spectrum
-takes 2 n x n products, a DDG formula spectrum at most 4 when theta2 = 0,
-as for the glued DDGs, else at most 5.  Exactness is one decision per
-call: a bound on every partial sum of the whole schedule picks float64
-(BLAS) below 2^53, exact in any summation order, and Python-int object
-arrays otherwise, or TooLarge when MAX_OBJECT_WORK estimates the products
-or the rational trace solve too slow.
+multiplicity 0 and enter no product.
+
+The product shares one power: A^2 is built once, and the integer
+candidates pair in order into quadratics A^2 - (a + b)A + ab I, built
+elementwise from A and A^2 like the radical factors A^2 - tI; only
+products between factors, at most one of them linear, use BLAS.  When A
+is regular of degree Delta and Delta is a candidate, A - Delta I is left
+out while the product P of the others is constant, since P = cJ gives
+(A - Delta I)P = 0 (AJ = Delta J); otherwise, as on a disconnected
+regular graph, it is multiplied in.  The traces come from A and A^2
+(tr A^2 is the number of edge ends, tr A^3 and tr A^4 sums of products of
+their entries); higher ones from further powers A^p = A A^(p-1).  So an
+SRG spectrum {k, r, s} takes one n x n product, A^2, and a glued DDG's
+formula spectrum {k, +-theta1, 0} two.
+
+Each product picks its own number type from its own bound, the largest
+absolute row sum of the left operand times the largest absolute entry of
+the right: float32 (BLAS) below 2^24, float64 below 2^53, exact in any
+summation order, and Python-int object arrays otherwise.  Traces are sums
+of nonnegative terms at most n Delta^s, added in float64 below 2^53, else
+in Python ints, never in float32.  Closed-form bounds on the whole
+schedule count the products that can reach 2^53, and TooLarge stops a call
+whose object-tier products or rational trace solve MAX_OBJECT_WORK
+estimates too slow before any product runs.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
@@ -29,7 +45,9 @@ one helper.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,79 +139,148 @@ def make_spectrum(pairs) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# exact matrix arithmetic: float64 below a proved 2^53 bound, else Python ints
+# exact matrix arithmetic: each product in the narrowest number type that
+# its own bound proves exact
 
 
 def adjacency_matrix(g: Graph):
-    """0/1 adjacency matrix as float64."""
-    return g.matrix.astype(np.float64)
+    """0/1 adjacency matrix as float32."""
+    return g.matrix.astype(np.float32)
 
 
-# limit on max(n^3 * products, rows * unknowns^2 of the trace solve) *
-# (bit length of the bound) for a call that needs Python-int object
-# arrays; past it exact_spectrum raises TooLarge instead of running for
-# minutes
+# limit on max(n^3 * products past 2^53, rows * unknowns^2 of the trace
+# solve) * (bit length of the largest bound) for a call whose schedule
+# reaches 2^53; past it exact_spectrum raises TooLarge instead of running
+# Python-int matrix products for minutes
 MAX_OBJECT_WORK = 1 << 32
 
 
-def _schedule_bound(n: int, delta: int, ints, rads) -> tuple[int, int]:
-    """(bound, products) of exact_spectrum on these candidates, A 0/1 with
-    row sums <= delta: it takes `products` n x n products, none of whose
-    partial sums passes the product of the factors' row sums delta^p +
-    |shift|, nor delta^p for a power A^p, nor n delta^s for tr(A^s)."""
-    rows = len(ints) + 2 * len(rads)
-    top = max(rows // 2, 2 if rads else 1)
-    bound = max(math.prod(delta + abs(a) for a in ints) *
-                math.prod(delta * delta + t for t in rads),
-                delta ** top, n * delta ** (rows - 1))
-    return bound, top - 1 + len(ints) + len(rads) - 1
+def _number_type(bound: int):
+    """float32 below 2^24, float64 below 2^53, else object (Python ints):
+    the narrowest type that holds every integer up to bound exactly."""
+    if bound < 1 << 24:
+        return np.float32
+    return np.float64 if bound < 1 << 53 else object
 
 
-def _exact_matrix(adj, bound: int, products: int, solve: int = 0):
-    """The float64 0/1 matrix adj as is when bound < 2^53, exact for any
-    summation order; else as Python ints in an object array, or TooLarge
-    when MAX_OBJECT_WORK estimates those products, or the `solve` rational
-    operations of the trace system, too slow.  Below 2^53 the solve is
-    small: n delta^(rows-1) < 2^53 keeps rows <= 53 once delta >= 2."""
-    if bound < 1 << 53:
-        return adj
-    n, bits = len(adj), bound.bit_length()
-    if max(n ** 3 * products, solve) * bits > MAX_OBJECT_WORK:
-        work = (f"{products} exact products of {n} x {n} matrices"
-                if n ** 3 * products >= solve else
-                f"{solve} rational operations of the trace solve")
-        raise TooLarge(f"{work} past a {bits}-bit bound exceed the "
-                       f"object-tier limit")
-    return adj.astype(np.int64).astype(object)
+def _as_type(m, dtype):
+    """The integer matrix m in dtype, which must hold its entries."""
+    if m.dtype == dtype:
+        return m
+    return m.astype(np.int64).astype(object) if dtype is object \
+        else m.astype(dtype)
+
+
+def _max_abs(m) -> int:
+    """The largest absolute entry of m, exact in any number type."""
+    return int(np.abs(m).max())
+
+
+def _times(left, right):
+    """left @ right of integer matrices, exact: no entry of either operand
+    and no partial sum passes max(1, largest absolute row sum of left) *
+    max(1, largest absolute entry of right), and the product runs in that
+    bound's number type.  Row sums add nonnegative integers in float64 (in
+    Python ints for object arrays): exact below 2^53 and, since rounding is
+    monotone, at least 2^53 when the true sum is, so the type is right."""
+    rows = np.abs(left).sum(axis=1, dtype=None if left.dtype == object
+                            else np.float64)
+    dtype = _number_type(max(1, int(rows.max())) * max(1, _max_abs(right)))
+    return _as_type(left, dtype) @ _as_type(right, dtype)
 
 
 def _matrix_powers(adj):
-    """p -> A^p for A = adj, each power built once, on first use."""
+    """p -> A^p for A = adj, each power built once, on first use, as A
+    times the power below it."""
     powers = [adj]
 
     def power(p: int):
         while len(powers) < p:
-            powers.append(powers[-1] @ adj)
+            powers.append(_times(adj, powers[-1]))
         return powers[p - 1]
     return power
 
 
-def _annihilator(power, ints: list[int], rads: list[int]):
-    """prod (A - aI) over ints times prod (A^2 - tI) over rads, started
-    from its first factor, with power(p) = A^p."""
-    product = None
-    for p, shift in [(1, a) for a in ints] + [(2, t) for t in rads]:
-        factor = power(p).copy()
-        factor[np.diag_indices_from(factor)] -= shift
-        product = factor if product is None else product @ factor
+def _factors(ints: list[int], rads: list[int]) -> list[tuple[int, int, int]]:
+    """prod (A - aI) over ints times prod (A^2 - tI) over rads as factors
+    (c2, c1, c0) = c2 A^2 + c1 A + c0 I: the ints paired in order,
+    (A - aI)(A - bI) = A^2 - (a + b)A + ab I, then A^2 - tI per radicand,
+    then A - aI for a last unpaired int."""
+    factors = [(1, -a - b, a * b) for a, b in zip(ints[::2], ints[1::2])]
+    factors += [(1, 0, -t) for t in rads]
+    if len(ints) % 2:
+        factors.append((0, 1, -ints[-1]))
+    return factors
+
+
+def _factor(power, c2: int, c1: int, c0: int):
+    """c2 A^2 + c1 A + c0 I, c2 or c1 nonzero, built elementwise from the
+    powers A^p = power(p) it needs, in the number type of its entry
+    bound."""
+    terms = [(c, power(p)) for p, c in ((2, c2), (1, c1)) if c]
+    dtype = _number_type(abs(c0) + sum(abs(c) * _max_abs(m) for c, m in terms))
+    (c, m), *rest = terms
+    factor = c * _as_type(m, dtype)
+    for c, m in rest:
+        factor += c * _as_type(m, dtype)
+    factor[np.diag_indices_from(factor)] += c0
+    return factor
+
+
+def _annihilator(power, coeffs):
+    """The product of the factors `coeffs` (_factors), each factor times
+    the product so far: only products between factors use BLAS."""
+    product = _factor(power, *coeffs[0])
+    for c in coeffs[1:]:
+        product = _times(_factor(power, *c), product)
     return product
 
 
-def _traces(power, n: int, count: int) -> list[int]:
+def _traces(power, n: int, delta: int, count: int) -> list[int]:
     """tr(A^s), s < count, for a symmetric n x n 0/1 matrix A with zero
-    diagonal: sum_ij (A^a)_ij (A^b)_ij, a = s // 2, b = s - a."""
-    return [n, 0][:count] + [int(np.vdot(power(s // 2), power(s - s // 2)))
-                             for s in range(2, count)]
+    diagonal and row sums at most delta: n, 0, the number of nonzero
+    entries, then sum_ij (A^a)_ij (A^b)_ij, a = s // 2, b = s - a.  Its
+    terms are nonnegative and add up to at most n delta^s: in float64 below
+    2^53, else in Python ints."""
+    traces = [n, 0, int(np.count_nonzero(power(1)))][:count]
+    for s in range(3, count):
+        dtype = np.float64 if n * delta ** s < 1 << 53 else object
+        traces.append(int(np.vdot(_as_type(power(s // 2), dtype),
+                                  _as_type(power(s - s // 2), dtype))))
+    return traces
+
+
+def _schedule_bound(n: int, delta: int, coeffs, rows: int) -> tuple[int, int]:
+    """(bound, products) of exact_spectrum on the factors `coeffs` and
+    `rows` traces, from closed forms for a 0/1 A with row sums at most
+    delta: the largest bound of any step, and the number of n x n products
+    whose bound reaches 2^53.  Factor c2 A^2 + c1 A + c0 I has entries and
+    row sums at most c2 delta^2 + |c1| delta + |c0|, so the product of the
+    first j factors is bounded by the first j of these multiplied; the
+    power A^p, p >= 3, by delta^(p-1); the trace tr(A^s) by n delta^s."""
+    chain = list(itertools.accumulate(
+        (c2 * delta * delta + abs(c1) * delta + abs(c0)
+         for c2, c1, c0 in coeffs), operator.mul))
+    steps = chain[1:] + [delta ** (p - 1) for p in range(3, rows // 2 + 1)]
+    bound = max(chain[:1] + steps + [n * delta ** (rows - 1)])
+    return bound, sum(b >= 1 << 53 for b in steps)
+
+
+def _check_object_work(n: int, bound: int, products: int,
+                       solve: int) -> None:
+    """TooLarge when a schedule whose bound reaches 2^53 takes more than
+    MAX_OBJECT_WORK for its products past 2^53, or for the `solve` rational
+    operations of the trace system.  Below 2^53 the solve is small:
+    n delta^(rows-1) < 2^53 keeps rows <= 53 once delta >= 2."""
+    bits = bound.bit_length()
+    if bound < 1 << 53 or max(n ** 3 * products, solve) * bits <= \
+            MAX_OBJECT_WORK:
+        return
+    work = (f"{products} exact products of {n} x {n} matrices"
+            if n ** 3 * products >= solve else
+            f"{solve} rational operations of the trace solve")
+    raise TooLarge(f"{work} past a {bits}-bit bound exceed the object-tier "
+                   f"limit")
 
 
 def _candidate_sets(candidates) -> tuple[list[int], list[int]]:
@@ -231,7 +318,8 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     # Gershgorin: every eigenvalue has |theta| <= delta, so A - aI for
     # |a| > delta and A^2 - tI for t > delta^2 are invertible and take no
     # part in annihilation; those candidates keep multiplicity 0
-    delta = int(np.count_nonzero(g.matrix, axis=1).max())
+    degrees = np.count_nonzero(g.matrix, axis=1)
+    delta = int(degrees.max())
     counts = dict.fromkeys(ints + [Radical(t) for t in rads], 0)
     missing = NotAnnihilated(f"candidates {list(counts)} do not annihilate "
                              f"the adjacency matrix")
@@ -241,17 +329,28 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     if not eigs:
         raise missing
 
+    # AJ = delta J when A is regular, so when delta is one of several
+    # candidates a constant product P = cJ of the other factors proves
+    # (A - delta I)P = 0 without forming it; the work guard counts that
+    # product all the same
+    deflate = delta in ints and len(eigs) > 1 and int(degrees.min()) == delta
+    coeffs = _factors([a for a in ints if not (deflate and a == delta)], rads)
+    degree_factor = (0, 1, -delta)
     rows = len(ints) + 2 * len(rads)
-    adj = _exact_matrix(adjacency_matrix(g),
-                        *_schedule_bound(n, delta, ints, rads),
-                        rows * len(eigs) ** 2)
-    power = _matrix_powers(adj)
-    if np.any(_annihilator(power, ints, rads)):
-        raise missing
+    _check_object_work(n, *_schedule_bound(
+        n, delta, coeffs + [degree_factor] * deflate, rows),
+        rows * len(eigs) ** 2)
+    power = _matrix_powers(adjacency_matrix(g))
+    product = _annihilator(power, coeffs)
+    if not deflate or (product != product.flat[0]).any():
+        if deflate:
+            product = _times(_factor(power, *degree_factor), product)
+        if product.any():
+            raise missing
 
     # tr(A^s) = sum_i m_i theta_i^s, where (sqrt(t))^s + (-sqrt(t))^s is
     # 2 t^(s/2) for even s and 0 for odd s
-    traces = _traces(power, n, rows)
+    traces = _traces(power, n, delta, rows)
     system = [[Fraction(a**s) for a in ints] +
               [Fraction(0 if s % 2 else 2 * t ** (s // 2)) for t in rads] +
               [Fraction(trace)]

@@ -187,13 +187,17 @@ def _attach_design(g: Graph, partition: VertexPartition,
 
 
 def verify_srg1_cases(g: Graph, partition: VertexPartition,
-                      design: SymmetricDesign) -> Certificate:
+                      design: SymmetricDesign,
+                      srg_cert: Certificate | None = None) -> Certificate:
     """Stratified common-neighbour audit of a coclique-attached graph.
 
     Splits every vertex pair into four strata (same class, different
     classes, both attached, mixed) and checks the exact split of common
     neighbours between the original vertices and the attached coclique
     against the closed forms; all four strata must total q^{2d-2}(q-1).
+    srg_cert, verify_srg's certificate of the same g, settles the totals
+    when it passed with lambda = mu = q^{2d-2}(q-1): then that pass is
+    skipped, as it cannot fail.
     """
     witnesses = []
     v_star = partition.n
@@ -227,7 +231,10 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     cls = np.array(partition.class_of() + [-1] * m)
     strata = (cls[:, None] == cls).view(np.uint8)
     strata[:, v_star:] = 2
+    totals_known = srg_cert is not None and srg_cert.passed and \
+        srg_cert.parameters["lambda"] == srg_cert.parameters["mu"] == target
     found = [
+        None if totals_known else
         first_bad_pair(g.matrix, np.broadcast_to(0, strata.shape),
                        (target,))[0],
         first_bad_pair(g.matrix[:, v_star:], strata,

@@ -199,9 +199,10 @@ def test_spectrum_candidates_square_radicands(workdir, capsys):
 
 def test_spectrum_object_tier_guard(workdir, capsys):
     """61 candidates on the 364-vertex s(3,3), all within its degree 243,
-    need 89 products (60 annihilating, A^2..A^30 for the traces) past a
-    489-bit bound: exit 2 at once, not minutes of Python-int matrix
-    products.  The child has a time limit so a missing guard fails."""
+    pair into 31 factors; 51 products reach 2^53 (28 of the 30 between
+    factors, A^8..A^30 of the powers for the traces), under a 489-bit
+    bound: exit 2 at once, not minutes of Python-int matrix products.  The
+    child has a time limit so a missing guard fails."""
     assert main(["gen-srg1", "--q", "3", "--d", "3", "--seed", "0",
                  "--out", "s33"]) == 0
     capsys.readouterr()
@@ -213,16 +214,16 @@ def test_spectrum_object_tier_guard(workdir, capsys):
         capture_output=True, text=True, timeout=30, cwd=workdir,
         env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 2
-    assert result.stderr == ("srgforge: 89 exact products of 364 x 364 "
+    assert result.stderr == ("srgforge: 51 exact products of 364 x 364 "
                              "matrices past a 489-bit bound exceed the "
                              "object-tier limit\n")
 
 
 def test_spectrum_trace_solve_guard(workdir, capsys):
     """K_20 with -19..19 and the first 150 non-square radicands, all within
-    its degree 19: the products come to 99.9 % of the object-tier limit,
-    but the 339-row rational trace solve, which ran for half a minute,
-    is counted too: exit 2 at once."""
+    its degree 19: the products that reach 2^53 come to 90 % of the
+    object-tier limit, but the 339-row rational trace solve, which ran for
+    half a minute, is counted too: exit 2 at once."""
     (workdir / "k20.g6").write_text(graph6_encode(complete_graph(20)) + "\n")
     rads = [t for t in range(2, 400) if math.isqrt(t) ** 2 != t][:150]
     candidates = ",".join([*map(str, range(-19, 20)),

@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "d0d18e924cff183f0435a832276a42ccf49045f10e94c66b014da2480ac0fd53",
+        "2997fc2597a84e1acf32b060620a18f5a6c78474ee203d616f1aa662425766e2",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):

@@ -13,16 +13,16 @@ from conftest import graphs
 from srgforge import (chang_graphs, coclique_deletion_spectrum, complement,
                       complete_graph, cycle_graph, ddg_formula_spectrum,
                       DdgParams, delsarte_clique_size, empty_graph,
-                      exact_root, exact_spectrum, from_edges,
+                      exact_root, exact_spectrum, from_edges, Graph,
                       hoffman_coclique_size, InfeasibleParams, make_field,
                       make_spectrum, NotAnnihilated, petersen_graph,
                       Radical, srg1_target_params, srg_eigenvalues,
                       srg_spectrum, SrgParams, symplectic_graph,
                       theorem1_params, TooLarge, triangular_graph, verify_ddg)
 from srgforge import spectra
-from srgforge.spectra import (_annihilator, _candidate_sets, _exact_matrix,
-                              _matrix_powers, _schedule_bound, _traces,
-                              adjacency_matrix)
+from srgforge.spectra import (_annihilator, _as_type, _factor, _factors,
+                              _matrix_powers, _number_type, _schedule_bound,
+                              _times, _traces, adjacency_matrix)
 from srgforge.srg import srg_params
 from test_ddg import build
 from test_srg import srg1
@@ -237,65 +237,97 @@ def _reference_product(g, shifts):
 
 
 def test_exact_matrix_dtype_boundary():
-    """float64 while the bound is below 2^53, Python ints from 2^53 on."""
+    """float32 below 2^24, float64 below 2^53, Python ints from 2^53 on;
+    a matrix moves between them without changing an entry."""
+    assert [_number_type(b) for b in (0, 2**24 - 1, 2**24, 2**53 - 1)] == \
+        [np.float32, np.float32, np.float64, np.float64]
+    assert _number_type(2**53) is object
     adj = adjacency_matrix(petersen_graph())
-    assert _exact_matrix(adj, 2**53 - 1, 4) is adj
-    exact = _exact_matrix(adj, 2**53, 4)
-    assert exact.dtype == object
+    assert adj.dtype == np.float32
+    assert _as_type(adj, np.float32) is adj
+    exact = _as_type(adj, object)
     assert all(type(x) is int for x in exact.flat)
     assert exact.tolist() == adj.astype(int).tolist()
+    wide = _as_type(exact * (2**53 - 1), np.float64)
+    assert wide.dtype == np.float64
+    assert (wide.astype(object) == exact * (2**53 - 1)).all()
 
 
 @pytest.mark.parametrize("shifts, first_object", [
-    ([2**60, 3, 1, -2], 0),         # 3 + 2^60 >= 2^53 at once
-    ([2**30, 2**31, 3, 1, -2], 1),  # (3 + 2^30)(3 + 2^31) >= 2^53
-    ([0] * 40, 32),                 # A^k: traces 10 * 3^(k-1) >= 2^53, k >= 33
+    ([2**60, 3, 1, -2], 0),         # A - 2^60 I has an entry past 2^53
+    ([2**30, 2**31, 3, 1, -2], 1),  # A^2 - 3 * 2^30 A + 2^61 I too
+    ([0] * 40, 35),                 # A^2 A^34: 9 * 1.7e15 >= 2^53
 ])
 def test_exact_product_tier_boundaries(shifts, first_object):
-    """Every prefix of the shifts, in the dtype its schedule bound picks,
-    equals the Python-int product."""
+    """Every prefix of the shifts, as paired factors, equals the Python-int
+    product: in float32 or float64 before first_object, in Python ints
+    from it on."""
     g = petersen_graph()  # maximum degree 3
     for i in range(len(shifts)):
-        adj = _exact_matrix(adjacency_matrix(g),
-                            *_schedule_bound(g.n, 3, shifts[:i + 1], []))
-        product = _annihilator(_matrix_powers(adj), shifts[:i + 1], [])
+        product = _annihilator(_matrix_powers(adjacency_matrix(g)),
+                               _factors(shifts[:i + 1], []))
         if i < first_object:
-            assert product.dtype == np.float64
+            assert product.dtype in (np.float32, np.float64)
         else:
             assert product.dtype == object
             assert all(type(x) is int for x in product.flat)
         assert product.tolist() == _reference_product(g, shifts[:i + 1])
 
 
+@pytest.mark.parametrize("edge", [24, 53])
+def test_product_number_type_edges(edge):
+    """(A + (2^h - 3)I)(A - tI) on Petersen, h = edge // 2: the left
+    operand's row sums are 2^h and the right's largest entry is t, so the
+    bound 2^h t meets 2^edge at t = 2^(edge - h) and stays below it at
+    t - 1.  Below 2^24 the product runs in float32, below 2^53 in float64,
+    else in Python ints; each equals the Python-int product."""
+    g = petersen_graph()
+    power = _matrix_powers(adjacency_matrix(g))
+    h = edge // 2
+    below, at = {24: (np.float32, np.float64), 53: (np.float64, object)}[edge]
+    for t, dtype in ((2**(edge - h) - 1, below), (2**(edge - h), at)):
+        left, right = (_factor(power, 0, 1, c) for c in (2**h - 3, -t))
+        assert np.abs(left).sum(axis=1).max() * np.abs(right).max() == \
+            2**h * t
+        product = _times(left, right)
+        assert product.dtype == dtype
+        assert product.tolist() == _reference_product(g, [3 - 2**h, t])
+
+
 def test_object_tier_work_limit(monkeypatch):
-    """K_12 with every integer in [-11, 11] as a candidate: 32 products (22
-    annihilating, A^2..A^11 for the traces) past a 93-bit bound are
-    12^3 * 32 * 93 = 5142528 units of work."""
+    """K_12 with every integer in [-11, 11] as a candidate: 11 is the
+    degree, so 22 candidates pair into 11 factors, and with the degree
+    factor and A^3..A^11 for the traces 6 products reach 2^53.  Past a
+    93-bit bound the 23-row trace solve of 23 unknowns, 23^3 = 12167
+    rational operations, outweighs their 12^3 * 6 = 10368: 1131531 units
+    of work."""
     g = complete_graph(12)
     candidates = list(range(-11, 12))
-    bound, products = _schedule_bound(12, 11, candidates, [])
-    assert (products, bound.bit_length()) == (32, 93)
-    for limit, ok in ((5142528, True), (5142527, False)):
+    coeffs = _factors(list(range(-11, 11)), []) + [(0, 1, -11)]
+    bound, products = _schedule_bound(12, 11, coeffs, 23)
+    assert (products, bound.bit_length()) == (6, 93)
+    for limit, ok in ((1131531, True), (1131530, False)):
         monkeypatch.setattr(spectra, "MAX_OBJECT_WORK", limit)
         if ok:
             spec = exact_spectrum(g, candidates)
             assert spec.nonzero() == make_spectrum([(11, 1), (-1, 11)])
         else:
-            with pytest.raises(TooLarge, match="32 exact products of 12 x "
-                               "12 matrices past a 93-bit bound"):
+            with pytest.raises(TooLarge, match="12167 rational operations "
+                               "of the trace solve past a 93-bit bound"):
                 exact_spectrum(g, candidates)
 
 
 def test_object_tier_solve_limit(monkeypatch):
     """K_6 with every integer in [-5, 5] and sqrt(2), ..., sqrt(8): the
     trace solve has 23 rows and 17 unknowns, 23 * 17^2 = 6647 rational
-    operations, more than the 6^3 * 26 of its products, past a 62-bit
-    bound: 412114 units of work."""
+    operations, more than the 6^3 * 3 of its products that reach 2^53,
+    past a 62-bit bound: 412114 units of work."""
     g = complete_graph(6)
     ints, rads = list(range(-5, 6)), [2, 3, 5, 6, 7, 8]
     candidates = ints + [Radical(t) for t in rads]
-    bound, products = _schedule_bound(6, 5, ints, rads)
-    assert (products, bound.bit_length()) == (26, 62)
+    coeffs = _factors(ints[:-1], rads) + [(0, 1, -5)]
+    bound, products = _schedule_bound(6, 5, coeffs, 23)
+    assert (products, bound.bit_length()) == (3, 62)
     for limit, ok in ((412114, True), (412113, False)):
         monkeypatch.setattr(spectra, "MAX_OBJECT_WORK", limit)
         if ok:
@@ -305,6 +337,125 @@ def test_object_tier_solve_limit(monkeypatch):
             with pytest.raises(TooLarge, match="6647 rational operations "
                                "of the trace solve past a 62-bit bound"):
                 exact_spectrum(g, candidates)
+
+
+def old_exact_spectrum(g, candidates):
+    """exact_spectrum as it was before paired factors: one product per
+    factor A - aI or A^2 - tI, and A^p = A^(p-1) A for the traces, all in
+    float64 when one bound on the whole schedule is below 2^53, else all
+    in Python ints.  The reference of the oracle test below."""
+    ints, rads = spectra._candidate_sets(candidates)
+    n = g.n
+    if n == 0:
+        return spectra.Spectrum((), ())
+    if not ints and not rads:
+        raise NotAnnihilated("empty candidate list")
+    delta = int(np.count_nonzero(g.matrix, axis=1).max())
+    counts = dict.fromkeys(ints + [Radical(t) for t in rads], 0)
+    missing = NotAnnihilated(f"candidates {list(counts)} do not annihilate "
+                             f"the adjacency matrix")
+    ints = [a for a in ints if abs(a) <= delta]
+    rads = [t for t in rads if t <= delta * delta]
+    eigs = ints + [Radical(t) for t in rads]
+    if not eigs:
+        raise missing
+    rows = len(ints) + 2 * len(rads)
+    top = max(rows // 2, 2 if rads else 1)
+    bound = max(math.prod(delta + abs(a) for a in ints) *
+                math.prod(delta * delta + t for t in rads),
+                delta ** top, n * delta ** (rows - 1))
+    adj = g.matrix.astype(np.float64 if bound < 1 << 53 else object)
+    powers = [adj if bound < 1 << 53 else adj.astype(int).astype(object)]
+    while len(powers) < top:
+        powers.append(powers[-1] @ powers[0])
+    product = None
+    for p, shift in [(1, a) for a in ints] + [(2, t) for t in rads]:
+        factor = powers[p - 1].copy()
+        factor[np.diag_indices_from(factor)] -= shift
+        product = factor if product is None else product @ factor
+    if np.any(product):
+        raise missing
+    traces = [n, 0][:rows] + [int(np.vdot(powers[s // 2 - 1],
+                                          powers[s - s // 2 - 1]))
+                              for s in range(2, rows)]
+    system = [[Fraction(a**s) for a in ints] +
+              [Fraction(0 if s % 2 else 2 * t ** (s // 2)) for t in rads] +
+              [Fraction(trace)]
+              for s, trace in enumerate(traces)]
+    for x, e in zip(spectra._solve_exact(system, len(eigs)), eigs):
+        counts[e] = spectra._as_count(x, e)
+    return make_spectrum((x, m) for e, m in counts.items() for x in (
+        (e, -e) if isinstance(e, Radical) else (e,)))
+
+
+@st.composite
+def _regular_graphs(draw):
+    """A circulant graph on n vertices, regular of degree |S| for its
+    offsets S, or two disjoint copies of one (regular but disconnected)."""
+    n = draw(st.integers(2, 10))
+    offsets = draw(st.sets(st.integers(1, n // 2), max_size=n // 2))
+    m = np.zeros((n, n), bool)
+    for i in range(n):
+        for s in offsets:
+            m[i, (i + s) % n] = m[(i + s) % n, i] = True
+    if draw(st.booleans()):
+        m = np.kron(np.eye(2, dtype=bool), m)
+    return Graph(m)
+
+
+_SMALL_RADICALS = st.builds(Radical, st.sampled_from([2, 3, 5, 6, 7, 8, 12]),
+                            st.booleans())
+
+
+@given(st.one_of(graphs(max_n=9), _regular_graphs()),
+       st.one_of(st.lists(st.one_of(st.integers(-6, 6), _SMALL_RADICALS),
+                          max_size=8),
+                 st.just("all")))
+def test_exact_spectrum_matches_the_old_chain(g, candidates):
+    """On regular and irregular graphs, with integer and radical
+    candidates, exact_spectrum returns what the old chain returns, or
+    raises the same error.  "all" stands for every integer within the
+    degree bound and a few radicals, which annihilates every graph whose
+    eigenvalues are integers or +-sqrt(t) for t among them."""
+    if candidates == "all":
+        delta = max(g.degree(v) for v in range(g.n)) if g.n else 0
+        candidates = [*range(-delta, delta + 1), Radical(2), Radical(3),
+                      Radical(5)]
+
+    def outcome(spectrum):
+        try:
+            return spectrum(g, candidates)
+        except (NotAnnihilated, spectra.NonIntegralMultiplicity) as e:
+            return type(e), str(e)
+    assert outcome(exact_spectrum) == outcome(old_exact_spectrum)
+
+
+def _two_petersens():
+    m = np.zeros((20, 20), bool)
+    m[:10, :10] = m[10:, 10:] = petersen_graph().matrix
+    return Graph(m)
+
+
+def test_degree_factor_fallback_on_a_disconnected_graph():
+    """Two disjoint Petersen graphs: regular of degree 3, but the product
+    of the other factors, (A - I)(A + 2I), is J on each component and 0
+    between them, not constant, so the degree factor is multiplied in."""
+    g = _two_petersens()
+    assert exact_spectrum(g, [3, 1, -2]).entries() == [(3, 2), (1, 10),
+                                                        (-2, 8)]
+    with pytest.raises(NotAnnihilated):
+        exact_spectrum(g, [3, 1])
+
+
+def test_traces_exact_past_float32():
+    """K_300: n Delta^3 = 300 * 299^3 >= 2^24, so float32 sums could not
+    hold tr A^3 or tr A^4; they are 299^s + 299 (-1)^s."""
+    g = complete_graph(300)
+    assert 300 * 299**3 >= 2**24
+    traces = _traces(_matrix_powers(adjacency_matrix(g)), 300, 299, 5)
+    assert traces == [299**s + 299 * (-1)**s for s in range(5)]
+    spec = exact_spectrum(g, [299, -1, 0, 1, 2])
+    assert spec.nonzero() == make_spectrum([(299, 1), (-1, 299)])
 
 
 def test_exact_spectrum_with_huge_candidates():
@@ -390,9 +541,12 @@ class _CountedMatrix(np.ndarray):
 
 
 def test_spectrum_product_count(monkeypatch):
-    """An SRG spectrum {k, r, s} takes 2 n x n products (two annihilating
-    ones; tr A^2 is read off A).  The (2,2) glued DDG's formula spectrum
-    {k, theta, -theta, 0} takes 4: three annihilating and A^2 for tr A^3."""
+    """An SRG spectrum {k, r, s} takes 1 n x n product: A^2, from which
+    A^2 - (r + s)A + rs I = mu J is built, constant, so the degree factor
+    A - kI is never multiplied in; tr A^2 is the number of nonzero entries.
+    The (2,2) glued DDG's formula spectrum {k, theta, -theta, 0} takes 2:
+    A^2, then A (A^2 - theta^2 I); tr A^3 is read off A and A^2.  The
+    disconnected two Petersen graphs take the degree factor too: 2."""
     monkeypatch.setattr(spectra, "adjacency_matrix",
                         lambda g: adjacency_matrix(g).view(_CountedMatrix))
     ddg, partition = build(2, 2, seed=0)
@@ -400,15 +554,16 @@ def test_spectrum_product_count(monkeypatch):
     srg_candidates = [e for e, _ in
                       srg_spectrum(SrgParams(28, 12, 6, 4)).entries()]
     for g, candidates, products in (
-            (triangular_graph(8), srg_candidates, 2),
-            (ddg, ddg_formula_spectrum(params).candidates(), 4)):
+            (triangular_graph(8), srg_candidates, 1),
+            (ddg, ddg_formula_spectrum(params).candidates(), 2),
+            (_two_petersens(), [3, 1, -2], 2)):
         _CountedMatrix.products = 0
         spec = exact_spectrum(g, candidates)
         assert _CountedMatrix.products == products
         assert spec.order == g.n
 
 
-def _times(x, y):
+def _times_ref(x, y):
     """Product of two matrices given as lists of Python-int rows."""
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
             for row in x]
@@ -416,7 +571,8 @@ def _times(x, y):
 
 def test_exact_product_first_factor_tiers():
     """A first factor with an entry of 2^53 or more is built in Python
-    ints, where float64 would round it: A - (2^60 + 1) I, and A^2 -
+    ints, where float64 would round it: A - (2^60 + 1) I, paired with the
+    next shift into A^2 - (2^60 + 4)A + 3 (2^60 + 1) I, and A^2 -
     (2^61 + 1) I as the only radical factor."""
     g = petersen_graph()
     a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
@@ -425,18 +581,17 @@ def test_exact_product_first_factor_tiers():
         return [[x - t * (i == j) for j, x in enumerate(row)]
                 for i, row in enumerate(mat)]
 
-    a_sq = _times(a, a)
+    a_sq = _times_ref(a, a)
     for ints, rads in (([2**60 + 1], []), ([], [2**61 + 1])):
         for step in range(4):
             live = ints + [3, 1, -2][:step]
-            adj = _exact_matrix(adjacency_matrix(g),
-                                *_schedule_bound(g.n, 3, live, rads))
-            product = _annihilator(_matrix_powers(adj), live, rads)
+            product = _annihilator(_matrix_powers(adjacency_matrix(g)),
+                                   _factors(live, rads))
             factors = [minus(a, s) for s in live] + \
                 [minus(a_sq, t) for t in rads]
             expected = factors[0]
             for factor in factors[1:]:
-                expected = _times(expected, factor)
+                expected = _times_ref(expected, factor)
             assert product.dtype == object, step
             assert all(type(x) is int for x in product.flat)
             assert product.tolist() == expected, step
@@ -447,10 +602,10 @@ def test_exact_product_first_factor_tiers():
         exact_spectrum(g, [Radical(2**61 + 1)])
 
 
-def test_traces_match_python_ints():
+def test_traces_match_python_ints(monkeypatch):
     """tr(A^s) of the Petersen graph for s <= 40 against a Python-int
-    reference: the bound 10 * 3^31 keeps 32 traces in float64, and all 41
-    run in Python ints past it."""
+    reference: the bound 10 * 3^s keeps tr A^3 .. tr A^31 in float64, and
+    the traces past it run in Python ints; none is summed in float32."""
     assert 10 * 3**31 < 1 << 53 <= 10 * 3**32
     g = petersen_graph()
     a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
@@ -458,26 +613,43 @@ def test_traces_match_python_ints():
     expected = []
     for _ in range(41):
         expected.append(sum(power[i][i] for i in range(g.n)))
-        power = _times(power, a)
-    for count, dtype in ((32, np.float64), (41, object)):
-        adj = _exact_matrix(adjacency_matrix(g), 10 * 3**(count - 1), count)
-        assert adj.dtype == dtype
-        assert _traces(_matrix_powers(adj), g.n, count) == expected[:count]
+        power = _times_ref(power, a)
+    dtypes = []
+
+    def as_type(m, dtype):
+        dtypes.append(dtype)
+        return _as_type(m, dtype)
+
+    powers = _matrix_powers(adjacency_matrix(g))
+    powers(20)  # the products first, so only the sums are recorded
+    monkeypatch.setattr(spectra, "_as_type", as_type)
+    assert _traces(powers, g.n, 3, 41) == expected
+    assert dtypes == [np.float64] * 2 * 29 + [object] * 2 * 9
 
 
 @pytest.mark.parametrize("q, d", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3),
                                   (2, 5), (4, 3)])
-def test_benchmark_ladder_stays_in_float64(q, d):
+def test_benchmark_ladder_runs_in_float32(q, d, monkeypatch):
     """gen-ddg and gen-srg1 check their outputs' formula spectra on every
-    rung of the ladder; from closed-form n, degree and candidates, every
-    candidate is within the degree and the schedule bound is below 2^53,
-    so none of them leaves float64."""
-    ddg = theorem1_params(q, d)
-    srg = srg1_target_params(q, d)
-    for n, k, candidates in (
-            (ddg.v, ddg.k, ddg_formula_spectrum(ddg).candidates()),
-            (srg.v, srg.k, [e for e, _ in srg_spectrum(srg).entries()])):
-        ints, rads = _candidate_sets(candidates)
-        assert all(abs(a) <= k for a in ints)
-        assert all(t <= k * k for t in rads)
-        assert _schedule_bound(n, k, ints, rads)[0] < 2**53
+    rung of the ladder: the DDG's takes 2 products, the SRG's 1, all in
+    float32.  The DDG's last trace, tr A^3 <= n k^3, is summed in float64;
+    the SRG's traces need no sum."""
+    dtypes = []
+
+    def times(left, right):
+        product = _times(left, right)
+        dtypes.append(product.dtype)
+        return product
+
+    ddg, partition = build(q, d, seed=0)
+    params = DdgParams.from_certificate(verify_ddg(ddg, partition))
+    assert params.v * params.k ** 3 < 2**53
+    srg = srg1(q, d, seed=0)[0]
+    monkeypatch.setattr(spectra, "_times", times)
+    for g, candidates, count in (
+            (ddg, ddg_formula_spectrum(params).candidates(), 2),
+            (srg, [e for e, _ in srg_spectrum(srg1_target_params(q, d))
+                   .entries()], 1)):
+        dtypes.clear()
+        assert exact_spectrum(g, candidates).order == g.n
+        assert dtypes == [np.float32] * count

@@ -5,15 +5,19 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rows_graph
+from srgforge import graphs, srg
+from srgforge.cli import main
+from srgforge.graphs import first_bad_pair
 from srgforge import (as_prime_power, canonical_form, chang_graphs,
                       ClassBlockMap, complement, complete_multipartite,
                       construct_ddg_hoffman, construct_srg1, construct_srg2,
                       count_classes, ddg_formula_spectrum, DdgParams,
-                      empty_graph, exact_spectrum, fano_plane,
+                      empty_graph, exact_spectrum, fano_plane, Graph,
                       find_hoffman_coloring, hoffman_colorings, make_field,
                       make_spectrum, NotSrg, path_graph, petersen_graph,
                       PreconditionFailed, projective_complement_design,
@@ -163,6 +167,45 @@ def test_verify_srg1_cases_detects_tampering():
     rows[w] &= ~(1 << u)
     broken = rows_graph(g.n, rows)
     assert not verify_srg1_cases(broken, partition, design).passed
+
+
+def _count_whole_matrix_passes(monkeypatch, n: int) -> list:
+    """Record every first_bad_pair pass over an n x n matrix, whether
+    verify_srg (through pair_witness) or verify_srg1_cases runs it."""
+    passes = []
+
+    def counted(m, strata, values):
+        if m.shape == (n, n):
+            passes.append(m.shape)
+        return first_bad_pair(m, strata, values)
+    monkeypatch.setattr(graphs, "first_bad_pair", counted)
+    monkeypatch.setattr(srg, "first_bad_pair", counted)
+    return passes
+
+
+def test_gen_srg1_counts_each_pair_once(tmp_path, monkeypatch):
+    """A passing gen-srg1 makes one whole-matrix pass: verify_srg's
+    lambda = mu = q^{2d-2}(q-1) settles verify_srg1_cases's totals.  Where
+    verify_srg fails, the total pass still runs and names the same
+    witness as it does without the certificate."""
+    monkeypatch.chdir(tmp_path)
+    passes = _count_whole_matrix_passes(monkeypatch, 63)
+    assert main(["gen-srg1", "--q", "2", "--d", "3", "--seed", "0",
+                 "--out", "s23"]) == 0
+    assert len(passes) == 1
+
+    g, partition, design = srg1(2, 2)
+    m = g.matrix.copy()
+    w = int(np.flatnonzero(m[0, 4:12])[0]) + 4  # a cross-class edge
+    m[0, w] = m[w, 0] = False
+    broken = Graph(m)
+    cert = verify_srg(broken)
+    assert cert.witnesses[0]["check"] == "regular"
+    passes = _count_whole_matrix_passes(monkeypatch, g.n)
+    cases = verify_srg1_cases(broken, partition, design, cert)
+    assert len(passes) == 1
+    assert cases == verify_srg1_cases(broken, partition, design)
+    assert not cases.passed
 
 
 def test_verify_srg1_cases_empty_partition_is_a_shape_witness():
