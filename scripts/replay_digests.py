@@ -40,11 +40,16 @@ The command set:
   seed-0 cyclic outputs of the first (q, d) with their last edge removed,
   which fail on the regularity witness, and the digests of the files these
   add;
-- finally, `spectrum` on two disjoint Petersen graphs with 3, 1, -2: they
+- then `spectrum` on two disjoint Petersen graphs with 3, 1, -2: they
   are regular of degree 3 but disconnected, so the product of the other
   factors is not constant and the degree factor A - 3I is multiplied in;
   and on C5 with 2, +-sqrt(5), which misses its eigenvalues
-  (-1 +- sqrt(5))/2 (exit 2); then the digests of the two graph files.
+  (-1 +- sqrt(5))/2 (exit 2); then the digests of the two graph files;
+- finally, at every (q, d) of the ladder, `verify --expect ddg --classes`
+  and `verify --expect srg` on the seed-0 cyclic outputs after one
+  degree-preserving 2-switch drawn with a fixed seed, which keep their
+  degrees and fail on a common-neighbour pair witness; then the digests of
+  the files these add.
 """
 
 from __future__ import annotations
@@ -54,9 +59,12 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from srgforge import (cycle_graph, fano_plane, from_edges, Graph,
                       graph6_decode, graph6_encode, petersen_graph,
@@ -132,6 +140,8 @@ def replay(ladder) -> None:
     replay_removed_edge(*ladder[0])
     listed = print_files(listed)
     replay_degree_factor()
+    listed = print_files(listed)
+    replay_two_switched(ladder)
     print_files(listed)
 
 
@@ -203,6 +213,35 @@ def replay_degree_factor() -> None:
         Path(name).write_text(graph6_encode(g) + "\n", encoding="ascii")
     run(["spectrum", "--in", "two-petersen.g6", "--candidates=3,1,-2"])
     run(["spectrum", "--in", "c5.g6", "--candidates=2,sqrt(5),-sqrt(5)"])
+
+
+def replay_two_switched(ladder) -> None:
+    """verify the seed-0 cyclic outputs of every (q, d) after one 2-switch:
+    edges ab and cd, drawn by random.Random(0) from the edges u < w in
+    lexicographic order, with ac and bd absent, become ac and bd.  Every
+    degree stays, so the verifiers pass the regularity check and stop on
+    a pair whose common-neighbour count breaks its stratum."""
+    for q, d in ladder:
+        for prefix, kind in ((f"ddg-q{q}-d{d}-s0-cyclic", "ddg"),
+                             (f"srg1-q{q}-d{d}-s0-cyclic", "srg")):
+            if not os.path.exists(prefix + ".g6"):
+                continue
+            with open(prefix + ".g6", encoding="ascii") as fh:
+                m = graph6_decode(fh.read()).matrix.copy()
+            edges = np.argwhere(np.triu(m)).tolist()
+            rnd = random.Random(0)
+            while True:
+                (a, b), (c, e) = rnd.sample(edges, 2)
+                if len({a, b, c, e}) == 4 and not (m[a, c] or m[b, e]):
+                    break
+            m[a, b] = m[b, a] = m[c, e] = m[e, c] = False
+            m[a, c] = m[c, a] = m[b, e] = m[e, b] = True
+            Path(f"switched-{prefix}.g6").write_text(
+                graph6_encode(Graph(m)) + "\n", encoding="ascii")
+            flags = ["--classes", prefix + ".classes"] if kind == "ddg" else []
+            run(["verify", "--expect", kind, *flags,
+                 "--in", f"switched-{prefix}.g6",
+                 "--cert", f"switched-{prefix}.verify.json"])
 
 
 def print_files(listed: frozenset = frozenset()) -> frozenset:

@@ -7,13 +7,16 @@ and complements are matrix expressions, and graph6 reads its body order
 from one `np.tri` mask on the matrix.  Common-neighbour counting, the hot
 loop of every verifier, is a matrix product too: `first_bad_pair` counts
 in float32 tiles cast from the matrix against a matrix of pair strata, and
-the design verifiers run it on incidence matrices.  `common_edge_counts`
-gives, for every pair, the edges among its common neighbours, as one Gram
-matrix of edge rows; canon colours pairs by it.  Bitset rows (Python ints,
-bit v of rows[u] set iff uv is an edge; `set_bits` lists them, `bitset`
-builds one) are built only where bit operations pay: canonical refinement
-and `cliques`, the one clique search, behind the Hoffman colorings and the
-ratio-bound clique census.
+the design verifiers run it on incidence matrices.  It packs k row slabs
+of a block into one float32 operand, slab j scaled by 2^(j s) for counts
+below 2^s, so one product counts k rows per word; k = floor(24 / s) keeps
+every partial sum an integer below 2^24, which float32 holds exactly.
+`common_edge_counts` gives, for every pair, the edges among its common
+neighbours, as one Gram matrix of edge rows; canon colours pairs by it.
+Bitset rows (Python ints, bit v of rows[u] set iff uv is an edge;
+`set_bits` lists them, `bitset` builds one) are built only where bit
+operations pay: canonical refinement and `cliques`, the one clique search,
+behind the Hoffman colorings and the ratio-bound clique census.
 """
 
 from __future__ import annotations
@@ -153,6 +156,26 @@ def bitset(vertices) -> int:
 _PAIR_ROWS = 64
 
 
+def _packed(rows, k: int, s: int):
+    """The float32 operand of a row block in first_bad_pair, and the shift
+    of each of its slabs (an int32 array of shape (slabs, 1, 1)).
+
+    The rows, uint8, are cut into slabs of h = ceil(len(rows) / k) rows,
+    the last one possibly short, and slab j is weighted by 2^(j s): the
+    h x c sum is built in place from the top slab down, multiplied by 2^s
+    before each slab is added, and returned transposed, C-contiguous.
+    """
+    h = -(-len(rows) // k)
+    packed = np.zeros((h, rows.shape[1]), np.float32)
+    starts = range(0, len(rows), h)
+    for i in reversed(starts):
+        packed *= np.float32(1 << s)
+        slab = rows[i:i + h]
+        packed[:len(slab)] += slab
+    shifts = np.arange(0, len(starts) * s, s, np.int32)
+    return np.ascontiguousarray(packed.T), shifts[:, None, None]
+
+
 def first_bad_pair(m, strata, values):
     """First vertex pair whose common-neighbour count breaks its stratum.
 
@@ -164,13 +187,23 @@ def first_bad_pair(m, strata, values):
     8, 16, 32, then _PAIR_ROWS rows, or in one block when n <= _PAIR_ROWS,
     where the smaller blocks would cost more numpy calls than they save.
     Each block runs against tiles of 2 * _PAIR_ROWS later rows, with one
-    float32 matrix product per tile; both operands are cast from m a block
-    or a tile at a time.  float32 counts exactly here: every partial sum is
-    an integer between 0 and c, and c < 2^24.
+    float32 matrix product per tile, the tile cast from m into one reused
+    buffer.
+
+    The product counts k rows of the block per float32 word.  With s the
+    bit length of max(c, 1), every count is at most c < 2^s; k = floor(24 /
+    s), 2 for c from 256 to 4095 and 1 from 4096 on.  The block's operand
+    (`_packed`) cuts its rows into k slabs of h rows and sums them, slab j
+    scaled by 2^(j s), so entry (w, r) of the tile's product is the sum over
+    j of 2^(j s) cnt_j, cnt_j the count of w with row r of slab j: bits
+    j s to (j + 1) s - 1 of the entry's int32 cast.  float32 computes it
+    exactly, as every partial sum, in whatever order the product adds, is
+    such a sum with every cnt_j at most c < 2^s: an integer below
+    2^(k s) <= 2^24.  The kernel refuses c >= 2^24, where k would be 0.
 
     The stratum strata[u, w] indexes `values`; strata is an integer or
-    boolean n x n matrix, or a zero-stride np.broadcast_to view.  values[s]
-    fixes the count of stratum s, or is None to take it from its first pair.
+    boolean n x n matrix, or a zero-stride np.broadcast_to view.  values[t]
+    fixes the count of stratum t, or is None to take it from its first pair.
 
     Returns ((u, w, count) or None, tuple of the values); a stratum first
     met after the returned pair keeps its given value.
@@ -178,44 +211,56 @@ def first_bad_pair(m, strata, values):
     n, c = m.shape
     if c >= 1 << 24:
         raise ValueError(f"{c} columns: float32 counts are exact below 2^24")
+    s = max(c, 1).bit_length()
+    k, mask = 24 // s, (1 << s) - 1
+    # uint8 casts to float32 about twice as fast as bool
+    m8 = m.view(np.uint8)
     values = list(values)
     tile = 2 * _PAIR_ROWS
     # one float32 buffer serves every column tile: a fresh array per tile
     # would pay its page faults each time
     buf = np.empty((min(tile, n), c), np.float32)
+    # the pairs w > u of a block against its first tile, w0 = a + 1
+    upper = ~np.tri(min(n, _PAIR_ROWS), tile, -1, bool)
     a, size = 0, n if n <= _PAIR_ROWS else min(8, _PAIR_ROWS)
     while a < n - 1:
         b = min(a + size, n)
         # values of the strata first met in this block, from their first
         # pair; np.triu keeps the pairs w > u of columns from a + 1 on
         met = {}
-        for s in [s for s, v in enumerate(values) if v is None]:
-            hit = np.triu(strata[a:b, a + 1:] == s)
+        for t in [t for t, v in enumerate(values) if v is None]:
+            hit = np.triu(strata[a:b, a + 1:] == t)
             if hit.any():
                 u, w = divmod(int(hit.argmax()), n - a - 1)
-                met[s] = (a + u, a + 1 + w)
-                values[s] = int(np.count_nonzero(m[a + u] & m[a + 1 + w]))
-        # the rows of `left` can still hold a pair before the best so far
-        left, best = m[a:b].astype(np.float32), None
+                met[t] = (a + u, a + 1 + w)
+                values[t] = int(np.count_nonzero(m[a + u] & m[a + 1 + w]))
+        # a stratum still unmet has no pair w > u in this block, so its -1
+        # is compared only at pairs w <= u, which `upper` drops
+        expected = np.array([-1 if v is None else v for v in values],
+                            np.int32)
+        # rows a to a + rows - 1 can still hold a pair before the best so far
+        rows, best = b - a, None
+        block, shifts = _packed(m8[a:b], k, s)
         for w0 in range(a + 1, n, tile):
-            right = buf[:min(tile, n - w0)]
-            np.copyto(right, m[w0:w0 + len(right)])
-            counts = left @ right.T
-            st = strata[a:a + len(left), w0:w0 + len(right)]
-            bad = np.zeros(counts.shape, bool)
-            for s, value in enumerate(values):
-                if value is not None:  # else stratum s has no pair here
-                    bad |= (st == s) & (counts != value)
+            later = buf[:min(tile, n - w0)]
+            np.copyto(later, m8[w0:w0 + len(later)])
+            # with OpenBLAS, later @ block (128 x c by c x 32 at c = 1365)
+            # runs about twice as fast as block.T @ later.T
+            words = (later @ block).astype(np.int32).T
+            counts = ((words >> shifts) & mask).reshape(-1, len(later))[:rows]
+            bad = counts != expected.take(
+                strata[a:a + rows, w0:w0 + len(later)])
             if w0 == a + 1:
-                bad = np.triu(bad)
+                bad &= upper[:rows, :len(later)]
             if bad.any():
-                r, j = divmod(int(bad.argmax()), len(right))
-                best, left = (a + r, w0 + j, int(counts[r, j])), left[:r]
+                r, j = divmod(int(bad.argmax()), len(later))
+                best, rows = (a + r, w0 + j, int(counts[r, j])), r
                 if not r:
                     break
+                block, shifts = _packed(m8[a:a + r], k, s)
         if best:
-            return best, tuple(None if met.get(s, best[:2]) > best[:2] else v
-                               for s, v in enumerate(values))
+            return best, tuple(None if met.get(t, best[:2]) > best[:2] else v
+                               for t, v in enumerate(values))
         a, size = b, min(2 * size, _PAIR_ROWS)
     return None, tuple(values)
 

@@ -441,23 +441,132 @@ def test_kernel_keeps_unmet_strata():
                        (None,))
 
 
+def _recounted(m):
+    """Counts of all row pairs u != w of a boolean matrix, from Python-int
+    bitsets; 0 on the diagonal."""
+    rows = graphs.bit_rows(m)
+    return np.array([[(x & y).bit_count() if u != w else 0
+                      for w, y in enumerate(rows)]
+                     for u, x in enumerate(rows)])
+
+
+def _stratified(ref):
+    """One stratum per distinct count of the pairs u < w, and its values."""
+    counts = np.unique(ref[np.triu_indices(len(ref), 1)])
+    return np.searchsorted(counts, ref), tuple(map(int, counts))
+
+
+@pytest.mark.parametrize("c", [15, 16, 255, 256, 4095, 4096])
+@pytest.mark.parametrize("pair_rows", [8, 64])
+def test_packing_boundaries(c, pair_rows):
+    """c at each side of a change of k = floor(24 / bit length of c): 6, 5,
+    3, 2, 2, 1 slabs a word.  At c = 15, 255 and 4095 a word of all-ones
+    rows reaches 2^24 - 1 (15 * 1118481, 255 * 65793, 4095 * 4097), the
+    largest integer float32 holds with its neighbours; the kernel must
+    still count every pair as the Python ints do."""
+    s = c.bit_length()
+    k = 24 // s
+    words = np.ones((1, c), np.float32) @ graphs._packed(
+        np.ones((k, c), np.uint8), k, s)[0]
+    assert int(words.max()) == c * sum(1 << j * s for j in range(k))
+    if c in (15, 255, 4095):
+        assert int(words.max()) == (1 << 24) - 1
+    rng = np.random.default_rng(c)
+    n = 6 * k + 5
+    m = np.ones((n, c), bool)
+    # every third row random, so the slabs mix full and partial counts
+    m[::3] = rng.random((len(m[::3]), c)) < 0.5
+    ref = _recounted(m)
+    strata, values = _stratified(ref)
+    with patch.object(graphs, "_PAIR_ROWS", pair_rows):
+        assert first_bad_pair(m, strata, values) == (None, values)
+        assert first_bad_pair(m, strata, (None,) * len(values)) == (
+            None, values)
+        ones = np.zeros((n, n), np.uint8)
+        assert first_bad_pair(m, ones, (c,)) == ((0, 1, ref[0, 1]), (c,))
+        assert first_bad_pair(m[1:3], ones, (c,)) == (None, (c,))
+        for u, w in ((n - 2, n - 1), (1, n - 1), (0, 2)):
+            moved = strata.copy()
+            moved[u, w] = (moved[u, w] + 1) % len(values)
+            assert first_bad_pair(m, moved, values) == (
+                (u, w, int(ref[u, w])), values)
+
+
+def _two_slab_case():
+    """40 random rows of 300 columns: one block of 2 slabs of h = 20 rows,
+    packed row r holding rows r and 20 + r."""
+    m = np.random.default_rng(40).random((40, 300)) < 0.5
+    ref = _recounted(m)
+    return m, ref, *_stratified(ref)
+
+
+def test_low_slab_witness_wins():
+    """Bad pairs (5, 35) in the low slab and (25, 30) in the high slab
+    share packed row 5; the high one sits at an earlier column of the
+    tile, but (5, 35) comes first in lexicographic order."""
+    m, ref, strata, values = _two_slab_case()
+    for u, w in ((5, 35), (25, 30)):
+        strata[u, w] = (strata[u, w] + 1) % len(values)
+    assert first_bad_pair(m, strata, values) == ((5, 35, ref[5, 35]), values)
+    # a new stratum first met at the high-slab pair, after the witness,
+    # keeps its None
+    at = strata.copy()
+    at[25, 30] = len(values)
+    assert first_bad_pair(m, at, (*values, None)) == (
+        (5, 35, ref[5, 35]), (*values, None))
+    # one first met at the low-slab pair takes that pair's count, which
+    # leaves the high-slab pair the witness
+    at = strata.copy()
+    at[5, 35] = len(values)
+    assert first_bad_pair(m, at, (*values, None)) == (
+        (25, 30, ref[25, 30]), (*values, int(ref[5, 35])))
+
+
+@pytest.mark.parametrize("u", [19, 20])
+def test_witness_on_slab_boundary_row(u):
+    """Row 19 ends the low slab and row 20 opens the high one: a bad pair
+    on either is found, with its count, and so is one at the first column
+    after its row."""
+    m, ref, strata, values = _two_slab_case()
+    for w in (u + 1, 39):
+        moved = strata.copy()
+        moved[u, w] = (moved[u, w] + 1) % len(values)
+        assert first_bad_pair(m, moved, values) == (
+            (u, w, int(ref[u, w])), values)
+
+
 def test_verifier_memory_stays_below_decode():
-    """At 992 and 1023 vertices the verifiers' float32 tiles, strata and
-    masks must add less traced memory (numpy buffers included) than
+    """At 992 to 1365 vertices, the sizes the verify-large benchmark
+    times, the verifiers' float32 tiles, packed blocks, strata and masks
+    must add less traced memory (numpy buffers included) than
     graph6_decode's own peak on the same text.  A float32 copy of the
-    whole matrix (4 MB at n = 1023) would break this."""
-    ddg_g, partition, srg_g, _ = _srg1_pieces(2, 5, 7)
-    for g, verify in ((ddg_g, lambda h: verify_ddg(h, partition)),
-                      (srg_g, verify_srg)):
-        text = graph6_encode(g)
-        tracemalloc.start()
-        try:
-            h = graph6_decode(text)
-            decode_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            assert verify(h).passed
-            added = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert added < decode_peak, (g.n, added, decode_peak)
+    whole matrix (4 MB at n = 1023) would break this.  The pair kernel
+    alone must hold less than two float32 tiles of 2 * _PAIR_ROWS rows:
+    its one tile buffer, the packed block (built, then transposed) and the
+    per-tile counts fit, but a tile of twice the rows, or a block left
+    unpacked, does not."""
+    for q, d in ((2, 5), (4, 3)):
+        ddg_g, partition, srg_g, _ = _srg1_pieces(q, d, 7)
+        for g, verify in ((ddg_g, lambda h: verify_ddg(h, partition)),
+                          (srg_g, verify_srg)):
+            text = graph6_encode(g)
+            tracemalloc.start()
+            try:
+                h = graph6_decode(text)
+                decode_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert verify(h).passed
+                added = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert added < decode_peak, (g.n, added, decode_peak)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                first_bad_pair(h.matrix, h.matrix, (None, None))
+                kernel = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            tile_bytes = 2 * graphs._PAIR_ROWS * g.n * 4
+            assert kernel < 2 * tile_bytes, (g.n, kernel, tile_bytes)

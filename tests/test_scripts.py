@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "2997fc2597a84e1acf32b060620a18f5a6c78474ee203d616f1aa662425766e2",
+        "09d803a8d2c1dd377d26f261f884ff8ef5f7cf154c0af4674e106ee7f56e1fc6",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):
