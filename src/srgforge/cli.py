@@ -254,12 +254,12 @@ def cmd_gen_srg2(args) -> int:
 def cmd_verify(args) -> int:
     if args.classes is not None and args.expect != "ddg":
         raise ParseError("--classes works only with --expect ddg")
+    if args.expect == "ddg" and not args.classes:
+        raise ParseError("--expect ddg needs --classes FILE")
     g = _read_graph(args)
     if args.expect == "srg":
         cert = verify_srg(g)
     else:
-        if not args.classes:
-            raise ParseError("--expect ddg needs --classes FILE")
         partition = _read_partition(args.classes, g.n)
         cert = verify_ddg(g, partition)
     text = cert.to_json()

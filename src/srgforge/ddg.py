@@ -27,8 +27,8 @@ from .designs import (check_glued, data_lines, int_lines, int_tokens,
                       write_lines)
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
-from .graphs import (Certificate, Graph, VertexPartition, certificate,
-                     complement, pair_witness, regularity)
+from .graphs import (Certificate, Graph, SameClass, VertexPartition,
+                     certificate, complement, pair_witness, regularity)
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -242,8 +242,8 @@ def verify_ddg(g: Graph, partition: VertexPartition) -> Certificate:
 
     lam2 = lam1 = 0
     if not witnesses:
-        cls = np.array(partition.class_of())
-        bad, (lam2, lam1) = pair_witness(g.matrix, cls[:, None] == cls,
+        bad, (lam2, lam1) = pair_witness(g.matrix,
+                                         SameClass(partition.class_of()),
                                          ("cross-class", "same-class"))
         witnesses += [bad] if bad else []
 

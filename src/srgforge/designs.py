@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParseError, ShapeError
 from .gf import FiniteField, enumerate_hyperplanes, projective_points
 from .graphs import (Certificate, certificate, check_power, check_vertices,
-                     pair_witness)
+                     pair_witness, SameClass)
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def verify_resolvable(design: ResolvableDesign) -> Certificate:
         cls = np.repeat(np.arange(design.n_classes),
                         [len(c) for c in design.classes])
         # blocks of one class are disjoint, as the partition check proved
-        bad2, (cross, _) = pair_witness(m.T, cls[:, None] == cls,
+        bad2, (cross, _) = pair_witness(m.T, SameClass(cls),
                                         ("cross-intersection", "partition"),
                                         (None, 0))
         witnesses += filter(None, (bad, bad2))

@@ -1,13 +1,17 @@
 """Simple undirected graphs as a checked adjacency matrix, and graph6 I/O.
 
 A graph is its validated, read-only boolean n x n matrix: `Graph(m)`
-checks the shape, loops and symmetry once, and all else reads the matrix.
-Builders write block matrices for `Graph`; relabelling, induced subgraphs
-and complements are matrix expressions, and graph6 reads its body order
-from one `np.tri` mask on the matrix.  Common-neighbour counting, the hot
+checks the shape, loops and symmetry once, and all else reads the matrix;
+symmetry is compared one band of 256 x 256 blocks at a time, which stays
+in cache.  Builders write block matrices for `Graph`; relabelling, induced
+subgraphs and complements are matrix expressions, and graph6 reads its
+body order from one `np.tri` mask on the matrix; the decoder regroups four
+six-bit bytes into three full ones for one `np.unpackbits` and mirrors its
+lower triangle in 256 x 256 blocks.  Common-neighbour counting, the hot
 loop of every verifier, is a matrix product too: `first_bad_pair` counts
-in float32 tiles cast from the matrix against a matrix of pair strata, and
-the design verifiers run it on incidence matrices.  It packs k row slabs
+in float32 tiles cast from the matrix against pair strata (a matrix, or a
+`SameClass` that compares a class vector per tile), and the design
+verifiers run it on incidence matrices.  It packs k row slabs
 of a block into one float32 operand, slab j scaled by 2^(j s) for counts
 below 2^s, so one product counts k rows per word; k = floor(24 / s) keeps
 every partial sum an integer below 2^24, which float32 holds exactly.
@@ -36,6 +40,9 @@ MAX_BUILD_VERTICES = 4096
 
 _EDGE_BLOCK = 1 << 16  # edges that from_edges holds in one array at a time
 _GRAM_ROWS = 64  # edge rows per float32 block of common_edge_counts
+# rows and columns of the square blocks in which Graph checks symmetry and
+# graph6_decode mirrors its lower triangle
+_SQUARE = 256
 
 
 def check_vertices(n: int, what: str) -> None:
@@ -79,11 +86,16 @@ class Graph:
         loops = m.diagonal()
         if loops.any():
             raise ValueError(f"loop at vertex {int(loops.argmax())}")
-        asym = m != m.T
-        if asym.any():
-            # asym is symmetric, so its first entry in row-major order is
-            # the first asymmetric pair (u, v), u < v, in lexicographic order
-            u, v = divmod(int(asym.argmax()), len(m))
+        # rows a to a + _SQUARE - 1 against their columns, from column a on:
+        # one band of square blocks at a time, which stays in cache where a
+        # whole m != m.T reads m.T strided across the matrix
+        n = len(m)
+        if any((m[a:a + _SQUARE, a:] != m[a:, a:a + _SQUARE].T).any()
+               for a in range(0, n, _SQUARE)):
+            # m != m.T is symmetric, so its first entry in row-major order
+            # is the first asymmetric pair (u, v), u < v, in lexicographic
+            # order
+            u, v = divmod(int((m != m.T).argmax()), n)
             raise ValueError(f"asymmetric adjacency at ({u}, {v})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -153,7 +165,7 @@ def bitset(vertices) -> int:
 
 # rows in the largest row block of first_bad_pair; a column tile holds the
 # rows of two such blocks
-_PAIR_ROWS = 64
+_PAIR_ROWS = 128
 
 
 def _packed(rows, k: int, s: int):
@@ -184,11 +196,12 @@ def first_bad_pair(m, strata, values):
     for g.matrix, those among the last c vertices for g.matrix[:, n - c:],
     the blocks through two points for a design's incidence matrix.
     Scans the pairs (u, w), u < w, in lexicographic order, in row blocks of
-    8, 16, 32, then _PAIR_ROWS rows, or in one block when n <= _PAIR_ROWS,
-    where the smaller blocks would cost more numpy calls than they save.
-    Each block runs against tiles of 2 * _PAIR_ROWS later rows, with one
-    float32 matrix product per tile, the tile cast from m into one reused
-    buffer.
+    8, 16, 32, 64, then _PAIR_ROWS = 128 rows, or in one block when n <=
+    _PAIR_ROWS, where the smaller blocks would cost more numpy calls than
+    they save.  Each block runs against tiles of 2 * _PAIR_ROWS = 256 later
+    rows, with one float32 matrix product per tile (256 x c by c x 64 for a
+    full block at k = 2), the tile cast from m into one reused buffer: each
+    later row is cast once per block, so larger blocks cast less.
 
     The product counts k rows of the block per float32 word.  With s the
     bit length of max(c, 1), every count is at most c < 2^s; k = floor(24 /
@@ -202,7 +215,8 @@ def first_bad_pair(m, strata, values):
     2^(k s) <= 2^24.  The kernel refuses c >= 2^24, where k would be 0.
 
     The stratum strata[u, w] indexes `values`; strata is an integer or
-    boolean n x n matrix, or a zero-stride np.broadcast_to view.  values[t]
+    boolean n x n matrix, a zero-stride np.broadcast_to view, or a
+    `SameClass`: the kernel reads it only through 2-D slices.  values[t]
     fixes the count of stratum t, or is None to take it from its first pair.
 
     Returns ((u, w, count) or None, tuple of the values); a stratum first
@@ -263,6 +277,19 @@ def first_bad_pair(m, strata, values):
                                for t, v in enumerate(values))
         a, size = b, min(2 * size, _PAIR_ROWS)
     return None, tuple(values)
+
+
+class SameClass:
+    """The pair strata of a class vector, cls[u] == cls[w] at (u, w), with
+    no n x n matrix behind them: first_bad_pair's tile slices and
+    pair_witness's [u, w] lookups compare the classes they cover."""
+
+    def __init__(self, cls):
+        self.cls = np.asarray(cls)
+
+    def __getitem__(self, key):
+        rows, cols = key
+        return np.equal.outer(self.cls[rows], self.cls[cols])
 
 
 def pair_witness(m, strata, names, values=None):
@@ -538,12 +565,24 @@ def graph6_decode(text: str) -> Graph:
     if len(body) != (nbits + 5) // 6:
         raise ParseError(f"graph6 body length {len(body)} wrong for n={n}")
 
-    # six data bits per byte, most significant first
-    bits = np.unpackbits(body - 63).reshape(-1, 8)[:, 2:].ravel()
+    # six data bits per byte, most significant first: four bytes give the
+    # 24 bits of three full bytes (uint8 shifts drop the bits above 8), so
+    # one np.unpackbits reads them all; bits past nbits must be zero
+    six = np.pad(body - 63, (0, -len(body) % 4)).reshape(-1, 4)
+    full = np.empty((len(six), 3), np.uint8)
+    full[:, 0] = six[:, 0] << 2 | six[:, 1] >> 4
+    full[:, 1] = six[:, 1] << 4 | six[:, 2] >> 2
+    full[:, 2] = six[:, 2] << 6 | six[:, 3]
+    bits = np.unpackbits(full.ravel())
     if bits[nbits:].any():
         raise ParseError("graph6 padding bits are not zero")
 
     m = np.zeros((n, n), dtype=bool)
     m[body_mask(n)] = bits[:nbits]
-    m |= m.T
+    # mirror the lower triangle one square block at a time
+    for a in range(0, n, _SQUARE):
+        b = a + _SQUARE
+        m[a:b, a:b] |= m[a:b, a:b].T
+        for c in range(b, n, _SQUARE):
+            m[a:b, c:c + _SQUARE] = m[c:c + _SQUARE, a:b].T
     return Graph(m)

@@ -23,6 +23,7 @@ from srgforge import (complete_graph, counting_lower_bound, cycle_graph,
                       srg, SymmetricDesign, triangular_graph)
 from srgforge import cli
 from srgforge.cli import main
+from srgforge.errors import ParseError
 
 
 @pytest.fixture
@@ -312,6 +313,25 @@ def test_verify_classes_needs_expect_ddg(workdir, capsys, expect):
     assert captured.out == ""
     assert captured.err == ("srgforge: --classes works only with "
                             "--expect ddg\n")
+    assert not (workdir / "c.json").exists()
+
+
+@pytest.mark.parametrize("classes", [[], ["--classes", ""]])
+def test_verify_ddg_needs_classes_before_decoding(workdir, capsys,
+                                                   monkeypatch, classes):
+    """--expect ddg without a --classes file is refused before the input
+    is read: the graph6 decoder, patched to raise, is never called."""
+    (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
+
+    def refuse(text):
+        raise ParseError("graph6_decode was called")
+
+    monkeypatch.setattr(cli, "graph6_decode", refuse)
+    assert main(["verify", "--expect", "ddg", "--in", "pet.g6", *classes,
+                 "--cert", "c.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "srgforge: --expect ddg needs --classes FILE\n"
     assert not (workdir / "c.json").exists()
 
 

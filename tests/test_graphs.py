@@ -315,6 +315,39 @@ def test_graph6_long_form_round_trip():
         assert graph6_decode(text) == g
 
 
+@given(st.sampled_from([62, 63, 67, 255, 256, 257, 513]),
+       st.sampled_from([0.02, 0.5, 0.98]), st.integers(0, 2**32 - 1))
+def test_graph6_round_trip_across_blocks(n, density, seed):
+    """Around the 63-vertex long form and the 256-row blocks of the
+    decoder's mirror and of Graph's symmetry check; the body lengths mod 4
+    (0, 2, 1, 2, 0, 3, 0) cover every tail of the four-byte regrouping."""
+    rng = np.random.default_rng(seed)
+    m = np.tril(rng.random((n, n)) < density, -1)
+    g = Graph(m | m.T)
+    text = graph6_encode(g)
+    assert len(text) == (1 if n < 63 else 4) + -(-n * (n - 1) // 12)
+    assert graph6_decode(text) == g
+
+
+@pytest.mark.parametrize("upper, lower, first", [
+    # both pairs in the first band of rows, in different column blocks: the
+    # block of (20, 300) comes first, but (10, 530) is the first pair
+    ((10, 530), (300, 20), (10, 530)),
+    ((20, 300), (530, 10), (10, 530)),
+    # the pairs in different bands, and both in the last, partial band
+    ((270, 590), (520, 5), (5, 520)),
+    ((550, 590), (599, 513), (513, 599)),
+])
+def test_asymmetry_names_first_pair_across_blocks(upper, lower, first):
+    """A 600-vertex matrix whose only asymmetric entries are one above and
+    one below the diagonal, in different off-diagonal 256 x 256 blocks."""
+    m = np.zeros((600, 600), bool)
+    m[upper] = m[lower] = True
+    with pytest.raises(ValueError) as exc:
+        Graph(m)
+    assert str(exc.value) == f"asymmetric adjacency at {first}"
+
+
 def test_graph6_smallest_orders():
     for n, text in ((0, "?"), (1, "@")):
         assert graph6_encode(empty_graph(n)) == text

@@ -535,6 +535,67 @@ def test_witness_on_slab_boundary_row(u):
             (u, w, int(ref[u, w])), values)
 
 
+def ref_first_bad_pair(ref, strata, values):
+    """first_bad_pair as a pair loop over recounted counts: the first pair
+    u < w off its stratum's value, each unset value taken from the first
+    pair of its stratum."""
+    values = list(values)
+    for u, w in zip(*np.triu_indices(len(ref), 1)):
+        t, count = int(strata[u, w]), int(ref[u, w])
+        if values[t] is None:
+            values[t] = count
+        elif count != values[t]:
+            return (int(u), int(w), count), tuple(values)
+    return None, tuple(values)
+
+
+def _block_diagonal(*parts):
+    m = np.zeros((sum(g.n for g in parts),) * 2, bool)
+    a = 0
+    for g in parts:
+        m[a:a + g.n, a:a + g.n] = g.matrix
+        a += g.n
+    return m
+
+
+@pytest.mark.parametrize("case", ["first-full-block", "last-partial-block"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_switched_witness_in_full_and_partial_blocks(case, seed):
+    """About 300 vertices in blocks of 8, 16, 32, 64, then _PAIR_ROWS = 128
+    rows: [120, 248) is the first full block and [248, n) the last, partial
+    one.  Untouched pieces come first and a 2-switched one after them, so
+    the first bad row falls in the block named.  Strata hold one count each
+    of the unswitched graph; witness and inferred values must match the
+    recount."""
+    if case == "first-full-block":
+        _, _, s42, _ = _PIECES[4, 2]
+        _, _, s23, _ = _PIECES[2, 3]
+        d42, _, _, _ = _PIECES[4, 2]
+        d23, _, _, _ = _PIECES[2, 3]
+        before, switched, after = (s42, s23), d42, (d23,)
+        rows = (120, 248)
+    else:
+        d24, _, s24, _ = _srg1_pieces(2, 4, 7)
+        d23, _, _, _ = _PIECES[2, 3]
+        before, switched, after = (s24,), d23, ()
+        rows = (248, None)
+    assert graphs._PAIR_ROWS == 128
+    m = _block_diagonal(*before, switched, *after)
+    bad = _block_diagonal(*before, _two_switched(switched, seed, 1), *after)
+    assert 270 <= len(m) <= 320
+    strata, values = _stratified(_recounted(m))
+    ref = _recounted(bad)
+    unset = (None,) * len(values)
+    want = ref_first_bad_pair(ref, strata, unset)
+    assert want[0] is not None
+    lo, hi = rows
+    assert lo <= want[0][0] < (hi or len(m)), want
+    assert first_bad_pair(bad, strata, unset) == want
+    assert first_bad_pair(bad, strata, values) == ref_first_bad_pair(
+        ref, strata, values)
+    assert first_bad_pair(m, strata, unset) == (None, values)
+
+
 def test_verifier_memory_stays_below_decode():
     """At 992 to 1365 vertices, the sizes the verify-large benchmark
     times, the verifiers' float32 tiles, packed blocks, strata and masks
