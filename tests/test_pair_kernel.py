@@ -568,14 +568,12 @@ def test_switched_witness_in_full_and_partial_blocks(case, seed):
     of the unswitched graph; witness and inferred values must match the
     recount."""
     if case == "first-full-block":
-        _, _, s42, _ = _PIECES[4, 2]
-        _, _, s23, _ = _PIECES[2, 3]
-        d42, _, _, _ = _PIECES[4, 2]
-        d23, _, _, _ = _PIECES[2, 3]
+        d42, _, s42, _ = _PIECES[4, 2]
+        d23, _, s23, _ = _PIECES[2, 3]
         before, switched, after = (s42, s23), d42, (d23,)
         rows = (120, 248)
     else:
-        d24, _, s24, _ = _srg1_pieces(2, 4, 7)
+        _, _, s24, _ = _srg1_pieces(2, 4, 7)
         d23, _, _, _ = _PIECES[2, 3]
         before, switched, after = (s24,), d23, ()
         rows = (248, None)
