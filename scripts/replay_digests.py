@@ -49,7 +49,13 @@ The command set:
   and `verify --expect srg` on the seed-0 cyclic outputs after one
   degree-preserving 2-switch drawn with a fixed seed, which keep their
   degrees and fail on a common-neighbour pair witness; then the digests of
-  the files these add.
+  the files these add;
+- after those, `spectrum` runs that reach the modular trace solve and the
+  modular zero test: the seed-0 cyclic SRG of the first (q, d) with
+  -30..30 and its degree k, K_20 with -19..19 and the first 150 non-square
+  radicands (a 339-row solve), and K3 x K4 x K5 x K7 with its 14
+  eigenvalues, whose annihilating product is bounded past 2^53; then the
+  digests of the two graph files.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
+import math
 import os
 import random
 import sys
@@ -66,8 +74,8 @@ from pathlib import Path
 
 import numpy as np
 
-from srgforge import (cycle_graph, fano_plane, from_edges, Graph,
-                      graph6_decode, graph6_encode, petersen_graph,
+from srgforge import (complete_graph, cycle_graph, fano_plane, from_edges,
+                      Graph, graph6_decode, graph6_encode, petersen_graph,
                       save_design, srg1_target_params, srg_spectrum,
                       theorem1_params, triangular_graph)
 from srgforge.cli import main as cli_main
@@ -142,6 +150,8 @@ def replay(ladder) -> None:
     replay_degree_factor()
     listed = print_files(listed)
     replay_two_switched(ladder)
+    listed = print_files(listed)
+    replay_modular(*ladder[0])
     print_files(listed)
 
 
@@ -242,6 +252,30 @@ def replay_two_switched(ladder) -> None:
             run(["verify", "--expect", kind, *flags,
                  "--in", f"switched-{prefix}.g6",
                  "--cert", f"switched-{prefix}.verify.json"])
+
+
+def replay_modular(q: int, d: int) -> None:
+    """spectrum runs past the float-only paths: an SRG with 61 integer
+    candidates besides its degree, K_20 with 189 candidates, and a product
+    of complete graphs, whose eigenvalues are the sums of one of k - 1 and
+    -1 per factor K_k, zero-tested modulo primes."""
+    k = srg1_target_params(q, d).k
+    run(["spectrum", "--in", f"srg1-q{q}-d{d}-s0-cyclic.g6",
+         "--candidates=" + ",".join(map(str, [*range(-30, 31), k]))])
+    rads = [t for t in range(2, 400) if math.isqrt(t) ** 2 != t][:150]
+    m = np.zeros((1, 1), bool)
+    for order in (3, 4, 5, 7):
+        m = np.kron(m, np.eye(order, dtype=bool)) | \
+            np.kron(np.eye(len(m), dtype=bool), ~np.eye(order, dtype=bool))
+    for name, g in (("k20.g6", complete_graph(20)),
+                    ("k3457.g6", Graph(m))):
+        Path(name).write_text(graph6_encode(g) + "\n", encoding="ascii")
+    run(["spectrum", "--in", "k20.g6", "--candidates=" + ",".join(
+        [*map(str, range(-19, 20)), *(f"sqrt({t})" for t in rads)])])
+    eigs = {sum(choice) for choice in itertools.product(
+        *[(order - 1, -1) for order in (3, 4, 5, 7)])}
+    run(["spectrum", "--in", "k3457.g6",
+         "--candidates=" + ",".join(map(str, sorted(eigs)))])
 
 
 def print_files(listed: frozenset = frozenset()) -> frozenset:

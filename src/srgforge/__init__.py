@@ -2,10 +2,11 @@
 strongly regular graphs.
 
 Everything here works in exact arithmetic: adjacency as a checked boolean
-matrix, spectra through annihilating polynomials and integer trace systems,
-and rational bounds as fractions.  Every construction returns plain data
-that a separate verifier re-checks from scratch, so a passing certificate
-never depends on the construction being correct.
+matrix, spectra through trace systems solved modulo a prime and
+annihilating polynomials checked exactly, and rational bounds as
+fractions.  Every construction returns plain data that a separate verifier
+re-checks from scratch, so a passing certificate never depends on the
+construction being correct.
 """
 
 from .canon import CanonicalForm, canonical_form, ClassCount, count_classes
@@ -20,10 +21,9 @@ from .designs import (affine_geometry_design, fano_plane, load_design,
                       save_design, SymmetricDesign, verify_resolvable,
                       verify_symmetric)
 from .errors import (CensusTooLarge, InfeasibleParams, NonIntegralBound,
-                     NonIntegralMultiplicity, NotAClique, NotAnnihilated,
-                     NotPrime, NotRegularClique, NotSrg, ParseError,
-                     PreconditionFailed, ShapeError, ShapeMismatch,
-                     SrgforgeError, TooLarge)
+                     NotAClique, NotAnnihilated, NotPrime, NotRegularClique,
+                     NotSrg, ParseError, PreconditionFailed, ShapeError,
+                     ShapeMismatch, SrgforgeError, TooLarge)
 from .gf import (affine_points, as_prime_power, enumerate_hyperplanes,
                  FiniteField, make_field, projective_points)
 from .graphs import (Certificate, certificate, common_neighbours, complement,

@@ -50,25 +50,25 @@ def _read_partition(path: str, n: int) -> VertexPartition:
     return VertexPartition.from_lists(n, [cls for _, cls in int_lines(path)])
 
 
-def _graph_lines(args) -> list[str]:
-    """Non-blank lines of --in, or of stdin when --in is absent."""
-    if getattr(args, "infile", None):
-        with open(args.infile, encoding="ascii") as fh:
+def _graph_lines(path: str | None) -> list[str]:
+    """Non-blank lines of the file at path, or of stdin without one."""
+    if path:
+        with open(path, encoding="ascii") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
     return [line for line in text.splitlines() if line.strip()]
 
 
-def _read_graph(args) -> Graph:
-    lines = _graph_lines(args)
+def _read_graph(path: str | None) -> Graph:
+    lines = _graph_lines(path)
     if not lines:
         raise ParseError("no graph6 line on input")
     return graph6_decode(lines[0])
 
 
-def _read_graphs(args):
-    return [graph6_decode(line) for line in _graph_lines(args)]
+def _read_graphs(path: str | None):
+    return [graph6_decode(line) for line in _graph_lines(path)]
 
 
 def _write_json(doc: dict, path: str) -> str:
@@ -221,16 +221,12 @@ _BASES = {"t8": lambda: triangular_graph(8),
           "chang3": lambda: chang_graphs()[2]}
 
 
-def _read_g6(path: str) -> Graph:
-    with open(path, encoding="ascii") as fh:
-        return graph6_decode(fh.read())
-
-
 def cmd_gen_srg2(args) -> int:
     if args.coloring < 0:
         raise ParseError(f"--coloring must be >= 0, got {args.coloring}")
     inputs: dict = {}
-    base = _resolve(args.base, "base", _BASES, _read_g6, inputs, ("g6:",))
+    base = _resolve(args.base, "base", _BASES, _read_graph, inputs,
+                    ("g6:",))
     design = _resolve(args.design, "design", {"fano": fano_plane},
                       lambda path: load_design(path, "symmetric"), inputs)
 
@@ -256,7 +252,7 @@ def cmd_verify(args) -> int:
         raise ParseError("--classes works only with --expect ddg")
     if args.expect == "ddg" and not args.classes:
         raise ParseError("--expect ddg needs --classes FILE")
-    g = _read_graph(args)
+    g = _read_graph(args.infile)
     if args.expect == "srg":
         cert = verify_srg(g)
     else:
@@ -297,7 +293,7 @@ def _int_list(text: str, flag: str, count: int) -> list[int]:
 
 
 def cmd_spectrum(args) -> int:
-    g = _read_graph(args)
+    g = _read_graph(args.infile)
     if args.candidates is not None:
         candidates = _parse_candidates(args.candidates)
     elif args.ddg is not None:
@@ -313,14 +309,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    for g in _read_graphs(args):
+    for g in _read_graphs(args.infile):
         form = canonical_form(g)
         print(f"{form.graph6} {form.aut_order}")
     return 0
 
 
 def cmd_count_classes(args) -> int:
-    classes = count_classes(_read_graphs(args))
+    classes = count_classes(_read_graphs(args.infile))
     doc = {key: {"count": entry.count, "first": entry.first}
            for key, entry in classes.items()}
     if args.out:
@@ -341,7 +337,7 @@ def cmd_sp_graph(args) -> int:
 
 
 def cmd_clique_census(args) -> int:
-    g = _read_graph(args)
+    g = _read_graph(args.infile)
     census = delsarte_clique_census(g)
     if args.out:
         _write_json({"size": census.size, "count": census.count,

@@ -60,10 +60,6 @@ class NotAnnihilated(SrgforgeError):
     """Candidate eigenvalue set does not annihilate the adjacency matrix."""
 
 
-class NonIntegralMultiplicity(SrgforgeError):
-    """Trace system produced non-integral or negative multiplicities."""
-
-
 class NonIntegralBound(SrgforgeError):
     """Clique bound 1 - k/s is not an integer; census undefined."""
 

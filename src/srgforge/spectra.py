@@ -1,36 +1,34 @@
 """Exact spectra for graphs whose eigenvalues are known in advance.
 
 No eigensolver and no rounding.  A spectrum claim {theta_i with
-multiplicity m_i} is verified in two exact steps: the annihilating product
-prod_i (A - theta_i I) must vanish (irrational conjugate pairs +-sqrt(t)
-combine into the integer factor A^2 - tI), and the multiplicities are the
-unique solution of the trace system tr(A^s) = sum_i m_i theta_i^s over the
-rationals.  Candidates past Gershgorin's bound |theta| <= Delta, the
-maximum degree (radicands t > Delta^2), give invertible factors: they get
-multiplicity 0 and enter no product.
+multiplicity m_i} is verified in two exact steps: the multiplicities solve
+the trace system tr(A^s) = sum_i m_i theta_i^s modulo the prime
+P = 2^29 - 3, one unknown per integer and per conjugate pair +-sqrt(t);
+then the candidates with a nonzero multiplicity must annihilate A,
+prod_i (A - theta_i I) = 0, a pair +-sqrt(t) as the integer factor
+A^2 - tI.  Candidates past Gershgorin's bound |theta| <= Delta, the
+maximum degree (radicands t > Delta^2), get multiplicity 0 and enter
+neither step.  At most 4096 vertices keep P > n and P > Delta^2, so the
+candidates stay distinct mod P, the system has full column rank mod P,
+and when they annihilate A the residues are the multiplicities; any other
+outcome (an inconsistent system, a value above n, a nonzero product)
+proves that an eigenvalue is missing.
 
-The product shares one power: A^2 is built once, and the integer
-candidates pair in order into quadratics A^2 - (a + b)A + ab I, built
-elementwise from A and A^2 like the radical factors A^2 - tI; only
-products between factors, at most one of them linear, use BLAS.  When A
-is regular of degree Delta and Delta is a candidate, A - Delta I is left
-out while the product P of the others is constant, since P = cJ gives
-(A - Delta I)P = 0 (AJ = Delta J); otherwise, as on a disconnected
-regular graph, it is multiplied in.  The traces come from A and A^2
-(tr A^2 is the number of edge ends, tr A^3 and tr A^4 sums of products of
-their entries); higher ones from further powers A^p = A A^(p-1).  So an
-SRG spectrum {k, r, s} takes one n x n product, A^2, and a glued DDG's
-formula spectrum {k, +-theta1, 0} two.
-
-Each product picks its own number type from its own bound, the largest
-absolute row sum of the left operand times the largest absolute entry of
-the right: float32 (BLAS) below 2^24, float64 below 2^53, exact in any
-summation order, and Python-int object arrays otherwise.  Traces are sums
-of nonnegative terms at most n Delta^s, added in float64 below 2^53, else
-in Python ints, never in float32.  Closed-form bounds on the whole
-schedule count the products that can reach 2^53, and TooLarge stops a call
-whose object-tier products or rational trace solve MAX_OBJECT_WORK
-estimates too slow before any product runs.
+The traces come from A and A^2, higher ones from powers A^b = A A^(b-1)
+mod P, one per two candidates.  The annihilating product shares A^2: the
+integer candidates pair in order into quadratics A^2 - (a + b)A + ab I,
+built elementwise like the radical factors A^2 - tI, and only products
+between factors use BLAS.  While their closed-form bound is below 2^53,
+each product runs in float32 below 2^24, else in float64, exact in any
+summation order; on a graph regular of degree Delta, a candidate,
+A - Delta I is left out while the product Q of the others is constant
+(Q = cJ gives (A - Delta I)Q = 0, as AJ = Delta J).  Past 2^53 the product
+is zero-tested modulo word-size primes whose product passes the bound
+(Dumas, Giorgi & Pernet, "Dense linear algebra over word-size prime
+fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  An SRG spectrum
+{k, r, s} takes one n x n product, A^2, and a glued DDG's formula spectrum
+{k, +-theta1, 0} two.  TooLarge stops a stage, the traces with their solve
+or the product, whose work passes MAX_WORK before it runs.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
@@ -45,18 +43,15 @@ one helper.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .ddg import DdgParams
-from .errors import (InfeasibleParams, NonIntegralMultiplicity, NotAnnihilated,
-                     TooLarge)
-from .graphs import Certificate, Graph
+from .errors import InfeasibleParams, NotAnnihilated, TooLarge
+from .graphs import Certificate, check_vertices, Graph
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,7 @@ def make_spectrum(pairs) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# exact matrix arithmetic: each product in the narrowest number type that
-# its own bound proves exact
+# exact matrix arithmetic: floats below 2^53, residues modulo primes
 
 
 def adjacency_matrix(g: Graph):
@@ -148,45 +142,42 @@ def adjacency_matrix(g: Graph):
     return g.matrix.astype(np.float32)
 
 
-# limit on max(n^3 * products past 2^53, rows * unknowns^2 of the trace
-# solve) * (bit length of the largest bound) for a call whose schedule
-# reaches 2^53; past it exact_spectrum raises TooLarge instead of running
-# Python-int matrix products for minutes
-MAX_OBJECT_WORK = 1 << 32
+# the prime of the trace solve.  check_vertices keeps n <= 4096, so the
+# maximum degree is Delta <= 4095 and P > Delta^2: the candidates that pass
+# Gershgorin, |a| <= Delta and radicands t <= Delta^2, stay distinct mod P,
+# and so do every a^2 and t.  P > n too, so a multiplicity in [0, n] is its
+# own residue.  Delta P < 2^41 and n^2 P < 2^53.
+P = (1 << 29) - 3
+
+# limit on the work of each of the two stages of exact_spectrum, checked
+# before the stage's first product: n^3 per n x n product, plus 2^8 per
+# rows x unknowns^2 of the trace solve, whose int64 row updates each take
+# about as long as 2^8 multiply-adds of a BLAS product
+MAX_WORK = 1 << 37
+
+
+def _check_work(n: int, products: int, rows: int = 0,
+                unknowns: int = 0) -> None:
+    """TooLarge when n^3 products + 2^8 rows unknowns^2 exceeds MAX_WORK."""
+    if n ** 3 * products + (rows * unknowns ** 2 << 8) > MAX_WORK:
+        solve = f" and a {rows} x {unknowns} trace solve" if rows else ""
+        raise TooLarge(f"{products} products of {n} x {n} matrices{solve} "
+                       f"exceed the spectrum work limit")
 
 
 def _number_type(bound: int):
-    """float32 below 2^24, float64 below 2^53, else object (Python ints):
-    the narrowest type that holds every integer up to bound exactly."""
-    if bound < 1 << 24:
-        return np.float32
-    return np.float64 if bound < 1 << 53 else object
-
-
-def _as_type(m, dtype):
-    """The integer matrix m in dtype, which must hold its entries."""
-    if m.dtype == dtype:
-        return m
-    return m.astype(np.int64).astype(object) if dtype is object \
-        else m.astype(dtype)
-
-
-def _max_abs(m) -> int:
-    """The largest absolute entry of m, exact in any number type."""
-    return int(np.abs(m).max())
+    """float32 below 2^24, else float64: exact up to a bound below 2^53."""
+    return np.float32 if bound < 1 << 24 else np.float64
 
 
 def _times(left, right):
-    """left @ right of integer matrices, exact: no entry of either operand
-    and no partial sum passes max(1, largest absolute row sum of left) *
-    max(1, largest absolute entry of right), and the product runs in that
-    bound's number type.  Row sums add nonnegative integers in float64 (in
-    Python ints for object arrays): exact below 2^53 and, since rounding is
-    monotone, at least 2^53 when the true sum is, so the type is right."""
-    rows = np.abs(left).sum(axis=1, dtype=None if left.dtype == object
-                            else np.float64)
-    dtype = _number_type(max(1, int(rows.max())) * max(1, _max_abs(right)))
-    return _as_type(left, dtype) @ _as_type(right, dtype)
+    """left @ right of integer matrices in the number type of max(1, largest
+    absolute row sum of left) * max(1, largest absolute entry of right),
+    which bounds every entry and partial sum and must stay below 2^53."""
+    rows = np.abs(left).sum(axis=1, dtype=np.float64)
+    dtype = _number_type(max(1, int(rows.max())) *
+                         max(1, int(np.abs(right).max())))
+    return left.astype(dtype, copy=False) @ right.astype(dtype, copy=False)
 
 
 def _matrix_powers(adj):
@@ -218,11 +209,12 @@ def _factor(power, c2: int, c1: int, c0: int):
     powers A^p = power(p) it needs, in the number type of its entry
     bound."""
     terms = [(c, power(p)) for p, c in ((2, c2), (1, c1)) if c]
-    dtype = _number_type(abs(c0) + sum(abs(c) * _max_abs(m) for c, m in terms))
+    dtype = _number_type(abs(c0) + sum(abs(c) * int(np.abs(m).max())
+                                       for c, m in terms))
     (c, m), *rest = terms
-    factor = c * _as_type(m, dtype)
+    factor = c * m.astype(dtype, copy=False)
     for c, m in rest:
-        factor += c * _as_type(m, dtype)
+        factor += c * m.astype(dtype, copy=False)
     factor[np.diag_indices_from(factor)] += c0
     return factor
 
@@ -236,51 +228,89 @@ def _annihilator(power, coeffs):
     return product
 
 
-def _traces(power, n: int, delta: int, count: int) -> list[int]:
-    """tr(A^s), s < count, for a symmetric n x n 0/1 matrix A with zero
-    diagonal and row sums at most delta: n, 0, the number of nonzero
-    entries, then sum_ij (A^a)_ij (A^b)_ij, a = s // 2, b = s - a.  Its
-    terms are nonnegative and add up to at most n delta^s: in float64 below
-    2^53, else in Python ints."""
-    traces = [n, 0, int(np.count_nonzero(power(1)))][:count]
+def _product_mod(power, coeffs, ell: int):
+    """The product of the factors `coeffs` (_factors) mod ell, each built
+    from its coefficients mod ell (entries below ell (Delta + 2) < 2^53), in
+    float64 with partial sums below n (ell - 1)^2, kept below 2^53."""
+    product = None
+    for c2, c1, c0 in coeffs:
+        factor = _factor(power, c2 % ell, c1 % ell, c0 % ell) \
+            .astype(np.float64) % ell
+        product = factor if product is None else factor @ product % ell
+    return product
+
+
+def _annihilates(power, delta: int, coeffs, deflate: bool) -> bool:
+    """Whether the product of the factors `coeffs` (_factors), times
+    A - delta I when deflate, is zero.  For a 0/1 A with row sums at most
+    delta, factor c2 A^2 + c1 A + c0 I has entries and row sums at most
+    c2 delta^2 + |c1| delta + |c0|; these multiplied bound the product.
+    Below 2^53 it runs in floats, without A - delta I while the rest is
+    constant (AJ = delta J); past it, modulo the largest primes l with
+    n (l - 1)^2 < 2^53 until their product passes the bound."""
+    n = len(power(1))
+    coeffs = coeffs + [(0, 1, -delta)] * deflate
+    bound = math.prod(c2 * delta * delta + abs(c1) * delta + abs(c0)
+                      for c2, c1, c0 in coeffs)
+    if bound >= 1 << 53:
+        top = math.isqrt(((1 << 53) - 1) // n) + 1
+        # primes past 2^(b-1), b the bit length of top, add b - 1 bits each
+        count = -(-bound.bit_length() // (top.bit_length() - 1))
+        _check_work(n, count * len(coeffs))
+        modulus = 1
+        for ell in range(top, 1, -1):
+            if any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
+                continue
+            if _product_mod(power, coeffs, ell).any():
+                return False
+            modulus *= ell
+            if modulus > bound:
+                return True
+        return False  # not reached: the work check leaves enough primes
+    _check_work(n, len(coeffs) - 1)
+    product = _annihilator(power, coeffs[:len(coeffs) - deflate])
+    if deflate and (product == product.flat[0]).all():
+        return True
+    if deflate:
+        product = _times(_factor(power, *coeffs[-1]), product)
+    return not product.any()
+
+
+def _traces(power, count: int) -> list[int]:
+    """tr(A^s) mod P, s < count, for a symmetric n x n 0/1 matrix A =
+    power(1) with zero diagonal and row sums at most Delta: n, 0, the number
+    of nonzero entries, then sum_ij (A^a)_ij (A^b)_ij, a = s // 2,
+    b = s - a.  From A and A^2 that sum is at most n Delta^3 < 2^53, in
+    float64.  Past them the powers A^b = A A^(b-1) mod P have partial sums
+    below Delta P < 2^53 in float64, and the terms, below P^2 < 2^63, are
+    reduced mod P and summed below n^2 P < 2^63 in int64."""
+    adj = power(1)
+    traces = [len(adj), 0, int(np.count_nonzero(adj))]
+    low = high = adj
     for s in range(3, count):
-        dtype = np.float64 if n * delta ** s < 1 << 53 else object
-        traces.append(int(np.vdot(_as_type(power(s // 2), dtype),
-                                  _as_type(power(s - s // 2), dtype))))
-    return traces
+        if s % 2:  # from A^a, A^a to A^a, A^(a+1)
+            low, high = high, power(2) if s == 3 else \
+                _times(adj, high).astype(np.int64) % P
+        x, y = (low if s % 2 else high), high
+        trace = np.vdot(x.astype(np.float64), y.astype(np.float64)) \
+            if s < 5 else (x.astype(np.int64) * y.astype(np.int64) % P).sum()
+        traces.append(int(trace) % P)
+    return traces[:count]
 
 
-def _schedule_bound(n: int, delta: int, coeffs, rows: int) -> tuple[int, int]:
-    """(bound, products) of exact_spectrum on the factors `coeffs` and
-    `rows` traces, from closed forms for a 0/1 A with row sums at most
-    delta: the largest bound of any step, and the number of n x n products
-    whose bound reaches 2^53.  Factor c2 A^2 + c1 A + c0 I has entries and
-    row sums at most c2 delta^2 + |c1| delta + |c0|, so the product of the
-    first j factors is bounded by the first j of these multiplied; the
-    power A^p, p >= 3, by delta^(p-1); the trace tr(A^s) by n delta^s."""
-    chain = list(itertools.accumulate(
-        (c2 * delta * delta + abs(c1) * delta + abs(c0)
-         for c2, c1, c0 in coeffs), operator.mul))
-    steps = chain[1:] + [delta ** (p - 1) for p in range(3, rows // 2 + 1)]
-    bound = max(chain[:1] + steps + [n * delta ** (rows - 1)])
-    return bound, sum(b >= 1 << 53 for b in steps)
-
-
-def _check_object_work(n: int, bound: int, products: int,
-                       solve: int) -> None:
-    """TooLarge when a schedule whose bound reaches 2^53 takes more than
-    MAX_OBJECT_WORK for its products past 2^53, or for the `solve` rational
-    operations of the trace system.  Below 2^53 the solve is small:
-    n delta^(rows-1) < 2^53 keeps rows <= 53 once delta >= 2."""
-    bits = bound.bit_length()
-    if bound < 1 << 53 or max(n ** 3 * products, solve) * bits <= \
-            MAX_OBJECT_WORK:
-        return
-    work = (f"{products} exact products of {n} x {n} matrices"
-            if n ** 3 * products >= solve else
-            f"{solve} rational operations of the trace solve")
-    raise TooLarge(f"{work} past a {bits}-bit bound exceed the object-tier "
-                   f"limit")
+def _solve_mod(m):
+    """x with m[:, :-1] x = m[:, -1] mod P, by Gauss-Jordan elimination in
+    int64 on the augmented matrix m of residues, whose columns must be
+    independent mod P; None when the system is inconsistent.  A product of
+    two residues stays below P^2 < 2^63."""
+    unknowns = m.shape[1] - 1
+    for c in range(unknowns):
+        pivot = c + int(np.flatnonzero(m[c:, c])[0])
+        m[[c, pivot], c:] = m[[pivot, c], c:]
+        m[c, c:] = m[c, c:] * pow(int(m[c, c]), -1, P) % P
+        rest = np.arange(len(m)) != c
+        m[rest, c:] = (m[rest, c:] - np.outer(m[rest, c], m[c, c:]) % P) % P
+    return None if m[unknowns:, -1].any() else m[:unknowns, -1]
 
 
 def _candidate_sets(candidates) -> tuple[list[int], list[int]]:
@@ -302,11 +332,12 @@ def _candidate_sets(candidates) -> tuple[list[int], list[int]]:
 def exact_spectrum(g: Graph, candidates) -> Spectrum:
     """Verified spectrum of g, given a superset of its eigenvalues.
 
-    Verifies the annihilating product exactly, then solves the trace system
-    for the multiplicities in rational arithmetic.  Conjugate +-sqrt(t)
-    eigenvalues share one unknown, so their multiplicities come out equal.
-    Candidates that are not eigenvalues get multiplicity 0 and stay in the
-    result; a missing eigenvalue raises NotAnnihilated.
+    Solves the trace system for the multiplicities mod P, then proves that
+    the candidates with a nonzero multiplicity annihilate the adjacency
+    matrix.  Conjugate +-sqrt(t) eigenvalues share one unknown, so their
+    multiplicities come out equal.  Candidates that are not eigenvalues get
+    multiplicity 0 and stay in the result; a missing eigenvalue raises
+    NotAnnihilated.
     """
     ints, rads = _candidate_sets(candidates)
     n = g.n
@@ -314,6 +345,7 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
         return Spectrum((), ())
     if not ints and not rads:
         raise NotAnnihilated("empty candidate list")
+    check_vertices(n, "the graph of a spectrum")
 
     # Gershgorin: every eigenvalue has |theta| <= delta, so A - aI for
     # |a| > delta and A^2 - tI for t > delta^2 are invertible and take no
@@ -329,63 +361,37 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     if not eigs:
         raise missing
 
-    # AJ = delta J when A is regular, so when delta is one of several
-    # candidates a constant product P = cJ of the other factors proves
-    # (A - delta I)P = 0 without forming it; the work guard counts that
-    # product all the same
-    deflate = delta in ints and len(eigs) > 1 and int(degrees.min()) == delta
-    coeffs = _factors([a for a in ints if not (deflate and a == delta)], rads)
-    degree_factor = (0, 1, -delta)
-    rows = len(ints) + 2 * len(rads)
-    _check_object_work(n, *_schedule_bound(
-        n, delta, coeffs + [degree_factor] * deflate, rows),
-        rows * len(eigs) ** 2)
-    power = _matrix_powers(adjacency_matrix(g))
-    product = _annihilator(power, coeffs)
-    if not deflate or (product != product.flat[0]).any():
-        if deflate:
-            product = _times(_factor(power, *degree_factor), product)
-        if product.any():
-            raise missing
-
     # tr(A^s) = sum_i m_i theta_i^s, where (sqrt(t))^s + (-sqrt(t))^s is
-    # 2 t^(s/2) for even s and 0 for odd s
-    traces = _traces(power, n, delta, rows)
-    system = [[Fraction(a**s) for a in ints] +
-              [Fraction(0 if s % 2 else 2 * t ** (s // 2)) for t in rads] +
-              [Fraction(trace)]
-              for s, trace in enumerate(traces)]
-    for x, e in zip(_solve_exact(system, len(eigs)), eigs):
-        counts[e] = _as_count(x, e)
+    # 2 t^(s/2) for even s and 0 for odd s: sums of the columns of the
+    # square Vandermonde matrix of the nodes a and +-sqrt(t), which are
+    # distinct mod P (P > Delta^2, P odd), so of full rank mod P.  If the
+    # candidates annihilate A, the true multiplicities, in [0, n] with
+    # P > n, are the only solution
+    rows = len(ints) + 2 * len(rads)
+    _check_work(n, max(1, rows // 2 - 1), rows, len(eigs))
+    power = _matrix_powers(adjacency_matrix(g))
+    values = _solve_mod(np.array(
+        [[pow(a, s, P) for a in ints] +
+         [0 if s % 2 else 2 * pow(t, s // 2, P) % P for t in rads] + [trace]
+         for s, trace in enumerate(_traces(power, rows))], dtype=np.int64))
+    if values is None or values.max() > n:
+        raise missing
+
+    # the candidates with a nonzero value annihilate A exactly when they
+    # hold every eigenvalue, and then the values are the multiplicities
+    counts.update(zip(eigs, values.tolist()))
+    live = [a for a in ints if counts[a]]
+    rads = [t for t in rads if counts[Radical(t)]]
+    deflate = delta in live and len(live) + len(rads) > 1 and \
+        int(degrees.min()) == delta
+    coeffs = _factors([a for a in live if not (deflate and a == delta)],
+                      rads)
+    if not _annihilates(power, delta, coeffs, deflate):
+        raise missing
     spec = make_spectrum((x, m) for e, m in counts.items() for x in (
         (e, -e) if isinstance(e, Radical) else (e,)))
     assert spec.order == n
     return spec
-
-
-def _as_count(x: Fraction, eig) -> int:
-    if x.denominator != 1 or x < 0:
-        raise NonIntegralMultiplicity(f"multiplicity {x} of {eig}")
-    return int(x)
-
-
-def _solve_exact(m: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
-    """Gaussian elimination over the rationals on the augmented rows m of a
-    consistent system with full column rank (possibly more rows than
-    unknowns)."""
-    for c in range(n_unknowns):
-        pivot = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            raise NonIntegralMultiplicity("trace system is rank deficient")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i, row in enumerate(m):
-            if i != c and row[c] != 0:
-                m[i] = [x - row[c] * y for x, y in zip(row, m[c])]
-    if any(row[n_unknowns] for row in m[n_unknowns:]):
-        raise NotAnnihilated("trace system inconsistent with candidates")
-    return [row[n_unknowns] for row in m[:n_unknowns]]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -18,9 +19,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srgforge import (complete_graph, counting_lower_bound, cycle_graph,
-                      designs, fano_plane, graph6_decode, graph6_encode,
-                      make_spectrum, petersen_graph, Radical, save_design,
-                      srg, SymmetricDesign, triangular_graph)
+                      designs, empty_graph, fano_plane, graph6_decode,
+                      graph6_encode, make_spectrum, petersen_graph, Radical,
+                      save_design, srg, SymmetricDesign, triangular_graph)
 from srgforge import cli
 from srgforge.cli import main
 from srgforge.errors import ParseError
@@ -198,50 +199,97 @@ def test_spectrum_candidates_square_radicands(workdir, capsys):
     assert json.loads(outs[0])["spectrum"] == [[12, 1], [4, 7], [-2, 20]]
 
 
-def test_spectrum_object_tier_guard(workdir, capsys):
-    """61 candidates on the 364-vertex s(3,3), all within its degree 243,
-    pair into 31 factors; 51 products reach 2^53 (28 of the 30 between
-    factors, A^8..A^30 of the powers for the traces), under a 489-bit
-    bound: exit 2 at once, not minutes of Python-int matrix products.  The
-    child has a time limit so a missing guard fails."""
+def test_spectrum_answers_s33_with_61_integer_candidates(workdir, capsys):
+    """61 candidates -30..30 on the 364-vertex s(3,3), all within its
+    degree 243: 61 traces take 29 products and a 61 x 61 trace solve mod P.
+    Without 243 the residues fail the checks and the call exits 2 with
+    NotAnnihilated; with it the live candidates 243, 9 and -9 take one
+    product.  The child has a time limit so a slow path fails."""
     assert main(["gen-srg1", "--q", "3", "--d", "3", "--seed", "0",
                  "--out", "s33"]) == 0
     capsys.readouterr()
     src = str(Path(__file__).resolve().parents[1] / "src")
-    candidates = ",".join(map(str, range(-30, 31)))
-    result = subprocess.run(
-        [sys.executable, "-m", "srgforge.cli", "spectrum", "--in", "s33.g6",
-         f"--candidates={candidates}"],
-        capture_output=True, text=True, timeout=30, cwd=workdir,
-        env=dict(os.environ, PYTHONPATH=src))
-    assert result.returncode == 2
-    assert result.stderr == ("srgforge: 51 exact products of 364 x 364 "
-                             "matrices past a 489-bit bound exceed the "
-                             "object-tier limit\n")
+    candidates = list(range(-30, 31))
+    for extra, code in (([], 2), ([243], 0)):
+        result = subprocess.run(
+            [sys.executable, "-m", "srgforge.cli", "spectrum", "--in",
+             "s33.g6", "--candidates=" + ",".join(map(str, candidates +
+                                                      extra))],
+            capture_output=True, text=True, timeout=30, cwd=workdir,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stderr.endswith("do not annihilate the adjacency "
+                                          "matrix\n")
+            continue
+        spectrum = dict(map(tuple, json.loads(result.stdout)["spectrum"]))
+        assert {e: m for e, m in spectrum.items() if m} == \
+            {243: 1, 9: 168, -9: 195}
+
+
+def _k20_candidates(radicals: int) -> str:
+    rads = [t for t in range(2, 400) if math.isqrt(t) ** 2 != t][:radicals]
+    return ",".join([*map(str, range(-19, 20)),
+                     *(f"sqrt({t})" for t in rads)])
+
+
+def test_spectrum_solves_339_trace_rows_fast(workdir, capsys):
+    """K_20 with -19..19 and the first 150 non-square radicands, all within
+    its degree 19: a 339-row trace solve with 189 unknowns mod P, well
+    inside the work limit, answers in a fraction of a second."""
+    (workdir / "k20.g6").write_text(graph6_encode(complete_graph(20)) + "\n")
+    start = time.perf_counter()
+    assert main(["spectrum", "--in", "k20.g6",
+                 f"--candidates={_k20_candidates(150)}"]) == 0
+    assert time.perf_counter() - start < 5
+    spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+    assert len(spectrum) == 39 + 300
+    assert [[e, m] for e, m in spectrum if m] == [[19, 1], [-1, 19]]
 
 
 def test_spectrum_trace_solve_guard(workdir, capsys):
-    """K_20 with -19..19 and the first 150 non-square radicands, all within
-    its degree 19: the products that reach 2^53 come to 90 % of the
-    object-tier limit, but the 339-row rational trace solve, which ran for
-    half a minute, is counted too: exit 2 at once."""
-    (workdir / "k20.g6").write_text(graph6_encode(complete_graph(20)) + "\n")
-    rads = [t for t in range(2, 400) if math.isqrt(t) ** 2 != t][:150]
-    candidates = ",".join([*map(str, range(-19, 20)),
+    """K_64 with -63..63 and the first 3000 non-square radicands, all within
+    its degree 63: the 6127-row trace solve with 3127 unknowns passes the
+    work limit before any product runs, so the call exits 2 at once."""
+    (workdir / "k64.g6").write_text(graph6_encode(complete_graph(64)) + "\n")
+    rads = [t for t in range(2, 64 * 64) if math.isqrt(t) ** 2 != t][:3000]
+    assert rads[-1] <= 63 * 63
+    candidates = ",".join([*map(str, range(-63, 64)),
                            *(f"sqrt({t})" for t in rads)])
     start = time.perf_counter()
-    assert main(["spectrum", "--in", "k20.g6",
+    assert main(["spectrum", "--in", "k64.g6",
                  f"--candidates={candidates}"]) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        "srgforge: 12109419 rational operations of the trace solve past a "
-        "1507-bit bound exceed the object-tier limit\n")
+        "srgforge: 3062 products of 64 x 64 matrices and a 6127 x 3127 "
+        "trace solve exceed the spectrum work limit\n")
+
+
+def test_spectrum_refuses_past_the_work_and_vertex_limits(workdir, capsys):
+    """K_1024 with -1023..1023 needs A^2 .. A^1023 for its traces, 1022
+    products of 1024 x 1024 matrices; a graph on 4097 vertices is past the
+    limit under which P > n and P > Delta^2.  Both exit 2 in under 1 s."""
+    (workdir / "k1024.g6").write_text(
+        graph6_encode(complete_graph(1024)) + "\n")
+    (workdir / "e4097.g6").write_text(
+        graph6_encode(empty_graph(4097)) + "\n")
+    for name, candidates, message in (
+            ("k1024.g6", ",".join(map(str, range(-1023, 1024))),
+             "1022 products of 1024 x 1024 matrices and a 2047 x 2047 trace "
+             "solve exceed the spectrum work limit"),
+            ("e4097.g6", "0", "the graph of a spectrum would have 4097 "
+             "vertices, over the 4096-vertex limit")):
+        start = time.perf_counter()
+        assert main(["spectrum", "--in", name,
+                     f"--candidates={candidates}"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"srgforge: {message}\n"
 
 
 def test_spectrum_skips_candidates_past_the_degree_bound(workdir, capsys):
     """Petersen has maximum degree 3, so of -200..200 and four radicals
-    only -3..3, sqrt(5) and sqrt(7) reach the products and the rational
-    trace solve; the rest still print, with multiplicity 0.  At 100
+    only -3..3, sqrt(5) and sqrt(7) reach the products and the trace
+    solve; the rest still print, with multiplicity 0.  At 100
     integer candidates that solve alone took seconds."""
     (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
     ints = range(-200, 201)
@@ -448,6 +496,21 @@ def test_gen_srg2_needs_lambda_mu_plus_2_before_the_search(workdir, capsys):
         assert err == (f"srgforge: need lambda = mu + 2, got lambda = {lam},"
                        f" mu = {mu}\n")
     assert sorted(os.listdir()) == ["co62.g6", "sp62.g6"]
+
+
+def test_gen_srg2_reads_the_first_graph_of_a_g6_base(workdir, capsys):
+    """--base g6:FILE reads the first non-blank line, as verify --in does:
+    a file holding T(8) and then K4 builds what --base t8 builds, and the
+    manifest records the digest of the whole file."""
+    text = graph6_encode(triangular_graph(8)) + "\n" + \
+        graph6_encode(complete_graph(4)) + "\n"
+    Path("two.g6").write_text(text, encoding="ascii")
+    assert main(["gen-srg2", "--base", "g6:two.g6", "--out", "file"]) == 0
+    assert main(["gen-srg2", "--base", "t8", "--out", "builtin"]) == 0
+    assert Path("file.g6").read_text() == Path("builtin.g6").read_text()
+    manifest = json.loads(Path("file.manifest.json").read_text())
+    assert manifest["inputs"]["base"] == \
+        hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_gen_srg2_rejects_bad_file_design(workdir, capsys):

@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "09d803a8d2c1dd377d26f261f884ff8ef5f7cf154c0af4674e106ee7f56e1fc6",
+        "f95e6f8f38e3e12b51c6c2d5404c2a2df9f14ee1d8fbbf5d643773f3519d5f41",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,9 +21,9 @@ from srgforge import (chang_graphs, coclique_deletion_spectrum, complement,
                       srg_spectrum, SrgParams, symplectic_graph,
                       theorem1_params, TooLarge, triangular_graph, verify_ddg)
 from srgforge import spectra
-from srgforge.spectra import (_annihilator, _as_type, _factor, _factors,
-                              _matrix_powers, _number_type, _schedule_bound,
-                              _times, _traces, adjacency_matrix)
+from srgforge.spectra import (_annihilator, _factor, _factors, _matrix_powers,
+                              _number_type, _product_mod, _times, _traces,
+                              adjacency_matrix, P)
 from srgforge.srg import srg_params
 from test_ddg import build
 from test_srg import srg1
@@ -236,42 +237,57 @@ def _reference_product(g, shifts):
     return mat
 
 
+def _zero_test_primes(n: int, count: int) -> list[int]:
+    """The first count primes of exact_spectrum's zero test on n vertices:
+    the largest l with n (l - 1)^2 < 2^53."""
+    top = math.isqrt((2**53 - 1) // n) + 1
+    assert n * (top - 1)**2 < 2**53 <= n * top**2
+    return list(itertools.islice(
+        (x for x in range(top, 1, -1)
+         if all(x % d for d in range(2, math.isqrt(x) + 1))), count))
+
+
+def _mod(rows, ell: int) -> list[list[int]]:
+    return [[x % ell for x in row] for row in rows]
+
+
 def test_exact_matrix_dtype_boundary():
-    """float32 below 2^24, float64 below 2^53, Python ints from 2^53 on;
-    a matrix moves between them without changing an entry."""
+    """float32 below 2^24, float64 from 2^24 to 2^53 - 1; a matrix moves
+    between them without changing an entry.  Nothing reaches 2^53: a
+    product whose bound does goes to the modular zero test."""
     assert [_number_type(b) for b in (0, 2**24 - 1, 2**24, 2**53 - 1)] == \
         [np.float32, np.float32, np.float64, np.float64]
-    assert _number_type(2**53) is object
     adj = adjacency_matrix(petersen_graph())
     assert adj.dtype == np.float32
-    assert _as_type(adj, np.float32) is adj
-    exact = _as_type(adj, object)
-    assert all(type(x) is int for x in exact.flat)
-    assert exact.tolist() == adj.astype(int).tolist()
-    wide = _as_type(exact * (2**53 - 1), np.float64)
-    assert wide.dtype == np.float64
-    assert (wide.astype(object) == exact * (2**53 - 1)).all()
+    exact = adj.astype(int).astype(object)
+    wide = adj.astype(np.float64) * (2**53 - 1)
+    assert (wide.astype(np.int64).astype(object) == exact * (2**53 - 1)).all()
 
 
-@pytest.mark.parametrize("shifts, first_object", [
+@pytest.mark.parametrize("shifts, first_modular", [
     ([2**60, 3, 1, -2], 0),         # A - 2^60 I has an entry past 2^53
     ([2**30, 2**31, 3, 1, -2], 1),  # A^2 - 3 * 2^30 A + 2^61 I too
     ([0] * 40, 35),                 # A^2 A^34: 9 * 1.7e15 >= 2^53
 ])
-def test_exact_product_tier_boundaries(shifts, first_object):
+def test_exact_product_tier_boundaries(shifts, first_modular):
     """Every prefix of the shifts, as paired factors, equals the Python-int
-    product: in float32 or float64 before first_object, in Python ints
-    from it on."""
+    product: in float32 or float64 before first_modular, where every
+    product's bound is below 2^53, and modulo each of the zero test's first
+    three primes from it on, where a float product would round."""
     g = petersen_graph()  # maximum degree 3
+    power = _matrix_powers(adjacency_matrix(g))
+    primes = _zero_test_primes(g.n, 3)
     for i in range(len(shifts)):
-        product = _annihilator(_matrix_powers(adjacency_matrix(g)),
-                               _factors(shifts[:i + 1], []))
-        if i < first_object:
+        coeffs = _factors(shifts[:i + 1], [])
+        expected = _reference_product(g, shifts[:i + 1])
+        if i < first_modular:
+            product = _annihilator(power, coeffs)
             assert product.dtype in (np.float32, np.float64)
+            assert product.tolist() == expected
         else:
-            assert product.dtype == object
-            assert all(type(x) is int for x in product.flat)
-        assert product.tolist() == _reference_product(g, shifts[:i + 1])
+            for ell in primes:
+                assert _product_mod(power, coeffs, ell).tolist() == \
+                    _mod(expected, ell)
 
 
 @pytest.mark.parametrize("edge", [24, 53])
@@ -280,70 +296,102 @@ def test_product_number_type_edges(edge):
     operand's row sums are 2^h and the right's largest entry is t, so the
     bound 2^h t meets 2^edge at t = 2^(edge - h) and stays below it at
     t - 1.  Below 2^24 the product runs in float32, below 2^53 in float64,
-    else in Python ints; each equals the Python-int product."""
+    and at 2^53 modulo the zero test's primes; each equals the Python-int
+    product, modulo each prime at 2^53."""
     g = petersen_graph()
     power = _matrix_powers(adjacency_matrix(g))
     h = edge // 2
-    below, at = {24: (np.float32, np.float64), 53: (np.float64, object)}[edge]
-    for t, dtype in ((2**(edge - h) - 1, below), (2**(edge - h), at)):
+    for t in (2**(edge - h) - 1, 2**(edge - h)):
         left, right = (_factor(power, 0, 1, c) for c in (2**h - 3, -t))
-        assert np.abs(left).sum(axis=1).max() * np.abs(right).max() == \
-            2**h * t
-        product = _times(left, right)
-        assert product.dtype == dtype
-        assert product.tolist() == _reference_product(g, [3 - 2**h, t])
+        bound = int(np.abs(left).sum(axis=1).max() * np.abs(right).max())
+        assert bound == 2**h * t
+        expected = _reference_product(g, [3 - 2**h, t])
+        if bound < 2**53:
+            product = _times(left, right)
+            assert product.dtype == _number_type(bound)
+            assert product.tolist() == expected
+            continue
+        for ell in _zero_test_primes(g.n, 3):
+            assert _product_mod(power, [(0, 1, 2**h - 3), (0, 1, -t)],
+                                ell).tolist() == _mod(expected, ell)
 
 
-def test_object_tier_work_limit(monkeypatch):
-    """K_12 with every integer in [-11, 11] as a candidate: 11 is the
-    degree, so 22 candidates pair into 11 factors, and with the degree
-    factor and A^3..A^11 for the traces 6 products reach 2^53.  Past a
-    93-bit bound the 23-row trace solve of 23 unknowns, 23^3 = 12167
-    rational operations, outweighs their 12^3 * 6 = 10368: 1131531 units
-    of work."""
+def test_work_limit(monkeypatch):
+    """K_12 with every integer in [-11, 11] as a candidate: its 23 traces
+    take A^2 .. A^11, 10 products of 12 x 12 matrices, and a 23 x 23 trace
+    solve, 12^3 * 10 + 2^8 * 23^3 = 3132032 units of work, checked before
+    the first product.  The live candidates 11 and -1 then take one
+    product, 12^3 units."""
     g = complete_graph(12)
     candidates = list(range(-11, 12))
-    coeffs = _factors(list(range(-11, 11)), []) + [(0, 1, -11)]
-    bound, products = _schedule_bound(12, 11, coeffs, 23)
-    assert (products, bound.bit_length()) == (6, 93)
-    for limit, ok in ((1131531, True), (1131530, False)):
-        monkeypatch.setattr(spectra, "MAX_OBJECT_WORK", limit)
+    assert 12**3 * 10 + 2**8 * 23**3 == 3132032
+    for limit, ok in ((3132032, True), (3132031, False)):
+        monkeypatch.setattr(spectra, "MAX_WORK", limit)
         if ok:
             spec = exact_spectrum(g, candidates)
             assert spec.nonzero() == make_spectrum([(11, 1), (-1, 11)])
         else:
-            with pytest.raises(TooLarge, match="12167 rational operations "
-                               "of the trace solve past a 93-bit bound"):
+            with pytest.raises(TooLarge, match="^10 products of 12 x 12 "
+                               "matrices and a 23 x 23 trace solve exceed "
+                               "the spectrum work limit$"):
                 exact_spectrum(g, candidates)
 
 
-def test_object_tier_solve_limit(monkeypatch):
-    """K_6 with every integer in [-5, 5] and sqrt(2), ..., sqrt(8): the
-    trace solve has 23 rows and 17 unknowns, 23 * 17^2 = 6647 rational
-    operations, more than the 6^3 * 3 of its products that reach 2^53,
-    past a 62-bit bound: 412114 units of work."""
+def test_work_limit_counts_the_trace_solve(monkeypatch):
+    """K_6 with every integer in [-5, 5] and sqrt(2), ..., sqrt(8): 23
+    traces, 10 products of 6 x 6 matrices, 2160 units, but the trace solve
+    has 23 rows and 17 unknowns, 2^8 * 23 * 17^2 = 1701632 units: the limit
+    counts both."""
     g = complete_graph(6)
     ints, rads = list(range(-5, 6)), [2, 3, 5, 6, 7, 8]
     candidates = ints + [Radical(t) for t in rads]
-    coeffs = _factors(ints[:-1], rads) + [(0, 1, -5)]
-    bound, products = _schedule_bound(6, 5, coeffs, 23)
-    assert (products, bound.bit_length()) == (3, 62)
-    for limit, ok in ((412114, True), (412113, False)):
-        monkeypatch.setattr(spectra, "MAX_OBJECT_WORK", limit)
+    for limit, ok in ((1703792, True), (1703791, False), (2160, False)):
+        monkeypatch.setattr(spectra, "MAX_WORK", limit)
         if ok:
             spec = exact_spectrum(g, candidates)
             assert spec.nonzero() == make_spectrum([(5, 1), (-1, 5)])
         else:
-            with pytest.raises(TooLarge, match="6647 rational operations "
-                               "of the trace solve past a 62-bit bound"):
+            with pytest.raises(TooLarge, match="^10 products of 6 x 6 "
+                               "matrices and a 23 x 17 trace solve"):
                 exact_spectrum(g, candidates)
+
+
+class NonIntegralMultiplicity(Exception):
+    """The reference trace solve's error for a non-integral, negative or
+    undetermined multiplicity."""
+
+
+def _as_count(x: Fraction, eig) -> int:
+    if x.denominator != 1 or x < 0:
+        raise NonIntegralMultiplicity(f"multiplicity {x} of {eig}")
+    return int(x)
+
+
+def _solve_exact(m: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
+    """Gaussian elimination over the rationals on the augmented rows m of a
+    consistent system with full column rank (possibly more rows than
+    unknowns)."""
+    for c in range(n_unknowns):
+        pivot = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            raise NonIntegralMultiplicity("trace system is rank deficient")
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i, row in enumerate(m):
+            if i != c and row[c] != 0:
+                m[i] = [x - row[c] * y for x, y in zip(row, m[c])]
+    if any(row[n_unknowns] for row in m[n_unknowns:]):
+        raise NotAnnihilated("trace system inconsistent with candidates")
+    return [row[n_unknowns] for row in m[:n_unknowns]]
 
 
 def old_exact_spectrum(g, candidates):
     """exact_spectrum as it was before paired factors: one product per
     factor A - aI or A^2 - tI, and A^p = A^(p-1) A for the traces, all in
     float64 when one bound on the whole schedule is below 2^53, else all
-    in Python ints.  The reference of the oracle test below."""
+    in Python ints, and the multiplicities from the trace system solved in
+    rationals.  The reference of the oracle test below."""
     ints, rads = spectra._candidate_sets(candidates)
     n = g.n
     if n == 0:
@@ -382,8 +430,8 @@ def old_exact_spectrum(g, candidates):
               [Fraction(0 if s % 2 else 2 * t ** (s // 2)) for t in rads] +
               [Fraction(trace)]
               for s, trace in enumerate(traces)]
-    for x, e in zip(spectra._solve_exact(system, len(eigs)), eigs):
-        counts[e] = spectra._as_count(x, e)
+    for x, e in zip(_solve_exact(system, len(eigs)), eigs):
+        counts[e] = _as_count(x, e)
     return make_spectrum((x, m) for e, m in counts.items() for x in (
         (e, -e) if isinstance(e, Radical) else (e,)))
 
@@ -425,7 +473,7 @@ def test_exact_spectrum_matches_the_old_chain(g, candidates):
     def outcome(spectrum):
         try:
             return spectrum(g, candidates)
-        except (NotAnnihilated, spectra.NonIntegralMultiplicity) as e:
+        except (NotAnnihilated, NonIntegralMultiplicity) as e:
             return type(e), str(e)
     assert outcome(exact_spectrum) == outcome(old_exact_spectrum)
 
@@ -449,11 +497,12 @@ def test_degree_factor_fallback_on_a_disconnected_graph():
 
 def test_traces_exact_past_float32():
     """K_300: n Delta^3 = 300 * 299^3 >= 2^24, so float32 sums could not
-    hold tr A^3 or tr A^4; they are 299^s + 299 (-1)^s."""
+    hold tr A^3 or tr A^4; they are 299^s + 299 (-1)^s, tr A^4 past P, so
+    it comes out mod P."""
     g = complete_graph(300)
-    assert 300 * 299**3 >= 2**24
-    traces = _traces(_matrix_powers(adjacency_matrix(g)), 300, 299, 5)
-    assert traces == [299**s + 299 * (-1)**s for s in range(5)]
+    assert 300 * 299**3 >= 2**24 and 299**4 > P
+    traces = _traces(_matrix_powers(adjacency_matrix(g)), 5)
+    assert traces == [(299**s + 299 * (-1)**s) % P for s in range(5)]
     spec = exact_spectrum(g, [299, -1, 0, 1, 2])
     assert spec.nonzero() == make_spectrum([(299, 1), (-1, 299)])
 
@@ -570,10 +619,12 @@ def _times_ref(x, y):
 
 
 def test_exact_product_first_factor_tiers():
-    """A first factor with an entry of 2^53 or more is built in Python
-    ints, where float64 would round it: A - (2^60 + 1) I, paired with the
-    next shift into A^2 - (2^60 + 4)A + 3 (2^60 + 1) I, and A^2 -
-    (2^61 + 1) I as the only radical factor."""
+    """A first factor with an entry of 2^53 or more, which float64 would
+    round, is built from its coefficients modulo each prime of the zero
+    test: A - (2^60 + 1) I, paired with the next shift into A^2 -
+    (2^60 + 4)A + 3 (2^60 + 1) I, and A^2 - (2^61 + 1) I as the only
+    radical factor.  Each product equals the Python-int one mod each
+    prime."""
     g = petersen_graph()
     a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
 
@@ -582,19 +633,20 @@ def test_exact_product_first_factor_tiers():
                 for i, row in enumerate(mat)]
 
     a_sq = _times_ref(a, a)
+    power = _matrix_powers(adjacency_matrix(g))
     for ints, rads in (([2**60 + 1], []), ([], [2**61 + 1])):
         for step in range(4):
             live = ints + [3, 1, -2][:step]
-            product = _annihilator(_matrix_powers(adjacency_matrix(g)),
-                                   _factors(live, rads))
             factors = [minus(a, s) for s in live] + \
                 [minus(a_sq, t) for t in rads]
+            assert max(abs(x) for f in factors for row in f for x in row) \
+                >= 2**53
             expected = factors[0]
             for factor in factors[1:]:
                 expected = _times_ref(expected, factor)
-            assert product.dtype == object, step
-            assert all(type(x) is int for x in product.flat)
-            assert product.tolist() == expected, step
+            for ell in _zero_test_primes(g.n, 3):
+                assert _product_mod(power, _factors(live, rads),
+                                    ell).tolist() == _mod(expected, ell), step
 
     pet = exact_spectrum(g, [3, 1, -2])
     assert exact_spectrum(g, [2**60 + 1, 3, 1, -2]).nonzero() == pet
@@ -603,28 +655,27 @@ def test_exact_product_first_factor_tiers():
 
 
 def test_traces_match_python_ints(monkeypatch):
-    """tr(A^s) of the Petersen graph for s <= 40 against a Python-int
-    reference: the bound 10 * 3^s keeps tr A^3 .. tr A^31 in float64, and
-    the traces past it run in Python ints; none is summed in float32."""
-    assert 10 * 3**31 < 1 << 53 <= 10 * 3**32
+    """tr(A^s) of the Petersen graph for s <= 40 mod P against a Python-int
+    reference: 10 * 3^s passes P from s = 17 and 2^53 from s = 32, so the
+    residues of the powers and the sums mod P both matter.  The 41 traces
+    take A^2 .. A^20, 19 products."""
+    assert 10 * 3**16 < P < 10 * 3**17 and 10 * 3**31 < 2**53 <= 10 * 3**32
     g = petersen_graph()
     a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
     power = [[int(i == j) for j in range(g.n)] for i in range(g.n)]
     expected = []
     for _ in range(41):
-        expected.append(sum(power[i][i] for i in range(g.n)))
+        expected.append(sum(power[i][i] for i in range(g.n)) % P)
         power = _times_ref(power, a)
-    dtypes = []
+    products = []
 
-    def as_type(m, dtype):
-        dtypes.append(dtype)
-        return _as_type(m, dtype)
+    def times(left, right):
+        products.append(right)
+        return _times(left, right)
 
-    powers = _matrix_powers(adjacency_matrix(g))
-    powers(20)  # the products first, so only the sums are recorded
-    monkeypatch.setattr(spectra, "_as_type", as_type)
-    assert _traces(powers, g.n, 3, 41) == expected
-    assert dtypes == [np.float64] * 2 * 29 + [object] * 2 * 9
+    monkeypatch.setattr(spectra, "_times", times)
+    assert _traces(_matrix_powers(adjacency_matrix(g)), 41) == expected
+    assert len(products) == 19
 
 
 @pytest.mark.parametrize("q, d", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3),
@@ -653,3 +704,68 @@ def test_benchmark_ladder_runs_in_float32(q, d, monkeypatch):
         dtypes.clear()
         assert exact_spectrum(g, candidates).order == g.n
         assert dtypes == [np.float32] * count
+
+
+def _complete_product(*orders):
+    """The Cartesian product K_a x K_b x ... and its spectrum: the sums of
+    one eigenvalue of each factor, k - 1 once or -1 k - 1 times."""
+    m = np.zeros((1, 1), bool)
+    for k in orders:
+        m = np.kron(m, np.eye(k, dtype=bool)) | \
+            np.kron(np.eye(len(m), dtype=bool), ~np.eye(k, dtype=bool))
+    spectrum = make_spectrum(
+        (sum(e for e, _ in choice), math.prod(m for _, m in choice))
+        for choice in itertools.product(*[((k - 1, 1), (-1, k - 1))
+                                          for k in orders]))
+    return Graph(m), spectrum
+
+
+def test_modular_zero_test_on_a_product_of_complete_graphs(monkeypatch):
+    """K3 x K4 x K5 x K7, 420 vertices of degree 15, with its 14 distinct
+    eigenvalues: the product of its 7 paired factors and A - 15 I is
+    bounded by 2^61 or more, so it is zero-tested modulo primes below
+    2^22.2, three of them, 24 products of 420 x 420 matrices.  Dropping a
+    live eigenvalue raises NotAnnihilated; so does a work limit that
+    admits the traces and the solve but not the zero test."""
+    g, spectrum = _complete_product(3, 4, 5, 7)
+    eigs = list(spectrum.eigenvalues)
+    primes = []
+
+    def product_mod(power, coeffs, ell):
+        primes.append(ell)
+        return _product_mod(power, coeffs, ell)
+
+    monkeypatch.setattr(spectra, "_product_mod", product_mod)
+    assert exact_spectrum(g, eigs) == spectrum
+    assert primes == _zero_test_primes(g.n, 3)
+    assert math.prod(primes) > 2**61
+    for dropped in (12, -4):
+        with pytest.raises(NotAnnihilated, match="do not annihilate"):
+            exact_spectrum(g, [e for e in eigs if e != dropped])
+    monkeypatch.setattr(spectra, "MAX_WORK", 10**9)
+    assert 420**3 * 6 + 2**8 * 14**3 < 10**9 < 420**3 * 24
+    with pytest.raises(TooLarge, match="^24 products of 420 x 420 matrices "
+                       "exceed the spectrum work limit$"):
+        exact_spectrum(g, eigs)
+
+
+def test_exact_spectrum_vertex_limit():
+    """P > n and P > Delta^2 hold up to 4096 vertices, the limit of every
+    graph this package builds; a larger graph is refused before any
+    product."""
+    assert exact_spectrum(empty_graph(4096), [0]).entries() == [(0, 4096)]
+    with pytest.raises(TooLarge, match="4097 vertices, over the 4096-vertex"):
+        exact_spectrum(empty_graph(4097), [0])
+
+
+def test_failed_solve_raises_before_any_product(monkeypatch):
+    """On Petersen, 3 and 1 solve to -5 and 15, and -5 comes out as P - 5,
+    above n; 3, 1 and +-sqrt(2) leave the system inconsistent mod P.  Both
+    raise NotAnnihilated before the annihilating product is formed."""
+    def no_product(*args):
+        raise AssertionError("annihilating product formed")
+
+    monkeypatch.setattr(spectra, "_annihilates", no_product)
+    for candidates in ([3, 1], [3, 1, Radical(2)]):
+        with pytest.raises(NotAnnihilated, match="do not annihilate"):
+            exact_spectrum(petersen_graph(), candidates)
