@@ -750,9 +750,12 @@ def test_modular_zero_test_on_a_product_of_complete_graphs(monkeypatch):
 
 
 def test_exact_spectrum_vertex_limit():
-    """P > n and P > Delta^2 hold up to 4096 vertices, the limit of every
-    graph this package builds; a larger graph is refused before any
+    """P is prime, and P > n and P > Delta^2 hold up to 4096 vertices, the
+    limit of every graph this package builds, with the float64 bounds
+    Delta P and n^2 P below 2^53; a larger graph is refused before any
     product."""
+    assert all(P % d for d in range(2, math.isqrt(P) + 1))
+    assert 4096 < 4095**2 < P and 4096**2 * P < 2**53
     assert exact_spectrum(empty_graph(4096), [0]).entries() == [(0, 4096)]
     with pytest.raises(TooLarge, match="4097 vertices, over the 4096-vertex"):
         exact_spectrum(empty_graph(4097), [0])
