@@ -8,10 +8,16 @@ the partition to equitability, records an isomorphism-invariant level value
 graph6 body order), and branches on the first smallest non-singleton cell.
 Refinement counts each vertex's neighbours in a splitter cell, listed once
 per pop, in each of a list of relations, as bit planes (bit v of plane i is
-bit i of the count), a ripple-carry sum of the splitter's rows, and splits
-a cell by the planes from the most significant down, which puts its
-subcells in ascending order of the tuple of counts; only non-singleton
-cells are scanned, and the refinement stops once the partition is discrete.
+bit i of the count), a ripple-carry sum of the splitter's rows (a
+one-vertex splitter's planes are its rows), and splits a cell by the planes
+that cut it from the most significant down, which puts its subcells in
+ascending order of the tuple of counts; only non-singleton cells are
+scanned, and the refinement stops once the partition is discrete.  The
+splitter queue keeps Hopcroft's rule: a split cell waiting in the queue is
+replaced there by all its subcells, and any other split cell queues all of
+them but its first largest, whose counts are its parent's minus its
+siblings'.  The search counts the splitter rows summed into count planes,
+its refinement work, beside its nodes.
 
 The relations are the adjacency alone when it refines the root partition
 to singletons.  Otherwise refinement goes on from the partition it
@@ -19,9 +25,10 @@ reached on pair colours: every ordered pair u != w gets the colour
 (m[u, w], t(u, w)), t(u, w) the number of edges among the common
 neighbours of u and w (McKay & Piperno 2014 refine on such isomorphism-
 invariant pair colourings), and the relations are the colour classes in
-colour order without the largest one, which the others imply.  t is
-constant on the edges and on the non-edges of a rank 3 graph such as the
-complement of Sp(2d, q), but takes several values on the glued graphs,
+colour order without the largest one, which the others imply; their bitset
+rows come from one stacked mask of all kept classes and one bit_rows call.
+t is constant on the edges and on the non-edges of a rank 3 graph such as
+the complement of Sp(2d, q), but takes several values on the glued graphs,
 which the adjacency alone leaves in one cell.
 
 The canonical labeling is the leaf whose sequence of level values is
@@ -106,39 +113,64 @@ def _split(cell, planes):
 
 def _refine(relations, cells, work):
     """Split cells by neighbour counts in each relation against every
-    splitter in work, listed once per pop for all relations, until the
-    partition is equitable; new subcells join the splitter queue.
+    splitter popped from the stack work, listed once per pop for all
+    relations, until the partition is equitable; returns the number of
+    splitter rows summed into count planes (one per splitter vertex and
+    relation), and updates cells in place.
 
     relations is a list of bitset row tuples.  Subcells come in ascending
     order of the tuple of counts, one per relation in list order: the
     planes of the first relation are the most significant.  Only the
     non-singleton cells are scanned, and the loop stops once none is left.
-    A cell that no count plane cuts is skipped.  A split cell is replaced
-    in place by its subcells, and they are pushed in that order, so the
-    splitter pops, and with them the result, are those of a scan of every
-    cell until the queue runs dry.  cells is updated in place and returned.
+    A cell is split only by the planes that cut it, and a one-vertex
+    splitter's planes are its rows.  A split cell is replaced in place by
+    its subcells.  If it is waiting in work it is replaced there too, in
+    place, by all of them; otherwise all but the first largest are pushed,
+    in order, since the counts against that one are the parent's minus its
+    siblings' (Hopcroft 1971; McKay & Piperno 2014).
+
+    Precondition, which makes the result the coarsest equitable partition
+    finer than cells: every cell not in work is one to which every cell
+    already has uniform counts, or becomes one once every cell has uniform
+    counts to the cells in work (as C minus v does, for such a cell C and
+    {v} in work).
     """
+    summed = 0
     open_cells = [cell for cell in cells if cell & (cell - 1)]
     while work and open_cells:
-        splitter = list(set_bits(work.pop()))
-        planes = [plane for rows in reversed(relations)
-                  for plane in _count_planes(rows, splitter)]
+        splitter = work.pop()
+        if splitter and not splitter & (splitter - 1):
+            w = splitter.bit_length() - 1
+            planes = [rows[w] for rows in reversed(relations)]
+            summed += len(relations)
+        else:
+            members = list(set_bits(splitter))
+            planes = [plane for rows in reversed(relations)
+                      for plane in _count_planes(rows, members)]
+            summed += len(members) * len(relations)
         still_open = []
         for cell in open_cells:
-            for plane in planes:
-                x = plane & cell
-                if x and x != cell:
-                    break
-            else:
+            cuts = [x for plane in planes if (x := plane & cell) and x != cell]
+            if not cuts:
                 still_open.append(cell)
                 continue
-            subs = [cell ^ x, x] if len(planes) == 1 else _split(cell, planes)
-            work += subs
+            subs = [cell ^ cuts[0], cuts[0]] if len(cuts) == 1 \
+                else _split(cell, cuts)
+            if cell in work:
+                at = work.index(cell)
+                work[at:at + 1] = subs
+            else:
+                largest = max(subs, key=int.bit_count)
+                work += [sub for sub in subs if sub != largest]
             at = cells.index(cell)
             cells[at:at + 1] = subs
             still_open += [sub for sub in subs if sub & (sub - 1)]
         open_cells = still_open
-    return cells
+    return summed
+
+
+# bools in one stacked colour-class mask of _pair_relations
+_STACK_ENTRIES = 1 << 24
 
 
 def _pair_relations(m):
@@ -147,13 +179,21 @@ def _pair_relations(m):
     and without the largest class (of equal ones, the first).  That class
     is implied: a cell inside a splitter S or disjoint from it has the same
     |S| - [v in S] for every v in it, which the counts of all classes sum
-    to."""
+    to.  The rows of the kept classes come from one stacked mask of them
+    all and one bit_rows call, or from a few, each of at most
+    _STACK_ENTRIES entries."""
+    n = len(m)
     t = common_edge_counts(m)
     colour = np.where(m, t + t.max(initial=0) + 1, t)
     np.fill_diagonal(colour, -1)
     values, sizes = np.unique(colour[colour >= 0], return_counts=True)
-    drop = values[sizes.argmax()] if len(values) else None
-    return [bit_rows(colour == c) for c in values if c != drop]
+    keep = np.delete(values, sizes.argmax()) if len(values) else values
+    step = max(1, _STACK_ENTRIES // max(1, n * n))
+    relations = []
+    for i in range(0, len(keep), step):
+        rows = bit_rows(colour == keep[i:i + step, None, None])
+        relations += [rows[j:j + n] for j in range(0, len(rows), n)]
+    return relations
 
 
 @lru_cache(maxsize=64)
@@ -200,6 +240,7 @@ class _Search:
         self.matrix = g.matrix
         self.n = g.n
         self.nodes = 0
+        self.splitter_rows = 0  # refinement work, summed by _refine
         self.gens: dict[tuple[int, ...], None] = {}  # in discovery order
         self.first = None  # (value sequence, labeling position -> vertex)
         self.best = None
@@ -210,7 +251,8 @@ class _Search:
             self.first = self.best = ((), ())
             return
         full = (1 << self.n) - 1
-        cells, work = _refine(self.relations, [full], [full]), []
+        cells, work = [full], []
+        self.splitter_rows += _refine(self.relations, cells, [full])
         if any(cell & (cell - 1) for cell in cells):
             # the adjacency alone leaves a cell open: refine on the pair
             # colours, with every cell as a splitter
@@ -225,7 +267,7 @@ class _Search:
         if self.nodes > MAX_NODES:
             raise TooLarge(f"canonical labeling of {self.n} vertices needs "
                            f"more than {MAX_NODES} search nodes")
-        cells = _refine(self.relations, cells, work)
+        self.splitter_rows += _refine(self.relations, cells, work)
         value = _level_value(self.matrix, cells)
         values = values + (value,)
         depth = len(values)
@@ -300,14 +342,19 @@ class _Search:
         return count
 
 
+def check_order(n: int) -> None:
+    """Raise TooLarge for a graph of more than MAX_VERTICES vertices."""
+    if n > MAX_VERTICES:
+        raise TooLarge(f"{n} vertices exceeds the {MAX_VERTICES} limit")
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical graph6 string plus automorphism statistics.
 
     Isomorphic graphs map to the same string; any relabeling of g leaves
     the result unchanged.
     """
-    if g.n > MAX_VERTICES:
-        raise TooLarge(f"{g.n} vertices exceeds the {MAX_VERTICES} limit")
+    check_order(g.n)
     search = _Search(g)
     search.run()
     lab = search.best[1]

@@ -19,7 +19,7 @@ import sys
 from itertools import islice
 
 from . import __version__
-from .canon import canonical_form, count_classes
+from .canon import canonical_form, check_order, count_classes
 from .ddg import (construct_ddg, counting_lower_bound, cyclic_quasigroup,
                   DdgParams, identity_family, load_family, load_quasigroup,
                   random_bijection_family, random_left_quasigroup,
@@ -30,7 +30,7 @@ from .designs import (affine_geometry_design, check_glued, fano_plane,
 from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
 from .graphs import (complement, Graph, VertexPartition, graph6_decode,
-                     graph6_encode)
+                     graph6_encode, graph6_order)
 from .spectra import (ddg_formula_spectrum, exact_root, exact_spectrum,
                       srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
@@ -68,7 +68,12 @@ def _read_graph(path: str | None) -> Graph:
 
 
 def _read_graphs(path: str | None):
-    return [graph6_decode(line) for line in _graph_lines(path)]
+    """The graphs of the input for canon, decoded one at a time once every
+    line's size prefix is within the canon vertex limit."""
+    lines = _graph_lines(path)
+    for line in lines:
+        check_order(graph6_order(line))
+    return map(graph6_decode, lines)
 
 
 def _write_json(doc: dict, path: str) -> str:

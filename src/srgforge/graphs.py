@@ -142,9 +142,14 @@ class Graph:
 
 
 def bit_rows(m) -> tuple[int, ...]:
-    """The rows of a boolean matrix as bitsets: bit v of rows[u] is m[u, v]."""
-    packed = np.packbits(m, axis=1, bitorder="little")
-    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+    """The rows of a boolean matrix as bitsets: bit v of rows[u] is m[u, v].
+    A stack of matrices gives the rows of each in turn, from one packed
+    bytes object sliced per row."""
+    packed = np.packbits(m, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    data = packed.tobytes()
+    return tuple([int.from_bytes(data[i * width:(i + 1) * width], "little")
+                  for i in range(int(np.prod(packed.shape[:-1])))])
 
 
 def set_bits(x: int):
@@ -536,30 +541,48 @@ def graph6_encode(g: Graph) -> str:
     return (head + body.tobytes()).decode("ascii")
 
 
-def graph6_decode(text: str) -> Graph:
+def _g6_bytes(text: str) -> bytes:
+    """The bytes of a graph6 line, stripped and without a >>graph6<<
+    header."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
     if not s:
         raise ParseError("empty graph6 string")
     try:
-        data = s.encode("ascii")
+        return s.encode("ascii")
     except UnicodeEncodeError:
         raise ParseError(f"graph6 byte out of range in {s!r}") from None
+
+
+def _g6_size(data: bytes) -> tuple[int, int]:
+    """The vertex count in the size prefix of graph6 bytes, and the length
+    of the prefix."""
+    if data[0] != 126:
+        return data[0] - 63, 1
+    if len(data) >= 2 and data[1] == 126:
+        raise ParseError("graph6 very long form (>258047 vertices) unsupported")
+    if len(data) < 4:
+        raise ParseError("truncated graph6 long-form size")
+    return ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
+
+
+def graph6_order(text: str) -> int:
+    """The vertex count of a graph6 line, read from its size prefix alone."""
+    data = _g6_bytes(text)
+    n, start = _g6_size(data)
+    if not all(63 <= b <= 126 for b in data[:start]):
+        raise ParseError(f"graph6 byte out of range in {data.decode()!r}")
+    return n
+
+
+def graph6_decode(text: str) -> Graph:
+    data = _g6_bytes(text)
     codes = np.frombuffer(data, dtype=np.uint8)
     if ((codes < 63) | (codes > 126)).any():
-        raise ParseError(f"graph6 byte out of range in {s!r}")
-
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            raise ParseError("graph6 very long form (>258047 vertices) unsupported")
-        if len(data) < 4:
-            raise ParseError("truncated graph6 long-form size")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = codes[4:]
-    else:
-        n = data[0] - 63
-        body = codes[1:]
+        raise ParseError(f"graph6 byte out of range in {data.decode()!r}")
+    n, start = _g6_size(data)
+    body = codes[start:]
 
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:

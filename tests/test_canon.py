@@ -3,9 +3,12 @@
 `ref_refine` and `ref_level_value` are the refinement and level value as
 they were before refinement skipped singleton cells, cells became bit
 masks and the level value packed its bits, with the refinement counting
-neighbours in a list of relations instead of in the adjacency alone; they
-serve as the oracle of the fast versions, which must give the same ordered
-cells (as masks) and level values that order the same way.
+neighbours in a list of relations instead of in the adjacency alone and
+keeping its splitter queue by Hopcroft's rule; they serve as the oracle of
+the fast versions, which must give the same ordered cells (as masks) and
+level values that order the same way.  `full_queue_refine` queues every
+subcell, as the refinement did before Hopcroft's rule; on the inputs canon
+feeds the refinement it must reach the same set partition.
 """
 
 from __future__ import annotations
@@ -28,35 +31,56 @@ from srgforge import (as_prime_power, canon, canonical_form, chang_graphs,
                       projective_complement_design, symplectic_graph,
                       TooLarge, triangular_graph)
 from srgforge.cli import main
-from srgforge.graphs import bitset
+from srgforge.graphs import bitset, set_bits
 from test_ddg import build
+
+
+def _count_groups(relations, cell, smask):
+    """The vertices of cell grouped by the tuple of neighbour counts in
+    smask, one per relation, in ascending order of the tuple."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v in cell:
+        key = tuple((rows[v] & smask).bit_count() for rows in relations)
+        groups.setdefault(key, []).append(v)
+    return [groups[key] for key in sorted(groups)]
 
 
 def ref_refine(relations, cells, work):
     """Split cells by the tuple of neighbour counts, one per relation,
-    against every splitter in work until the partition is equitable; new
-    subcells join the splitter queue."""
+    against every splitter in work until the partition is equitable.  A
+    split cell waiting in work is replaced there by the masks of all its
+    subcells; any other split cell queues all of them but the first
+    largest."""
     while work:
         smask = work.pop()
         out = []
         for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
+            subs = _count_groups(relations, cell, smask)
+            out += subs
+            if len(subs) == 1:
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                key = tuple((rows[v] & smask).bit_count() for rows in relations)
-                groups.setdefault(key, []).append(v)
-            if len(groups) == 1:
-                out.append(cell)
-                continue
-            for count in sorted(groups):
-                sub = groups[count]
-                out.append(sub)
-                mask = 0
-                for v in sub:
-                    mask |= 1 << v
-                work.append(mask)
+            masks = [bitset(sub) for sub in subs]
+            if bitset(cell) in work:
+                at = work.index(bitset(cell))
+                work[at:at + 1] = masks
+            else:
+                sizes = [len(sub) for sub in subs]
+                largest = sizes.index(max(sizes))
+                work += masks[:largest] + masks[largest + 1:]
+        cells = out
+    return cells
+
+
+def full_queue_refine(relations, cells, work):
+    """ref_refine with every subcell of a split cell queued."""
+    while work:
+        smask = work.pop()
+        out = []
+        for cell in cells:
+            subs = _count_groups(relations, cell, smask)
+            out += subs
+            if len(subs) > 1:
+                work += [bitset(sub) for sub in subs]
         cells = out
     return cells
 
@@ -121,9 +145,13 @@ def test_refine_and_level_value_match_reference(case):
     values, ref_values = [], []
     for cells in partitions:
         masks = [bitset(cell) for cell in cells]
-        refined = canon._refine(relations, list(masks), list(work))
-        ref = ref_refine(relations, cells, list(work))
-        assert refined == [bitset(cell) for cell in ref]
+        # every cell as a splitter, where split cells are often waiting in
+        # the queue, then the drawn splitters
+        for stack in (masks, work):
+            refined = list(masks)
+            canon._refine(relations, refined, list(stack))
+            ref = ref_refine(relations, cells, list(stack))
+            assert refined == [bitset(cell) for cell in ref]
         for part, ref_part in ((masks, cells), (refined, ref)):
             values.append(canon._level_value(g.matrix, part))
             ref_values.append(ref_level_value(g.rows, ref_part))
@@ -131,6 +159,57 @@ def test_refine_and_level_value_match_reference(case):
                                               repeat=2):
         assert (a < b) == (ra < rb)
         assert (a == b) == (ra == rb)
+
+
+@given(graphs(min_n=1, max_n=40), st.booleans(), st.data())
+def test_queue_rule_keeps_the_set_partition(g, colours, data):
+    """On the inputs canon feeds the refinement, the refined set partition
+    is the full queue's: the unit partition with the vertex set as
+    splitter, the equitable partition reached from it with every cell as
+    splitter, and an equitable partition with one vertex individualized
+    and that vertex as splitter."""
+    relations = canon._pair_relations(g.matrix) if colours else [g.rows]
+
+    def check(cells, work):
+        refined = [bitset(cell) for cell in cells]
+        canon._refine(relations, refined, list(work))
+        ref = full_queue_refine(relations, cells, list(work))
+        assert set(refined) == {bitset(cell) for cell in ref}
+        return [list(set_bits(cell)) for cell in refined]
+
+    everything = [list(range(g.n))]
+    cells = check(everything, [bitset(everything[0])])
+    cells = check(cells, [bitset(cell) for cell in cells])
+    open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
+    if open_cells:
+        target = data.draw(st.sampled_from(open_cells))
+        u = data.draw(st.sampled_from(cells[target]))
+        rest = [v for v in cells[target] if v != u]
+        check(cells[:target] + [[u], rest] + cells[target + 1:], [1 << u])
+
+
+@given(graphs(max_n=20), st.integers(1, 3))
+def test_pair_relations_match_a_set_count(g, per_stack):
+    """The pair colour relations, also when built a few classes per stacked
+    mask, against colours from common-neighbour sets: (adjacent, t) in
+    order, the largest class (the first of equal ones) left out."""
+    rows = g.rows
+    colour = {}
+    for u, w in itertools.permutations(range(g.n), 2):
+        common = list(set_bits(rows[u] & rows[w]))
+        t = sum(rows[a] >> b & 1 for a, b in itertools.combinations(common, 2))
+        colour[u, w] = (rows[u] >> w & 1, t)
+    classes = sorted(set(colour.values()))
+    sizes = [list(colour.values()).count(c) for c in classes]
+    if classes:
+        del classes[sizes.index(max(sizes))]
+    expected = [tuple(sum(1 << w for w in range(g.n) if (u, w) in colour
+                          and colour[u, w] == c) for u in range(g.n))
+                for c in classes]
+    assert canon._pair_relations(g.matrix) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "_STACK_ENTRIES", per_stack * g.n * g.n)
+        assert canon._pair_relations(g.matrix) == expected
 
 
 def brute_min_bits(g: Graph) -> tuple:
@@ -337,7 +416,7 @@ def test_pinned_canonical_forms():
                          f"{form.aut_order}\n")
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == \
-        "fcbe0206e2bf5c1cba9d627d45ce76df793637bf9e4cb8afd0804a6f229c64d0"
+        "c407f378ab12ea794bdf4bcaac61bd5b4322b5a1ad5fe5dab0dfe2a09e79356e"
 
 
 def test_pinned_node_counts():
@@ -349,6 +428,18 @@ def test_pinned_node_counts():
         search.run()
         counts.append(search.nodes)
     assert counts == [5, 8]
+
+
+def test_pinned_refinement_work():
+    """Splitter rows summed into count planes (one per splitter vertex and
+    relation) by the search of the generated labelling of d(2,3) and
+    s(2,3): a host-independent measure of refinement work."""
+    work = []
+    for g in glued_pair():
+        search = canon._Search(g)
+        search.run()
+        work.append(search.splitter_rows)
+    assert work == [1980, 2747]
 
 
 def test_discrete_root_skips_pair_colours(monkeypatch):
@@ -389,7 +480,7 @@ def test_twin_pair_refines_on_many_colours():
     assert (form.aut_order, form.orbit_count) == (2, 127)
     assert canonical_form(g.relabel(tuple(perm))) == form
     assert hashlib.sha256(form.graph6.encode()).hexdigest() == \
-        "889dbe5a1d5b77de3579d6138f4a3de1690782910c37a37eb520b4649f3c2ab5"
+        "59e8e3a3a9ba1b7d8fe36beab0201deabe6a537ac9fb7829312d565261426125"
     search = canon._Search(g)
     search.run()
     assert search.nodes == 3
@@ -452,6 +543,30 @@ def test_node_budget(monkeypatch, tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("srgforge: ") and "Traceback" not in err
+
+
+def test_over_limit_input_is_refused_before_decoding(monkeypatch, tmp_path,
+                                                     capsys):
+    """canon and count-classes read every line's size prefix before they
+    decode one: Petersen followed by a 4095-vertex line exits 2 with an
+    empty stdout, and graph6_decode is never called."""
+    n = 4095  # size prefix "~?~~"
+    big = "~?~~" + "?" * ((n * (n - 1) // 2 + 5) // 6)
+    path = tmp_path / "two.g6"
+    path.write_text(graph6_encode(petersen_graph()) + "\n" + big + "\n")
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return graph6_decode(text)
+    monkeypatch.setattr("srgforge.cli.graph6_decode", counting)
+    for sub in ("canon", "count-classes"):
+        capsys.readouterr()
+        assert main([sub, "--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "4095 vertices exceeds the 256 limit" in err
+    assert calls == []
 
 
 def test_count_classes():

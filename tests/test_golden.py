@@ -22,7 +22,7 @@ GOLDEN = {
     "ddg.g6": "6f82a6b3a6c4d8c85db92618b47f37c08116480342ac5bfddfd755341f747ecd",
     "ddg.cert.json": "379cf6a6ed23f017d9f5be2f9a9371dc4df22eb79b650fe9a3ef9709064bbfcb",
     "ddg.classes": "edf31f6720a98af43de932991f08a45d5c66ce1dbb1a2495e1bd538dabdbae8b",
-    "ddg.manifest.json": "8a27f277d4c39fa38022a5be6d9aef6a67e33d1dca3b39595b974190acdcddd1",
+    "ddg.manifest.json": "c77dcff5c717e22c914111bef02e6ece56e6b8d8fc1c8239ee77128d7c486054",
     "srg1.stdout": "0dcf96380ccadeaa12434b6c18903fadcf71bddba02c94f9b6de41d90884bcbd",
     "srg1.g6": "0dcf96380ccadeaa12434b6c18903fadcf71bddba02c94f9b6de41d90884bcbd",
     "srg1.cert.json": "ae03e950d45728829dd5cb0dccfb77607af5c074109a8572e45025d6607abdc7",
@@ -34,7 +34,7 @@ GOLDEN = {
     "chang1.stdout": "2593f10f41bf38defdbf7761af420441a33c914a3a94031b11687c254a883d10",
     "chang1.g6": "2593f10f41bf38defdbf7761af420441a33c914a3a94031b11687c254a883d10",
     "chang1.cert.json": "160773f61b0b4fdf38e1b9e7dcadc4cf3ff728730e57e5f2d140605de8bad24d",
-    "chang1.manifest.json": "84e5230f5c7332fd047f96679e1b52a21baf957d6a0a331123bf6f1328967db0",
+    "chang1.manifest.json": "fc309128ec62cf28c05749b2ecb81842b90a13d05014a44ef39346a59fb786e5",
     "spectrum.stdout": "b6ba8fc3b0686e1dfc95d1271789eef7410f3f1486934d4cb11d5713755d9b8e",
     "bad.cert.json": "c2ee178d54e19932b2391e064e6d47725edd0338b88845ac6ed3c56bdc236b63",
     # 351 and 255 vertices: rows span several 64-bit words

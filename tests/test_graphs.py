@@ -237,6 +237,23 @@ def test_only_the_bit_searches_build_bitset_rows(tmp_path, monkeypatch):
             main([command, "--in", "t6.g6"])
 
 
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 70),
+       st.randoms())
+def test_bit_rows_of_a_stack(depth, n, cols, rnd):
+    """bit_rows of a stack of boolean matrices gives the rows of each in
+    turn, bit v of a row set iff its entry v is; an n x 0 matrix has n zero
+    rows."""
+    m = np.array([[[rnd.random() < 0.5 for _ in range(cols)]
+                   for _ in range(n)] for _ in range(depth)],
+                 dtype=bool).reshape(depth, n, cols)
+    rows = [sum(1 << v for v in range(cols) if row[v])
+            for mat in m for row in mat]
+    assert graphs_module.bit_rows(m) == tuple(rows)
+    if depth:
+        assert graphs_module.bit_rows(m[0]) == tuple(rows[:n])
+    assert graphs_module.bit_rows(np.zeros((n, 0), bool)) == (0,) * n
+
+
 def test_named_graphs():
     assert petersen_graph().edge_count() == 15
     assert verify_srg(petersen_graph()).parameters == {
@@ -387,6 +404,19 @@ def test_graph6_decode_errors():
     for bad in ("", " ", "B", "Bw!", "B" + chr(200), "Bz"):
         with pytest.raises(ParseError):
             graph6_decode(bad)
+
+
+@given(st.sampled_from([0, 1, 2, 62, 63, 64, 300]))
+def test_graph6_order_reads_the_size_prefix(n):
+    """graph6_order gives the order of a graph6 line from its size prefix,
+    whatever follows it, and rejects a prefix that decoding rejects."""
+    text = graph6_encode(empty_graph(n))
+    assert graphs_module.graph6_order(text) == n
+    assert graphs_module.graph6_order(" >>graph6<<" + text[:4] + "!\n") == n
+    for bad in ("", " ", "!", "~", "~?", "~~" + text[2:], "~?!?",
+                "B" + chr(200)):
+        with pytest.raises(ParseError):
+            graphs_module.graph6_order(bad)
 
 
 def test_vertex_partition():

@@ -27,11 +27,11 @@ ROOT = Path(__file__).resolve().parents[1]
         id="census_compare"),
     pytest.param(
         "class_diversity.py", ["--seeds", "4", "--colorings-per-base", "1"],
-        "3b13eace17642dd44babfc736fe16d87bd8030cc1602e92cb528ce91ff2261df",
+        "eda5eee30f4f50d15972c6c6e0518411feb1c6176e23debc7007ae71bd1a6a0b",
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "f95e6f8f38e3e12b51c6c2d5404c2a2df9f14ee1d8fbbf5d643773f3519d5f41",
+        "2be9d265a47467bd60db768b2a2a0d1e5865ba60b4e4330b689526bbf0bd2ddb",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):
