@@ -55,7 +55,12 @@ The command set:
   -30..30 and its degree k, K_20 with -19..19 and the first 150 non-square
   radicands (a 339-row solve), and K3 x K4 x K5 x K7 with its 14
   eigenvalues, whose annihilating product is bounded past 2^53; then the
-  digests of the two graph files.
+  digests of the two graph files;
+- last of all, refusals, which exit 2: `canon` on Petersen followed by an
+  edgeless 257-vertex line (over the canon vertex limit) and on Petersen
+  followed by the malformed line `I?????`, and `sp-graph --q 2 --d 4
+  --complement` piped into `clique-census` (255 vertices, over the census
+  limit); then the digests of the two graph files.
 """
 
 from __future__ import annotations
@@ -74,10 +79,10 @@ from pathlib import Path
 
 import numpy as np
 
-from srgforge import (complete_graph, cycle_graph, fano_plane, from_edges,
-                      Graph, graph6_decode, graph6_encode, petersen_graph,
-                      save_design, srg1_target_params, srg_spectrum,
-                      theorem1_params, triangular_graph)
+from srgforge import (complete_graph, cycle_graph, empty_graph, fano_plane,
+                      from_edges, Graph, graph6_decode, graph6_encode,
+                      petersen_graph, save_design, srg1_target_params,
+                      srg_spectrum, theorem1_params, triangular_graph)
 from srgforge.cli import main as cli_main
 
 LADDER = ((2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (2, 5), (4, 3))
@@ -152,6 +157,8 @@ def replay(ladder) -> None:
     replay_two_switched(ladder)
     listed = print_files(listed)
     replay_modular(*ladder[0])
+    listed = print_files(listed)
+    replay_refusals()
     print_files(listed)
 
 
@@ -276,6 +283,18 @@ def replay_modular(q: int, d: int) -> None:
         *[(order - 1, -1) for order in (3, 4, 5, 7)])}
     run(["spectrum", "--in", "k3457.g6",
          "--candidates=" + ",".join(map(str, sorted(eigs)))])
+
+
+def replay_refusals() -> None:
+    """Runs that exit 2 on a resource limit or a malformed line after a
+    good one; their stdout digests show what a refusal prints."""
+    pet = graph6_encode(petersen_graph())
+    for name, second in (("pet-e257.g6", graph6_encode(empty_graph(257))),
+                         ("pet-bad.g6", "I?????")):
+        Path(name).write_text(f"{pet}\n{second}\n", encoding="ascii")
+        run(["canon", "--in", name])
+    text = run(["sp-graph", "--q", "2", "--d", "4", "--complement"])
+    run(["clique-census"], stdin=text)
 
 
 def print_files(listed: frozenset = frozenset()) -> frozenset:

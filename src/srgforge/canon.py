@@ -48,9 +48,10 @@ tying the first or best leaf yield automorphisms; the group order follows
 from the orbit sizes of the first-path choices under the discovered
 generators.
 
-The search visits at most MAX_NODES nodes and raises TooLarge past it.  The
-node count depends only on the graph and its labelling, so the same input
-is refused on every host.
+canonical_form raises TooLarge on a graph of more than MAX_VERTICES
+vertices, before any work, and on a search past MAX_NODES nodes.  The node
+count depends only on the graph and its labelling, so the same input is
+refused on every host.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge
-from .graphs import (bit_rows, body_mask, common_edge_counts, Graph,
-                     graph6_encode, set_bits)
+from .graphs import (bit_rows, body_mask, check_vertices,
+                     common_edge_counts, Graph, graph6_encode, set_bits)
 
 MAX_VERTICES = 256
 MAX_NODES = 25_000
@@ -342,19 +343,13 @@ class _Search:
         return count
 
 
-def check_order(n: int) -> None:
-    """Raise TooLarge for a graph of more than MAX_VERTICES vertices."""
-    if n > MAX_VERTICES:
-        raise TooLarge(f"{n} vertices exceeds the {MAX_VERTICES} limit")
-
-
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical graph6 string plus automorphism statistics.
 
     Isomorphic graphs map to the same string; any relabeling of g leaves
     the result unchanged.
     """
-    check_order(g.n)
+    check_vertices(g.n, "the canon input", MAX_VERTICES)
     search = _Search(g)
     search.run()
     lab = search.best[1]

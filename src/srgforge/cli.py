@@ -19,7 +19,7 @@ import sys
 from itertools import islice
 
 from . import __version__
-from .canon import canonical_form, check_order, count_classes
+from .canon import canonical_form, count_classes, MAX_VERTICES
 from .ddg import (construct_ddg, counting_lower_bound, cyclic_quasigroup,
                   DdgParams, identity_family, load_family, load_quasigroup,
                   random_bijection_family, random_left_quasigroup,
@@ -29,8 +29,8 @@ from .designs import (affine_geometry_design, check_glued, fano_plane,
                       write_lines)
 from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
-from .graphs import (complement, Graph, VertexPartition, graph6_decode,
-                     graph6_encode, graph6_order)
+from .graphs import (check_vertices, complement, Graph, VertexPartition,
+                     graph6_decode, graph6_encode, graph6_order)
 from .spectra import (ddg_formula_spectrum, exact_root, exact_spectrum,
                       srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
@@ -72,7 +72,7 @@ def _read_graphs(path: str | None):
     line's size prefix is within the canon vertex limit."""
     lines = _graph_lines(path)
     for line in lines:
-        check_order(graph6_order(line))
+        check_vertices(graph6_order(line), "the canon input", MAX_VERTICES)
     return map(graph6_decode, lines)
 
 
@@ -89,11 +89,9 @@ def _write_outputs(args, prefix: str, g: Graph, doc: dict, inputs: dict,
                    **outputs) -> None:
     """Write and print PREFIX.g6, write doc as PREFIX.cert.json, then the
     run manifest recording both beside the given output records.  Its flags
-    are all arguments but command, seed and --out; no --phi is "identity"."""
+    are all arguments but command, seed and --out."""
     flags = {key: value for key, value in vars(args).items()
              if key not in ("command", "seed", "out")}
-    if "phi" in flags:
-        flags["phi"] = flags["phi"] or "identity"
     text = graph6_encode(g)
     with open(prefix + ".g6", "w", encoding="ascii") as fh:
         fh.write(text + "\n")
@@ -193,9 +191,10 @@ def _read_phi(path: str, m: int) -> ClassBlockMap:
     return ClassBlockMap(mapping)
 
 
-def _load_phi(spec: str | None, m: int, inputs: dict) -> ClassBlockMap:
-    """--phi: absent for the identity, else a file path, bare or file:."""
-    return _resolve(spec or "", "phi", {"": lambda: ClassBlockMap.identity(m)},
+def _load_phi(spec: str, m: int, inputs: dict) -> ClassBlockMap:
+    """--phi: identity, else a file path, bare or file:."""
+    return _resolve(spec, "phi",
+                    {"identity": lambda: ClassBlockMap.identity(m)},
                     lambda path: _read_phi(path, m), inputs, ("file:", ""))
 
 
@@ -314,8 +313,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    for g in _read_graphs(args.infile):
-        form = canonical_form(g)
+    forms = [canonical_form(g) for g in _read_graphs(args.infile)]
+    for form in forms:  # after the last form, so a refusal prints nothing
         print(f"{form.graph6} {form.aut_order}")
     return 0
 
@@ -396,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-srg1", help="strongly regular graph by coclique "
                                         "attachment")
     _add_ddg_flags(p)
-    p.add_argument("--phi", help="file with the class-to-block bijection")
+    p.add_argument("--phi", default="identity",
+                   help="identity | FILE | file:FILE (class-to-block map)")
 
     p = sub.add_parser("gen-srg2", help="strongly regular graph by Hoffman "
                                         "coloring and clique attachment")
@@ -405,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", default="fano", help="fano | file:PATH")
     p.add_argument("--coloring", type=int, default=0,
                    help="index into the deterministic coloring enumeration")
-    p.add_argument("--phi", help="file with the class-to-block bijection")
+    p.add_argument("--phi", default="identity",
+                   help="identity | FILE | file:FILE (class-to-block map)")
     p.add_argument("--out", help="output path prefix")
 
     p = sub.add_parser("verify", help="check a graph6 graph from stdin")

@@ -64,5 +64,5 @@ class NonIntegralBound(SrgforgeError):
     """Clique bound 1 - k/s is not an integer; census undefined."""
 
 
-class CensusTooLarge(SrgforgeError):
+class CensusTooLarge(TooLarge):
     """Clique census refused: instance exceeds the enumeration guard."""

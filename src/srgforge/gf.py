@@ -32,7 +32,7 @@ from .errors import NotPrime, TooLarge
 MAX_ORDER = 1 << 8  # the q x q tables are tuples of ints; gram uses uint8
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2
@@ -132,7 +132,7 @@ def as_prime_power(q: int) -> tuple[int, int]:
 
 def make_field(p: int, e: int = 1) -> FiniteField:
     """Build GF(p^e) with deterministic modulus and element order."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")

@@ -45,12 +45,12 @@ _GRAM_ROWS = 64  # edge rows per float32 block of common_edge_counts
 _SQUARE = 256
 
 
-def check_vertices(n: int, what: str) -> None:
+def check_vertices(n: int, what: str, limit: int = MAX_BUILD_VERTICES) -> None:
     """Raise TooLarge, before any enumeration, when `what` would have more
-    than MAX_BUILD_VERTICES vertices."""
-    if n > MAX_BUILD_VERTICES:
+    than limit vertices."""
+    if n > limit:
         raise TooLarge(f"{what} would have {n} vertices, over the "
-                       f"{MAX_BUILD_VERTICES}-vertex limit")
+                       f"{limit}-vertex limit")
 
 
 def check_power(q: int, d: int, what: str) -> None:
@@ -401,14 +401,13 @@ class Certificate:
     """
 
     kind: str
-    passed: bool
     parameters: dict = field(default_factory=dict)
     witnesses: tuple = ()
     provenance: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (len(self.witnesses) == 0):
-            raise ValueError("passed flag inconsistent with witnesses")
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
     def to_dict(self) -> dict:
         return {
@@ -426,7 +425,6 @@ class Certificate:
 def certificate(kind, parameters=None, witnesses=(), provenance=None) -> Certificate:
     return Certificate(
         kind=kind,
-        passed=not witnesses,
         parameters=dict(parameters or {}),
         witnesses=tuple(witnesses),
         provenance=dict(provenance or {}),

@@ -51,6 +51,7 @@ import numpy as np
 
 from .ddg import DdgParams
 from .errors import InfeasibleParams, NotAnnihilated, TooLarge
+from .gf import is_prime
 from .graphs import Certificate, check_vertices, Graph
 
 
@@ -258,9 +259,7 @@ def _annihilates(power, delta: int, coeffs, deflate: bool) -> bool:
         count = -(-bound.bit_length() // (top.bit_length() - 1))
         _check_work(n, count * len(coeffs))
         modulus = 1
-        for ell in range(top, 1, -1):
-            if any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
-                continue
+        for ell in filter(is_prime, range(top, 1, -1)):
             if _product_mod(power, coeffs, ell).any():
                 return False
             modulus *= ell

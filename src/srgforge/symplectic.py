@@ -78,13 +78,16 @@ def delsarte_clique_census(g: Graph) -> CliqueCensus:
 
     Raises NotSrg unless g is strongly regular, NonIntegralBound when the
     bound is not an integer (then no clique can meet it) and CensusTooLarge
-    past the exhaustive-search budget of 120 vertices or bound 16.
+    past 120 vertices, checked before g is verified, or past bound 16.
     """
+    if g.n > MAX_CENSUS_VERTICES:
+        raise CensusTooLarge(f"refusing exhaustive census at n={g.n}, over "
+                             f"the {MAX_CENSUS_VERTICES}-vertex limit")
     bound = delsarte_clique_size(srg_params(g))
     if bound.denominator != 1:
         raise NonIntegralBound(f"ratio bound {bound} is not an integer")
     size = int(bound)
-    if g.n > MAX_CENSUS_VERTICES or size > MAX_CENSUS_SIZE:
+    if size > MAX_CENSUS_SIZE:
         raise CensusTooLarge(f"refusing exhaustive census at n={g.n}, "
                              f"bound={size}")
     found = tuple(cliques(g.rows, size, (1 << g.n) - 1))

@@ -565,7 +565,7 @@ def test_over_limit_input_is_refused_before_decoding(monkeypatch, tmp_path,
         assert main([sub, "--in", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "4095 vertices exceeds the 256 limit" in err
+        assert "4095 vertices, over the 256-vertex limit" in err
     assert calls == []
 
 

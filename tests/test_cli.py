@@ -411,6 +411,36 @@ def test_phi_file_takes_comments(workdir, capsys):
     assert Path("identity.g6").read_bytes() != g6
 
 
+def test_phi_identity_is_the_default(workdir, capsys):
+    """gen-srg1 with --phi identity writes the bytes it writes without
+    --phi; both manifests record "identity"."""
+    argv = ["gen-srg1", "--q", "2", "--d", "2", "--seed", "0", "--out", "s"]
+    for sub, phi in (("bare", []), ("named", ["--phi", "identity"])):
+        (workdir / sub).mkdir()
+        os.chdir(workdir / sub)
+        assert main([*argv, *phi]) == 0
+    os.chdir(workdir)
+    capsys.readouterr()
+    for name in ("s.g6", "s.cert.json", "s.manifest.json"):
+        assert (workdir / "bare" / name).read_bytes() == \
+            (workdir / "named" / name).read_bytes()
+    manifest = json.loads((workdir / "bare" / "s.manifest.json").read_text())
+    assert manifest["flags"]["phi"] == "identity"
+    assert "phi" not in manifest["inputs"]
+
+
+def test_canon_prints_nothing_before_a_bad_line(workdir, capsys):
+    """canon computes every form before it prints one, so a malformed later
+    line exits 2 with an empty stdout, as count-classes does."""
+    Path("two.g6").write_text(graph6_encode(petersen_graph()) + "\nI?????\n")
+    for sub in ("canon", "count-classes"):
+        assert main([sub, "--in", "two.g6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "srgforge: graph6 body length 5 wrong for n=10\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-srg2", "--base", "t8", "--phi", "bad.txt"],
     ["verify", "--expect", "ddg", "--in", "pet.g6", "--classes", "bad.txt"],

@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "2be9d265a47467bd60db768b2a2a0d1e5865ba60b4e4330b689526bbf0bd2ddb",
+        "1afb9133465918f19ddf11c7af5313263f5f15888720eb268220619d1a4619ae",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):

@@ -10,8 +10,9 @@ from srgforge import (as_prime_power, canonical_form, CensusTooLarge,
                       complement, complete_multipartite,
                       delsarte_clique_census, from_edges, make_field,
                       NonIntegralBound, NotSrg, path_graph, petersen_graph,
-                      projective_points, symplectic_graph, triangular_graph,
-                      verify_srg, srg1_target_params, SrgParams)
+                      projective_points, symplectic_graph, TooLarge,
+                      triangular_graph, verify_srg, srg1_target_params,
+                      SrgParams)
 
 
 def symplectic_form(field, x, y):
@@ -112,3 +113,20 @@ def test_census_errors():
         delsarte_clique_census(complete_multipartite(*[2] * 62))
     with pytest.raises(CensusTooLarge):
         delsarte_clique_census(complete_multipartite(*[2] * 18))
+
+
+def test_census_refuses_by_size_before_verifying(monkeypatch):
+    """A graph over the census vertex limit is refused before verify_srg
+    runs; the refusal is a TooLarge, as every resource refusal is."""
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return verify_srg(g)
+    monkeypatch.setattr("srgforge.srg.verify_srg", counting)
+    with pytest.raises(CensusTooLarge, match="over the 120-vertex limit"):
+        delsarte_clique_census(complete_multipartite(*[2] * 62))
+    assert calls == []
+    with pytest.raises(TooLarge):
+        delsarte_clique_census(complete_multipartite(*[2] * 18))
+    assert calls == [36]
