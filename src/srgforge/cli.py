@@ -31,13 +31,13 @@ from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
 from .graphs import (check_vertices, complement, Graph, VertexPartition,
                      graph6_decode, graph6_encode, graph6_order)
-from .spectra import (ddg_formula_spectrum, exact_root, exact_spectrum,
-                      srg_spectrum)
+from .spectra import (check_spectrum_vertices, ddg_formula_spectrum,
+                      exact_root, exact_spectrum, srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
                   hoffman_colorings, need_lam_mu2, Srg2Config, SrgParams,
                   triangular_graph, verify_srg, verify_srg1_cases)
-from .symplectic import (check_symplectic, delsarte_clique_census,
-                         symplectic_graph)
+from .symplectic import (check_census_vertices, check_symplectic,
+                         delsarte_clique_census, symplectic_graph)
 
 _CANON_IN_MANIFEST = 64  # canon cost guard: larger outputs get digests only
 
@@ -60,20 +60,28 @@ def _graph_lines(path: str | None) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
-def _read_graph(path: str | None) -> Graph:
-    lines = _graph_lines(path)
-    if not lines:
-        raise ParseError("no graph6 line on input")
-    return graph6_decode(lines[0])
-
-
-def _read_graphs(path: str | None):
-    """The graphs of the input for canon, decoded one at a time once every
-    line's size prefix is within the canon vertex limit."""
-    lines = _graph_lines(path)
-    for line in lines:
-        check_vertices(graph6_order(line), "the canon input", MAX_VERTICES)
+def _read_graphs(path: str | None, check=None, count: int | None = None):
+    """The graphs on the input's lines, or on its first count lines,
+    decoded one at a time; check, a vertex limit, first sees every line's
+    size prefix, so an over-limit line is refused before any decoding."""
+    lines = _graph_lines(path)[:count]
+    if check:
+        for line in lines:
+            check(graph6_order(line))
     return map(graph6_decode, lines)
+
+
+def _read_graph(path: str | None, check=None) -> Graph:
+    """The graph on the input's first line, through _read_graphs."""
+    graph = next(_read_graphs(path, check, 1), None)
+    if graph is None:
+        raise ParseError("no graph6 line on input")
+    return graph
+
+
+def _check_canon_vertices(n: int) -> None:
+    """TooLarge past canon's vertex limit, as canonical_form raises it."""
+    check_vertices(n, "the canon input", MAX_VERTICES)
 
 
 def _write_json(doc: dict, path: str) -> str:
@@ -297,7 +305,7 @@ def _int_list(text: str, flag: str, count: int) -> list[int]:
 
 
 def cmd_spectrum(args) -> int:
-    g = _read_graph(args.infile)
+    g = _read_graph(args.infile, check_spectrum_vertices)
     if args.candidates is not None:
         candidates = _parse_candidates(args.candidates)
     elif args.ddg is not None:
@@ -313,14 +321,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    forms = [canonical_form(g) for g in _read_graphs(args.infile)]
+    forms = [canonical_form(g)
+             for g in _read_graphs(args.infile, _check_canon_vertices)]
     for form in forms:  # after the last form, so a refusal prints nothing
         print(f"{form.graph6} {form.aut_order}")
     return 0
 
 
 def cmd_count_classes(args) -> int:
-    classes = count_classes(_read_graphs(args.infile))
+    classes = count_classes(_read_graphs(args.infile, _check_canon_vertices))
     doc = {key: {"count": entry.count, "first": entry.first}
            for key, entry in classes.items()}
     if args.out:
@@ -341,7 +350,7 @@ def cmd_sp_graph(args) -> int:
 
 
 def cmd_clique_census(args) -> int:
-    g = _read_graph(args.infile)
+    g = _read_graph(args.infile, check_census_vertices)
     census = delsarte_clique_census(g)
     if args.out:
         _write_json({"size": census.size, "count": census.count,

@@ -30,6 +30,13 @@ fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  An SRG spectrum
 {k, +-theta1, 0} two.  TooLarge stops a stage, the traces with their solve
 or the product, whose work passes MAX_WORK before it runs.
 
+The n x n arrays a spectrum holds are A (float32), A^2 and the running
+product: the last factor with an A^2 term is built in A^2's place once no
+trace or factor reads A^2 again, A itself is the factor A, the traces
+tr A^3 and tr A^4 are float64 sums that copy neither matrix, and the
+number-type bounds and the constancy test are reductions.  On the ladder
+an SRG spectrum holds two such arrays and a glued DDG's three.
+
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
 
@@ -156,6 +163,15 @@ P = (1 << 29) - 3
 # about as long as 2^8 multiply-adds of a BLAS product
 MAX_WORK = 1 << 37
 
+# rows at a time in which _factor adds c1 A to a factor
+_BAND = 64
+
+
+def check_spectrum_vertices(n: int) -> None:
+    """TooLarge for a graph past MAX_BUILD_VERTICES, the limit under which
+    P > n and P > Delta^2."""
+    check_vertices(n, "the graph of a spectrum")
+
 
 def _check_work(n: int, products: int, rows: int = 0,
                 unknowns: int = 0) -> None:
@@ -171,25 +187,37 @@ def _number_type(bound: int):
     return np.float32 if bound < 1 << 24 else np.float64
 
 
+def _max_abs(m) -> int:
+    """The largest absolute entry of an integer matrix, from two reductions
+    that copy nothing."""
+    return max(int(m.max()), -int(m.min()))
+
+
 def _times(left, right):
     """left @ right of integer matrices in the number type of max(1, largest
     absolute row sum of left) * max(1, largest absolute entry of right),
-    which bounds every entry and partial sum and must stay below 2^53."""
-    rows = np.abs(left).sum(axis=1, dtype=np.float64)
-    dtype = _number_type(max(1, int(rows.max())) *
-                         max(1, int(np.abs(right).max())))
+    which bounds every entry and partial sum and must stay below 2^53.  A
+    nonnegative left, such as A, gives its row sums without a copy."""
+    rows = (left if left.min() >= 0 else np.abs(left)).sum(axis=1,
+                                                          dtype=np.float64)
+    dtype = _number_type(max(1, int(rows.max())) * max(1, _max_abs(right)))
     return left.astype(dtype, copy=False) @ right.astype(dtype, copy=False)
 
 
 def _matrix_powers(adj):
     """p -> A^p for A = adj, each power built once, on first use, as A
-    times the power below it."""
+    times the power below it.  power(p, take=True), p >= 2, hands A^p over
+    to a caller that may overwrite it: the powers forget it and every power
+    above it, and build them again if they are asked for later."""
     powers = [adj]
 
-    def power(p: int):
+    def power(p: int, take: bool = False):
         while len(powers) < p:
             powers.append(_times(adj, powers[-1]))
-        return powers[p - 1]
+        m = powers[p - 1]
+        if take:
+            del powers[p - 1:]
+        return m
     return power
 
 
@@ -205,27 +233,45 @@ def _factors(ints: list[int], rads: list[int]) -> list[tuple[int, int, int]]:
     return factors
 
 
-def _factor(power, c2: int, c1: int, c0: int):
+def _factor(power, c2: int, c1: int, c0: int, take: bool = False):
     """c2 A^2 + c1 A + c0 I, c2 or c1 nonzero, built elementwise from the
-    powers A^p = power(p) it needs, in the number type of its entry
-    bound."""
-    terms = [(c, power(p)) for p, c in ((2, c2), (1, c1)) if c]
-    dtype = _number_type(abs(c0) + sum(abs(c) * int(np.abs(m).max())
-                                       for c, m in terms))
-    (c, m), *rest = terms
-    factor = c * m.astype(dtype, copy=False)
-    for c, m in rest:
-        factor += c * m.astype(dtype, copy=False)
+    powers A^p = power(p) it needs, in the number type of its entry bound.
+    A itself is the factor (0, 1, 0), not a copy, so callers must not
+    write to it.  With take, for the last factor that reads A^2, A^2 is
+    handed over by power and the factor built in its place when the number
+    types agree.  c1 A is added _BAND rows at a time, so no scaled copy of
+    A is held whole."""
+    if (c2, c1, c0) == (0, 1, 0):
+        return power(1)
+    terms = [(c, p) for p, c in ((2, c2), (1, c1)) if c]
+    dtype = _number_type(abs(c0) + sum(abs(c) * _max_abs(power(p))
+                                       for c, p in terms))
+    (c, p), *rest = terms
+    if take and p == 2 and power(2).dtype == dtype:
+        factor = power(2, take=True)
+        if c != 1:
+            factor *= c
+    else:
+        factor = c * power(p).astype(dtype, copy=False)
+    for c, p in rest:
+        m = power(p)
+        for i in range(0, len(m), _BAND):
+            factor[i:i + _BAND] += c * m[i:i + _BAND].astype(dtype,
+                                                             copy=False)
     factor[np.diag_indices_from(factor)] += c0
     return factor
 
 
 def _annihilator(power, coeffs):
     """The product of the factors `coeffs` (_factors), each factor times
-    the product so far: only products between factors use BLAS."""
-    product = _factor(power, *coeffs[0])
-    for c in coeffs[1:]:
-        product = _times(_factor(power, *c), product)
+    the product so far: only products between factors use BLAS.  The last
+    factor with an A^2 term is built in A^2's place (_factor's take), so
+    the product holds A, A^2 and the running product as n x n arrays."""
+    last = max((i for i, c in enumerate(coeffs) if c[0]), default=None)
+    product = None
+    for i, c in enumerate(coeffs):
+        factor = _factor(power, *c, take=i == last)
+        product = factor if product is None else _times(factor, product)
     return product
 
 
@@ -268,7 +314,7 @@ def _annihilates(power, delta: int, coeffs, deflate: bool) -> bool:
         return False  # not reached: the work check leaves enough primes
     _check_work(n, len(coeffs) - 1)
     product = _annihilator(power, coeffs[:len(coeffs) - deflate])
-    if deflate and (product == product.flat[0]).all():
+    if deflate and product.min() == product.max():
         return True
     if deflate:
         product = _times(_factor(power, *coeffs[-1]), product)
@@ -279,10 +325,12 @@ def _traces(power, count: int) -> list[int]:
     """tr(A^s) mod P, s < count, for a symmetric n x n 0/1 matrix A =
     power(1) with zero diagonal and row sums at most Delta: n, 0, the number
     of nonzero entries, then sum_ij (A^a)_ij (A^b)_ij, a = s // 2,
-    b = s - a.  From A and A^2 that sum is at most n Delta^3 < 2^53, in
-    float64.  Past them the powers A^b = A A^(b-1) mod P have partial sums
-    below Delta P < 2^53 in float64, and the terms, below P^2 < 2^63, are
-    reduced mod P and summed below n^2 P < 2^63 in int64."""
+    b = s - a.  From A and A^2 every term and partial sum is at most
+    n Delta^3 < 2^53 (2^48 at 4096 vertices), accumulated in float64 by
+    einsum, which copies neither matrix.  Past them the powers
+    A^b = A A^(b-1) mod P have partial sums below Delta P < 2^53 in
+    float64, and the terms, below P^2 < 2^63, are reduced mod P and summed
+    below n^2 P < 2^63 in int64."""
     adj = power(1)
     traces = [len(adj), 0, int(np.count_nonzero(adj))]
     low = high = adj
@@ -291,8 +339,8 @@ def _traces(power, count: int) -> list[int]:
             low, high = high, power(2) if s == 3 else \
                 _times(adj, high).astype(np.int64) % P
         x, y = (low if s % 2 else high), high
-        trace = np.vdot(x.astype(np.float64), y.astype(np.float64)) \
-            if s < 5 else (x.astype(np.int64) * y.astype(np.int64) % P).sum()
+        trace = np.einsum("ij,ij->", x, y, dtype=np.float64) if s < 5 \
+            else (x.astype(np.int64) * y.astype(np.int64) % P).sum()
         traces.append(int(trace) % P)
     return traces[:count]
 
@@ -344,7 +392,7 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
         return Spectrum((), ())
     if not ints and not rads:
         raise NotAnnihilated("empty candidate list")
-    check_vertices(n, "the graph of a spectrum")
+    check_spectrum_vertices(n)
 
     # Gershgorin: every eigenvalue has |theta| <= delta, so A - aI for
     # |a| > delta and A^2 - tI for t > delta^2 are invertible and take no

@@ -32,6 +32,14 @@ def _expected_params(q: int, d: int) -> SrgParams:
     return SrgParams(v, k, lam, mu)
 
 
+def check_census_vertices(n: int) -> None:
+    """CensusTooLarge when a census graph has more than MAX_CENSUS_VERTICES
+    vertices."""
+    if n > MAX_CENSUS_VERTICES:
+        raise CensusTooLarge(f"refusing exhaustive census at n={n}, over "
+                             f"the {MAX_CENSUS_VERTICES}-vertex limit")
+
+
 def check_symplectic(q: int, d: int) -> None:
     """TooLarge when Sp(2d, q)'s graph, q >= 2, is over the vertex limit."""
     check_power(q, d, "the symplectic graph")
@@ -80,9 +88,7 @@ def delsarte_clique_census(g: Graph) -> CliqueCensus:
     bound is not an integer (then no clique can meet it) and CensusTooLarge
     past 120 vertices, checked before g is verified, or past bound 16.
     """
-    if g.n > MAX_CENSUS_VERTICES:
-        raise CensusTooLarge(f"refusing exhaustive census at n={g.n}, over "
-                             f"the {MAX_CENSUS_VERTICES}-vertex limit")
+    check_census_vertices(g.n)
     bound = delsarte_clique_size(srg_params(g))
     if bound.denominator != 1:
         raise NonIntegralBound(f"ratio bound {bound} is not an integer")

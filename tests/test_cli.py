@@ -286,6 +286,33 @@ def test_spectrum_refuses_past_the_work_and_vertex_limits(workdir, capsys):
         assert capsys.readouterr().err == f"srgforge: {message}\n"
 
 
+@pytest.mark.parametrize("argv, n, message", [
+    (["spectrum", "--candidates", "0"], 4097, "the graph of a spectrum "
+     "would have 4097 vertices, over the 4096-vertex limit"),
+    (["clique-census"], 4095, "refusing exhaustive census at n=4095, over "
+     "the 120-vertex limit"),
+], ids=["spectrum", "clique-census"])
+def test_over_limit_graph_is_refused_before_decoding(workdir, capsys,
+                                                     monkeypatch, argv, n,
+                                                     message):
+    """spectrum and clique-census read their input's size prefix before
+    they decode it: an edgeless graph past their vertex limit exits 2 with
+    the limit's message, and graph6_decode is never called."""
+    (workdir / "big.g6").write_text(graph6_encode(empty_graph(n)) + "\n")
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return graph6_decode(text)
+
+    monkeypatch.setattr(cli, "graph6_decode", counting)
+    assert main([*argv, "--in", "big.g6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"srgforge: {message}\n"
+    assert calls == []
+
+
 def test_spectrum_skips_candidates_past_the_degree_bound(workdir, capsys):
     """Petersen has maximum degree 3, so of -200..200 and four radicals
     only -3..3, sqrt(5) and sqrt(7) reach the products and the trace

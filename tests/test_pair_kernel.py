@@ -21,8 +21,10 @@ from hypothesis import given, strategies as st
 from conftest import graph_from_bits, rows_graph, rows_matrix
 from srgforge import (affine_geometry_design, certificate, ClassBlockMap,
                       construct_ddg, construct_srg1, cyclic_quasigroup,
+                      ddg_formula_spectrum, DdgParams, exact_spectrum,
                       Graph, make_field, projective_complement_design,
-                      random_bijection_family, verify_ddg, verify_srg,
+                      random_bijection_family, srg1_target_params,
+                      srg_spectrum, verify_ddg, verify_srg,
                       verify_srg1_cases, VertexPartition)
 from srgforge import graphs
 from srgforge.gf import as_prime_power
@@ -629,3 +631,36 @@ def test_verifier_memory_stays_below_decode():
                 tracemalloc.stop()
             tile_bytes = 2 * graphs._PAIR_ROWS * g.n * 4
             assert kernel < 2 * tile_bytes, (g.n, kernel, tile_bytes)
+
+
+@pytest.mark.parametrize("q, d, kind", [(3, 3, "srg"), (3, 3, "ddg"),
+                                        (2, 5, "srg")])
+def test_spectrum_memory_holds_its_products_only(q, d, kind):
+    """exact_spectrum's traced peak above the input graph is at most the
+    n x n float32 arrays it multiplies, A and A^2 for an SRG spectrum and
+    the running product too for a glued DDG's, plus O(n) bytes: no float64
+    copy for a trace, no absolute-value copy for a number-type bound and no
+    boolean matrix for the constancy test.  A second call on the same graph
+    gives the same spectrum and the graph's matrix is untouched, so the
+    factor built in A^2's place is an array of the call's own."""
+    ddg_g, partition, srg_g, _ = _srg1_pieces(q, d, 7)
+    if kind == "srg":
+        g, arrays = srg_g, 2
+        candidates = [e for e, _ in
+                      srg_spectrum(srg1_target_params(q, d)).entries()]
+    else:
+        g, arrays = ddg_g, 3
+        params = DdgParams.from_certificate(verify_ddg(g, partition))
+        candidates = ddg_formula_spectrum(params).candidates()
+    matrix = g.matrix.copy()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectrum = exact_spectrum(g, candidates)
+        added = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert spectrum.order == g.n
+    assert added <= arrays * 4 * g.n * g.n + 128 * g.n, (g.n, added)
+    assert exact_spectrum(g, candidates) == spectrum
+    assert np.array_equal(g.matrix, matrix)
