@@ -343,13 +343,18 @@ class _Search:
         return count
 
 
+def check_canon_vertices(n: int) -> None:
+    """TooLarge for a graph of more than MAX_VERTICES vertices."""
+    check_vertices(n, "the canon input", MAX_VERTICES)
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical graph6 string plus automorphism statistics.
 
     Isomorphic graphs map to the same string; any relabeling of g leaves
     the result unchanged.
     """
-    check_vertices(g.n, "the canon input", MAX_VERTICES)
+    check_canon_vertices(g.n)
     search = _Search(g)
     search.run()
     lab = search.best[1]

@@ -19,7 +19,7 @@ import sys
 from itertools import islice
 
 from . import __version__
-from .canon import canonical_form, count_classes, MAX_VERTICES
+from .canon import canonical_form, check_canon_vertices, count_classes
 from .ddg import (construct_ddg, counting_lower_bound, cyclic_quasigroup,
                   DdgParams, identity_family, load_family, load_quasigroup,
                   random_bijection_family, random_left_quasigroup,
@@ -29,8 +29,8 @@ from .designs import (affine_geometry_design, check_glued, fano_plane,
                       write_lines)
 from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
-from .graphs import (check_vertices, complement, Graph, VertexPartition,
-                     graph6_decode, graph6_encode, graph6_order)
+from .graphs import (complement, Graph, VertexPartition, graph6_decode,
+                     graph6_encode, graph6_order)
 from .spectra import (check_spectrum_vertices, ddg_formula_spectrum,
                       exact_root, exact_spectrum, srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
@@ -77,11 +77,6 @@ def _read_graph(path: str | None, check=None) -> Graph:
     if graph is None:
         raise ParseError("no graph6 line on input")
     return graph
-
-
-def _check_canon_vertices(n: int) -> None:
-    """TooLarge past canon's vertex limit, as canonical_form raises it."""
-    check_vertices(n, "the canon input", MAX_VERTICES)
 
 
 def _write_json(doc: dict, path: str) -> str:
@@ -322,14 +317,14 @@ def cmd_spectrum(args) -> int:
 
 def cmd_canon(args) -> int:
     forms = [canonical_form(g)
-             for g in _read_graphs(args.infile, _check_canon_vertices)]
+             for g in _read_graphs(args.infile, check_canon_vertices)]
     for form in forms:  # after the last form, so a refusal prints nothing
         print(f"{form.graph6} {form.aut_order}")
     return 0
 
 
 def cmd_count_classes(args) -> int:
-    classes = count_classes(_read_graphs(args.infile, _check_canon_vertices))
+    classes = count_classes(_read_graphs(args.infile, check_canon_vertices))
     doc = {key: {"count": entry.count, "first": entry.first}
            for key, entry in classes.items()}
     if args.out:

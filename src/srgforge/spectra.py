@@ -34,7 +34,8 @@ The n x n arrays a spectrum holds are A (float32), A^2 and the running
 product: the last factor with an A^2 term is built in A^2's place once no
 trace or factor reads A^2 again, A itself is the factor A, the traces
 tr A^3 and tr A^4 are float64 sums that copy neither matrix, and the
-number-type bounds and the constancy test are reductions.  On the ladder
+number-type bounds and the constancy test are reductions, over _BAND
+rows at a time where an absolute value is needed.  On the ladder
 an SRG spectrum holds two such arrays and a glued DDG's three.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
@@ -163,7 +164,9 @@ P = (1 << 29) - 3
 # about as long as 2^8 multiply-adds of a BLAS product
 MAX_WORK = 1 << 37
 
-# rows at a time in which _factor adds c1 A to a factor
+# rows at a time in which _times sums |left| and _factor adds c1 A: for
+# c1 A, 16 to 256 rows take about the same time at 364-4095 vertices and
+# a whole scaled copy up to 3.5 times as long; 64 rows hold 256 n bytes
 _BAND = 64
 
 
@@ -196,27 +199,30 @@ def _max_abs(m) -> int:
 def _times(left, right):
     """left @ right of integer matrices in the number type of max(1, largest
     absolute row sum of left) * max(1, largest absolute entry of right),
-    which bounds every entry and partial sum and must stay below 2^53.  A
-    nonnegative left, such as A, gives its row sums without a copy."""
-    rows = (left if left.min() >= 0 else np.abs(left)).sum(axis=1,
-                                                          dtype=np.float64)
+    which bounds every entry and partial sum and must stay below 2^53.
+    The row sums are taken _BAND rows at a time, so no absolute-value copy
+    of left is held whole."""
+    rows = np.concatenate([np.abs(left[i:i + _BAND]).sum(axis=1,
+                                                         dtype=np.float64)
+                           for i in range(0, len(left), _BAND)])
     dtype = _number_type(max(1, int(rows.max())) * max(1, _max_abs(right)))
     return left.astype(dtype, copy=False) @ right.astype(dtype, copy=False)
 
 
 def _matrix_powers(adj):
     """p -> A^p for A = adj, each power built once, on first use, as A
-    times the power below it.  power(p, take=True), p >= 2, hands A^p over
-    to a caller that may overwrite it: the powers forget it and every power
+    times the power below it.  power(2, take=True) hands A^2 over to a
+    caller that may overwrite it: the powers forget A^2 and every power
     above it, and build them again if they are asked for later."""
     powers = [adj]
 
     def power(p: int, take: bool = False):
+        assert p == 2 or not take, "only A^2 is handed over"
         while len(powers) < p:
             powers.append(_times(adj, powers[-1]))
         m = powers[p - 1]
         if take:
-            del powers[p - 1:]
+            del powers[1:]
         return m
     return power
 

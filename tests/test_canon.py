@@ -549,11 +549,13 @@ def test_over_limit_input_is_refused_before_decoding(monkeypatch, tmp_path,
                                                      capsys):
     """canon and count-classes read every line's size prefix before they
     decode one: Petersen followed by a 4095-vertex line exits 2 with an
-    empty stdout, and graph6_decode is never called."""
+    empty stdout, and graph6_decode is never called.  clique-census reads
+    the prefix of its one line the same way."""
     n = 4095  # size prefix "~?~~"
     big = "~?~~" + "?" * ((n * (n - 1) // 2 + 5) // 6)
     path = tmp_path / "two.g6"
     path.write_text(graph6_encode(petersen_graph()) + "\n" + big + "\n")
+    (tmp_path / "big.g6").write_text(big + "\n")
     calls = []
 
     def counting(text):
@@ -566,6 +568,10 @@ def test_over_limit_input_is_refused_before_decoding(monkeypatch, tmp_path,
         out, err = capsys.readouterr()
         assert out == ""
         assert "4095 vertices, over the 256-vertex limit" in err
+    assert main(["clique-census", "--in", str(tmp_path / "big.g6")]) == 2
+    assert capsys.readouterr() == ("", "srgforge: refusing exhaustive "
+                                   "census at n=4095, over the 120-vertex "
+                                   "limit\n")
     assert calls == []
 
 

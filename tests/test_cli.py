@@ -265,52 +265,35 @@ def test_spectrum_trace_solve_guard(workdir, capsys):
         "trace solve exceed the spectrum work limit\n")
 
 
-def test_spectrum_refuses_past_the_work_and_vertex_limits(workdir, capsys):
+def test_spectrum_refuses_past_the_work_and_vertex_limits(workdir, capsys,
+                                                         monkeypatch):
     """K_1024 with -1023..1023 needs A^2 .. A^1023 for its traces, 1022
     products of 1024 x 1024 matrices; a graph on 4097 vertices is past the
-    limit under which P > n and P > Delta^2.  Both exit 2 in under 1 s."""
+    limit under which P > n and P > Delta^2, read from its size prefix, so
+    it is never decoded.  Both exit 2 in under 1 s."""
     (workdir / "k1024.g6").write_text(
         graph6_encode(complete_graph(1024)) + "\n")
     (workdir / "e4097.g6").write_text(
         graph6_encode(empty_graph(4097)) + "\n")
-    for name, candidates, message in (
-            ("k1024.g6", ",".join(map(str, range(-1023, 1024))),
-             "1022 products of 1024 x 1024 matrices and a 2047 x 2047 trace "
-             "solve exceed the spectrum work limit"),
-            ("e4097.g6", "0", "the graph of a spectrum would have 4097 "
-             "vertices, over the 4096-vertex limit")):
-        start = time.perf_counter()
-        assert main(["spectrum", "--in", name,
-                     f"--candidates={candidates}"]) == 2
-        assert time.perf_counter() - start < 1
-        assert capsys.readouterr().err == f"srgforge: {message}\n"
-
-
-@pytest.mark.parametrize("argv, n, message", [
-    (["spectrum", "--candidates", "0"], 4097, "the graph of a spectrum "
-     "would have 4097 vertices, over the 4096-vertex limit"),
-    (["clique-census"], 4095, "refusing exhaustive census at n=4095, over "
-     "the 120-vertex limit"),
-], ids=["spectrum", "clique-census"])
-def test_over_limit_graph_is_refused_before_decoding(workdir, capsys,
-                                                     monkeypatch, argv, n,
-                                                     message):
-    """spectrum and clique-census read their input's size prefix before
-    they decode it: an edgeless graph past their vertex limit exits 2 with
-    the limit's message, and graph6_decode is never called."""
-    (workdir / "big.g6").write_text(graph6_encode(empty_graph(n)) + "\n")
     calls = []
 
     def counting(text):
         calls.append(text)
         return graph6_decode(text)
-
     monkeypatch.setattr(cli, "graph6_decode", counting)
-    assert main([*argv, "--in", "big.g6"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"srgforge: {message}\n"
-    assert calls == []
+    for name, candidates, message, decodes in (
+            ("k1024.g6", ",".join(map(str, range(-1023, 1024))),
+             "1022 products of 1024 x 1024 matrices and a 2047 x 2047 trace "
+             "solve exceed the spectrum work limit", 1),
+            ("e4097.g6", "0", "the graph of a spectrum would have 4097 "
+             "vertices, over the 4096-vertex limit", 0)):
+        calls.clear()
+        start = time.perf_counter()
+        assert main(["spectrum", "--in", name,
+                     f"--candidates={candidates}"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"srgforge: {message}\n"
+        assert len(calls) == decodes
 
 
 def test_spectrum_skips_candidates_past_the_degree_bound(workdir, capsys):
