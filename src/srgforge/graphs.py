@@ -4,19 +4,22 @@ A graph is its validated, read-only boolean n x n matrix: `Graph(m)`
 checks the shape, loops and symmetry once, and all else reads the matrix;
 symmetry is compared one band of 256 x 256 blocks at a time, which stays
 in cache.  Builders write block matrices for `Graph`; relabelling, induced
-subgraphs and complements are matrix expressions, and graph6 reads its
-body order from one `np.tri` mask on the matrix; the decoder regroups four
-six-bit bytes into three full ones for one `np.unpackbits` and mirrors its
-lower triangle in 256 x 256 blocks.  Common-neighbour counting, the hot
-loop of every verifier, is a matrix product too: `first_bad_pair` counts
-in float32 tiles cast from the matrix against pair strata (a matrix, or a
-`SameClass` that compares a class vector per tile), and the design
-verifiers run it on incidence matrices.  It packs k row slabs
-of a block into one float32 operand, slab j scaled by 2^(j s) for counts
-below 2^s, so one product counts k rows per word; k = floor(24 / s) keeps
-every partial sum an integer below 2^24, which float32 holds exactly.
+subgraphs and complements are matrix expressions, and graph6 reads and
+writes its body one row of the lower triangle at a time, with no n x n
+mask; the decoder regroups four six-bit bytes into three full ones for
+one `np.unpackbits` and mirrors its lower triangle in 256 x 256 blocks.
+Common-neighbour counting, the hot loop of every verifier, is a matrix
+product too: `first_bad_pair` counts in float32 tiles cast from the matrix
+against pair strata (a matrix, or a `SameClass` that compares a class
+vector per tile), and the design verifiers run it on incidence matrices.
+It packs k row slabs of a block into one float32 operand, slab j scaled
+by 2^(j s) for counts below 2^s, so one product counts k rows per word;
+k = floor(24 / s) keeps every partial sum an integer below 2^24, which
+float32 holds exactly.
 `common_edge_counts` gives, for every pair, the edges among its common
 neighbours, as one Gram matrix of edge rows; canon colours pairs by it.
+Both kernels, and exact_spectrum's products, multiply on the calling
+thread alone for graphs below _SERIAL_BELOW vertices (`_blas_scope`).
 Bitset rows (Python ints, bit v of rows[u] set iff uv is an edge;
 `set_bits` lists them, `bitset` builds one) are built only where bit
 operations pay: canonical refinement and `cliques`, the one clique search,
@@ -25,9 +28,12 @@ behind the Hoffman colorings and the ratio-bound clique census.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -168,6 +174,100 @@ def bitset(vertices) -> int:
     return mask
 
 
+# kernels on graphs below this many vertices multiply on the calling
+# thread.  On 2 cores one thread cost a gen-srg1's pair passes and spectra
+# about 4 % at 392-400 vertices and 20 % at 576-585 when no product waited
+# for OpenBLAS's worker thread; where products woke it after idle time
+# (3 ms sleeps between calls), one thread took a 364-vertex pair pass from
+# 32.9 ms to 1.6 ms
+_SERIAL_BELOW = 512
+
+
+@cache
+def _openblas_threads():
+    """(setter, getter) of the thread count of the OpenBLAS numpy loaded,
+    or None when the process has loaded no OpenBLAS with both, or its
+    loaded libraries cannot be listed (no dl_iterate_phdr).
+
+    Found as threadpoolctl finds it, as numpy has no API for it: the
+    loaded libraries are listed by dl_iterate_phdr, those with "openblas"
+    in their file name taken, numpy's own first, and the symbols
+    openblas_set_num_threads and openblas_get_num_threads looked up with
+    the prefixes and suffixes of numpy's builds
+    (scipy_openblas_set_num_threads64_ for a 64-bit-integer OpenBLAS).
+    The first call lists the libraries; importing this module does not.
+    """
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (AttributeError, OSError):
+        return None
+
+    class PhdrInfo(ctypes.Structure):
+        # the leading fields of struct dl_phdr_info: address, file name
+        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+    visitor = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(PhdrInfo),
+                               ctypes.c_size_t, ctypes.c_void_p)
+    paths = []
+
+    @visitor
+    def visit(info, size, data):
+        paths.append(os.fsdecode(info.contents.name or b""))
+        return 0
+
+    iterate.argtypes = [visitor, ctypes.c_void_p]
+    iterate.restype = ctypes.c_int
+    iterate(visit, None)
+    # numpy's wheels keep their OpenBLAS in numpy.libs or numpy/.dylibs,
+    # both paths that start with numpy's package directory
+    home = os.path.dirname(np.__file__)
+    for path in sorted((p for p in paths
+                        if "openblas" in os.path.basename(p)),
+                       key=lambda p: not p.startswith(home)):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                try:
+                    setter, getter = (
+                        getattr(lib, f"{prefix}openblas_{verb}_num_threads"
+                                     f"{suffix}") for verb in ("set", "get"))
+                except AttributeError:
+                    continue
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def _blas_threads(count: int):
+    """OpenBLAS multiplies on `count` threads in the body, and on as many
+    as before after it, also when the body raises; without an OpenBLAS
+    (_openblas_threads), nothing changes.  The count is the process's:
+    it holds for every thread's products while the body runs, and scopes
+    open in two threads at once can leave it at either's count, which
+    changes no result."""
+    lib = _openblas_threads()
+    if lib is None:
+        yield
+        return
+    setter, getter = lib
+    before = getter()
+    setter(count)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
+def _blas_scope(n: int):
+    """The scope of the BLAS products of a kernel on an n-vertex graph:
+    the calling thread alone below _SERIAL_BELOW vertices, else the
+    caller's threads.  The products are exact in any order of summation,
+    so the thread count changes no result."""
+    return _blas_threads(1) if n < _SERIAL_BELOW else nullcontext()
+
+
 # rows in the largest row block of first_bad_pair; a column tile holds the
 # rows of two such blocks
 _PAIR_ROWS = 128
@@ -206,7 +306,8 @@ def first_bad_pair(m, strata, values):
     they save.  Each block runs against tiles of 2 * _PAIR_ROWS = 256 later
     rows, with one float32 matrix product per tile (256 x c by c x 64 for a
     full block at k = 2), the tile cast from m into one reused buffer: each
-    later row is cast once per block, so larger blocks cast less.
+    later row is cast once per block, so larger blocks cast less.  The
+    products run in _blas_scope(max(n, c)).
 
     The product counts k rows of the block per float32 word.  With s the
     bit length of max(c, 1), every count is at most c < 2^s; k = floor(24 /
@@ -241,47 +342,52 @@ def first_bad_pair(m, strata, values):
     buf = np.empty((min(tile, n), c), np.float32)
     # the pairs w > u of a block against its first tile, w0 = a + 1
     upper = ~np.tri(min(n, _PAIR_ROWS), tile, -1, bool)
-    a, size = 0, n if n <= _PAIR_ROWS else min(8, _PAIR_ROWS)
-    while a < n - 1:
-        b = min(a + size, n)
-        # values of the strata first met in this block, from their first
-        # pair; np.triu keeps the pairs w > u of columns from a + 1 on
-        met = {}
-        for t in [t for t, v in enumerate(values) if v is None]:
-            hit = np.triu(strata[a:b, a + 1:] == t)
-            if hit.any():
-                u, w = divmod(int(hit.argmax()), n - a - 1)
-                met[t] = (a + u, a + 1 + w)
-                values[t] = int(np.count_nonzero(m[a + u] & m[a + 1 + w]))
-        # a stratum still unmet has no pair w > u in this block, so its -1
-        # is compared only at pairs w <= u, which `upper` drops
-        expected = np.array([-1 if v is None else v for v in values],
-                            np.int32)
-        # rows a to a + rows - 1 can still hold a pair before the best so far
-        rows, best = b - a, None
-        block, shifts = _packed(m8[a:b], k, s)
-        for w0 in range(a + 1, n, tile):
-            later = buf[:min(tile, n - w0)]
-            np.copyto(later, m8[w0:w0 + len(later)])
-            # with OpenBLAS, later @ block (128 x c by c x 32 at c = 1365)
-            # runs about twice as fast as block.T @ later.T
-            words = (later @ block).astype(np.int32).T
-            counts = ((words >> shifts) & mask).reshape(-1, len(later))[:rows]
-            bad = counts != expected.take(
-                strata[a:a + rows, w0:w0 + len(later)])
-            if w0 == a + 1:
-                bad &= upper[:rows, :len(later)]
-            if bad.any():
-                r, j = divmod(int(bad.argmax()), len(later))
-                best, rows = (a + r, w0 + j, int(counts[r, j])), r
-                if not r:
-                    break
-                block, shifts = _packed(m8[a:a + r], k, s)
-        if best:
-            return best, tuple(None if met.get(t, best[:2]) > best[:2] else v
-                               for t, v in enumerate(values))
-        a, size = b, min(2 * size, _PAIR_ROWS)
-    return None, tuple(values)
+    with _blas_scope(max(n, c)):
+        a, size = 0, n if n <= _PAIR_ROWS else min(8, _PAIR_ROWS)
+        while a < n - 1:
+            b = min(a + size, n)
+            # values of the strata first met in this block, from their
+            # first pair; np.triu keeps the pairs w > u of columns from
+            # a + 1 on
+            met = {}
+            for t in [t for t, v in enumerate(values) if v is None]:
+                hit = np.triu(strata[a:b, a + 1:] == t)
+                if hit.any():
+                    u, w = divmod(int(hit.argmax()), n - a - 1)
+                    met[t] = (a + u, a + 1 + w)
+                    values[t] = int(np.count_nonzero(m[a + u]
+                                                     & m[a + 1 + w]))
+            # a stratum still unmet has no pair w > u in this block, so its
+            # -1 is compared only at pairs w <= u, which `upper` drops
+            expected = np.array([-1 if v is None else v for v in values],
+                                np.int32)
+            # rows a to a + rows - 1 can still hold a pair before the best
+            # so far
+            rows, best = b - a, None
+            block, shifts = _packed(m8[a:b], k, s)
+            for w0 in range(a + 1, n, tile):
+                later = buf[:min(tile, n - w0)]
+                np.copyto(later, m8[w0:w0 + len(later)])
+                # with OpenBLAS, later @ block (128 x c by c x 32 at
+                # c = 1365) runs about twice as fast as block.T @ later.T
+                words = (later @ block).astype(np.int32).T
+                counts = ((words >> shifts) & mask).reshape(
+                    -1, len(later))[:rows]
+                bad = counts != expected.take(
+                    strata[a:a + rows, w0:w0 + len(later)])
+                if w0 == a + 1:
+                    bad &= upper[:rows, :len(later)]
+                if bad.any():
+                    r, j = divmod(int(bad.argmax()), len(later))
+                    best, rows = (a + r, w0 + j, int(counts[r, j])), r
+                    if not r:
+                        break
+                    block, shifts = _packed(m8[a:a + r], k, s)
+            if best:
+                return best, tuple(None if met.get(t, best[:2]) > best[:2]
+                                   else v for t, v in enumerate(values))
+            a, size = b, min(2 * size, _PAIR_ROWS)
+        return None, tuple(values)
 
 
 class SameClass:
@@ -470,10 +576,11 @@ def common_edge_counts(m) -> np.ndarray:
         raise ValueError(f"{n} vertices: float32 counts are exact up to 4096")
     edges = np.flatnonzero(np.triu(m))  # x * n + y for each edge x < y
     t = np.zeros((n, n), np.float32)
-    for e in range(0, len(edges), _GRAM_ROWS):
-        x, y = np.divmod(edges[e:e + _GRAM_ROWS], n)
-        c = (m[x] & m[y]).astype(np.float32)
-        t += c.T @ c
+    with _blas_scope(n):
+        for e in range(0, len(edges), _GRAM_ROWS):
+            x, y = np.divmod(edges[e:e + _GRAM_ROWS], n)
+            c = (m[x] & m[y]).astype(np.float32)
+            t += c.T @ c
     return t.astype(np.int64)
 
 
@@ -533,8 +640,12 @@ def body_mask(n: int) -> np.ndarray:
 
 def graph6_encode(g: Graph) -> str:
     head = _g6_size_bytes(g.n)
-    bits = g.matrix[body_mask(g.n)]
-    bits = np.pad(bits, (0, -len(bits) % 6))
+    # the body order, row j of the lower triangle for j = 1..n-1, gathered
+    # row by row, with the padding to whole six-bit groups
+    nbits = g.n * (g.n - 1) // 2
+    bits = np.zeros(nbits + -nbits % 6, bool)
+    for j in range(1, g.n):
+        bits[j * (j - 1) // 2:j * (j + 1) // 2] = g.matrix[j, :j]
     body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
     return (head + body.tobytes()).decode("ascii")
 
@@ -598,8 +709,10 @@ def graph6_decode(text: str) -> Graph:
     if bits[nbits:].any():
         raise ParseError("graph6 padding bits are not zero")
 
+    # row j of the lower triangle from the next j bits
     m = np.zeros((n, n), dtype=bool)
-    m[body_mask(n)] = bits[:nbits]
+    for j in range(1, n):
+        m[j, :j] = bits[j * (j - 1) // 2:j * (j + 1) // 2]
     # mirror the lower triangle one square block at a time
     for a in range(0, n, _SQUARE):
         b = a + _SQUARE

@@ -28,7 +28,9 @@ is zero-tested modulo word-size primes whose product passes the bound
 fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  An SRG spectrum
 {k, r, s} takes one n x n product, A^2, and a glued DDG's formula spectrum
 {k, +-theta1, 0} two.  TooLarge stops a stage, the traces with their solve
-or the product, whose work passes MAX_WORK before it runs.
+or the product, whose work passes MAX_WORK before it runs.  Both stages
+multiply in graphs._blas_scope: on the calling thread alone for a graph
+below its vertex count.
 
 The n x n arrays a spectrum holds are A (float32), A^2 and the running
 product: the last factor with an A^2 term is built in A^2's place once no
@@ -60,7 +62,7 @@ import numpy as np
 from .ddg import DdgParams
 from .errors import InfeasibleParams, NotAnnihilated, TooLarge
 from .gf import is_prime
-from .graphs import Certificate, check_vertices, Graph
+from .graphs import _blas_scope, Certificate, check_vertices, Graph
 
 
 @dataclass(frozen=True)
@@ -423,10 +425,12 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     rows = len(ints) + 2 * len(rads)
     _check_work(n, max(1, rows // 2 - 1), rows, len(eigs))
     power = _matrix_powers(adjacency_matrix(g))
+    with _blas_scope(n):
+        traces = _traces(power, rows)
     values = _solve_mod(np.array(
         [[pow(a, s, P) for a in ints] +
          [0 if s % 2 else 2 * pow(t, s // 2, P) % P for t in rads] + [trace]
-         for s, trace in enumerate(_traces(power, rows))], dtype=np.int64))
+         for s, trace in enumerate(traces)], dtype=np.int64))
     if values is None or values.max() > n:
         raise missing
 
@@ -439,8 +443,9 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
         int(degrees.min()) == delta
     coeffs = _factors([a for a in live if not (deflate and a == delta)],
                       rads)
-    if not _annihilates(power, delta, coeffs, deflate):
-        raise missing
+    with _blas_scope(n):
+        if not _annihilates(power, delta, coeffs, deflate):
+            raise missing
     spec = make_spectrum((x, m) for e, m in counts.items() for x in (
         (e, -e) if isinstance(e, Radical) else (e,)))
     assert spec.order == n

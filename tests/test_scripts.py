@@ -10,6 +10,7 @@ GF(8) and GF(9).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -35,12 +36,31 @@ ROOT = Path(__file__).resolve().parents[1]
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    result = _run(tmp_path, script, args)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, \
         result.stdout
+
+
+def _run(tmp_path, script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+
+
+def test_product_latency_reports_both_settings(tmp_path):
+    """A small run prints, per thread setting and product shape, the
+    median, the p99 and the count of slow calls; a bad N exits 2."""
+    result = _run(tmp_path, "product_latency.py", ["3"])
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["calls"] == 3
+    for setting in ("one_thread", "default_threads"):
+        assert sorted(report[setting]) == ["square_364", "tile_256x364x64"]
+        for figures in report[setting].values():
+            assert 0 < figures["median_ms"] <= figures["p99_ms"]
+            assert 0 <= figures["over_1ms"] <= 3
+    assert _run(tmp_path, "product_latency.py", ["0"]).returncode == 2
