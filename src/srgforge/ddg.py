@@ -28,7 +28,8 @@ from .designs import (check_glued, data_lines, int_lines, int_tokens,
 from .errors import NotAClique, NotRegularClique, ParseError, ShapeError, ShapeMismatch
 from .gf import as_prime_power
 from .graphs import (Certificate, Graph, SameClass, VertexPartition,
-                     certificate, complement, pair_witness, regularity)
+                     certificate, complement, degrees, pair_witness,
+                     regularity)
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -225,7 +226,8 @@ def verify_ddg(g: Graph, partition: VertexPartition) -> Certificate:
         return certificate("ddg", parameters={"v": n_v}, witnesses=[
             {"check": "partition-shape", "partition_n": partition.n}])
 
-    ecount = g.edge_count()
+    deg = degrees(g.matrix)
+    ecount = int(deg.sum()) // 2
     if n_v > 1 and ecount in (0, n_v * (n_v - 1) // 2):
         reason = "edgeless" if ecount == 0 else "complete"
         return certificate("ddg", parameters={"v": n_v}, witnesses=[
@@ -236,7 +238,7 @@ def verify_ddg(g: Graph, partition: VertexPartition) -> Certificate:
     if len(sizes) != 1:
         witnesses.append({"check": "class-size", "sizes": sizes})
 
-    k, irregular = regularity(g)
+    k, irregular = regularity(g, deg)
     if irregular:
         witnesses.append(irregular)
 

@@ -13,9 +13,12 @@ product too: `first_bad_pair` counts in float32 tiles cast from the matrix
 against pair strata (a matrix, or a `SameClass` that compares a class
 vector per tile), and the design verifiers run it on incidence matrices.
 It packs k row slabs of a block into one float32 operand, slab j scaled
-by 2^(j s) for counts below 2^s, so one product counts k rows per word;
-k = floor(24 / s) keeps every partial sum an integer below 2^24, which
-float32 holds exactly.
+by 2^(j s) for digits in a window of 2^s, so one product counts k rows
+per word; k = floor(24 / s) keeps every partial sum an integer below
+2^24, which float32 holds exactly.  From _SERIAL_BELOW vertices on, the
+two strata of verify_srg (adjacency) and verify_ddg (`SameClass`) are
+folded into the words, and a tile passes when every word equals its
+expected one: only a tile with a bad pair is unpacked into counts.
 `common_edge_counts` gives, for every pair, the edges among its common
 neighbours, as one Gram matrix of edge rows; canon colours pairs by it.
 Both kernels, and exact_spectrum's products, multiply on the calling
@@ -274,8 +277,10 @@ _PAIR_ROWS = 128
 
 
 def _packed(rows, k: int, s: int):
-    """The float32 operand of a row block in first_bad_pair, and the shift
-    of each of its slabs (an int32 array of shape (slabs, 1, 1)).
+    """The float32 operand of a row block in first_bad_pair, the shift of
+    each of its slabs (an int32 array of shape (slabs, 1, 1)) and the
+    weight of each packed row, the sum of 2^(j s) over the slabs j that
+    hold a row there.
 
     The rows, uint8, are cut into slabs of h = ceil(len(rows) / k) rows,
     the last one possibly short, and slab j is weighted by 2^(j s): the
@@ -284,13 +289,34 @@ def _packed(rows, k: int, s: int):
     """
     h = -(-len(rows) // k)
     packed = np.zeros((h, rows.shape[1]), np.float32)
+    weights = np.zeros(h, np.int32)
     starts = range(0, len(rows), h)
     for i in reversed(starts):
         packed *= np.float32(1 << s)
+        weights <<= s
         slab = rows[i:i + h]
         packed[:len(slab)] += slab
+        weights[:len(slab)] += 1
     shifts = np.arange(0, len(starts) * s, s, np.int32)
-    return np.ascontiguousarray(packed.T), shifts[:, None, None]
+    return np.ascontiguousarray(packed.T), shifts[:, None, None], weights
+
+
+def _digits(words, shifts, weights, low: int, s: int):
+    """Digit j of packed row r against later row w, at row j h + r and
+    column w of an int32 array: the tile's product words less low times
+    the weights, cut by shift and mask, plus low."""
+    ints = words.astype(np.int32).T
+    if low:
+        ints -= low * weights[:, None]
+    return (((ints >> shifts) & ((1 << s) - 1)) + low).reshape(
+        -1, len(words))
+
+
+def degrees(m) -> np.ndarray:
+    """The row sums of a boolean matrix, int32: the degrees of an
+    adjacency matrix.  Summing its uint8 view takes about half the time of
+    np.count_nonzero(m, axis=1)."""
+    return m.view(np.uint8).sum(axis=1, dtype=np.int32)
 
 
 def first_bad_pair(m, strata, values):
@@ -301,24 +327,45 @@ def first_bad_pair(m, strata, values):
     for g.matrix, those among the last c vertices for g.matrix[:, n - c:],
     the blocks through two points for a design's incidence matrix.
     Scans the pairs (u, w), u < w, in lexicographic order, in row blocks of
-    8, 16, 32, 64, then _PAIR_ROWS = 128 rows, or in one block when n <=
-    _PAIR_ROWS, where the smaller blocks would cost more numpy calls than
-    they save.  Each block runs against tiles of 2 * _PAIR_ROWS = 256 later
-    rows, with one float32 matrix product per tile (256 x c by c x 64 for a
-    full block at k = 2), the tile cast from m into one reused buffer: each
-    later row is cast once per block, so larger blocks cast less.  The
-    products run in _blas_scope(max(n, c)).
+    8, 16, 32, 64, then _PAIR_ROWS = 128 rows (8, then 128 after a folded
+    block, below), or in one block when n <= _PAIR_ROWS, where the smaller
+    blocks would cost more numpy calls than they save.  Each block runs
+    against tiles of 2 * _PAIR_ROWS = 256 later rows, with one float32
+    matrix product per tile (256 x c by c x 64 for a full block at k = 2),
+    the tile cast from m into one reused buffer: each later row is cast
+    once per block, so larger blocks cast less.  The products run in
+    _blas_scope(max(n, c)).
 
-    The product counts k rows of the block per float32 word.  With s the
-    bit length of max(c, 1), every count is at most c < 2^s; k = floor(24 /
-    s), 2 for c from 256 to 4095 and 1 from 4096 on.  The block's operand
-    (`_packed`) cuts its rows into k slabs of h rows and sums them, slab j
-    scaled by 2^(j s), so entry (w, r) of the tile's product is the sum over
-    j of 2^(j s) cnt_j, cnt_j the count of w with row r of slab j: bits
-    j s to (j + 1) s - 1 of the entry's int32 cast.  float32 computes it
-    exactly, as every partial sum, in whatever order the product adds, is
-    such a sum with every cnt_j at most c < 2^s: an integer below
-    2^(k s) <= 2^24.  The kernel refuses c >= 2^24, where k would be 0.
+    The product counts k rows of the block per float32 word.  The block's
+    operand (`_packed`) cuts its rows into k slabs of h rows and sums them,
+    slab j scaled by 2^(j s), so entry (w, r) of the tile's product is the
+    sum over j of 2^(j s) d_j, d_j the digit of w with block row u_j, row r
+    of slab j.  Unfolded, the digit is the count, in [0, c], and s the bit
+    length of max(c, 1); k = floor(24 / s), 2 for c from 256 to 4095 and 1
+    from 4096 on.  float32 computes the entry exactly, as every partial
+    sum, in whatever order the product adds, is such a sum with every digit
+    in a window of 2^s integers, so below 2^(k s) <= 2^24 in absolute
+    value; less the window's low end, digit j is bits j s to (j + 1) s - 1
+    of the entry's int32 cast (`_digits`).  The kernel refuses c >= 2^24,
+    where k would be 0.
+
+    From _SERIAL_BELOW vertices on, where it measured faster, two strata
+    with values v0, v1 known in [0, c] are folded: a pair passes when its
+    count less delta S is v0, delta = v1 - v0 and S its 0/1 stratum.  When
+    strata is m itself (verify_srg's adjacency strata; m symmetric), the
+    operand holds -delta 2^(j s) in the column of u_j, so the digit is
+    cnt - delta S, in a window from -max(delta, 0) up to c + max(-delta,
+    0), and s is the bit length of c + |delta|; for a
+    `SameClass` (verify_ddg) the digit stays the count and the expected
+    word of packed row r gains delta 2^(j s) for each u_j in the class of
+    w, looked up per class.  The words then determine the digits, so a
+    tile passes exactly when each word equals its expected one, v0 times
+    the weight of its row where no class adds, once the first tile's word
+    of each block row u against itself is moved by deg(u) - v0 - delta
+    S(u, u).  Only a tile holding a differing word is unpacked, from the
+    same product, into counts for the check below; it runs on every tile
+    for other strata (verify_srg1_cases's, any integer matrix), below the
+    gate, and in blocks where a value is still unset.
 
     The stratum strata[u, w] indexes `values`; strata is an integer or
     boolean n x n matrix, a zero-stride np.broadcast_to view, or a
@@ -331,12 +378,18 @@ def first_bad_pair(m, strata, values):
     n, c = m.shape
     if c >= 1 << 24:
         raise ValueError(f"{c} columns: float32 counts are exact below 2^24")
-    s = max(c, 1).bit_length()
-    k, mask = 24 // s, (1 << s) - 1
     # uint8 casts to float32 about twice as fast as bool
     m8 = m.view(np.uint8)
     values = list(values)
     tile = 2 * _PAIR_ROWS
+    # the fold's strata: the counted matrix itself, whose tile entry (w, u)
+    # is S(u, w), or the class index of each vertex
+    adjacent, classes = False, None
+    if n >= _SERIAL_BELOW and len(values) == 2:
+        if strata is m:
+            adjacent = True
+        elif isinstance(strata, SameClass):
+            groups, classes = np.unique(strata.cls, return_inverse=True)
     # one float32 buffer serves every column tile: a fresh array per tile
     # would pay its page faults each time
     buf = np.empty((min(tile, n), c), np.float32)
@@ -361,20 +414,59 @@ def first_bad_pair(m, strata, values):
             # -1 is compared only at pairs w <= u, which `upper` drops
             expected = np.array([-1 if v is None else v for v in values],
                                 np.int32)
+            # the fold needs both values, in [0, c] (another fails at its
+            # first pair, found unpacked); c < 2^23 keeps c + |delta| < 2^24
+            folded = ((adjacent or classes is not None) and None not in values
+                      and 0 <= min(values) and max(values) <= c < 1 << 23)
+            v0, v1 = values if folded else (0, 0)
+            delta = v1 - v0
+            # delta S comes off in the product for adjacency strata
+            inner = delta if adjacent else 0
+            low = min(0, -inner)
+            s = (max(c, 1) + abs(inner)).bit_length()
+            k = 24 // s
             # rows a to a + rows - 1 can still hold a pair before the best
-            # so far
-            rows, best = b - a, None
-            block, shifts = _packed(m8[a:b], k, s)
+            # so far; the block is packed again when they shrink
+            rows, best, block = b - a, None, None
             for w0 in range(a + 1, n, tile):
+                if block is None:
+                    block, shifts, weights = _packed(m8[a:a + rows], k, s)
+                    if folded:
+                        # 2^(j s) for block row a + i, i = j h + r
+                        h, i = len(weights), np.arange(rows)
+                        scale = np.exp2(i // h * s)
+                        # the expected word of packed row r, against any
+                        # later row or against one of class t
+                        want = (v0 * weights).astype(np.float32)
+                        if adjacent:
+                            block[a + i, i % h] -= delta * scale
+                        else:
+                            want = want + np.zeros((len(groups), 1),
+                                                   np.float32)
+                            np.add.at(want, (classes[a:a + rows], i % h),
+                                      delta * scale)
                 later = buf[:min(tile, n - w0)]
                 np.copyto(later, m8[w0:w0 + len(later)])
                 # with OpenBLAS, later @ block (128 x c by c x 32 at
                 # c = 1365) runs about twice as fast as block.T @ later.T
-                words = (later @ block).astype(np.int32).T
-                counts = ((words >> shifts) & mask).reshape(
-                    -1, len(later))[:rows]
-                bad = counts != expected.take(
-                    strata[a:a + rows, w0:w0 + len(later)])
+                words = later @ block
+                if folded:
+                    if w0 == a + 1:
+                        # block row u = a + i, i >= 1, meets itself here
+                        # with digit deg(u) - inner S(u, u), moved onto
+                        # the expected v0 + (delta - inner) S(u, u)
+                        u = slice(a + 1, a + rows)
+                        words[i[1:] - 1, i[1:] % h] -= scale[1:] * (
+                            degrees(m8[u]) - v0 - delta * (
+                                m[u, u].diagonal() if adjacent else 1))
+                    if (words == (want if adjacent else want[
+                            classes[w0:w0 + len(later)]])).all():
+                        continue
+                counts = _digits(words, shifts, weights, low, s)[:rows]
+                cells = strata[a:a + rows, w0:w0 + len(later)]
+                if inner:
+                    counts += inner * cells
+                bad = counts != expected.take(cells)
                 if w0 == a + 1:
                     bad &= upper[:rows, :len(later)]
                 if bad.any():
@@ -382,11 +474,13 @@ def first_bad_pair(m, strata, values):
                     best, rows = (a + r, w0 + j, int(counts[r, j])), r
                     if not r:
                         break
-                    block, shifts = _packed(m8[a:a + r], k, s)
+                    block = None
             if best:
                 return best, tuple(None if met.get(t, best[:2]) > best[:2]
                                    else v for t, v in enumerate(values))
-            a, size = b, min(2 * size, _PAIR_ROWS)
+            # a full block follows a folded one: a passing tile costs only
+            # its cast and product, which smaller blocks repeat for fewer rows
+            a, size = b, _PAIR_ROWS if folded else min(2 * size, _PAIR_ROWS)
         return None, tuple(values)
 
 
@@ -417,16 +511,17 @@ def pair_witness(m, strata, names, values=None):
     return witness, tuple(v or 0 for v in values)
 
 
-def regularity(g: Graph):
+def regularity(g: Graph, deg=None):
     """(degree of vertex 0, or 0 when g is empty; a "regular" witness for
-    the first vertex of another degree, or None)."""
-    degrees = np.count_nonzero(g.matrix, axis=1)
-    k = int(degrees[0]) if g.n else 0
-    other = degrees != k
+    the first vertex of another degree, or None), from the degrees `deg`
+    of g when the caller has them."""
+    deg = degrees(g.matrix) if deg is None else deg
+    k = int(deg[0]) if g.n else 0
+    other = deg != k
     if other.any():
         u = int(other.argmax())
         return k, {"check": "regular", "vertices": [0, u],
-                   "degrees": [k, int(degrees[u])]}
+                   "degrees": [k, int(deg[u])]}
     return k, None
 
 

@@ -62,7 +62,8 @@ import numpy as np
 from .ddg import DdgParams
 from .errors import InfeasibleParams, NotAnnihilated, TooLarge
 from .gf import is_prime
-from .graphs import _blas_scope, Certificate, check_vertices, Graph
+from .graphs import (_blas_scope, Certificate, check_vertices, degrees,
+                     Graph)
 
 
 @dataclass(frozen=True)
@@ -405,8 +406,8 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     # Gershgorin: every eigenvalue has |theta| <= delta, so A - aI for
     # |a| > delta and A^2 - tI for t > delta^2 are invertible and take no
     # part in annihilation; those candidates keep multiplicity 0
-    degrees = np.count_nonzero(g.matrix, axis=1)
-    delta = int(degrees.max())
+    deg = degrees(g.matrix)
+    delta = int(deg.max())
     counts = dict.fromkeys(ints + [Radical(t) for t in rads], 0)
     missing = NotAnnihilated(f"candidates {list(counts)} do not annihilate "
                              f"the adjacency matrix")
@@ -440,7 +441,7 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     live = [a for a in ints if counts[a]]
     rads = [t for t in rads if counts[Radical(t)]]
     deflate = delta in live and len(live) + len(rads) > 1 and \
-        int(degrees.min()) == delta
+        int(deg.min()) == delta
     coeffs = _factors([a for a in live if not (deflate and a == delta)],
                       rads)
     with _blas_scope(n):

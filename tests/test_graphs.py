@@ -23,8 +23,8 @@ from srgforge import (certificate, Certificate, chang_graphs,
                       VertexPartition)
 import srgforge.graphs as graphs_module
 from srgforge.cli import main
-from srgforge.graphs import (bitset, cliques, common_edge_counts, regularity,
-                             set_bits)
+from srgforge.graphs import (bitset, cliques, common_edge_counts, degrees,
+                             regularity, set_bits)
 from test_ddg import build
 from test_srg import srg1
 
@@ -186,6 +186,12 @@ def test_accessors_read_the_matrix_as_the_rows_say(g):
     assert regularity(g) == (k, None if other is None else {
         "check": "regular", "vertices": [0, other],
         "degrees": [k, rows[other].bit_count()]})
+    deg = degrees(g.matrix)
+    assert deg.tolist() == [r.bit_count() for r in rows]
+    assert regularity(g, deg) == regularity(g)
+    # a column slice, the view the pair kernel sums its block rows of
+    assert degrees(g.matrix[:, 1:]).tolist() == [
+        (r >> 1).bit_count() for r in rows]
     h = Graph(g.matrix.copy())
     assert h == g and hash(h) == hash(g) and h.rows == rows
     assert g != empty_graph(g.n + 1)

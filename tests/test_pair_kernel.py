@@ -5,15 +5,19 @@ three verifiers as they were written before `first_bad_pair` existed, each
 with its own Python pair loop, and serve as the oracle of the numpy kernel.
 The kernel-based verifiers must give the same certificate JSON, first
 witness and inferred parameters included, both on random inputs and on
-2-switched outputs of the constructions.  The last tests check that the
-kernels' results do not depend on the BLAS thread count, and the scope
-that runs small graphs' products on the calling thread.
+2-switched outputs of the constructions.  Past the size gate, where the
+kernel checks adjacency and class strata in its packed words, flips and
+switches are compared with a recount, and a passing scan must unpack no
+tile.  The last tests check that the kernels' results do not depend on
+the BLAS thread count, and the scope that runs small graphs' products on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import random
 import tracemalloc
+from functools import cache
 from unittest.mock import patch
 
 import numpy as np
@@ -26,8 +30,9 @@ from srgforge import (affine_geometry_design, certificate, ClassBlockMap,
                       ddg_formula_spectrum, DdgParams, exact_spectrum,
                       Graph, make_field, projective_complement_design,
                       random_bijection_family, srg1_target_params,
-                      srg_spectrum, verify_ddg, verify_srg,
-                      verify_srg1_cases, VertexPartition)
+                      srg_spectrum, symplectic_graph, triangular_graph,
+                      verify_ddg, verify_srg, verify_srg1_cases,
+                      VertexPartition)
 from srgforge import graphs
 from srgforge.gf import as_prime_power
 from srgforge.graphs import first_bad_pair, graph6_decode, graph6_encode
@@ -596,6 +601,296 @@ def test_switched_witness_in_full_and_partial_blocks(case, seed):
     assert first_bad_pair(bad, strata, values) == ref_first_bad_pair(
         ref, strata, values)
     assert first_bad_pair(m, strata, unset) == (None, values)
+
+
+# ---------------------------------------------------------------------------
+# the folded check: from _SERIAL_BELOW vertices on, adjacency strata and
+# SameClass strata are checked in the packed words, and only a tile holding
+# a bad pair is unpacked
+
+
+def _scanned(ref, strata, values):
+    """ref_first_bad_pair in array operations, for graphs past the gate:
+    ref the recounted counts and strata an n x n matrix."""
+    u, w = np.triu_indices(len(ref), 1)
+    st, counts = strata[u, w].astype(np.intp), ref[u, w]
+    firsts = [next(iter(np.flatnonzero(st == t)), None)
+              for t in range(len(values))]
+    found = [int(counts[f]) if v is None and f is not None else v
+             for v, f in zip(values, firsts)]
+    bad = np.flatnonzero(counts != np.array(
+        [-1 if v is None else v for v in found])[st])
+    if not len(bad):
+        return None, tuple(found)
+    f = bad[0]
+    return (int(u[f]), int(w[f]), int(counts[f])), tuple(
+        None if v is None and (g is None or g > f) else x
+        for v, g, x in zip(values, firsts, found))
+
+
+def _gram(m):
+    """Counts of all row pairs of a boolean matrix, from a float64
+    product: exact, as every sum is at most the column count."""
+    x = m.astype(np.float64)
+    return (x @ x.T).astype(np.int64)
+
+
+def _flipped(m, *pairs):
+    m = m.copy()
+    for u, w in pairs:
+        m[u, w] = m[w, u] = not m[u, w]
+    return m
+
+
+def _check_folded(m, values=(None, None), same=None):
+    """first_bad_pair on adjacency strata (m itself) or, given the class
+    vector `same`, on SameClass strata, against the recount; the witness
+    is returned."""
+    strata = m if same is None else graphs.SameClass(same)
+    matrix = m if same is None else np.equal.outer(same, same)
+    want = _scanned(_gram(m), matrix, values)
+    assert first_bad_pair(m, strata, values) == want
+    return want[0]
+
+
+@cache
+def _glued(q: int, d: int):
+    """(DDG matrix, class vector, SRG matrix) of the (q, d) pieces."""
+    ddg_g, partition, srg_g, _ = _srg1_pieces(q, d, 7)
+    return ddg_g.matrix, np.array(partition.class_of()), srg_g.matrix
+
+
+def test_scanned_matches_the_pair_loop():
+    """The array reference of the tests below against ref_first_bad_pair,
+    with values inferred and given, a stratum met after the witness, and
+    one never met."""
+    m, ref, strata, values = _two_slab_case()
+    unset = (None,) * (len(values) + 1)
+    assert _scanned(ref, strata, unset) == ref_first_bad_pair(
+        ref, strata, unset)
+    for u, w in ((5, 35), (25, 30), (0, 1)):
+        moved = strata.copy()
+        moved[u, w] = len(values)
+        for given in (unset, (*values, None), (*values, 0)):
+            assert _scanned(ref, moved, given) == ref_first_bad_pair(
+                ref, moved, given)
+
+
+def _edge_between(m, rows, lo: int, hi: int = None, near: int = None):
+    """An edge (u, w), lo <= u < w < hi, with no end in or next to a row
+    of `rows`, so a flip of it changes only pairs of later rows, and with
+    an end next to row `near` if given."""
+    clear = np.flatnonzero(~m[rows].any(axis=0))
+    clear = clear[(clear >= lo) & (clear < (hi or len(m)))]
+    clear = clear[~np.isin(clear, rows)]
+    sub = np.triu(m[np.ix_(clear, clear)], 1)
+    if near is not None:
+        sub &= np.logical_or.outer(m[near, clear], m[near, clear])
+    u, w = divmod(int(sub.argmax()), len(clear))
+    assert sub[u, w]
+    return int(clear[u]), int(clear[w])
+
+
+def _switched(m, lo: int, hi: int = None):
+    """A 2-switch of vertices in [lo, hi): edges ab and cd, with c and d
+    next to neither a nor b, made ad and cb."""
+    a, b = _edge_between(m, [], lo, hi)
+    c, d = _edge_between(m, [a, b], lo, hi)
+    return _flipped(m, (a, b), (c, d), (a, d), (c, b))
+
+
+@pytest.mark.parametrize("q, d", [(2, 5), (4, 3)])
+@pytest.mark.parametrize("kind", ["srg", "ddg"])
+def test_folded_flips_and_switches_match_recount(q, d, kind):
+    """Single-edge flips and 2-switches of the glued DDG and SRG, past the
+    gate: a flip inside the first tile, one whose pairs all lie in a later
+    tile, one whose first bad row opens the second slab of block 0 (rows 0
+    to 7, two slabs of four) and one ending it, and a 2-switch of four
+    late vertices.  Witness, count and values match the recount."""
+    ddg, cls, srg = _glued(q, d)
+    m, same = (srg, None) if kind == "srg" else (ddg, cls)
+    assert len(m) >= graphs._SERIAL_BELOW
+    # a relabelling, as the glued rows 0 to 3 share most neighbours
+    perm = np.random.default_rng(len(m)).permutation(len(m))
+    m = m[np.ix_(perm, perm)]
+    same = None if same is None else same[perm]
+    tile = 2 * graphs._PAIR_ROWS
+    bad = _check_folded(_flipped(m, (1, 2)), same=same)
+    assert bad[1] <= tile
+    late = _edge_between(m, [], 2 * tile)
+    bad = _check_folded(_flipped(m, late), same=same)
+    assert bad[0] < 8 and bad[1] > tile
+    for first in (3, 4):
+        u, w = _edge_between(m, list(range(first)), 8, near=first)
+        bad = _check_folded(_flipped(m, (u, w)), same=same)
+        assert bad[0] == first
+    bad = _check_folded(_switched(m, 2 * tile), same=same)
+    assert bad[0] < 8 and bad[1] > tile
+
+
+def test_folded_adjacency_strata_of_both_signs():
+    """delta = lambda - mu < 0 on Sp(10, 2) (1023 vertices, mu = 255,
+    lambda = 253) and > 0 on T(33) (528 vertices, lambda = 31, mu = 4):
+    each passes with its values, and a flip or a 2-switch is found as the
+    recount finds it, also with the values given."""
+    sp = symplectic_graph(make_field(2, 1), 5).matrix
+    t33 = triangular_graph(33).matrix
+    for m, values in ((sp, (255, 253)), (t33, (4, 31))):
+        assert first_bad_pair(m, m, (None, None)) == (None, values)
+        rng = np.random.default_rng(len(m))
+        for _ in range(3):
+            u, w = sorted(rng.choice(len(m), 2, replace=False))
+            _check_folded(_flipped(m, (u, w)))
+            _check_folded(_flipped(m, (u, w)), values)
+        _check_folded(_switched(m, 300))
+
+
+def test_folded_classes_of_both_signs():
+    """SameClass strata with lambda1 < lambda2 (the glued (2, 5) DDG,
+    992 vertices) and lambda1 > lambda2 (K_{32 x 32} with its parts as
+    classes: 992 and 960)."""
+    ddg, cls, _ = _glued(2, 5)
+    k32 = graphs.complete_multipartite(*[32] * 32).matrix
+    parts = np.repeat(np.arange(32), 32)
+    for m, same, values in ((ddg, cls, (248, 240)), (k32, parts, (960, 992))):
+        assert first_bad_pair(m, graphs.SameClass(same), (None, None)) == (
+            None, values)
+        rng = np.random.default_rng(len(m))
+        for _ in range(3):
+            u, w = sorted(rng.choice(len(m), 2, replace=False))
+            _check_folded(_flipped(m, (u, w)), same=same)
+            _check_folded(_flipped(m, (u, w)), values, same)
+
+
+def _triangles(n: int, lone):
+    """Disjoint triangles on the vertices in order, past the isolated ones
+    of `lone`: lambda = 1 and mu = 0, so folded digits cnt - S reach -1.
+    A flip of (u, w), u first in its triangle, changes pairs of rows u and
+    later only, and of columns in or next to w's triangle."""
+    labels = np.full(n, -1)
+    labels[lone] = -2 - np.arange(len(lone))
+    labels[labels == -1] = np.arange(n - len(lone)) // 3
+    return np.equal.outer(labels, labels) & ~np.eye(n, dtype=bool)
+
+
+def test_folded_witness_anywhere_in_a_block(monkeypatch):
+    """Bad pairs put in place past the gate, where blocks are [0, 8), then
+    [8 + 128 i, 136 + 128 i): on the slab boundaries of block 0 (rows 3 and
+    4) and of [136, 264) (rows 199 and 200), in a later tile, and two at
+    once, the earlier row in the later tile, so the block is packed again.
+    Adjacency strata of triangles, and SameClass strata of rows with one
+    class column and one private column each (counts 1 and 0), where a
+    column shared by rows u and w changes their pair alone."""
+    for lone, pairs, row in ((0, [(3, 300)], 3), (1, [(4, 300)], 4),
+                             (1, [(199, 300)], 199), (2, [(200, 300)], 200),
+                             (1, [(202, 450)], 202),
+                             (1, [(205, 210), (151, 450)], 151)):
+        m = _flipped(_triangles(516 - (lone == 1), range(lone)), *pairs)
+        assert _check_folded(m)[0] == row
+    # loops on isolated vertices count in their words against themselves
+    # only, so the graph passes with no tile unpacked; a flip then fails
+    # as the recount says
+    lone = [150, 151, 300, 301, 302]
+    m = _triangles(518, lone)
+    m[lone, lone] = True
+    unpacked = []
+    digits = graphs._digits
+    monkeypatch.setattr(graphs, "_digits", lambda *args: (
+        unpacked.append(1), digits(*args))[1])
+    assert first_bad_pair(m, m, (None, None)) == (None, (0, 1))
+    assert not unpacked
+    for pairs in ([(151, 152)], [(301, 305)], [(2, 150)]):
+        _check_folded(_flipped(m, *pairs))
+    n = 513
+    same = np.arange(n) // 3
+    rows = np.hstack([np.equal.outer(same, np.arange(n // 3)),
+                      np.eye(n, dtype=bool)])
+    for pairs in ([(3, 300)], [(4, 300)], [(199, 300)], [(200, 300)],
+                  [(202, 450)], [(205, 210), (151, 450)]):
+        marked = rows.copy()
+        for u, w in pairs:
+            marked[w, n // 3 + u] = True  # a column shared by u and w
+        u, w = min(pairs)
+        assert _check_folded(marked, same=same) == (
+            u, w, 1 + (same[u] == same[w]))
+
+
+@pytest.mark.parametrize("parts, size, window, s",
+                         [(22, 89, 2047, 11), (63, 32, 2048, 12)])
+def test_folded_digit_bound(monkeypatch, parts, size, window, s):
+    """Adjacency digits cnt - delta S fill a window of c + |delta| + 1
+    integers: K_{22 x 89} (1958 vertices, delta = -89) has c + |delta| =
+    2047 and packs 11-bit digits, K_{63 x 32} (2016 vertices, delta = -32)
+    reaches 2048 and packs 12-bit ones, two slabs a word either way: the
+    bit width of every unpacked tile given these values.  Flips there, and
+    with values inferred, match the recount."""
+    m = graphs.complete_multipartite(*[size] * parts).matrix
+    n = len(m)
+    values = (n - size, n - 2 * size)
+    assert n + size == window and window.bit_length() == s
+    assert first_bad_pair(m, m, (None, None)) == (None, values)
+    flips = [_flipped(m, *pairs) for pairs in
+             ([(5, 6)], [(0, size)], [(3, n - 1), (1, n - 2)])]
+    for flipped in flips:
+        _check_folded(flipped)
+    seen = []
+    digits = graphs._digits
+    monkeypatch.setattr(graphs, "_digits", lambda *args: (
+        seen.append(args[-1]), digits(*args))[1])
+    for flipped in flips:
+        _check_folded(flipped, values)
+    assert set(seen) == {s}
+
+
+def _tiles(n: int) -> int:
+    """Column tiles of a whole folded pass over n rows: a block of 8 rows,
+    then blocks of _PAIR_ROWS."""
+    starts = [0, *range(8, n - 1, graphs._PAIR_ROWS)]
+    return sum(-(-(n - a - 1) // (2 * graphs._PAIR_ROWS)) for a in starts)
+
+
+class _Operand(np.ndarray):
+    """A block operand that counts the matrix products it enters."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__":
+            _Operand.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _Operand) else x
+                 for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["srg", "ddg"])
+def test_passing_tiles_are_not_unpacked(monkeypatch, kind):
+    """On s(4, 3) and d(4, 3), a passing verify unpacks no tile and a
+    2-switched copy whose bad pairs lie in one tile of the rows it scans
+    unpacks exactly that one; neither runs more products than the tiles it
+    scans, one each, as a differing tile's counts come from its own
+    product."""
+    ddg, cls, srg = _glued(4, 3)
+    unpacked = []
+    digits, packed = graphs._digits, graphs._packed
+    monkeypatch.setattr(graphs, "_digits", lambda *args: (
+        unpacked.append(1), digits(*args))[1])
+    monkeypatch.setattr(graphs, "_packed", lambda *args: (
+        lambda block, *rest: (block.view(_Operand), *rest))(*packed(*args)))
+    partition = VertexPartition.from_lists(
+        len(cls), [np.flatnonzero(cls == t) for t in range(cls.max() + 1)])
+    m = srg if kind == "srg" else ddg
+    verify = (verify_srg if kind == "srg" else
+              lambda g: verify_ddg(g, partition))
+    _Operand.products = 0
+    assert verify(Graph(m)).passed
+    assert (unpacked, _Operand.products) == ([], _tiles(len(m)))
+    _Operand.products = 0
+    cert = verify(Graph(_switched(m, 8, 256)))
+    assert cert.witnesses[0]["pair"][1] < 256
+    assert len(unpacked) == 1
+    assert 1 <= _Operand.products <= -(-(len(m) - 1) // 256)
 
 
 def test_verifier_memory_stays_below_decode():

@@ -64,3 +64,20 @@ def test_product_latency_reports_both_settings(tmp_path):
             assert 0 < figures["median_ms"] <= figures["p99_ms"]
             assert 0 <= figures["over_1ms"] <= 3
     assert _run(tmp_path, "product_latency.py", ["0"]).returncode == 2
+
+
+def test_pair_kernel_time_reports_each_input(tmp_path):
+    """A small run prints, per input, the quartiles and median of its
+    first_bad_pair times and its first bad pair: none for the outputs,
+    one for each 2-switched copy; a bad N exits 2."""
+    result = _run(tmp_path, "pair_kernel_time.py", ["2"])
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report.pop("calls") == 2
+    names = [f"{kind}({qd})" for qd in ("2,5", "4,3") for kind in "sd"]
+    assert sorted(report) == sorted(names + [f"{name}-switched"
+                                             for name in names])
+    for name, figures in report.items():
+        assert 0 < figures["q1_ms"] <= figures["median_ms"] <= figures["q3_ms"]
+        assert (figures["bad_pair"] is None) == (name in names)
+    assert _run(tmp_path, "pair_kernel_time.py", ["x"]).returncode == 2
