@@ -62,8 +62,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge
-from .graphs import (bit_rows, body_mask, check_vertices,
-                     common_edge_counts, Graph, graph6_encode, set_bits)
+from .graphs import (bit_rows, check_vertices, common_edge_counts, Graph,
+                     graph6_encode, set_bits)
 
 MAX_VERTICES = 256
 MAX_NODES = 25_000
@@ -199,7 +199,8 @@ def _pair_relations(m):
 
 @lru_cache(maxsize=64)
 def _lead_mask(size: int) -> np.ndarray:
-    mask = body_mask(size)
+    """Entries (j, i), i < j, in row-major order: the graph6 body order."""
+    mask = np.tri(size, k=-1, dtype=bool)
     mask.flags.writeable = False
     return mask
 

@@ -147,10 +147,19 @@ def random_left_quasigroup(m: int, seed: int) -> LeftQuasigroup:
     return LeftQuasigroup(m, tuple(rows))
 
 
-def identity_family(m: int, q: int) -> BijectionFamily:
+def _family(m: int, q: int, given) -> BijectionFamily:
+    """The family with sigma[i][j] = given[i, j] and sigma[j][i] its
+    inverse for each key (i, j), i <= j, of `given`, the identity
+    elsewhere."""
     ident = tuple(range(q))
-    return BijectionFamily(m, q, tuple(tuple(ident for _ in range(m))
-                                       for _ in range(m)))
+    sigma = [[ident] * m for _ in range(m)]
+    for (i, j), perm in given.items():
+        sigma[i][j], sigma[j][i] = perm, _invert(perm)
+    return BijectionFamily(m, q, tuple(map(tuple, sigma)))
+
+
+def identity_family(m: int, q: int) -> BijectionFamily:
+    return _family(m, q, {})
 
 
 def random_bijection_family(m: int, q: int, quasigroup: LeftQuasigroup,
@@ -159,14 +168,13 @@ def random_bijection_family(m: int, q: int, quasigroup: LeftQuasigroup,
     if quasigroup.m != m:
         raise ShapeMismatch(f"quasigroup order {quasigroup.m} != {m}")
     rng = random.Random(seed)
-    sigma = [[tuple(range(q))] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            perm = list(range(q))
-            rng.shuffle(perm)
-            sigma[i][j] = tuple(perm)
-            sigma[j][i] = _invert(tuple(perm))
-    return BijectionFamily(m, q, tuple(tuple(row) for row in sigma))
+
+    def shuffled():
+        perm = list(range(q))
+        rng.shuffle(perm)
+        return tuple(perm)
+    return _family(m, q, {(i, j): shuffled() for i in range(m)
+                          for j in range(i + 1, m)})
 
 
 def construct_ddg(designs, quasigroup: LeftQuasigroup,
@@ -282,7 +290,7 @@ def extract_ddg_from_srg(g: Graph, clique) -> tuple[Graph, VertexPartition,
     outside = np.setdiff1d(np.arange(g.n), cl)
 
     attach = g.matrix[np.ix_(outside, cl)]
-    seen = np.count_nonzero(attach, axis=1)
+    seen = degrees(attach)
     if len(seen) and seen.min() != seen.max():
         lo, hi = seen.argmin(), seen.argmax()
         raise NotRegularClique(
@@ -347,24 +355,12 @@ def load_family(path: str, m: int, q: int) -> BijectionFamily:
             raise ShapeError(f"line {lineno}: pair ({i}, {j}) outside [0, {m})")
         if sorted(perm) != list(range(q)):
             raise ShapeError(f"line {lineno}: not a permutation of [0, {q})")
-        if (i, j) in given or (j, i) in given:
+        # a line (j, i), j > i, gives sigma[i][j] as the inverse of perm
+        key = (min(i, j), max(i, j))
+        if key in given:
             raise ParseError(f"pair ({i}, {j}) given twice", line=lineno)
-        given[(i, j)] = tuple(perm)
-
-    ident = tuple(range(q))
-    sigma = [[ident] * m for _ in range(m)]
-    for i in range(m):
-        sigma[i][i] = given.get((i, i), ident)
-        for j in range(i + 1, m):
-            fwd, back = given.get((i, j)), given.get((j, i))
-            if fwd is None and back is None:
-                continue
-            if fwd is None:
-                fwd = _invert(back)
-            if back is None:
-                back = _invert(fwd)
-            sigma[i][j], sigma[j][i] = fwd, back
-    return BijectionFamily(m, q, tuple(tuple(row) for row in sigma))
+        given[key] = tuple(perm) if i <= j else _invert(tuple(perm))
+    return _family(m, q, given)
 
 
 def save_family(family: BijectionFamily, path: str) -> None:

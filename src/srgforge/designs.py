@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParseError, ShapeError
 from .gf import FiniteField, enumerate_hyperplanes, projective_points
 from .graphs import (Certificate, certificate, check_power, check_vertices,
-                     pair_witness, SameClass)
+                     degrees, pair_witness, SameClass)
 
 
 @dataclass(frozen=True)
@@ -210,9 +210,10 @@ def verify_symmetric(design: SymmetricDesign) -> Certificate:
         witnesses.append({"check": "point-range", "point": bad})
     else:
         m = incidence(v, design.blocks)
-        degrees = sorted(set(m.sum(axis=1).tolist()))
-        if any(d != k for d in degrees):
-            witnesses.append({"check": "point-degree", "degrees": degrees})
+        point_degrees = sorted(set(degrees(m).tolist()))
+        if any(d != k for d in point_degrees):
+            witnesses.append({"check": "point-degree",
+                              "degrees": point_degrees})
         elif not witnesses:
             strata = np.broadcast_to(0, (v, v))
             bad, (lam,) = pair_witness(m, strata, ("pair-balance",))

@@ -9,16 +9,11 @@ writes its body one row of the lower triangle at a time, with no n x n
 mask; the decoder regroups four six-bit bytes into three full ones for
 one `np.unpackbits` and mirrors its lower triangle in 256 x 256 blocks.
 Common-neighbour counting, the hot loop of every verifier, is a matrix
-product too: `first_bad_pair` counts in float32 tiles cast from the matrix
-against pair strata (a matrix, or a `SameClass` that compares a class
-vector per tile), and the design verifiers run it on incidence matrices.
-It packs k row slabs of a block into one float32 operand, slab j scaled
-by 2^(j s) for digits in a window of 2^s, so one product counts k rows
-per word; k = floor(24 / s) keeps every partial sum an integer below
-2^24, which float32 holds exactly.  From _SERIAL_BELOW vertices on, the
-two strata of verify_srg (adjacency) and verify_ddg (`SameClass`) are
-folded into the words, and a tile passes when every word equals its
-expected one: only a tile with a bad pair is unpacked into counts.
+product too: `first_bad_pair` plans each call once and counts in exact
+float32 tiles cast from the matrix, k rows packed per word, against pair
+strata (a matrix, or a `SameClass` of class indices); from _SERIAL_BELOW
+vertices on it checks two strata in the packed words themselves.  The
+design verifiers run it on incidence matrices.
 `common_edge_counts` gives, for every pair, the edges among its common
 neighbours, as one Gram matrix of edge rows; canon colours pairs by it.
 Both kernels, and exact_spectrum's products, multiply on the calling
@@ -319,21 +314,37 @@ def degrees(m) -> np.ndarray:
     return m.view(np.uint8).sum(axis=1, dtype=np.int32)
 
 
+def _row_blocks(n: int, folded: bool):
+    """The row blocks (a, b) of first_bad_pair: 8, 16, 32, 64, then
+    _PAIR_ROWS = 128 rows, or 8 and then 128 when folded, where a passing
+    tile costs only its cast and product, which smaller blocks repeat for
+    fewer rows; one block when n <= _PAIR_ROWS, where smaller ones would
+    cost more numpy calls than they save."""
+    a, size = 0, n if n <= _PAIR_ROWS else min(8, _PAIR_ROWS)
+    while a < n - 1:
+        b = min(a + size, n)
+        yield a, b
+        a, size = b, _PAIR_ROWS if folded else min(2 * size, _PAIR_ROWS)
+
+
 def first_bad_pair(m, strata, values):
     """First vertex pair whose common-neighbour count breaks its stratum.
 
     m is a boolean n x c matrix, and the count of a pair (u, w) is the
     number of columns set in both row u and row w: the common neighbours
     for g.matrix, those among the last c vertices for g.matrix[:, n - c:],
-    the blocks through two points for a design's incidence matrix.
-    Scans the pairs (u, w), u < w, in lexicographic order, in row blocks of
-    8, 16, 32, 64, then _PAIR_ROWS = 128 rows (8, then 128 after a folded
-    block, below), or in one block when n <= _PAIR_ROWS, where the smaller
-    blocks would cost more numpy calls than they save.  Each block runs
+    the blocks through two points for a design's incidence matrix.  The
+    stratum strata[u, w] indexes `values`; strata is an integer or boolean
+    n x n matrix, a zero-stride np.broadcast_to view, or a `SameClass`,
+    read only through 2-D slices.  values[t] fixes the count of stratum t,
+    or is None to take it from its first pair.
+
+    Each call plans once: the first pair of each stratum valued None is
+    found in the row blocks of `_row_blocks` and sets its value, and then
+    the fold, the packing and the expected counts are fixed.  The scan
+    takes the pairs (u, w), u < w, in lexicographic order, block by block
     against tiles of 2 * _PAIR_ROWS = 256 later rows, with one float32
-    matrix product per tile (256 x c by c x 64 for a full block at k = 2),
-    the tile cast from m into one reused buffer: each later row is cast
-    once per block, so larger blocks cast less.  The products run in
+    product per tile, the tile cast from m into one reused buffer, in
     _blas_scope(max(n, c)).
 
     The product counts k rows of the block per float32 word.  The block's
@@ -350,27 +361,20 @@ def first_bad_pair(m, strata, values):
     where k would be 0.
 
     From _SERIAL_BELOW vertices on, where it measured faster, two strata
-    with values v0, v1 known in [0, c] are folded: a pair passes when its
-    count less delta S is v0, delta = v1 - v0 and S its 0/1 stratum.  When
+    with values v0, v1 in [0, c] are folded: a pair passes when its count
+    less delta S is v0, delta = v1 - v0 and S its 0/1 stratum.  When
     strata is m itself (verify_srg's adjacency strata; m symmetric), the
     operand holds -delta 2^(j s) in the column of u_j, so the digit is
     cnt - delta S, in a window from -max(delta, 0) up to c + max(-delta,
-    0), and s is the bit length of c + |delta|; for a
-    `SameClass` (verify_ddg) the digit stays the count and the expected
-    word of packed row r gains delta 2^(j s) for each u_j in the class of
-    w, looked up per class.  The words then determine the digits, so a
-    tile passes exactly when each word equals its expected one, v0 times
-    the weight of its row where no class adds, once the first tile's word
-    of each block row u against itself is moved by deg(u) - v0 - delta
-    S(u, u).  Only a tile holding a differing word is unpacked, from the
-    same product, into counts for the check below; it runs on every tile
-    for other strata (verify_srg1_cases's, any integer matrix), below the
-    gate, and in blocks where a value is still unset.
-
-    The stratum strata[u, w] indexes `values`; strata is an integer or
-    boolean n x n matrix, a zero-stride np.broadcast_to view, or a
-    `SameClass`: the kernel reads it only through 2-D slices.  values[t]
-    fixes the count of stratum t, or is None to take it from its first pair.
+    0), and s is the bit length of c + |delta|; for a `SameClass` the digit
+    stays the count and the expected word of packed row r gains
+    delta 2^(j s) for each u_j in the class of w, one row of words per
+    class.  The words then determine the digits, so a tile passes exactly
+    when each word equals its expected one, once the first tile's word of
+    each block row u against itself is moved by deg(u) - v0 - delta S(u, u).
+    Only a tile holding a differing word is unpacked, from the same
+    product, into counts for the check against the stratum values; an
+    unfolded scan unpacks every tile.
 
     Returns ((u, w, count) or None, tuple of the values); a stratum first
     met after the returned pair keeps its given value.
@@ -381,50 +385,46 @@ def first_bad_pair(m, strata, values):
     # uint8 casts to float32 about twice as fast as bool
     m8 = m.view(np.uint8)
     values = list(values)
+    # the first pair w > u of each stratum given no value, from the blocks
+    # a to b - 1 of rows against the columns from a + 1 on (np.triu)
+    first = {}
+    for a, b in _row_blocks(n, False):
+        for t in [t for t, v in enumerate(values) if v is None]:
+            hit = np.triu(strata[a:b, a + 1:] == t)
+            if hit.any():
+                u, w = divmod(int(hit.argmax()), n - a - 1)
+                first[t] = (a + u, a + 1 + w)
+                values[t] = int(np.count_nonzero(m[a + u] & m[a + 1 + w]))
+        if None not in values:
+            break
+    # a stratum never met has no pair w > u, so its -1 is compared only at
+    # pairs w <= u, which `upper` drops
+    expected = np.array([-1 if v is None else v for v in values], np.int32)
+    # the fold's strata are the counted matrix itself, whose tile entry
+    # (w, u) is S(u, w), or the class index of each vertex.  It needs both
+    # values in [0, c] (another fails at its first pair, found unpacked);
+    # c < 2^23 keeps c + |delta| < 2^24
+    folded = (n >= _SERIAL_BELOW and len(values) == 2
+              and (strata is m or isinstance(strata, SameClass))
+              and None not in values and 0 <= min(values)
+              and max(values) <= c < 1 << 23)
+    v0, v1 = values if folded else (0, 0)
+    delta = v1 - v0
+    adjacent = folded and strata is m
+    classes = strata.cls if folded and not adjacent else None
+    # delta S comes off in the product for adjacency strata
+    inner = delta if adjacent else 0
+    low = min(0, -inner)
+    s = (max(c, 1) + abs(inner)).bit_length()
+    k = 24 // s
     tile = 2 * _PAIR_ROWS
-    # the fold's strata: the counted matrix itself, whose tile entry (w, u)
-    # is S(u, w), or the class index of each vertex
-    adjacent, classes = False, None
-    if n >= _SERIAL_BELOW and len(values) == 2:
-        if strata is m:
-            adjacent = True
-        elif isinstance(strata, SameClass):
-            groups, classes = np.unique(strata.cls, return_inverse=True)
     # one float32 buffer serves every column tile: a fresh array per tile
     # would pay its page faults each time
     buf = np.empty((min(tile, n), c), np.float32)
     # the pairs w > u of a block against its first tile, w0 = a + 1
     upper = ~np.tri(min(n, _PAIR_ROWS), tile, -1, bool)
     with _blas_scope(max(n, c)):
-        a, size = 0, n if n <= _PAIR_ROWS else min(8, _PAIR_ROWS)
-        while a < n - 1:
-            b = min(a + size, n)
-            # values of the strata first met in this block, from their
-            # first pair; np.triu keeps the pairs w > u of columns from
-            # a + 1 on
-            met = {}
-            for t in [t for t, v in enumerate(values) if v is None]:
-                hit = np.triu(strata[a:b, a + 1:] == t)
-                if hit.any():
-                    u, w = divmod(int(hit.argmax()), n - a - 1)
-                    met[t] = (a + u, a + 1 + w)
-                    values[t] = int(np.count_nonzero(m[a + u]
-                                                     & m[a + 1 + w]))
-            # a stratum still unmet has no pair w > u in this block, so its
-            # -1 is compared only at pairs w <= u, which `upper` drops
-            expected = np.array([-1 if v is None else v for v in values],
-                                np.int32)
-            # the fold needs both values, in [0, c] (another fails at its
-            # first pair, found unpacked); c < 2^23 keeps c + |delta| < 2^24
-            folded = ((adjacent or classes is not None) and None not in values
-                      and 0 <= min(values) and max(values) <= c < 1 << 23)
-            v0, v1 = values if folded else (0, 0)
-            delta = v1 - v0
-            # delta S comes off in the product for adjacency strata
-            inner = delta if adjacent else 0
-            low = min(0, -inner)
-            s = (max(c, 1) + abs(inner)).bit_length()
-            k = 24 // s
+        for a, b in _row_blocks(n, folded):
             # rows a to a + rows - 1 can still hold a pair before the best
             # so far; the block is packed again when they shrink
             rows, best, block = b - a, None, None
@@ -441,8 +441,8 @@ def first_bad_pair(m, strata, values):
                         if adjacent:
                             block[a + i, i % h] -= delta * scale
                         else:
-                            want = want + np.zeros((len(groups), 1),
-                                                   np.float32)
+                            want = np.repeat(want[None], classes.max() + 1,
+                                             axis=0)
                             np.add.at(want, (classes[a:a + rows], i % h),
                                       delta * scale)
                 later = buf[:min(tile, n - w0)]
@@ -476,18 +476,16 @@ def first_bad_pair(m, strata, values):
                         break
                     block = None
             if best:
-                return best, tuple(None if met.get(t, best[:2]) > best[:2]
+                return best, tuple(None if first.get(t, best[:2]) > best[:2]
                                    else v for t, v in enumerate(values))
-            # a full block follows a folded one: a passing tile costs only
-            # its cast and product, which smaller blocks repeat for fewer rows
-            a, size = b, _PAIR_ROWS if folded else min(2 * size, _PAIR_ROWS)
         return None, tuple(values)
 
 
 class SameClass:
-    """The pair strata of a class vector, cls[u] == cls[w] at (u, w), with
-    no n x n matrix behind them: first_bad_pair's tile slices and
-    pair_witness's [u, w] lookups compare the classes they cover."""
+    """The pair strata of a vector of class indices in [0, m), cls[u] ==
+    cls[w] at (u, w), with no n x n matrix behind them: first_bad_pair's
+    tile slices and pair_witness's [u, w] lookups compare the classes they
+    cover, and its fold keeps one row of expected words per class."""
 
     def __init__(self, cls):
         self.cls = np.asarray(cls)
@@ -725,12 +723,6 @@ def _g6_size_bytes(n: int) -> bytes:
     if n <= 258047:
         return bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     raise ValueError("graph6 supports at most 258047 vertices here")
-
-
-def body_mask(n: int) -> np.ndarray:
-    """Entries (j, i), i < j, in row-major order: x(i, j) for j = 1..n-1 and
-    i < j, the graph6 body order."""
-    return np.tri(n, k=-1, dtype=bool)
 
 
 def graph6_encode(g: Graph) -> str:

@@ -213,20 +213,15 @@ def _times(left, right):
 
 
 def _matrix_powers(adj):
-    """p -> A^p for A = adj, each power built once, on first use, as A
-    times the power below it.  power(2, take=True) hands A^2 over to a
-    caller that may overwrite it: the powers forget A^2 and every power
-    above it, and build them again if they are asked for later."""
+    """p -> A^p for A = adj and p = 1 or 2, A^2 built on first use; higher
+    powers are _traces' own, mod P.  power(2, take=True) hands A^2 over to
+    a caller that may overwrite it, and forgets it."""
     powers = [adj]
 
     def power(p: int, take: bool = False):
-        assert p == 2 or not take, "only A^2 is handed over"
-        while len(powers) < p:
-            powers.append(_times(adj, powers[-1]))
-        m = powers[p - 1]
-        if take:
-            del powers[1:]
-        return m
+        if len(powers) < p:
+            powers.append(_times(adj, adj))
+        return powers.pop() if take else powers[p - 1]
     return power
 
 
@@ -243,25 +238,23 @@ def _factors(ints: list[int], rads: list[int]) -> list[tuple[int, int, int]]:
 
 
 def _factor(power, c2: int, c1: int, c0: int, take: bool = False):
-    """c2 A^2 + c1 A + c0 I, c2 or c1 nonzero, built elementwise from the
-    powers A^p = power(p) it needs, in the number type of its entry bound.
-    A itself is the factor (0, 1, 0), not a copy, so callers must not
-    write to it.  With take, for the last factor that reads A^2, A^2 is
-    handed over by power and the factor built in its place when the number
-    types agree.  c1 A is added _BAND rows at a time, so no scaled copy of
-    A is held whole."""
+    """c2 A^2 + c1 A + c0 I, monic (c2 = 1, or c2 = 0 and c1 = 1), built
+    elementwise from the powers A^p = power(p) it needs, in the number type
+    of its entry bound.  A itself is the factor (0, 1, 0), not a copy, so
+    callers must not write to it.  With take, for the last factor that
+    reads A^2, A^2 is handed over by power and the factor built in its
+    place when the number types agree.  c1 A is added _BAND rows at a time,
+    so no scaled copy of A is held whole."""
     if (c2, c1, c0) == (0, 1, 0):
         return power(1)
     terms = [(c, p) for p, c in ((2, c2), (1, c1)) if c]
     dtype = _number_type(abs(c0) + sum(abs(c) * _max_abs(power(p))
                                        for c, p in terms))
-    (c, p), *rest = terms
+    (_, p), *rest = terms
     if take and p == 2 and power(2).dtype == dtype:
         factor = power(2, take=True)
-        if c != 1:
-            factor *= c
     else:
-        factor = c * power(p).astype(dtype, copy=False)
+        factor = power(p).astype(dtype)
     for c, p in rest:
         m = power(p)
         for i in range(0, len(m), _BAND):

@@ -343,6 +343,30 @@ def test_malformed_flag_values_exit_2(workdir, capsys, argv, message):
     assert list(workdir.iterdir()) == [workdir / "pet.g6"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen-ddg", "--q", "2", "--d", "13", "--seed", "0"],
+     "the glued graph would have at least 2^13 vertices, over the "
+     "4096-vertex limit"),
+    (["spectrum", "--in", "pet.g6", "--srg", "0,0,0,0"],
+     "eigenvalues r and s coincide"),
+    (["spectrum", "--in", "pet.g6", "--srg", "1,1,0,0"],
+     "multiplicities are not integers"),
+    (["spectrum", "--in", "pet.g6", "--srg", "0,0,1,0"],
+     "negative multiplicity"),
+])
+def test_refused_parameters_exit_2(workdir, capsys, argv, message):
+    """Parameters that pass parsing but that the builders or the SRG
+    spectrum refuse: 2^13 vertices and more before q^d is computed, and
+    feasible (v, k, lambda, mu) whose restricted eigenvalues coincide or
+    whose multiplicities are fractional or out of [0, v - 1]."""
+    (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"srgforge: {message}\n"
+    assert list(workdir.iterdir()) == [workdir / "pet.g6"]
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--in", "pet.g6", "--candidates", "3,1,-2", "--srg", "1,2"],
     ["spectrum", "--in", "pet.g6", "--ddg", "12,6,2,3,3,4",

@@ -325,3 +325,19 @@ def test_family_file_defaults_and_errors(tmp_path):
     path.write_text("0 1 : 1 2 0\n1 0 : 1 2 0\n")
     with pytest.raises(ParseError):
         load_family(path, 3, 3)
+
+
+def test_family_file_pair_given_as_j_i(tmp_path):
+    """A line `j i : perm`, j > i, gives sigma[j][i] = perm and sigma[i][j]
+    its inverse; a line `i i : perm` is taken only for the identity."""
+    path = tmp_path / "fam.txt"
+    path.write_text("2 0 : 1 2 0\n1 1 : 0 1 2\n")
+    fam = load_family(path, 3, 3)
+    assert fam.sigma[2][0] == (1, 2, 0)
+    assert fam.sigma[0][2] == (2, 0, 1)
+    path.write_text("0 2 : 2 0 1\n")
+    assert load_family(path, 3, 3) == fam
+    path.write_text("1 1 : 1 2 0\n")
+    with pytest.raises(ValueError, match=r"sigma\[1\]\[1\] must be the "
+                       "identity"):
+        load_family(path, 3, 3)

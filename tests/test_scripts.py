@@ -81,3 +81,26 @@ def test_pair_kernel_time_reports_each_input(tmp_path):
         assert 0 < figures["q1_ms"] <= figures["median_ms"] <= figures["q3_ms"]
         assert (figures["bad_pair"] is None) == (name in names)
     assert _run(tmp_path, "pair_kernel_time.py", ["x"]).returncode == 2
+
+
+def test_line_coverage_lists_unexecuted_statements(tmp_path):
+    """Traced over the field tests alone, every module gets a count line:
+    gf runs all but a few statements, canon none, and the header says that
+    subprocesses are not traced."""
+    result = _run(tmp_path, "line_coverage.py",
+                  ["-q", "-p", "no:cacheprovider",
+                   str(ROOT / "tests" / "test_gf.py")])
+    assert result.returncode == 0, result.stderr
+    assert "tests run in subprocesses are not traced" in result.stdout
+    counts = {}
+    for line in result.stdout.splitlines():
+        name, sep, rest = line.partition(": ")
+        if sep and rest.endswith(" statements not executed"):
+            missed, _, total = rest.split()[:3]
+            counts[Path(name).name] = int(missed), int(total)
+    assert sorted(counts) == sorted(
+        p.name for p in (ROOT / "src" / "srgforge").glob("*.py"))
+    missed, total = counts["gf.py"]
+    assert missed < total // 4
+    missed, total = counts["canon.py"]
+    assert missed == total > 0

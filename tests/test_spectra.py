@@ -24,6 +24,7 @@ from srgforge import spectra
 from srgforge.spectra import (_annihilator, _factor, _factors, _matrix_powers,
                               _number_type, _product_mod, _times, _traces,
                               adjacency_matrix, P)
+from srgforge.spectra import _annihilates
 from srgforge.srg import srg_params
 from test_ddg import build
 from test_srg import srg1
@@ -742,11 +743,36 @@ def test_modular_zero_test_on_a_product_of_complete_graphs(monkeypatch):
     for dropped in (12, -4):
         with pytest.raises(NotAnnihilated, match="do not annihilate"):
             exact_spectrum(g, [e for e in eigs if e != dropped])
+        # the trace solve refuses them: no modular product, the only kind
+        # past their bounds of 2^57 and 2^58
+        assert primes == _zero_test_primes(g.n, 3)
     monkeypatch.setattr(spectra, "MAX_WORK", 10**9)
     assert 420**3 * 6 + 2**8 * 14**3 < 10**9 < 420**3 * 24
     with pytest.raises(TooLarge, match="^24 products of 420 x 420 matrices "
                        "exceed the spectrum work limit$"):
         exact_spectrum(g, eigs)
+
+
+def test_modular_zero_test_refuses_a_missing_eigenvalue(monkeypatch):
+    """The factors of the integer eigenvalues of K3 x K4 x K5 x K7 but 12,
+    padded with the non-eigenvalues 2 and 9, do not annihilate A: their
+    bound passes 2^53, and the product modulo the first prime of the zero
+    test is already nonzero."""
+    g, spectrum = _complete_product(3, 4, 5, 7)
+    ints = [e for e in spectrum.eigenvalues if e != 12] + [2, 9]
+    coeffs = _factors(ints, [])
+    assert math.prod(c2 * 15**2 + abs(c1) * 15 + abs(c0)
+                     for c2, c1, c0 in coeffs) >= 2**53
+    primes = []
+
+    def product_mod(power, coeffs, ell):
+        primes.append(ell)
+        return _product_mod(power, coeffs, ell)
+
+    monkeypatch.setattr(spectra, "_product_mod", product_mod)
+    assert not _annihilates(_matrix_powers(adjacency_matrix(g)), 15, coeffs,
+                            False)
+    assert primes == _zero_test_primes(g.n, 1)
 
 
 def test_exact_spectrum_vertex_limit():

@@ -143,6 +143,22 @@ def test_construct_srg1_rejects_bad_input():
         construct_srg1(pet, part, design5, ClassBlockMap.identity(5))
 
 
+def test_construct_srg1_refuses_a_ddg_outside_the_glued_family():
+    """K_{7x2}, with its 7 pairs as classes, is a DDG with 7 classes, as
+    many as the Fano plane has points, but (14, 12, 12, 10, 7, 2) is no
+    glued-design parameter set; the audit of the attached graph finds no
+    (q, d) for 7 classes of 2 vertices."""
+    g = complete_multipartite(*[2] * 7)
+    partition = VertexPartition.from_lists(
+        14, [[2 * i, 2 * i + 1] for i in range(7)])
+    assert verify_ddg(g, partition).passed
+    with pytest.raises(PreconditionFailed, match=r"parameters \(14, 12, "
+                       r"12, 10, 7, 2\) are not of the glued-design form"):
+        construct_srg1(g, partition, fano_plane(), ClassBlockMap.identity(7))
+    cert = verify_srg1_cases(empty_graph(21), partition, fano_plane())
+    assert cert.witnesses == ({"check": "shape", "m": 7, "n": 2},)
+
+
 def test_construct_srg1_checks_its_design():
     g, partition = build(2, 3)
     design = projective_complement_design(make_field(2, 1), 3)
