@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Time the pair kernel, `graphs.first_bad_pair`, on the verify sizes.
+"""Time the pair kernel, `graphs.first_bad_pair`, on the gen and verify
+sizes.
 
     PYTHONPATH=src python3 scripts/pair_kernel_time.py N
 
 builds the glued DDG d(q,d) and its coclique-attached SRG s(q,d) at
-(q, d) = (2, 5) and (4, 3), 992 to 1365 vertices (cyclic quasigroup,
-random bijection family from seed 0, identity block map), and a copy of
-each with one degree-keeping 2-switch, edges ab and cd made ad and cb,
-placed by random.Random(0).  It calls `first_bad_pair` on each as the
+(q, d) = (2, 5) and (4, 3), 992 to 1365 vertices, and at (2, 4) and
+(3, 3), 240 to 364 vertices, in that order (cyclic quasigroup, random
+bijection family from seed 0, identity block map), and a copy of each
+with one degree-keeping 2-switch, edges ab and cd made ad and cb, placed
+by random.Random(0).  It calls `first_bad_pair` on each as the
 verifiers do, with the adjacency matrix as the strata of an SRG and the
 `SameClass` of its classes for a DDG, N times in turn, each call timed
 alone, and prints one JSON object: per input the median and the first and
@@ -64,7 +66,7 @@ def main(argv: list[str]) -> int:
     calls = int(argv[0])
     rng = random.Random(0)
     inputs = {}
-    for q, d in ((2, 5), (4, 3)):
+    for q, d in ((2, 5), (4, 3), (2, 4), (3, 3)):
         ddg, classes, srg = _glued(q, d)
         for name, g, strata in ((f"s({q},{d})", srg, None),
                                 (f"d({q},{d})", ddg, classes)):

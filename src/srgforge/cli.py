@@ -157,11 +157,8 @@ def _spectrum_report(g: Graph, cert) -> tuple[dict, bool]:
     params = DdgParams.from_certificate(cert)
     formula = ddg_formula_spectrum(params)
     spec = exact_spectrum(g, formula.candidates())
-    if formula.theta1 == 0:
-        f_total = spec.multiplicity_of(0)
-    else:
-        f_total = (spec.multiplicity_of(formula.theta1) +
-                   spec.multiplicity_of(-formula.theta1))
+    f_total = sum(spec.multiplicity_of(e)
+                  for e in {formula.theta1, -formula.theta1})
     ok = f_total == formula.f_sum
     return {"spectrum": spec.serialize(), "f_sum": formula.f_sum,
             "g_sum": formula.g_sum, "f_sum_ok": ok}, ok

@@ -11,9 +11,9 @@ one `np.unpackbits` and mirrors its lower triangle in 256 x 256 blocks.
 Common-neighbour counting, the hot loop of every verifier, is a matrix
 product too: `first_bad_pair` plans each call once and counts in exact
 float32 tiles cast from the matrix, k rows packed per word, against pair
-strata (a matrix, or a `SameClass` of class indices); from _SERIAL_BELOW
-vertices on it checks two strata in the packed words themselves.  The
-design verifiers run it on incidence matrices.
+strata (a matrix, or a `SameClass` of class indices); at every size it
+checks two-valued adjacency or class strata in the packed words
+themselves.  The design verifiers run it on incidence matrices.
 `common_edge_counts` gives, for every pair, the edges among its common
 neighbours, as one Gram matrix of edge rows; canon colours pairs by it.
 Both kernels, and exact_spectrum's products, multiply on the calling
@@ -173,11 +173,13 @@ def bitset(vertices) -> int:
 
 
 # kernels on graphs below this many vertices multiply on the calling
-# thread.  On 2 cores one thread cost a gen-srg1's pair passes and spectra
-# about 4 % at 392-400 vertices and 20 % at 576-585 when no product waited
-# for OpenBLAS's worker thread; where products woke it after idle time
-# (3 ms sleeps between calls), one thread took a 364-vertex pair pass from
-# 32.9 ms to 1.6 ms
+# thread.  It sets the BLAS thread count (`_blas_scope`) and nothing else:
+# the pair kernel plans its scans alike at every size.  On 2 cores one
+# thread cost a gen-srg1's pair passes and spectra about 4 % at 392-400
+# vertices and 20 % at 576-585 when no product waited for OpenBLAS's
+# worker thread; where products woke it after idle time (3 ms sleeps
+# between calls), one thread took a 364-vertex pair pass from 32.9 ms to
+# 1.6 ms
 _SERIAL_BELOW = 512
 
 
@@ -314,17 +316,17 @@ def degrees(m) -> np.ndarray:
     return m.view(np.uint8).sum(axis=1, dtype=np.int32)
 
 
-def _row_blocks(n: int, folded: bool):
-    """The row blocks (a, b) of first_bad_pair: 8, 16, 32, 64, then
-    _PAIR_ROWS = 128 rows, or 8 and then 128 when folded, where a passing
-    tile costs only its cast and product, which smaller blocks repeat for
-    fewer rows; one block when n <= _PAIR_ROWS, where smaller ones would
-    cost more numpy calls than they save."""
+def _row_blocks(n: int):
+    """The row blocks (a, b) of first_bad_pair: 8 rows, where a bad pair
+    near the start stops the scan early, then _PAIR_ROWS = 128, as a
+    passing tile costs its cast and product, which smaller blocks repeat
+    for fewer rows; one block when n <= _PAIR_ROWS, where smaller ones
+    would cost more numpy calls than they save."""
     a, size = 0, n if n <= _PAIR_ROWS else min(8, _PAIR_ROWS)
     while a < n - 1:
         b = min(a + size, n)
         yield a, b
-        a, size = b, _PAIR_ROWS if folded else min(2 * size, _PAIR_ROWS)
+        a, size = b, _PAIR_ROWS
 
 
 def first_bad_pair(m, strata, values):
@@ -360,21 +362,22 @@ def first_bad_pair(m, strata, values):
     of the entry's int32 cast (`_digits`).  The kernel refuses c >= 2^24,
     where k would be 0.
 
-    From _SERIAL_BELOW vertices on, where it measured faster, two strata
-    with values v0, v1 in [0, c] are folded: a pair passes when its count
-    less delta S is v0, delta = v1 - v0 and S its 0/1 stratum.  When
-    strata is m itself (verify_srg's adjacency strata; m symmetric), the
-    operand holds -delta 2^(j s) in the column of u_j, so the digit is
-    cnt - delta S, in a window from -max(delta, 0) up to c + max(-delta,
-    0), and s is the bit length of c + |delta|; for a `SameClass` the digit
-    stays the count and the expected word of packed row r gains
-    delta 2^(j s) for each u_j in the class of w, one row of words per
-    class.  The words then determine the digits, so a tile passes exactly
-    when each word equals its expected one, once the first tile's word of
-    each block row u against itself is moved by deg(u) - v0 - delta S(u, u).
-    Only a tile holding a differing word is unpacked, from the same
-    product, into counts for the check against the stratum values; an
-    unfolded scan unpacks every tile.
+    At every size, two strata with values v0, v1 in [0, c] are folded: a
+    pair passes when its count less delta S is v0, delta = v1 - v0 and S
+    its 0/1 stratum.  When strata is m itself (verify_srg's adjacency
+    strata; m symmetric), the operand holds -delta 2^(j s) in the column
+    of u_j, so the digit is cnt - delta S, in a window from -max(delta, 0)
+    up to c + max(-delta, 0), and s is the bit length of c + |delta|; for
+    a `SameClass` the digit stays the count and the expected word of
+    packed row r gains delta 2^(j s) for each u_j in the class of w, one
+    row of words per class.  The words then determine the digits, so a
+    tile passes exactly when each word equals its expected one, once the
+    first tile's word of each block row u against itself is moved by
+    deg(u) - v0 - delta S(u, u).  Only a tile holding a differing word is
+    unpacked, from the same product, into counts for the check against
+    the stratum values.  The scans the fold cannot take (not two strata,
+    another strata matrix, or a value outside [0, c] or never met) unpack
+    every tile.
 
     Returns ((u, w, count) or None, tuple of the values); a stratum first
     met after the returned pair keeps its given value.
@@ -388,7 +391,7 @@ def first_bad_pair(m, strata, values):
     # the first pair w > u of each stratum given no value, from the blocks
     # a to b - 1 of rows against the columns from a + 1 on (np.triu)
     first = {}
-    for a, b in _row_blocks(n, False):
+    for a, b in _row_blocks(n):
         for t in [t for t, v in enumerate(values) if v is None]:
             hit = np.triu(strata[a:b, a + 1:] == t)
             if hit.any():
@@ -404,7 +407,7 @@ def first_bad_pair(m, strata, values):
     # (w, u) is S(u, w), or the class index of each vertex.  It needs both
     # values in [0, c] (another fails at its first pair, found unpacked);
     # c < 2^23 keeps c + |delta| < 2^24
-    folded = (n >= _SERIAL_BELOW and len(values) == 2
+    folded = (len(values) == 2
               and (strata is m or isinstance(strata, SameClass))
               and None not in values and 0 <= min(values)
               and max(values) <= c < 1 << 23)
@@ -424,7 +427,7 @@ def first_bad_pair(m, strata, values):
     # the pairs w > u of a block against its first tile, w0 = a + 1
     upper = ~np.tri(min(n, _PAIR_ROWS), tile, -1, bool)
     with _blas_scope(max(n, c)):
-        for a, b in _row_blocks(n, folded):
+        for a, b in _row_blocks(n):
             # rows a to a + rows - 1 can still hold a pair before the best
             # so far; the block is packed again when they shrink
             rows, best, block = b - a, None, None

@@ -29,8 +29,8 @@ fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  An SRG spectrum
 {k, r, s} takes one n x n product, A^2, and a glued DDG's formula spectrum
 {k, +-theta1, 0} two.  TooLarge stops a stage, the traces with their solve
 or the product, whose work passes MAX_WORK before it runs.  Both stages
-multiply in graphs._blas_scope: on the calling thread alone for a graph
-below its vertex count.
+multiply in one graphs._blas_scope: on the calling thread alone for a
+graph below its vertex count.
 
 The n x n arrays a spectrum holds are A (float32), A^2 and the running
 product: the last factor with an A^2 term is built in A^2's place once no
@@ -421,23 +421,23 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     power = _matrix_powers(adjacency_matrix(g))
     with _blas_scope(n):
         traces = _traces(power, rows)
-    values = _solve_mod(np.array(
-        [[pow(a, s, P) for a in ints] +
-         [0 if s % 2 else 2 * pow(t, s // 2, P) % P for t in rads] + [trace]
-         for s, trace in enumerate(traces)], dtype=np.int64))
-    if values is None or values.max() > n:
-        raise missing
+        values = _solve_mod(np.array(
+            [[pow(a, s, P) for a in ints] +
+             [0 if s % 2 else 2 * pow(t, s // 2, P) % P for t in rads] +
+             [trace] for s, trace in enumerate(traces)], dtype=np.int64))
+        if values is None or values.max() > n:
+            raise missing
 
-    # the candidates with a nonzero value annihilate A exactly when they
-    # hold every eigenvalue, and then the values are the multiplicities
-    counts.update(zip(eigs, values.tolist()))
-    live = [a for a in ints if counts[a]]
-    rads = [t for t in rads if counts[Radical(t)]]
-    deflate = delta in live and len(live) + len(rads) > 1 and \
-        int(deg.min()) == delta
-    coeffs = _factors([a for a in live if not (deflate and a == delta)],
-                      rads)
-    with _blas_scope(n):
+        # the candidates with a nonzero value annihilate A exactly when
+        # they hold every eigenvalue, and then the values are the
+        # multiplicities
+        counts.update(zip(eigs, values.tolist()))
+        live = [a for a in ints if counts[a]]
+        rads = [t for t in rads if counts[Radical(t)]]
+        deflate = delta in live and len(live) + len(rads) > 1 and \
+            int(deg.min()) == delta
+        coeffs = _factors([a for a in live if not (deflate and a == delta)],
+                          rads)
         if not _annihilates(power, delta, coeffs, deflate):
             raise missing
     spec = make_spectrum((x, m) for e, m in counts.items() for x in (

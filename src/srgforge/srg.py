@@ -72,7 +72,7 @@ def verify_srg(g: Graph) -> Certificate:
 
     Regularity, then a constant common-neighbour count over adjacent pairs
     (lambda) and over non-adjacent pairs (mu), both inferred from the first
-    pair of each kind; the feasibility identity is re-checked at the end.
+    pair of each kind.
     """
     n = g.n
     k, irregular = regularity(g)
@@ -82,10 +82,6 @@ def verify_srg(g: Graph) -> Certificate:
     if not witnesses:
         bad, (mu, lam) = pair_witness(g.matrix, g.matrix, ("mu", "lambda"))
         witnesses += [bad] if bad else []
-
-    if not witnesses and k * (k - lam - 1) != (n - k - 1) * mu:
-        witnesses.append({"check": "feasibility",
-                          "lhs": k * (k - lam - 1), "rhs": (n - k - 1) * mu})
 
     return certificate("srg", parameters={"v": n, "k": k, "lambda": lam,
                                           "mu": mu}, witnesses=witnesses)

@@ -5,8 +5,8 @@ three verifiers as they were written before `first_bad_pair` existed, each
 with its own Python pair loop, and serve as the oracle of the numpy kernel.
 The kernel-based verifiers must give the same certificate JSON, first
 witness and inferred parameters included, both on random inputs and on
-2-switched outputs of the constructions.  Past the size gate, where the
-kernel checks adjacency and class strata in its packed words, flips and
+2-switched outputs of the constructions.  Where the kernel checks
+two-valued adjacency and class strata in its packed words, flips and
 switches are compared with a recount, and a passing scan must unpack no
 tile.  The last tests check that the kernels' results do not depend on
 the BLAS thread count, and the scope that runs small graphs' products on
@@ -567,25 +567,29 @@ def _block_diagonal(*parts):
     return m
 
 
-@pytest.mark.parametrize("case", ["first-full-block", "last-partial-block"])
+@pytest.mark.parametrize("case", ["first-full-block", "second-full-block",
+                                  "last-partial-block"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_switched_witness_in_full_and_partial_blocks(case, seed):
-    """About 300 vertices in blocks of 8, 16, 32, 64, then _PAIR_ROWS = 128
-    rows: [120, 248) is the first full block and [248, n) the last, partial
-    one.  Untouched pieces come first and a 2-switched one after them, so
-    the first bad row falls in the block named.  Strata hold one count each
-    of the unswitched graph; witness and inferred values must match the
-    recount."""
+    """About 300 vertices in blocks of 8, then _PAIR_ROWS = 128 rows:
+    [8, 136) and [136, 264) are the full blocks and [264, n) the last,
+    partial one.  Untouched pieces come first and a 2-switched one after
+    them, so the first bad row falls in the block named.  Strata hold one
+    count each of the unswitched graph; witness and inferred values must
+    match the recount."""
+    d42, _, s42, _ = _PIECES[4, 2]
+    d23, _, s23, _ = _PIECES[2, 3]
     if case == "first-full-block":
-        d42, _, s42, _ = _PIECES[4, 2]
-        d23, _, s23, _ = _PIECES[2, 3]
+        before, switched, after = (s23,), d42, (s42, d23)
+        rows = (8, 136)
+    elif case == "second-full-block":
         before, switched, after = (s42, s23), d42, (d23,)
-        rows = (120, 248)
+        rows = (136, 264)
     else:
-        _, _, s24, _ = _srg1_pieces(2, 4, 7)
-        d23, _, _, _ = _PIECES[2, 3]
-        before, switched, after = (s24,), d23, ()
-        rows = (248, None)
+        d24, _, _, _ = _srg1_pieces(2, 4, 7)
+        d32, _, s32, _ = _PIECES[3, 2]
+        before, switched, after = (d24, s32), d32, ()
+        rows = (264, None)
     assert graphs._PAIR_ROWS == 128
     m = _block_diagonal(*before, switched, *after)
     bad = _block_diagonal(*before, _two_switched(switched, seed, 1), *after)
@@ -604,14 +608,15 @@ def test_switched_witness_in_full_and_partial_blocks(case, seed):
 
 
 # ---------------------------------------------------------------------------
-# the folded check: from _SERIAL_BELOW vertices on, adjacency strata and
-# SameClass strata are checked in the packed words, and only a tile holding
-# a bad pair is unpacked
+# the folded check: two-valued adjacency strata and SameClass strata are
+# checked in the packed words, and only a tile holding a bad pair is
+# unpacked
 
 
 def _scanned(ref, strata, values):
-    """ref_first_bad_pair in array operations, for graphs past the gate:
-    ref the recounted counts and strata an n x n matrix."""
+    """ref_first_bad_pair in array operations, fast enough for graphs of
+    a thousand vertices: ref the recounted counts and strata an n x n
+    matrix."""
     u, w = np.triu_indices(len(ref), 1)
     st, counts = strata[u, w].astype(np.intp), ref[u, w]
     firsts = [next(iter(np.flatnonzero(st == t)), None)
@@ -699,17 +704,18 @@ def _switched(m, lo: int, hi: int = None):
     return _flipped(m, (a, b), (c, d), (a, d), (c, b))
 
 
-@pytest.mark.parametrize("q, d", [(2, 5), (4, 3)])
+@pytest.mark.parametrize("q, d", [(2, 3), (3, 3), (2, 5), (4, 3)])
 @pytest.mark.parametrize("kind", ["srg", "ddg"])
 def test_folded_flips_and_switches_match_recount(q, d, kind):
-    """Single-edge flips and 2-switches of the glued DDG and SRG, past the
-    gate: a flip inside the first tile, one whose pairs all lie in a later
-    tile, one whose first bad row opens the second slab of block 0 (rows 0
-    to 7, two slabs of four) and one ending it, and a 2-switch of four
-    late vertices.  Witness, count and values match the recount."""
+    """Single-edge flips and 2-switches of the glued DDG and SRG, from 56
+    vertices (one block, one tile) to 1365: a flip inside the first tile,
+    one whose first bad row is 3 and one whose first bad row is 4, which
+    open and end the second slab of block 0 past 128 vertices (rows 0 to
+    7, two slabs of four), and, past one tile, a flip whose pairs all lie
+    in a later tile and a 2-switch of four late vertices.  Witness, count
+    and values match the recount."""
     ddg, cls, srg = _glued(q, d)
     m, same = (srg, None) if kind == "srg" else (ddg, cls)
-    assert len(m) >= graphs._SERIAL_BELOW
     # a relabelling, as the glued rows 0 to 3 share most neighbours
     perm = np.random.default_rng(len(m)).permutation(len(m))
     m = m[np.ix_(perm, perm)]
@@ -717,15 +723,16 @@ def test_folded_flips_and_switches_match_recount(q, d, kind):
     tile = 2 * graphs._PAIR_ROWS
     bad = _check_folded(_flipped(m, (1, 2)), same=same)
     assert bad[1] <= tile
-    late = _edge_between(m, [], 2 * tile)
-    bad = _check_folded(_flipped(m, late), same=same)
-    assert bad[0] < 8 and bad[1] > tile
     for first in (3, 4):
         u, w = _edge_between(m, list(range(first)), 8, near=first)
         bad = _check_folded(_flipped(m, (u, w)), same=same)
         assert bad[0] == first
-    bad = _check_folded(_switched(m, 2 * tile), same=same)
-    assert bad[0] < 8 and bad[1] > tile
+    if len(m) > tile + 1:
+        late = _edge_between(m, [], tile + 1)
+        bad = _check_folded(_flipped(m, late), same=same)
+        assert bad[0] < 8 and bad[1] > tile
+        bad = _check_folded(_switched(m, tile + 1), same=same)
+        assert bad[0] < 8 and bad[1] > tile
 
 
 def test_folded_adjacency_strata_of_both_signs():
@@ -774,10 +781,10 @@ def _triangles(n: int, lone):
 
 
 def test_folded_witness_anywhere_in_a_block(monkeypatch):
-    """Bad pairs put in place past the gate, where blocks are [0, 8), then
-    [8 + 128 i, 136 + 128 i): on the slab boundaries of block 0 (rows 3 and
-    4) and of [136, 264) (rows 199 and 200), in a later tile, and two at
-    once, the earlier row in the later tile, so the block is packed again.
+    """Bad pairs put in place in the blocks [0, 8), then [8 + 128 i,
+    136 + 128 i): on the slab boundaries of block 0 (rows 3 and 4) and of
+    [136, 264) (rows 199 and 200), in a later tile, and two at once, the
+    earlier row in the later tile, so the block is packed again.
     Adjacency strata of triangles, and SameClass strata of rows with one
     class column and one private column each (counts 1 and 0), where a
     column shared by rows u and w changes their pair alone."""
@@ -866,31 +873,33 @@ class _Operand(np.ndarray):
 
 @pytest.mark.parametrize("kind", ["srg", "ddg"])
 def test_passing_tiles_are_not_unpacked(monkeypatch, kind):
-    """On s(4, 3) and d(4, 3), a passing verify unpacks no tile and a
-    2-switched copy whose bad pairs lie in one tile of the rows it scans
-    unpacks exactly that one; neither runs more products than the tiles it
-    scans, one each, as a differing tile's counts come from its own
-    product."""
-    ddg, cls, srg = _glued(4, 3)
+    """On s(q, d) and d(q, d) at (3, 3) and (4, 3), 351 to 1365 vertices,
+    a passing verify unpacks no tile and a 2-switched copy whose bad pairs
+    lie in one tile of the rows it scans unpacks exactly that one; neither
+    runs more products than the tiles it scans, one each, as a differing
+    tile's counts come from its own product."""
     unpacked = []
     digits, packed = graphs._digits, graphs._packed
     monkeypatch.setattr(graphs, "_digits", lambda *args: (
         unpacked.append(1), digits(*args))[1])
     monkeypatch.setattr(graphs, "_packed", lambda *args: (
         lambda block, *rest: (block.view(_Operand), *rest))(*packed(*args)))
-    partition = VertexPartition.from_lists(
-        len(cls), [np.flatnonzero(cls == t) for t in range(cls.max() + 1)])
-    m = srg if kind == "srg" else ddg
-    verify = (verify_srg if kind == "srg" else
-              lambda g: verify_ddg(g, partition))
-    _Operand.products = 0
-    assert verify(Graph(m)).passed
-    assert (unpacked, _Operand.products) == ([], _tiles(len(m)))
-    _Operand.products = 0
-    cert = verify(Graph(_switched(m, 8, 256)))
-    assert cert.witnesses[0]["pair"][1] < 256
-    assert len(unpacked) == 1
-    assert 1 <= _Operand.products <= -(-(len(m) - 1) // 256)
+    for q, d in ((3, 3), (4, 3)):
+        ddg, cls, srg = _glued(q, d)
+        partition = VertexPartition.from_lists(len(cls), [
+            np.flatnonzero(cls == t) for t in range(cls.max() + 1)])
+        m = srg if kind == "srg" else ddg
+        verify = (verify_srg if kind == "srg" else
+                  lambda g: verify_ddg(g, partition))
+        unpacked.clear()
+        _Operand.products = 0
+        assert verify(Graph(m)).passed
+        assert (unpacked, _Operand.products) == ([], _tiles(len(m)))
+        _Operand.products = 0
+        cert = verify(Graph(_switched(m, 8, 256)))
+        assert cert.witnesses[0]["pair"][1] < 256
+        assert len(unpacked) == 1
+        assert 1 <= _Operand.products <= -(-(len(m) - 1) // 256)
 
 
 def test_verifier_memory_stays_below_decode():
@@ -1033,21 +1042,22 @@ def test_scope_sets_one_thread_below_the_crossover_only():
 
 
 def test_kernels_multiply_in_the_scope(monkeypatch):
-    """The pair kernel, the edge counts and both stages of a spectrum set
-    one thread and restore the count below the crossover, and leave it
-    alone from the crossover on (a recording stand-in for OpenBLAS)."""
+    """The pair kernel, the edge counts and a spectrum's two stages, in one
+    scope, set one thread and restore the count below the crossover, and
+    leave it alone from the crossover on (a recording stand-in for
+    OpenBLAS)."""
     calls = []
     monkeypatch.setattr(graphs, "_openblas_threads",
                         lambda: (calls.append, lambda: 3))
     srg_g = _PIECES[(3, 2)][2]
-    small = [(lambda: verify_srg(srg_g), 1),
-             (lambda: graphs.common_edge_counts(srg_g.matrix), 1),
-             (lambda: exact_spectrum(srg_g, [e for e, _ in srg_spectrum(
-                 srg1_target_params(3, 2)).entries()]), 2)]
-    for kernel, scopes in small:
+    small = [lambda: verify_srg(srg_g),
+             lambda: graphs.common_edge_counts(srg_g.matrix),
+             lambda: exact_spectrum(srg_g, [e for e, _ in srg_spectrum(
+                 srg1_target_params(3, 2)).entries()])]
+    for kernel in small:
         calls.clear()
         kernel()
-        assert calls == [1, 3] * scopes
+        assert calls == [1, 3]
     big = graphs.empty_graph(graphs._SERIAL_BELOW)
     calls.clear()
     verify_srg(graphs.complement(big))

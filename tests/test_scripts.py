@@ -74,7 +74,8 @@ def test_pair_kernel_time_reports_each_input(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report.pop("calls") == 2
-    names = [f"{kind}({qd})" for qd in ("2,5", "4,3") for kind in "sd"]
+    names = [f"{kind}({qd})" for qd in ("2,4", "3,3", "2,5", "4,3")
+             for kind in "sd"]
     assert sorted(report) == sorted(names + [f"{name}-switched"
                                              for name in names])
     for name, figures in report.items():
