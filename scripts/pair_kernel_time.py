@@ -32,7 +32,7 @@ from srgforge.gf import as_prime_power
 from srgforge.graphs import first_bad_pair, SameClass
 
 
-def _glued(q: int, d: int):
+def glued(q: int, d: int):
     field = make_field(*as_prime_power(q))
     design = affine_geometry_design(field, d)
     m = design.n_classes
@@ -67,7 +67,7 @@ def main(argv: list[str]) -> int:
     rng = random.Random(0)
     inputs = {}
     for q, d in ((2, 5), (4, 3), (2, 4), (3, 3)):
-        ddg, classes, srg = _glued(q, d)
+        ddg, classes, srg = glued(q, d)
         for name, g, strata in ((f"s({q},{d})", srg, None),
                                 (f"d({q},{d})", ddg, classes)):
             inputs[name] = (g.matrix, strata)

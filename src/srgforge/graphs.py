@@ -4,10 +4,13 @@ A graph is its validated, read-only boolean n x n matrix: `Graph(m)`
 checks the shape, loops and symmetry once, and all else reads the matrix;
 symmetry is compared one band of 256 x 256 blocks at a time, which stays
 in cache.  Builders write block matrices for `Graph`; relabelling, induced
-subgraphs and complements are matrix expressions, and graph6 reads and
-writes its body one row of the lower triangle at a time, with no n x n
-mask; the decoder regroups four six-bit bytes into three full ones for
-one `np.unpackbits` and mirrors its lower triangle in 256 x 256 blocks.
+subgraphs and complements are matrix expressions.  graph6 moves its body
+as whole streams, with no n x n mask: the encoder joins the rows of the
+lower triangle into one byte-per-bit stream for one `np.packbits` and
+regroups every three bytes into four six-bit ones; the decoder regroups
+back for one `np.unpackbits`, gathers every row at once as a window of
+the bit stream and mirrors the lower triangle in 256 x 256 blocks, so its
+matrix is symmetric and loop-free by construction and skips Graph's scan.
 Common-neighbour counting, the hot loop of every verifier, is a matrix
 product too: `first_bad_pair` plans each call once and counts in exact
 float32 tiles cast from the matrix, k rows packed per word, against pair
@@ -45,7 +48,8 @@ MAX_BUILD_VERTICES = 4096
 _EDGE_BLOCK = 1 << 16  # edges that from_edges holds in one array at a time
 _GRAM_ROWS = 64  # edge rows per float32 block of common_edge_counts
 # rows and columns of the square blocks in which Graph checks symmetry and
-# graph6_decode mirrors its lower triangle
+# graph6_decode clears its diagonal blocks on and above the diagonal and
+# mirrors its lower triangle
 _SQUARE = 256
 
 
@@ -101,9 +105,22 @@ class Graph:
             # order
             u, v = divmod(int((m != m.T).argmax()), n)
             raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        self._freeze(m)
+
+    def _freeze(self, m):
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n", len(m))
+
+    @classmethod
+    def _symmetric(cls, m) -> "Graph":
+        """The graph of m, a boolean matrix that owns its data and is
+        symmetric with an empty diagonal by construction, taken over
+        without the shape, loop and symmetry scan of a checked Graph:
+        graph6_decode's matrix."""
+        g = object.__new__(cls)
+        g._freeze(m)
+        return g
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
@@ -342,12 +359,12 @@ def first_bad_pair(m, strata, values):
     or is None to take it from its first pair.
 
     Each call plans once: the first pair of each stratum valued None is
-    found in the row blocks of `_row_blocks` and sets its value, and then
-    the fold, the packing and the expected counts are fixed.  The scan
-    takes the pairs (u, w), u < w, in lexicographic order, block by block
-    against tiles of 2 * _PAIR_ROWS = 256 later rows, with one float32
-    product per tile, the tile cast from m into one reused buffer, in
-    _blas_scope(max(n, c)).
+    found in row 0, or else in the row blocks of `_row_blocks`, and sets
+    its value, and then the fold, the packing and the expected counts are
+    fixed.  The scan takes the pairs (u, w), u < w, in lexicographic
+    order, block by block against tiles of 2 * _PAIR_ROWS = 256 later
+    rows, with one float32 product per tile, the tile cast from m into one
+    reused buffer, in _blas_scope(max(n, c)).
 
     The product counts k rows of the block per float32 word.  The block's
     operand (`_packed`) cuts its rows into k slabs of h rows and sums them,
@@ -389,11 +406,15 @@ def first_bad_pair(m, strata, values):
     m8 = m.view(np.uint8)
     values = list(values)
     # the first pair w > u of each stratum given no value, from the blocks
-    # a to b - 1 of rows against the columns from a + 1 on (np.triu)
+    # a to b - 1 of rows against the columns from a + 1 on (np.triu): row 0
+    # alone first, where every verifier meets both of its strata, then the
+    # row blocks for a stratum it does not meet
     first = {}
-    for a, b in _row_blocks(n):
+    for a, b in chain([(0, 1)] if n > 1 else [], _row_blocks(n)):
         for t in [t for t, v in enumerate(values) if v is None]:
-            hit = np.triu(strata[a:b, a + 1:] == t)
+            hit = strata[a:b, a + 1:] == t
+            if b - a > 1:
+                hit = np.triu(hit)
             if hit.any():
                 u, w = divmod(int(hit.argmax()), n - a - 1)
                 first[t] = (a + u, a + 1 + w)
@@ -729,15 +750,28 @@ def _g6_size_bytes(n: int) -> bytes:
 
 
 def graph6_encode(g: Graph) -> str:
-    head = _g6_size_bytes(g.n)
-    # the body order, row j of the lower triangle for j = 1..n-1, gathered
-    # row by row, with the padding to whole six-bit groups
-    nbits = g.n * (g.n - 1) // 2
-    bits = np.zeros(nbits + -nbits % 6, bool)
-    for j in range(1, g.n):
-        bits[j * (j - 1) // 2:j * (j + 1) // 2] = g.matrix[j, :j]
-    body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
-    return (head + body.tobytes()).decode("ascii")
+    n = g.n
+    # the body order, row j of the lower triangle for j = 1..n-1, one byte
+    # per bit: slices of one flat memoryview, joined with the zero padding
+    # to whole three-byte groups in one bytes object, which is freed once
+    # packed
+    flat = memoryview(np.ascontiguousarray(g.matrix).ravel())
+    nbits = n * (n - 1) // 2
+    full = np.packbits(np.frombuffer(b"".join(
+        [flat[j * n:j * n + j] for j in range(1, n)] + [bytes(-nbits % 24)]),
+        np.uint8)).reshape(-1, 3)
+    # three full bytes give four six-bit ones, most significant first: the
+    # decoder's regrouping run backwards
+    a, b, c = full.T
+    six = np.empty((len(full), 4), np.uint8)
+    six[:, 0] = a >> 2
+    six[:, 1] = a << 4 | b >> 4
+    six[:, 2] = b << 2 | c >> 6
+    six[:, 3] = c
+    six &= 63
+    six += 63
+    body = six.ravel()[:-(-nbits // 6)]
+    return (_g6_size_bytes(n) + body.tobytes()).decode("ascii")
 
 
 def _g6_bytes(text: str) -> bytes:
@@ -775,6 +809,25 @@ def graph6_order(text: str) -> int:
     return n
 
 
+def _g6_bits(body, n: int) -> np.ndarray:
+    """The bits of a graph6 body, bool, followed by at least n zero bits,
+    so that every row window of graph6_decode ends inside the stream.
+
+    Each byte less 63 holds six bits, most significant first: four bytes
+    give the 24 bits of three full bytes (uint8 shifts drop the bits above
+    8), which are written before the zero bytes for one np.unpackbits.
+    The regrouped bytes are freed on return, before the decoder's matrix
+    is allocated."""
+    six = np.zeros((-(-len(body) // 4), 4), np.uint8)
+    np.subtract(body, 63, out=six.reshape(-1)[:len(body)])
+    packed = np.zeros(3 * len(six) + -(-n // 8), np.uint8)
+    full = packed[:3 * len(six)].reshape(-1, 3)
+    full[:, 0] = six[:, 0] << 2 | six[:, 1] >> 4
+    full[:, 1] = six[:, 1] << 4 | six[:, 2] >> 2
+    full[:, 2] = six[:, 2] << 6 | six[:, 3]
+    return np.unpackbits(packed).view(bool)
+
+
 def graph6_decode(text: str) -> Graph:
     data = _g6_bytes(text)
     codes = np.frombuffer(data, dtype=np.uint8)
@@ -787,26 +840,28 @@ def graph6_decode(text: str) -> Graph:
     if len(body) != (nbits + 5) // 6:
         raise ParseError(f"graph6 body length {len(body)} wrong for n={n}")
 
-    # six data bits per byte, most significant first: four bytes give the
-    # 24 bits of three full bytes (uint8 shifts drop the bits above 8), so
-    # one np.unpackbits reads them all; bits past nbits must be zero
-    six = np.pad(body - 63, (0, -len(body) % 4)).reshape(-1, 4)
-    full = np.empty((len(six), 3), np.uint8)
-    full[:, 0] = six[:, 0] << 2 | six[:, 1] >> 4
-    full[:, 1] = six[:, 1] << 4 | six[:, 2] >> 2
-    full[:, 2] = six[:, 2] << 6 | six[:, 3]
-    bits = np.unpackbits(full.ravel())
+    bits = _g6_bits(body, n)
     if bits[nbits:].any():
         raise ParseError("graph6 padding bits are not zero")
 
-    # row j of the lower triangle from the next j bits
-    m = np.zeros((n, n), dtype=bool)
-    for j in range(1, n):
-        m[j, :j] = bits[j * (j - 1) // 2:j * (j + 1) // 2]
-    # mirror the lower triangle one square block at a time
+    # row j holds the n bits from j(j - 1)/2 on: row j of the lower
+    # triangle, then bits of later rows on and above the diagonal.  One
+    # gather from the length-n sliding windows of the stream copies them
+    # into a matrix of its own; the windows come from as_strided, as
+    # sliding_window_view's argument checks cost more than the whole
+    # gather on graphs of a few dozen vertices
+    windows = np.lib.stride_tricks.as_strided(
+        bits, (len(bits) - n + 1, n), (1, 1), writeable=False)
+    j = np.arange(n)
+    m = windows[j * (j - 1) // 2]
+    # clear the diagonal blocks on and above their diagonal, and mirror
+    # the lower triangle over the rest, one square block at a time
+    lower = np.tri(min(n, _SQUARE), k=-1, dtype=bool)
     for a in range(0, n, _SQUARE):
         b = a + _SQUARE
-        m[a:b, a:b] |= m[a:b, a:b].T
+        block = m[a:b, a:b]
+        block &= lower[:len(block), :len(block)]
+        block |= block.T
         for c in range(b, n, _SQUARE):
             m[a:b, c:c + _SQUARE] = m[c:c + _SQUARE, a:b].T
-    return Graph(m)
+    return Graph._symmetric(m)

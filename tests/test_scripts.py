@@ -84,6 +84,23 @@ def test_pair_kernel_time_reports_each_input(tmp_path):
     assert _run(tmp_path, "pair_kernel_time.py", ["x"]).returncode == 2
 
 
+def test_graph6_time_reports_each_input(tmp_path):
+    """A small run prints, per input, its vertex count and the quartiles
+    and median of its encode and decode times; a bad N exits 2."""
+    result = _run(tmp_path, "graph6_time.py", ["2"])
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report.pop("calls") == 2
+    assert sorted(report) == sorted(f"{kind}({qd})" for kind in "sd"
+                                    for qd in ("2,4", "3,3", "2,5", "4,3"))
+    for figures in report.values():
+        assert 240 <= figures.pop("vertices") <= 1365
+        assert sorted(figures) == ["decode", "encode"]
+        for times in figures.values():
+            assert 0 < times["q1_ms"] <= times["median_ms"] <= times["q3_ms"]
+    assert _run(tmp_path, "graph6_time.py", ["0"]).returncode == 2
+
+
 def test_line_coverage_lists_unexecuted_statements(tmp_path):
     """Traced over the field tests alone, every module gets a count line:
     gf runs all but a few statements, canon none, and the header says that
