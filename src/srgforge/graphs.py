@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -202,57 +201,33 @@ _SERIAL_BELOW = 512
 
 @cache
 def _openblas_threads():
-    """(setter, getter) of the thread count of the OpenBLAS numpy loaded,
-    or None when the process has loaded no OpenBLAS with both, or its
-    loaded libraries cannot be listed (no dl_iterate_phdr).
+    """(setter, getter) of the thread count of the OpenBLAS numpy calls,
+    or None when numpy's extension module cannot be opened or reaches no
+    OpenBLAS with both.
 
-    Found as threadpoolctl finds it, as numpy has no API for it: the
-    loaded libraries are listed by dl_iterate_phdr, those with "openblas"
-    in their file name taken, numpy's own first, and the symbols
-    openblas_set_num_threads and openblas_get_num_threads looked up with
-    the prefixes and suffixes of numpy's builds
-    (scipy_openblas_set_num_threads64_ for a 64-bit-integer OpenBLAS).
-    The first call lists the libraries; importing this module does not.
+    numpy has no API for it, but dlsym on a library's handle searches the
+    library and then its dependencies, breadth first: a handle on numpy's
+    own extension module, already loaded (so CDLL runs no initialiser),
+    finds exactly the OpenBLAS its products call.  The symbols are looked
+    up with the prefixes and suffixes of numpy's builds, as
+    scipy_openblas_set_num_threads64_ for a 64-bit-integer OpenBLAS, on
+    the first call, not on import.
     """
     try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, OSError):
         return None
-
-    class PhdrInfo(ctypes.Structure):
-        # the leading fields of struct dl_phdr_info: address, file name
-        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-    visitor = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(PhdrInfo),
-                               ctypes.c_size_t, ctypes.c_void_p)
-    paths = []
-
-    @visitor
-    def visit(info, size, data):
-        paths.append(os.fsdecode(info.contents.name or b""))
-        return 0
-
-    iterate.argtypes = [visitor, ctypes.c_void_p]
-    iterate.restype = ctypes.c_int
-    iterate(visit, None)
-    # numpy's wheels keep their OpenBLAS in numpy.libs or numpy/.dylibs,
-    # both paths that start with numpy's package directory
-    home = os.path.dirname(np.__file__)
-    for path in sorted((p for p in paths
-                        if "openblas" in os.path.basename(p)),
-                       key=lambda p: not p.startswith(home)):
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_", ""):
-            for suffix in ("64_", ""):
-                try:
-                    setter, getter = (
-                        getattr(lib, f"{prefix}openblas_{verb}_num_threads"
-                                     f"{suffix}") for verb in ("set", "get"))
-                except AttributeError:
-                    continue
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            try:
+                setter, getter = (
+                    getattr(lib, f"{prefix}openblas_{verb}_num_threads"
+                                 f"{suffix}") for verb in ("set", "get"))
+            except AttributeError:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
     return None
 
 

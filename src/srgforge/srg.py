@@ -29,7 +29,7 @@ from .designs import incidence, SymmetricDesign, verify_symmetric
 from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
 from .graphs import (bitset, Certificate, certificate, cliques, complement,
                      complete_graph, first_bad_pair, Graph, line_graph,
-                     pair_witness, regularity, VertexPartition)
+                     pair_witness, regularity, SameClass, VertexPartition)
 from .spectra import hoffman_coclique_size, SrgParams
 
 
@@ -220,28 +220,32 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     }
 
     # Every stratum's split totals `target`, so a pair fails exactly when
-    # its total or its count in the attached coclique is off; that count is
-    # q^{d-1} (same class, stratum 1) or q^{d-2}(q-1) (cross class, 0)
-    # inside the original graph and 0 for pairs with an attached vertex
-    # (w >= v_star, stratum 2).
-    cls = np.array(partition.class_of() + [-1] * m)
-    strata = (cls[:, None] == cls).view(np.uint8)
-    strata[:, v_star:] = 2
+    # its total or its count in the attached coclique is off: q^{d-1} in a
+    # class and q^{d-2}(q-1) across classes, checked by the kernel's class
+    # fold, and 0 for pairs (u, w) with an attached end w >= v_star, by one
+    # boolean product of attachment rows kept to u < w.  The first bad pair
+    # is the lexicographically smallest hit of the three checks.
+    cls = np.array(partition.class_of())
+    att = g.matrix[:, v_star:]
     totals_known = srg_cert is not None and srg_cert.passed and \
         srg_cert.parameters["lambda"] == srg_cert.parameters["mu"] == target
     found = [
         None if totals_known else
-        first_bad_pair(g.matrix, np.broadcast_to(0, strata.shape),
+        first_bad_pair(g.matrix, np.broadcast_to(0, (g.n, g.n)),
                        (target,))[0],
-        first_bad_pair(g.matrix[:, v_star:], strata,
+        first_bad_pair(att[:v_star], SameClass(cls),
                        (expected["cross-class"][1],
-                        expected["same-class"][1], 0))[0],
+                        expected["same-class"][1]))[0],
     ]
     hits = [bad[:2] for bad in found if bad]
+    shared = np.triu(att @ att[v_star:].T, 1 - v_star)
+    if shared.any():
+        u, y = divmod(int(shared.argmax()), m)
+        hits.append((u, v_star + y))
     if hits:
         u, w = min(hits)
-        name = ("cross-class", "same-class",
-                "attached" if u >= v_star else "mixed")[strata[u, w]]
+        name = (("attached" if u >= v_star else "mixed") if w >= v_star
+                else "same-class" if cls[u] == cls[w] else "cross-class")
         common = g.matrix[u] & g.matrix[w]
         witnesses.append({"check": name, "pair": [u, w],
                           "split": [int(np.count_nonzero(common[:v_star])),

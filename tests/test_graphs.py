@@ -485,6 +485,14 @@ def test_graph6_encode_memory_stays_below_n_squared(n):
     assert peak < n ** 2, (n, peak)
 
 
+def test_graph6_size_prefix_stops_at_258047_vertices():
+    """The long-form size prefix holds 18 bits, so 258047 vertices is the
+    largest order written, and 258048 is refused by the prefix alone."""
+    assert graphs_module._g6_size_bytes(258047) == b"~}~~"
+    with pytest.raises(ValueError, match="at most 258047 vertices"):
+        graphs_module._g6_size_bytes(258048)
+
+
 def test_graph6_decode_errors():
     for bad in ("", " ", "B", "Bw!", "B" + chr(200), "Bz"):
         with pytest.raises(ParseError):

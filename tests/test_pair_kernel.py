@@ -9,8 +9,8 @@ witness and inferred parameters included, both on random inputs and on
 two-valued adjacency and class strata in its packed words, flips and
 switches are compared with a recount, and a passing scan must unpack no
 tile.  The last tests check that the kernels' results do not depend on
-the BLAS thread count, and the scope that runs small graphs' products on
-the calling thread.
+the BLAS thread count, the scope that runs small graphs' products on the
+calling thread, and the lookup of the thread setter when it finds none.
 """
 
 from __future__ import annotations
@@ -942,6 +942,26 @@ def test_verifier_memory_stays_below_decode():
             assert kernel < 2 * tile_bytes, (g.n, kernel, tile_bytes)
 
 
+def test_srg1_audit_memory_stays_below_a_quarter_of_n_squared():
+    """At 1023 and 1365 vertices, with verify_srg's passing certificate to
+    settle the totals, the coclique audit's traced peak stays below n^2 / 4
+    bytes: the class scan's tiles of n x m float32 and the attached pairs'
+    n x m product, with no n x n strata matrix (n^2 bytes) beside them."""
+    for q, d in ((2, 5), (4, 3)):
+        _, partition, srg_g, attach = _srg1_pieces(q, d, 7)
+        srg_cert = verify_srg(srg_g)
+        assert srg_cert.passed
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert verify_srg1_cases(srg_g, partition, attach,
+                                     srg_cert).passed
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert added < srg_g.n ** 2 / 4, (srg_g.n, added)
+
+
 @pytest.mark.parametrize("q, d, kind", [(3, 3, "srg"), (3, 3, "ddg"),
                                         (2, 5, "srg")])
 def test_spectrum_memory_holds_its_products_only(q, d, kind):
@@ -1073,4 +1093,26 @@ def test_kernels_run_without_openblas(monkeypatch):
     monkeypatch.setattr(graphs, "_openblas_threads", lambda: None)
     with graphs._blas_threads(1), graphs._blas_scope(1):
         pass
+    assert _kernel_results(3, 3) == expected
+
+
+def _refuse(path):
+    raise OSError(f"cannot open {path}")
+
+
+@pytest.mark.parametrize("cdll", [_refuse, lambda path: object()],
+                         ids=["unopenable", "no-symbols"])
+def test_lookup_falls_back_to_no_openblas(monkeypatch, cdll):
+    """The lookup opens numpy's own extension module and nothing else.
+    When that fails, or the handle has none of the four spellings of the
+    setter and getter, it finds no OpenBLAS, and the kernels, which then
+    leave the thread count alone, give the same results."""
+    expected = _kernel_results(3, 3)
+    opened = []
+    monkeypatch.setattr(graphs.ctypes, "CDLL",
+                        lambda path: opened.append(path) or cdll(path))
+    lookup = graphs._openblas_threads.__wrapped__
+    assert lookup() is None
+    assert opened == [np._core._multiarray_umath.__file__]
+    monkeypatch.setattr(graphs, "_openblas_threads", lookup)
     assert _kernel_results(3, 3) == expected
