@@ -31,11 +31,11 @@ from .graphs import (Certificate, certificate, common_neighbours, complement,
                      empty_graph, from_edges, Graph, graph6_decode,
                      graph6_encode, line_graph, octahedron, path_graph,
                      petersen_graph, VertexPartition)
-from .spectra import (coclique_deletion_spectrum, ddg_formula_spectrum,
-                      DdgSpectrumFormula, delsarte_clique_size,
-                      exact_root, exact_spectrum, hoffman_coclique_size,
-                      make_spectrum, Radical, Spectrum, srg_eigenvalues,
-                      srg_spectrum)
+from .spectra import (certified_spectrum, coclique_deletion_spectrum,
+                      ddg_formula_spectrum, DdgSpectrumFormula,
+                      delsarte_clique_size, exact_root, exact_spectrum,
+                      hoffman_coclique_size, make_spectrum, Radical,
+                      Spectrum, srg_eigenvalues, srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, ConditionReport,
                   construct_ddg_hoffman, construct_srg1, construct_srg2,
                   find_hoffman_coloring, hoffman_colorings, seidel_switch,

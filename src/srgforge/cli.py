@@ -31,8 +31,9 @@ from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
 from .graphs import (complement, Graph, VertexPartition, graph6_decode,
                      graph6_encode, graph6_order)
-from .spectra import (check_spectrum_vertices, ddg_formula_spectrum,
-                      exact_root, exact_spectrum, srg_spectrum)
+from .spectra import (certified_spectrum, check_spectrum_vertices,
+                      ddg_formula_spectrum, exact_root, exact_spectrum,
+                      srg_spectrum)
 from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
                   hoffman_colorings, need_lam_mu2, Srg2Config, SrgParams,
                   triangular_graph, verify_srg, verify_srg1_cases)
@@ -152,16 +153,15 @@ def _build_ddg(args, inputs: dict):
     return g, partition, field, quasigroup, family
 
 
-def _spectrum_report(g: Graph, cert) -> tuple[dict, bool]:
-    """DDG spectrum check: formula candidates must annihilate exactly."""
-    params = DdgParams.from_certificate(cert)
-    formula = ddg_formula_spectrum(params)
-    spec = exact_spectrum(g, formula.candidates())
-    f_total = sum(spec.multiplicity_of(e)
-                  for e in {formula.theta1, -formula.theta1})
-    ok = f_total == formula.f_sum
+def _spectrum_report(g: Graph, partition: VertexPartition, cert) -> dict:
+    """The spectrum g's passing DDG certificate fixes, with no product, and
+    f_sum_ok: whether its +-theta1 add to f_sum, as when theta1 != theta2."""
+    formula = ddg_formula_spectrum(DdgParams.from_certificate(cert))
+    spec = certified_spectrum(cert, g, partition)
     return {"spectrum": spec.serialize(), "f_sum": formula.f_sum,
-            "g_sum": formula.g_sum, "f_sum_ok": ok}, ok
+            "g_sum": formula.g_sum, "f_sum_ok": formula.f_sum == sum(
+                spec.multiplicity_of(e)
+                for e in {formula.theta1, -formula.theta1})}
 
 
 def cmd_gen_ddg(args) -> int:
@@ -169,10 +169,8 @@ def cmd_gen_ddg(args) -> int:
     g, partition, _, quasigroup, family = _build_ddg(args, inputs)
     cert = verify_ddg(g, partition)
     doc = {"ddg": cert.to_dict()}
-    spectrum_ok = True
     if cert.passed:
-        report, spectrum_ok = _spectrum_report(g, cert)
-        doc.update(report)
+        doc.update(_spectrum_report(g, partition, cert))
 
     prefix = args.out or f"ddg-q{args.q}-d{args.d}-s{args.seed}"
     write_lines(prefix + ".classes", partition.classes)
@@ -180,7 +178,7 @@ def cmd_gen_ddg(args) -> int:
     save_family(family, prefix + ".family")
     _write_outputs(args, prefix, g, doc, inputs,
                    classes={"path": os.path.basename(prefix + ".classes")})
-    return 0 if cert.passed and spectrum_ok else 1
+    return 0 if cert.passed and doc["f_sum_ok"] else 1
 
 
 def _read_phi(path: str, m: int) -> ClassBlockMap:
@@ -199,6 +197,7 @@ def _load_phi(spec: str, m: int, inputs: dict) -> ClassBlockMap:
 
 
 def cmd_gen_srg1(args) -> int:
+    """gen-srg1; the passing verify_srg certificate fixes its spectrum."""
     inputs: dict = {}
     ddg_graph, partition, field, *_ = _build_ddg(args, inputs)
     design = projective_complement_design(field, args.d)
@@ -210,10 +209,7 @@ def cmd_gen_srg1(args) -> int:
     doc = {"srg": cert.to_dict(),
            "cases": cases.to_dict()}
     if cert.passed:
-        spec = exact_spectrum(
-            g, [e for e, _ in srg_spectrum(
-                SrgParams.from_certificate(cert)).entries()])
-        doc["spectrum"] = spec.serialize()
+        doc["spectrum"] = certified_spectrum(cert).serialize()
     _write_outputs(args, args.out or f"srg1-q{args.q}-d{args.d}-s{args.seed}",
                    g, doc, inputs)
     return 0 if cert.passed and cases.passed else 1
@@ -226,8 +222,9 @@ _BASES = {"t8": lambda: triangular_graph(8),
 
 
 def cmd_gen_srg2(args) -> int:
-    if args.coloring < 0:
-        raise ParseError(f"--coloring must be >= 0, got {args.coloring}")
+    if not 0 <= args.coloring <= sys.maxsize:  # islice's index range
+        bound = ">= 0" if args.coloring < 0 else f"at most {sys.maxsize}"
+        raise ParseError(f"--coloring must be {bound}, got {args.coloring}")
     inputs: dict = {}
     base = _resolve(args.base, "base", _BASES, _read_graph, inputs,
                     ("g6:",))

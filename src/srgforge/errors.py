@@ -53,7 +53,7 @@ class NotSrg(SrgforgeError):
 
 
 class InfeasibleParams(SrgforgeError):
-    """Strongly-regular parameter tuple fails a feasibility condition."""
+    """SRG parameters, or a DDG's traces, fail a feasibility condition."""
 
 
 class NotAnnihilated(SrgforgeError):

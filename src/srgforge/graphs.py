@@ -335,11 +335,12 @@ def first_bad_pair(m, strata, values):
 
     Each call plans once: the first pair of each stratum valued None is
     found in row 0, or else in the row blocks of `_row_blocks`, and sets
-    its value, and then the fold, the packing and the expected counts are
-    fixed.  The scan takes the pairs (u, w), u < w, in lexicographic
-    order, block by block against tiles of 2 * _PAIR_ROWS = 256 later
-    rows, with one float32 product per tile, the tile cast from m into one
-    reused buffer, in _blas_scope(max(n, c)).
+    its value (a `SameClass` stratum with no pair is not looked for), and
+    then the fold, the packing and the expected counts are fixed.  The
+    scan takes the pairs (u, w), u < w, in lexicographic order, block by
+    block against tiles of 2 * _PAIR_ROWS = 256 later rows, with one
+    float32 product per tile, the tile cast from m into one reused buffer,
+    in _blas_scope(max(n, c)).
 
     The product counts k rows of the block per float32 word.  The block's
     operand (`_packed`) cuts its rows into k slabs of h rows and sums them,
@@ -384,9 +385,15 @@ def first_bad_pair(m, strata, values):
     # a to b - 1 of rows against the columns from a + 1 on (np.triu): row 0
     # alone first, where every verifier meets both of its strata, then the
     # row blocks for a stratum it does not meet
-    first = {}
+    first, never = {}, []
+    if isinstance(strata, SameClass):
+        # cross-class pairs (0) need two classes, same-class (1) a class of 2
+        sizes = np.unique(strata.cls, return_counts=True)[1]
+        never = [t for t, most in enumerate(
+            (len(sizes), sizes.max(initial=0))) if most < 2]
     for a, b in chain([(0, 1)] if n > 1 else [], _row_blocks(n)):
-        for t in [t for t, v in enumerate(values) if v is None]:
+        for t in [t for t, v in enumerate(values)
+                  if v is None and t not in never]:
             hit = strata[a:b, a + 1:] == t
             if b - a > 1:
                 hit = np.triu(hit)
@@ -394,7 +401,7 @@ def first_bad_pair(m, strata, values):
                 u, w = divmod(int(hit.argmax()), n - a - 1)
                 first[t] = (a + u, a + 1 + w)
                 values[t] = int(np.count_nonzero(m[a + u] & m[a + 1 + w]))
-        if None not in values:
+        if all(v is not None or t in never for t, v in enumerate(values)):
             break
     # a stratum never met has no pair w > u, so its -1 is compared only at
     # pairs w <= u, which `upper` drops

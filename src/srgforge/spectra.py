@@ -25,12 +25,12 @@ A - Delta I is left out while the product Q of the others is constant
 (Q = cJ gives (A - Delta I)Q = 0, as AJ = Delta J).  Past 2^53 the product
 is zero-tested modulo word-size primes whose product passes the bound
 (Dumas, Giorgi & Pernet, "Dense linear algebra over word-size prime
-fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  An SRG spectrum
-{k, r, s} takes one n x n product, A^2, and a glued DDG's formula spectrum
-{k, +-theta1, 0} two.  TooLarge stops a stage, the traces with their solve
-or the product, whose work passes MAX_WORK before it runs.  Both stages
-multiply in one graphs._blas_scope: on the calling thread alone for a
-graph below its vertex count.
+fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  In the spectrum
+command, an SRG's {k, r, s} takes one n x n product, A^2, and a glued
+DDG's formula spectrum {k, +-theta1, 0} two.  TooLarge stops a stage, the
+traces with their solve or the product, whose work passes MAX_WORK before
+it runs.  Both stages multiply in one graphs._blas_scope: on the calling
+thread alone for a graph below its vertex count.
 
 The n x n arrays a spectrum holds are A (float32), A^2 and the running
 product: the last factor with an A^2 term is built in A^2's place once no
@@ -44,11 +44,11 @@ Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
 
 The closed forms at the end (the DDG formula spectrum, the SRG spectrum
-{k, r^f, s^g}, the Hoffman and Delsarte ratio bounds and the
-coclique-deletion spectrum) follow Brouwer & Van Maldeghem, "Strongly
-Regular Graphs" (2022).  The SRG ones take an SrgParams record, whose
-constructor checks k(k-lambda-1) = (v-k-1)mu, and read r, s, f and g from
-one helper.
+{k, r^f, s^g}, the gen commands' spectra from passing certificates, the
+Hoffman and Delsarte ratio bounds and the coclique-deletion spectrum)
+follow Brouwer & Van Maldeghem, "Strongly Regular Graphs" (2022).  The SRG
+ones take an SrgParams record, whose constructor checks k(k-lambda-1) =
+(v-k-1)mu, and read r, s, f and g from one helper.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .ddg import DdgParams
 from .errors import InfeasibleParams, NotAnnihilated, TooLarge
 from .gf import is_prime
 from .graphs import (_blas_scope, Certificate, check_vertices, degrees,
-                     Graph)
+                     Graph, VertexPartition)
 
 
 @dataclass(frozen=True)
@@ -466,13 +466,8 @@ class DdgSpectrumFormula:
     g_sum: int  # multiplicities of +-theta2 add to this
 
     def candidates(self) -> list[Eigenvalue]:
-        out: list[Eigenvalue] = [self.k]
-        for theta in (self.theta1, self.theta2):
-            branch = [theta, -theta] if theta != 0 else [0]
-            for e in branch:
-                if e not in out:
-                    out.append(e)
-        return out
+        return list(dict.fromkeys([self.k, self.theta1, -self.theta1,
+                                   self.theta2, -self.theta2]))
 
 
 def ddg_formula_spectrum(params: DdgParams) -> DdgSpectrumFormula:
@@ -538,6 +533,47 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     integer nonnegative multiplicities."""
     r, s, f, g = _srg_eigen(params)
     return make_spectrum([(params.k, 1), (r, f), (s, g)])
+
+
+def certified_spectrum(cert: Certificate, g: Graph | None = None,
+                       partition: VertexPartition | None = None) -> Spectrum:
+    """The spectrum that a passing SRG or DDG certificate fixes.  A DDG has
+    k and pairs +-theta1, +-theta2 of f_sum, g_sum eigenvalues, pooled when
+    equal (Haemers, Kharaghani & Meulenberg, "Divisible design graphs",
+    JCTA 2011).  An irrational pair splits evenly; the other excesses x of
+    +theta over -theta solve sum x theta^s = tr A^s - k^s from tr A = 0
+    and, for two, tr A^3 = 2(lambda1 e_in + lambda2 e_out), e_in the edges
+    of g inside partition's classes.  Zero multiplicities stay, as in
+    exact_spectrum; a negative or fractional split, impossible for a
+    passing certificate, raises InfeasibleParams naming the traces."""
+    if cert.kind == "srg":
+        return srg_spectrum(SrgParams.from_certificate(cert))
+    p = DdgParams.from_certificate(cert)
+    formula = ddg_formula_spectrum(p)
+    totals = {formula.theta1: formula.f_sum}
+    totals[formula.theta2] = totals.get(formula.theta2, 0) + formula.g_sum
+    excess = dict.fromkeys(totals, Fraction(0))
+    free = [t for t in totals if isinstance(t, int) and t]
+    traces = "tr A = 0"
+    if len(free) == 2:  # x_a a (a^2 - b^2) = tr A^3 - k^3 + b^2 k
+        inside = sum(int(g.matrix[np.ix_(c, c)].sum())  # 2 e_in
+                     for c in partition.classes)
+        cube = p.lambda1 * inside + p.lambda2 * (p.v * p.k - inside)
+        traces += f" and tr A^3 = {cube}"
+        a, b = free
+        excess[a] = Fraction(cube - p.k**3 + b*b*p.k, a * (a*a - b*b))
+    if free:  # tr A = k + sum x theta; x_b, or x_a alone, is still 0
+        excess[free[-1]] = -(p.k + excess[free[0]] * free[0]) / free[-1]
+    elif p.k:
+        raise InfeasibleParams(f"{traces}, but no integer pair offsets k")
+    pairs = [(p.k, 1)]  # make_spectrum merges the two halves of 0
+    for (theta, total), x in zip(totals.items(), excess.values()):
+        if x.denominator != 1 or theta and (total + x) % 2 or abs(x) > total:
+            raise InfeasibleParams(f"{traces} split the {total} eigenvalues "
+                                   f"+-{theta} with excess {x}")
+        plus = int(total + x) // 2
+        pairs += [(theta, plus), (-theta, total - plus)]
+    return make_spectrum(pairs)
 
 
 def srg_eigenvalues(params: SrgParams) -> tuple[int, int]:

@@ -18,10 +18,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from srgforge import (complete_graph, counting_lower_bound, cycle_graph,
-                      designs, empty_graph, fano_plane, graph6_decode,
-                      graph6_encode, make_spectrum, petersen_graph, Radical,
-                      save_design, srg, SymmetricDesign, triangular_graph)
+from srgforge import (certificate, complete_graph, counting_lower_bound,
+                      cycle_graph, ddg_formula_spectrum, DdgParams, designs,
+                      empty_graph, exact_spectrum, fano_plane,
+                      graph6_decode, graph6_encode, make_spectrum,
+                      petersen_graph, Radical, save_design, spectra, srg,
+                      srg_spectrum, SrgParams, SymmetricDesign,
+                      triangular_graph, verify_ddg)
 from srgforge import cli
 from srgforge.cli import main
 from srgforge.errors import ParseError
@@ -333,6 +336,9 @@ def test_spectrum_skips_candidates_past_the_degree_bound(workdir, capsys):
      "bad eigenvalue token '-sqrt(x)'"),
     (["spectrum", "--in", "pet.g6", "--candidates", "3,sqrt()"],
      "bad eigenvalue token 'sqrt()'"),
+    # past sys.maxsize, where islice would refuse the index with its own text
+    (["gen-srg2", "--base", "t8", "--coloring", str(10**21)],
+     f"--coloring must be at most {sys.maxsize}, got {10**21}"),
 ])
 def test_malformed_flag_values_exit_2(workdir, capsys, argv, message):
     (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
@@ -583,6 +589,108 @@ def test_gen_srg2_rejects_bad_file_design(workdir, capsys):
     save_design(twice, "bad.txt")
     assert main(["gen-srg2", "--base", "t8", "--design", "file:bad.txt"]) == 2
     assert "design axioms fail" in capsys.readouterr().err
+
+
+def _written(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-ddg", "--q", "2", "--d", "3", "--seed", "0"],
+    ["gen-ddg", "--q", "3", "--d", "2", "--seed", "4", "--quasigroup",
+     "random"],
+    ["gen-srg1", "--q", "2", "--d", "3", "--seed", "0"],
+    ["gen-srg1", "--q", "3", "--d", "2", "--seed", "4", "--quasigroup",
+     "random"],
+], ids=" ".join)
+def test_gen_spectra_take_no_matrix_product(tmp_path, monkeypatch, capsys,
+                                            argv):
+    """gen-ddg and gen-srg1 read the spectrum from the passing certificate:
+    with exact_spectrum and every product of spectra made to raise they
+    still exit 0 and write the same bytes, and the spectrum they write is
+    exact_spectrum's on the formula candidates."""
+    outputs = []
+    for patched in (False, True):
+        where = tmp_path / str(patched)
+        where.mkdir()
+        monkeypatch.chdir(where)
+        if patched:
+            def product(*args, **kwargs):
+                raise AssertionError("n x n product in a gen command")
+
+            for module in (spectra, cli):
+                monkeypatch.setattr(module, "exact_spectrum", product)
+            monkeypatch.setattr(spectra, "_times", product)
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, _written(where)))
+    assert outputs[0] == outputs[1]
+    monkeypatch.undo()
+    out, files = outputs[0]
+    g = graph6_decode(out.strip())
+    doc = json.loads(files[next(n for n in files if n.endswith(".cert.json"))])
+    kind = "ddg" if "ddg" in doc else "srg"
+    if kind == "ddg":
+        p = doc["ddg"]["parameters"]
+        candidates = ddg_formula_spectrum(DdgParams(
+            p["v"], p["k"], p["lambda1"], p["lambda2"], p["m"],
+            p["n"])).candidates()
+    else:
+        p = doc["srg"]["parameters"]
+        candidates = [e for e, _ in srg_spectrum(SrgParams(
+            p["v"], p["k"], p["lambda"], p["mu"])).entries()]
+    assert doc["spectrum"] == json.loads(json.dumps(
+        exact_spectrum(g, candidates).serialize()))
+
+
+def test_gen_ddg_exits_2_on_an_impossible_split(workdir, capsys,
+                                                monkeypatch):
+    """A DDG certificate tampered to lambda1 = 5 makes theta1 = 1, and tr A
+    = 0 then asks for an odd split of the 9 eigenvalues +-1: a typed error
+    naming the trace, exit 2."""
+    def tampered(g, partition):
+        cert = verify_ddg(g, partition)
+        return certificate("ddg", {**cert.parameters, "lambda1": 5})
+
+    monkeypatch.setattr(cli, "verify_ddg", tampered)
+    assert main(["gen-ddg", "--q", "2", "--d", "2", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("srgforge: tr A = 0 split the 9 eigenvalues +-1 "
+                            "with excess -6\n")
+
+
+def test_gen_srg2_past_the_last_coloring_exits_1(workdir, capsys):
+    """T(8) has 6240 Hoffman colorings, numbered from 0: index 6240 names
+    none, which exits 1 and writes nothing."""
+    assert main(["gen-srg2", "--base", "t8", "--coloring", "6240"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no Hoffman coloring at index 6240 for this base\n"
+    assert list(workdir.iterdir()) == []
+
+
+def test_spectrum_ddg_prints_the_formula_spectrum(workdir, capsys):
+    """spectrum --ddg on d(2, 2) prints the exact spectrum of the formula
+    candidates {6, +-2, 0} as one JSON line."""
+    assert main(["gen-ddg", "--q", "2", "--d", "2", "--seed", "0",
+                 "--out", "d"]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", "--in", "d.g6", "--ddg", "12,6,2,3,3,4"]) == 0
+    assert capsys.readouterr().out == \
+        '{"n": 12, "spectrum": [[6, 1], [2, 3], [0, 2], [-2, 6]]}\n'
+
+
+def test_clique_census_out_writes_every_clique(workdir, capsys):
+    """clique-census --out on Sp(4, 2) writes its 15 Delsarte cliques of
+    size 3 to the file and prints their size and count."""
+    assert main(["sp-graph", "--q", "2", "--d", "2"]) == 0
+    (workdir / "sp.g6").write_text(capsys.readouterr().out)
+    assert main(["clique-census", "--in", "sp.g6", "--out", "c.json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 15, "size": 3}
+    doc = json.loads((workdir / "c.json").read_text())
+    assert (doc["size"], doc["count"]) == (3, 15)
+    assert len({tuple(c) for c in doc["cliques"]}) == 15
+    assert all(len(c) == 3 for c in doc["cliques"])
 
 
 def test_pipe_composition_subprocess(tmp_path):

@@ -780,6 +780,45 @@ def _triangles(n: int, lone):
     return np.equal.outer(labels, labels) & ~np.eye(n, dtype=bool)
 
 
+class _CountedClasses(graphs.SameClass):
+    """SameClass strata that count the slices read from them."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountedClasses.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n", [40, 300])
+@pytest.mark.parametrize("shape", ["one class", "singletons"])
+def test_stratum_never_met_is_not_looked_for(n, shape):
+    """SameClass strata of one class have no cross-class pair, and of
+    singleton classes no same-class pair.  On G(n, 1/2), failing and
+    passing (the empty graph), first_bad_pair and pair_witness give the
+    array reference's witness and values, the missing stratum's value
+    None (0 from pair_witness), and the value pass reads row 0 alone: one
+    slice before the scan, which stops in the first block of a failing
+    graph."""
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    same = np.zeros(n, int) if shape == "one class" else np.arange(n)
+    missing = 0 if shape == "one class" else 1
+    for m in (upper | upper.T, np.zeros((n, n), bool)):
+        bad, values = first_bad_pair(m, graphs.SameClass(same), (None, None))
+        assert (bad, values) == _scanned(_gram(m), np.equal.outer(same, same),
+                                         (None, None))
+        assert values[missing] is None and (bad is None) == (not m.any())
+        witness, inferred = graphs.pair_witness(
+            m, graphs.SameClass(same), ("cross-class", "same-class"))
+        assert inferred == tuple(v or 0 for v in values)
+        assert (witness is None) == (bad is None)
+    _CountedClasses.reads = 0
+    assert first_bad_pair(upper | upper.T, _CountedClasses(same),
+                          (None, None))[0]
+    assert _CountedClasses.reads <= 3
+
+
 def test_folded_witness_anywhere_in_a_block(monkeypatch):
     """Bad pairs put in place in the blocks [0, 8), then [8 + 128 i,
     136 + 128 i): on the slab boundaries of block 0 (rows 3 and 4) and of

@@ -11,15 +11,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graphs
-from srgforge import (chang_graphs, coclique_deletion_spectrum, complement,
-                      complete_graph, cycle_graph, ddg_formula_spectrum,
-                      DdgParams, delsarte_clique_size, empty_graph,
-                      exact_root, exact_spectrum, from_edges, Graph,
-                      hoffman_coclique_size, InfeasibleParams, make_field,
-                      make_spectrum, NotAnnihilated, petersen_graph,
-                      Radical, srg1_target_params, srg_eigenvalues,
-                      srg_spectrum, SrgParams, symplectic_graph,
-                      theorem1_params, TooLarge, triangular_graph, verify_ddg)
+from srgforge import (certificate, certified_spectrum, chang_graphs,
+                      coclique_deletion_spectrum, complement,
+                      complete_graph, construct_ddg_hoffman, cycle_graph,
+                      ddg_formula_spectrum, DdgParams, delsarte_clique_size,
+                      empty_graph, exact_root, exact_spectrum, from_edges,
+                      Graph, hoffman_coclique_size, hoffman_colorings,
+                      InfeasibleParams, make_field, make_spectrum,
+                      NotAnnihilated, petersen_graph, Radical,
+                      srg1_target_params, srg_eigenvalues, srg_spectrum,
+                      SrgParams, symplectic_graph, theorem1_params, TooLarge,
+                      triangular_graph, verify_ddg, verify_srg,
+                      VertexPartition)
 from srgforge import spectra
 from srgforge.spectra import (_annihilator, _factor, _factors, _matrix_powers,
                               _number_type, _product_mod, _times, _traces,
@@ -682,10 +685,10 @@ def test_traces_match_python_ints(monkeypatch):
 @pytest.mark.parametrize("q, d", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3),
                                   (2, 5), (4, 3)])
 def test_benchmark_ladder_runs_in_float32(q, d, monkeypatch):
-    """gen-ddg and gen-srg1 check their outputs' formula spectra on every
-    rung of the ladder: the DDG's takes 2 products, the SRG's 1, all in
-    float32.  The DDG's last trace, tr A^3 <= n k^3, is summed in float64;
-    the SRG's traces need no sum."""
+    """`spectrum --ddg` and `--srg` on the gen-ddg and gen-srg1 outputs of
+    every rung of the ladder: the DDG's takes 2 products, the SRG's 1, all
+    in float32.  The DDG's last trace, tr A^3 <= n k^3, is summed in
+    float64; the SRG's traces need no sum."""
     dtypes = []
 
     def times(left, right):
@@ -798,3 +801,133 @@ def test_failed_solve_raises_before_any_product(monkeypatch):
     for candidates in ([3, 1], [3, 1, Radical(2)]):
         with pytest.raises(NotAnnihilated, match="do not annihilate"):
             exact_spectrum(petersen_graph(), candidates)
+
+
+# ---------------------------------------------------------------------------
+# spectra read from passing certificates
+
+
+def _formula_candidates(cert):
+    """The candidates the gen commands gave exact_spectrum before they read
+    the spectrum from the certificate."""
+    if cert.kind == "srg":
+        return [e for e, _ in
+                srg_spectrum(SrgParams.from_certificate(cert)).entries()]
+    return ddg_formula_spectrum(DdgParams.from_certificate(cert)).candidates()
+
+
+def _assert_certified_equals_exact(g, cert, partition=None):
+    assert cert.passed
+    spec = certified_spectrum(cert, g, partition)
+    assert spec.serialize() == \
+        exact_spectrum(g, _formula_candidates(cert)).serialize()
+    return spec
+
+
+@pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (3, 2), (4, 2), (2, 4),
+                                  (3, 3), (2, 5), (4, 3), (2, 6)])
+def test_certified_spectrum_equals_exact_spectrum(q, d):
+    """On every ladder rung, the spectra that the certificates of d(q, d)
+    (gen-ddg --seed 0: cyclic quasigroup, family seed 1) and s(q, d)
+    (gen-srg1 --seed 0) fix serialize as exact_spectrum's, zero
+    multiplicities included; at (2, 6), 4095 vertices, s(2, 6) alone.  On
+    the ladder k^2 = lambda2 v, so theta2 = 0 and tr A splits +-theta1."""
+    if d < 6:
+        ddg, partition = build(q, d, seed=1)
+        _assert_certified_equals_exact(ddg, verify_ddg(ddg, partition),
+                                       partition)
+    srg = srg1(q, d, seed=0)[0]
+    _assert_certified_equals_exact(srg, verify_srg(srg))
+
+
+def _hoffman_ddg(index: int = 0):
+    """The DDG construct_ddg_hoffman fills in on T(8) from its Hoffman
+    coloring number index, with the coloring."""
+    base = triangular_graph(8)
+    colorings = hoffman_colorings(base)
+    coloring = next(itertools.islice(colorings, index, None))
+    return construct_ddg_hoffman(base, coloring, colorings.params)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2500, 6239])
+def test_certified_spectrum_splits_hoffman_ddgs_by_tr_a3(index):
+    """The T(8) Hoffman DDGs, (28, 15, 6, 8, 7, 4), have theta1 = 3 and
+    theta2 = 1 (k^2 - lambda2 v = 1, k - lambda1 = 9), two nonzero integer
+    magnitudes: tr A = 0 and tr A^3 = 2(6 e_in + 8 e_out) = 3192 split
+    them into {15, 3^7, 1^6, -3^14}, -1 kept at multiplicity 0, as
+    exact_spectrum finds."""
+    g, partition = _hoffman_ddg(index)
+    cert = verify_ddg(g, partition)
+    assert DdgParams.from_certificate(cert).as_tuple() == (28, 15, 6, 8, 7, 4)
+    spec = _assert_certified_equals_exact(g, cert, partition)
+    assert spec.entries() == [(15, 1), (3, 7), (1, 6), (-1, 0), (-3, 14)]
+
+
+def _cayley_ddgs(v: int):
+    """(graph, partition, certificate) of every Cayley graph on Z_v, with
+    the cosets of a proper nontrivial subgroup as classes, that
+    verify_ddg passes."""
+    inverse_pairs = [sorted({s, v - s}) for s in range(1, v // 2 + 1)]
+    for size in range(1, len(inverse_pairs) + 1):
+        for chosen in itertools.combinations(inverse_pairs, size):
+            jumps = [s for pair in chosen for s in pair]
+            g = from_edges(v, [(x, (x + s) % v) for x in range(v)
+                               for s in jumps])
+            for n in (n for n in range(2, v) if v % n == 0):
+                partition = VertexPartition.from_lists(
+                    v, [range(c, v, v // n) for c in range(v // n)])
+                cert = verify_ddg(g, partition)
+                if cert.passed:
+                    yield g, partition, cert
+
+
+def test_certified_spectrum_on_cayley_ddgs():
+    """Every DDG among the Cayley graphs on Z_v, v <= 12, with coset
+    classes: pooled magnitudes (lambda1 = lambda2), a zero magnitude, two
+    nonzero integer ones split by tr A^3, and an irrational pair, each
+    against exact_spectrum."""
+    shapes = set()
+    for v in range(4, 13):
+        for g, partition, cert in _cayley_ddgs(v):
+            _assert_certified_equals_exact(g, cert, partition)
+            formula = ddg_formula_spectrum(DdgParams.from_certificate(cert))
+            thetas = (formula.theta1, formula.theta2)
+            shapes.add("pooled" if thetas[0] == thetas[1] else
+                       "zero" if 0 in thetas else
+                       "radical" if Radical in map(type, thetas) else "two")
+    assert shapes == {"pooled", "zero", "two", "radical"}
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ({"lambda1": 5}, "tr A = 0 split the 9 eigenvalues +-1 with excess -6"),
+    ({"m": 12, "n": 1}, "tr A = 0 split the 0 eigenvalues +-2 with "
+                        "excess -3"),
+    ({"lambda1": 6}, "tr A = 0, but no integer pair offsets k"),
+])
+def test_certified_spectrum_refuses_a_tampered_certificate(tamper, message):
+    """A certificate of d(2, 2), (12, 6, 2, 3, 3, 4), with theta1 = 2 and
+    theta2 = 0, tampered so that tr A = 0 gives +-theta1 an odd split, a
+    split past its total, or no integer pair at all: InfeasibleParams
+    naming the trace."""
+    ddg, partition = build(2, 2, seed=1)
+    cert = verify_ddg(ddg, partition)
+    bad = certificate("ddg", {**cert.parameters, **tamper})
+    with pytest.raises(InfeasibleParams) as info:
+        certified_spectrum(bad, ddg, partition)
+    assert str(info.value) == message
+
+
+def test_certified_spectrum_refuses_a_tampered_e_in():
+    """On a T(8) Hoffman DDG, classes with one vertex swapped between the
+    first two change e_in, and with it tr A^3 from 3192: the split of
+    +-3 is no longer an integer of the parity of 21, InfeasibleParams
+    naming both traces."""
+    g, partition = _hoffman_ddg()
+    cert = verify_ddg(g, partition)
+    classes = [list(c) for c in partition.classes]
+    classes[0][0], classes[1][0] = classes[1][0], classes[0][0]
+    swapped = VertexPartition.from_lists(g.n, classes)
+    with pytest.raises(InfeasibleParams,
+                       match=r"^tr A = 0 and tr A\^3 = \d+ split the 21 "
+                             r"eigenvalues \+-3 with excess"):
+        certified_spectrum(cert, g, swapped)
