@@ -209,7 +209,8 @@ def cmd_gen_srg1(args) -> int:
     doc = {"srg": cert.to_dict(),
            "cases": cases.to_dict()}
     if cert.passed:
-        doc["spectrum"] = certified_spectrum(cert).serialize()
+        doc["spectrum"] = srg_spectrum(
+            SrgParams.from_certificate(cert)).serialize()
     _write_outputs(args, args.out or f"srg1-q{args.q}-d{args.d}-s{args.seed}",
                    g, doc, inputs)
     return 0 if cert.passed and cases.passed else 1

@@ -191,11 +191,11 @@ def bitset(vertices) -> int:
 # kernels on graphs below this many vertices multiply on the calling
 # thread.  It sets the BLAS thread count (`_blas_scope`) and nothing else:
 # the pair kernel plans its scans alike at every size.  On 2 cores one
-# thread cost a gen-srg1's pair passes and spectra about 4 % at 392-400
-# vertices and 20 % at 576-585 when no product waited for OpenBLAS's
-# worker thread; where products woke it after idle time (3 ms sleeps
-# between calls), one thread took a 364-vertex pair pass from 32.9 ms to
-# 1.6 ms
+# thread cost a gen-srg1's pair passes and `spectrum`'s products about 4 %
+# at 392-400 vertices and 20 % at 576-585 when no product waited for
+# OpenBLAS's worker thread; where products woke it after idle time (3 ms
+# sleeps between calls), one thread took a 364-vertex pair pass from
+# 32.9 ms to 1.6 ms
 _SERIAL_BELOW = 512
 
 
@@ -388,9 +388,9 @@ def first_bad_pair(m, strata, values):
     first, never = {}, []
     if isinstance(strata, SameClass):
         # cross-class pairs (0) need two classes, same-class (1) a class of 2
-        sizes = np.unique(strata.cls, return_counts=True)[1]
+        sizes = np.bincount(strata.cls)
         never = [t for t, most in enumerate(
-            (len(sizes), sizes.max(initial=0))) if most < 2]
+            (np.count_nonzero(sizes), sizes.max(initial=0))) if most < 2]
     for a, b in chain([(0, 1)] if n > 1 else [], _row_blocks(n)):
         for t in [t for t, v in enumerate(values)
                   if v is None and t not in never]:
@@ -494,7 +494,7 @@ class SameClass:
     cover, and its fold keeps one row of expected words per class."""
 
     def __init__(self, cls):
-        self.cls = np.asarray(cls)
+        self.cls = np.asarray(cls, np.intp)  # int when empty too
 
     def __getitem__(self, key):
         rows, cols = key

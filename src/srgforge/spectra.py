@@ -44,7 +44,7 @@ Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
 
 The closed forms at the end (the DDG formula spectrum, the SRG spectrum
-{k, r^f, s^g}, the gen commands' spectra from passing certificates, the
+{k, r^f, s^g}, gen-ddg's spectrum from a passing DDG certificate, the
 Hoffman and Delsarte ratio bounds and the coclique-deletion spectrum)
 follow Brouwer & Van Maldeghem, "Strongly Regular Graphs" (2022).  The SRG
 ones take an SrgParams record, whose constructor checks k(k-lambda-1) =
@@ -535,9 +535,9 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     return make_spectrum([(params.k, 1), (r, f), (s, g)])
 
 
-def certified_spectrum(cert: Certificate, g: Graph | None = None,
-                       partition: VertexPartition | None = None) -> Spectrum:
-    """The spectrum that a passing SRG or DDG certificate fixes.  A DDG has
+def certified_spectrum(cert: Certificate, g: Graph,
+                       partition: VertexPartition) -> Spectrum:
+    """The spectrum that g's passing DDG certificate over partition fixes:
     k and pairs +-theta1, +-theta2 of f_sum, g_sum eigenvalues, pooled when
     equal (Haemers, Kharaghani & Meulenberg, "Divisible design graphs",
     JCTA 2011).  An irrational pair splits evenly; the other excesses x of
@@ -546,8 +546,6 @@ def certified_spectrum(cert: Certificate, g: Graph | None = None,
     of g inside partition's classes.  Zero multiplicities stay, as in
     exact_spectrum; a negative or fractional split, impossible for a
     passing certificate, raises InfeasibleParams naming the traces."""
-    if cert.kind == "srg":
-        return srg_spectrum(SrgParams.from_certificate(cert))
     p = DdgParams.from_certificate(cert)
     formula = ddg_formula_spectrum(p)
     totals = {formula.theta1: formula.f_sum}

@@ -191,9 +191,9 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     classes, both attached, mixed) and checks the exact split of common
     neighbours between the original vertices and the attached coclique
     against the closed forms; all four strata must total q^{2d-2}(q-1).
-    srg_cert, verify_srg's certificate of the same g, settles the totals
-    when it passed with lambda = mu = q^{2d-2}(q-1): then that pass is
-    skipped, as it cannot fail.
+    They are checked as verify_srg checks lambda = mu, unless srg_cert,
+    verify_srg's certificate of the same g, passed with lambda = mu =
+    q^{2d-2}(q-1): then that pass is skipped, as it cannot fail.
     """
     witnesses = []
     v_star = partition.n
@@ -220,19 +220,19 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     }
 
     # Every stratum's split totals `target`, so a pair fails exactly when
-    # its total or its count in the attached coclique is off: q^{d-1} in a
-    # class and q^{d-2}(q-1) across classes, checked by the kernel's class
-    # fold, and 0 for pairs (u, w) with an attached end w >= v_star, by one
-    # boolean product of attachment rows kept to u < w.  The first bad pair
-    # is the lexicographically smallest hit of the three checks.
+    # its total (verify_srg's adjacency fold, lambda = mu = target) or its
+    # count in the attached coclique is off: q^{d-1} in a class and
+    # q^{d-2}(q-1) across classes, checked by the kernel's class fold, and
+    # 0 for pairs (u, w) with an attached end w >= v_star, by one boolean
+    # product of attachment rows kept to u < w.  The first bad pair is the
+    # lexicographically smallest hit of the three checks.
     cls = np.array(partition.class_of())
     att = g.matrix[:, v_star:]
     totals_known = srg_cert is not None and srg_cert.passed and \
         srg_cert.parameters["lambda"] == srg_cert.parameters["mu"] == target
     found = [
         None if totals_known else
-        first_bad_pair(g.matrix, np.broadcast_to(0, (g.n, g.n)),
-                       (target,))[0],
+        first_bad_pair(g.matrix, g.matrix, (target, target))[0],
         first_bad_pair(att[:v_star], SameClass(cls),
                        (expected["cross-class"][1],
                         expected["same-class"][1]))[0],

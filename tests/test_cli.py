@@ -642,6 +642,29 @@ def test_gen_spectra_take_no_matrix_product(tmp_path, monkeypatch, capsys,
         exact_spectrum(g, candidates).serialize()))
 
 
+def test_gen_srg1_spectrum_is_srg_spectrum(tmp_path, monkeypatch, capsys):
+    """gen-srg1 reads its spectrum from srg_spectrum of the verified
+    parameters alone: with certified_spectrum made to raise, it still
+    exits 0 and writes the same .g6, .cert.json and .manifest.json
+    bytes."""
+    outputs = []
+    for patched in (False, True):
+        where = tmp_path / str(patched)
+        where.mkdir()
+        monkeypatch.chdir(where)
+        if patched:
+            def refuse(*args, **kwargs):
+                raise AssertionError("gen-srg1 called certified_spectrum")
+
+            for module in (spectra, cli):
+                monkeypatch.setattr(module, "certified_spectrum", refuse)
+        assert main(["gen-srg1", "--q", "3", "--d", "2", "--seed", "0"]) == 0
+        outputs.append((capsys.readouterr().out, _written(where)))
+    assert outputs[0] == outputs[1]
+    assert sorted(name.split(".", 1)[1] for name in outputs[1][1]) == [
+        "cert.json", "g6", "manifest.json"]
+
+
 def test_gen_ddg_exits_2_on_an_impossible_split(workdir, capsys,
                                                 monkeypatch):
     """A DDG certificate tampered to lambda1 = 5 makes theta1 = 1, and tr A

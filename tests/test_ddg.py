@@ -58,11 +58,16 @@ def test_cyclic_quasigroup():
     assert qg.op(1, 3) == 0
     for i in range(4):
         assert sorted(qg.table[i]) == list(range(4))
+    for make in (cyclic_quasigroup, lambda m: random_left_quasigroup(m, 0)):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            make(0)
 
 
 def test_left_quasigroup_validation():
     with pytest.raises(ValueError):
         LeftQuasigroup(2, ((0, 0), (0, 1)))
+    with pytest.raises(ValueError, match="need 2 rows, got 1"):
+        LeftQuasigroup(2, ((0, 1),))
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0,
@@ -81,6 +86,10 @@ def test_bijection_family_validation():
         BijectionFamily(2, 2, (((1, 0), (0, 1)), ((0, 1), (0, 1))))
     with pytest.raises(ValueError):  # off-diagonal pair must be inverse
         BijectionFamily(2, 2, ((ident[0], (1, 0)), ((0, 1), ident[1])))
+    with pytest.raises(ValueError, match="sigma must be 2x2"):
+        BijectionFamily(2, 2, (ident,))
+    with pytest.raises(ValueError, match=r"sigma\[0\]\[1\] is not a perm"):
+        BijectionFamily(2, 2, ((ident[0], (0, 0)), swap))
     fam = BijectionFamily(2, 2, (((0, 1), (1, 0)), ((1, 0), (0, 1))))
     assert fam.sigma[0][1] == (1, 0)
 
@@ -151,6 +160,15 @@ def test_construct_rejects_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         construct_ddg([design] * m, cyclic_quasigroup(m + 1),
                       identity_family(m + 1, 2))
+    with pytest.raises(ShapeMismatch, match="need at least one design"):
+        construct_ddg([], cyclic_quasigroup(1), identity_family(1, 2))
+    other = affine_geometry_design(make_field(3, 1), 2)  # 9 points
+    with pytest.raises(ShapeMismatch, match=r"^design 1 has shape \(9 "):
+        construct_ddg([design, other, design], cyclic_quasigroup(m),
+                      identity_family(m, 2))
+    with pytest.raises(ShapeMismatch, match="family block count 3 != 2"):
+        construct_ddg([design] * m, cyclic_quasigroup(m),
+                      identity_family(m, 3))
 
 
 def test_verify_ddg_rejects_wrong_graphs():
@@ -291,6 +309,9 @@ def test_quasigroup_file_round_trip(tmp_path):
         load_quasigroup(path)
     path.write_text("0 1\n1\n")
     with pytest.raises(ShapeError):
+        load_quasigroup(path)
+    path.write_text("# no rows\n")
+    with pytest.raises(ParseError, match="empty quasigroup file"):
         load_quasigroup(path)
 
 

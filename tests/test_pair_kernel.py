@@ -910,13 +910,15 @@ class _Operand(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
-@pytest.mark.parametrize("kind", ["srg", "ddg"])
+@pytest.mark.parametrize("kind", ["srg", "ddg", "srg1-cases"])
 def test_passing_tiles_are_not_unpacked(monkeypatch, kind):
     """On s(q, d) and d(q, d) at (3, 3) and (4, 3), 351 to 1365 vertices,
-    a passing verify unpacks no tile and a 2-switched copy whose bad pairs
-    lie in one tile of the rows it scans unpacks exactly that one; neither
-    runs more products than the tiles it scans, one each, as a differing
-    tile's counts come from its own product."""
+    a passing verify, or verify_srg1_cases on s(q, d) with no certificate,
+    unpacks no tile and a 2-switched copy whose bad pairs lie in one tile
+    of the rows it scans unpacks exactly that one; neither runs more
+    products than the tiles it scans, one each, as a differing tile's
+    counts come from its own product.  The audit's class fold, which
+    passes on both, adds the tiles of the DDG's rows."""
     unpacked = []
     digits, packed = graphs._digits, graphs._packed
     monkeypatch.setattr(graphs, "_digits", lambda *args: (
@@ -927,18 +929,24 @@ def test_passing_tiles_are_not_unpacked(monkeypatch, kind):
         ddg, cls, srg = _glued(q, d)
         partition = VertexPartition.from_lists(len(cls), [
             np.flatnonzero(cls == t) for t in range(cls.max() + 1)])
-        m = srg if kind == "srg" else ddg
-        verify = (verify_srg if kind == "srg" else
-                  lambda g: verify_ddg(g, partition))
+        design = projective_complement_design(
+            make_field(*as_prime_power(q)), d)
+        m = ddg if kind == "ddg" else srg
+        verify = {"srg": verify_srg,
+                  "ddg": lambda g: verify_ddg(g, partition),
+                  "srg1-cases": lambda g: verify_srg1_cases(
+                      g, partition, design)}[kind]
+        audit = _tiles(len(ddg)) if kind == "srg1-cases" else 0
         unpacked.clear()
         _Operand.products = 0
         assert verify(Graph(m)).passed
-        assert (unpacked, _Operand.products) == ([], _tiles(len(m)))
+        assert (unpacked, _Operand.products) == ([], _tiles(len(m)) + audit)
         _Operand.products = 0
         cert = verify(Graph(_switched(m, 8, 256)))
         assert cert.witnesses[0]["pair"][1] < 256
         assert len(unpacked) == 1
-        assert 1 <= _Operand.products <= -(-(len(m) - 1) // 256)
+        assert 1 + audit <= _Operand.products <= \
+            -(-(len(m) - 1) // 256) + audit
 
 
 def test_verifier_memory_stays_below_decode():

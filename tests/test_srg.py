@@ -141,6 +141,10 @@ def test_construct_srg1_rejects_bad_input():
     assert design5.n_points == 5
     with pytest.raises(PreconditionFailed):
         construct_srg1(pet, part, design5, ClassBlockMap.identity(5))
+    design3 = projective_complement_design(make_field(2, 1), 2)
+    with pytest.raises(ShapeMismatch, match="block map covers 4 classes, "
+                       "need 3"):
+        construct_srg1(g, partition, design3, ClassBlockMap.identity(4))
 
 
 def test_construct_srg1_refuses_a_ddg_outside_the_glued_family():
@@ -157,6 +161,13 @@ def test_construct_srg1_refuses_a_ddg_outside_the_glued_family():
         construct_srg1(g, partition, fano_plane(), ClassBlockMap.identity(7))
     cert = verify_srg1_cases(empty_graph(21), partition, fano_plane())
     assert cert.witnesses == ({"check": "shape", "m": 7, "n": 2},)
+    # 7 classes of 36 = 6^2 read as q = 6, d = 2, which is no prime power
+    g = complete_multipartite(*[36] * 7)
+    partition = VertexPartition.from_lists(
+        252, [range(36 * i, 36 * i + 36) for i in range(7)])
+    with pytest.raises(PreconditionFailed, match=r"parameters \(252, 216, "
+                       r"216, 180, 7, 36\) are not of the glued-design form"):
+        construct_srg1(g, partition, fano_plane(), ClassBlockMap.identity(7))
 
 
 def test_construct_srg1_checks_its_design():
@@ -304,6 +315,40 @@ def test_construct_ddg_hoffman_names_the_first_adjacent_pair():
     with pytest.raises(PreconditionFailed, match=r"class member pair "
                        r"\(24, 21\) is adjacent: not a coclique"):
         construct_ddg_hoffman(t8, coloring)
+
+
+def test_construct_ddg_hoffman_checks_coloring_and_outcome():
+    """A coloring of another vertex count or with classes of the wrong
+    size, parameters whose ratio bound is no integer, and a base that is
+    not the graph its parameters describe: a 2-switch of T(8) that keeps
+    the coloring's classes cocliques fills in to no DDG of the expected
+    parameters."""
+    t8 = triangular_graph(8)
+    colorings = hoffman_colorings(t8)
+    coloring = next(iter(colorings))
+    with pytest.raises(ShapeMismatch, match="coloring covers 29 vertices, "
+                       "graph has 28"):
+        construct_ddg_hoffman(t8, VertexPartition.from_lists(
+            29, [range(29)]))
+    with pytest.raises(PreconditionFailed, match="class of size 7 is not a "
+                       r"maximum coclique \(need 4\)"):
+        construct_ddg_hoffman(t8, VertexPartition.from_lists(
+            28, [range(7 * i, 7 * i + 7) for i in range(4)]))
+    with pytest.raises(PreconditionFailed, match="ratio bound 14/5 is not "
+                       "an integer"):
+        construct_ddg_hoffman(t8, coloring, SrgParams(28, 18, 12, 10))
+    cls = coloring.class_of()
+    a, b, c, d = next((a, b, c, d) for (a, b), (c, d) in
+                      itertools.combinations(t8.edges(), 2)
+                      if len({a, b, c, d}) == 4 and cls[a] != cls[d]
+                      and cls[c] != cls[b] and not t8.has_edge(a, d)
+                      and not t8.has_edge(c, b))
+    m = t8.matrix.copy()
+    m[[a, b, c, d], [b, a, d, c]] = False
+    m[[a, d, c, b], [d, a, b, c]] = True
+    with pytest.raises(PreconditionFailed, match="filled-in coloring is "
+                       "not a divisible design graph"):
+        construct_ddg_hoffman(Graph(m), coloring, colorings.params)
 
 
 def test_non_srg_base_raises_not_srg():
