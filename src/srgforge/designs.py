@@ -6,7 +6,8 @@ many blocks as points.  Generators come from affine and projective geometry
 over a finite field; arbitrary designs can be loaded from a plain-text block
 list.  Verifiers check the axioms exhaustively and report a Certificate
 instead of raising, so a failed check is data.  Pair balance and block
-intersections are pair counts of the incidence matrix, on the graph pair scan.
+intersections are pair counts of the incidence matrix, on the graph pair
+kernel's fold, with one `SameClass` class where every pair has one count.
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ def verify_resolvable(design: ResolvableDesign) -> Certificate:
     pair_count = cross = 0
     if not witnesses:
         m = incidence(n, blocks)
-        bad, (pair_count,) = pair_witness(
-            m, np.broadcast_to(0, (n, n)), ("pair-balance",))
+        # one class: every pair is in stratum 1
+        bad, (_, pair_count) = pair_witness(
+            m, SameClass(np.zeros(n)), (None, "pair-balance"))
         if n > 1 and not (bad or pair_count):
             bad = {"check": "pair-balance", "pair": [0, 1], "count": 0,
                    "expected": "positive"}
@@ -215,10 +217,10 @@ def verify_symmetric(design: SymmetricDesign) -> Certificate:
             witnesses.append({"check": "point-degree",
                               "degrees": point_degrees})
         elif not witnesses:
-            strata = np.broadcast_to(0, (v, v))
-            bad, (lam,) = pair_witness(m, strata, ("pair-balance",))
-            bad2, _ = pair_witness(m.T, strata, ("block-intersection",),
-                                   (lam,))
+            one = SameClass(np.zeros(v))
+            bad, (_, lam) = pair_witness(m, one, (None, "pair-balance"))
+            bad2, _ = pair_witness(m.T, one, (None, "block-intersection"),
+                                   (None, lam))
             witnesses += filter(None, (bad, bad2))
 
     expected = (v, k, lam)

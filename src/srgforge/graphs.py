@@ -13,10 +13,9 @@ the bit stream and mirrors the lower triangle in 256 x 256 blocks, so its
 matrix is symmetric and loop-free by construction and skips Graph's scan.
 Common-neighbour counting, the hot loop of every verifier, is a matrix
 product too: `first_bad_pair` plans each call once and counts in exact
-float32 tiles cast from the matrix, k rows packed per word, against pair
-strata (a matrix, or a `SameClass` of class indices); at every size it
-checks two-valued adjacency or class strata in the packed words
-themselves.  The design verifiers run it on incidence matrices.
+float32 tiles cast from the matrix, k rows packed per word, and checks
+two strata, adjacency or a `SameClass` of class indices, in the packed
+words themselves; the design verifiers run it on incidence matrices.
 `common_edge_counts` gives, for every pair, the edges among its common
 neighbours, as one Gram matrix of edge rows; canon colours pairs by it.
 Both kernels, and exact_spectrum's products, multiply on the calling
@@ -328,15 +327,15 @@ def first_bad_pair(m, strata, values):
     number of columns set in both row u and row w: the common neighbours
     for g.matrix, those among the last c vertices for g.matrix[:, n - c:],
     the blocks through two points for a design's incidence matrix.  The
-    stratum strata[u, w] indexes `values`; strata is an integer or boolean
-    n x n matrix, a zero-stride np.broadcast_to view, or a `SameClass`,
-    read only through 2-D slices.  values[t] fixes the count of stratum t,
-    or is None to take it from its first pair.
+    stratum S(u, w), 0 or 1, is read only through 2-D slices of strata: m
+    itself (adjacency strata; m symmetric) or a `SameClass`.  values =
+    (v0, v1) fixes each stratum's count, in [0, c], or is None to take it
+    from its first pair; a stratum no pair meets takes the other's value.
 
     Each call plans once: the first pair of each stratum valued None is
     found in row 0, or else in the row blocks of `_row_blocks`, and sets
     its value (a `SameClass` stratum with no pair is not looked for), and
-    then the fold, the packing and the expected counts are fixed.  The
+    then the fold, the packing and the expected words are fixed.  The
     scan takes the pairs (u, w), u < w, in lexicographic order, block by
     block against tiles of 2 * _PAIR_ROWS = 256 later rows, with one
     float32 product per tile, the tile cast from m into one reused buffer,
@@ -346,49 +345,47 @@ def first_bad_pair(m, strata, values):
     operand (`_packed`) cuts its rows into k slabs of h rows and sums them,
     slab j scaled by 2^(j s), so entry (w, r) of the tile's product is the
     sum over j of 2^(j s) d_j, d_j the digit of w with block row u_j, row r
-    of slab j.  Unfolded, the digit is the count, in [0, c], and s the bit
-    length of max(c, 1); k = floor(24 / s), 2 for c from 256 to 4095 and 1
-    from 4096 on.  float32 computes the entry exactly, as every partial
-    sum, in whatever order the product adds, is such a sum with every digit
-    in a window of 2^s integers, so below 2^(k s) <= 2^24 in absolute
-    value; less the window's low end, digit j is bits j s to (j + 1) s - 1
-    of the entry's int32 cast (`_digits`).  The kernel refuses c >= 2^24,
-    where k would be 0.
+    of slab j, and k = floor(24 / s).  float32 computes the entry exactly,
+    as every partial sum, in whatever order the product adds, is such a sum
+    with every digit in a window of 2^s integers, so below 2^(k s) <= 2^24
+    in absolute value; less the window's low end, digit j is bits j s to
+    (j + 1) s - 1 of the entry's int32 cast (`_digits`).
 
-    At every size, two strata with values v0, v1 in [0, c] are folded: a
-    pair passes when its count less delta S is v0, delta = v1 - v0 and S
-    its 0/1 stratum.  When strata is m itself (verify_srg's adjacency
-    strata; m symmetric), the operand holds -delta 2^(j s) in the column
-    of u_j, so the digit is cnt - delta S, in a window from -max(delta, 0)
-    up to c + max(-delta, 0), and s is the bit length of c + |delta|; for
-    a `SameClass` the digit stays the count and the expected word of
-    packed row r gains delta 2^(j s) for each u_j in the class of w, one
-    row of words per class.  The words then determine the digits, so a
-    tile passes exactly when each word equals its expected one, once the
-    first tile's word of each block row u against itself is moved by
-    deg(u) - v0 - delta S(u, u).  Only a tile holding a differing word is
-    unpacked, from the same product, into counts for the check against
-    the stratum values.  The scans the fold cannot take (not two strata,
-    another strata matrix, or a value outside [0, c] or never met) unpack
-    every tile.
+    Both strata are checked in one fold: a pair passes when its count less
+    delta S is v0, delta = v1 - v0.  For adjacency strata the operand holds
+    -delta 2^(j s) in the column of u_j, so the digit is cnt - delta S, in a
+    window from -max(delta, 0) up to c + max(-delta, 0), and s is the bit
+    length of c + |delta|, at most 24 as the kernel refuses c >= 2^23; for a
+    `SameClass` the digit stays the count, s is the bit length of max(c, 1),
+    and the expected word of packed row r gains delta 2^(j s) for each u_j
+    in the class of w, one row of words per class.  The words then determine
+    the digits, so a tile passes exactly when each word equals its expected
+    one, once the first tile's word of each block row u against itself is
+    moved by deg(u) - v0 - delta S(u, u).  Only a tile holding a differing
+    word is unpacked, from the same product, into counts for the check
+    against the stratum values.
 
-    Returns ((u, w, count) or None, tuple of the values); a stratum first
-    met after the returned pair keeps its given value.
+    Returns ((u, w, count) or None, the values); a stratum first met after
+    the returned pair, or never, keeps its given value.
     """
     n, c = m.shape
-    if c >= 1 << 24:
-        raise ValueError(f"{c} columns: float32 counts are exact below 2^24")
+    if c >= 1 << 23:
+        raise ValueError(f"{c} columns: the fold's words are exact below 2^23")
+    values = list(values)
+    if any(v is not None and not 0 <= v <= c for v in values):
+        raise ValueError(f"stratum values {values} outside [0, {c}]")
     # uint8 casts to float32 about twice as fast as bool
     m8 = m.view(np.uint8)
-    values = list(values)
     # the first pair w > u of each stratum given no value, from the blocks
     # a to b - 1 of rows against the columns from a + 1 on (np.triu): row 0
     # alone first, where every verifier meets both of its strata, then the
     # row blocks for a stratum it does not meet
-    first, never = {}, []
-    if isinstance(strata, SameClass):
+    first, never, classes = {}, [], None
+    adjacent = strata is m
+    if not adjacent:
         # cross-class pairs (0) need two classes, same-class (1) a class of 2
-        sizes = np.bincount(strata.cls)
+        classes = strata.cls
+        sizes = np.bincount(classes)
         never = [t for t, most in enumerate(
             (np.count_nonzero(sizes), sizes.max(initial=0))) if most < 2]
     for a, b in chain([(0, 1)] if n > 1 else [], _row_blocks(n)):
@@ -403,21 +400,12 @@ def first_bad_pair(m, strata, values):
                 values[t] = int(np.count_nonzero(m[a + u] & m[a + 1 + w]))
         if all(v is not None or t in never for t, v in enumerate(values)):
             break
-    # a stratum never met has no pair w > u, so its -1 is compared only at
-    # pairs w <= u, which `upper` drops
-    expected = np.array([-1 if v is None else v for v in values], np.int32)
-    # the fold's strata are the counted matrix itself, whose tile entry
-    # (w, u) is S(u, w), or the class index of each vertex.  It needs both
-    # values in [0, c] (another fails at its first pair, found unpacked);
-    # c < 2^23 keeps c + |delta| < 2^24
-    folded = (len(values) == 2
-              and (strata is m or isinstance(strata, SameClass))
-              and None not in values and 0 <= min(values)
-              and max(values) <= c < 1 << 23)
-    v0, v1 = values if folded else (0, 0)
+    # a stratum no pair meets takes the other's value (delta = 0); with no
+    # pair at all, nothing is compared
+    v0, v1 = (v if v is not None else 0 if w is None else w
+              for v, w in (values, values[::-1]))
     delta = v1 - v0
-    adjacent = folded and strata is m
-    classes = strata.cls if folded and not adjacent else None
+    expected = np.array([v0, v1], np.int32)
     # delta S comes off in the product for adjacency strata
     inner = delta if adjacent else 0
     low = min(0, -inner)
@@ -427,8 +415,6 @@ def first_bad_pair(m, strata, values):
     # one float32 buffer serves every column tile: a fresh array per tile
     # would pay its page faults each time
     buf = np.empty((min(tile, n), c), np.float32)
-    # the pairs w > u of a block against its first tile, w0 = a + 1
-    upper = ~np.tri(min(n, _PAIR_ROWS), tile, -1, bool)
     with _blas_scope(max(n, c)):
         for a, b in _row_blocks(n):
             # rows a to a + rows - 1 can still hold a pair before the best
@@ -437,44 +423,43 @@ def first_bad_pair(m, strata, values):
             for w0 in range(a + 1, n, tile):
                 if block is None:
                     block, shifts, weights = _packed(m8[a:a + rows], k, s)
-                    if folded:
-                        # 2^(j s) for block row a + i, i = j h + r
-                        h, i = len(weights), np.arange(rows)
-                        scale = np.exp2(i // h * s)
-                        # the expected word of packed row r, against any
-                        # later row or against one of class t
-                        want = (v0 * weights).astype(np.float32)
-                        if adjacent:
-                            block[a + i, i % h] -= delta * scale
-                        else:
-                            want = np.repeat(want[None], classes.max() + 1,
-                                             axis=0)
-                            np.add.at(want, (classes[a:a + rows], i % h),
-                                      delta * scale)
+                    # 2^(j s) for block row a + i, i = j h + r
+                    h, i = len(weights), np.arange(rows)
+                    scale = np.exp2(i // h * s)
+                    # the expected word of packed row r, against any later
+                    # row or against one of class t
+                    want = (v0 * weights).astype(np.float32)
+                    if adjacent:
+                        block[a + i, i % h] -= delta * scale
+                    else:
+                        want = np.repeat(want[None], classes.max() + 1,
+                                         axis=0)
+                        np.add.at(want, (classes[a:a + rows], i % h),
+                                  delta * scale)
                 later = buf[:min(tile, n - w0)]
                 np.copyto(later, m8[w0:w0 + len(later)])
                 # with OpenBLAS, later @ block (128 x c by c x 32 at
                 # c = 1365) runs about twice as fast as block.T @ later.T
                 words = later @ block
-                if folded:
-                    if w0 == a + 1:
-                        # block row u = a + i, i >= 1, meets itself here
-                        # with digit deg(u) - inner S(u, u), moved onto
-                        # the expected v0 + (delta - inner) S(u, u)
-                        u = slice(a + 1, a + rows)
-                        words[i[1:] - 1, i[1:] % h] -= scale[1:] * (
-                            degrees(m8[u]) - v0 - delta * (
-                                m[u, u].diagonal() if adjacent else 1))
-                    if (words == (want if adjacent else want[
-                            classes[w0:w0 + len(later)]])).all():
-                        continue
+                if w0 == a + 1:
+                    # block row u = a + i, i >= 1, meets itself here with
+                    # digit deg(u) - inner S(u, u), moved onto the
+                    # expected v0 + (delta - inner) S(u, u)
+                    u = slice(a + 1, a + rows)
+                    words[i[1:] - 1, i[1:] % h] -= scale[1:] * (
+                        degrees(m8[u]) - v0 - delta * (
+                            m[u, u].diagonal() if adjacent else 1))
+                if (words == (want if adjacent else want[
+                        classes[w0:w0 + len(later)]])).all():
+                    continue
                 counts = _digits(words, shifts, weights, low, s)[:rows]
                 cells = strata[a:a + rows, w0:w0 + len(later)]
                 if inner:
                     counts += inner * cells
                 bad = counts != expected.take(cells)
                 if w0 == a + 1:
-                    bad &= upper[:rows, :len(later)]
+                    # pair (a + r, a + 1 + j) has w > u when j >= r
+                    bad = np.triu(bad)
                 if bad.any():
                     r, j = divmod(int(bad.argmax()), len(later))
                     best, rows = (a + r, w0 + j, int(counts[r, j])), r

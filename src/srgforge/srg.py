@@ -122,7 +122,7 @@ def _theorem1_qd(params: DdgParams) -> tuple[int, int] | None:
         return None
     try:
         expected = theorem1_params(*qd)
-    except (NotPrime, ValueError):
+    except NotPrime:
         return None
     return qd if expected == params else None
 

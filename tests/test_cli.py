@@ -481,6 +481,29 @@ def test_canon_prints_nothing_before_a_bad_line(workdir, capsys):
             "srgforge: graph6 body length 5 wrong for n=10\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen-ddg", "--q", "2", "--d", "2", "--seed", "0",
+      "--quasigroup", "file:qg4.txt"], "quasigroup order 4, expected 3"),
+    (["gen-srg1", "--q", "2", "--d", "2", "--seed", "0", "--phi", "phi2.txt"],
+     "phi2.txt: block map has 2 entries, expected 3"),
+    (["verify", "--expect", "srg", "--in", "empty.g6"],
+     "no graph6 line on input"),
+])
+def test_unfit_input_file_exits_2(workdir, capsys, argv, message):
+    """A quasigroup table or a block map read from a file must fit the m =
+    3 classes of (2, 2), and a graph file must hold a graph; one that does
+    not exits 2 before any output."""
+    inputs = {"qg4.txt": "0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n",
+              "phi2.txt": "0 1\n", "empty.g6": ""}
+    for name, text in inputs.items():
+        Path(name).write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"srgforge: {message}\n"
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(inputs)
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-srg2", "--base", "t8", "--phi", "bad.txt"],
     ["verify", "--expect", "ddg", "--in", "pet.g6", "--classes", "bad.txt"],
@@ -508,6 +531,10 @@ def test_count_classes_command(workdir, capsys):
     assert len(doc) == 1
     entry = next(iter(doc.values()))
     assert entry["count"] == 2
+    # --out writes the same document to a file and prints nothing
+    assert main(["count-classes", "--in", "graphs.g6", "--out", "c.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads((workdir / "c.json").read_text()) == doc
 
 
 def test_bound_command(capsys):

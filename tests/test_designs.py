@@ -46,6 +46,11 @@ def test_affine_design_rejects_dim_one():
         affine_geometry_design(make_field(2, 1), 1)
 
 
+def test_projective_design_rejects_dim_one():
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        projective_complement_design(make_field(2, 1), 1)
+
+
 @pytest.mark.parametrize("p,e,d", CASES)
 def test_projective_complement_design(p, e, d):
     field = make_field(p, e)
@@ -134,6 +139,14 @@ def test_design_file_comments_and_errors(tmp_path):
     path.write_text("resolvable 4 x 2\n0 1\n")
     with pytest.raises(ParseError):
         load_design(path, "resolvable")
+
+    path.write_text("resolvable 4 3\n0 1\n")
+    with pytest.raises(ParseError, match="exactly 3 integers"):
+        load_design(path, "resolvable")
+
+    path.write_text("symmetric 3 2 1\n0 1\n")
+    with pytest.raises(ShapeError, match="expected 3 block lines, got 1"):
+        load_design(path, "symmetric")
 
     path.write_text("resolvable 4 3 2\n0 1\n2 3\n")
     with pytest.raises(ShapeError):

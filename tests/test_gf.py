@@ -11,6 +11,7 @@ import pytest
 
 from srgforge import (affine_points, as_prime_power, enumerate_hyperplanes,
                       make_field, NotPrime, projective_points, TooLarge)
+from srgforge.gf import is_prime
 
 PRIME_POWERS = [(p, e) for p in range(2, 257)
                 if all(p % d for d in range(2, p))
@@ -150,6 +151,15 @@ def test_make_field_order_limit():
     assert make_field(2, 8).q == 256
     with pytest.raises(TooLarge, match="field order 512 exceeds 256"):
         make_field(2, 9)
+
+
+def test_is_prime_and_inverse():
+    """is_prime refuses n < 2, and 0 alone has no inverse."""
+    assert [n for n in range(-1, 14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
+    f = make_field(5, 1)
+    assert [f.inv(a) for a in range(1, 5)] == [1, 3, 2, 4]
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
 
 
 def test_as_prime_power():

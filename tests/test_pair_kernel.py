@@ -5,12 +5,13 @@ three verifiers as they were written before `first_bad_pair` existed, each
 with its own Python pair loop, and serve as the oracle of the numpy kernel.
 The kernel-based verifiers must give the same certificate JSON, first
 witness and inferred parameters included, both on random inputs and on
-2-switched outputs of the constructions.  Where the kernel checks
-two-valued adjacency and class strata in its packed words, flips and
-switches are compared with a recount, and a passing scan must unpack no
-tile.  The last tests check that the kernels' results do not depend on
-the BLAS thread count, the scope that runs small graphs' products on the
-calling thread, and the lookup of the thread setter when it finds none.
+2-switched outputs of the constructions.  The kernel checks its two
+strata, adjacency or classes, in its packed words: their digits are
+compared with Python-int counts, flips, switches and moved pairs with a
+recount, and a passing scan must unpack no tile.  The last tests check
+that the kernels' results do not depend on the BLAS thread count, the
+scope that runs small graphs' products on the calling thread, and the
+lookup of the thread setter when it finds none.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from hypothesis import given, strategies as st
 
 from conftest import graph_from_bits, rows_graph, rows_matrix
 from srgforge import (affine_geometry_design, certificate, ClassBlockMap,
-                      construct_ddg, construct_srg1, cyclic_quasigroup,
-                      ddg_formula_spectrum, DdgParams, exact_spectrum,
-                      Graph, make_field, projective_complement_design,
-                      random_bijection_family, srg1_target_params,
-                      srg_spectrum, symplectic_graph, triangular_graph,
-                      verify_ddg, verify_srg, verify_srg1_cases,
+                      complete_graph, construct_ddg, construct_srg1,
+                      cyclic_quasigroup, ddg_formula_spectrum, DdgParams,
+                      empty_graph, exact_spectrum, Graph, make_field,
+                      projective_complement_design, random_bijection_family,
+                      srg1_target_params, srg_spectrum, symplectic_graph,
+                      triangular_graph, verify_ddg, verify_resolvable,
+                      verify_srg, verify_srg1_cases, verify_symmetric,
                       VertexPartition)
 from srgforge import graphs
 from srgforge.gf import as_prime_power
@@ -383,73 +385,6 @@ def test_small_blocks_match_reference(data, pair_rows):
                   ref_verify_srg1_cases(s, partition, attach))
 
 
-@given(st.integers(0, 200), st.sampled_from([0.03, 0.97]),
-       st.integers(0, 2**32 - 1), st.data())
-def test_tiled_counts_match_bit_count(n, density, seed, data):
-    """Sparse and dense graphs, whole or as a column slice m[:, c0:]: with
-    one stratum per distinct count, every pair meets the value of its
-    stratum, and a pair moved to another stratum is the witness."""
-    rng = np.random.default_rng(seed)
-    m = np.triu(rng.random((n, n)) < density, 1)
-    g = Graph(m | m.T)
-    c0 = data.draw(st.integers(0, n))
-    ref = np.zeros((n, n), np.int64)
-    for u in range(n):
-        for w in range(u + 1, n):
-            ref[u, w] = ref[w, u] = (
-                (g.rows[u] & g.rows[w]) >> c0).bit_count()
-    counts = np.unique(ref[np.triu_indices(n, 1)])
-    strata = np.searchsorted(counts, ref)
-    pair_rows = data.draw(st.sampled_from([8, 64]))
-    with patch.object(graphs, "_PAIR_ROWS", pair_rows):
-        values = tuple(map(int, counts))
-        sliced = g.matrix[:, c0:]
-        assert first_bad_pair(sliced, strata, values) == (None, values)
-        assert first_bad_pair(sliced, strata, (None,) * len(values)) == (
-            None, values)
-        if len(values) > 1:
-            u = data.draw(st.integers(0, n - 2))
-            w = data.draw(st.integers(u + 1, n - 1))
-            strata[u, w] = (strata[u, w] + 1) % len(values)
-            assert first_bad_pair(sliced, strata, values) == (
-                (u, w, int(ref[u, w])), values)
-
-
-def test_kernel_keeps_unmet_strata():
-    # path 0-1-2-3: pairs (0,1) count 0 (adjacent), (0,2) count 1, (0,3) 0
-    adj = rows_matrix(4, (0b0010, 0b0101, 0b1010, 0b0100))
-    assert first_bad_pair(adj, adj, (None, None)) == ((0, 3, 0), (1, 0))
-    # fixed values are kept, and the first pair can be the witness
-    assert first_bad_pair(adj, adj, (1, 5)) == ((0, 1, 0), (1, 5))
-    assert first_bad_pair(adj, ~adj, (0, 1)) == ((0, 3, 0), (0, 1))
-    # a single edge has no non-adjacent pair, so stratum 0 stays unmet
-    edge = rows_matrix(2, (0b10, 0b01))
-    assert first_bad_pair(edge, edge, (None, None)) == (None, (None, 0))
-    # three strata: stratum 2 is first met at (0, 3), after the witness
-    # (0, 2), so it keeps its None; stratum 1 is never met
-    strata = np.zeros((4, 4), np.uint8)
-    strata[0, 3] = 2
-    assert first_bad_pair(adj, strata, (None, 7, None)) == (
-        (0, 2, 1), (0, 7, None))
-    strata[0, 2] = 2
-    assert first_bad_pair(adj, strata, (None, 7, None)) == (
-        (0, 3, 0), (0, 7, 1))
-    # a zero-stride view, and graphs with no pair at all
-    assert first_bad_pair(adj, np.broadcast_to(1, (4, 4)), (9, None)) == (
-        (0, 2, 1), (9, 0))
-    assert first_bad_pair(np.zeros((0, 0), bool), np.zeros((0, 0), bool),
-                          (None, 3)) == (None, (None, 3))
-    assert first_bad_pair(np.zeros((1, 1), bool), np.zeros((1, 1), bool),
-                          (None, 3)) == (None, (None, 3))
-    # no columns: every count is 0
-    assert first_bad_pair(adj[:, 4:], adj, (None, None)) == (None, (0, 0))
-    assert first_bad_pair(adj[:, 4:], adj, (0, 1)) == ((0, 1, 0), (0, 1))
-    # float32 counts exactly only below 2^24
-    with pytest.raises(ValueError, match="2\\^24"):
-        first_bad_pair(np.zeros((0, 1 << 24), bool), np.zeros((0, 0), bool),
-                       (None,))
-
-
 def _recounted(m):
     """Counts of all row pairs u != w of a boolean matrix, from Python-int
     bitsets; 0 on the diagonal."""
@@ -459,10 +394,88 @@ def _recounted(m):
                      for u, x in enumerate(rows)])
 
 
-def _stratified(ref):
-    """One stratum per distinct count of the pairs u < w, and its values."""
-    counts = np.unique(ref[np.triu_indices(len(ref), 1)])
-    return np.searchsorted(counts, ref), tuple(map(int, counts))
+def _unpacked_counts(m, size: int):
+    """Counts of all row pairs of a boolean n x c matrix as first_bad_pair
+    unpacks a tile: blocks of `size` rows packed k = floor(24 / s) to a
+    word (`_packed`), s the bit length of max(c, 1), multiplied by every
+    row and cut into digits (`_digits`); 0 on the diagonal."""
+    n, c = m.shape
+    s = max(c, 1).bit_length()
+    m8 = m.view(np.uint8)
+    rows = m8.astype(np.float32)
+    counts = np.zeros((n, n), np.int64)
+    for a in range(0, n, size):
+        block = m8[a:a + size]
+        words, shifts, weights = graphs._packed(block, 24 // s, s)
+        counts[a:a + len(block)] = graphs._digits(
+            rows @ words, shifts, weights, 0, s)[:len(block)]
+    np.fill_diagonal(counts, 0)
+    return counts
+
+
+@given(st.integers(0, 200), st.sampled_from([0.03, 0.97]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_tiled_counts_match_bit_count(n, density, seed, data):
+    """Sparse and dense graphs, whole or as a column slice m[:, c0:]: the
+    unpacked digits give every pair's count, and a class scan of the
+    slice, with values inferred or given, and an adjacency scan of the
+    whole graph find the witness and values of the recount."""
+    rng = np.random.default_rng(seed)
+    m = np.triu(rng.random((n, n)) < density, 1)
+    m |= m.T
+    sliced = m[:, data.draw(st.integers(0, n)):]
+    pair_rows = data.draw(st.sampled_from([8, 64]))
+    assert (_unpacked_counts(sliced, pair_rows) == _recounted(sliced)).all()
+    same = rng.integers(0, data.draw(st.integers(1, 4)), n)
+    fixed = tuple(data.draw(st.integers(0, sliced.shape[1]))
+                  for _ in range(2))
+    with patch.object(graphs, "_PAIR_ROWS", pair_rows):
+        _check_folded(sliced, same=same)
+        _check_folded(sliced, fixed, same)
+        _check_folded(m)
+
+
+def test_kernel_keeps_unmet_strata():
+    # path 0-1-2-3: pairs (0,1) count 0 (adjacent), (0,2) count 1, (0,3) 0
+    adj = rows_matrix(4, (0b0010, 0b0101, 0b1010, 0b0100))
+    assert first_bad_pair(adj, adj, (None, None)) == ((0, 3, 0), (1, 0))
+    # fixed values are kept, and the first pair can be the witness
+    assert first_bad_pair(adj, adj, (1, 3)) == ((0, 1, 0), (1, 3))
+    # classes {0, 2, 3} and {1}: (0, 3) breaks the same-class count 1 of
+    # (0, 2), given or inferred
+    for values in ((0, 1), (None, None)):
+        assert first_bad_pair(adj, graphs.SameClass([0, 1, 0, 0]),
+                              values) == ((0, 3, 0), (0, 1))
+    # the same-class stratum is first met at (0, 3), after the witness
+    # (0, 2), so it keeps its None
+    assert first_bad_pair(adj, graphs.SameClass([0, 1, 2, 0]),
+                          (None, None)) == ((0, 2, 1), (0, None))
+    # a single edge has no non-adjacent pair, so stratum 0 stays unmet
+    edge = rows_matrix(2, (0b10, 0b01))
+    assert first_bad_pair(edge, edge, (None, None)) == (None, (None, 0))
+    # one class: a stratum never met keeps its given value
+    assert first_bad_pair(adj, graphs.SameClass(np.zeros(4)), (4, None)) == (
+        (0, 2, 1), (4, 0))
+    # graphs with no pair at all
+    for n in (0, 1):
+        assert first_bad_pair(np.zeros((n, 3), bool), graphs.SameClass(
+            np.zeros(n)), (None, 3)) == (None, (None, 3))
+        empty = np.zeros((n, n), bool)
+        assert first_bad_pair(empty, empty, (None, None)) == (
+            None, (None, None))
+    # no columns: every count is 0
+    assert first_bad_pair(adj[:, 4:], graphs.SameClass([0, 1, 1, 0]),
+                          (None, None)) == (None, (0, 0))
+    # given values lie in [0, c], and the fold's words are exact only for
+    # c + |delta| < 2^24
+    for values in ((0, 1), (-1, None)):
+        with pytest.raises(ValueError, match="outside \\[0, 0\\]"):
+            first_bad_pair(adj[:, 4:], graphs.SameClass([0, 1, 1, 0]), values)
+    with pytest.raises(ValueError, match="outside \\[0, 4\\]"):
+        first_bad_pair(adj, adj, (None, 5))
+    with pytest.raises(ValueError, match="2\\^23"):
+        first_bad_pair(np.zeros((0, 1 << 23), bool), graphs.SameClass([]),
+                       (None, None))
 
 
 @pytest.mark.parametrize("c", [15, 16, 255, 256, 4095, 4096])
@@ -471,8 +484,11 @@ def test_packing_boundaries(c, pair_rows):
     """c at each side of a change of k = floor(24 / bit length of c): 6, 5,
     3, 2, 2, 1 slabs a word.  At c = 15, 255 and 4095 a word of all-ones
     rows reaches 2^24 - 1 (15 * 1118481, 255 * 65793, 4095 * 4097), the
-    largest integer float32 holds with its neighbours; the kernel must
-    still count every pair as the Python ints do."""
+    largest integer float32 holds with its neighbours.  The unpacked
+    digits must still count every pair as the Python ints do, whole and on
+    a column slice; class scans must pass on all-ones rows, whose words
+    are all 2^24 - 1 there, find what the recount finds on rows that mix
+    full and partial counts, and, from c = 255 on, find a moved pair."""
     s = c.bit_length()
     k = 24 // s
     words = np.ones((1, c), np.float32) @ graphs._packed(
@@ -486,62 +502,94 @@ def test_packing_boundaries(c, pair_rows):
     # every third row random, so the slabs mix full and partial counts
     m[::3] = rng.random((len(m[::3]), c)) < 0.5
     ref = _recounted(m)
-    strata, values = _stratified(ref)
+    assert (_unpacked_counts(m, pair_rows) == ref).all()
+    assert (_unpacked_counts(m[:, c // 3:], pair_rows) ==
+            _recounted(m[:, c // 3:])).all()
     with patch.object(graphs, "_PAIR_ROWS", pair_rows):
-        assert first_bad_pair(m, strata, values) == (None, values)
-        assert first_bad_pair(m, strata, (None,) * len(values)) == (
-            None, values)
-        ones = np.zeros((n, n), np.uint8)
-        assert first_bad_pair(m, ones, (c,)) == ((0, 1, ref[0, 1]), (c,))
-        assert first_bad_pair(m[1:3], ones, (c,)) == (None, (c,))
-        for u, w in ((n - 2, n - 1), (1, n - 1), (0, 2)):
-            moved = strata.copy()
-            moved[u, w] = (moved[u, w] + 1) % len(values)
-            assert first_bad_pair(m, moved, values) == (
-                (u, w, int(ref[u, w])), values)
+        for same, values in ((np.zeros(n), (None, c)),
+                             (np.arange(n) % 2, (c, c))):
+            assert first_bad_pair(np.ones((n, c), bool), graphs.SameClass(
+                same), (None, None)) == (None, values)
+        assert first_bad_pair(m, graphs.SameClass(np.zeros(n)),
+                              (None, c)) == ((0, 1, ref[0, 1]), (None, c))
+        assert first_bad_pair(m[1:3], graphs.SameClass([0, 0]),
+                              (None, c)) == (None, (None, c))
+        random_rows = np.arange(n) % 3 == 0
+        _check_folded(m, same=random_rows)
+        _check_folded(m, (c, c), random_rows)
+        _check_folded(m[:, c // 3:], same=random_rows)
+        # c - n all-ones columns and n private ones: a moved pair is the
+        # witness at the last pair, the far column and the first row
+        for u, w in ((n - 2, n - 1), (1, n - 1), (0, 2)) if c > n else ():
+            moved = _moved(np.ones((n, c - n), bool), (u, w))
+            assert first_bad_pair(moved, graphs.SameClass(np.zeros(n)), (
+                None, None)) == ((u, w, c - n + 1), (None, c - n))
 
 
 def _two_slab_case():
-    """40 random rows of 300 columns: one block of 2 slabs of h = 20 rows,
-    packed row r holding rows r and 20 + r."""
+    """40 random rows of 300 columns, their recount, and one stratum per
+    distinct count, for the pair-loop references."""
     m = np.random.default_rng(40).random((40, 300)) < 0.5
     ref = _recounted(m)
-    return m, ref, *_stratified(ref)
+    counts = np.unique(ref[np.triu_indices(40, 1)])
+    return m, ref, np.searchsorted(counts, ref), tuple(map(int, counts))
+
+
+def _moved(rows, *pairs):
+    """rows with a private column each appended, set in its own row; for
+    each pair (u, w), with no end shared, row w's mark moves from its own
+    column to u's: every degree keeps, and the count of (u, w) alone
+    grows by 1."""
+    n, c = rows.shape
+    m = np.hstack([rows, np.eye(n, dtype=bool)])
+    for u, w in pairs:
+        m[w, c + w] = False
+        m[w, c + u] = True
+    return m
+
+
+def _slab_rows():
+    """The first 40 rows of the glued (3, 3) DDG and their classes: with a
+    private column each, 391 columns, they make one block of 2 slabs of
+    h = 20 rows, packed row r holding rows r and 20 + r."""
+    ddg, cls, _ = _glued(3, 3)
+    assert len(set(cls[:40])) == 2
+    return ddg[:40], cls[:40]
 
 
 def test_low_slab_witness_wins():
     """Bad pairs (5, 35) in the low slab and (25, 30) in the high slab
     share packed row 5; the high one sits at an earlier column of the
-    tile, but (5, 35) comes first in lexicographic order."""
-    m, ref, strata, values = _two_slab_case()
-    for u, w in ((5, 35), (25, 30)):
-        strata[u, w] = (strata[u, w] + 1) % len(values)
-    assert first_bad_pair(m, strata, values) == ((5, 35, ref[5, 35]), values)
-    # a new stratum first met at the high-slab pair, after the witness,
-    # keeps its None
-    at = strata.copy()
-    at[25, 30] = len(values)
-    assert first_bad_pair(m, at, (*values, None)) == (
-        (5, 35, ref[5, 35]), (*values, None))
-    # one first met at the low-slab pair takes that pair's count, which
-    # leaves the high-slab pair the witness
-    at = strata.copy()
-    at[5, 35] = len(values)
-    assert first_bad_pair(m, at, (*values, None)) == (
-        (25, 30, ref[25, 30]), (*values, int(ref[5, 35])))
+    tile, but (5, 35) comes first in lexicographic order.  On zero rows
+    whose only same-class pair is one of the two, the same-class stratum
+    met at the high-slab pair, after the witness, keeps its None; met at
+    the low-slab pair, it takes that pair's count, which leaves the
+    high-slab pair the witness."""
+    rows, cls = _slab_rows()
+    pairs = [(5, 35), (25, 30)]
+    assert _check_folded(_moved(rows, *pairs), same=cls)[:2] == (5, 35)
+    zero = _moved(np.zeros_like(rows), *pairs)
+    for (u, w), want in (((25, 30), ((5, 35, 1), (0, None))),
+                         ((5, 35), ((25, 30, 1), (0, 1)))):
+        same = np.arange(40)
+        same[w] = u
+        assert first_bad_pair(zero, graphs.SameClass(same), (None, None)) == \
+            want
+        _check_folded(zero, same=same)
 
 
 @pytest.mark.parametrize("u", [19, 20])
 def test_witness_on_slab_boundary_row(u):
     """Row 19 ends the low slab and row 20 opens the high one: a bad pair
     on either is found, with its count, and so is one at the first column
-    after its row."""
-    m, ref, strata, values = _two_slab_case()
+    after its row, with the values inferred and given."""
+    rows, cls = _slab_rows()
+    _, values = first_bad_pair(_moved(rows), graphs.SameClass(cls),
+                               (None, None))
     for w in (u + 1, 39):
-        moved = strata.copy()
-        moved[u, w] = (moved[u, w] + 1) % len(values)
-        assert first_bad_pair(m, moved, values) == (
-            (u, w, int(ref[u, w])), values)
+        m = _moved(rows, (u, w))
+        assert _check_folded(m, same=cls)[:2] == (u, w)
+        assert _check_folded(m, values, cls)[:2] == (u, w)
 
 
 def ref_first_bad_pair(ref, strata, values):
@@ -558,53 +606,28 @@ def ref_first_bad_pair(ref, strata, values):
     return None, tuple(values)
 
 
-def _block_diagonal(*parts):
-    m = np.zeros((sum(g.n for g in parts),) * 2, bool)
-    a = 0
-    for g in parts:
-        m[a:a + g.n, a:a + g.n] = g.matrix
-        a += g.n
-    return m
-
-
 @pytest.mark.parametrize("case", ["first-full-block", "second-full-block",
                                   "last-partial-block"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_switched_witness_in_full_and_partial_blocks(case, seed):
-    """About 300 vertices in blocks of 8, then _PAIR_ROWS = 128 rows:
-    [8, 136) and [136, 264) are the full blocks and [264, n) the last,
-    partial one.  Untouched pieces come first and a 2-switched one after
-    them, so the first bad row falls in the block named.  Strata hold one
-    count each of the unswitched graph; witness and inferred values must
-    match the recount."""
-    d42, _, s42, _ = _PIECES[4, 2]
-    d23, _, s23, _ = _PIECES[2, 3]
-    if case == "first-full-block":
-        before, switched, after = (s23,), d42, (s42, d23)
-        rows = (8, 136)
-    elif case == "second-full-block":
-        before, switched, after = (s42, s23), d42, (d23,)
-        rows = (136, 264)
-    else:
-        d24, _, _, _ = _srg1_pieces(2, 4, 7)
-        d32, _, s32, _ = _PIECES[3, 2]
-        before, switched, after = (d24, s32), d32, ()
-        rows = (264, None)
+    """The glued (3, 3) DDG's 351 rows, with a private column each (702
+    columns, two slabs a word), fall in blocks of 8, then _PAIR_ROWS = 128
+    rows: [8, 136) and [136, 264) are the full blocks and [264, 351) the
+    last, partial one.  A degree-keeping move (`_moved`) puts a bad pair
+    at a random row of the block named, and another at a later row;
+    witness and values, inferred and given, match the recount."""
+    ddg, cls, _ = _glued(3, 3)
     assert graphs._PAIR_ROWS == 128
-    m = _block_diagonal(*before, switched, *after)
-    bad = _block_diagonal(*before, _two_switched(switched, seed, 1), *after)
-    assert 270 <= len(m) <= 320
-    strata, values = _stratified(_recounted(m))
-    ref = _recounted(bad)
-    unset = (None,) * len(values)
-    want = ref_first_bad_pair(ref, strata, unset)
-    assert want[0] is not None
-    lo, hi = rows
-    assert lo <= want[0][0] < (hi or len(m)), want
-    assert first_bad_pair(bad, strata, unset) == want
-    assert first_bad_pair(bad, strata, values) == ref_first_bad_pair(
-        ref, strata, values)
-    assert first_bad_pair(m, strata, unset) == (None, values)
+    lo, hi = {"first-full-block": (8, 136), "second-full-block": (136, 264),
+              "last-partial-block": (264, 351)}[case]
+    rng = np.random.default_rng(seed)
+    u = int(rng.integers(lo, min(hi, len(ddg) - 3)))
+    x, y, w = sorted(rng.choice(np.arange(u + 1, len(ddg)), 3, replace=False))
+    _, values = first_bad_pair(_moved(ddg), graphs.SameClass(cls),
+                               (None, None))
+    m = _moved(ddg, (u, int(w)), (int(x), int(y)))
+    assert _check_folded(m, same=cls)[:2] == (u, w)
+    assert _check_folded(m, values, cls)[:2] == (u, w)
 
 
 # ---------------------------------------------------------------------------
@@ -949,6 +972,40 @@ def test_passing_tiles_are_not_unpacked(monkeypatch, kind):
             -(-(len(m) - 1) // 256) + audit
 
 
+@pytest.mark.parametrize("kind", ["designs", "srg", "ddg"])
+def test_scans_with_an_unmet_stratum_are_not_unpacked(monkeypatch, kind):
+    """Scans whose pairs all lie in one stratum fold too, the unmet
+    stratum taking the other's value: passing verify_symmetric on the
+    projective complement design and verify_resolvable on the affine
+    design at (2, 5) and (4, 3), verify_srg on K_300 and its complement,
+    and verify_ddg on s(3, 3) (lambda = mu) as one class and as singleton
+    classes unpack no tile.  With delta = 0, K_300's adjacency digits
+    take the 9 bits of c = 300, not the 10 of c + 298."""
+    unpacked, widths = [], set()
+    digits, packed = graphs._digits, graphs._packed
+    monkeypatch.setattr(graphs, "_digits", lambda *args: (
+        unpacked.append(1), digits(*args))[1])
+    monkeypatch.setattr(graphs, "_packed", lambda *args: (
+        widths.add(args[2]), packed(*args))[1])
+    if kind == "designs":
+        fields = [(make_field(*as_prime_power(q)), d)
+                  for q, d in ((2, 5), (4, 3))]
+        certs = [verify(build(field, d)) for field, d in fields
+                 for verify, build in (
+                     (verify_symmetric, projective_complement_design),
+                     (verify_resolvable, affine_geometry_design))]
+    elif kind == "srg":
+        certs = [verify_srg(complete_graph(300)),
+                 verify_srg(empty_graph(300))]
+        assert widths == {9}
+    else:
+        g = Graph(_glued(3, 3)[2])
+        certs = [verify_ddg(g, VertexPartition.from_lists(g.n, parts))
+                 for parts in ([range(g.n)], [[v] for v in range(g.n)])]
+    assert all(cert.passed for cert in certs)
+    assert not unpacked
+
+
 def test_verifier_memory_stays_below_decode():
     """At 992 to 1365 vertices, the sizes the verify-large benchmark
     times, graph6_decode's own traced peak must stay below 2.25 n^2 bytes:
@@ -1007,6 +1064,26 @@ def test_srg1_audit_memory_stays_below_a_quarter_of_n_squared():
         finally:
             tracemalloc.stop()
         assert added < srg_g.n ** 2 / 4, (srg_g.n, added)
+
+
+def test_class_scan_keeps_no_first_tile_mask():
+    """The coclique audit's class scan of s(3, 3) (351 rows of 13 attached
+    columns) holds its tile buffer, packed block and words, about 70 KB
+    traced at its peak; a 128 x 256 boolean mask of the first tile's
+    upper pairs, built on every call, would add 32 KB."""
+    _, partition, srg_g, _ = _srg1_pieces(3, 3, 7)
+    cls = np.array(partition.class_of())
+    att = srg_g.matrix[:len(cls), len(cls):]
+    values = first_bad_pair(att, graphs.SameClass(cls), (None, None))[1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert first_bad_pair(att, graphs.SameClass(cls), values) == (
+            None, values)
+        added = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert added < 88_000, added
 
 
 @pytest.mark.parametrize("q, d, kind", [(3, 3, "srg"), (3, 3, "ddg"),
