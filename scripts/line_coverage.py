@@ -4,15 +4,18 @@
     PYTHONPATH=src python3 scripts/line_coverage.py [pytest args]
 
 runs pytest in this process, with the given arguments (the tests of
-pyproject.toml when none), under a line tracer set by `sys.settrace` and
-`threading.settrace`, and prints, for each module of src/srgforge, the
-statements inside function bodies that no traced line reached: the count
-of them and of all such statements, then each one's first line.
+pyproject.toml when none) and `--hypothesis-seed=0`, under a line tracer
+set by `sys.settrace` and `threading.settrace`, and prints, for each
+module of src/srgforge, the statements inside function bodies that no
+traced line reached: the count of them and of all such statements, then
+each one's first line.
 Docstrings, nested definition lines and module-level statements (imports,
 definitions, constants), which run on import, are left out.  Tests that
 run srgforge in a subprocess are not traced, so what only they execute is
-listed too.  Exits with pytest's exit code.  Tracing slows the tests down
-several times over.
+listed too.  The fixed seed makes every hypothesis suite draw the same
+examples, and with it hypothesis neither reads nor writes its example
+database, so two runs over the same code print the same listing.  Exits
+with pytest's exit code.  Tracing slows the tests down several times over.
 """
 
 from __future__ import annotations
@@ -79,13 +82,14 @@ def main(argv: list[str]) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(argv)
+        status = pytest.main(["--hypothesis-seed=0", *argv])
     finally:
         sys.settrace(None)
         threading.settrace(None)
 
     print("# statements in srgforge's function bodies that no test "
-          "executed; tests run in subprocesses are not traced")
+          "executed, hypothesis seed 0; tests run in subprocesses are not "
+          "traced")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         heads = _statements(ast.parse(source))

@@ -358,13 +358,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
     check_canon_vertices(g.n)
     search = _Search(g)
     search.run()
-    lab = search.best[1]
-    perm = [0] * g.n
-    for pos, vertex in enumerate(lab):
-        perm[vertex] = pos
     return CanonicalForm(
         n=g.n,
-        graph6=graph6_encode(g.relabel(perm)),
+        # the best leaf's labelling lists g's vertices in canonical order
+        graph6=graph6_encode(g.induced(search.best[1])),
         orbit_count=search.orbit_count(),
         aut_order=search.aut_order(),
     )

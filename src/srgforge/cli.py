@@ -416,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exact spectrum given candidates")
     given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("--candidates", help="e.g. '6,2,0,-2' or 'sqrt(5)'")
+    given.add_argument("--candidates", help="e.g. '6,2,0,-2' or 'sqrt(5)'; "
+                       "--candidates=-2,0,2 for a list led by a minus")
     given.add_argument("--ddg", help="v,k,lambda1,lambda2,m,n")
     given.add_argument("--srg", help="v,k,lambda,mu")
     p.add_argument("--in", dest="infile")

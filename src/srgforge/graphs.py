@@ -33,7 +33,7 @@ import json
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .errors import ParseError, TooLarge
 # parameter; it keeps (q, d) = (2, 6), (3, 4), (5, 3) and Sp(12, 2)
 MAX_BUILD_VERTICES = 4096
 
-_EDGE_BLOCK = 1 << 16  # edges that from_edges holds in one array at a time
 _GRAM_ROWS = 64  # edge rows per float32 block of common_edge_counts
 # rows and columns of the square blocks in which Graph checks symmetry and
 # graph6_decode clears its diagonal blocks on and above the diagonal and
@@ -540,15 +539,15 @@ def from_edges(n: int, edges) -> Graph:
     """Graph on [0, n) with the edges uv of `edges`, which may repeat an
     edge or give both of its orientations.  The first edge that is a loop
     or has an endpoint outside [0, n) raises ValueError."""
+    # unpacking rejects all but pairs
+    e = np.fromiter(((u, v) for u, v in edges), (np.intp, 2))
+    bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
+    if bad.any():
+        u, v = e[bad.argmax()].tolist()
+        raise ValueError(f"loop at vertex {u}" if u == v else f"edge "
+                         f"({u}, {v}) has an endpoint outside [0, {n})")
     m = np.zeros((n, n), bool)
-    pairs = ((u, v) for u, v in edges)  # unpacking rejects all but pairs
-    while len(e := np.fromiter(islice(pairs, _EDGE_BLOCK), (np.intp, 2))):
-        bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
-        if bad.any():
-            u, v = e[bad.argmax()].tolist()
-            raise ValueError(f"loop at vertex {u}" if u == v else f"edge "
-                             f"({u}, {v}) has an endpoint outside [0, {n})")
-        m[e[:, 0], e[:, 1]] = m[e[:, 1], e[:, 0]] = True
+    m[e[:, 0], e[:, 1]] = m[e[:, 1], e[:, 0]] = True
     return Graph(m)
 
 

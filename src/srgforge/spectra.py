@@ -298,28 +298,28 @@ def _annihilates(power, delta: int, coeffs, deflate: bool) -> bool:
     constant (AJ = delta J); past it, modulo the largest primes l with
     n (l - 1)^2 < 2^53 until their product passes the bound."""
     n = len(power(1))
-    coeffs = coeffs + [(0, 1, -delta)] * deflate
+    degree = (0, 1, -delta)  # A - delta I
+    factors = coeffs + [degree] * deflate
     bound = math.prod(c2 * delta * delta + abs(c1) * delta + abs(c0)
-                      for c2, c1, c0 in coeffs)
+                      for c2, c1, c0 in factors)
     if bound >= 1 << 53:
         top = math.isqrt(((1 << 53) - 1) // n) + 1
         # primes past 2^(b-1), b the bit length of top, add b - 1 bits each
         count = -(-bound.bit_length() // (top.bit_length() - 1))
-        _check_work(n, count * len(coeffs))
-        modulus = 1
-        for ell in filter(is_prime, range(top, 1, -1)):
-            if _product_mod(power, coeffs, ell).any():
+        _check_work(n, count * len(factors))
+        modulus, primes = 1, filter(is_prime, range(top, 1, -1))
+        while modulus <= bound:  # the work check leaves enough primes
+            ell = next(primes)
+            if _product_mod(power, factors, ell).any():
                 return False
             modulus *= ell
-            if modulus > bound:
-                return True
-        return False  # not reached: the work check leaves enough primes
-    _check_work(n, len(coeffs) - 1)
-    product = _annihilator(power, coeffs[:len(coeffs) - deflate])
-    if deflate and product.min() == product.max():
         return True
+    _check_work(n, len(factors) - 1)
+    product = _annihilator(power, coeffs)
     if deflate:
-        product = _times(_factor(power, *coeffs[-1]), product)
+        if product.min() == product.max():
+            return True
+        product = _times(_factor(power, *degree), product)
     return not product.any()
 
 

@@ -188,10 +188,11 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     """Stratified common-neighbour audit of a coclique-attached graph.
 
     Splits every vertex pair into four strata (same class, different
-    classes, both attached, mixed) and checks the exact split of common
-    neighbours between the original vertices and the attached coclique
-    against the closed forms; all four strata must total q^{2d-2}(q-1).
-    They are checked as verify_srg checks lambda = mu, unless srg_cert,
+    classes, both attached, mixed) and checks the exact split of a pair's
+    common neighbours between the original vertices and the attached
+    coclique: q^{d-1} in the coclique within a class, q^{d-2}(q-1) across
+    classes, none with an attached end, and q^{2d-2}(q-1) in all.  Totals
+    are checked as verify_srg checks lambda = mu, unless srg_cert,
     verify_srg's certificate of the same g, passed with lambda = mu =
     q^{2d-2}(q-1): then that pass is skipped, as it cannot fail.
     """
@@ -211,21 +212,19 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     q, d = qd
 
     target = q ** (2 * d - 2) * (q - 1)
-    expected = {
-        "same-class": (q ** (d - 1) * (q**d - q ** (d - 1) - 1), q ** (d - 1)),
-        "cross-class": (q ** (d - 2) * (q - 1) * (q**d - 1),
-                        q ** (d - 2) * (q - 1)),
-        "attached": (q**d * q ** (d - 2) * (q - 1), 0),
-        "mixed": (q ** (2 * d - 2) * (q - 1), 0),
-    }
+    same, cross = q ** (d - 1), q ** (d - 2) * (q - 1)
+    # (original, attached) split of each stratum's common neighbours
+    expected = {"same-class": (target - same, same),
+                "cross-class": (target - cross, cross),
+                "attached": (target, 0), "mixed": (target, 0)}
 
     # Every stratum's split totals `target`, so a pair fails exactly when
     # its total (verify_srg's adjacency fold, lambda = mu = target) or its
-    # count in the attached coclique is off: q^{d-1} in a class and
-    # q^{d-2}(q-1) across classes, checked by the kernel's class fold, and
-    # 0 for pairs (u, w) with an attached end w >= v_star, by one boolean
-    # product of attachment rows kept to u < w.  The first bad pair is the
-    # lexicographically smallest hit of the three checks.
+    # count in the attached coclique is off: checked by the kernel's class
+    # fold for original pairs, and for pairs (u, w) with an attached end
+    # w >= v_star by one boolean product of attachment rows kept to u < w.
+    # The first bad pair is the lexicographically smallest hit of the three
+    # checks.
     cls = np.array(partition.class_of())
     att = g.matrix[:, v_star:]
     totals_known = srg_cert is not None and srg_cert.passed and \
@@ -233,9 +232,7 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
     found = [
         None if totals_known else
         first_bad_pair(g.matrix, g.matrix, (target, target))[0],
-        first_bad_pair(att[:v_star], SameClass(cls),
-                       (expected["cross-class"][1],
-                        expected["same-class"][1]))[0],
+        first_bad_pair(att[:v_star], SameClass(cls), (cross, same))[0],
     ]
     hits = [bad[:2] for bad in found if bad]
     shared = np.triu(att @ att[v_star:].T, 1 - v_star)
@@ -254,7 +251,7 @@ def verify_srg1_cases(g: Graph, partition: VertexPartition,
 
     return certificate("srg", parameters={
         "q": q, "d": d, "target": target,
-        **{name.replace("-", "_"): sum(pair) for name, pair in expected.items()},
+        **{name.replace("-", "_"): target for name in expected},
     }, witnesses=witnesses)
 
 

@@ -202,6 +202,15 @@ def test_spectrum_candidates_square_radicands(workdir, capsys):
     assert json.loads(outs[0])["spectrum"] == [[12, 1], [4, 7], [-2, 20]]
 
 
+def test_spectrum_candidates_starting_with_a_minus(workdir, capsys):
+    """A candidate list that starts with a minus is given as
+    --candidates=LIST, as argparse reads a separate -2,0,2 as an option."""
+    (workdir / "c4.g6").write_text(graph6_encode(cycle_graph(4)) + "\n")
+    assert main(["spectrum", "--in", "c4.g6", "--candidates=-2,0,2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spectrum"] == [[2, 1], [0, 2], [-2, 1]]
+
+
 def test_spectrum_answers_s33_with_61_integer_candidates(workdir, capsys):
     """61 candidates -30..30 on the 364-vertex s(3,3), all within its
     degree 243: 61 traces take 29 products and a 61 x 61 trace solve mod P.
@@ -359,12 +368,17 @@ def test_malformed_flag_values_exit_2(workdir, capsys, argv, message):
      "multiplicities are not integers"),
     (["spectrum", "--in", "pet.g6", "--srg", "0,0,1,0"],
      "negative multiplicity"),
+    (["spectrum", "--in", "pet.g6", "--candidates", "sqrt(-4)"],
+     "negative radicand -4"),
+    (["spectrum", "--in", "pet.g6", "--ddg", "12,6,9,3,3,4"],
+     "invalid parameters: k-lambda1 = -3, k^2 - lambda2 v = 0"),
 ])
 def test_refused_parameters_exit_2(workdir, capsys, argv, message):
-    """Parameters that pass parsing but that the builders or the SRG
-    spectrum refuse: 2^13 vertices and more before q^d is computed, and
-    feasible (v, k, lambda, mu) whose restricted eigenvalues coincide or
-    whose multiplicities are fractional or out of [0, v - 1]."""
+    """Parameters that pass parsing but that the builders or the spectra
+    refuse: 2^13 vertices and more before q^d is computed; feasible (v, k,
+    lambda, mu) whose restricted eigenvalues coincide or whose
+    multiplicities are fractional or out of [0, v - 1]; the square root of
+    a negative candidate; DDG parameters with k - lambda1 < 0."""
     (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
     assert main(argv) == 2
     captured = capsys.readouterr()

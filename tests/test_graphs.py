@@ -118,7 +118,7 @@ def ref_from_edges(n, edges):
 def test_from_edges_matches_reference(n, data):
     """Repeated edges and both orientations; a loop or an endpoint outside
     [0, n), when one is drawn, is reported at the first bad edge in the
-    list, whatever the block size the edges are read in."""
+    list."""
     lo, hi = (-1, n) if data.draw(st.integers(0, 3)) == 0 else (0, n - 1)
     pair = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
     edges = data.draw(st.lists(pair, max_size=3 * n))
@@ -130,14 +130,12 @@ def test_from_edges_matches_reference(n, data):
         want, message = ref_from_edges(n, edges), None
     except ValueError as exc:
         message = str(exc)
-    for block in (1, 3, 1 << 16):
-        with patch.object(graphs_module, "_EDGE_BLOCK", block):
-            if message is None:
-                assert from_edges(n, iter(edges)).matrix.tolist() == want
-            else:
-                with pytest.raises(ValueError) as exc:
-                    from_edges(n, iter(edges))
-                assert str(exc.value) == message
+    if message is None:
+        assert from_edges(n, iter(edges)).matrix.tolist() == want
+    else:
+        with pytest.raises(ValueError) as exc:
+            from_edges(n, iter(edges))
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("edges, error, match", [

@@ -103,13 +103,14 @@ def test_graph6_time_reports_each_input(tmp_path):
 
 def test_line_coverage_lists_unexecuted_statements(tmp_path):
     """Traced over the field tests alone, every module gets a count line:
-    gf runs all but a few statements, canon none, and the header says that
-    subprocesses are not traced."""
+    gf runs all but a few statements, canon none, and the header names the
+    fixed hypothesis seed and says that subprocesses are not traced."""
     result = _run(tmp_path, "line_coverage.py",
                   ["-q", "-p", "no:cacheprovider",
                    str(ROOT / "tests" / "test_gf.py")])
     assert result.returncode == 0, result.stderr
-    assert "tests run in subprocesses are not traced" in result.stdout
+    assert "hypothesis seed 0; tests run in subprocesses are not traced" \
+        in result.stdout
     counts = {}
     for line in result.stdout.splitlines():
         name, sep, rest = line.partition(": ")

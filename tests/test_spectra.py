@@ -53,6 +53,8 @@ def test_make_spectrum_normalizes():
     assert spec.multiplicity_of(7) == 0
     with pytest.raises(ValueError):
         make_spectrum([(2, -1)])
+    with pytest.raises(TypeError, match="eigenvalue 2.0 must be int"):
+        make_spectrum([(2.0, 1)])
 
 
 def test_spectrum_orders_radicals():
@@ -90,6 +92,8 @@ def test_exact_spectrum_rejects_wrong_candidates():
         exact_spectrum(petersen_graph(), [])
     with pytest.raises(NotAnnihilated):
         exact_spectrum(petersen_graph(), [3, 1])
+    with pytest.raises(TypeError, match="candidate 3.0 must be int"):
+        exact_spectrum(complete_graph(4), [3.0, -1])
 
 
 def test_exact_spectrum_absorbs_duplicate_candidates():

@@ -7,12 +7,13 @@ from itertools import combinations
 import pytest
 
 from srgforge import (as_prime_power, canonical_form, CensusTooLarge,
-                      complement, complete_multipartite,
+                      certificate, complement, complete_multipartite,
                       delsarte_clique_census, from_edges, make_field,
                       NonIntegralBound, NotSrg, path_graph, petersen_graph,
                       projective_points, symplectic_graph, TooLarge,
                       triangular_graph, verify_srg, srg1_target_params,
                       SrgParams)
+from srgforge.cli import main
 
 
 def symplectic_form(field, x, y):
@@ -95,6 +96,21 @@ def test_census_symplectic_lines():
     census = delsarte_clique_census(g)
     assert census.size == 3
     assert census.count == 15
+
+
+def test_symplectic_graph_refuses_a_failed_self_check(monkeypatch,
+                                                      capsys):
+    """symplectic_graph returns no graph whose own verify_srg fails; the
+    CLI reports the NotSrg with exit 2."""
+    failed = certificate("srg", witnesses=[{"check": "lambda"}])
+    monkeypatch.setattr("srgforge.symplectic.verify_srg", lambda g: failed)
+    with pytest.raises(NotSrg, match=r"expected \(15, 6, 1, 3\)"):
+        symplectic_graph(make_field(2), 2)
+    assert main(["sp-graph", "--q", "2", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("srgforge: symplectic graph over GF(2), "
+                            "dimension 4: expected (15, 6, 1, 3)\n")
 
 
 def test_census_no_ovoids_for_odd_q():
