@@ -26,7 +26,7 @@ from .ddg import (construct_ddg, counting_lower_bound, cyclic_quasigroup,
                   save_family, save_quasigroup, verify_ddg)
 from .designs import (affine_geometry_design, check_glued, fano_plane,
                       int_lines, load_design, projective_complement_design,
-                      write_lines)
+                      SymmetricDesign, write_lines)
 from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
 from .graphs import (complement, Graph, VertexPartition, graph6_decode,
@@ -34,9 +34,10 @@ from .graphs import (complement, Graph, VertexPartition, graph6_decode,
 from .spectra import (certified_spectrum, check_spectrum_vertices,
                       ddg_formula_spectrum, exact_root, exact_spectrum,
                       srg_spectrum)
-from .srg import (chang_graphs, ClassBlockMap, construct_srg2, construct_srg1,
-                  hoffman_colorings, need_lam_mu2, Srg2Config, SrgParams,
-                  triangular_graph, verify_srg, verify_srg1_cases)
+from .srg import (attach_coclique, chang_graphs, check_srg1_preconditions,
+                  ClassBlockMap, construct_srg2, hoffman_colorings,
+                  need_lam_mu2, Srg2Config, SrgParams, triangular_graph,
+                  verify_srg, verify_srg1_cases)
 from .symplectic import (check_census_vertices, check_symplectic,
                          delsarte_clique_census, symplectic_graph)
 
@@ -132,11 +133,26 @@ def _resolve(spec: str, what: str, builtins: dict, load, inputs: dict,
     raise ParseError(f"unknown {what} {spec!r}")
 
 
+@functools.cache
+def _glued_field_design(q: int, d: int):
+    """GF(q) and AG(d, q), built once per (q, d) in a process: both are
+    frozen and depend on (q, d) alone, and the vertex limit admits only
+    about 14 pairs.  A refusal raises, and is not cached."""
+    if q >= 2:  # vertex limit before GF(q); as_prime_power rejects q < 2
+        check_glued(q, d)
+    field = make_field(*as_prime_power(q))
+    return field, affine_geometry_design(field, d)
+
+
+@functools.cache
+def _attached_design(q: int, d: int) -> SymmetricDesign:
+    """gen-srg1's projective complement design over _glued_field_design's
+    GF(q), cached the same way."""
+    return projective_complement_design(_glued_field_design(q, d)[0], d)
+
+
 def _build_ddg(args, inputs: dict):
-    if args.q >= 2:  # vertex limit before GF(q); as_prime_power rejects q < 2
-        check_glued(args.q, args.d)
-    field = make_field(*as_prime_power(args.q))
-    design = affine_geometry_design(field, args.d)
+    design = _glued_field_design(args.q, args.d)[1]
     m, q, seed = design.n_classes, args.q, args.seed
     quasigroup = _resolve(args.quasigroup, "quasigroup source", {
         "cyclic": lambda: cyclic_quasigroup(m),
@@ -150,7 +166,7 @@ def _build_ddg(args, inputs: dict):
                                                   2 * seed + 1)},
         lambda path: load_family(path, m, q), inputs)
     g, partition = construct_ddg([design] * m, quasigroup, family)
-    return g, partition, field, quasigroup, family
+    return g, partition, quasigroup, family
 
 
 def _spectrum_report(g: Graph, partition: VertexPartition, cert) -> dict:
@@ -166,7 +182,7 @@ def _spectrum_report(g: Graph, partition: VertexPartition, cert) -> dict:
 
 def cmd_gen_ddg(args) -> int:
     inputs: dict = {}
-    g, partition, _, quasigroup, family = _build_ddg(args, inputs)
+    g, partition, quasigroup, family = _build_ddg(args, inputs)
     cert = verify_ddg(g, partition)
     doc = {"ddg": cert.to_dict()}
     if cert.passed:
@@ -197,15 +213,50 @@ def _load_phi(spec: str, m: int, inputs: dict) -> ClassBlockMap:
 
 
 def cmd_gen_srg1(args) -> int:
-    """gen-srg1; the passing verify_srg certificate fixes its spectrum."""
+    """gen-srg1: attach, then verify; the passing verify_srg certificate
+    fixes the spectrum.
+
+    construct_srg1's preconditions run only when verify_srg or the coclique
+    audit fails, and then raise as construct_srg1 would, before any file is
+    written.  When both pass, every fact the preconditions check holds, so
+    skipping them changes no outcome.  Proof.  Let H be the attached graph,
+    V its v* original vertices in classes C_i, Y its m attached points and
+    t = q^{2d-2}(q-1).  The audit reads (q, d) off m and n = |C_0|; here
+    these are the flags, as AG(d, q) has (q^d-1)/(q-1) classes of q^d
+    points and the design (q^d-1)/(q-1) points.  The attachment copies the
+    DDG G onto V, joins all of C_i to the points of block phi(i) and keeps
+    Y a coclique.
+
+    - Both passing, H is k-regular and any two vertices have t common
+      neighbours, so k(k-1) = t(v* + m - 1).  Of these, q^{d-1} lie in Y
+      for two vertices of one class (so block phi(i) has q^{d-1} points
+      when |C_i| >= 2) and q^{d-2}(q-1) for two of different classes.
+    - Counting the paths u-y-w with y in Y from u in a class of s >= 2
+      vertices: q^{d-1}(k - s) = q^{d-2}(q-1)(v* - s).  For C_0, s = q^d,
+      this and the degree equation give k = q^{2d-1} (as k = 1 < t cannot
+      be) and v* = q^d m.  Then every class of two or more vertices has
+      s = q^d, and a smaller class would leave the sizes short of v*.
+    - So G is regular of degree k - q^{d-1}, neither 0 nor v* - 1, with
+      t - q^{d-1} common neighbours within a class and t - q^{d-2}(q-1)
+      across: verify_ddg passes with theorem1_params(q, d), which is of
+      the glued-design form as q is a prime power.
+    - The design has m points and m blocks of distinct points in range,
+      and phi covers the m classes, as built here.  Its blocks have
+      q^{d-1} points and any two meet in q^{d-2}(q-1), so its incidence
+      matrix N has N^T N = (k' - l)I + lJ with k' > l and column sums k':
+      N is invertible, its row sums are k' too, and N N^T = N^T N, the
+      axioms and declared parameters that verify_symmetric checks.
+    """
     inputs: dict = {}
-    ddg_graph, partition, field, *_ = _build_ddg(args, inputs)
-    design = projective_complement_design(field, args.d)
+    ddg_graph, partition, *_ = _build_ddg(args, inputs)
+    design = _attached_design(args.q, args.d)
     phi = _load_phi(args.phi, len(partition.classes), inputs)
 
-    g = construct_srg1(ddg_graph, partition, design, phi)
+    g = attach_coclique(ddg_graph, partition, design, phi)
     cert = verify_srg(g)
     cases = verify_srg1_cases(g, partition, design, cert)
+    if not (cert.passed and cases.passed):
+        check_srg1_preconditions(ddg_graph, partition, design, phi)
     doc = {"srg": cert.to_dict(),
            "cases": cases.to_dict()}
     if cert.passed:

@@ -129,14 +129,23 @@ def _theorem1_qd(params: DdgParams) -> tuple[int, int] | None:
 
 def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
                    design: SymmetricDesign, block_map: ClassBlockMap) -> Graph:
-    """Attach the design points to the graph as a coclique.
+    """Attach the design points to the graph as a coclique: first
+    check_srg1_preconditions, which raises on unfit ingredients, then
+    attach_coclique.  gen-srg1 runs the two in the other order, and the
+    preconditions only when a verifier of the result fails
+    (cli.cmd_gen_srg1 proves that this changes no outcome)."""
+    check_srg1_preconditions(ddg_graph, partition, design, block_map)
+    return attach_coclique(ddg_graph, partition, design, block_map)
 
-    Design point y becomes vertex v + y; it is joined to every vertex of
-    canonical class i exactly when y lies in block block_map(i).  Requires
-    the design to pass verify_symmetric and the input to pass verify_ddg
-    with parameters from the glued-design family (so that the attachment
-    counts work out).
-    """
+
+def check_srg1_preconditions(ddg_graph: Graph, partition: VertexPartition,
+                             design: SymmetricDesign,
+                             block_map: ClassBlockMap) -> None:
+    """ShapeMismatch unless the design has one point per class and the
+    block map covers the classes; PreconditionFailed unless the design
+    passes verify_symmetric and the graph passes verify_ddg with parameters
+    from the glued-design family (so that the attachment counts work
+    out)."""
     _check_attachment(design, block_map, len(partition.classes), "partition")
     cert = verify_ddg(ddg_graph, partition)
     if not cert.passed:
@@ -147,6 +156,15 @@ def construct_srg1(ddg_graph: Graph, partition: VertexPartition,
         raise PreconditionFailed(f"parameters {params.as_tuple()} are not of "
                                  f"the glued-design form")
 
+
+def attach_coclique(ddg_graph: Graph, partition: VertexPartition,
+                    design: SymmetricDesign,
+                    block_map: ClassBlockMap) -> Graph:
+    """The graph with design point y as vertex v + y, joined to every
+    vertex of canonical class i exactly when y lies in block block_map(i);
+    the attached points form a coclique.  Nothing is checked: the shapes
+    must agree, and the result is strongly regular only on ingredients
+    that pass check_srg1_preconditions."""
     return Graph(_attach_design(ddg_graph, partition, design, block_map))
 
 

@@ -18,9 +18,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from srgforge import (certificate, complete_graph, counting_lower_bound,
-                      cycle_graph, ddg_formula_spectrum, DdgParams, designs,
-                      empty_graph, exact_spectrum, fano_plane,
+from srgforge import (certificate, complete_graph, construct_ddg,
+                      counting_lower_bound, cycle_graph,
+                      ddg_formula_spectrum, DdgParams, designs,
+                      empty_graph, exact_spectrum, fano_plane, Graph,
                       graph6_decode, graph6_encode, make_spectrum,
                       petersen_graph, Radical, save_design, spectra, srg,
                       srg_spectrum, SrgParams, SymmetricDesign,
@@ -28,6 +29,7 @@ from srgforge import (certificate, complete_graph, counting_lower_bound,
 from srgforge import cli
 from srgforge.cli import main
 from srgforge.errors import ParseError
+from test_pair_kernel import _two_switched
 
 
 @pytest.fixture
@@ -704,6 +706,102 @@ def test_gen_srg1_spectrum_is_srg_spectrum(tmp_path, monkeypatch, capsys):
     assert outputs[0] == outputs[1]
     assert sorted(name.split(".", 1)[1] for name in outputs[1][1]) == [
         "cert.json", "g6", "manifest.json"]
+
+
+def test_gen_srg1_checks_preconditions_when_a_verifier_fails(workdir, capsys,
+                                                            monkeypatch):
+    """gen-srg1 checks construct_srg1's preconditions only once verify_srg
+    or the coclique audit fails, and then answers as construct_srg1 did:
+    - a DDG with one degree-keeping 2-switch exits 2 with verify_ddg's
+      witness and writes nothing;
+    - an attachment with edge 01 flipped on a passing DDG exits 1 and
+      writes the certificates that construct_srg1 returning the same graph
+      gave, pinned by digest."""
+    def switched(*args):
+        g, partition = construct_ddg(*args)
+        return _two_switched(g, 0, 1), partition
+
+    monkeypatch.setattr(cli, "construct_ddg", switched)
+    assert main(["gen-srg1", "--q", "2", "--d", "3", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "srgforge: not a divisible design graph: {'check': 'cross-class', "
+        "'pair': [0, 16], 'count': 15, 'expected': 14}\n")
+    assert list(workdir.iterdir()) == []
+    monkeypatch.setattr(cli, "construct_ddg", construct_ddg)
+
+    def flipped(*args):
+        m = srg.attach_coclique(*args).matrix.copy()
+        m[0, 1] = m[1, 0] = not m[0, 1]
+        return Graph(m)
+
+    monkeypatch.setattr(cli, "attach_coclique", flipped)
+    assert main(["gen-srg1", "--q", "2", "--d", "3", "--seed", "0",
+                 "--out", "flip"]) == 1
+    files = _written(workdir)
+    assert sorted(files) == ["flip.cert.json", "flip.g6",
+                             "flip.manifest.json"]
+    assert hashlib.sha256(files["flip.cert.json"]).hexdigest() == \
+        "4ab033fef4a0f2eda40616004cfe843941fb7b388b6216b0a1e95331bd8b74b3"
+
+
+def test_cached_ingredients_change_no_output(tmp_path, monkeypatch, capsys):
+    """gen-ddg and gen-srg1 at (2,3), (3,2) and (2,4), interleaved twice in
+    one process, build each (q, d)'s field and designs once and write the
+    .g6, .cert.json and .manifest.json bytes of fresh processes; passing,
+    gen-srg1 checks no precondition."""
+    def refuse(*args):
+        raise AssertionError("gen-srg1 checked a precondition")
+
+    monkeypatch.setattr(cli, "check_srg1_preconditions", refuse)
+    cli._glued_field_design.cache_clear()
+    cli._attached_design.cache_clear()
+    argvs = [[sub, "--q", str(q), "--d", str(d), "--seed", "1",
+              "--out", f"{sub}-{q}{d}"]
+             for q, d in ((2, 3), (3, 2), (2, 4))
+             for sub in ("gen-ddg", "gen-srg1")]
+    runs = [tmp_path / name for name in ("first", "second", "fresh")]
+    for where in runs:
+        where.mkdir()
+    for where in runs[:2]:
+        monkeypatch.chdir(where)
+        for argv in argvs:
+            assert main(argv) == 0
+    capsys.readouterr()
+    assert cli._glued_field_design.cache_info().misses == 3
+    assert cli._attached_design.cache_info().misses == 3
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in argvs:
+        subprocess.run([sys.executable, "-m", "srgforge.cli", *argv],
+                       cwd=runs[2], env=env, check=True, capture_output=True)
+    outputs = [{name: data for name, data in _written(where).items()
+                if name.endswith((".g6", ".cert.json", ".manifest.json"))}
+               for where in runs]
+    assert len(outputs[0]) == 18
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("sub", ["gen-ddg", "gen-srg1"])
+def test_refusals_stay_with_a_cached_q_d(workdir, capsys, sub):
+    """--q 6, --d 1 and --q 2 --d 7 refuse with the same line, exit 2 and
+    no file, before and after (2, 2)'s field and designs are cached."""
+    refusals = [
+        (["--q", "6", "--d", "2"], "6 is not a prime power"),
+        (["--q", "2", "--d", "1"], "dimension must be >= 2, got 1"),
+        (["--q", "2", "--d", "7"], "the glued graph would have 16256 "
+                                   "vertices, over the 4096-vertex limit")]
+    for rounds in range(3):
+        written = _written(workdir)
+        for flags, message in refusals:
+            assert main([sub, *flags, "--seed", "0"]) == 2
+            assert capsys.readouterr() == ("", f"srgforge: {message}\n")
+        assert _written(workdir) == written
+        if rounds == 0:
+            assert main([sub, "--q", "2", "--d", "2", "--seed", "0"]) == 0
+            capsys.readouterr()
 
 
 def test_gen_ddg_exits_2_on_an_impossible_split(workdir, capsys,

@@ -16,17 +16,19 @@ from srgforge.graphs import first_bad_pair
 from srgforge import (as_prime_power, canonical_form, chang_graphs,
                       ClassBlockMap, complement, complete_multipartite,
                       construct_ddg_hoffman, construct_srg1, construct_srg2,
-                      count_classes, ddg_formula_spectrum, DdgParams,
-                      empty_graph, exact_spectrum, fano_plane, Graph,
-                      find_hoffman_coloring, hoffman_colorings, make_field,
-                      make_spectrum, NotSrg, path_graph, petersen_graph,
-                      PreconditionFailed, projective_complement_design,
-                      seidel_switch,
-                      ShapeMismatch, Srg2Config, srg1_target_params,
-                      srg2_condition, SrgParams, triangular_graph,
-                      verify_ddg, verify_srg, verify_srg1_cases,
-                      verify_symmetric, VertexPartition)
+                      count_classes, cyclic_quasigroup, ddg_formula_spectrum,
+                      DdgParams, empty_graph, exact_spectrum, fano_plane,
+                      Graph, find_hoffman_coloring, hoffman_colorings,
+                      make_field, make_spectrum, NotSrg, path_graph,
+                      petersen_graph, PreconditionFailed,
+                      projective_complement_design, random_left_quasigroup,
+                      seidel_switch, ShapeMismatch, Srg2Config,
+                      srg1_target_params, srg2_condition, SrgParams,
+                      theorem1_params, triangular_graph, verify_ddg,
+                      verify_srg, verify_srg1_cases, verify_symmetric,
+                      VertexPartition)
 from test_ddg import build
+from test_pair_kernel import _two_switched
 
 
 def srg1(q, d, seed=0, phi=None):
@@ -106,6 +108,37 @@ def test_srg1_nonidentity_phi():
     g, partition, design = srg1(3, 2, seed=6, phi=phi)
     assert verify_srg(g).passed
     assert verify_srg1_cases(g, partition, design).passed
+
+
+@pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_passing_srg1_verifiers_imply_the_ddg_precondition(q, d):
+    """gen-srg1 skips construct_srg1's preconditions when verify_srg and
+    the coclique audit pass (cli.cmd_gen_srg1 has the proof): on every
+    attachment they pass, verify_ddg passes on its DDG with Theorem 1's
+    parameters, over seeds, both quasigroup sources and a non-identity
+    phi; one degree-keeping 2-switch of the DDG fails the DDG and one of
+    the two."""
+    design = projective_complement_design(make_field(*as_prime_power(q)), d)
+    m = design.n_points
+    phis = (ClassBlockMap.identity(m), ClassBlockMap((*range(1, m), 0)))
+    for seed in range(3):
+        for qg in (cyclic_quasigroup(m), random_left_quasigroup(m, seed)):
+            g, partition = build(q, d, seed, qg)
+            switched = _two_switched(g, seed, 1)
+            assert not verify_ddg(switched, partition).passed
+            for phi in phis:
+                for ddg_g in (g, switched):
+                    s = srg.attach_coclique(ddg_g, partition, design, phi)
+                    cert = verify_srg(s)
+                    if cert.passed and verify_srg1_cases(
+                            s, partition, design, cert).passed:
+                        assert ddg_g is g
+                        ddg_cert = verify_ddg(g, partition)
+                        assert ddg_cert.passed
+                        assert DdgParams.from_certificate(ddg_cert) == \
+                            theorem1_params(q, d)
+                    else:
+                        assert ddg_g is switched
 
 
 def test_srg1_attachment_structure():
