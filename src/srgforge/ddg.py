@@ -20,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -40,16 +42,17 @@ def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
 class LeftQuasigroup:
     """Binary operation on [0, m) whose left translations are bijections."""
 
-    m: int
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.table) != self.m:
-            raise ValueError(f"need {self.m} rows, got {len(self.table)}")
         ref = list(range(self.m))
         for i, row in enumerate(self.table):
             if sorted(row) != ref:
                 raise ValueError(f"row {i} is not a permutation of [0, {self.m})")
+
+    @property
+    def m(self) -> int:
+        return len(self.table)
 
     def op(self, i: int, h: int) -> int:
         return self.table[i][h]
@@ -57,33 +60,38 @@ class LeftQuasigroup:
 
 @dataclass(frozen=True)
 class BijectionFamily:
-    """Permutations sigma[i][j] of [0, q) matching blocks of part i to part j.
+    """Permutations sigma_ij of [0, q) matching blocks of part i to part j.
 
-    sigma[i][i] is the identity and sigma[j][i] is the inverse of
-    sigma[i][j]; together these make the adjacency rule symmetric.
+    `pairs` holds sigma_ij for i < j in itertools.combinations(range(m), 2)
+    order, as they are drawn and as a family file lists them.  `sigma`
+    fills in the rest: sigma_ii is the identity and sigma_ji the inverse of
+    sigma_ij, which together make the adjacency rule symmetric.
     """
 
     m: int
     q: int
-    sigma: tuple[tuple[tuple[int, ...], ...], ...]
+    pairs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.sigma) != self.m or any(len(r) != self.m for r in self.sigma):
-            raise ValueError(f"sigma must be {self.m}x{self.m}")
+        if len(self.pairs) != (want := self.m * (self.m - 1) // 2):
+            raise ValueError(f"order {self.m} needs {want} pairs, got {len(self.pairs)}")
         ref = list(range(self.q))
-        for i in range(self.m):
-            for j in range(self.m):
-                if sorted(self.sigma[i][j]) != ref:
-                    raise ValueError(
-                        f"sigma[{i}][{j}] is not a permutation of [0, {self.q})")
+        for (i, j), perm in self.indexed():
+            if sorted(perm) != ref:
+                raise ValueError(
+                    f"sigma[{i}][{j}] is not a permutation of [0, {self.q})")
+
+    def indexed(self):
+        return zip(combinations(range(self.m), 2), self.pairs)
+
+    @cached_property
+    def sigma(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """m x m nested tuples with sigma[i][j] = sigma_ij."""
         ident = tuple(range(self.q))
-        for i in range(self.m):
-            if self.sigma[i][i] != ident:
-                raise ValueError(f"sigma[{i}][{i}] must be the identity")
-            for j in range(i + 1, self.m):
-                if self.sigma[j][i] != _invert(self.sigma[i][j]):
-                    raise ValueError(
-                        f"sigma[{j}][{i}] is not the inverse of sigma[{i}][{j}]")
+        sigma = [[ident] * self.m for _ in range(self.m)]
+        for (i, j), perm in self.indexed():
+            sigma[i][j], sigma[j][i] = perm, _invert(perm)
+        return tuple(map(tuple, sigma))
 
 
 @dataclass(frozen=True)
@@ -126,12 +134,18 @@ def theorem1_params(q: int, d: int) -> DdgParams:
     )
 
 
+def _shuffled(rng: random.Random, n: int) -> tuple[int, ...]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(perm)
+
+
 def cyclic_quasigroup(m: int) -> LeftQuasigroup:
     """table[i][h] = (i + h) mod m; the rotation group row by row."""
     if m < 1:
         raise ValueError("order must be >= 1")
     return LeftQuasigroup(
-        m, tuple(tuple((i + h) % m for h in range(m)) for i in range(m)))
+        tuple(tuple((i + h) % m for h in range(m)) for i in range(m)))
 
 
 def random_left_quasigroup(m: int, seed: int) -> LeftQuasigroup:
@@ -139,42 +153,22 @@ def random_left_quasigroup(m: int, seed: int) -> LeftQuasigroup:
     if m < 1:
         raise ValueError("order must be >= 1")
     rng = random.Random(seed)
-    rows = []
-    for _ in range(m):
-        row = list(range(m))
-        rng.shuffle(row)
-        rows.append(tuple(row))
-    return LeftQuasigroup(m, tuple(rows))
-
-
-def _family(m: int, q: int, given) -> BijectionFamily:
-    """The family with sigma[i][j] = given[i, j] and sigma[j][i] its
-    inverse for each key (i, j), i <= j, of `given`, the identity
-    elsewhere."""
-    ident = tuple(range(q))
-    sigma = [[ident] * m for _ in range(m)]
-    for (i, j), perm in given.items():
-        sigma[i][j], sigma[j][i] = perm, _invert(perm)
-    return BijectionFamily(m, q, tuple(map(tuple, sigma)))
+    return LeftQuasigroup(tuple(_shuffled(rng, m) for _ in range(m)))
 
 
 def identity_family(m: int, q: int) -> BijectionFamily:
-    return _family(m, q, {})
+    ident = tuple(range(q))
+    return BijectionFamily(m, q, tuple(ident for _ in combinations(range(m), 2)))
 
 
 def random_bijection_family(m: int, q: int, quasigroup: LeftQuasigroup,
                             seed: int) -> BijectionFamily:
-    """Uniform sigma[i][j] for each i < j, inverses below the diagonal."""
+    """Uniform sigma_ij for each i < j, drawn in `pairs` order."""
     if quasigroup.m != m:
         raise ShapeMismatch(f"quasigroup order {quasigroup.m} != {m}")
     rng = random.Random(seed)
-
-    def shuffled():
-        perm = list(range(q))
-        rng.shuffle(perm)
-        return tuple(perm)
-    return _family(m, q, {(i, j): shuffled() for i in range(m)
-                          for j in range(i + 1, m)})
+    return BijectionFamily(m, q, tuple(_shuffled(rng, q)
+                                       for _ in combinations(range(m), 2)))
 
 
 def construct_ddg(designs, quasigroup: LeftQuasigroup,
@@ -337,7 +331,7 @@ def load_quasigroup(path: str) -> LeftQuasigroup:
         if len(row) != m:
             raise ShapeError(f"{path}: expected {m}x{m} table, "
                              f"found a row of length {len(row)}")
-    return LeftQuasigroup(m, tuple(rows))
+    return LeftQuasigroup(tuple(rows))
 
 
 def save_quasigroup(qg: LeftQuasigroup, path: str) -> None:
@@ -345,6 +339,7 @@ def save_quasigroup(qg: LeftQuasigroup, path: str) -> None:
 
 
 def load_family(path: str, m: int, q: int) -> BijectionFamily:
+    ident = tuple(range(q))
     given: dict[tuple[int, int], tuple[int, ...]] = {}
     for lineno, line in data_lines(path):
         head, sep, tail = line.partition(":")
@@ -360,10 +355,12 @@ def load_family(path: str, m: int, q: int) -> BijectionFamily:
         if key in given:
             raise ParseError(f"pair ({i}, {j}) given twice", line=lineno)
         given[key] = tuple(perm) if i <= j else _invert(tuple(perm))
-    return _family(m, q, given)
+    # a line (i, i) is taken only for the identity
+    if bad := sorted(i for (i, j), p in given.items() if i == j and p != ident):
+        raise ValueError(f"sigma[{bad[0]}][{bad[0]}] must be the identity")
+    return BijectionFamily(m, q, tuple(given.get(pair, ident)
+                                       for pair in combinations(range(m), 2)))
 
 
 def save_family(family: BijectionFamily, path: str) -> None:
-    write_lines(path, ((i, j, ":", *family.sigma[i][j])
-                       for i in range(family.m)
-                       for j in range(i + 1, family.m)))
+    write_lines(path, ((i, j, ":", *perm) for (i, j), perm in family.indexed()))

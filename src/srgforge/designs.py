@@ -91,11 +91,13 @@ def projective_complement_design(field: FiniteField, d: int) -> SymmetricDesign:
 
     Points are the normalized projective points of F_q^d in lexicographic
     order; the block for hyperplane normal a is the set of points off that
-    hyperplane.  Parameters ((q^d-1)/(q-1), q^{d-1}, q^{d-2}(q-1)).
+    hyperplane.  Parameters ((q^d-1)/(q-1), q^{d-1}, q^{d-2}(q-1)).  Raises
+    TooLarge when the AG(d, q) graph glued on its m points is over the limit.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     q = field.q
+    check_glued(q, d)
     pts = projective_points(field, d)
     blocks = tuple(tuple(np.flatnonzero(row).tolist())
                    for row in field.gram(pts, pts))

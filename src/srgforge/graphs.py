@@ -94,14 +94,14 @@ class Graph:
         # rows a to a + _SQUARE - 1 against their columns, from column a on:
         # one band of square blocks at a time, which stays in cache where a
         # whole m != m.T reads m.T strided across the matrix
-        n = len(m)
-        if any((m[a:a + _SQUARE, a:] != m[a:, a:a + _SQUARE].T).any()
-               for a in range(0, n, _SQUARE)):
-            # m != m.T is symmetric, so its first entry in row-major order
-            # is the first asymmetric pair (u, v), u < v, in lexicographic
-            # order
-            u, v = divmod(int((m != m.T).argmax()), n)
-            raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        for a in range(0, len(m), _SQUARE):
+            bad = m[a:a + _SQUARE, a:] != m[a:, a:a + _SQUARE].T
+            if bad.any():
+                # earlier bands hold every pair (u, v) with u < a, and the
+                # square block is symmetric: the first mismatch in row-major
+                # order is the lexicographically first asymmetric (u, v), u < v
+                u, v = divmod(int(bad.argmax()), bad.shape[1])
+                raise ValueError(f"asymmetric adjacency at ({a + u}, {a + v})")
         self._freeze(m)
 
     def _freeze(self, m):

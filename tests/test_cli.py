@@ -1005,3 +1005,90 @@ def test_cli_fuzz_exit_codes(fuzzdir, invocation):
         os.chdir(cwd)
     assert rc in (0, 1, 2), (argv, rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+
+# mutation fuzzing: a valid file of each kind the CLI reads, with a few bytes
+# replaced, inserted or deleted, or cut short
+
+_GEN = ["--q", "2", "--d", "2", "--seed", "0", "--out", "o"]
+_MUTATED = {  # kind -> (valid file, argv that reads its mutant `input`)
+    "verify": ("sp.g6", ["verify", "--in", "input"]),
+    "canon": ("sp.g6", ["canon", "--in", "input"]),
+    "spectrum": ("sp.g6", ["spectrum", "--srg", "15,8,4,4", "--in", "input"]),
+    "clique-census": ("sp.g6", ["clique-census", "--in", "input"]),
+    "base": ("t8.g6", ["gen-srg2", "--base", "g6:input", "--out", "o"]),
+    "classes": ("ddg.classes", ["verify", "--expect", "ddg", "--classes",
+                                "input", "--in", "ddg.g6"]),
+    "quasigroup": ("ddg.quasigroup",
+                   ["gen-ddg", *_GEN, "--quasigroup", "file:input"]),
+    "family": ("ddg.family", ["gen-ddg", *_GEN, "--family", "file:input"]),
+    "design": ("fano.txt", ["gen-srg2", "--base", "t8", "--design",
+                            "file:input", "--out", "o"]),
+    "phi": ("phi.txt", ["gen-srg1", *_GEN, "--phi", "input"]),
+    "phi file:": ("phi.txt", ["gen-srg1", *_GEN, "--phi", "file:input"]),
+}
+
+
+def _main_in(directory, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of main(argv) run in directory on an
+    empty stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd, real_stdin = os.getcwd(), sys.stdin
+    os.chdir(directory)
+    sys.stdin = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = real_stdin
+        os.chdir(cwd)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def mutdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutate")
+    _main_in(root, ["gen-ddg", *_GEN[:-1], "ddg", "--quasigroup", "random"])
+    sp = _main_in(root, ["sp-graph", "--q", "2", "--d", "2", "--complement"])
+    (root / "sp.g6").write_text(sp[1], encoding="ascii")
+    (root / "t8.g6").write_text(graph6_encode(triangular_graph(8)) + "\n",
+                                encoding="ascii")
+    save_design(fano_plane(), str(root / "fano.txt"))
+    (root / "phi.txt").write_text("2 0 1\n", encoding="ascii")
+    for name, argv in _MUTATED.values():  # each file as it is passes
+        rc, _, err = _main_in(root, [a.replace("input", name) for a in argv])
+        assert rc == 0, (argv, err)
+    return root
+
+
+@st.composite
+def _mutants(draw):
+    """A kind and 1 to 4 edits (operation, position in [0, 1), byte)."""
+    kind = draw(st.sampled_from(sorted(_MUTATED)))
+    ops = st.sampled_from(("replace", "insert", "delete", "truncate"))
+    byte = st.one_of(st.sampled_from(b"0123456789 :#-\n?~"),
+                     st.integers(0, 255))
+    return kind, draw(st.lists(st.tuples(ops, st.floats(0, 1, exclude_max=True),
+                                         byte), min_size=1, max_size=4))
+
+
+@given(_mutants())
+def test_cli_fuzz_mutated_files(mutdir, mutant):
+    kind, edits = mutant
+    name, argv = _MUTATED[kind]
+    data = bytearray((mutdir / name).read_bytes())
+    for op, where, byte in edits:
+        at = int(where * (len(data) + (op == "insert")))
+        if op == "insert":
+            data.insert(at, byte)
+        elif data and op == "replace":
+            data[at] = byte
+        elif data and op == "delete":
+            del data[at]
+        elif op == "truncate":
+            del data[at:]
+    (mutdir / "input").write_bytes(bytes(data))
+    rc, _, err = _main_in(mutdir, argv)
+    assert rc in (0, 1, 2), (kind, bytes(data), rc, err)
+    assert "Traceback" not in err

@@ -64,10 +64,9 @@ def test_cyclic_quasigroup():
 
 
 def test_left_quasigroup_validation():
-    with pytest.raises(ValueError):
-        LeftQuasigroup(2, ((0, 0), (0, 1)))
-    with pytest.raises(ValueError, match="need 2 rows, got 1"):
-        LeftQuasigroup(2, ((0, 1),))
+    with pytest.raises(ValueError, match=r"row 0 is not a permutation of \[0, 2\)"):
+        LeftQuasigroup(((0, 0), (0, 1)))
+    assert LeftQuasigroup(((1, 0), (0, 1))).m == 2
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0,
@@ -80,18 +79,15 @@ def test_random_left_quasigroup_rows(m, seed):
 
 
 def test_bijection_family_validation():
-    ident = ((0, 1), (0, 1))
-    swap = ((1, 0), (1, 0))
-    with pytest.raises(ValueError):  # diagonal must be identity
-        BijectionFamily(2, 2, (((1, 0), (0, 1)), ((0, 1), (0, 1))))
-    with pytest.raises(ValueError):  # off-diagonal pair must be inverse
-        BijectionFamily(2, 2, ((ident[0], (1, 0)), ((0, 1), ident[1])))
-    with pytest.raises(ValueError, match="sigma must be 2x2"):
-        BijectionFamily(2, 2, (ident,))
-    with pytest.raises(ValueError, match=r"sigma\[0\]\[1\] is not a perm"):
-        BijectionFamily(2, 2, ((ident[0], (0, 0)), swap))
-    fam = BijectionFamily(2, 2, (((0, 1), (1, 0)), ((1, 0), (0, 1))))
-    assert fam.sigma[0][1] == (1, 0)
+    with pytest.raises(ValueError, match="order 3 needs 3 pairs, got 1"):
+        BijectionFamily(3, 2, ((0, 1),))
+    with pytest.raises(ValueError, match=r"sigma\[0\]\[2\] is not a perm"):
+        BijectionFamily(3, 2, ((0, 1), (0, 0), (1, 0)))
+    fam = BijectionFamily(3, 3, ((1, 2, 0), (0, 1, 2), (0, 2, 1)))
+    assert fam.sigma[0][1] == (1, 2, 0)
+    assert fam.sigma[1][0] == (2, 0, 1)
+    assert fam.sigma[2][2] == (0, 1, 2)
+    assert fam.sigma[2][1] == (0, 2, 1)
 
 
 @given(st.integers(min_value=0, max_value=200))
@@ -345,6 +341,19 @@ def test_family_file_defaults_and_errors(tmp_path):
         load_family(path, 3, 3)
     path.write_text("0 1 : 1 2 0\n1 0 : 1 2 0\n")
     with pytest.raises(ParseError):
+        load_family(path, 3, 3)
+
+
+def test_family_file_diagonal_is_checked_after_parsing(tmp_path):
+    """A non-identity `i i` line is refused once the whole file parses,
+    naming the smallest such i."""
+    path = tmp_path / "fam.txt"
+    path.write_text("2 2 : 1 2 0\n1 1 : 1 0 2\n")
+    with pytest.raises(ValueError, match=r"sigma\[1\]\[1\] must be the "
+                       "identity"):
+        load_family(path, 3, 3)
+    path.write_text("1 1 : 1 0 2\n0 1 : 1 2 x\n")
+    with pytest.raises(ParseError, match="non-integer token"):
         load_family(path, 3, 3)
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from srgforge import (affine_geometry_design, certificate, fano_plane,
                       load_design, make_field, ParseError,
                       projective_complement_design, ResolvableDesign,
-                      save_design, ShapeError, SymmetricDesign,
+                      save_design, ShapeError, SymmetricDesign, TooLarge,
                       verify_resolvable, verify_symmetric)
 from srgforge.designs import incidence
 from srgforge.gf import as_prime_power
@@ -49,6 +49,14 @@ def test_affine_design_rejects_dim_one():
 def test_projective_design_rejects_dim_one():
     with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
         projective_complement_design(make_field(2, 1), 1)
+
+
+@pytest.mark.parametrize("d", [12, 10**9])
+def test_projective_design_refuses_an_oversized_glued_graph(d):
+    """Refused before the points are enumerated: at d = 12 the design has
+    4095 points, and at d = 10**9 enumerating them would never end."""
+    with pytest.raises(TooLarge, match="the glued graph"):
+        projective_complement_design(make_field(2, 1), d)
 
 
 @pytest.mark.parametrize("p,e,d", CASES)
