@@ -8,14 +8,14 @@ multiplies two 0/1 float32 shapes N times each: a pair-kernel tile, 256 x
 364 by 364 x 64 (`first_bad_pair` on a 364-vertex graph), and the 364 x
 364 square A^2 of `exact_spectrum`.  Each call is timed alone, and about
 2 ms of Python work runs between calls, as between the products of a
-command.  It does this once inside the one-thread scope of the kernels
-(`graphs._blas_threads(1)`) and once with the threads numpy's BLAS starts
-with, and prints one JSON object: per setting and shape the median and
-99th percentile in ms and the number of calls over 1 ms, and as
-"threads" the default thread count (null when numpy's BLAS is not an
-OpenBLAS with a thread setter, and then both settings run alike).  A
-default-threads p99 or count far above the one-thread figures shows
-calls that waited for a BLAS worker thread.
+command.  It does this once inside the kernels' scope for a graph below
+the crossover (`graphs._blas_scope(0)`, one BLAS thread) and once with
+the threads numpy's BLAS starts with, and prints one JSON object: per
+setting and shape the median and 99th percentile in ms and the number of
+calls over 1 ms, and as "threads" the default thread count (null when
+numpy's BLAS is not an OpenBLAS with a thread setter, and then both
+settings run alike).  A default-threads p99 or count far above the
+one-thread figures shows calls that waited for a BLAS worker thread.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def main(argv: list[str]) -> int:
                 for name, shapes in SHAPES.items()}
     lib = graphs._openblas_threads()
     report = {"calls": calls, "threads": lib and lib[1]()}
-    for setting, scope in (("one_thread", graphs._blas_threads(1)),
+    for setting, scope in (("one_thread", graphs._blas_scope(0)),
                            ("default_threads", nullcontext())):
         with scope:
             report[setting] = {name: _times(calls, *pair)

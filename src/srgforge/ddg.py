@@ -163,7 +163,9 @@ def identity_family(m: int, q: int) -> BijectionFamily:
 
 def random_bijection_family(m: int, q: int, quasigroup: LeftQuasigroup,
                             seed: int) -> BijectionFamily:
-    """Uniform sigma_ij for each i < j, drawn in `pairs` order."""
+    """Uniform sigma_ij for each i < j, drawn in `pairs` order.  The family
+    does not depend on `quasigroup`, only checked for its order m; the
+    argument stays because the benchmark's workloads pass it by position."""
     if quasigroup.m != m:
         raise ShapeMismatch(f"quasigroup order {quasigroup.m} != {m}")
     rng = random.Random(seed)

@@ -18,8 +18,8 @@ two strata, adjacency or a `SameClass` of class indices, in the packed
 words themselves; the design verifiers run it on incidence matrices.
 `common_edge_counts` gives, for every pair, the edges among its common
 neighbours, as one Gram matrix of edge rows; canon colours pairs by it.
-Both kernels, and exact_spectrum's products, multiply on the calling
-thread alone for graphs below _SERIAL_BELOW vertices (`_blas_scope`).
+Both kernels, and exact_spectrum's products, multiply in `_blas_scope`:
+on the calling thread alone for graphs below _SERIAL_BELOW vertices.
 Bitset rows (Python ints, bit v of rows[u] set iff uv is an edge;
 `set_bits` lists them, `bitset` builds one) are built only where bit
 operations pay: canonical refinement and `cliques`, the one clique search,
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ctypes
 import json
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, combinations
@@ -187,13 +187,13 @@ def bitset(vertices) -> int:
 
 
 # kernels on graphs below this many vertices multiply on the calling
-# thread.  It sets the BLAS thread count (`_blas_scope`) and nothing else:
-# the pair kernel plans its scans alike at every size.  On 2 cores one
-# thread cost a gen-srg1's pair passes and `spectrum`'s products about 4 %
-# at 392-400 vertices and 20 % at 576-585 when no product waited for
-# OpenBLAS's worker thread; where products woke it after idle time (3 ms
-# sleeps between calls), one thread took a 364-vertex pair pass from
-# 32.9 ms to 1.6 ms
+# thread.  `_blas_scope`, the one setter of the BLAS thread count, reads
+# it; no plan does: the pair kernel plans its scans alike at every size.
+# On 2 cores one thread cost a gen-srg1's pair passes and `spectrum`'s
+# products about 4 % at 392-400 vertices and 20 % at 576-585 when no
+# product waited for OpenBLAS's worker thread; where products woke it
+# after idle time (3 ms sleeps between calls), one thread took a
+# 364-vertex pair pass from 32.9 ms to 1.6 ms
 _SERIAL_BELOW = 512
 
 
@@ -230,32 +230,25 @@ def _openblas_threads():
 
 
 @contextmanager
-def _blas_threads(count: int):
-    """OpenBLAS multiplies on `count` threads in the body, and on as many
-    as before after it, also when the body raises; without an OpenBLAS
-    (_openblas_threads), nothing changes.  The count is the process's:
-    it holds for every thread's products while the body runs, and scopes
-    open in two threads at once can leave it at either's count, which
-    changes no result."""
-    lib = _openblas_threads()
+def _blas_scope(n: int):
+    """The scope of the BLAS products of a kernel on an n-vertex graph:
+    below _SERIAL_BELOW vertices OpenBLAS multiplies on the calling thread
+    alone in the body, and on as many threads as before after it, also
+    when the body raises; else, or without an OpenBLAS (_openblas_threads),
+    nothing changes.  The count is the process's, so scopes open in two
+    threads at once can leave it at either's; the products are exact in
+    any order of summation, so the thread count changes no result."""
+    lib = _openblas_threads() if n < _SERIAL_BELOW else None
     if lib is None:
         yield
         return
     setter, getter = lib
     before = getter()
-    setter(count)
+    setter(1)
     try:
         yield
     finally:
         setter(before)
-
-
-def _blas_scope(n: int):
-    """The scope of the BLAS products of a kernel on an n-vertex graph:
-    the calling thread alone below _SERIAL_BELOW vertices, else the
-    caller's threads.  The products are exact in any order of summation,
-    so the thread count changes no result."""
-    return _blas_threads(1) if n < _SERIAL_BELOW else nullcontext()
 
 
 # rows in the largest row block of first_bad_pair; a column tile holds the

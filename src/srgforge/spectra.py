@@ -25,20 +25,21 @@ A - Delta I is left out while the product Q of the others is constant
 (Q = cJ gives (A - Delta I)Q = 0, as AJ = Delta J).  Past 2^53 the product
 is zero-tested modulo word-size primes whose product passes the bound
 (Dumas, Giorgi & Pernet, "Dense linear algebra over word-size prime
-fields: the FFLAS and FFPACK packages", ACM TOMS 2008).  In the spectrum
+fields: the FFLAS and FFPACK packages", ACM TOMS 2008); one loop,
+_product, multiplies the factors in either tier.  In the spectrum
 command, an SRG's {k, r, s} takes one n x n product, A^2, and a glued
 DDG's formula spectrum {k, +-theta1, 0} two.  TooLarge stops a stage, the
 traces with their solve or the product, whose work passes MAX_WORK before
-it runs.  Both stages multiply in one graphs._blas_scope: on the calling
-thread alone for a graph below its vertex count.
+it runs.  Both stages multiply in one graphs._blas_scope.
 
-The n x n arrays a spectrum holds are A (float32), A^2 and the running
-product: the last factor with an A^2 term is built in A^2's place once no
-trace or factor reads A^2 again, A itself is the factor A, the traces
-tr A^3 and tr A^4 are float64 sums that copy neither matrix, and the
-number-type bounds and the constancy test are reductions, over _BAND
-rows at a time where an absolute value is needed.  On the ladder
-an SRG spectrum holds two such arrays and a glued DDG's three.
+The n x n arrays a spectrum holds are A (float32), A^2, built once for
+the traces or a factor, and the running product: the last factor with an
+A^2 term is built in A^2's place once no trace or factor reads A^2 again,
+A itself is the factor A, the traces tr A^3 and tr A^4 are float64 sums
+that copy neither matrix, and the number-type bounds and the constancy
+test are reductions, over _BAND rows at a time where an absolute value
+is needed.  On the ladder an SRG spectrum holds two such arrays and a
+glued DDG's three.
 
 Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
@@ -212,19 +213,6 @@ def _times(left, right):
     return left.astype(dtype, copy=False) @ right.astype(dtype, copy=False)
 
 
-def _matrix_powers(adj):
-    """p -> A^p for A = adj and p = 1 or 2, A^2 built on first use; higher
-    powers are _traces' own, mod P.  power(2, take=True) hands A^2 over to
-    a caller that may overwrite it, and forgets it."""
-    powers = [adj]
-
-    def power(p: int, take: bool = False):
-        if len(powers) < p:
-            powers.append(_times(adj, adj))
-        return powers.pop() if take else powers[p - 1]
-    return power
-
-
 def _factors(ints: list[int], rads: list[int]) -> list[tuple[int, int, int]]:
     """prod (A - aI) over ints times prod (A^2 - tI) over rads as factors
     (c2, c1, c0) = c2 A^2 + c1 A + c0 I: the ints paired in order,
@@ -237,26 +225,22 @@ def _factors(ints: list[int], rads: list[int]) -> list[tuple[int, int, int]]:
     return factors
 
 
-def _factor(power, c2: int, c1: int, c0: int, take: bool = False):
+def _factor(a, a2, c2: int, c1: int, c0: int, out=None):
     """c2 A^2 + c1 A + c0 I, monic (c2 = 1, or c2 = 0 and c1 = 1), built
-    elementwise from the powers A^p = power(p) it needs, in the number type
-    of its entry bound.  A itself is the factor (0, 1, 0), not a copy, so
-    callers must not write to it.  With take, for the last factor that
-    reads A^2, A^2 is handed over by power and the factor built in its
-    place when the number types agree.  c1 A is added _BAND rows at a time,
-    so no scaled copy of A is held whole."""
+    elementwise from A = a and A^2 = a2 (None when c2 = 0) in the number
+    type of its entry bound.  A itself is the factor (0, 1, 0), not a copy,
+    so callers must not write to it.  With out = a2, a factor with an A^2
+    term is built in A^2's place when the number types agree.  c1 A is
+    added _BAND rows at a time, so no scaled copy of A is held whole."""
     if (c2, c1, c0) == (0, 1, 0):
-        return power(1)
-    terms = [(c, p) for p, c in ((2, c2), (1, c1)) if c]
-    dtype = _number_type(abs(c0) + sum(abs(c) * _max_abs(power(p))
-                                       for c, p in terms))
-    (_, p), *rest = terms
-    if take and p == 2 and power(2).dtype == dtype:
-        factor = power(2, take=True)
-    else:
-        factor = power(p).astype(dtype)
-    for c, p in rest:
-        m = power(p)
+        return a
+    terms = [(c, m) for c, m in ((c2, a2), (c1, a)) if c]
+    dtype = _number_type(abs(c0) + sum(abs(c) * _max_abs(m)
+                                       for c, m in terms))
+    (_, first), *rest = terms
+    factor = out if first is out and out.dtype == dtype else \
+        first.astype(dtype)
+    for c, m in rest:
         for i in range(0, len(m), _BAND):
             factor[i:i + _BAND] += c * m[i:i + _BAND].astype(dtype,
                                                              copy=False)
@@ -264,40 +248,37 @@ def _factor(power, c2: int, c1: int, c0: int, take: bool = False):
     return factor
 
 
-def _annihilator(power, coeffs):
+def _product(a, a2, coeffs, ell: int = 0):
     """The product of the factors `coeffs` (_factors), each factor times
-    the product so far: only products between factors use BLAS.  The last
-    factor with an A^2 term is built in A^2's place (_factor's take), so
-    the product holds A, A^2 and the running product as n x n arrays."""
+    the product so far: only products between factors use BLAS.  Exact
+    (ell = 0), by _times: the last factor with an A^2 term is built in
+    A^2's place (_factor's out), so a2 is consumed and the product holds
+    A, A^2 and the running product as n x n arrays.  Modulo ell: each
+    factor is built from its coefficients mod ell (entries below
+    ell (Delta + 2) < 2^53), in float64 with partial sums below
+    n (ell - 1)^2, kept below 2^53; a2 is only read."""
     last = max((i for i, c in enumerate(coeffs) if c[0]), default=None)
     product = None
     for i, c in enumerate(coeffs):
-        factor = _factor(power, *c, take=i == last)
-        product = factor if product is None else _times(factor, product)
+        if ell:
+            factor = _factor(a, a2, *(x % ell for x in c)) \
+                .astype(np.float64) % ell
+            product = factor if product is None else factor @ product % ell
+        else:
+            factor = _factor(a, a2, *c, out=a2 if i == last else None)
+            product = factor if product is None else _times(factor, product)
     return product
 
 
-def _product_mod(power, coeffs, ell: int):
-    """The product of the factors `coeffs` (_factors) mod ell, each built
-    from its coefficients mod ell (entries below ell (Delta + 2) < 2^53), in
-    float64 with partial sums below n (ell - 1)^2, kept below 2^53."""
-    product = None
-    for c2, c1, c0 in coeffs:
-        factor = _factor(power, c2 % ell, c1 % ell, c0 % ell) \
-            .astype(np.float64) % ell
-        product = factor if product is None else factor @ product % ell
-    return product
-
-
-def _annihilates(power, delta: int, coeffs, deflate: bool) -> bool:
-    """Whether the product of the factors `coeffs` (_factors), times
-    A - delta I when deflate, is zero.  For a 0/1 A with row sums at most
-    delta, factor c2 A^2 + c1 A + c0 I has entries and row sums at most
-    c2 delta^2 + |c1| delta + |c0|; these multiplied bound the product.
-    Below 2^53 it runs in floats, without A - delta I while the rest is
-    constant (AJ = delta J); past it, modulo the largest primes l with
-    n (l - 1)^2 < 2^53 until their product passes the bound."""
-    n = len(power(1))
+def _annihilates(a, a2, delta: int, coeffs, deflate: bool) -> bool:
+    """Whether the product of the factors `coeffs` (_factors) of A = a and
+    A^2 = a2, times A - delta I when deflate, is zero.  For a 0/1 A with
+    row sums at most delta, factor c2 A^2 + c1 A + c0 I has entries and
+    row sums at most c2 delta^2 + |c1| delta + |c0|; these multiplied
+    bound the product.  Below 2^53 it runs in floats, without A - delta I
+    while the rest is constant (AJ = delta J); past it, modulo the largest
+    primes l with n (l - 1)^2 < 2^53 until their product passes the bound."""
+    n = len(a)
     degree = (0, 1, -delta)  # A - delta I
     factors = coeffs + [degree] * deflate
     bound = math.prod(c2 * delta * delta + abs(c1) * delta + abs(c0)
@@ -310,36 +291,35 @@ def _annihilates(power, delta: int, coeffs, deflate: bool) -> bool:
         modulus, primes = 1, filter(is_prime, range(top, 1, -1))
         while modulus <= bound:  # the work check leaves enough primes
             ell = next(primes)
-            if _product_mod(power, factors, ell).any():
+            if _product(a, a2, factors, ell).any():
                 return False
             modulus *= ell
         return True
     _check_work(n, len(factors) - 1)
-    product = _annihilator(power, coeffs)
+    product = _product(a, a2, coeffs)
     if deflate:
         if product.min() == product.max():
             return True
-        product = _times(_factor(power, *degree), product)
+        product = _times(_factor(a, a2, *degree), product)
     return not product.any()
 
 
-def _traces(power, count: int) -> list[int]:
-    """tr(A^s) mod P, s < count, for a symmetric n x n 0/1 matrix A =
-    power(1) with zero diagonal and row sums at most Delta: n, 0, the number
-    of nonzero entries, then sum_ij (A^a)_ij (A^b)_ij, a = s // 2,
-    b = s - a.  From A and A^2 every term and partial sum is at most
-    n Delta^3 < 2^53 (2^48 at 4096 vertices), accumulated in float64 by
-    einsum, which copies neither matrix.  Past them the powers
-    A^b = A A^(b-1) mod P have partial sums below Delta P < 2^53 in
-    float64, and the terms, below P^2 < 2^63, are reduced mod P and summed
-    below n^2 P < 2^63 in int64."""
-    adj = power(1)
-    traces = [len(adj), 0, int(np.count_nonzero(adj))]
-    low = high = adj
+def _traces(a, a2, count: int) -> list[int]:
+    """tr(A^s) mod P, s < count, for a symmetric n x n 0/1 matrix A = a
+    with zero diagonal and row sums at most Delta, and A^2 = a2 (read from
+    count 4 on): n, 0, the number of nonzero entries, then sum_ij
+    (A^a)_ij (A^b)_ij, a = s // 2, b = s - a.  From A and A^2 every term
+    and partial sum is at most n Delta^3 < 2^53 (2^48 at 4096 vertices),
+    accumulated in float64 by einsum, which copies neither matrix.  Past
+    them the powers A^b = A A^(b-1) mod P have partial sums below
+    Delta P < 2^53 in float64, and the terms, below P^2 < 2^63, are
+    reduced mod P and summed below n^2 P < 2^63 in int64."""
+    traces = [len(a), 0, int(np.count_nonzero(a))]
+    low = high = a
     for s in range(3, count):
         if s % 2:  # from A^a, A^a to A^a, A^(a+1)
-            low, high = high, power(2) if s == 3 else \
-                _times(adj, high).astype(np.int64) % P
+            low, high = high, a2 if s == 3 else \
+                _times(a, high).astype(np.int64) % P
         x, y = (low if s % 2 else high), high
         trace = np.einsum("ij,ij->", x, y, dtype=np.float64) if s < 5 \
             else (x.astype(np.int64) * y.astype(np.int64) % P).sum()
@@ -418,9 +398,10 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
     # P > n, are the only solution
     rows = len(ints) + 2 * len(rads)
     _check_work(n, max(1, rows // 2 - 1), rows, len(eigs))
-    power = _matrix_powers(adjacency_matrix(g))
+    a = adjacency_matrix(g)
     with _blas_scope(n):
-        traces = _traces(power, rows)
+        a2 = _times(a, a) if rows > 3 else None
+        traces = _traces(a, a2, rows)
         values = _solve_mod(np.array(
             [[pow(a, s, P) for a in ints] +
              [0 if s % 2 else 2 * pow(t, s // 2, P) % P for t in rads] +
@@ -438,7 +419,9 @@ def exact_spectrum(g: Graph, candidates) -> Spectrum:
             int(deg.min()) == delta
         coeffs = _factors([a for a in live if not (deflate and a == delta)],
                           rads)
-        if not _annihilates(power, delta, coeffs, deflate):
+        if a2 is None and any(c2 for c2, _, _ in coeffs):
+            a2 = _times(a, a)
+        if not _annihilates(a, a2, delta, coeffs, deflate):
             raise missing
     spec = make_spectrum((x, m) for e, m in counts.items() for x in (
         (e, -e) if isinstance(e, Radical) else (e,)))

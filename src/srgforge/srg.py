@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
 from .ddg import DdgParams, theorem1_params, verify_ddg
 from .designs import incidence, SymmetricDesign, verify_symmetric
-from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch)
+from .errors import (NotPrime, NotSrg, PreconditionFailed, ShapeMismatch,
+                     TooLarge)
 from .graphs import (bitset, Certificate, certificate, cliques, complement,
                      complete_graph, first_bad_pair, Graph, line_graph,
                      pair_witness, regularity, SameClass, VertexPartition)
@@ -326,9 +328,20 @@ def chang_graphs() -> list[Graph]:
 # Hoffman colorings and the clique attachment
 
 
-def _colorings(co_rows, size: int, uncovered: int, acc: list):
+# search nodes (_colorings calls, those that yield nothing included) past
+# which a Hoffman-coloring enumeration stops: ten times the 23,572 that
+# enumerate T(8)'s 6240 colorings.  The count depends only on the graph
+# and how far the enumeration goes, so an index is refused on every host
+MAX_COLORING_NODES = 250_000
+
+
+def _colorings(co_rows, size: int, uncovered: int, acc: list, nodes):
     """Partitions of the uncovered vertices into cliques of the complement
-    rows co_rows, i.e. cocliques of the graph, in lexicographic order."""
+    rows co_rows, i.e. cocliques of the graph, in lexicographic order;
+    TooLarge once the counter `nodes` passes MAX_COLORING_NODES."""
+    if next(nodes) > MAX_COLORING_NODES:
+        raise TooLarge(f"Hoffman colorings of {len(co_rows)} vertices need "
+                       f"more than {MAX_COLORING_NODES} search nodes")
     if uncovered == 0:
         yield VertexPartition.from_lists(len(co_rows), [list(b) for b in acc])
         return
@@ -336,7 +349,8 @@ def _colorings(co_rows, size: int, uncovered: int, acc: list):
     pool = uncovered & co_rows[v0] & ~((2 << v0) - 1)
     for block in cliques(co_rows, size, pool, (v0,)):
         acc.append(block)
-        yield from _colorings(co_rows, size, uncovered & ~bitset(block), acc)
+        yield from _colorings(co_rows, size, uncovered & ~bitset(block), acc,
+                              nodes)
         acc.pop()
 
 
@@ -359,7 +373,8 @@ class HoffmanColorings:
     """The partitions of g into independent sets of maximum (ratio-bound)
     size, in lexicographic order; empty when none exists.  g is verified on
     construction and `params` holds its parameters, so a caller can test
-    them before iterating starts the search."""
+    them before iterating starts the search, which raises TooLarge past
+    MAX_COLORING_NODES search nodes."""
 
     def __init__(self, g: Graph):
         self.g, self.params = g, srg_params(g)
@@ -368,7 +383,8 @@ class HoffmanColorings:
         size, n = hoffman_coclique_size(self.params), self.g.n
         if size.denominator != 1 or size < 1 or n % int(size):
             return iter(())
-        return _colorings(complement(self.g).rows, int(size), (1 << n) - 1, [])
+        return _colorings(complement(self.g).rows, int(size), (1 << n) - 1, [],
+                          count(1))
 
 
 hoffman_colorings = HoffmanColorings  # the name callers use

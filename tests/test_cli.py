@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -829,6 +830,22 @@ def test_gen_srg2_past_the_last_coloring_exits_1(workdir, capsys):
     assert captured.out == ""
     assert captured.err == "no Hoffman coloring at index 6240 for this base\n"
     assert list(workdir.iterdir()) == []
+
+
+def test_gen_srg2_coloring_search_has_a_node_budget(workdir, capsys):
+    """The 6 x 6 rook graph, (36,10,4,2) with lambda = mu + 2, has 1,128,960
+    Hoffman colorings; running past all of them to index 2,000,000 would
+    take about 40 s, so the search stops at its node budget instead, with
+    exit 2 and no file written."""
+    rook = np.kron(np.eye(6, dtype=bool), ~np.eye(6, dtype=bool)) | \
+        np.kron(~np.eye(6, dtype=bool), np.eye(6, dtype=bool))
+    Path("rook.g6").write_text(graph6_encode(Graph(rook)) + "\n")
+    assert main(["gen-srg2", "--base", "g6:rook.g6",
+                 "--coloring", "2000000"]) == 2
+    assert capsys.readouterr().err == (
+        f"srgforge: Hoffman colorings of 36 vertices need more than "
+        f"{srg.MAX_COLORING_NODES} search nodes\n")
+    assert sorted(os.listdir()) == ["rook.g6"]
 
 
 def test_spectrum_ddg_prints_the_formula_spectrum(workdir, capsys):

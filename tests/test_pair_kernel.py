@@ -1152,15 +1152,19 @@ def _kernel_results(q: int, d: int):
 @pytest.mark.parametrize("q, d", [(3, 3), (2, 5)])
 def test_results_do_not_depend_on_blas_threads(monkeypatch, q, d):
     """With the scope's crossover at 0, the kernels multiply on the
-    caller's threads, forced to 1 and then to 2: every certificate, edge
-    count and spectrum is the same, as every product is exact in any
-    order of summation."""
+    caller's threads, set to 1 and then to 2 by the OpenBLAS setter: every
+    certificate, edge count and spectrum is the same, as every product is
+    exact in any order of summation."""
     monkeypatch.setattr(graphs, "_SERIAL_BELOW", 0)
-    results = []
-    for count in (1, 2):
-        with graphs._blas_threads(count):
-            assert _OPENBLAS[1]() == count
+    setter, get = _OPENBLAS
+    before, results = get(), []
+    try:
+        for count in (1, 2):
+            setter(count)
+            assert get() == count
             results.append(_kernel_results(q, d))
+    finally:
+        setter(before)
     assert results[0] == results[1]
 
 
@@ -1169,8 +1173,10 @@ def test_scope_sets_one_thread_below_the_crossover_only():
     """Below the crossover the scope reads 1 thread inside and the previous
     count after it, also when its body raises; at and above it the count
     is untouched."""
-    get = _OPENBLAS[1]
-    with graphs._blas_threads(2):
+    setter, get = _OPENBLAS
+    before = get()
+    setter(2)
+    try:
         with graphs._blas_scope(graphs._SERIAL_BELOW - 1):
             assert get() == 1
         assert get() == 2
@@ -1183,6 +1189,8 @@ def test_scope_sets_one_thread_below_the_crossover_only():
             with graphs._blas_scope(n):
                 assert get() == 2
         assert get() == 2
+    finally:
+        setter(before)
 
 
 def test_kernels_multiply_in_the_scope(monkeypatch):
@@ -1215,7 +1223,7 @@ def test_kernels_run_without_openblas(monkeypatch):
     every kernel gives the same results."""
     expected = _kernel_results(3, 3)
     monkeypatch.setattr(graphs, "_openblas_threads", lambda: None)
-    with graphs._blas_threads(1), graphs._blas_scope(1):
+    with graphs._blas_scope(1):
         pass
     assert _kernel_results(3, 3) == expected
 

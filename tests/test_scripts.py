@@ -123,3 +123,29 @@ def test_line_coverage_lists_unexecuted_statements(tmp_path):
     assert missed < total // 4
     missed, total = counts["canon.py"]
     assert missed == total > 0
+
+
+def test_peak_memory_reports_the_child(tmp_path):
+    """The child's exit code comes back, and stderr ends with one JSON line
+    of its exit code, wall seconds and peak RSS; stdout is the child's:
+    `bound` on a non-prime-power q exits 2, and `sp-graph` prints the
+    same graph6 line as the command run directly."""
+    result = _run(tmp_path, "peak_memory.py", ["bound", "--q", "6",
+                                               "--d", "2"])
+    assert result.returncode == 2
+    *child, report = result.stderr.splitlines()
+    assert child == ["srgforge: 6 is not a prime power"]
+    report = json.loads(report)
+    assert sorted(report) == ["exit", "peak_rss_mb", "wall_s"]
+    assert report["exit"] == 2
+    assert report["wall_s"] > 0 and report["peak_rss_mb"] > 0
+    args = ["sp-graph", "--q", "2", "--d", "2"]
+    result = _run(tmp_path, "peak_memory.py", args)
+    assert result.returncode == 0, result.stderr
+    direct = subprocess.run(
+        [sys.executable, "-m", "srgforge.cli", *args], capture_output=True,
+        text=True, cwd=tmp_path, env={**os.environ,
+                                      "PYTHONPATH": str(ROOT / "src")})
+    assert result.stdout == direct.stdout
+    assert len(result.stdout.splitlines()) == 1
+    assert json.loads(result.stderr)["exit"] == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +25,8 @@ from srgforge import (certificate, certified_spectrum, chang_graphs,
                       triangular_graph, verify_ddg, verify_srg,
                       VertexPartition)
 from srgforge import spectra
-from srgforge.spectra import (_annihilator, _factor, _factors, _matrix_powers,
-                              _number_type, _product_mod, _times, _traces,
-                              adjacency_matrix, P)
+from srgforge.spectra import (_factor, _factors, _number_type, _product,
+                              _times, _traces, adjacency_matrix, P)
 from srgforge.spectra import _annihilates
 from srgforge.srg import srg_params
 from test_ddg import build
@@ -283,18 +283,19 @@ def test_exact_product_tier_boundaries(shifts, first_modular):
     product's bound is below 2^53, and modulo each of the zero test's first
     three primes from it on, where a float product would round."""
     g = petersen_graph()  # maximum degree 3
-    power = _matrix_powers(adjacency_matrix(g))
+    a = adjacency_matrix(g)
     primes = _zero_test_primes(g.n, 3)
     for i in range(len(shifts)):
         coeffs = _factors(shifts[:i + 1], [])
         expected = _reference_product(g, shifts[:i + 1])
+        a2 = _times(a, a)  # the exact product consumes it
         if i < first_modular:
-            product = _annihilator(power, coeffs)
+            product = _product(a, a2, coeffs)
             assert product.dtype in (np.float32, np.float64)
             assert product.tolist() == expected
         else:
             for ell in primes:
-                assert _product_mod(power, coeffs, ell).tolist() == \
+                assert _product(a, a2, coeffs, ell).tolist() == \
                     _mod(expected, ell)
 
 
@@ -307,10 +308,10 @@ def test_product_number_type_edges(edge):
     and at 2^53 modulo the zero test's primes; each equals the Python-int
     product, modulo each prime at 2^53."""
     g = petersen_graph()
-    power = _matrix_powers(adjacency_matrix(g))
+    a = adjacency_matrix(g)
     h = edge // 2
     for t in (2**(edge - h) - 1, 2**(edge - h)):
-        left, right = (_factor(power, 0, 1, c) for c in (2**h - 3, -t))
+        left, right = (_factor(a, None, 0, 1, c) for c in (2**h - 3, -t))
         bound = int(np.abs(left).sum(axis=1).max() * np.abs(right).max())
         assert bound == 2**h * t
         expected = _reference_product(g, [3 - 2**h, t])
@@ -320,8 +321,8 @@ def test_product_number_type_edges(edge):
             assert product.tolist() == expected
             continue
         for ell in _zero_test_primes(g.n, 3):
-            assert _product_mod(power, [(0, 1, 2**h - 3), (0, 1, -t)],
-                                ell).tolist() == _mod(expected, ell)
+            assert _product(a, None, [(0, 1, 2**h - 3), (0, 1, -t)],
+                            ell).tolist() == _mod(expected, ell)
 
 
 def test_work_limit(monkeypatch):
@@ -509,7 +510,8 @@ def test_traces_exact_past_float32():
     it comes out mod P."""
     g = complete_graph(300)
     assert 300 * 299**3 >= 2**24 and 299**4 > P
-    traces = _traces(_matrix_powers(adjacency_matrix(g)), 5)
+    a = adjacency_matrix(g)
+    traces = _traces(a, _times(a, a), 5)
     assert traces == [(299**s + 299 * (-1)**s) % P for s in range(5)]
     spec = exact_spectrum(g, [299, -1, 0, 1, 2])
     assert spec.nonzero() == make_spectrum([(299, 1), (-1, 299)])
@@ -641,7 +643,8 @@ def test_exact_product_first_factor_tiers():
                 for i, row in enumerate(mat)]
 
     a_sq = _times_ref(a, a)
-    power = _matrix_powers(adjacency_matrix(g))
+    adj = adjacency_matrix(g)
+    adj2 = _times(adj, adj)
     for ints, rads in (([2**60 + 1], []), ([], [2**61 + 1])):
         for step in range(4):
             live = ints + [3, 1, -2][:step]
@@ -653,8 +656,8 @@ def test_exact_product_first_factor_tiers():
             for factor in factors[1:]:
                 expected = _times_ref(expected, factor)
             for ell in _zero_test_primes(g.n, 3):
-                assert _product_mod(power, _factors(live, rads),
-                                    ell).tolist() == _mod(expected, ell), step
+                assert _product(adj, adj2, _factors(live, rads),
+                                ell).tolist() == _mod(expected, ell), step
 
     pet = exact_spectrum(g, [3, 1, -2])
     assert exact_spectrum(g, [2**60 + 1, 3, 1, -2]).nonzero() == pet
@@ -666,7 +669,7 @@ def test_traces_match_python_ints(monkeypatch):
     """tr(A^s) of the Petersen graph for s <= 40 mod P against a Python-int
     reference: 10 * 3^s passes P from s = 17 and 2^53 from s = 32, so the
     residues of the powers and the sums mod P both matter.  The 41 traces
-    take A^2 .. A^20, 19 products."""
+    take A^2 .. A^20, 19 products: A^2 from the caller, 18 in _traces."""
     assert 10 * 3**16 < P < 10 * 3**17 and 10 * 3**31 < 2**53 <= 10 * 3**32
     g = petersen_graph()
     a = [[int(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)]
@@ -681,9 +684,34 @@ def test_traces_match_python_ints(monkeypatch):
         products.append(right)
         return _times(left, right)
 
+    adj = adjacency_matrix(g)
+    adj2 = _times(adj, adj)
     monkeypatch.setattr(spectra, "_times", times)
-    assert _traces(_matrix_powers(adjacency_matrix(g)), 41) == expected
-    assert len(products) == 19
+    assert _traces(adj, adj2, 41) == expected
+    assert len(products) == 18
+
+
+def test_spectrum_holds_two_or_three_arrays():
+    """The module's memory claim, traced on the second call in a process:
+    s(3,3)'s SRG spectrum peaks at about two n x n float32 arrays, A and
+    A^2, whose buffer takes the factor A^2 - (r + s)A + rs I; d(3,3)'s
+    formula spectrum at about three, with the product A (A^2 - theta1^2 I).
+    Without the in-place factor each would hold one array more."""
+    ddg, partition = build(3, 3, seed=0)
+    params = DdgParams.from_certificate(verify_ddg(ddg, partition))
+    srg = srg1(3, 3, seed=0)[0]
+    for g, candidates, arrays in (
+            (srg, [e for e, _ in srg_spectrum(srg1_target_params(3, 3))
+                   .entries()], 2.1),
+            (ddg, ddg_formula_spectrum(params).candidates(), 3.1)):
+        exact_spectrum(g, candidates)
+        tracemalloc.start()
+        try:
+            exact_spectrum(g, candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 4 * g.n ** 2, peak / (4 * g.n ** 2)
 
 
 @pytest.mark.parametrize("q, d", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3),
@@ -739,11 +767,11 @@ def test_modular_zero_test_on_a_product_of_complete_graphs(monkeypatch):
     eigs = list(spectrum.eigenvalues)
     primes = []
 
-    def product_mod(power, coeffs, ell):
+    def product(a, a2, coeffs, ell=0):
         primes.append(ell)
-        return _product_mod(power, coeffs, ell)
+        return _product(a, a2, coeffs, ell)
 
-    monkeypatch.setattr(spectra, "_product_mod", product_mod)
+    monkeypatch.setattr(spectra, "_product", product)
     assert exact_spectrum(g, eigs) == spectrum
     assert primes == _zero_test_primes(g.n, 3)
     assert math.prod(primes) > 2**61
@@ -772,13 +800,13 @@ def test_modular_zero_test_refuses_a_missing_eigenvalue(monkeypatch):
                      for c2, c1, c0 in coeffs) >= 2**53
     primes = []
 
-    def product_mod(power, coeffs, ell):
+    def product(a, a2, coeffs, ell=0):
         primes.append(ell)
-        return _product_mod(power, coeffs, ell)
+        return _product(a, a2, coeffs, ell)
 
-    monkeypatch.setattr(spectra, "_product_mod", product_mod)
-    assert not _annihilates(_matrix_powers(adjacency_matrix(g)), 15, coeffs,
-                            False)
+    monkeypatch.setattr(spectra, "_product", product)
+    a = adjacency_matrix(g)
+    assert not _annihilates(a, _times(a, a), 15, coeffs, False)
     assert primes == _zero_test_primes(g.n, 1)
 
 
