@@ -29,8 +29,8 @@ from .designs import (affine_geometry_design, check_glued, fano_plane,
                       SymmetricDesign, write_lines)
 from .errors import ParseError, SrgforgeError
 from .gf import as_prime_power, make_field
-from .graphs import (complement, Graph, VertexPartition, graph6_decode,
-                     graph6_encode, graph6_order)
+from .graphs import (check_vertices, complement, Graph, VertexPartition,
+                     graph6_decode, graph6_encode, graph6_order)
 from .spectra import (certified_spectrum, check_spectrum_vertices,
                       ddg_formula_spectrum, exact_root, exact_spectrum,
                       srg_spectrum)
@@ -52,21 +52,17 @@ def _read_partition(path: str, n: int) -> VertexPartition:
     return VertexPartition.from_lists(n, [cls for _, cls in int_lines(path)])
 
 
-def _graph_lines(path: str | None) -> list[str]:
-    """Non-blank lines of the file at path, or of stdin without one."""
+def _read_graphs(path: str | None, check=None, count: int | None = None):
+    """The graphs on the non-blank lines of the file at path, or of stdin
+    without one, or on the first count of them, decoded one at a time;
+    check, a vertex limit, first sees every line's size prefix, so an
+    over-limit line is refused before any decoding."""
     if path:
         with open(path, encoding="ascii") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    return [line for line in text.splitlines() if line.strip()]
-
-
-def _read_graphs(path: str | None, check=None, count: int | None = None):
-    """The graphs on the input's lines, or on its first count lines,
-    decoded one at a time; check, a vertex limit, first sees every line's
-    size prefix, so an over-limit line is refused before any decoding."""
-    lines = _graph_lines(path)[:count]
+    lines = [line for line in text.splitlines() if line.strip()][:count]
     if check:
         for line in lines:
             check(graph6_order(line))
@@ -278,8 +274,9 @@ def cmd_gen_srg2(args) -> int:
         bound = ">= 0" if args.coloring < 0 else f"at most {sys.maxsize}"
         raise ParseError(f"--coloring must be {bound}, got {args.coloring}")
     inputs: dict = {}
-    base = _resolve(args.base, "base", _BASES, _read_graph, inputs,
-                    ("g6:",))
+    base = _resolve(args.base, "base", _BASES, lambda path: _read_graph(
+        path, lambda n: check_vertices(n, "the gen-srg2 base")), inputs,
+        ("g6:",))
     design = _resolve(args.design, "design", {"fano": fano_plane},
                       lambda path: load_design(path, "symmetric"), inputs)
 

@@ -6,8 +6,10 @@ many blocks as points.  Generators come from affine and projective geometry
 over a finite field; arbitrary designs can be loaded from a plain-text block
 list.  Verifiers check the axioms exhaustively and report a Certificate
 instead of raising, so a failed check is data.  Pair balance and block
-intersections are pair counts of the incidence matrix, on the graph pair
-kernel's fold, with one `SameClass` class where every pair has one count.
+intersections are pair counts of the incidence matrix (`incidence`), on the
+graph pair kernel's fold, with one `SameClass` class where every pair has
+one count; the coclique and clique attachments join classes to points by
+the same matrix.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ GF(p) coefficients are the base-p digits of i, constant term first, so 0 is
 the additive and 1 the multiplicative identity.  The reduction modulus is the
 lexicographically first monic irreducible polynomial of degree e over GF(p)
 (coefficients read constant term upward), which makes every field object a
-pure function of (p, e).
+pure function of (p, e).  Orders go up to MAX_ORDER = 2^8; the vertex limit
+keeps the builders at q <= 15.
 
 Both the modulus search and the multiplication table come from one numpy
 product of digit rows modulo a monic x^e + low(x), by shift and reduce.  A

@@ -45,11 +45,12 @@ Eigenvalues are Python ints or Radical objects (+-sqrt(t) for non-square
 t > 0); perfect squares collapse to ints on construction.
 
 The closed forms at the end (the DDG formula spectrum, the SRG spectrum
-{k, r^f, s^g}, gen-ddg's spectrum from a passing DDG certificate, the
-Hoffman and Delsarte ratio bounds and the coclique-deletion spectrum)
-follow Brouwer & Van Maldeghem, "Strongly Regular Graphs" (2022).  The SRG
-ones take an SrgParams record, whose constructor checks k(k-lambda-1) =
-(v-k-1)mu, and read r, s, f and g from one helper.
+{k, r^f, s^g} that gen-srg1 reports, gen-ddg's spectrum from a passing DDG
+certificate, the Hoffman and Delsarte ratio bounds and the coclique-deletion
+spectrum) follow Brouwer & Van Maldeghem, "Strongly Regular Graphs" (2022).
+The SRG ones take an SrgParams record, never a bare tuple, whose
+constructor raises ValueError unless k(k-lambda-1) = (v-k-1)mu, and read
+r, s, f and g from one helper, InfeasibleParams when they are not integers.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 
 import numpy as np
 
@@ -293,11 +293,6 @@ def seidel_switch(g: Graph, vertices) -> Graph:
     return Graph(g.matrix ^ (side[:, None] != side))
 
 
-def _k8_edge_index() -> dict[tuple[int, int], int]:
-    edges = sorted(complete_graph(8).edges())
-    return {e: i for i, e in enumerate(edges)}
-
-
 # switching sets inside the 28-vertex triangular graph, named by the
 # subgraph of the complete graph on 8 vertices whose edges they are
 _CHANG_EDGE_SETS = {
@@ -316,7 +311,8 @@ def chang_graphs() -> list[Graph]:
     8-cycle, each read as a set of line-graph vertices.
     """
     t8 = triangular_graph(8)
-    idx = _k8_edge_index()
+    # line_graph numbers T(8)'s vertices by K8's edges in this order
+    idx = {e: i for i, e in enumerate(combinations(range(8), 2))}
     out = []
     for name in ("4K2", "C3+C5", "C8"):
         sw = [idx[e] for e in _CHANG_EDGE_SETS[name]]

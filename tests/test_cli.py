@@ -627,6 +627,18 @@ def test_gen_srg2_reads_the_first_graph_of_a_g6_base(workdir, capsys):
         hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def test_gen_srg2_refuses_an_oversized_base_from_its_prefix(workdir, capsys):
+    """A g6 base whose size prefix says 4097 vertices exits 2 with the
+    vertex limit, before it is decoded (its four-byte body is the wrong
+    length for that n), and no file is written."""
+    Path("big.g6").write_text("~@?@AAAA\n", encoding="ascii")
+    assert main(["gen-srg2", "--base", "g6:big.g6", "--out", "PREFIX"]) == 2
+    assert capsys.readouterr().err == (
+        "srgforge: the gen-srg2 base would have 4097 vertices, over the "
+        "4096-vertex limit\n")
+    assert os.listdir() == ["big.g6"]
+
+
 def test_gen_srg2_rejects_bad_file_design(workdir, capsys):
     fano = fano_plane()
     twice = SymmetricDesign(7, fano.blocks[:6] + fano.blocks[:1], fano.params)

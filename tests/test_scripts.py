@@ -4,7 +4,9 @@ Each script runs as a subprocess on this checkout's src; the pinned digests
 are of their stdout, so a change to the Hoffman-coloring search, the clique
 census or class counting that alters any table line shows here, and so does
 any byte of the outputs the digest replay writes at (q, d) = (3, 2) and over
-GF(8) and GF(9).
+GF(8) and GF(9).  The timing script, layer_time.py, has one test per LAYER
+(product, pair-kernel, graph6) on the shape of its JSON, and one on its
+refusal of an unknown LAYER.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _run(tmp_path, script, args):
 def test_product_latency_reports_both_settings(tmp_path):
     """A small run prints, per thread setting and product shape, the
     median, the p99 and the count of slow calls; a bad N exits 2."""
-    result = _run(tmp_path, "product_latency.py", ["3"])
+    result = _run(tmp_path, "layer_time.py", ["product", "3"])
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["calls"] == 3
@@ -63,14 +65,14 @@ def test_product_latency_reports_both_settings(tmp_path):
         for figures in report[setting].values():
             assert 0 < figures["median_ms"] <= figures["p99_ms"]
             assert 0 <= figures["over_1ms"] <= 3
-    assert _run(tmp_path, "product_latency.py", ["0"]).returncode == 2
+    assert _run(tmp_path, "layer_time.py", ["product", "0"]).returncode == 2
 
 
 def test_pair_kernel_time_reports_each_input(tmp_path):
     """A small run prints, per input, the quartiles and median of its
     first_bad_pair times and its first bad pair: none for the outputs,
     one for each 2-switched copy; a bad N exits 2."""
-    result = _run(tmp_path, "pair_kernel_time.py", ["2"])
+    result = _run(tmp_path, "layer_time.py", ["pair-kernel", "2"])
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report.pop("calls") == 2
@@ -81,13 +83,14 @@ def test_pair_kernel_time_reports_each_input(tmp_path):
     for name, figures in report.items():
         assert 0 < figures["q1_ms"] <= figures["median_ms"] <= figures["q3_ms"]
         assert (figures["bad_pair"] is None) == (name in names)
-    assert _run(tmp_path, "pair_kernel_time.py", ["x"]).returncode == 2
+    assert _run(tmp_path, "layer_time.py",
+                ["pair-kernel", "x"]).returncode == 2
 
 
 def test_graph6_time_reports_each_input(tmp_path):
     """A small run prints, per input, its vertex count and the quartiles
     and median of its encode and decode times; a bad N exits 2."""
-    result = _run(tmp_path, "graph6_time.py", ["2"])
+    result = _run(tmp_path, "layer_time.py", ["graph6", "2"])
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report.pop("calls") == 2
@@ -98,7 +101,19 @@ def test_graph6_time_reports_each_input(tmp_path):
         assert sorted(figures) == ["decode", "encode"]
         for times in figures.values():
             assert 0 < times["q1_ms"] <= times["median_ms"] <= times["q3_ms"]
-    assert _run(tmp_path, "graph6_time.py", ["0"]).returncode == 2
+    assert _run(tmp_path, "layer_time.py", ["graph6", "0"]).returncode == 2
+
+
+@pytest.mark.parametrize("args", [["spectrum", "2"], ["graph6"], [],
+                                  ["product", "2", "3"]])
+def test_layer_time_refuses_an_unknown_layer(tmp_path, args):
+    """A LAYER other than pair-kernel, graph6 and product, or a missing or
+    extra argument, exits 2 with the usage line and prints nothing."""
+    result = _run(tmp_path, "layer_time.py", args)
+    assert result.returncode == 2
+    assert result.stderr.startswith(
+        "usage: layer_time.py pair-kernel|graph6|product N")
+    assert result.stdout == ""
 
 
 def test_line_coverage_lists_unexecuted_statements(tmp_path):
