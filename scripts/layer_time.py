@@ -29,15 +29,25 @@ product      two 0/1 float32 shapes: a pair-kernel tile, 256 x 364 by 364
              settings run alike).  A default-threads p99 or count far
              above the one-thread figures shows calls that waited for a
              BLAS worker thread.
+canon        `canon.canonical_form` on N relabelled copies (random.Random(0)
+             shuffles) of each graph the canon-small benchmark searches:
+             T(8), the Chang graphs, Petersen, and the ladder's unswitched
+             graphs at (2, 3) and (3, 2) as gen-ddg and gen-srg1 make them
+             with --seed 1 (family seed 3).  Per graph: its vertex count
+             and, "one_by_one" (each copy searched alone) and "shared"
+             (one dict of known leaves for all copies, as the canon and
+             count-classes commands pass), the median and quartiles in ms
+             per copy and the search nodes summed over the copies.
 
 pair-kernel and graph6 call their inputs in turn N times over; product
-makes one shape's N calls in a row.  The ladder is the glued DDG d(q,d)
-and its coclique-attached SRG s(q,d) (cyclic quasigroup, random bijection
-family from seed 0, identity block map) at (q, d) = (2, 5) and (4, 3), 992
-to 1365 vertices, and at (2, 4) and (3, 3), 240 to 364 vertices, each
-with a copy after one degree-keeping 2-switch, edges ab and cd made ad and
-cb, placed by random.Random(0) in that order.  A LAYER not named here or
-an N below 1 exits 2.
+makes one shape's N calls in a row, and canon one graph's N copies.  The
+ladder is the glued DDG d(q,d) and its coclique-attached SRG s(q,d)
+(cyclic quasigroup, random bijection family from seed 0 unless named,
+identity block map) at (q, d) = (2, 5) and (4, 3), 992 to 1365 vertices,
+and at (2, 4) and (3, 3), 240 to 364 vertices, each with a copy after one
+degree-keeping 2-switch, edges ab and cd made ad and cb, placed by
+random.Random(0) in that order.  A LAYER not named here or an N below 1
+exits 2.
 """
 
 from __future__ import annotations
@@ -50,15 +60,17 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from srgforge import (affine_geometry_design, as_prime_power, ClassBlockMap,
+from srgforge import (affine_geometry_design, as_prime_power, canon,
+                      canonical_form, chang_graphs, ClassBlockMap,
                       construct_ddg, construct_srg1, cyclic_quasigroup,
                       Graph, graph6_decode, graph6_encode, graphs,
-                      make_field, projective_complement_design,
-                      random_bijection_family)
+                      make_field, petersen_graph,
+                      projective_complement_design, random_bijection_family,
+                      triangular_graph)
 from srgforge.graphs import first_bad_pair, SameClass
 
 
-def ladder(pairs) -> dict:
+def ladder(pairs, family_seed: int = 0) -> dict:
     """Per (q, d) in pairs, s(q,d) and d(q,d) and their switched copies:
     name -> (graph, first_bad_pair's strata, None for an SRG's own)."""
     rng = random.Random(0)
@@ -69,7 +81,7 @@ def ladder(pairs) -> dict:
         m = design.n_classes
         qg = cyclic_quasigroup(m)
         ddg, partition = construct_ddg(
-            [design] * m, qg, random_bijection_family(m, q, qg, 0))
+            [design] * m, qg, random_bijection_family(m, q, qg, family_seed))
         srg = construct_srg1(ddg, partition, projective_complement_design(
             field, d), ClassBlockMap.identity(m))
         for name, g, strata in (
@@ -163,7 +175,44 @@ def product(calls: int) -> dict:
     return report
 
 
-LAYERS = {"pair-kernel": pair_kernel, "graph6": graph6, "product": product}
+def canon_layer(calls: int) -> dict:
+    searched = []  # the nodes of each search, in call order
+
+    class Counted(canon._Search):
+        def run(self):
+            super().run()
+            searched.append(self.nodes)
+
+    inputs = dict(zip(("t8", "chang1", "chang2", "chang3", "petersen"),
+                      (triangular_graph(8), *chang_graphs(),
+                       petersen_graph())))
+    inputs.update((name, g) for name, (g, _) in ladder(
+        ((2, 3), (3, 2)), 3).items() if not name.endswith("-switched"))
+    rng = random.Random(0)
+    report = {}
+    canon._Search, plain = Counted, canon._Search
+    try:
+        for name, g in inputs.items():
+            copies = []
+            for _ in range(calls):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                copies.append(g.relabel(tuple(perm)))
+            report[name] = {"vertices": g.n}
+            for mode, known in (("one_by_one", None), ("shared", {})):
+                searched.clear()
+                lines = iter(copies)
+                ms = _rounds(calls, {mode: (
+                    lambda: canonical_form(next(lines), known), ())})[0][mode]
+                report[name][mode] = {**_quartiles(ms),
+                                      "nodes": sum(searched)}
+    finally:
+        canon._Search = plain
+    return report
+
+
+LAYERS = {"pair-kernel": pair_kernel, "graph6": graph6, "product": product,
+          "canon": canon_layer}
 
 
 def main(argv: list[str]) -> int:

@@ -56,11 +56,15 @@ The command set:
   radicands (a 339-row solve), and K3 x K4 x K5 x K7 with its 14
   eigenvalues, whose annihilating product is bounded past 2^53; then the
   digests of the two graph files;
-- last of all, refusals, which exit 2: `canon` on Petersen followed by an
+- then refusals, which exit 2: `canon` on Petersen followed by an
   edgeless 257-vertex line (over the canon vertex limit) and on Petersen
   followed by the malformed line `I?????`, and `sp-graph --q 2 --d 4
   --complement` piped into `clique-census` (255 vertices, over the census
-  limit); then the digests of the two graph files.
+  limit); then the digests of the two graph files;
+- last of all, `canon` and `count-classes` on one file of T(8), two
+  relabelled copies of it, the Chang graphs and Petersen, where the
+  copies' searches stop at T(8)'s known canonical leaf; then the digest
+  of that file.
 """
 
 from __future__ import annotations
@@ -79,10 +83,11 @@ from pathlib import Path
 
 import numpy as np
 
-from srgforge import (complete_graph, cycle_graph, empty_graph, fano_plane,
-                      from_edges, Graph, graph6_decode, graph6_encode,
-                      petersen_graph, save_design, srg1_target_params,
-                      srg_spectrum, theorem1_params, triangular_graph)
+from srgforge import (chang_graphs, complete_graph, cycle_graph, empty_graph,
+                      fano_plane, from_edges, Graph, graph6_decode,
+                      graph6_encode, petersen_graph, save_design,
+                      srg1_target_params, srg_spectrum, theorem1_params,
+                      triangular_graph)
 from srgforge.cli import main as cli_main
 
 LADDER = ((2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (2, 5), (4, 3))
@@ -159,6 +164,8 @@ def replay(ladder) -> None:
     replay_modular(*ladder[0])
     listed = print_files(listed)
     replay_refusals()
+    listed = print_files(listed)
+    replay_shared_classes()
     print_files(listed)
 
 
@@ -295,6 +302,22 @@ def replay_refusals() -> None:
         run(["canon", "--in", name])
     text = run(["sp-graph", "--q", "2", "--d", "4", "--complement"])
     run(["clique-census"], stdin=text)
+
+
+def replay_shared_classes() -> None:
+    """One canon and one count-classes run over several lines, some of
+    them isomorphic, so that later lines reach an earlier line's leaf."""
+    t8 = triangular_graph(8)
+    copies = []
+    for seed in (1, 2):
+        perm = list(range(t8.n))
+        random.Random(seed).shuffle(perm)
+        copies.append(t8.relabel(tuple(perm)))
+    graphs = (t8, copies[0], *chang_graphs(), copies[1], petersen_graph())
+    Path("classes.g6").write_text(
+        "".join(graph6_encode(g) + "\n" for g in graphs), encoding="ascii")
+    run(["canon", "--in", "classes.g6"])
+    run(["count-classes", "--in", "classes.g6"])
 
 
 def print_files(listed: frozenset = frozenset()) -> frozenset:

@@ -49,10 +49,24 @@ tying the first or best leaf yield automorphisms; the group order follows
 from the orbit sizes of the first-path choices under the discovered
 generators.
 
+A caller that puts many graphs through canonical_form can pass one dict,
+`known`, to every call.  It maps the final level value of each earlier
+graph's best leaf, the packed adjacency of its canonically relabeled
+graph, to that graph's form.  Each leaf is looked up before it is
+recorded, and a hit ends the search with the stored form: equal final
+level values mean equal relabeled graphs, so the two graphs are isomorphic
+and share the canonical string, |Aut| and the orbit count (McKay &
+Piperno 2014 prove isomorphism by reaching a known canonical leaf).  The
+search runs as it would alone until the hit, so a graph never takes more
+nodes than alone.  count_classes and the canon command pass one dict per
+call; the gen commands' manifest forms pass none.
+
 canonical_form raises TooLarge on a graph of more than MAX_VERTICES
 vertices, before any work, and on a search past MAX_NODES nodes.  The node
-count depends only on the graph and its labelling, so the same input is
-refused on every host.
+count depends only on the graph, its labelling and, with a shared dict,
+the earlier graphs of the same call, which can only make it smaller; so
+the same input is refused on every host, and an earlier isomorphic graph
+can only turn a refusal into a form.
 """
 
 from __future__ import annotations
@@ -238,7 +252,9 @@ def _orbit(start: int, gens) -> set[int]:
 
 
 class _Search:
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, known=None):
+        self.known = {} if known is None else known
+        self.hit = None  # the stored form of a known leaf reached
         self.relations = [g.rows]
         self.matrix = g.matrix
         self.n = g.n
@@ -251,7 +267,7 @@ class _Search:
 
     def run(self):
         if self.n == 0:
-            self.first = self.best = ((), ())
+            self._leaf([], (_level_value(self.matrix, []),), ())
             return
         full = (1 << self.n) - 1
         cells, work = [full], []
@@ -265,7 +281,8 @@ class _Search:
 
     def _node(self, cells, work, prefix, values):
         """Search below one node; returns the depth to jump back to after
-        a leaf equivalent to the first leaf, else None."""
+        a leaf equivalent to the first leaf, -1 after a known leaf, else
+        None."""
         self.nodes += 1
         if self.nodes > MAX_NODES:
             raise TooLarge(f"canonical labeling of {self.n} vertices needs "
@@ -302,7 +319,11 @@ class _Search:
 
     def _leaf(self, cells, values, prefix):
         """Record a discrete partition; returns the length of the prefix
-        shared with the first leaf when it is equivalent to that leaf."""
+        shared with the first leaf when it is equivalent to that leaf, and
+        -1, which ends the whole search, when it is a known best leaf."""
+        self.hit = self.known.get(values[-1])
+        if self.hit is not None:
+            return -1
         lab = tuple(cell.bit_length() - 1 for cell in cells)
         if self.first is None:
             self.first = self.best = (values, lab)
@@ -350,22 +371,29 @@ def check_canon_vertices(n: int) -> None:
     check_vertices(n, "the canon input", MAX_VERTICES)
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
+def canonical_form(g: Graph, known: dict | None = None) -> CanonicalForm:
     """Canonical graph6 string plus automorphism statistics.
 
     Isomorphic graphs map to the same string; any relabeling of g leaves
-    the result unchanged.
+    the result unchanged.  `known`, owned by the caller and shared by its
+    calls, maps the final level value of each earlier graph's best leaf to
+    its form: the search stops at a leaf found there, and otherwise adds
+    g's entry.
     """
     check_canon_vertices(g.n)
-    search = _Search(g)
+    search = _Search(g, known)
     search.run()
-    return CanonicalForm(
+    if search.hit is not None:
+        return search.hit
+    form = CanonicalForm(
         n=g.n,
         # the best leaf's labelling lists g's vertices in canonical order
         graph6=graph6_encode(g.induced(search.best[1])),
         orbit_count=search.orbit_count(),
         aut_order=search.aut_order(),
     )
+    search.known[search.best[0][-1]] = form
+    return form
 
 
 @dataclass(frozen=True)
@@ -383,9 +411,10 @@ def count_classes(graphs) -> dict[str, ClassCount]:
     member seen.
     """
     out: dict[str, ClassCount] = {}
+    known: dict = {}
     for i, item in enumerate(graphs):
         g, prov = item if isinstance(item, tuple) else (item, i)
-        key = canonical_form(g).graph6
+        key = canonical_form(g, known).graph6
         entry = out.get(key)
         out[key] = ClassCount(1, prov) if entry is None else \
             ClassCount(entry.count + 1, entry.first)

@@ -359,7 +359,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    forms = [canonical_form(g)
+    known: dict = {}
+    forms = [canonical_form(g, known)
              for g in _read_graphs(args.infile, check_canon_vertices)]
     for form in forms:  # after the last form, so a refusal prints nothing
         print(f"{form.graph6} {form.aut_order}")

@@ -506,14 +506,18 @@ def regularity(g: Graph, deg=None):
     return k, None
 
 
-def cliques(rows, size: int, allowed: int, block=()):
+def cliques(rows, size: int, allowed: int, block=(), step=None):
     """Cliques of `size` vertices that extend `block` by pairwise-adjacent
     vertices of the bitset `allowed`, in ascending lexicographic order.
 
     The caller picks `allowed` adjacent to all of `block`; cocliques are the
     cliques of the complement rows.  A branch stops once `block` plus the
-    allowed vertices left cannot reach `size`.
+    allowed vertices left cannot reach `size`.  `step`, when given, is
+    called once per call, the recursive ones included, so that a caller
+    can bound the search in work.
     """
+    if step is not None:
+        step()
     if len(block) >= size:
         if len(block) == size:
             yield tuple(block)
@@ -525,7 +529,7 @@ def cliques(rows, size: int, allowed: int, block=()):
         rem ^= low
         # bits of rem are exactly the allowed vertices above w, so this
         # keeps the enumeration ascending and duplicate-free
-        yield from cliques(rows, size, rem & rows[w], (*block, w))
+        yield from cliques(rows, size, rem & rows[w], (*block, w), step)
 
 
 def from_edges(n: int, edges) -> Graph:

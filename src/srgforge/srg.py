@@ -324,29 +324,28 @@ def chang_graphs() -> list[Graph]:
 # Hoffman colorings and the clique attachment
 
 
-# search nodes (_colorings calls, those that yield nothing included) past
-# which a Hoffman-coloring enumeration stops: ten times the 23,572 that
-# enumerate T(8)'s 6240 colorings.  The count depends only on the graph
-# and how far the enumeration goes, so an index is refused on every host
-MAX_COLORING_NODES = 250_000
+# search nodes past which a Hoffman-coloring enumeration stops: _colorings
+# calls and the graphs.cliques calls inside them, those that yield nothing
+# included; ten times the 170,547 (23,572 and 146,975) that enumerate
+# T(8)'s 6240 colorings.  The count depends only on the graph and how far
+# the enumeration goes, so an index is refused on every host
+MAX_COLORING_NODES = 1_710_000
 
 
-def _colorings(co_rows, size: int, uncovered: int, acc: list, nodes):
+def _colorings(co_rows, size: int, uncovered: int, acc: list, step):
     """Partitions of the uncovered vertices into cliques of the complement
     rows co_rows, i.e. cocliques of the graph, in lexicographic order;
-    TooLarge once the counter `nodes` passes MAX_COLORING_NODES."""
-    if next(nodes) > MAX_COLORING_NODES:
-        raise TooLarge(f"Hoffman colorings of {len(co_rows)} vertices need "
-                       f"more than {MAX_COLORING_NODES} search nodes")
+    `step` is called once per call here and in graphs.cliques."""
+    step()
     if uncovered == 0:
         yield VertexPartition.from_lists(len(co_rows), [list(b) for b in acc])
         return
     v0 = (uncovered & -uncovered).bit_length() - 1
     pool = uncovered & co_rows[v0] & ~((2 << v0) - 1)
-    for block in cliques(co_rows, size, pool, (v0,)):
+    for block in cliques(co_rows, size, pool, (v0,), step):
         acc.append(block)
         yield from _colorings(co_rows, size, uncovered & ~bitset(block), acc,
-                              nodes)
+                              step)
         acc.pop()
 
 
@@ -379,8 +378,14 @@ class HoffmanColorings:
         size, n = hoffman_coclique_size(self.params), self.g.n
         if size.denominator != 1 or size < 1 or n % int(size):
             return iter(())
+        nodes = count(1)
+
+        def step():
+            if next(nodes) > MAX_COLORING_NODES:
+                raise TooLarge(f"Hoffman colorings of {n} vertices need "
+                               f"more than {MAX_COLORING_NODES} search nodes")
         return _colorings(complement(self.g).rows, int(size), (1 << n) - 1, [],
-                          count(1))
+                          step)
 
 
 hoffman_colorings = HoffmanColorings  # the name callers use

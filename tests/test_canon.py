@@ -28,8 +28,9 @@ from srgforge import (as_prime_power, canon, canonical_form, chang_graphs,
                       cycle_graph, empty_graph, fano_plane, from_edges,
                       graph6_decode, graph6_encode, Graph, line_graph,
                       make_field, path_graph, petersen_graph,
-                      projective_complement_design, symplectic_graph,
-                      TooLarge, triangular_graph)
+                      projective_complement_design,
+                      random_left_quasigroup, symplectic_graph, TooLarge,
+                      triangular_graph)
 from srgforge.cli import main
 from srgforge.graphs import bitset, set_bits
 from test_ddg import build
@@ -392,10 +393,11 @@ def test_too_large():
         canonical_form(path_graph(257))
 
 
-def glued_pair():
-    """d(2,3) and s(2,3): the glued DDG with seed 1 and the cyclic
-    quasigroup, and the SRG attached to it."""
-    g, partition = build(2, 3, seed=1)
+def glued_pair(seed=1, quasigroup=None):
+    """d(2,3) and s(2,3): the glued DDG with the seed and the quasigroup,
+    by default seed 1 and the cyclic quasigroup, and the SRG attached to
+    it."""
+    g, partition = build(2, 3, seed, quasigroup)
     design = projective_complement_design(make_field(2, 1), 3)
     srg = construct_srg1(g, partition, design,
                          ClassBlockMap.identity(len(partition.classes)))
@@ -525,6 +527,78 @@ def test_srg1_at_255_vertices_is_not_the_symplectic_complement(
     [control] = _cli_lines(capsys, ["canon", "--in", "c.g6"])
     assert srg.split()[0] != control.split()[0]
     assert int(control.split()[1]) == 47377612800
+
+
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(tuple(perm))
+
+
+def _shuffled_copies(graphs, seed: int) -> list[Graph]:
+    """Each graph and two relabelled copies of it, in a shuffled order."""
+    out = [copy for i, g in enumerate(graphs)
+           for copy in (g, _relabelled(g, 2 * i), _relabelled(g, 2 * i + 1))]
+    random.Random(seed).shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: [triangular_graph(8), *chang_graphs(),
+                          petersen_graph()], id="t8-chang-petersen"),
+    pytest.param(lambda: [g for seed in (1, 2, 3)
+                          for g in glued_pair(seed)], id="glued-cyclic"),
+    pytest.param(lambda: [g for seed in (1, 2, 3)
+                          for g in glued_pair(seed, random_left_quasigroup(
+                              7, seed))], id="glued-random"),
+])
+def test_known_leaves_give_the_forms_of_single_searches(make):
+    """Over a shuffled list of graphs and relabelled copies, one shared
+    dict gives each graph its single search's form, and ends up holding one
+    entry per class, keyed by the final level value of its canonical
+    graph: the packed adjacency of the relabelled graph.  The first case
+    mixes four non-isomorphic graphs with parameters (28,12,6,4)."""
+    known: dict = {}
+    for g in _shuffled_copies(make(), 7):
+        assert canonical_form(g, known) == canonical_form(g)
+    forms = set(known.values())
+    assert len(forms) == len(known) == len({f.graph6 for f in forms})
+    for key, form in known.items():
+        discrete = [1 << v for v in range(form.n)]
+        assert key == canon._level_value(graph6_decode(form.graph6).matrix,
+                                         discrete)
+
+
+def test_known_leaf_ends_the_search():
+    """A relabelled T(8) after T(8) stops at a known leaf in 7 search nodes,
+    against 28 alone."""
+    t8 = triangular_graph(8)
+    known: dict = {}
+    canonical_form(t8, known)
+    copy = _relabelled(t8, 1)
+    counts = []
+    for shared in (None, known):
+        search = canon._Search(copy, shared)
+        search.run()
+        counts.append(search.nodes)
+    assert counts == [28, 7]
+
+
+def test_known_leaf_within_the_node_budget(monkeypatch):
+    """With the budget at 27 nodes, a relabelled T(8) refused alone gets
+    T(8)'s form after T(8), while the Chang graphs, of the same parameters,
+    as earlier graphs change nothing."""
+    t8 = triangular_graph(8)
+    same, other = {}, {}
+    want = canonical_form(t8, same)
+    for chang in chang_graphs():
+        canonical_form(chang, other)
+    monkeypatch.setattr(canon, "MAX_NODES", 27)
+    copy = _relabelled(t8, 1)
+    assert canonical_form(copy, same) == want
+    for known in (None, other):
+        with pytest.raises(TooLarge, match="27 search nodes"):
+            canonical_form(copy, known)
 
 
 def test_node_budget(monkeypatch, tmp_path, capsys):

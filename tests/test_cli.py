@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from srgforge import (certificate, complete_graph, construct_ddg,
-                      counting_lower_bound, cycle_graph,
+from srgforge import (certificate, chang_graphs, complete_graph,
+                      construct_ddg, counting_lower_bound, cycle_graph,
                       ddg_formula_spectrum, DdgParams, designs,
                       empty_graph, exact_spectrum, fano_plane, Graph,
                       graph6_decode, graph6_encode, make_spectrum,
@@ -554,6 +554,35 @@ def test_count_classes_command(workdir, capsys):
     assert json.loads((workdir / "c.json").read_text()) == doc
 
 
+def test_canon_and_count_classes_print_what_single_lines_print(workdir,
+                                                              capsys):
+    """On T(8), two relabelled copies of it, the Chang graphs and Petersen,
+    where the copies' searches stop at T(8)'s known leaf, canon prints the
+    lines the one-line runs print, and count-classes the classes they
+    give, each counted with the index of its first line."""
+    t8 = triangular_graph(8)
+    copies = [t8.relabel(tuple(sorted(range(28), key=lambda v: (v * k) % 29)))
+              for k in (3, 5)]
+    lines = [graph6_encode(g) for g in
+             (t8, copies[0], *chang_graphs(), copies[1], petersen_graph())]
+    single, classes = [], {}
+    for i, line in enumerate(lines):
+        Path("one.g6").write_text(line + "\n")
+        assert main(["canon", "--in", "one.g6"]) == 0
+        single.append(capsys.readouterr().out)
+        assert main(["count-classes", "--in", "one.g6"]) == 0
+        [(key, entry)] = json.loads(capsys.readouterr().out).items()
+        assert entry == {"count": 1, "first": 0}
+        first = classes.setdefault(key, {"count": 0, "first": i})
+        first["count"] += 1
+    Path("all.g6").write_text("".join(line + "\n" for line in lines))
+    assert main(["canon", "--in", "all.g6"]) == 0
+    assert capsys.readouterr().out == "".join(single)
+    assert main(["count-classes", "--in", "all.g6"]) == 0
+    assert json.loads(capsys.readouterr().out) == classes
+    assert sorted(e["count"] for e in classes.values()) == [1, 1, 1, 1, 3]
+
+
 def test_bound_command(capsys):
     assert main(["bound", "--q", "2", "--d", "2"]) == 0
     out = capsys.readouterr().out.strip()
@@ -854,6 +883,23 @@ def test_gen_srg2_coloring_search_has_a_node_budget(workdir, capsys):
     Path("rook.g6").write_text(graph6_encode(Graph(rook)) + "\n")
     assert main(["gen-srg2", "--base", "g6:rook.g6",
                  "--coloring", "2000000"]) == 2
+    assert capsys.readouterr().err == (
+        f"srgforge: Hoffman colorings of 36 vertices need more than "
+        f"{srg.MAX_COLORING_NODES} search nodes\n")
+    assert sorted(os.listdir()) == ["rook.g6"]
+
+
+def test_gen_srg2_coloring_budget_counts_clique_steps(workdir, capsys):
+    """The budget counts the graphs.cliques calls inside each coloring
+    node: the rook graph's index 50,000 takes 140,668 coloring nodes, under
+    the 250,000 that bounded the nodes alone, but more than
+    srg.MAX_COLORING_NODES nodes and clique steps together, so it exits 2
+    and writes no file."""
+    rook = np.kron(np.eye(6, dtype=bool), ~np.eye(6, dtype=bool)) | \
+        np.kron(~np.eye(6, dtype=bool), np.eye(6, dtype=bool))
+    Path("rook.g6").write_text(graph6_encode(Graph(rook)) + "\n")
+    assert main(["gen-srg2", "--base", "g6:rook.g6",
+                 "--coloring", "50000"]) == 2
     assert capsys.readouterr().err == (
         f"srgforge: Hoffman colorings of 36 vertices need more than "
         f"{srg.MAX_COLORING_NODES} search nodes\n")

@@ -5,8 +5,8 @@ are of their stdout, so a change to the Hoffman-coloring search, the clique
 census or class counting that alters any table line shows here, and so does
 any byte of the outputs the digest replay writes at (q, d) = (3, 2) and over
 GF(8) and GF(9).  The timing script, layer_time.py, has one test per LAYER
-(product, pair-kernel, graph6) on the shape of its JSON, and one on its
-refusal of an unknown LAYER.
+(product, pair-kernel, graph6, canon) on the shape of its JSON, and one on
+its refusal of an unknown LAYER.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
         id="class_diversity"),
     pytest.param(
         "replay_digests.py", ["--ladder", "3,2"],
-        "1afb9133465918f19ddf11c7af5313263f5f15888720eb268220619d1a4619ae",
+        "3a1ca79e4b42e58e480d9aa530c1f8ae570cad5714ff39b9da304d5e8349dbac",
         id="replay_digests"),
 ])
 def test_script_stdout_is_pinned(tmp_path, script, args, digest):
@@ -104,15 +104,38 @@ def test_graph6_time_reports_each_input(tmp_path):
     assert _run(tmp_path, "layer_time.py", ["graph6", "0"]).returncode == 2
 
 
+def test_canon_time_reports_each_input(tmp_path):
+    """A small run prints, per canon-small graph, its vertex count and, one
+    by one and with a shared dict, the quartiles and median of the times
+    per copy and the summed search nodes, never more when shared; a bad N
+    exits 2."""
+    result = _run(tmp_path, "layer_time.py", ["canon", "3"])
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report.pop("calls") == 3
+    assert sorted(report) == sorted(
+        ["t8", "chang1", "chang2", "chang3", "petersen"] +
+        [f"{kind}({qd})" for kind in "sd" for qd in ("2,3", "3,2")])
+    for figures in report.values():
+        assert 10 <= figures.pop("vertices") <= 63
+        assert sorted(figures) == ["one_by_one", "shared"]
+        for times in figures.values():
+            assert 0 < times["q1_ms"] <= times["median_ms"] <= times["q3_ms"]
+        assert 0 < figures["shared"]["nodes"] <= \
+            figures["one_by_one"]["nodes"]
+    assert _run(tmp_path, "layer_time.py", ["canon", "0"]).returncode == 2
+
+
 @pytest.mark.parametrize("args", [["spectrum", "2"], ["graph6"], [],
                                   ["product", "2", "3"]])
 def test_layer_time_refuses_an_unknown_layer(tmp_path, args):
-    """A LAYER other than pair-kernel, graph6 and product, or a missing or
-    extra argument, exits 2 with the usage line and prints nothing."""
+    """A LAYER other than pair-kernel, graph6, product and canon, or a
+    missing or extra argument, exits 2 with the usage line and prints
+    nothing."""
     result = _run(tmp_path, "layer_time.py", args)
     assert result.returncode == 2
     assert result.stderr.startswith(
-        "usage: layer_time.py pair-kernel|graph6|product N")
+        "usage: layer_time.py pair-kernel|graph6|product|canon N")
     assert result.stdout == ""
 
 
