@@ -35,9 +35,13 @@ canon        `canon.canonical_form` on N relabelled copies (random.Random(0)
              graphs at (2, 3) and (3, 2) as gen-ddg and gen-srg1 make them
              with --seed 1 (family seed 3).  Per graph: its vertex count
              and, "one_by_one" (each copy searched alone) and "shared"
-             (one dict of known leaves for all copies, as the canon and
-             count-classes commands pass), the median and quartiles in ms
-             per copy and the search nodes summed over the copies.
+             (one dict of known discrete partitions for all copies, as
+             the canon and count-classes commands pass), the median and
+             quartiles in ms per copy, the search nodes summed over the
+             copies and, as "later_nodes", over the copies after the
+             first; and for "shared", as "stored", the entries the dict
+             holds after the last copy, one per distinct discrete
+             partition of the searches that ran without a hit.
 
 pair-kernel and graph6 call their inputs in turn N times over; product
 makes one shape's N calls in a row, and canon one graph's N copies.  The
@@ -205,7 +209,9 @@ def canon_layer(calls: int) -> dict:
                 ms = _rounds(calls, {mode: (
                     lambda: canonical_form(next(lines), known), ())})[0][mode]
                 report[name][mode] = {**_quartiles(ms),
-                                      "nodes": sum(searched)}
+                                      "nodes": sum(searched),
+                                      "later_nodes": sum(searched[1:])}
+            report[name]["shared"]["stored"] = len(known)
     finally:
         canon._Search = plain
     return report

@@ -41,7 +41,9 @@ Three prunings keep the tree small without losing soundness: a subtree is
 cut when its value prefix already exceeds the best leaf (unless it ties the
 first leaf, which must stay visitable for automorphism discovery); sibling
 branches are cut when a discovered automorphism fixing the current prefix
-maps them to an already-explored branch; and a leaf equivalent to the
+maps them to an already-explored branch, the union of the orbits of the
+tried siblings under the generators fixing the prefix, both rebuilt only
+after a new generator (McKay 1981); and a leaf equivalent to the
 first leaf sends the search back to the deepest node its path shares with
 the first leaf's path (McKay 1981), since the automorphism maps that
 node's fully explored first-path child onto the current child.  Leaves
@@ -50,16 +52,19 @@ from the orbit sizes of the first-path choices under the discovered
 generators.
 
 A caller that puts many graphs through canonical_form can pass one dict,
-`known`, to every call.  It maps the final level value of each earlier
-graph's best leaf, the packed adjacency of its canonically relabeled
-graph, to that graph's form.  Each leaf is looked up before it is
-recorded, and a hit ends the search with the stored form: equal final
-level values mean equal relabeled graphs, so the two graphs are isomorphic
-and share the canonical string, |Aut| and the orbit count (McKay &
-Piperno 2014 prove isomorphism by reaching a known canonical leaf).  The
+`known`, to every call.  It maps the final level value of every discrete
+partition an earlier graph's search reached, the packed adjacency of one
+relabeling of that graph, to that graph's form.  Each discrete partition
+is looked up as soon as its level value is known, before the value-bound
+prune, and a hit ends the search with the stored form: equal final level
+values mean equal relabeled graphs, so the two graphs are isomorphic and
+share the canonical string, |Aut| and the orbit count (McKay & Piperno
+2014 prove isomorphism by reaching a known discrete partition).  The
 search runs as it would alone until the hit, so a graph never takes more
-nodes than alone.  count_classes and the canon command pass one dict per
-call; the gen commands' manifest forms pass none.
+nodes than alone.  The dict gains one entry per distinct discrete
+partition of each class's one full search: 2 for s(2,3), 1 for d(2,3)
+and T(8).  count_classes and the canon command pass one dict per call;
+the gen commands' manifest forms pass none.
 
 canonical_form raises TooLarge on a graph of more than MAX_VERTICES
 vertices, before any work, and on a search past MAX_NODES nodes.  The node
@@ -254,7 +259,9 @@ def _orbit(start: int, gens) -> set[int]:
 class _Search:
     def __init__(self, g: Graph, known=None):
         self.known = {} if known is None else known
-        self.hit = None  # the stored form of a known leaf reached
+        self.hit = None  # the stored form of a known partition reached
+        # the final level values of the discrete partitions reached
+        self.discrete: set = set()
         self.relations = [g.rows]
         self.matrix = g.matrix
         self.n = g.n
@@ -267,7 +274,9 @@ class _Search:
 
     def run(self):
         if self.n == 0:
-            self._leaf([], (_level_value(self.matrix, []),), ())
+            value = _level_value(self.matrix, [])
+            if not self._known(value):
+                self._leaf([], (value,), ())
             return
         full = (1 << self.n) - 1
         cells, work = [full], []
@@ -281,8 +290,8 @@ class _Search:
 
     def _node(self, cells, work, prefix, values):
         """Search below one node; returns the depth to jump back to after
-        a leaf equivalent to the first leaf, -1 after a known leaf, else
-        None."""
+        a leaf equivalent to the first leaf, -1 after a known discrete
+        partition, else None."""
         self.nodes += 1
         if self.nodes > MAX_NODES:
             raise TooLarge(f"canonical labeling of {self.n} vertices needs "
@@ -290,6 +299,8 @@ class _Search:
         self.splitter_rows += _refine(self.relations, cells, work)
         value = _level_value(self.matrix, cells)
         values = values + (value,)
+        if len(cells) == self.n and self._known(value):
+            return -1
         depth = len(values)
         if self.best is not None:
             if values > self.best[0][:depth] and values != self.first[0][:depth]:
@@ -303,12 +314,23 @@ class _Search:
         target = sizes.index(size)
         cell = cells[target]
         tried: list[int] = []
+        # the generators fixing prefix and the union of the orbits of tried
+        # under them, built at the second sibling and rebuilt only after a
+        # new generator
+        fixing: list[tuple[int, ...]] = []
+        covered: set[int] = set()
+        gens_seen = -1
         for u in set_bits(cell):
             if tried:
-                fixing = [p for p in self.gens
-                          if all(p[x] == x for x in prefix)]
-                if fixing and not _orbit(u, fixing).isdisjoint(tried):
+                if len(self.gens) > gens_seen:
+                    gens_seen = len(self.gens)
+                    fixing = [p for p in self.gens
+                              if all(p[x] == x for x in prefix)]
+                    covered = set().union(*(_orbit(t, fixing)
+                                            for t in tried))
+                if u in covered:
                     continue
+                covered |= _orbit(u, fixing)
             tried.append(u)
             child = list(cells)
             child[target:target + 1] = [1 << u, cell ^ 1 << u]
@@ -317,13 +339,17 @@ class _Search:
                 return jump
         return None
 
+    def _known(self, value) -> bool:
+        """Whether the final level value of a discrete partition is in
+        known, whose form then becomes the hit; else it is collected."""
+        self.hit = self.known.get(value)
+        if self.hit is None:
+            self.discrete.add(value)
+        return self.hit is not None
+
     def _leaf(self, cells, values, prefix):
         """Record a discrete partition; returns the length of the prefix
-        shared with the first leaf when it is equivalent to that leaf, and
-        -1, which ends the whole search, when it is a known best leaf."""
-        self.hit = self.known.get(values[-1])
-        if self.hit is not None:
-            return -1
+        shared with the first leaf when it is equivalent to that leaf."""
         lab = tuple(cell.bit_length() - 1 for cell in cells)
         if self.first is None:
             self.first = self.best = (values, lab)
@@ -376,9 +402,10 @@ def canonical_form(g: Graph, known: dict | None = None) -> CanonicalForm:
 
     Isomorphic graphs map to the same string; any relabeling of g leaves
     the result unchanged.  `known`, owned by the caller and shared by its
-    calls, maps the final level value of each earlier graph's best leaf to
-    its form: the search stops at a leaf found there, and otherwise adds
-    g's entry.
+    calls, maps the final level value of every discrete partition of each
+    earlier graph's search to its form: the search stops at the first
+    discrete partition found there, and otherwise maps all of its own
+    discrete partitions to g's form.
     """
     check_canon_vertices(g.n)
     search = _Search(g, known)
@@ -392,7 +419,7 @@ def canonical_form(g: Graph, known: dict | None = None) -> CanonicalForm:
         orbit_count=search.orbit_count(),
         aut_order=search.aut_order(),
     )
-    search.known[search.best[0][-1]] = form
+    search.known.update(dict.fromkeys(search.discrete, form))
     return form
 
 
@@ -408,7 +435,9 @@ def count_classes(graphs) -> dict[str, ClassCount]:
     Items may be Graph objects or (Graph, provenance) pairs; bare graphs
     get their stream index as provenance.  Keys are canonical graph6
     strings, values carry the class size and the provenance of the first
-    member seen.
+    member seen.  One dict of known discrete partitions serves the whole
+    stream, so a graph's search stops at the first discrete partition
+    that an earlier member of its class reached.
     """
     out: dict[str, ClassCount] = {}
     known: dict = {}

@@ -5,7 +5,8 @@ and stdin so commands compose in shell pipelines; certificates and other
 reports go to files or stderr, never stdout; generators write their outputs
 plus a JSON run manifest under an --out prefix; exit code 0 means verified,
 1 means a verification failed on valid input, 2 means the input or usage
-was wrong.  Randomized generators require an explicit --seed.
+was wrong or memory ran out.  Randomized generators require an explicit
+--seed.
 """
 
 from __future__ import annotations
@@ -502,6 +503,9 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (SrgforgeError, ValueError, OSError) as exc:
         print(f"srgforge: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"srgforge: out of memory in {args.command}", file=sys.stderr)
         return 2
 
 

@@ -43,7 +43,10 @@ from .errors import ParseError, TooLarge
 # parameter; it keeps (q, d) = (2, 6), (3, 4), (5, 3) and Sp(12, 2)
 MAX_BUILD_VERTICES = 4096
 
-_GRAM_ROWS = 64  # edge rows per float32 block of common_edge_counts
+# edge rows per float32 block of common_edge_counts: the larger of
+# _GRAM_ROWS and _GRAM_ENTRIES entries' worth
+_GRAM_ROWS = 64
+_GRAM_ENTRIES = 1 << 16
 # rows and columns of the square blocks in which Graph checks symmetry and
 # graph6_decode clears its diagonal blocks on and above the diagonal and
 # mirrors its lower triangle
@@ -161,13 +164,21 @@ class Graph:
 
 def bit_rows(m) -> tuple[int, ...]:
     """The rows of a boolean matrix as bitsets: bit v of rows[u] is m[u, v].
-    A stack of matrices gives the rows of each in turn, from one packed
-    bytes object sliced per row."""
+    A stack of matrices gives the rows of each in turn.  Rows of at most 64
+    columns are packed into one zero-padded machine word each, whose
+    little-endian uint64 view numpy turns into ints in one tolist; wider
+    rows are sliced from one packed bytes object, one int.from_bytes
+    each."""
     packed = np.packbits(m, axis=-1, bitorder="little")
     width = packed.shape[-1]
+    count = int(np.prod(packed.shape[:-1]))
+    if width <= 8:
+        words = np.zeros((count, 8), np.uint8)
+        words[:, :width] = packed.reshape(count, width)
+        return tuple(words.view("<u8").ravel().tolist())
     data = packed.tobytes()
     return tuple([int.from_bytes(data[i * width:(i + 1) * width], "little")
-                  for i in range(int(np.prod(packed.shape[:-1])))])
+                  for i in range(count)])
 
 
 def set_bits(x: int):
@@ -647,18 +658,24 @@ def common_edge_counts(m) -> np.ndarray:
     for a boolean adjacency matrix m: for an edge uw, the K4s through it.
 
     t = C^T C, C with the row m[x] & m[y] for each edge x < y, counts the
-    edges inside N(u) & N(w).  C is cast to float32 _GRAM_ROWS rows at a
-    time and the block products summed in float32, which is exact: every
-    partial sum is an integer of at most |E| < 2^24 for n <= 4096.
+    edges inside N(u) & N(w).  C is cast to float32 in blocks of
+    max(_GRAM_ROWS, _GRAM_ENTRIES // n) rows, so one product takes all
+    edges of d(2,3) or s(2,3) (56 and 63 vertices), and the block products
+    are summed in float32, which is exact: every partial sum is an integer
+    of at most |E| < 2^24 for n <= 4096.  Blocks of a few hundred rows once
+    woke OpenBLAS's worker threads and raised the peak RSS; inside
+    _blas_scope, on one thread below _SERIAL_BELOW vertices, they wake
+    none, and the entry budget keeps a block's float32 rows near 256 KB.
     """
     n = len(m)
     if n > 1 << 12:
         raise ValueError(f"{n} vertices: float32 counts are exact up to 4096")
     edges = np.flatnonzero(np.triu(m))  # x * n + y for each edge x < y
     t = np.zeros((n, n), np.float32)
+    step = max(_GRAM_ROWS, _GRAM_ENTRIES // max(n, 1))
     with _blas_scope(n):
-        for e in range(0, len(edges), _GRAM_ROWS):
-            x, y = np.divmod(edges[e:e + _GRAM_ROWS], n)
+        for e in range(0, len(edges), step):
+            x, y = np.divmod(edges[e:e + step], n)
             c = (m[x] & m[y]).astype(np.float32)
             t += c.T @ c
     return t.astype(np.int64)

@@ -18,6 +18,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -432,6 +433,18 @@ def test_pinned_node_counts():
     assert counts == [5, 8]
 
 
+def test_pinned_symmetric_node_counts():
+    """Search nodes of T(8), the Chang graphs and each graph in SYMMETRIC,
+    whose automorphisms prune siblings all through the tree."""
+    named = {"T8": triangular_graph(8),
+             **{f"chang{i + 1}": c for i, c in enumerate(chang_graphs())},
+             **SYMMETRIC}
+    assert {name: _nodes(g) for name, g in named.items()} == {
+        "T8": 33, "chang1": 31, "chang2": 21, "chang3": 15, "3K3": 38,
+        "K3,3": 19, "Q3": 10, "Q4": 15, "C9": 6, "2C5": 19, "K3xK3": 10,
+        "4K2": 24, "K2+3K1": 10, "Paley13": 7, "Heawood": 26, "co-Q3": 10}
+
+
 def test_pinned_refinement_work():
     """Splitter rows summed into count planes (one per splitter vertex and
     relation) by the search of the generated labelling of d(2,3) and
@@ -554,19 +567,72 @@ def _shuffled_copies(graphs, seed: int) -> list[Graph]:
 ])
 def test_known_leaves_give_the_forms_of_single_searches(make):
     """Over a shuffled list of graphs and relabelled copies, one shared
-    dict gives each graph its single search's form, and ends up holding one
-    entry per class, keyed by the final level value of its canonical
-    graph: the packed adjacency of the relabelled graph.  The first case
-    mixes four non-isomorphic graphs with parameters (28,12,6,4)."""
+    dict gives each graph its single search's form.  Its keys are the final
+    level values of the discrete partitions of each class's search: each
+    packs, in graph6 body order, a relabelled graph whose own search gives
+    the mapped form, and each class's canonical graph is among them.  The
+    first case mixes four non-isomorphic graphs with parameters
+    (28,12,6,4)."""
     known: dict = {}
     for g in _shuffled_copies(make(), 7):
         assert canonical_form(g, known) == canonical_form(g)
     forms = set(known.values())
-    assert len(forms) == len(known) == len({f.graph6 for f in forms})
+    assert len(forms) == len({f.graph6 for f in forms})
     for key, form in known.items():
+        assert canonical_form(_unpacked(key)) == form
+    for form in forms:
         discrete = [1 << v for v in range(form.n)]
-        assert key == canon._level_value(graph6_decode(form.graph6).matrix,
-                                         discrete)
+        assert canon._level_value(graph6_decode(form.graph6).matrix,
+                                  discrete) in known
+
+
+def _unpacked(key) -> Graph:
+    """The graph whose adjacency a discrete partition's level value packs
+    in graph6 body order."""
+    sizes, packed = key
+    n = len(sizes)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8))
+    m = np.zeros((n, n), bool)
+    m[canon._lead_mask(n)] = bits[:n * (n - 1) // 2]
+    return Graph(m | m.T)
+
+
+def test_known_partition_of_s23_ends_the_search():
+    """The search of s(2,3) reaches two discrete partitions, both stored:
+    each relabelled copy after it stops in 3 search nodes, against 8
+    alone."""
+    _, s23 = glued_pair()
+    known: dict = {}
+    canonical_form(s23, known)
+    assert len(known) == 2
+    counts = []
+    for k in range(1, 6):
+        copy = _relabelled(s23, k)
+        counts.append([_nodes(copy, shared) for shared in (None, known)])
+    assert counts == [[8, 3]] * 5
+
+
+def _nodes(g: Graph, known=None) -> int:
+    search = canon._Search(g, known)
+    search.run()
+    return search.nodes
+
+
+@given(st.lists(graphs(max_n=10), min_size=1, max_size=4), st.randoms())
+def test_shared_dict_never_costs_nodes(parts, rnd):
+    """Graphs of at most 10 vertices and relabelled copies, shuffled and
+    put through one shared dict: each gets its single search's form, in at
+    most as many search nodes as alone."""
+    lines = []
+    for g in parts:
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        lines += [g, g.relabel(tuple(perm))]
+    rnd.shuffle(lines)
+    known: dict = {}
+    for g in lines:
+        assert _nodes(g, known) <= _nodes(g)
+        assert canonical_form(g, known) == canonical_form(g)
 
 
 def test_known_leaf_ends_the_search():

@@ -181,6 +181,20 @@ def test_main_dispatches_to_the_current_cmd_function(workdir, capsys,
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_memory_exhaustion_exits_2(workdir, capsys, monkeypatch):
+    """A MemoryError anywhere in a command, as numpy raises when an array
+    cannot be allocated, exits 2 with one stderr line naming the command
+    and no traceback."""
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 2.00 GiB")
+
+    monkeypatch.setattr(cli, "cmd_gen_ddg", exhausted)
+    assert main(["gen-ddg", "--q", "2", "--d", "6", "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "srgforge: out of memory in gen-ddg\n"
+
+
 def test_spectrum_command(workdir, capsys):
     (workdir / "pet.g6").write_text(graph6_encode(petersen_graph()) + "\n")
     rc = main(["spectrum", "--in", "pet.g6", "--srg", "10,3,0,1"])

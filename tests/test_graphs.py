@@ -595,22 +595,25 @@ def test_common_edge_counts_refuses_inexact_sizes():
 
 @given(graphs(max_n=12), st.sampled_from([1, 2, 3, 7]))
 def test_common_edge_counts_across_edge_blocks(g, rows):
-    """Edge blocks of 1, 2, 3 and 7 rows put block boundaries all through
-    the edge list; the block sums still add up to the set recount."""
-    with patch.object(graphs_module, "_GRAM_ROWS", rows):
+    """Edge blocks of 1, 2, 3 and 7 rows, with the entry budget patched
+    below one row, put block boundaries all through the edge list; the
+    block sums still add up to the set recount."""
+    with patch.object(graphs_module, "_GRAM_ROWS", rows), \
+            patch.object(graphs_module, "_GRAM_ENTRIES", 0):
         assert common_edge_counts(g.matrix).tolist() == \
             ref_common_edge_counts(g)
 
 
 def test_common_edge_counts_memory():
     """At 255 vertices, common_edge_counts holds at most its int64 result,
-    the edge list and one block: the block's edge rows (bool and float32)
-    and an n x n float32 Gram, the size of the float32 sum the result is
-    cast from.  An |E| x n float32 edge matrix (16 MB here) would break
-    this."""
+    the edge list and one block: the block's edge rows (bool and float32),
+    max(_GRAM_ROWS, _GRAM_ENTRIES // n) of them, and an n x n float32 Gram,
+    the size of the float32 sum the result is cast from.  An |E| x n
+    float32 edge matrix (16 MB here) would break this."""
     g = symplectic_graph(make_field(2), 4)
     n, edges = g.n, g.edge_count()
-    block = graphs_module._GRAM_ROWS * n * (3 + 4) + 4 * n * n
+    rows = max(graphs_module._GRAM_ROWS, graphs_module._GRAM_ENTRIES // n)
+    block = rows * n * (3 + 4) + 4 * n * n
     tracemalloc.start()
     try:
         t = common_edge_counts(g.matrix)

@@ -107,8 +107,9 @@ def test_graph6_time_reports_each_input(tmp_path):
 def test_canon_time_reports_each_input(tmp_path):
     """A small run prints, per canon-small graph, its vertex count and, one
     by one and with a shared dict, the quartiles and median of the times
-    per copy and the summed search nodes, never more when shared; a bad N
-    exits 2."""
+    per copy and the summed search nodes, over all copies and over those
+    after the first, never more when shared, and the shared dict's
+    entries, at least one; a bad N exits 2."""
     result = _run(tmp_path, "layer_time.py", ["canon", "3"])
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
@@ -123,6 +124,9 @@ def test_canon_time_reports_each_input(tmp_path):
             assert 0 < times["q1_ms"] <= times["median_ms"] <= times["q3_ms"]
         assert 0 < figures["shared"]["nodes"] <= \
             figures["one_by_one"]["nodes"]
+        assert figures["shared"]["later_nodes"] <= \
+            figures["one_by_one"]["later_nodes"]
+        assert figures["shared"]["stored"] >= 1
     assert _run(tmp_path, "layer_time.py", ["canon", "0"]).returncode == 2
 
 
